@@ -41,9 +41,6 @@ const (
 	envTolerance = "GMAP_BENCH_TOLERANCE"
 	envObsMax    = "GMAP_BENCH_OBS_MAX"
 	envTraceMax  = "GMAP_BENCH_TRACE_MAX"
-	// envMemsimSpeedup overrides the parallel-engine speedup floor (a
-	// multiplier, e.g. 4.0); the default scales with runtime.NumCPU.
-	envMemsimSpeedup = "GMAP_BENCH_MEMSIM_SPEEDUP"
 )
 
 func requireRegress(t *testing.T) {
@@ -426,56 +423,17 @@ func benchSimObs(b *testing.B, withObs bool) {
 }
 
 // memsimBaseline is BENCH_memsim.json: the recorded single-simulation
-// cost of the serial engine and the SM-worker parallel engine.
+// cost of the simulator.
 type memsimBaseline struct {
-	Benchmark       string  `json:"benchmark"`
-	CPUs            int     `json:"cpus"`
-	SimWorkers      int     `json:"sim_workers"`
-	SerialNsPerOp   int64   `json:"serial_ns_per_op"`
-	ParallelNsPerOp int64   `json:"parallel_ns_per_op"`
-	Speedup         float64 `json:"speedup"`
-	SpeedupFloor    float64 `json:"speedup_floor"`
-	Notes           string  `json:"notes"`
+	Benchmark     string `json:"benchmark"`
+	CPUs          int    `json:"cpus"`
+	SerialNsPerOp int64  `json:"serial_ns_per_op"`
+	Notes         string `json:"notes"`
 }
 
-// memsimBenchWorkers picks the SM worker count the parallel side runs
-// with: every CPU, bounded by the simulated core count.
-func memsimBenchWorkers() int {
-	w := runtime.NumCPU()
-	if cores := DefaultSimConfig().NumCores; w > cores {
-		w = cores
-	}
-	if w < 2 {
-		w = 2
-	}
-	return w
-}
-
-// memsimSpeedupFloor is the hard parallel-vs-serial floor for this host's
-// CPU count. Intra-run parallelism cannot beat physics: a lockstep
-// per-cycle engine on a 1-2 CPU host pays coordination for nothing, so
-// few-core hosts only log the ratio, 4-7 CPU hosts (the shared CI
-// runners) must clear a modest floor, and >=8 CPU hosts must deliver the
-// tentpole's 4x. GMAP_BENCH_MEMSIM_SPEEDUP overrides.
-func memsimSpeedupFloor(cpus int) float64 {
-	switch {
-	case cpus >= 8:
-		return 4.0
-	case cpus >= 4:
-		return 1.3
-	default:
-		return 0 // measured and recorded, not gated
-	}
-}
-
-// TestBenchRegressMemsim times one full simulation under the serial
-// engine and the parallel engine with the BENCH_trace ABBA methodology
-// (per round: serial, parallel, parallel, serial, each side min-of-5;
-// median of per-round ratios), then enforces two budgets: the serial
-// path must stay within GMAP_BENCH_TOLERANCE of BENCH_memsim.json's
-// recorded ns/op (the refactor's serial no-regression budget), and on
-// multi-core hosts the parallel engine must clear the CPU-scaled
-// speedup floor.
+// TestBenchRegressMemsim times one full simulation (best of 9 rounds of
+// min-of-5 samples) and fails when it exceeds BENCH_memsim.json's
+// recorded ns/op by more than GMAP_BENCH_TOLERANCE.
 func TestBenchRegressMemsim(t *testing.T) {
 	requireRegress(t)
 	tr, err := BenchmarkTrace("blk", 1)
@@ -486,55 +444,24 @@ func TestBenchRegressMemsim(t *testing.T) {
 	const rounds = 9
 	const minOf = 5
 
-	serialCfg := DefaultSimConfig()
-	parCfg := DefaultSimConfig()
-	parCfg.Workers = memsimBenchWorkers()
-
-	measureSim(t, serialCfg, warps, 1)
-	measureSim(t, parCfg, warps, 1)
-	ratios := make([]float64, 0, rounds)
-	var serialBest, parBest time.Duration = 1<<63 - 1, 1<<63 - 1
+	cfg := DefaultSimConfig()
+	measureSim(t, cfg, warps, 1)
+	best := time.Duration(1<<63 - 1)
 	for i := 0; i < rounds; i++ {
-		dS1 := measureSim(t, serialCfg, warps, minOf)
-		dP1 := measureSim(t, parCfg, warps, minOf)
-		dP2 := measureSim(t, parCfg, warps, minOf)
-		dS2 := measureSim(t, serialCfg, warps, minOf)
-		ratios = append(ratios, float64(dS1+dS2)/float64(dP1+dP2))
-		for _, d := range []time.Duration{dS1, dS2} {
-			if d < serialBest {
-				serialBest = d
-			}
-		}
-		for _, d := range []time.Duration{dP1, dP2} {
-			if d < parBest {
-				parBest = d
-			}
+		if d := measureSim(t, cfg, warps, minOf); d < best {
+			best = d
 		}
 	}
-	sort.Float64s(ratios)
-	speedup := ratios[len(ratios)/2]
 	cpus := runtime.NumCPU()
-	floor := memsimSpeedupFloor(cpus)
-	if os.Getenv(envMemsimSpeedup) != "" {
-		floor = envFraction(t, envMemsimSpeedup, floor)
-	}
-	t.Logf("serial: %v  parallel(%d workers): %v  median paired speedup: %.2fx on %d CPUs (floor %.2fx)",
-		serialBest, parCfg.Workers, parBest, speedup, cpus, floor)
+	t.Logf("serial: %v on %d CPUs", best, cpus)
 
 	if os.Getenv(envUpdate) == "1" {
 		base := memsimBaseline{
-			Benchmark:       "SimulateWarps(blk, scale 1), median ABBA-paired serial/parallel ratio (min-of-5 samples) over 9 rounds",
-			CPUs:            cpus,
-			SimWorkers:      parCfg.Workers,
-			SerialNsPerOp:   serialBest.Nanoseconds(),
-			ParallelNsPerOp: parBest.Nanoseconds(),
-			Speedup:         float64(int(speedup*100)) / 100,
-			SpeedupFloor:    memsimSpeedupFloor(cpus),
-			Notes: "Both engines produce bit-identical results (TestSimParallelMatchesSerial); this records " +
-				"their relative cost. The speedup floor scales with the host: >=8 CPUs demand 4x, 4-7 CPUs " +
-				"(shared CI runners) 1.3x, fewer CPUs record the ratio without gating — a lockstep per-cycle " +
-				"engine cannot speed up a 1-CPU host. The serial ns/op doubles as the refactor's " +
-				"no-regression budget, checked against GMAP_BENCH_TOLERANCE. Refresh with " +
+			Benchmark:     "SimulateWarps(blk, scale 1), best of 9 rounds of min-of-5 samples",
+			CPUs:          cpus,
+			SerialNsPerOp: best.Nanoseconds(),
+			Notes: "The serial ns/op is the simulator's no-regression budget, checked against " +
+				"GMAP_BENCH_TOLERANCE. Refresh with " +
 				"GMAP_BENCH_REGRESS=1 GMAP_BENCH_UPDATE=1 go test -run TestBenchRegressMemsim .",
 		}
 		out, err := json.MarshalIndent(base, "", "  ")
@@ -557,38 +484,24 @@ func TestBenchRegressMemsim(t *testing.T) {
 		t.Fatal(err)
 	}
 	tol := envFraction(t, envTolerance, 0.25)
-	if limit := float64(base.SerialNsPerOp) * (1 + tol); float64(serialBest.Nanoseconds()) > limit {
-		t.Fatalf("serial engine regressed: %d ns/op exceeds baseline %d ns/op by more than %.0f%%\n"+
+	if limit := float64(base.SerialNsPerOp) * (1 + tol); float64(best.Nanoseconds()) > limit {
+		t.Fatalf("simulator regressed: %d ns/op exceeds baseline %d ns/op by more than %.0f%%\n"+
 			"If intentional, refresh with %s=1 %s=1 go test -run TestBenchRegressMemsim .",
-			serialBest.Nanoseconds(), base.SerialNsPerOp, tol*100, envRegress, envUpdate)
-	}
-	if floor > 0 && speedup < floor {
-		t.Fatalf("parallel engine speedup %.2fx under the %.2fx floor for a %d-CPU host (serial %v, parallel %v with %d workers)",
-			speedup, floor, cpus, serialBest, parBest, parCfg.Workers)
+			best.Nanoseconds(), base.SerialNsPerOp, tol*100, envRegress, envUpdate)
 	}
 }
 
-// BenchmarkMemsimSerial / BenchmarkMemsimParallel expose the two engines
-// as ordinary benchmarks for ad-hoc comparison:
+// BenchmarkMemsimSerial exposes the simulation TestBenchRegressMemsim
+// gates as an ordinary benchmark:
 //
 //	go test -run=xxx -bench='BenchmarkMemsim' -benchtime=5x .
 func BenchmarkMemsimSerial(b *testing.B) {
-	benchMemsim(b, 0)
-}
-
-func BenchmarkMemsimParallel(b *testing.B) {
-	benchMemsim(b, memsimBenchWorkers())
-}
-
-func benchMemsim(b *testing.B, workers int) {
-	b.Helper()
 	tr, err := BenchmarkTrace("blk", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	warps := Coalesce(tr, 128)
 	cfg := DefaultSimConfig()
-	cfg.Workers = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SimulateWarps(warps, cfg); err != nil {

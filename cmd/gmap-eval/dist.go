@@ -195,7 +195,7 @@ func runStandby(ctx context.Context, spec api.JobSpec, df distFlags, ledger stri
 // coordinator's sweep trace, and tallies push on lease end and
 // shutdown. Without -serve the worker's Obs and Trace stay nil — the
 // simulation hot path keeps its single disabled-path branch.
-func runWorker(ctx context.Context, urls, addrFile, serveAddr string, workers, simWorkers int, logf func(string, ...interface{})) error {
+func runWorker(ctx context.Context, urls, addrFile, serveAddr string, workers int, logf func(string, ...interface{})) error {
 	var endpoints []string
 	if urls != "" {
 		endpoints = strings.Split(urls, ",")
@@ -210,7 +210,6 @@ func runWorker(ctx context.Context, urls, addrFile, serveAddr string, workers, s
 		Endpoints:   endpoints,
 		AddrFile:    addrFile,
 		Workers:     workers,
-		SimWorkers:  simWorkers,
 		Logf:        logf,
 	}
 	if serveAddr != "" {

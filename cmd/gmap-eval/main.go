@@ -72,7 +72,6 @@ func main() {
 		out         = flag.String("out", "", "write the report to a file (default stdout)")
 		quiet       = flag.Bool("quiet", false, "suppress per-benchmark progress")
 		workers     = flag.Int("workers", 0, "parallel simulation jobs (0 = all CPUs, 1 = serial)")
-		simWorkers  = flag.Int("sim-workers", 0, "SM worker goroutines inside each simulation point (0/1 = serial engine; with -workers=0 the job pool shrinks to ~CPUs/sim-workers so the two levels share the budget)")
 		checkpoint  = flag.String("checkpoint", "", "stream completed simulation points to this JSONL file")
 		resume      = flag.Bool("resume", false, "skip points already recorded in -checkpoint")
 		jobTimeout  = flag.Duration("job-timeout", 0, "per-simulation-point time limit (0 = none)")
@@ -152,7 +151,7 @@ func main() {
 			// Plain worker mode: the sweep's shape comes from the
 			// coordinator inside each lease grant. -serve opts the worker
 			// into the fleet (exposition server + scrape discovery).
-			if err := runWorker(ctx, df.worker, df.workerAddrFile, *serveAddr, *workers, *simWorkers, distLogf); err != nil && ctx.Err() == nil {
+			if err := runWorker(ctx, df.worker, df.workerAddrFile, *serveAddr, *workers, distLogf); err != nil && ctx.Err() == nil {
 				fatal(err)
 			}
 			return
@@ -193,7 +192,6 @@ func main() {
 		Cores:        *cores,
 		Seed:         *seed,
 		Workers:      *workers,
-		SimWorkers:   *simWorkers,
 		Checkpoint:   *checkpoint,
 		Resume:       *resume,
 		Retries:      *retries,

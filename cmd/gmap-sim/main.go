@@ -57,7 +57,6 @@ func main() {
 		channels = flag.Int("dram-channels", 8, "DRAM channels")
 		busBytes = flag.Int("dram-bus", 8, "DRAM bus width in bytes")
 		mapping  = flag.String("dram-mapping", "RoBaRaCoCh", "DRAM address mapping: RoBaRaCoCh or ChRaBaRoCo")
-		simWork  = flag.Int("sim-workers", 0, "SM worker goroutines inside the simulation (0/1 = serial engine; results are bit-identical either way)")
 		timeout  = flag.Duration("timeout", 0, "abort the simulation after this long (0 = no limit)")
 		retries  = flag.Int("retries", 0, "re-run the simulation up to N times if it fails with a transient error")
 		retryBck = flag.Duration("retry-backoff", 100*time.Millisecond, "base delay before a retry, doubled per attempt with jitter")
@@ -78,7 +77,6 @@ func main() {
 	cfg.L2Banks = *l2Banks
 	cfg.MSHRsPerCore = *mshrs
 	cfg.Seed = *seed
-	cfg.Workers = *simWork
 	cfg.SchedPself = *pself
 	switch *sched {
 	case "lrr":

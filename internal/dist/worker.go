@@ -36,11 +36,10 @@ type WorkerOptions struct {
 	// Name identifies this worker in lease attribution and logs; empty
 	// derives "host:pid".
 	Name string
-	// Workers and SimWorkers size the local execution pools, exactly as
-	// on a serial run (eval.Options.Workers / .SimWorkers). Pure
-	// execution detail: job keys and payloads are unchanged.
-	Workers    int
-	SimWorkers int
+	// Workers sizes the local execution pool, exactly as on a serial run
+	// (eval.Options.Workers). Pure execution detail: job keys and
+	// payloads are unchanged.
+	Workers int
 	// Poll is the wait-state retry interval when every part is leased;
 	// <= 0 defaults to 500ms (the coordinator's RetryNS suggestion wins
 	// when present).
@@ -536,7 +535,6 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 
 	eo := g.Spec.EvalOptions()
 	eo.Workers = o.Workers
-	eo.SimWorkers = o.SimWorkers
 	eo.Context = shardCtx
 	eo.Obs = o.Obs
 	eo.Trace = o.Trace

@@ -153,7 +153,6 @@ func (o *Options) Ablation() (*AblationResult, error) {
 					if err != nil {
 						return ablSample{}, err
 					}
-					cfg.Workers = o.SimWorkers
 					om, err := w.SimulateOriginal(cfg)
 					if err != nil {
 						return ablSample{}, err
@@ -181,7 +180,6 @@ func (o *Options) Ablation() (*AblationResult, error) {
 						if err != nil {
 							return ablSample{}, err
 						}
-						cfg.Workers = o.SimWorkers
 						pm, err := w.SimulateProxy(cfg)
 						if err != nil {
 							return ablSample{}, err

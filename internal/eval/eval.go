@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -44,15 +43,6 @@ type Options struct {
 	// forces serial execution. Every simulation point owns its seeded
 	// RNG, so parallel runs produce results identical to serial ones.
 	Workers int
-	// SimWorkers is the per-simulation SM worker count passed to
-	// memsim.Config.Workers: 0 or 1 runs each simulation point on its
-	// job's goroutine, larger values run each point's SM cores on that
-	// many goroutines. Like Workers it is a pure execution detail —
-	// results and checkpoint identities are unchanged — so the two levels
-	// share the CPU budget: when Workers is 0 (auto) and SimWorkers > 1,
-	// the job pool shrinks to ~NumCPU/SimWorkers workers instead of one
-	// per CPU.
-	SimWorkers int
 	// Checkpoint, when non-empty, streams each completed simulation
 	// point to a JSONL file keyed by a stable job hash (experiment,
 	// benchmark, configuration, seed, scale, scale factor, cores).
@@ -192,14 +182,6 @@ func DefaultOptions() Options {
 func (o *Options) fillDefaults() {
 	if len(o.Benchmarks) == 0 {
 		o.Benchmarks = workloads.Names()
-	}
-	if o.Workers == 0 && o.SimWorkers > 1 {
-		// Share the CPU budget between job-level and SM-level
-		// parallelism: an auto-sized job pool assumes one job per CPU,
-		// which would oversubscribe the machine SimWorkers-fold.
-		if o.Workers = runtime.NumCPU() / o.SimWorkers; o.Workers < 1 {
-			o.Workers = 1
-		}
 	}
 	if o.Scale < 1 {
 		o.Scale = 1
@@ -563,14 +545,13 @@ type pointSample struct {
 // Configurations are constructed inside the job because prefetchers
 // carry training state that must not leak across runs. The span riding
 // ctx (the runner's attempt span) parents both simulations' spans.
-func simPoint(ctx context.Context, w *core.Workload, og, pg ConfigGen, metric core.Metric, simWorkers int) (pointSample, error) {
+func simPoint(ctx context.Context, w *core.Workload, og, pg ConfigGen, metric core.Metric) (pointSample, error) {
 	span := obstrace.FromContext(ctx)
 	ocfg, err := og.Make()
 	if err != nil {
 		return pointSample{}, fmt.Errorf("eval: %s: %w", og.Label, err)
 	}
 	ocfg.TraceSpan = span
-	ocfg.Workers = simWorkers
 	om, err := w.SimulateOriginal(ocfg)
 	if err != nil {
 		return pointSample{}, err
@@ -580,7 +561,6 @@ func simPoint(ctx context.Context, w *core.Workload, og, pg ConfigGen, metric co
 		return pointSample{}, fmt.Errorf("eval: %s: %w", pg.Label, err)
 	}
 	pcfg.TraceSpan = span
-	pcfg.Workers = simWorkers
 	pm, err := w.SimulateProxy(pcfg)
 	if err != nil {
 		return pointSample{}, err
@@ -617,7 +597,7 @@ func (o *Options) runFigure(id, title string, metric core.Metric, asRate bool, g
 					if err != nil {
 						return pointSample{}, err
 					}
-					return simPoint(ctx, w, og, pg, metric, o.SimWorkers)
+					return simPoint(ctx, w, og, pg, metric)
 				},
 			})
 		}

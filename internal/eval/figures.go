@@ -80,7 +80,6 @@ func (o *Options) Fig7() (*Fig7Result, error) {
 					if err != nil {
 						return fig7Sample{}, err
 					}
-					ocfg.Workers = o.SimWorkers
 					om, err := w.SimulateOriginal(ocfg)
 					if err != nil {
 						return fig7Sample{}, err
@@ -89,7 +88,6 @@ func (o *Options) Fig7() (*Fig7Result, error) {
 					if err != nil {
 						return fig7Sample{}, err
 					}
-					pcfg.Workers = o.SimWorkers
 					pm, err := w.SimulateProxy(pcfg)
 					if err != nil {
 						return fig7Sample{}, err

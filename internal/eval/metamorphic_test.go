@@ -67,38 +67,6 @@ func TestInterruptedSweepResumesToIdenticalFigure(t *testing.T) {
 	}
 }
 
-// TestSimWorkerCountInvariance covers the -sim-workers axis: running
-// each simulation point's SM cores on worker goroutines is a pure
-// execution detail, so the rendered figure must be byte-identical to the
-// serial engine's, for every SM worker count and combined with job-level
-// parallelism.
-func TestSimWorkerCountInvariance(t *testing.T) {
-	cases := []struct{ workers, simWorkers int }{
-		{1, 0}, {1, 2}, {1, 8}, {2, 2},
-	}
-	if testing.Short() {
-		cases = cases[:2] // serial engine vs one parallel point suffices for -short
-	}
-	var want string
-	for _, c := range cases {
-		opts := quickOpts()
-		opts.Workers = c.workers
-		opts.SimWorkers = c.simWorkers
-		fig, err := opts.Fig6a()
-		if err != nil {
-			t.Fatalf("workers=%d sim-workers=%d: %v", c.workers, c.simWorkers, err)
-		}
-		got := renderFig(t, fig)
-		if want == "" {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("workers=%d sim-workers=%d diverged:\n%s\nwant:\n%s", c.workers, c.simWorkers, got, want)
-		}
-	}
-}
-
 // TestWorkerCountInvariance: the figure must be identical across worker
 // counts, not just serial-vs-8 — any schedule of the same deterministic
 // jobs reassembles to the same rows.

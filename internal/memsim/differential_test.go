@@ -48,46 +48,40 @@ func TestSingleWarpMatchesReferenceHierarchy(t *testing.T) {
 			ref.Access(r.Addr, r.Kind == trace.Store)
 		}
 
-		// The reference comparison must hold for both execution engines:
-		// Workers=0 is the serial scheduler loop, Workers=2 the SM-worker
-		// engine (one worker here, but the full coordinator/drain path).
-		for _, workers := range []int{0, 2} {
-			cfg := memsim.Config{
-				NumCores:     1,
-				L1:           l1cfg,
-				L2:           l2cfg,
-				L2Banks:      banks,
-				MSHRsPerCore: 0, // unbounded: the warp can never stall on MSHRs
-				DRAM:         dram.DefaultGDDR3(),
-				Scheduler:    memsim.LRR,
-				Workers:      workers,
-			}
-			sim, err := memsim.New(warps, cfg)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
-			m, err := sim.Run()
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
+		cfg := memsim.Config{
+			NumCores:     1,
+			L1:           l1cfg,
+			L2:           l2cfg,
+			L2Banks:      banks,
+			MSHRsPerCore: 0, // unbounded: the warp can never stall on MSHRs
+			DRAM:         dram.DefaultGDDR3(),
+			Scheduler:    memsim.LRR,
+		}
+		sim, err := memsim.New(warps, cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		m, err := sim.Run()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 
-			if m.Requests != demand {
-				t.Fatalf("seed %d workers %d: simulator issued %d requests, stream has %d demand requests",
-					seed, workers, m.Requests, demand)
-			}
-			if m.MSHRStalls != 0 {
-				t.Fatalf("seed %d workers %d: %d MSHR stalls with an unbounded MSHR file", seed, workers, m.MSHRStalls)
-			}
-			if m.L1 != ref.L1.Stats {
-				t.Fatalf("seed %d workers %d: L1 stats diverged:\nproduction %+v\nreference  %+v", seed, workers, m.L1, ref.L1.Stats)
-			}
-			if l2 := ref.L2Stats(); m.L2 != l2 {
-				t.Fatalf("seed %d workers %d: L2 stats diverged:\nproduction %+v\nreference  %+v", seed, workers, m.L2, l2)
-			}
-			if m.DRAM.Reads != ref.DRAMReads || m.DRAM.Writes != ref.DRAMWrites {
-				t.Fatalf("seed %d workers %d: DRAM traffic diverged: production %d reads / %d writes, reference %d / %d",
-					seed, workers, m.DRAM.Reads, m.DRAM.Writes, ref.DRAMReads, ref.DRAMWrites)
-			}
+		if m.Requests != demand {
+			t.Fatalf("seed %d: simulator issued %d requests, stream has %d demand requests",
+				seed, m.Requests, demand)
+		}
+		if m.MSHRStalls != 0 {
+			t.Fatalf("seed %d: %d MSHR stalls with an unbounded MSHR file", seed, m.MSHRStalls)
+		}
+		if m.L1 != ref.L1.Stats {
+			t.Fatalf("seed %d: L1 stats diverged:\nproduction %+v\nreference  %+v", seed, m.L1, ref.L1.Stats)
+		}
+		if l2 := ref.L2Stats(); m.L2 != l2 {
+			t.Fatalf("seed %d: L2 stats diverged:\nproduction %+v\nreference  %+v", seed, m.L2, l2)
+		}
+		if m.DRAM.Reads != ref.DRAMReads || m.DRAM.Writes != ref.DRAMWrites {
+			t.Fatalf("seed %d: DRAM traffic diverged: production %d reads / %d writes, reference %d / %d",
+				seed, m.DRAM.Reads, m.DRAM.Writes, ref.DRAMReads, ref.DRAMWrites)
 		}
 	}
 }

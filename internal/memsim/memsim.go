@@ -13,15 +13,12 @@
 // MSHR-bounded miss path — closing the loop between scheduling and memory
 // behaviour. Core and memory clocks are treated as 1:1.
 //
-// Two execution engines share one set of per-cycle primitives. The serial
-// engine visits cores in order on the calling goroutine. With
-// Config.Workers > 1, SM cores execute on worker goroutines instead: the
-// core-local half of every visited cycle (scheduling, barriers, the L1 and
-// its prefetcher, MSHR bookkeeping) runs shard-local, and the cores meet
-// at a shared-state drain where the coordinator replays their L2/DRAM
-// continuations in deterministic core order. Results are bit-identical
-// between the engines for any worker count and any GOMAXPROCS; DESIGN.md
-// §12 documents the seam and the exactness argument.
+// A run is serial: every simulated cycle visits the cores in order on the
+// calling goroutine, and each issued request runs through the L1, the L2
+// and the DRAM controller before the next core issues. Throughput across
+// a design-space sweep comes from running many simulations at once
+// (internal/runner), not from parallelism inside one; DESIGN.md §12
+// describes the hot-path data layout.
 package memsim
 
 import (
@@ -93,14 +90,6 @@ type Config struct {
 	SchedPself float64
 	// Seed drives stochastic scheduling decisions.
 	Seed uint64
-	// Workers selects the execution engine: 0 or 1 runs the serial
-	// scheduler loop on the calling goroutine, while a larger value runs
-	// the SM cores on up to that many worker goroutines (capped at
-	// NumCores) that meet at a shared L2/DRAM drain every visited cycle.
-	// The choice is a pure execution detail: metrics, observability and
-	// trace exports are bit-identical for every value of Workers and any
-	// GOMAXPROCS setting.
-	Workers int
 	// Obs, when non-nil, receives live instrumentation: per-core
 	// warp-queue depth and MSHR occupancy series, cumulative and
 	// per-launch miss-rate samples, scheduler stall reasons, L2 bank
@@ -200,9 +189,7 @@ type coreState struct {
 	l1          *cache.Cache
 	l1pf        prefetch.Prefetcher
 	// Outstanding DRAM reads owned by this core: request id -> flight and
-	// L1 line -> request id (secondary-miss merging). Keeping both maps
-	// core-local makes the whole miss-merge path shard-safe under the
-	// parallel engine.
+	// L1 line -> request id (secondary-miss merging).
 	flights    map[uint64]*flight
 	lineFlight map[uint64]uint64
 	flightPool []*flight // retired flight records, reused to curb allocation
@@ -213,65 +200,6 @@ type coreState struct {
 type flight struct {
 	line  uint64
 	warps []int
-}
-
-// opKind tags the shared-state continuation a core's issue slot produced.
-type opKind uint8
-
-const (
-	opNone opKind = iota
-	// opShared carries a pre-executed L1 outcome whose L2/DRAM half still
-	// has to run at the shared-state drain.
-	opShared
-	// opDeferred carries an untouched request whose MSHR-full stall
-	// decision needs the shared L2 probe; the drain re-runs the whole
-	// access with the probe available.
-	opDeferred
-)
-
-// accOutcome is the L1-side outcome recorded in an opShared continuation.
-type accOutcome uint8
-
-const (
-	accHit  accOutcome = iota // L1 hit: only prefetch candidates remain
-	accWT                     // write-through store: the L2 write remains
-	accMiss                   // L1 miss: the demand L2 lookup remains
-)
-
-// pfCand is one accepted L1 prefetch candidate: the line it filled and the
-// dirty victim (if any) that fill evicted.
-type pfCand struct {
-	line        uint64
-	victim      uint64
-	victimDirty bool
-}
-
-// coreOp is one core's shared-state continuation for one visited cycle:
-// everything its issue slot still has to do to the L2, the L2 prefetcher
-// and the DRAM controller, recorded in the exact order the serial access
-// path would perform it.
-type coreOp struct {
-	kind          opKind
-	outcome       accOutcome
-	wi            int
-	req           trace.Request
-	line          uint64 // L1 line address of req.Addr
-	l1Victim      uint64
-	l1VictimDirty bool
-	cands         []pfCand // reused visit to visit
-}
-
-// coreSlot is the per-core exchange record between the core-local half of
-// a visited cycle and the shared-state drain. The serial engine reuses a
-// single slot and drains it immediately after each core; the parallel
-// engine keeps one per core, filled by the owning worker and drained by
-// the coordinator in core order.
-type coreSlot struct {
-	op       coreOp
-	issued   bool
-	reqDelta uint64            // demand requests issued this visit
-	pself    bool              // pre-drawn PSelf repeat decision
-	comps    []dram.Completion // completions routed to this core's flights
 }
 
 // Simulator runs warp streams through the hierarchy. Create one per run
@@ -298,24 +226,21 @@ type Simulator struct {
 	epochOf  []int
 	epochRem []int
 	epoch    int
-	l2       *cache.Banked
-	l2pf     prefetch.Prefetcher
-	dram     *dram.Controller
-	rnd      *rng.Rand
+	// remaining counts warps not yet retired; Run ends when it hits zero.
+	remaining int
+	l2        *cache.Banked
+	l2pf      prefetch.Prefetcher
+	dram      *dram.Controller
+	rnd       *rng.Rand
 	// flightCore routes DRAM completions to the core whose flight they
-	// finish. Only the serial loop and the parallel coordinator touch it.
+	// finish.
 	flightCore map[uint64]int
 	metrics    Metrics
 	// obs carries the pre-resolved observability handles; nil when
 	// disabled (see obs.go).
 	obs *simObs
-	// compBuf is the reused per-cycle DRAM completion batch; serialSlot
-	// the serial engine's reused issue slot.
-	compBuf    []dram.Completion
-	serialSlot coreSlot
-	// slots are the parallel engine's per-core exchange records (nil under
-	// the serial engine).
-	slots []coreSlot
+	// compBuf is the reused per-cycle DRAM completion batch.
+	compBuf []dram.Completion
 	// Epoch-boundary snapshots for the per-launch breakdown.
 	lastSnap struct {
 		cycle    uint64
@@ -550,18 +475,44 @@ func (s *Simulator) Run() (Metrics, error) {
 	}()
 	// Every warp retires exactly once, through compactCore; warps with no
 	// memory work retire on the first pass.
-	remaining := len(s.warps)
+	s.remaining = len(s.warps)
 	for c := range s.cores {
-		s.compactCore(c, 0, &remaining, s.epochRem)
+		s.compactCore(c, 0)
 	}
-	var err error
-	if nw := s.parallelWorkers(); nw > 0 {
-		err = s.loopParallel(nw, &cycle, &remaining)
-	} else {
-		err = s.loopSerial(&cycle, &remaining)
-	}
-	if err != nil {
-		return s.metrics, err
+	guard := uint64(0)
+	for s.remaining > 0 {
+		guard++
+		if guard > 1<<34 {
+			return s.metrics, fmt.Errorf("memsim: no forward progress (cycle %d, %d warps left)", cycle, s.remaining)
+		}
+		s.compBuf = s.dram.AdvanceInto(cycle, s.compBuf[:0])
+		for _, comp := range s.compBuf {
+			s.complete(comp)
+		}
+		if s.obs != nil {
+			s.sampleCycle(cycle)
+		}
+		issued := false
+		for c := range s.cores {
+			if s.issue(c, cycle) {
+				issued = true
+			} else if s.obs != nil {
+				s.noteStall(c)
+			}
+		}
+		for c := range s.cores {
+			s.compactCore(c, cycle)
+		}
+		s.advanceEpochs(cycle)
+		if issued {
+			cycle++
+			continue
+		}
+		next := s.nextEvent(cycle)
+		if next <= cycle {
+			next = cycle + 1
+		}
+		cycle = next
 	}
 	for _, comp := range s.dram.Drain() {
 		s.complete(comp)
@@ -576,71 +527,6 @@ func (s *Simulator) Run() (Metrics, error) {
 	s.metrics.L2 = s.l2.Stats()
 	s.metrics.DRAM = s.dram.Stats
 	return s.metrics, nil
-}
-
-// parallelWorkers resolves Config.Workers to an SM worker count; 0 selects
-// the serial engine. The result depends only on the configuration — never
-// on GOMAXPROCS — so a given Config always runs the same engine.
-func (s *Simulator) parallelWorkers() int {
-	nw := s.cfg.Workers
-	if nw <= 1 {
-		return 0
-	}
-	if nw > s.cfg.NumCores {
-		nw = s.cfg.NumCores
-	}
-	return nw
-}
-
-// loopSerial is the classic engine: one goroutine visits the cores in
-// order, draining each core's shared-state continuation immediately.
-func (s *Simulator) loopSerial(cyclep *uint64, remaining *int) error {
-	cycle := *cyclep
-	defer func() { *cyclep = cycle }()
-	guard := uint64(0)
-	for *remaining > 0 {
-		guard++
-		if guard > 1<<34 {
-			return fmt.Errorf("memsim: no forward progress (cycle %d, %d warps left)", cycle, *remaining)
-		}
-		s.compBuf = s.dram.AdvanceInto(cycle, s.compBuf[:0])
-		for _, comp := range s.compBuf {
-			s.complete(comp)
-		}
-		if s.obs != nil {
-			s.sampleCycle(cycle)
-		}
-		issued := false
-		slot := &s.serialSlot
-		for c := range s.cores {
-			slot.pself = s.preDrawPself(c)
-			slot.op.kind = opNone
-			if s.issueLocal(c, cycle, slot, true) {
-				issued = true
-				s.metrics.Requests += slot.reqDelta
-				slot.reqDelta = 0
-				if slot.op.kind == opShared {
-					s.applyOp(c, slot, cycle)
-				}
-			} else if s.obs != nil {
-				s.noteStall(c)
-			}
-		}
-		for c := range s.cores {
-			s.compactCore(c, cycle, remaining, s.epochRem)
-		}
-		s.advanceEpochs(cycle)
-		if issued {
-			cycle++
-			continue
-		}
-		next := s.nextEvent(cycle)
-		if next <= cycle {
-			next = cycle + 1
-		}
-		cycle = next
-	}
-	return nil
 }
 
 // advanceEpochs moves to the next kernel launch when the current one fully
@@ -660,23 +546,6 @@ func (s *Simulator) advanceEpochs(cycle uint64) {
 			}
 		}
 	}
-}
-
-// preDrawPself consumes the PSelf repeat draw for core c exactly when the
-// scheduler would: one Bool per visited cycle for every core with a
-// non-empty queue and a previously scheduled warp. Drawing before the
-// issue scan keeps the stream identical between the serial engine and the
-// parallel one, where the coordinator draws for all cores in core order
-// before releasing the workers.
-func (s *Simulator) preDrawPself(c int) bool {
-	if s.cfg.Scheduler != PSelf {
-		return false
-	}
-	core := &s.cores[c]
-	if len(core.active) == 0 || core.lastWarp < 0 {
-		return false
-	}
-	return s.rnd.Bool(s.cfg.SchedPself)
 }
 
 // recordLaunch closes the current launch's per-epoch metric window.
@@ -726,22 +595,14 @@ func diffStats(now, before cache.Stats) cache.Stats {
 	}
 }
 
-// complete routes one finished DRAM read to the core that owns its flight
-// (serial engine; the parallel coordinator routes batches instead).
+// complete wakes the warps blocked on a finished DRAM read and releases
+// the owning core's MSHR entry.
 func (s *Simulator) complete(comp dram.Completion) {
 	c, ok := s.flightCore[comp.ID]
 	if !ok {
 		return // fire-and-forget traffic (writebacks, prefetches)
 	}
 	delete(s.flightCore, comp.ID)
-	s.applyCompletion(c, comp)
-}
-
-// applyCompletion wakes the warps blocked on a finished DRAM read owned by
-// core c and releases its MSHR entry. Every touched structure belongs to
-// the core, so the parallel engine's workers apply their own routed
-// completions shard-locally.
-func (s *Simulator) applyCompletion(c int, comp dram.Completion) {
 	core := &s.cores[c]
 	f := core.flights[comp.ID]
 	for _, wi := range f.warps {
@@ -763,11 +624,8 @@ func (s *Simulator) applyCompletion(c int, comp dram.Completion) {
 // compactCore retires finished warps, admits follow-on blocks, and keeps
 // scheduler pointers valid. While no active warp has finished its stream
 // (pendingDone == 0) the scan is skipped outright — retirement is
-// event-driven, not a per-cycle sweep. Retirement deltas go to the
-// caller's sinks: the serial engine passes the live remaining counter and
-// epoch table, parallel workers pass per-worker sinks the coordinator
-// merges at the visit barrier.
-func (s *Simulator) compactCore(c int, cycle uint64, remaining *int, epochRem []int) {
+// event-driven, not a per-cycle sweep.
+func (s *Simulator) compactCore(c int, cycle uint64) {
 	core := &s.cores[c]
 	if core.pendingDone == 0 {
 		return
@@ -778,9 +636,9 @@ func (s *Simulator) compactCore(c int, cycle uint64, remaining *int, epochRem []
 		ws := &s.warps[wi]
 		if ws.done() && !ws.waiting && ws.readyAt <= cycle {
 			core.pendingDone--
-			*remaining--
+			s.remaining--
 			s.blockRem[ws.block]--
-			epochRem[s.epochOf[ws.block]]--
+			s.epochRem[s.epochOf[ws.block]]--
 			if s.blockRem[ws.block] == 0 {
 				core.resident--
 				admissions++
@@ -804,16 +662,10 @@ func (s *Simulator) compactCore(c int, cycle uint64, remaining *int, epochRem []
 	}
 }
 
-// issueLocal runs the core-local half of core c's issue slot for one
-// visited cycle: scheduler pick, barrier arrival, the L1 access and
-// prefetcher probing, and MSHR bookkeeping. Work on the shared L2/DRAM is
-// recorded in slot.op for the shared-state drain — applied immediately in
-// the serial engine, in core order by the parallel coordinator — so both
-// engines mutate shared state through the same code in the same order. It
-// reports whether the core consumed its issue slot. allowProbe permits
-// reading the shared L2 for the MSHR-full stall check; parallel workers
-// run with it false and leave that case to the drain as an opDeferred.
-func (s *Simulator) issueLocal(c int, cycle uint64, slot *coreSlot, allowProbe bool) bool {
+// issue runs core c's issue slot for one visited cycle: the scheduler
+// pick, then either a barrier arrival or one request through the memory
+// hierarchy. It reports whether the core consumed its issue slot.
+func (s *Simulator) issue(c int, cycle uint64) bool {
 	core := &s.cores[c]
 	n := len(core.active)
 	if n == 0 {
@@ -842,7 +694,9 @@ func (s *Simulator) issueLocal(c int, cycle uint64, slot *coreSlot, allowProbe b
 			}
 		}
 	case PSelf:
-		if core.lastWarp >= 0 && slot.pself {
+		// One repeat draw per visited cycle for every core with resident
+		// warps and a previously scheduled warp.
+		if core.lastWarp >= 0 && s.rnd.Bool(s.cfg.SchedPself) {
 			for i := 0; i < n; i++ {
 				if core.active[i] == core.lastWarp && ready(core.active[i]) {
 					pick = i
@@ -883,20 +737,14 @@ func (s *Simulator) issueLocal(c int, cycle uint64, slot *coreSlot, allowProbe b
 		s.arriveBarrier(c, wi, cycle)
 		return true
 	}
-	switch s.accessLocal(c, wi, req, cycle, slot, allowProbe) {
-	case accStallMSHR:
+	if !s.access(c, wi, req, cycle) {
 		// MSHR full: the slot is lost and the warp retries later.
 		s.metrics.MSHRStalls++
 		if s.obs != nil {
-			s.obs.tally[c].nStallMSHR++
+			s.obs.tally.nStallMSHR++
 		}
 		ws.readyAt = cycle + 1
 		s.nextReady[wi] = cycle + 1
-		return true
-	case accNeedsProbe:
-		slot.op.kind = opDeferred
-		slot.op.wi = wi
-		slot.op.req = req
 		return true
 	}
 	s.advanceCursor(core, wi)
@@ -914,7 +762,7 @@ func (s *Simulator) arriveBarrier(c, wi int, cycle uint64) {
 	ws.atBarrier = true
 	s.nextReady[wi] = notReady
 	if s.obs != nil {
-		s.obs.tally[c].nBarriers++
+		s.obs.tally.nBarriers++
 		s.obs.blocked[c]++
 	}
 	s.blockWait[b]++
@@ -942,27 +790,12 @@ func (s *Simulator) releaseBarrier(c, b int, cycle uint64) {
 	s.blockWait[b] = 0
 }
 
-// accResult is accessLocal's disposition of one demand request.
-type accResult uint8
-
-const (
-	// accDone: the request was accepted; slot.op may carry shared work.
-	accDone accResult = iota
-	// accStallMSHR: rejected before touching any state — the MSHR file is
-	// full and the line is nowhere in the hierarchy (allowProbe callers
-	// only).
-	accStallMSHR
-	// accNeedsProbe: undecidable without reading the shared L2; nothing
-	// was touched, the drain re-runs the access with the probe available.
-	accNeedsProbe
-)
-
-// accessLocal sends one request through the core-local half of the
-// hierarchy: secondary-miss merging, the stall-before-touch MSHR check,
-// the L1 access and the L1 prefetcher's probe/fill pass. The surviving
-// L2/DRAM work is recorded in slot.op in serial-access order for the
-// shared-state drain (applyOp).
-func (s *Simulator) accessLocal(c, wi int, req trace.Request, cycle uint64, slot *coreSlot, allowProbe bool) accResult {
+// access sends one demand request of warp wi through the hierarchy:
+// secondary-miss merging, the stall-before-touch MSHR check, the L1 and
+// its prefetcher, then the L2, the L2 prefetcher and the DRAM controller.
+// It returns false, with no state touched, when the MSHR file is full and
+// the line is nowhere in the hierarchy.
+func (s *Simulator) access(c, wi int, req trace.Request, cycle uint64) bool {
 	core := &s.cores[c]
 	ws := &s.warps[wi]
 	write := req.Kind == trace.Store
@@ -979,191 +812,104 @@ func (s *Simulator) accessLocal(c, wi int, req trace.Request, cycle uint64, slot
 		} else {
 			core.l1.Stats.Reads++
 		}
-		slot.reqDelta++
-		if s.obs != nil {
-			s.obs.tally[c].nRequests++
-		}
+		s.metrics.Requests++
 		ws.waiting = true
 		if s.obs != nil {
+			s.obs.tally.nRequests++
 			s.obs.waiting[c]++
 		}
 		core.flights[reqID].warps = append(core.flights[reqID].warps, wi)
-		return accDone
+		return true
 	}
 
 	// Stall-before-touch: if servicing this request would need a new MSHR
 	// entry and the file is full, reject it before any cache state or
 	// statistic changes — a stalled request must replay identically.
-	// Write-through stores never allocate an MSHR. The final arbiter is a
-	// probe of the shared L2, which parallel workers must not read
-	// mid-visit; they defer the whole untouched access to the drain.
+	// Write-through stores never allocate an MSHR.
 	wouldAllocate := !(write && core.l1.Config().Writes == cache.WriteThroughNoAllocate)
-	if wouldAllocate && core.mshr.Full() && !core.l1.Probe(req.Addr) {
-		if !allowProbe {
-			return accNeedsProbe
-		}
-		if !s.l2.Probe(req.Addr) {
-			return accStallMSHR
-		}
+	if wouldAllocate && core.mshr.Full() && !core.l1.Probe(req.Addr) && !s.l2.Probe(req.Addr) {
+		return false
 	}
 
 	res := core.l1.Access(req.Addr, write)
-	slot.reqDelta++
+	s.metrics.Requests++
 	if s.obs != nil {
-		s.obs.tally[c].nRequests++
+		s.obs.tally.nRequests++
 	}
-	// The L1 prefetcher's candidate pass: probe/fill decisions depend only
-	// on L1 state, so they run here; each accepted candidate's L2 lookup
-	// and DRAM fetch are recorded for the drain in candidate order.
-	op := &slot.op
-	op.cands = op.cands[:0]
+	// The L1 prefetcher's candidates, in candidate order: each accepted
+	// one is filled into the L1, its dirty victim written back, and the
+	// line fetched through the L2. This order fixes the DRAM request ids.
 	for _, cand := range core.l1pf.Observe(req.PC, req.WarpID, line, !res.Hit) {
 		if core.l1.Probe(cand) {
 			continue
 		}
-		fill := core.l1.Fill(cand)
-		pc := pfCand{line: cand}
-		if fill.Evicted && fill.EvictedDirty {
-			pc.victim, pc.victimDirty = fill.EvictedAddr, true
+		if fill := core.l1.Fill(cand); fill.Evicted && fill.EvictedDirty {
+			s.l2WriteBack(fill.EvictedAddr, cycle)
 		}
-		op.cands = append(op.cands, pc)
+		if l2res := s.l2.Access(cand, false); !l2res.Hit {
+			if l2res.Evicted && l2res.EvictedDirty {
+				s.dram.Enqueue(l2res.EvictedAddr, true, cycle)
+			}
+			s.dram.Enqueue(s.l2.LineAddr(cand), false, cycle)
+		}
 	}
 	if res.WroteThrough {
-		// Write-through L1: the store propagates to the L2 at the drain
-		// and the warp continues behind a store buffer — it is never
-		// blocked on the write's completion.
-		op.kind, op.outcome = opShared, accWT
-		op.wi, op.req, op.line = wi, req, line
+		// Write-through L1: the store propagates to the L2 and the warp
+		// continues behind a store buffer — it is never blocked on the
+		// write's completion.
 		ws.readyAt = cycle + s.cfg.L1HitLatency
-		return accDone
+		if s.obs != nil {
+			s.obs.noteL2Bank(s.l2.BankOf(req.Addr), cycle)
+		}
+		if l2res := s.l2.Access(req.Addr, true); !l2res.Hit {
+			if l2res.Evicted && l2res.EvictedDirty {
+				s.dram.Enqueue(l2res.EvictedAddr, true, cycle)
+			}
+			s.dram.Enqueue(s.l2.LineAddr(req.Addr), true, cycle)
+		}
+		return true
 	}
 	if res.Hit {
-		if len(op.cands) > 0 {
-			op.kind, op.outcome = opShared, accHit
-			op.wi, op.req, op.line = wi, req, line
-		}
 		ws.readyAt = cycle + s.cfg.L1HitLatency
-		return accDone
+		return true
 	}
-	op.kind, op.outcome = opShared, accMiss
-	op.wi, op.req, op.line = wi, req, line
-	op.l1VictimDirty = res.Evicted && res.EvictedDirty
-	if op.l1VictimDirty {
-		op.l1Victim = res.EvictedAddr
+	if res.Evicted && res.EvictedDirty {
+		s.l2WriteBack(res.EvictedAddr, cycle)
 	}
-	// Until the drain resolves the L2 lookup the warp is provisionally
-	// blocked; the drain either unblocks it with the L2 hit latency or
-	// leaves it waiting on the DRAM flight it creates.
+	if s.obs != nil {
+		s.obs.noteL2Bank(s.l2.BankOf(req.Addr), cycle)
+	}
+	l2res := s.l2.Access(req.Addr, write)
+	if pf := s.l2pf.Observe(req.PC, req.WarpID, s.l2.LineAddr(req.Addr), !l2res.Hit); pf != nil {
+		s.l2PrefetchFill(pf, cycle)
+	}
+	if l2res.Hit {
+		ws.readyAt = cycle + s.cfg.L2HitLatency
+		return true
+	}
+	if l2res.Evicted && l2res.EvictedDirty {
+		s.dram.Enqueue(l2res.EvictedAddr, true, cycle)
+	}
+	// The stall-before-touch check guaranteed an entry is available.
+	core.mshr.Allocate(line)
+	reqID := s.dram.Enqueue(s.l2.LineAddr(req.Addr), write, cycle)
+	var f *flight
+	if n := len(core.flightPool); n > 0 {
+		f = core.flightPool[n-1]
+		core.flightPool = core.flightPool[:n-1]
+		f.line = line
+		f.warps = append(f.warps, wi)
+	} else {
+		f = &flight{line: line, warps: []int{wi}}
+	}
+	core.flights[reqID] = f
+	core.lineFlight[line] = reqID
+	s.flightCore[reqID] = c
 	ws.waiting = true
-	return accDone
-}
-
-// applyOp runs the shared-state half of an opShared continuation — the L2
-// accesses and DRAM enqueues of one issued request, in exactly the order
-// the serial access path performs them. The serial engine calls it inline
-// after each core's issue slot; the parallel coordinator calls it at the
-// per-visit drain in core order, with every worker parked, so the L2, the
-// L2 prefetcher and the DRAM arrival sequence (and with it every request
-// id) are identical between the engines.
-func (s *Simulator) applyOp(c int, slot *coreSlot, cycle uint64) {
-	core := &s.cores[c]
-	op := &slot.op
-	for i := range op.cands {
-		cand := &op.cands[i]
-		if cand.victimDirty {
-			s.l2WriteBack(cand.victim, cycle)
-		}
-		l2res := s.l2.Access(cand.line, false)
-		if !l2res.Hit {
-			if l2res.Evicted && l2res.EvictedDirty {
-				s.dram.Enqueue(l2res.EvictedAddr, true, cycle)
-			}
-			s.dram.Enqueue(s.l2.LineAddr(cand.line), false, cycle)
-		}
+	if s.obs != nil {
+		s.obs.waiting[c]++
 	}
-	switch op.outcome {
-	case accWT:
-		if s.obs != nil {
-			s.obs.noteL2Bank(s.l2.BankOf(op.req.Addr), cycle)
-		}
-		l2res := s.l2.Access(op.req.Addr, true)
-		if !l2res.Hit {
-			if l2res.Evicted && l2res.EvictedDirty {
-				s.dram.Enqueue(l2res.EvictedAddr, true, cycle)
-			}
-			s.dram.Enqueue(s.l2.LineAddr(op.req.Addr), true, cycle)
-		}
-	case accHit:
-		// Prefetch candidates only; the warp already holds its hit latency.
-	case accMiss:
-		ws := &s.warps[op.wi]
-		write := op.req.Kind == trace.Store
-		if op.l1VictimDirty {
-			s.l2WriteBack(op.l1Victim, cycle)
-		}
-		if s.obs != nil {
-			s.obs.noteL2Bank(s.l2.BankOf(op.req.Addr), cycle)
-		}
-		l2res := s.l2.Access(op.req.Addr, write)
-		if pf := s.l2pf.Observe(op.req.PC, op.req.WarpID, s.l2.LineAddr(op.req.Addr), !l2res.Hit); pf != nil {
-			s.l2PrefetchFill(pf, cycle)
-		}
-		if l2res.Hit {
-			ws.waiting = false
-			ws.readyAt = cycle + s.cfg.L2HitLatency
-			s.refreshReady(op.wi)
-			return
-		}
-		if l2res.Evicted && l2res.EvictedDirty {
-			s.dram.Enqueue(l2res.EvictedAddr, true, cycle)
-		}
-		// The stall-before-touch check guaranteed an entry is available.
-		core.mshr.Allocate(op.line)
-		reqID := s.dram.Enqueue(s.l2.LineAddr(op.req.Addr), write, cycle)
-		var f *flight
-		if n := len(core.flightPool); n > 0 {
-			f = core.flightPool[n-1]
-			core.flightPool = core.flightPool[:n-1]
-			f.line = op.line
-			f.warps = append(f.warps, op.wi)
-		} else {
-			f = &flight{line: op.line, warps: []int{op.wi}}
-		}
-		core.flights[reqID] = f
-		core.lineFlight[op.line] = reqID
-		s.flightCore[reqID] = c
-		// ws.waiting was set provisionally at issue; it sticks.
-		if s.obs != nil {
-			s.obs.waiting[c]++
-		}
-	}
-}
-
-// applyDeferred resolves an opDeferred at the drain: with the shared L2
-// now readable it re-runs the whole access, mirroring the serial engine's
-// MSHR-stall tail exactly. Nothing was touched at issue time, so the
-// re-run is the first and only execution of the access.
-func (s *Simulator) applyDeferred(c int, slot *coreSlot, cycle uint64) {
-	wi, req := slot.op.wi, slot.op.req
-	slot.op.kind = opNone
-	switch s.accessLocal(c, wi, req, cycle, slot, true) {
-	case accStallMSHR:
-		s.metrics.MSHRStalls++
-		if s.obs != nil {
-			s.obs.tally[c].nStallMSHR++
-		}
-		ws := &s.warps[wi]
-		ws.readyAt = cycle + 1
-		s.nextReady[wi] = cycle + 1
-	case accDone:
-		s.metrics.Requests += slot.reqDelta
-		slot.reqDelta = 0
-		s.advanceCursor(&s.cores[c], wi)
-		s.refreshReady(wi)
-		if slot.op.kind == opShared {
-			s.applyOp(c, slot, cycle)
-		}
-	}
+	return true
 }
 
 // l2PrefetchFill installs stream-prefetch candidates into the L2.

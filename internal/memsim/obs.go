@@ -6,13 +6,9 @@ import (
 	"github.com/uteda/gmap/internal/obs"
 )
 
-// coreTally is one core's plain hot-path counters, padded to a cache line
-// so adjacent cores never false-share under the parallel engine. Each
-// slot is written only by the goroutine visiting its core (the scheduler
-// loop serially, the owning SM worker in parallel) and summed in core
-// order by flush(), so the published totals are exact and identical
-// between the engines.
-type coreTally struct {
+// hotTally is the simulator's plain hot-path counters; flush() publishes
+// them to the registry counters.
+type hotTally struct {
 	nStallMSHR    uint64
 	nStallBarrier uint64
 	nStallMem     uint64
@@ -20,7 +16,7 @@ type coreTally struct {
 	nIdleEmpty    uint64
 	nRequests     uint64
 	nBarriers     uint64
-	_             uint64 // pad to 64 bytes
+	nBankConflict uint64
 }
 
 // simObs holds the simulator's pre-resolved observability handles. A nil
@@ -58,25 +54,16 @@ type simObs struct {
 	bankConflicts *obs.Counter // same-cycle accesses to one L2 bank
 
 	// bankStamp[b] = cycle+1 of bank b's last access this cycle; a repeat
-	// stamp within one cycle is a conflict. L2 accesses happen only at
-	// the shared-state drain, so the stamps (and the conflict tally) stay
-	// single-writer under both engines.
+	// stamp within one cycle is a conflict.
 	bankStamp []uint64
 
-	// Hot-path tallies, sharded per core so SM workers count shard-local;
-	// flush() publishes the core-order sums to the registry counters
-	// after Run returns. nBankConflict stays a scalar: it is only written
-	// at the drain.
-	tally         []coreTally
-	nBankConflict uint64
+	// tally counts on the hot path; flush() publishes it after Run.
+	tally hotTally
 
 	// Incremental per-core occupancy shadows, maintained at warp state
 	// transitions so stall classification is O(1) instead of rescanning
 	// the core's warps every stalled cycle. waiting[c] counts warps
 	// blocked on DRAM, blocked[c] counts warps parked at a barrier.
-	// Like the tallies, each slot has a single writer per visit: the
-	// goroutine visiting core c (DRAM-wait transitions) while barriers
-	// stay core-local by construction (a block never spans cores).
 	waiting []int
 	blocked []int
 }
@@ -108,7 +95,6 @@ func newSimObs(r *obs.Registry, cores, banks int) *simObs {
 		bankConflicts: r.Counter("memsim.l2.bank_conflicts"),
 
 		bankStamp: make([]uint64, banks),
-		tally:     make([]coreTally, cores),
 		waiting:   make([]int, cores),
 		blocked:   make([]int, cores),
 	}
@@ -128,24 +114,18 @@ func (o *simObs) sampleDue(cycle uint64) bool {
 	return o.inFlight.Due(cycle)
 }
 
-// sampleCore records core c's series for one sampling cycle. The sampled
-// state is core-owned, so under the parallel engine each SM worker
-// samples its own cores — after applying the cycle's routed completions,
-// matching the serial engine's completion-then-sample order.
-func (s *Simulator) sampleCore(c int, cycle uint64) {
+// sampleCycle records every series for one simulated cycle, after the
+// cycle's DRAM completions are delivered.
+func (s *Simulator) sampleCycle(cycle uint64) {
 	o := s.obs
-	core := &s.cores[c]
-	o.queueDepth[c].Sample(cycle, float64(len(core.active)))
-	o.mshrDepth[c].Sample(cycle, float64(core.mshr.InFlight()))
-}
-
-// sampleMachine records the whole-machine series for one sampling cycle.
-// The inputs — cache hit/miss statistics and the outstanding-flight count
-// — are untouched by completion delivery, so the parallel coordinator
-// samples them after routing completions and before releasing the
-// workers, which is exactly the serial engine's read point.
-func (s *Simulator) sampleMachine(cycle uint64) {
-	o := s.obs
+	if !o.sampleDue(cycle) {
+		return
+	}
+	for c := range s.cores {
+		core := &s.cores[c]
+		o.queueDepth[c].Sample(cycle, float64(len(core.active)))
+		o.mshrDepth[c].Sample(cycle, float64(core.mshr.InFlight()))
+	}
 	var l1, l1acc uint64
 	for c := range s.cores {
 		l1 += s.cores[c].l1.Stats.Misses
@@ -160,19 +140,6 @@ func (s *Simulator) sampleMachine(cycle uint64) {
 	o.inFlight.Sample(cycle, float64(len(s.flightCore)))
 }
 
-// sampleCycle records every series for one simulated cycle (serial
-// engine; the parallel engine splits the same work between workers and
-// coordinator through sampleCore/sampleMachine).
-func (s *Simulator) sampleCycle(cycle uint64) {
-	if !s.obs.sampleDue(cycle) {
-		return
-	}
-	for c := range s.cores {
-		s.sampleCore(c, cycle)
-	}
-	s.sampleMachine(cycle)
-}
-
 // noteStall classifies why core c failed to issue this cycle, with
 // priority mem > barrier > sleep. O(1): the per-core occupancy shadows
 // are maintained incrementally at warp state transitions, so stalled
@@ -181,13 +148,13 @@ func (s *Simulator) noteStall(c int) {
 	o := s.obs
 	switch {
 	case len(s.cores[c].active) == 0:
-		o.tally[c].nIdleEmpty++
+		o.tally.nIdleEmpty++
 	case o.waiting[c] > 0:
-		o.tally[c].nStallMem++
+		o.tally.nStallMem++
 	case o.blocked[c] > 0:
-		o.tally[c].nStallBarrier++
+		o.tally.nStallBarrier++
 	default:
-		o.tally[c].nStallSleep++
+		o.tally.nStallSleep++
 	}
 }
 
@@ -195,7 +162,7 @@ func (s *Simulator) noteStall(c int) {
 // Stamps are cycle+1 so the zero value never aliases cycle 0.
 func (o *simObs) noteL2Bank(bank int, cycle uint64) {
 	if o.bankStamp[bank] == cycle+1 {
-		o.nBankConflict++
+		o.tally.nBankConflict++
 		return
 	}
 	o.bankStamp[bank] = cycle + 1
@@ -203,31 +170,18 @@ func (o *simObs) noteL2Bank(bank int, cycle uint64) {
 
 // flush publishes the hot-path tallies to their registry counters and
 // zeroes them. Run defers it, so the counters hold the run's totals on
-// both the success and the no-forward-progress return paths. Summing the
-// per-core shards in core order keeps the totals independent of which
-// goroutine counted what.
+// both the success and the no-forward-progress return paths.
 func (o *simObs) flush() {
-	var sum coreTally
-	for c := range o.tally {
-		t := &o.tally[c]
-		sum.nStallMSHR += t.nStallMSHR
-		sum.nStallBarrier += t.nStallBarrier
-		sum.nStallMem += t.nStallMem
-		sum.nStallSleep += t.nStallSleep
-		sum.nIdleEmpty += t.nIdleEmpty
-		sum.nRequests += t.nRequests
-		sum.nBarriers += t.nBarriers
-		o.tally[c] = coreTally{}
-	}
-	o.stallMSHR.Add(sum.nStallMSHR)
-	o.stallBarrier.Add(sum.nStallBarrier)
-	o.stallMem.Add(sum.nStallMem)
-	o.stallSleep.Add(sum.nStallSleep)
-	o.idleEmpty.Add(sum.nIdleEmpty)
-	o.requests.Add(sum.nRequests)
-	o.barriers.Add(sum.nBarriers)
-	o.bankConflicts.Add(o.nBankConflict)
-	o.nBankConflict = 0
+	t := o.tally
+	o.tally = hotTally{}
+	o.stallMSHR.Add(t.nStallMSHR)
+	o.stallBarrier.Add(t.nStallBarrier)
+	o.stallMem.Add(t.nStallMem)
+	o.stallSleep.Add(t.nStallSleep)
+	o.idleEmpty.Add(t.nIdleEmpty)
+	o.requests.Add(t.nRequests)
+	o.barriers.Add(t.nBarriers)
+	o.bankConflicts.Add(t.nBankConflict)
 }
 
 // noteLaunch records one retired launch's metric window.

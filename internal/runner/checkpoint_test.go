@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -124,7 +123,7 @@ func TestResumeStrictRejectsForeignCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	var executed atomic.Int32
 	if _, _, err := Run(context.Background(),
-		Options{Workers: 2, Checkpoint: path}, countingJobs(4, &executed, -1)); err != nil {
+		Options{Workers: 1, Checkpoint: path}, countingJobs(4, &executed, -1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -230,7 +229,7 @@ func TestResumeWithChangedValueTypeRecomputes(t *testing.T) {
 }
 
 // faultyPrefetcher panics partway through a simulation — standing in for
-// a defect inside one SM worker goroutine of memsim's parallel engine.
+// any defect inside the simulator.
 type faultyPrefetcher struct{ calls int }
 
 func (p *faultyPrefetcher) Observe(uint64, int, uint64, bool) []uint64 {
@@ -266,30 +265,18 @@ func figuresOf(m memsim.Metrics) simFigures {
 	}
 }
 
-// TestCheckpointResumeAfterSimWorkerPanic extends the crash matrix to
-// the parallel simulation engine: a panic raised mid-epoch inside one SM
-// worker goroutine must be contained by the runner's per-job panic
-// isolation — failing only that job, never the process, never the
-// checkpoint — and a resume afterwards must re-run just the poisoned job
-// and reproduce the serial engine's figures bit-identically.
-func TestCheckpointResumeAfterSimWorkerPanic(t *testing.T) {
+// TestCheckpointResumeAfterSimPanic extends the crash matrix into the
+// simulator: a panic raised mid-epoch inside a simulation must be
+// contained by the runner's per-job panic isolation — failing only that
+// job, never the process, never the checkpoint — and a resume afterwards
+// must re-run just the poisoned job and reproduce a direct run's figures
+// bit-identically.
+func TestCheckpointResumeAfterSimPanic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "simpanic.ckpt")
 	warps := proptest.New(0xfa17).WarpSet(8, 0.05)
-	// The nightly soak rotates the engine width through GMAP_SIM_WORKERS
-	// (serial, two workers, more workers than cores); results must be
-	// identical at every setting, so the serial reference below is fixed.
-	simWorkers := 2
-	if v := os.Getenv("GMAP_SIM_WORKERS"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			t.Fatalf("bad GMAP_SIM_WORKERS %q: %v", v, err)
-		}
-		simWorkers = n
-	}
 	baseCfg := func(i int) memsim.Config {
 		cfg := memsim.DefaultConfig()
 		cfg.NumCores = 2
-		cfg.Workers = simWorkers
 		cfg.Seed = uint64(i)
 		return cfg
 	}
@@ -334,15 +321,9 @@ func TestCheckpointResumeAfterSimWorkerPanic(t *testing.T) {
 	if first[2].Err == nil || !strings.Contains(first[2].Err.Error(), "panicked") {
 		t.Fatalf("poisoned job error = %v, want contained panic", first[2].Err)
 	}
-	// The parallel engine wraps a worker-goroutine panic before rethrowing
-	// it on Run's goroutine; the serial engine (GMAP_SIM_WORKERS=1 in the
-	// rotation) surfaces the raw fault.
-	if simWorkers > 1 && !strings.Contains(first[2].Err.Error(), "SM worker panic") {
-		t.Fatalf("poisoned job error = %v, want the SM-worker panic wrapper", first[2].Err)
-	}
 
 	// Resume: only the panicked job re-runs, and every figure matches a
-	// direct serial-engine run of the same configuration.
+	// direct run of the same configuration.
 	var executed atomic.Int32
 	counted := simJobs(nil)
 	for i := range counted {
@@ -364,9 +345,7 @@ func TestCheckpointResumeAfterSimWorkerPanic(t *testing.T) {
 		if resumed[i].Err != nil {
 			t.Fatalf("job %d failed after resume: %v", i, resumed[i].Err)
 		}
-		cfg := baseCfg(i)
-		cfg.Workers = 0 // serial reference engine
-		sim, err := memsim.New(warps, cfg)
+		sim, err := memsim.New(warps, baseCfg(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +354,7 @@ func TestCheckpointResumeAfterSimWorkerPanic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resumed[i].Value != figuresOf(want) {
-			t.Errorf("job %d figures diverge from the serial engine after resume:\n got:  %+v\n want: %+v",
+			t.Errorf("job %d figures diverge from a direct run after resume:\n got:  %+v\n want: %+v",
 				i, resumed[i].Value, figuresOf(want))
 		}
 	}

@@ -61,29 +61,36 @@ func TestCrashMatrixResume(t *testing.T) {
 	}
 
 	// Every line boundary, ±1 around each, plus start/mid/end offsets.
-	offsets := map[int]bool{0: true, 1: true, len(full): true}
+	// Cuts are named by offset class, not byte offset: checkpoint lines
+	// carry wall-clock timings, so their lengths vary from run to run.
+	type cut struct {
+		name string
+		off  int
+	}
+	cuts := []cut{{"start", 0}, {"first-byte", 1}, {"eof", len(full)}}
 	if len(full) > 2 {
-		offsets[len(full)/2] = true
+		cuts = append(cuts, cut{"mid-file", len(full) / 2})
 	}
 	pos := 0
-	for _, line := range bytes.SplitAfter(full, []byte("\n")) {
+	for i, line := range bytes.SplitAfter(full, []byte("\n")) {
 		if len(line) == 0 {
 			continue
 		}
-		offsets[pos+len(line)/2] = true // mid-line tear
+		name := fmt.Sprintf("line%d/", i+1)
+		cuts = append(cuts, cut{name + "mid", pos + len(line)/2}) // mid-line tear
 		pos += len(line)
-		offsets[pos] = true // clean boundary
+		cuts = append(cuts, cut{name + "boundary", pos}) // clean boundary
 		if pos-1 > 0 {
-			offsets[pos-1] = true // newline torn off
+			cuts = append(cuts, cut{name + "boundary-1", pos - 1}) // newline torn off
 		}
 		if pos+1 <= len(full) {
-			offsets[pos+1] = true
+			cuts = append(cuts, cut{name + "boundary+1", pos + 1})
 		}
 	}
 
-	for off := range offsets {
-		off := off
-		t.Run(fmt.Sprintf("cut@%d", off), func(t *testing.T) {
+	for _, c := range cuts {
+		off := c.off
+		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")
 			if err := os.WriteFile(path, full[:off], 0o644); err != nil {
 				t.Fatal(err)
