@@ -161,7 +161,10 @@ func TestSimGolden(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	n := min(proptest.N(t, simGoldenShort, simGoldenCases), len(want))
+	if len(want) != simGoldenCases {
+		t.Fatalf("%s holds %d cases, want %d (run with -update to re-record)", simGoldenFile, len(want), simGoldenCases)
+	}
+	n := proptest.N(t, simGoldenShort, simGoldenCases)
 	for i := 0; i < n; i++ {
 		if got := simGoldenDigest(t, simGoldenSeed(i)); got != want[i] {
 			t.Fatalf("case %d diverges from %s:\n got  %s\n want %s", i, simGoldenFile, got, want[i])
