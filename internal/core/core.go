@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/uteda/gmap/internal/gpu"
 	"github.com/uteda/gmap/internal/memsim"
 	"github.com/uteda/gmap/internal/profiler"
 	"github.com/uteda/gmap/internal/stats"
@@ -46,9 +45,10 @@ func Prepare(name string, scale int, pcfg profiler.Config, sopts synth.Options) 
 	return PrepareTrace(tr, pcfg, sopts)
 }
 
-// PrepareTrace runs the pipeline over an externally supplied trace.
+// PrepareTrace runs the pipeline over an externally supplied trace. The
+// trace is coalesced once: the warps the profiler built become Warps.
 func PrepareTrace(tr *trace.KernelTrace, pcfg profiler.Config, sopts synth.Options) (*Workload, error) {
-	p, err := profiler.ProfileKernel(tr, pcfg)
+	p, warps, err := profiler.ProfileKernelWarps(tr, pcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func PrepareTrace(tr *trace.KernelTrace, pcfg profiler.Config, sopts synth.Optio
 	return &Workload{
 		Name:    tr.Name,
 		Trace:   tr,
-		Warps:   gpu.NewCoalescer(pcfg.LineSize).AttachObs(pcfg.Obs).BuildWarpTraces(tr),
+		Warps:   warps,
 		Profile: p,
 		Proxy:   proxy,
 	}, nil

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/uteda/gmap/internal/cache"
+	"github.com/uteda/gmap/internal/gpu"
 	"github.com/uteda/gmap/internal/memsim"
+	"github.com/uteda/gmap/internal/obs"
 	"github.com/uteda/gmap/internal/profiler"
 	"github.com/uteda/gmap/internal/synth"
+	"github.com/uteda/gmap/internal/workloads"
 )
 
 func smallSim() memsim.Config {
@@ -185,5 +189,42 @@ func TestCompareAppSweep(t *testing.T) {
 	}
 	if _, err := CompareApp(w, configs, nil, L1MissRate); err == nil {
 		t.Error("label mismatch accepted")
+	}
+}
+
+// TestPrepareTraceCoalescesOnce pins that preparation coalesces the
+// trace in one BuildWarpTraces pass, whose warps both feed the profiler
+// and become Workload.Warps: the coalescer histogram counts each original
+// request once, and the warps match a fresh coalescer's request for
+// request.
+func TestPrepareTraceCoalescesOnce(t *testing.T) {
+	spec, ok := workloads.ByName("heartwall")
+	if !ok {
+		t.Fatal("heartwall missing")
+	}
+	tr, err := spec.Trace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	pcfg := profiler.DefaultConfig()
+	pcfg.Obs = reg
+	w, err := PrepareTrace(tr, pcfg, synth.Options{Seed: 1, ScaleFactor: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref := obs.New()
+	want := gpu.NewCoalescer(pcfg.LineSize).AttachObs(ref).BuildWarpTraces(tr)
+	if !reflect.DeepEqual(w.Warps, want) {
+		t.Error("Workload.Warps differ from a fresh coalescing of the trace")
+	}
+	if n := reg.Histogram("phase.profile.coalesce.ns").Count(); n != 1 {
+		t.Errorf("profile.coalesce ran %d times, want 1", n)
+	}
+	got, once := reg.Histogram("coalesce.txns_per_request"), ref.Histogram("coalesce.txns_per_request")
+	if got.Count() != once.Count() || got.Sum() != once.Sum() {
+		t.Errorf("coalescer histogram count/sum %d/%d, want one pass's %d/%d",
+			got.Count(), got.Sum(), once.Count(), once.Sum())
 	}
 }

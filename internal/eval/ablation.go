@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"text/tabwriter"
 	"time"
 
@@ -67,43 +66,25 @@ type ablSample struct {
 type variantCache struct {
 	o  *Options
 	wl *workloadCache
-	mu sync.Mutex
-	m  map[string]*variantEntry
-}
-
-type variantEntry struct {
-	once sync.Once
-	w    *core.Workload
-	err  error
+	m  memo[[2]string, *core.Workload]
 }
 
 func (c *variantCache) get(benchmark string, v AblationVariant) (*core.Workload, error) {
-	key := benchmark + "\x00" + v.Name
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = &variantEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
+	return c.m.get([2]string{benchmark, v.Name}, func() (*core.Workload, error) {
 		base, err := c.wl.get(benchmark)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		proxy, err := synth.Generate(base.Profile, synth.Options{
 			Seed: c.o.Seed, ScaleFactor: c.o.ScaleFactor, Ablation: v.Abl,
 		})
 		if err != nil {
-			e.err = fmt.Errorf("eval ablation %s/%s: %w", benchmark, v.Name, err)
-			return
+			return nil, fmt.Errorf("eval ablation %s/%s: %w", benchmark, v.Name, err)
 		}
 		w := *base
 		w.Proxy = proxy
-		e.w = &w
+		return &w, nil
 	})
-	return e.w, e.err
 }
 
 // Ablation measures how much each beyond-paper generation mechanism
@@ -133,7 +114,7 @@ func (o *Options) Ablation() (*AblationResult, error) {
 	}
 	gens := L1Sweep(o.Cores)
 	wl := o.workloads()
-	vc := &variantCache{o: o, wl: wl, m: make(map[string]*variantEntry)}
+	vc := &variantCache{o: o, wl: wl}
 
 	// Jobs: originals first (benchmark-major), then proxies
 	// (benchmark, variant, configuration), all in one pool drain.

@@ -425,35 +425,53 @@ func (o *Options) prepare(name string) (*core.Workload, error) {
 		synth.Options{Seed: o.Seed, ScaleFactor: o.ScaleFactor, Obs: o.Obs, TraceSpan: sp})
 }
 
+// memo builds each key's value at most once, on the first get that needs
+// it, and hands every get the value and error that build returned. A
+// build that panics leaves an error behind, so the gets after it fail
+// instead of returning a zero value. The zero memo is ready to use.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*memoEntry[V]
+}
+
+type memoEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+func (c *memo[K, V]) get(key K, build func() (V, error)) (V, error) {
+	c.mu.Lock()
+	e := c.m[key]
+	if e == nil {
+		if c.m == nil {
+			c.m = make(map[K]*memoEntry[V])
+		}
+		e = &memoEntry[V]{}
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() {
+		e.err = fmt.Errorf("eval: building %v did not complete", key)
+		e.v, e.err = build()
+	})
+	return e.v, e.err
+}
+
 // workloadCache builds each benchmark's pipeline at most once, on the
 // first job that needs it — so a fully checkpointed benchmark is never
 // re-profiled on resume.
 type workloadCache struct {
-	o  *Options
-	mu sync.Mutex
-	m  map[string]*workloadEntry
-}
-
-type workloadEntry struct {
-	once sync.Once
-	w    *core.Workload
-	err  error
+	o *Options
+	m memo[string, *core.Workload]
 }
 
 func (o *Options) workloads() *workloadCache {
-	return &workloadCache{o: o, m: make(map[string]*workloadEntry)}
+	return &workloadCache{o: o}
 }
 
 func (c *workloadCache) get(name string) (*core.Workload, error) {
-	c.mu.Lock()
-	e := c.m[name]
-	if e == nil {
-		e = &workloadEntry{}
-		c.m[name] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.w, e.err = c.o.prepare(name) })
-	return e.w, e.err
+	return c.m.get(name, func() (*core.Workload, error) { return c.o.prepare(name) })
 }
 
 // BenchResult is one benchmark's row in a figure: clone error and

@@ -3,8 +3,11 @@ package eval
 import (
 	"bytes"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"github.com/uteda/gmap/internal/core"
 	"github.com/uteda/gmap/internal/memsim"
 )
 
@@ -310,5 +313,62 @@ func TestWriteFig8Format(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("fig8 output missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestMemoBuildPanicLeavesError pins that a build which panics inside the
+// memo's once leaves an error behind: every later get, of a value-typed
+// memo and of the workload and ablation-variant caches built on it,
+// fails instead of returning a zero value or a nil workload.
+func TestMemoBuildPanicLeavesError(t *testing.T) {
+	panicky := func(get func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the build's panic did not reach the first get")
+			}
+		}()
+		get()
+	}
+
+	var m memo[string, int]
+	panicky(func() { _, _ = m.get("nn", func() (int, error) { panic("build failed") }) })
+	for i := 0; i < 2; i++ {
+		if v, err := m.get("nn", func() (int, error) { return 1, nil }); err == nil {
+			t.Fatalf("get %d after a panicked build returned %d and no error", i, v)
+		}
+	}
+
+	o := quickOpts()
+	wl := o.workloads()
+	panicky(func() { _, _ = wl.m.get("nn", func() (*core.Workload, error) { panic("prepare failed") }) })
+	if w, err := wl.get("nn"); err == nil || w != nil {
+		t.Errorf("workloadCache.get after a panicked build = (%v, %v), want an error", w, err)
+	}
+	vc := &variantCache{o: &o, wl: wl}
+	if w, err := vc.get("nn", AblationVariants()[0]); err == nil || w != nil {
+		t.Errorf("variantCache.get over a panicked workload = (%v, %v), want an error", w, err)
+	}
+}
+
+// TestMemoBuildsOnceUnderConcurrentGets pins that concurrent gets of one
+// key run its build once and all see its value.
+func TestMemoBuildsOnceUnderConcurrentGets(t *testing.T) {
+	var m memo[string, int]
+	var builds atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := m.get("nn", func() (int, error) { return int(builds.Add(1)), nil })
+			if err != nil || v != 1 {
+				t.Errorf("get = (%d, %v), want (1, nil)", v, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("build ran %d times, want 1", n)
 	}
 }

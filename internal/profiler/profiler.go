@@ -73,15 +73,24 @@ func (c *Config) fillDefaults() {
 // into warp-level request streams and extracts the statistical profile.
 // This is phase ① of Figure 2.
 func ProfileKernel(k *trace.KernelTrace, cfg Config) (*Profile, error) {
+	p, _, err := ProfileKernelWarps(k, cfg)
+	return p, err
+}
+
+// ProfileKernelWarps is ProfileKernel that also returns the coalesced
+// warp streams it profiled, so a caller that simulates the original need
+// not coalesce the trace a second time. Profiling only reads the warps.
+func ProfileKernelWarps(k *trace.KernelTrace, cfg Config) (*Profile, []trace.WarpTrace, error) {
 	cfg.fillDefaults()
 	if err := k.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var warps []trace.WarpTrace
 	cfg.phase("profile.coalesce", func() {
 		warps = gpu.NewCoalescer(cfg.LineSize).AttachObs(cfg.Obs).BuildWarpTraces(k)
 	})
-	return ProfileWarps(k.Name, k.GridDim, k.BlockDim, warps, cfg)
+	p, err := ProfileWarps(k.Name, k.GridDim, k.BlockDim, warps, cfg)
+	return p, warps, err
 }
 
 // ProfileWarps extracts a profile from already-coalesced warp streams.
