@@ -28,37 +28,20 @@ type distFlags struct {
 	standby        bool          // -dist-standby: standby/failover mode
 	healthInterval time.Duration // -dist-health-interval
 	healthMisses   int           // -dist-health-misses
-	fleetInterval  time.Duration // -fleet-interval: federation scrape cadence
 }
 
-// federate wires the fleet federator onto a live coordinator: scrape
-// targets come from the coordinator's worker roster (workers that
-// self-announced an exposition URL on lease), the owner status document
-// is the coordinator's own snapshot, and the merged surface mounts
-// under /fleet/ on the coordinator's existing listener. Returns the
-// stop function that halts the scrape loop.
-func federate(ctx context.Context, c *dist.Coordinator, reg *obs.Registry, tracer *obstrace.Tracer, interval time.Duration, logf func(string, ...interface{})) func() {
-	fed := fleet.New(fleet.Options{
+// federate mounts the fleet federator under /fleet/ on a coordinator's
+// listener: workers push their reports there, the owner status document
+// is the coordinator's own snapshot, and a worker goes stale after one
+// lease TTL without a push — when its lease would expire too.
+func federate(c *dist.Coordinator, reg *obs.Registry, tracer *obstrace.Tracer, leaseTTL time.Duration) {
+	c.SetFleet(fleet.New(fleet.Options{
 		Self:     "coordinator",
 		Registry: reg,
 		Tracer:   tracer,
-		Interval: interval,
-		Targets: func() []fleet.Source {
-			var srcs []fleet.Source
-			for _, ws := range c.StatusSnapshot().Workers {
-				if ws.ObsURL != "" {
-					srcs = append(srcs, fleet.Source{Name: ws.Name, URL: ws.ObsURL})
-				}
-			}
-			return srcs
-		},
-		Status: func() interface{} { return c.StatusSnapshot() },
-		Logf:   logf,
-	})
-	c.SetFleet(fed.Handler())
-	fctx, cancel := context.WithCancel(ctx)
-	go fed.Run(fctx)
-	return cancel
+		Status:   func() interface{} { return c.StatusSnapshot() },
+		Stale:    leaseTTL,
+	}).Handler())
 }
 
 // runCoordinator distributes the sweep: partition the job space, lease
@@ -91,8 +74,7 @@ func runCoordinator(ctx context.Context, spec api.JobSpec, df distFlags, ledger 
 		return err
 	}
 	defer c.Close()
-	stopFed := federate(ctx, c, reg, tracer, df.fleetInterval, logf)
-	defer stopFed()
+	federate(c, reg, tracer, df.leaseTTL)
 	srv, err := c.Serve(ctx, df.listen)
 	if err != nil {
 		return err
@@ -165,8 +147,7 @@ func runStandby(ctx context.Context, spec api.JobSpec, df distFlags, ledger stri
 	defer c.Close()
 	// The takeover coordinator's server is already live; SetFleet is
 	// resolved per request, so federation attaches after the fact.
-	stopFed := federate(ctx, c, reg, tracer, df.fleetInterval, logf)
-	defer stopFed()
+	federate(c, reg, tracer, df.leaseTTL)
 	if t.Server != nil {
 		defer t.Server.Shutdown()
 		fmt.Fprintf(os.Stderr, "gmap-eval: standby took over %s on %s (epoch %d)\n", spec.Experiment, t.Server.URL(), c.Epoch())
@@ -188,13 +169,14 @@ func runStandby(ctx context.Context, spec api.JobSpec, df distFlags, ledger stri
 // before every retry — overrides them all, so a standby takeover
 // redirects the worker without restart.
 //
-// serveAddr, when non-empty, additionally starts the exposition server
-// (-serve, same surface as a serial run) and opts the worker into the
-// fleet: the exposition URL rides in each lease request so the
-// coordinator's federator discovers it, spans parent under the
-// coordinator's sweep trace, and tallies push on lease end and
-// shutdown. Without -serve the worker's Obs and Trace stay nil — the
-// simulation hot path keeps its single disabled-path branch.
+// serveAddr, when non-empty, opts the worker into the fleet: spans
+// parent under the coordinator's sweep trace, and the registry and span
+// log push to the coordinator's /fleet/push (snapshot after every
+// heartbeat, span log at lease end, a final report on exit). The same
+// registry and tracer are also served locally on serveAddr (-serve,
+// same surface as a serial run) for inspection; nothing dials it.
+// Without -serve the worker's Obs and Trace stay nil — the simulation
+// hot path keeps its single disabled-path branch.
 func runWorker(ctx context.Context, urls, addrFile, serveAddr string, workers int, logf func(string, ...interface{})) error {
 	var endpoints []string
 	if urls != "" {
@@ -226,8 +208,7 @@ func runWorker(ctx context.Context, urls, addrFile, serveAddr string, workers in
 		defer srv.Shutdown()
 		wo.Obs = reg
 		wo.Trace = tracer
-		wo.ObsURL = "http://" + srv.Addr()
-		fmt.Fprintf(os.Stderr, "gmap-eval: worker observability on %s\n", wo.ObsURL)
+		fmt.Fprintf(os.Stderr, "gmap-eval: worker observability on http://%s\n", srv.Addr())
 	}
 	return dist.RunWorker(ctx, wo)
 }

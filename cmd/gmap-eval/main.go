@@ -33,11 +33,13 @@
 //	    -dist-addr-file coord.addr -checkpoint fig6a.ckpt
 //	gmap-eval -worker-addr-file coord.addr   # workers follow the file across failover
 //
-// A coordinator federates the fleet's observability: workers started
-// with -serve self-announce their exposition URLs in lease requests,
-// the coordinator scrapes them, and the merged view — labeled metrics,
-// fleet status, the cross-process sweep trace — is served under /fleet/
-// on the coordinator's port. Watch it live from any terminal:
+// A coordinator federates the fleet's observability from pushes alone:
+// workers started with -serve push their registry snapshot after every
+// lease heartbeat, their span log at every lease end and a final report
+// on exit, and the merged view — labeled metrics, fleet status, the
+// cross-process sweep trace — is served under /fleet/ on the
+// coordinator's port. A worker that has not pushed for one lease TTL is
+// marked stale. Watch it live from any terminal:
 //
 //	gmap-eval -worker http://host:9500 -serve :0     # worker joins the fleet
 //	gmap-eval -fleet-watch http://host:9500          # or -fleet-watch coord.addr
@@ -97,7 +99,7 @@ func main() {
 		distHealthI = flag.Duration("dist-health-interval", 0, "standby health-probe interval (0 = 1s)")
 		distHealthM = flag.Int("dist-health-misses", 0, "consecutive failed probes (with no ledger growth) before the standby takes over (0 = 3)")
 		fleetWatch  = flag.String("fleet-watch", "", "live fleet status view: poll this coordinator URL's /fleet/status and repaint (also accepts a -dist-addr-file path)")
-		fleetIval   = flag.Duration("fleet-interval", 0, "fleet federation cadence: coordinator scrape interval, or -fleet-watch refresh (0 = 2s)")
+		fleetIval   = flag.Duration("fleet-interval", 0, "-fleet-watch refresh interval (0 = 2s)")
 	)
 	flag.Parse()
 	if *resume && *checkpoint == "" {
@@ -145,12 +147,11 @@ func main() {
 			standby:        *distStandby,
 			healthInterval: *distHealthI,
 			healthMisses:   *distHealthM,
-			fleetInterval:  *fleetIval,
 		}
 		if !df.standby && df.listen == "" {
 			// Plain worker mode: the sweep's shape comes from the
 			// coordinator inside each lease grant. -serve opts the worker
-			// into the fleet (exposition server + scrape discovery).
+			// into the fleet (pushes to the coordinator's federator).
 			if err := runWorker(ctx, df.worker, df.workerAddrFile, *serveAddr, *workers, distLogf); err != nil && ctx.Err() == nil {
 				fatal(err)
 			}

@@ -51,35 +51,15 @@ func main() {
 		fsync     = flag.Bool("fsync", false, "fsync journal/result/checkpoint writes (survives machine crash, not just SIGKILL)")
 		defTenant = flag.String("default-tenant", "anonymous", "tenant attributed to requests without an X-Gmap-Tenant header")
 		quiet     = flag.Bool("quiet", false, "suppress per-job log lines")
-		workerURL = flag.String("worker", "", "run as a distributed-sweep worker against this coordinator URL instead of serving (uses -sweep-workers as the local pool size)")
 		distSweep = flag.Bool("dist-sweeps", false, "offer sweep jobs to a distributed worker fleet (workers dial this server's /dist/v1/), falling back to local execution from the same checkpoint if the fleet stalls")
 		distDL    = flag.Duration("dist-deadline", 0, "no-progress deadline before a delegated sweep falls back to local execution (0 = 2m; with -dist-sweeps)")
 		distParts = flag.Int("dist-parts", 0, "partitions of each delegated sweep's job space (0 = 8; with -dist-sweeps)")
 		distTTL   = flag.Duration("dist-lease-ttl", 0, "worker lease heartbeat deadline for delegated sweeps (0 = 30s; with -dist-sweeps)")
-		fleetIval = flag.Duration("fleet-interval", 0, "fleet federation scrape cadence for delegated-sweep workers (0 = 2s; with -dist-sweeps)")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *workerURL != "" {
-		var logf func(string, ...interface{})
-		if !*quiet {
-			logf = func(format string, args ...interface{}) {
-				log.Printf("gmap-served: "+format, args...)
-			}
-		}
-		err := dist.RunWorker(ctx, dist.WorkerOptions{
-			Coordinator: *workerURL,
-			Workers:     *sweepWkrs,
-			Logf:        logf,
-		})
-		if err != nil && ctx.Err() == nil {
-			fatal(err)
-		}
-		return
-	}
 
 	w, err := parseWeights(*weights)
 	if err != nil {
@@ -129,36 +109,22 @@ func main() {
 	}
 	if delegate != nil {
 		// Federate the delegated-sweep fleet: workers dialing this
-		// server's /dist/v1/ self-announce their exposition URLs, the
-		// federator scrapes them, and /fleet/* rides the service mux.
+		// server's /dist/v1/ push their reports to /fleet/push on the
+		// service mux and go stale after one lease TTL without a push.
 		// The owner status is composite — the live delegated sweep (if
 		// any) plus the local job queue.
-		fed := fleet.New(fleet.Options{
+		svc.SetFleet(fleet.New(fleet.Options{
 			Self:     "gmap-served",
 			Registry: reg,
 			Tracer:   tracer,
-			Interval: *fleetIval,
-			Targets: func() []fleet.Source {
-				var srcs []fleet.Source
-				if st := delegate.Status(); st != nil {
-					for _, ws := range st.Workers {
-						if ws.ObsURL != "" {
-							srcs = append(srcs, fleet.Source{Name: ws.Name, URL: ws.ObsURL})
-						}
-					}
-				}
-				return srcs
-			},
 			Status: func() interface{} {
 				return map[string]interface{}{
 					"dist":  delegate.Status(),
 					"queue": svc.Queue().Stats(),
 				}
 			},
-			Logf: opts.Logf,
-		})
-		svc.SetFleet(fed.Handler())
-		go fed.Run(ctx)
+			Stale: *distTTL,
+		}).Handler())
 	}
 	srv, err := serve.Start(ctx, "gmap-served", *addr, svc.Handler())
 	if err != nil {

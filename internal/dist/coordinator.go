@@ -115,7 +115,6 @@ type lease struct {
 type workerStat struct {
 	granted  uint64
 	lastSeen time.Time
-	obsURL   string // the worker's own exposition server, "" if unannounced
 }
 
 // LeaseGrant is the coordinator's answer to a lease request.
@@ -147,12 +146,6 @@ type LeaseGrant struct {
 	// a remote child of it, which is what lets a merged trace export show
 	// worker work nested under the coordinator's sweep.
 	Traceparent string `json:"traceparent,omitempty"`
-	// Worker echoes the name the coordinator resolved for the caller. An
-	// unnamed worker is default-named from its remote address by the
-	// lease handler; adopting the echoed name is what lets such a worker
-	// label its own fleet pushes so they match the coordinator's
-	// scrape-target entry instead of being rejected as anonymous.
-	Worker string `json:"worker,omitempty"`
 }
 
 // Grant statuses.
@@ -205,9 +198,6 @@ type WorkerStatus struct {
 	Name           string `json:"name"`
 	Granted        uint64 `json:"granted"`
 	LastSeenUnixNS int64  `json:"last_seen_unix_ns"`
-	// ObsURL is the worker's self-announced exposition server — the
-	// fleet federation's scrape target discovery.
-	ObsURL string `json:"obs_url,omitempty"`
 }
 
 // Coordinator owns the sweep's job universe: it enumerates the keys,
@@ -540,24 +530,15 @@ func (c *Coordinator) WaitDone(ctx context.Context) error {
 // every key is recorded, "done". A deposed coordinator refuses to
 // grant (ErrStaleEpoch): the worker's retry loop finds the successor.
 func (c *Coordinator) Lease(worker string) (LeaseGrant, error) {
-	return c.LeaseAs(worker, "")
-}
-
-// LeaseAs is Lease with a self-announcement: obsURL, when non-empty, is
-// the worker's own exposition server, recorded for the fleet
-// federation's scrape-target discovery (StatusSnapshot surfaces it).
-func (c *Coordinator) LeaseAs(worker, obsURL string) (LeaseGrant, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.fenceLocked(-1); err != nil {
 		return LeaseGrant{}, err
 	}
-	if ws := c.seenLocked(worker); obsURL != "" {
-		ws.obsURL = obsURL
-	}
+	c.seenLocked(worker)
 	c.expireLocked()
 	if c.doneLocked() {
-		return LeaseGrant{Status: GrantDone, Epoch: c.epoch, Worker: worker}, nil
+		return LeaseGrant{Status: GrantDone, Epoch: c.epoch}, nil
 	}
 	for _, p := range c.parts {
 		if len(p.remaining) > 0 && p.leaseID == "" {
@@ -567,7 +548,7 @@ func (c *Coordinator) LeaseAs(worker, obsURL string) (LeaseGrant, error) {
 	if p := c.stealLocked(); p != nil {
 		return c.grantLocked(worker, p), nil
 	}
-	return LeaseGrant{Status: GrantWait, Epoch: c.epoch, Worker: worker, RetryNS: int64(c.o.LeaseTTL / 4)}, nil
+	return LeaseGrant{Status: GrantWait, Epoch: c.epoch, RetryNS: int64(c.o.LeaseTTL / 4)}, nil
 }
 
 // seenLocked refreshes a worker's last-seen instant.
@@ -616,7 +597,6 @@ func (c *Coordinator) grantLocked(worker string, p *partState) LeaseGrant {
 		Spec:        c.spec,
 		TTLNS:       int64(c.o.LeaseTTL),
 		Traceparent: l.span.Context().Traceparent(),
-		Worker:      worker,
 	}
 }
 
@@ -911,7 +891,6 @@ func (c *Coordinator) StatusSnapshot() Status {
 			Name:           name,
 			Granted:        ws.granted,
 			LastSeenUnixNS: ws.lastSeen.UnixNano(),
-			ObsURL:         ws.obsURL,
 		})
 	}
 	return st

@@ -59,28 +59,16 @@ func TestHealthReadiness(t *testing.T) {
 	}
 }
 
-// TestLeaseEchoesWorkerName: every grant status quotes back the name
-// the coordinator resolved for the caller. An unnamed worker gets a
-// remote-address default from the lease handler, and only through
-// this echo can it label its own fleet pushes to match.
-func TestLeaseEchoesWorkerName(t *testing.T) {
+// TestLeaseIgnoresLegacyObsURL: a lease request from an older worker
+// that still announces an exposition URL is granted like any other.
+func TestLeaseIgnoresLegacyObsURL(t *testing.T) {
 	c := healthCoordinator(t)
 	defer c.Close()
-	g, err := c.LeaseAs("vm:9001", "http://127.0.0.1:9500")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Status != GrantLease || g.Worker != "vm:9001" {
-		t.Fatalf("grant = %+v, want lease echoing worker vm:9001", g)
-	}
-	// Both parts leased: the next caller gets a wait (or steal) grant,
-	// which must echo its own name, not the first worker's.
-	g2, err := c.LeaseAs("vm:9002", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.Worker != "vm:9002" {
-		t.Fatalf("second grant = %+v, want it echoing worker vm:9002", g2)
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/dist/v1/lease",
+		strings.NewReader(`{"worker":"old","obs_url":"http://127.0.0.1:9300"}`)))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"status":"lease"`) {
+		t.Fatalf("legacy lease request = %d: %s", rec.Code, rec.Body.String())
 	}
 }
 
@@ -102,9 +90,9 @@ func TestFleetMountIsDynamic(t *testing.T) {
 	}
 }
 
-// TestProbeHealth covers the standby's two-step probe against the four
-// coordinator generations it can meet: healthy, sick-but-serving,
-// pre-healthz, and broken.
+// TestProbeHealth covers the standby's two-step probe against the
+// coordinators it can meet: healthy, sick-but-serving, one without
+// /healthz, broken and unreachable.
 func TestProbeHealth(t *testing.T) {
 	hc := &http.Client{Timeout: time.Second}
 	ctx := context.Background()
@@ -144,14 +132,13 @@ func TestProbeHealth(t *testing.T) {
 			t.Fatalf("expected zero status, got %+v", st)
 		}
 	})
-	t.Run("pre-healthz fallback", func(t *testing.T) {
-		// No /healthz route: the mux answers 404 and the probe must fall
-		// back to the status endpoint alone.
+	t.Run("no healthz", func(t *testing.T) {
+		// No /healthz route: the mux answers 404, which is a failed probe
+		// even though the status endpoint would answer.
 		srv := mk(0, http.StatusOK, `{"epoch":1}`)
 		defer srv.Close()
-		st, err := probeHealth(ctx, hc, srv.URL)
-		if err != nil || st.Epoch != 1 {
-			t.Fatalf("st=%+v err=%v", st, err)
+		if _, err := probeHealth(ctx, hc, srv.URL); err == nil {
+			t.Fatal("404 healthz should read as a failed probe")
 		}
 	})
 	t.Run("unhealthy", func(t *testing.T) {

@@ -21,9 +21,6 @@ import (
 // was granted under.
 type leaseRequest struct {
 	Worker string `json:"worker"`
-	// ObsURL self-announces the worker's exposition server for the fleet
-	// federation's scrape discovery; optional.
-	ObsURL string `json:"obs_url,omitempty"`
 }
 
 type leaseOpRequest struct {
@@ -110,7 +107,7 @@ func (c *Coordinator) Handler() http.Handler {
 		if req.Worker == "" {
 			req.Worker = r.RemoteAddr
 		}
-		g, err := c.LeaseAs(req.Worker, req.ObsURL)
+		g, err := c.Lease(req.Worker)
 		if err != nil {
 			writeErr(w, statusOf(err), err)
 			return

@@ -15,7 +15,6 @@ import (
 
 	"github.com/uteda/gmap/internal/obs"
 	"github.com/uteda/gmap/internal/obs/fleet"
-	obsserve "github.com/uteda/gmap/internal/obs/serve"
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
 )
 
@@ -39,11 +38,12 @@ func fetch(t *testing.T, url string) string {
 
 // TestConformanceObservability is the fleet-observability contract: a
 // distributed sweep with everything on — coordinator registry, sweep
-// tracer, metrics federation, per-worker exposition servers, trace
-// push — still merges to bytes identical to the serial run, and the
-// federated surfaces describe the fleet truthfully: /fleet/status
-// lists every worker, /fleet/metrics keeps per-worker labels, and the
-// merged Chrome trace contains worker lease spans correlated to the
+// tracer, push-only metrics federation, worker registries and tracers —
+// still merges to bytes identical to the serial run, and the federated
+// surfaces describe the fleet truthfully from worker pushes alone (no
+// worker serves anything): /fleet/status lists every worker with a
+// final push, /fleet/metrics keeps per-worker labels, and the merged
+// Chrome trace contains worker lease spans correlated to the
 // coordinator's trace id.
 func TestConformanceObservability(t *testing.T) {
 	if testing.Short() {
@@ -71,47 +71,23 @@ func TestConformanceObservability(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			fed := fleet.New(fleet.Options{
+			c.SetFleet(fleet.New(fleet.Options{
 				Self:     "coordinator",
 				Registry: reg,
 				Tracer:   tracer,
-				Interval: 50 * time.Millisecond,
-				Targets: func() []fleet.Source {
-					var srcs []fleet.Source
-					for _, ws := range c.StatusSnapshot().Workers {
-						if ws.ObsURL != "" {
-							srcs = append(srcs, fleet.Source{Name: ws.Name, URL: ws.ObsURL})
-						}
-					}
-					return srcs
-				},
-				Status: func() interface{} { return c.StatusSnapshot() },
-			})
-			c.SetFleet(fed.Handler())
+				Status:   func() interface{} { return c.StatusSnapshot() },
+				Stale:    time.Minute,
+			}).Handler())
 			srv, err := c.Serve(ctx, "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Shutdown()
-			fctx, fcancel := context.WithCancel(ctx)
-			defer fcancel()
-			go fed.Run(fctx)
 
 			var wg sync.WaitGroup
 			errs := make([]error, n)
 			for i := 0; i < n; i++ {
 				i := i
-				wreg := obs.New()
-				wtr := obstrace.New()
-				wsrv, err := obsserve.Start(ctx, obsserve.Options{
-					Addr:     "127.0.0.1:0",
-					Registry: wreg,
-					Tracer:   wtr,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer wsrv.Shutdown()
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -120,9 +96,8 @@ func TestConformanceObservability(t *testing.T) {
 						Name:        fmt.Sprintf("w%d", i),
 						Workers:     2,
 						Poll:        10 * time.Millisecond,
-						Obs:         wreg,
-						Trace:       wtr,
-						ObsURL:      "http://" + wsrv.Addr(),
+						Obs:         obs.New(),
+						Trace:       obstrace.New(),
 						Logf:        t.Logf,
 					})
 				}()

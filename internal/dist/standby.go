@@ -78,8 +78,7 @@ type Takeover struct {
 // dark. The standby's evidence is deliberately two-channel:
 //
 //   - The health probe (GET /healthz, then /dist/v1/status, on each
-//     Watch URL — status alone against pre-healthz coordinators) says
-//     whether the active coordinator answers.
+//     Watch URL) says whether the active coordinator answers.
 //   - The shared ledger and lease journal say whether it is making
 //     progress. Any growth in either file vetoes takeover and resets
 //     the miss count, no matter what the probe says — a coordinator
@@ -197,8 +196,8 @@ func RunStandby(ctx context.Context, o StandbyOptions) (*Takeover, error) {
 // answers "the process serves", and only then is the full status
 // fetched. A coordinator that answers /healthz but whose status
 // endpoint errors still counts as alive (zero status, nil error) —
-// liveness is the takeover question, not status availability. Older
-// coordinators without /healthz fall back to the status probe alone.
+// liveness is the takeover question, not status availability. Any other
+// /healthz answer, 404 included, is a failed probe.
 func probeHealth(ctx context.Context, hc *http.Client, base string) (Status, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
 	if err != nil {
@@ -210,19 +209,11 @@ func probeHealth(ctx context.Context, hc *http.Client, base string) (Status, err
 	}
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		st, serr := probeStatus(ctx, hc, base)
-		if serr != nil {
-			return Status{}, nil // alive, status temporarily unanswerable
-		}
-		return st, nil
-	case resp.StatusCode == http.StatusNotFound:
-		// Pre-healthz coordinator: the status endpoint is the only probe.
-		return probeStatus(ctx, hc, base)
-	default:
+	if resp.StatusCode != http.StatusOK {
 		return Status{}, fmt.Errorf("dist: health probe: %s", resp.Status)
 	}
+	st, _ := probeStatus(ctx, hc, base) // zero on error: alive, status unanswerable
+	return st, nil
 }
 
 // probeStatus GETs one coordinator's status endpoint.

@@ -70,10 +70,6 @@ type WorkerOptions struct {
 	// so a merged fleet export shows this worker's work inside the
 	// coordinator's sweep.
 	Trace *obstrace.Tracer
-	// ObsURL, when non-empty, self-announces this worker's exposition
-	// server base URL in lease requests, registering it as a fleet
-	// federation scrape target.
-	ObsURL string
 	// Logf, when non-nil, receives worker progress lines.
 	Logf func(format string, args ...interface{})
 }
@@ -99,12 +95,12 @@ func (c *client) setBase(b string) {
 }
 
 // apiErr lifts an HTTP error body back into the protocol's sentinel
-// errors so worker logic can errors.Is on them across the wire. The
-// body's machine-readable "code" field is authoritative; the message
-// string is a fallback for older coordinators. 5xx responses are
-// marked transient: the request itself is sound and the merge is
-// idempotent, so retrying against a recovered (or successor)
-// coordinator can succeed.
+// errors so worker logic can errors.Is on them across the wire: 410 is
+// a gone lease, and a 409 maps to a sentinel through the body's
+// machine-readable "code" field alone. 5xx responses are marked
+// transient: the request itself is sound and the merge is idempotent,
+// so retrying against a recovered (or successor) coordinator can
+// succeed.
 func (c *client) apiErr(status int, body []byte) error {
 	msg := strings.TrimSpace(string(body))
 	var e struct {
@@ -126,21 +122,12 @@ func (c *client) apiErr(status int, body []byte) error {
 		case codeForeign:
 			return fmt.Errorf("%w: %s", ErrForeignKey, msg)
 		}
-		switch {
-		case strings.Contains(msg, "epoch"):
-			return fmt.Errorf("%w: %s", ErrStaleEpoch, msg)
-		case strings.Contains(msg, "divergent"):
-			return fmt.Errorf("%w: %s", ErrDivergent, msg)
-		default:
-			return fmt.Errorf("%w: %s", ErrForeignKey, msg)
-		}
-	default:
-		err := fmt.Errorf("dist: coordinator returned %d: %s", status, msg)
-		if status >= 500 {
-			return fault.Transient(err)
-		}
-		return err
 	}
+	err := fmt.Errorf("dist: coordinator returned %d: %s", status, msg)
+	if status >= 500 {
+		return fault.Transient(err)
+	}
+	return err
 }
 
 func (c *client) post(ctx context.Context, path, contentType string, body []byte, out interface{}) error {
@@ -178,9 +165,9 @@ func (c *client) postJSON(ctx context.Context, path string, in, out interface{})
 	return c.post(ctx, path, "application/json", body, out)
 }
 
-func (c *client) lease(ctx context.Context, worker, obsURL string) (LeaseGrant, error) {
+func (c *client) lease(ctx context.Context, worker string) (LeaseGrant, error) {
 	var g LeaseGrant
-	err := c.postJSON(ctx, "/dist/v1/lease", leaseRequest{Worker: worker, ObsURL: obsURL}, &g)
+	err := c.postJSON(ctx, "/dist/v1/lease", leaseRequest{Worker: worker}, &g)
 	return g, err
 }
 
@@ -322,6 +309,11 @@ func (w *worker) withRetry(ctx context.Context, key, counter string, op func() e
 // coordinator takeover bumping the epoch — is not an error: the shard
 // is abandoned mid-run and the loop asks the current coordinator for
 // the next lease.
+//
+// A worker with Obs or Trace set joins the coordinator's fleet view by
+// push alone (POST /fleet/push): its registry snapshot after every
+// successful heartbeat, snapshot and span log at every lease end, and
+// a final report on exit.
 func RunWorker(ctx context.Context, o WorkerOptions) error {
 	if o.Coordinator == "" && len(o.Endpoints) == 0 && o.AddrFile == "" {
 		return errors.New("dist: worker requires a coordinator URL, endpoint list, or addr file")
@@ -362,7 +354,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 	// Whatever ends this worker — sweep done, cancellation, an error —
 	// its tallies and span log flush to the coordinator's federation
 	// surface so short-lived workers still appear in the merged view.
-	defer w.push(true)
+	defer w.push(true, true, pushTimeout)
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -371,7 +363,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 		var g LeaseGrant
 		err := w.withRetry(ctx, "lease", "dist.lease_retries", func() error {
 			var lerr error
-			g, lerr = w.cl.lease(ctx, o.Name, o.ObsURL)
+			g, lerr = w.cl.lease(ctx, o.Name)
 			return lerr
 		})
 		if err != nil {
@@ -382,13 +374,6 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 				continue
 			}
 			return err
-		}
-		if o.Name == "" && g.Worker != "" {
-			// Adopt the coordinator's default naming (remote address) so
-			// fleet pushes from an unnamed worker carry the same name the
-			// coordinator tracks it under, rather than being anonymous.
-			o.Name = g.Worker
-			w.o.Name = g.Worker
 		}
 		switch g.Status {
 		case GrantDone:
@@ -449,7 +434,7 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 		o.Trace.SetDefaultParent(nil)
 		leaseSpan.Set(obstrace.String("outcome", outcome))
 		leaseSpan.End()
-		w.push(false)
+		w.push(false, true, pushTimeout)
 	}()
 	o.Trace.SetDefaultParent(leaseSpan)
 
@@ -474,6 +459,10 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 	// new epoch. A dropped heartbeat (coordinator restarting, transient
 	// network fault) is retried with bounded jittered backoff rather
 	// than taken as a verdict: only the coordinator decides lease death.
+	// Each renewal is also the worker's fleet liveness signal: a snapshot
+	// push (no span log — that waits for lease end), bounded to a third
+	// of the TTL so a slow federator can never hold the next heartbeat
+	// past the lease deadline.
 	hbDone := make(chan struct{})
 	ttl := time.Duration(g.TTLNS)
 	if ttl <= 0 {
@@ -493,6 +482,7 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 				})
 				switch {
 				case err == nil:
+					w.push(false, false, min(pushTimeout, ttl/3))
 				case errors.Is(err, ErrLeaseGone), errors.Is(err, ErrStaleEpoch):
 					abandon(err)
 					return
@@ -604,22 +594,26 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 	return nil
 }
 
-// push ships the worker's metrics snapshot — and its span log — to the
-// coordinator's fleet federation endpoint (POST /fleet/push),
-// best-effort: a coordinator without a federator answers 404 and the
-// report is simply dropped. Pushes ride their own short deadline, not
-// the worker ctx — the final push happens exactly when the worker is
-// exiting, possibly because that ctx was cancelled.
-func (w *worker) push(final bool) {
+// pushTimeout bounds lease-end and final pushes; heartbeat pushes are
+// further capped at a third of the lease TTL.
+const pushTimeout = 2 * time.Second
+
+// push ships the worker's metrics snapshot — plus its span log when
+// spans is set — to the coordinator's fleet federation endpoint (POST
+// /fleet/push), best-effort: a coordinator without a federator answers
+// 404 and the report is simply dropped. Pushes ride their own deadline,
+// not the worker ctx — the final push happens exactly when the worker
+// is exiting, possibly because that ctx was cancelled.
+func (w *worker) push(final, spans bool, timeout time.Duration) {
 	if w.o.Obs == nil && w.o.Trace == nil {
 		return
 	}
-	pr := fleet.PushRequest{Worker: w.o.Name, URL: w.o.ObsURL, Final: final}
+	pr := fleet.PushRequest{Worker: w.o.Name, Final: final}
 	if w.o.Obs != nil {
 		snap := w.o.Obs.Snapshot()
 		pr.Snapshot = &snap
 	}
-	if w.o.Trace != nil {
+	if spans && w.o.Trace != nil {
 		var buf bytes.Buffer
 		if err := w.o.Trace.WriteJSONL(&buf); err == nil {
 			pr.TraceJSONL = buf.String()
@@ -629,7 +623,7 @@ func (w *worker) push(final bool) {
 	if err != nil {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		w.cl.baseURL()+"/fleet/push", bytes.NewReader(body))

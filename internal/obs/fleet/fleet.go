@@ -1,30 +1,27 @@
 // Package fleet federates per-process observability into one surface.
 //
-// Every gmap process already exposes its own registry and span log over
-// HTTP (internal/obs/serve). In a distributed sweep that leaves an
-// operator with N+1 scrape targets and no joined view. A Federator —
-// owned by the coordinator process (gmap-eval coordinator mode, or
-// gmap-served with -dist-sweeps) — closes the gap from both directions:
-//
-//   - Pull: a scrape loop polls each known worker's /metrics.json (the
-//     lossless JSON snapshot, not the prometheus text) and keeps the
-//     latest snapshot per worker.
-//   - Push: workers POST final snapshots and their span logs to
-//     /fleet/push on lease completion and on graceful shutdown, so
-//     short-lived workers that exit between scrape ticks still land in
-//     the merged view — including their trace events, which pull never
-//     collects.
+// Every gmap process keeps its own registry and span log. In a
+// distributed sweep that leaves an operator with N+1 disjoint views and
+// no shared key. A Federator — owned by the coordinator process
+// (gmap-eval coordinator mode, or gmap-served with -dist-sweeps) —
+// joins them from worker pushes alone: a worker that joined the fleet
+// POSTs its registry snapshot to /fleet/push after every successful
+// lease heartbeat (every TTL/3), its snapshot and span log at every
+// lease end, and a final report on exit. Nothing dials a worker. A
+// worker that has not pushed for Options.Stale — one lease TTL, the
+// deadline on which the coordinator expires its lease — is marked
+// stale; a worker whose final report arrived never is.
 //
 // The merged state serves:
 //
 //	/fleet/metrics       prometheus text, one worker="..." label per
 //	                     source plus an unlabeled cross-fleet aggregate
-//	/fleet/status        fleet health JSON: per-worker last-seen age and
+//	/fleet/status        fleet health JSON: per-worker last-push age and
 //	                     staleness, plus the owner's own status document
 //	                     (coordinator lease/epoch state) under "dist"
 //	/fleet/trace/chrome  one Chrome trace-event document merging the
-//	                     owner's spans with every worker's, pid per
-//	                     process (load in Perfetto)
+//	                     owner's spans with every pushed worker span
+//	                     log, pid per process (load in Perfetto)
 //	/fleet/push          worker-side report endpoint (POST)
 //
 // The package deliberately imports only obs and obs/trace — the dist
@@ -33,7 +30,6 @@
 package fleet
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -46,13 +42,6 @@ import (
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
 )
 
-// Source names one scrape target: a worker (or any gmap process) whose
-// observability server answers /metrics.json and /trace.
-type Source struct {
-	Name string
-	URL  string
-}
-
 // Options configures a Federator.
 type Options struct {
 	// Self names the owning process in merged exports ("coordinator",
@@ -64,184 +53,62 @@ type Options struct {
 	// Tracer is the owner's span log, the root process of the merged
 	// trace export. Nil omits owner spans.
 	Tracer *obstrace.Tracer
-	// Targets enumerates the current scrape set; called once per scrape
-	// pass. Workers discovered here merge with workers that pushed.
-	Targets func() []Source
 	// Status, when non-nil, supplies the owner's status document embedded
 	// in /fleet/status as "dist" (the coordinator's lease/epoch state).
 	Status func() interface{}
-	// Interval is the scrape period (default 2s).
-	Interval time.Duration
-	// Stale marks a worker stale when nothing has been heard for this
-	// long (default 3×Interval).
+	// Stale marks a worker stale when it has not pushed for this long.
+	// Pass the coordinator's lease TTL: workers push after every
+	// heartbeat, so a worker goes stale exactly when its lease would
+	// expire. Default 30s, the coordinator's default TTL.
 	Stale time.Duration
-	// HTTPClient performs scrapes; default: a client with a per-request
-	// timeout of Interval.
-	HTTPClient *http.Client
-	// Logf, when non-nil, receives one line per scrape failure.
-	Logf func(format string, args ...interface{})
 }
 
 // workerState is everything known about one fleet member.
 type workerState struct {
 	name     string
-	url      string
 	snap     obs.Snapshot
 	hasSnap  bool
 	events   []obstrace.Event
 	lastSeen time.Time
-	scrapes  uint64
 	pushes   uint64
 	final    bool
-	lastErr  string
 }
 
-// Federator merges fleet observability. Create with New; drive the
-// scrape loop with Run (or ScrapeOnce from tests) and mount Handler.
+// Federator merges fleet observability from worker pushes. Create with
+// New and mount Handler.
 type Federator struct {
-	o  Options
-	hc *http.Client
+	o Options
 
-	mu           sync.Mutex
-	workers      map[string]*workerState
-	scrapes      uint64
-	scrapeErrors uint64
-	pushes       uint64
+	mu      sync.Mutex
+	workers map[string]*workerState
+	pushes  uint64
 }
 
-// New builds a Federator; nil-safe to use even when o has every field
-// zero (scrapes find no targets, exports cover only the owner).
+// New builds a Federator; usable even when o has every field zero
+// (exports then cover only what workers push).
 func New(o Options) *Federator {
 	if o.Self == "" {
 		o.Self = "coordinator"
 	}
-	if o.Interval <= 0 {
-		o.Interval = 2 * time.Second
-	}
 	if o.Stale <= 0 {
-		o.Stale = 3 * o.Interval
+		o.Stale = 30 * time.Second
 	}
-	hc := o.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Timeout: o.Interval}
-	}
-	return &Federator{o: o, hc: hc, workers: make(map[string]*workerState)}
-}
-
-// Run scrapes immediately and then every Interval until ctx is
-// cancelled. The up-front scrape matters for short-lived fleets: a
-// sweep can finish inside the first interval, and the fleet view
-// should not be empty for its whole lifetime.
-func (f *Federator) Run(ctx context.Context) {
-	if f == nil {
-		return
-	}
-	f.ScrapeOnce(ctx)
-	t := time.NewTicker(f.o.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			f.ScrapeOnce(ctx)
-		}
-	}
-}
-
-// ScrapeOnce polls every current target's /metrics.json and folds the
-// results in. Targets that have pushed a final report are skipped —
-// their process is exiting (or gone) and the final push is
-// authoritative.
-func (f *Federator) ScrapeOnce(ctx context.Context) {
-	if f == nil || f.o.Targets == nil {
-		return
-	}
-	targets := f.o.Targets()
-
-	f.mu.Lock()
-	var todo []Source
-	for _, t := range targets {
-		if t.Name == "" {
-			continue
-		}
-		ws := f.workers[t.Name]
-		if ws == nil {
-			ws = &workerState{name: t.Name}
-			f.workers[t.Name] = ws
-		}
-		if t.URL != "" {
-			ws.url = t.URL
-		}
-		if ws.final || ws.url == "" {
-			continue
-		}
-		todo = append(todo, Source{Name: t.Name, URL: ws.url})
-	}
-	f.mu.Unlock()
-
-	for _, t := range todo {
-		snap, err := f.fetchSnapshot(ctx, t.URL)
-		f.mu.Lock()
-		ws := f.workers[t.Name]
-		if ws == nil { // removed concurrently; don't resurrect
-			f.mu.Unlock()
-			continue
-		}
-		f.scrapes++
-		if err != nil {
-			f.scrapeErrors++
-			ws.lastErr = err.Error()
-			f.mu.Unlock()
-			if f.o.Logf != nil {
-				f.o.Logf("fleet: scrape %s (%s): %v", t.Name, t.URL, err)
-			}
-			continue
-		}
-		if !ws.final { // a final push won the race; keep it
-			ws.snap, ws.hasSnap = snap, true
-			ws.lastSeen = time.Now()
-			ws.scrapes++
-			ws.lastErr = ""
-		}
-		f.mu.Unlock()
-	}
-}
-
-func (f *Federator) fetchSnapshot(ctx context.Context, base string) (obs.Snapshot, error) {
-	var snap obs.Snapshot
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimSuffix(base, "/")+"/metrics.json", nil)
-	if err != nil {
-		return snap, err
-	}
-	res, err := f.hc.Do(req)
-	if err != nil {
-		return snap, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return snap, fmt.Errorf("status %d", res.StatusCode)
-	}
-	err = json.NewDecoder(res.Body).Decode(&snap)
-	return snap, err
+	return &Federator{o: o, workers: make(map[string]*workerState)}
 }
 
 // PushRequest is the worker-side report body for POST /fleet/push.
 type PushRequest struct {
 	// Worker names the reporting process (required).
 	Worker string `json:"worker"`
-	// URL, when non-empty, registers the worker's own exposition server
-	// for subsequent scrapes.
-	URL string `json:"url,omitempty"`
-	// Final marks the report as the worker's last: scraping stops and
-	// the pushed snapshot becomes authoritative.
+	// Final marks the report as the worker's last: it is never replaced
+	// by a later non-final push, and the worker is never marked stale.
 	Final bool `json:"final,omitempty"`
 	// Snapshot is the worker's registry export at push time.
 	Snapshot *obs.Snapshot `json:"snapshot,omitempty"`
 	// TraceJSONL carries the worker's span log in WriteJSONL form; it
 	// replaces any earlier pushed events wholesale (the worker's tracer
-	// is cumulative, so the latest push supersedes).
+	// is cumulative, so the latest push supersedes). Heartbeat pushes
+	// leave it empty and keep the events of the last lease end.
 	TraceJSONL string `json:"trace_jsonl,omitempty"`
 }
 
@@ -269,8 +136,10 @@ func (f *Federator) Record(pr PushRequest) error {
 		ws = &workerState{name: pr.Worker}
 		f.workers[pr.Worker] = ws
 	}
-	if pr.URL != "" {
-		ws.url = pr.URL
+	if ws.final && !pr.Final {
+		// A heartbeat push that timed out on the worker can still land
+		// after its final report; the final report stays authoritative.
+		return nil
 	}
 	if pr.Snapshot != nil {
 		ws.snap, ws.hasSnap = *pr.Snapshot, true
@@ -278,10 +147,9 @@ func (f *Federator) Record(pr PushRequest) error {
 	if events != nil {
 		ws.events = events
 	}
-	ws.final = ws.final || pr.Final
+	ws.final = pr.Final
 	ws.lastSeen = time.Now()
 	ws.pushes++
-	ws.lastErr = ""
 	f.pushes++
 	return nil
 }
@@ -289,14 +157,11 @@ func (f *Federator) Record(pr PushRequest) error {
 // WorkerHealth is one fleet member's entry in a FleetStatus.
 type WorkerHealth struct {
 	Name           string `json:"name"`
-	URL            string `json:"url,omitempty"`
 	LastSeenUnixNS int64  `json:"last_seen_unix_ns"`
 	AgeNS          int64  `json:"age_ns"`
 	Stale          bool   `json:"stale"`
 	Final          bool   `json:"final"`
-	Scrapes        uint64 `json:"scrapes"`
 	Pushes         uint64 `json:"pushes"`
-	LastError      string `json:"last_error,omitempty"`
 	// Counters carries the worker's dist.* counters (jobs done, retries,
 	// endpoint rotations) — the fleet-health subset, not the whole
 	// registry.
@@ -308,8 +173,6 @@ type FleetStatus struct {
 	Self         string         `json:"self"`
 	NowUnixNS    int64          `json:"now_unix_ns"`
 	StaleAfterNS int64          `json:"stale_after_ns"`
-	Scrapes      uint64         `json:"scrapes"`
-	ScrapeErrors uint64         `json:"scrape_errors"`
 	Pushes       uint64         `json:"pushes"`
 	Workers      []WorkerHealth `json:"workers"`
 	// Dist is the owner's own status document (the coordinator's
@@ -328,25 +191,18 @@ func (f *Federator) StatusSnapshot() FleetStatus {
 		Self:         f.o.Self,
 		NowUnixNS:    now.UnixNano(),
 		StaleAfterNS: f.o.Stale.Nanoseconds(),
-		Scrapes:      f.scrapes,
-		ScrapeErrors: f.scrapeErrors,
 		Pushes:       f.pushes,
 	}
 	for _, ws := range f.workers {
 		wh := WorkerHealth{
-			Name:    ws.name,
-			URL:     ws.url,
-			Final:   ws.final,
-			Scrapes: ws.scrapes,
-			Pushes:  ws.pushes,
-		}
-		if !ws.lastSeen.IsZero() {
-			wh.LastSeenUnixNS = ws.lastSeen.UnixNano()
-			wh.AgeNS = now.Sub(ws.lastSeen).Nanoseconds()
+			Name:           ws.name,
+			LastSeenUnixNS: ws.lastSeen.UnixNano(),
+			AgeNS:          now.Sub(ws.lastSeen).Nanoseconds(),
+			Final:          ws.final,
+			Pushes:         ws.pushes,
 		}
 		// A finished worker is not stale — it reported out and left.
-		wh.Stale = !ws.final && (ws.lastSeen.IsZero() || now.Sub(ws.lastSeen) > f.o.Stale)
-		wh.LastError = ws.lastErr
+		wh.Stale = !ws.final && now.Sub(ws.lastSeen) > f.o.Stale
 		for name, v := range ws.snap.Counters {
 			if strings.HasPrefix(name, "dist.") {
 				if wh.Counters == nil {
@@ -388,62 +244,26 @@ func (f *Federator) snapshots() []namedSnapshot {
 }
 
 // traceProcesses assembles the merged-export process list: the owner's
-// tracer first, then one process per worker. Workers that pushed their
-// span log contribute those events; workers that did not are fetched
-// live from their /trace endpoint (best effort — an unreachable worker
-// is skipped, not fatal).
-func (f *Federator) traceProcesses(ctx context.Context) []obstrace.Process {
+// tracer first, then one process per worker that has pushed a span log
+// (at its first lease end, or on exit), sorted by name.
+func (f *Federator) traceProcesses() []obstrace.Process {
 	var procs []obstrace.Process
 	if f.o.Tracer != nil {
 		procs = append(procs, obstrace.Process{Name: f.o.Self, Events: f.o.Tracer.Events()})
 	}
 	f.mu.Lock()
-	type fetch struct {
-		name, url string
-	}
+	defer f.mu.Unlock()
 	var names []string
-	for name := range f.workers {
-		names = append(names, name)
+	for name, ws := range f.workers {
+		if len(ws.events) > 0 {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
-	var fetches []fetch
 	for _, name := range names {
-		ws := f.workers[name]
-		if len(ws.events) > 0 {
-			procs = append(procs, obstrace.Process{Name: name, Events: ws.events})
-		} else if ws.url != "" && !ws.final {
-			fetches = append(fetches, fetch{name: name, url: ws.url})
-		}
-	}
-	f.mu.Unlock()
-	for _, fe := range fetches {
-		events, err := f.fetchTrace(ctx, fe.url)
-		if err != nil {
-			if f.o.Logf != nil {
-				f.o.Logf("fleet: trace fetch %s (%s): %v", fe.name, fe.url, err)
-			}
-			continue
-		}
-		procs = append(procs, obstrace.Process{Name: fe.name, Events: events})
+		procs = append(procs, obstrace.Process{Name: name, Events: f.workers[name].events})
 	}
 	return procs
-}
-
-func (f *Federator) fetchTrace(ctx context.Context, base string) ([]obstrace.Event, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimSuffix(base, "/")+"/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := f.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", res.StatusCode)
-	}
-	return obstrace.ReadJSONL(res.Body)
 }
 
 // Handler serves the federation surface; mount at /fleet/.
@@ -467,8 +287,7 @@ func (f *Federator) Handler() http.Handler {
 	mux.HandleFunc("GET /fleet/trace/chrome", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="gmap-fleet-trace.json"`)
-		procs := f.traceProcesses(r.Context())
-		if err := obstrace.WriteMergedChrome(w, procs); err != nil {
+		if err := obstrace.WriteMergedChrome(w, f.traceProcesses()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

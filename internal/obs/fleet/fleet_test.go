@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -97,30 +96,26 @@ func TestMetricsMergesGaugesAndHistograms(t *testing.T) {
 	}
 }
 
-func TestScrapeFoldsWorkerIn(t *testing.T) {
-	reg := obs.New()
-	reg.Counter("dist.worker.jobs").Add(7)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/metrics.json" {
-			http.NotFound(w, r)
-			return
-		}
-		reg.WriteJSON(w)
-	}))
-	defer srv.Close()
-
+// TestPushFoldsWorkerIn: a worker's non-final push lists it live, with
+// its dist.* counters surfaced in /fleet/status and its whole snapshot
+// in the merged exposition.
+func TestPushFoldsWorkerIn(t *testing.T) {
 	f := New(Options{
-		Targets: func() []Source { return []Source{{Name: "w0", URL: srv.URL}} },
-		Status:  func() interface{} { return map[string]int{"parts": 4} },
+		Status: func() interface{} { return map[string]int{"parts": 4} },
 	})
-	f.ScrapeOnce(context.Background())
+	if err := f.Record(PushRequest{
+		Worker:   "w0",
+		Snapshot: snapWith(map[string]uint64{"dist.worker.jobs": 7}),
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	fs := f.StatusSnapshot()
 	if len(fs.Workers) != 1 {
 		t.Fatalf("workers = %+v", fs.Workers)
 	}
 	w := fs.Workers[0]
-	if w.Name != "w0" || w.Stale || w.Scrapes != 1 || w.LastError != "" {
+	if w.Name != "w0" || w.Stale || w.Final || w.Pushes != 1 {
 		t.Fatalf("worker health = %+v", w)
 	}
 	if w.Counters["dist.worker.jobs"] != 7 {
@@ -130,27 +125,50 @@ func TestScrapeFoldsWorkerIn(t *testing.T) {
 		t.Fatal("owner status document missing")
 	}
 
-	// The scraped snapshot lands in the merged exposition too.
 	var buf bytes.Buffer
 	f.WriteMetrics(&buf)
 	if !strings.Contains(buf.String(), `gmap_dist_worker_jobs{worker="w0"} 7`) {
-		t.Fatalf("scraped metrics missing:\n%s", buf.String())
+		t.Fatalf("pushed metrics missing:\n%s", buf.String())
 	}
 }
 
-func TestScrapeErrorMarksWorker(t *testing.T) {
-	f := New(Options{
-		Targets: func() []Source {
-			return []Source{{Name: "w0", URL: "http://127.0.0.1:1/nope"}}
-		},
-	})
-	f.ScrapeOnce(context.Background())
-	fs := f.StatusSnapshot()
-	if fs.ScrapeErrors != 1 || len(fs.Workers) != 1 || fs.Workers[0].LastError == "" {
-		t.Fatalf("scrape failure not recorded: %+v", fs)
+// TestFinalSurvivesLatePush: a non-final push that lands after the
+// worker's final report — a heartbeat push that timed out on the worker
+// but still arrived — must not replace the final snapshot or span log,
+// nor make the finished worker look live again.
+func TestFinalSurvivesLatePush(t *testing.T) {
+	wrk := obstrace.New()
+	wrk.Root("dist.worker.lease").End()
+	var jsonl bytes.Buffer
+	if err := wrk.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
 	}
-	if !fs.Workers[0].Stale {
-		t.Fatal("never-heard worker should be stale")
+	f := New(Options{Stale: time.Millisecond})
+	if err := f.Record(PushRequest{
+		Worker:     "w0",
+		Final:      true,
+		Snapshot:   snapWith(map[string]uint64{"dist.worker.jobs": 9}),
+		TraceJSONL: jsonl.String(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Record(PushRequest{
+		Worker:   "w0",
+		Snapshot: snapWith(map[string]uint64{"dist.worker.jobs": 3}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+
+	fs := f.StatusSnapshot()
+	if len(fs.Workers) != 1 {
+		t.Fatalf("workers = %+v", fs.Workers)
+	}
+	if w := fs.Workers[0]; !w.Final || w.Stale || w.Pushes != 1 || w.Counters["dist.worker.jobs"] != 9 {
+		t.Fatalf("final report replaced by a later non-final push: %+v", w)
+	}
+	if procs := f.traceProcesses(); len(procs) != 1 || len(procs[0].Events) == 0 {
+		t.Fatalf("final span log lost: %+v", procs)
 	}
 }
 
@@ -225,8 +243,16 @@ func TestPushEndpoint(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("nameless push = %d, want 400", rec.Code)
 	}
-	if fs := f.StatusSnapshot(); fs.Pushes != 1 || !fs.Workers[0].Final {
-		t.Fatalf("push not recorded: %+v", fs)
+	// An older worker still announcing its exposition URL is accepted:
+	// the decoder ignores unknown fields.
+	rec = httptest.NewRecorder()
+	f.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/fleet/push",
+		strings.NewReader(`{"worker":"w1","url":"http://127.0.0.1:9300"}`)))
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("push with legacy url field = %d: %s", rec.Code, rec.Body.String())
+	}
+	if fs := f.StatusSnapshot(); fs.Pushes != 2 || !fs.Workers[0].Final || fs.Workers[1].Name != "w1" {
+		t.Fatalf("pushes not recorded: %+v", fs)
 	}
 }
 
@@ -240,15 +266,14 @@ func TestStatusEndpointJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &fs); err != nil {
 		t.Fatalf("not JSON: %v\n%s", err, body)
 	}
-	if fs.Self != "coordinator" || fs.StaleAfterNS <= 0 {
+	// Staleness defaults to the coordinator's default lease TTL.
+	if fs.Self != "coordinator" || fs.StaleAfterNS != (30*time.Second).Nanoseconds() {
 		t.Fatalf("status doc = %+v", fs)
 	}
 }
 
 func TestNilFederatorNoOps(t *testing.T) {
 	var f *Federator
-	f.Run(context.Background())
-	f.ScrapeOnce(context.Background())
 	if err := f.Record(PushRequest{Worker: "w"}); err != nil {
 		t.Fatal(err)
 	}
@@ -271,10 +296,10 @@ func TestRenderStatusFrame(t *testing.T) {
 		},
 	})
 	doc := statusDoc{
-		Self: "coordinator", Scrapes: 9, Pushes: 2,
+		Self: "coordinator", Pushes: 9,
 		Workers: []WorkerHealth{
 			{Name: "w1", Stale: true},
-			{Name: "w0", LastSeenUnixNS: 1, AgeNS: int64(time.Second), Scrapes: 9},
+			{Name: "w0", LastSeenUnixNS: 1, AgeNS: int64(time.Second), Pushes: 7},
 		},
 		Dist: dist,
 	}
@@ -283,7 +308,7 @@ func TestRenderStatusFrame(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"sweep fig6a  epoch 2", "jobs 12/30", "lease-2-0004", "1.5s",
-		"STALE", "1s ago",
+		"pushes 9", "STALE", "1s ago",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frame missing %q:\n%s", want, out)

@@ -21,8 +21,6 @@ type statusDoc struct {
 	Self         string          `json:"self"`
 	NowUnixNS    int64           `json:"now_unix_ns"`
 	StaleAfterNS int64           `json:"stale_after_ns"`
-	Scrapes      uint64          `json:"scrapes"`
-	ScrapeErrors uint64          `json:"scrape_errors"`
 	Pushes       uint64          `json:"pushes"`
 	Workers      []WorkerHealth  `json:"workers"`
 	Dist         json.RawMessage `json:"dist,omitempty"`
@@ -103,8 +101,7 @@ func fetchStatus(ctx context.Context, hc *http.Client, url string) (statusDoc, e
 // RenderStatus writes one watch frame. Exported (and pure) so tests can
 // drive it from a fixed document.
 func RenderStatus(w io.Writer, doc statusDoc) {
-	fmt.Fprintf(w, "gmap fleet — %s  scrapes %d (%d errors)  pushes %d\n",
-		doc.Self, doc.Scrapes, doc.ScrapeErrors, doc.Pushes)
+	fmt.Fprintf(w, "gmap fleet — %s  pushes %d\n", doc.Self, doc.Pushes)
 
 	var dm distMirror
 	if len(doc.Dist) > 0 && json.Unmarshal(doc.Dist, &dm) == nil && dm.TotalJobs > 0 {
@@ -135,8 +132,7 @@ func RenderStatus(w io.Writer, doc statusDoc) {
 
 	workers := append([]WorkerHealth(nil), doc.Workers...)
 	sort.Slice(workers, func(i, j int) bool { return workers[i].Name < workers[j].Name })
-	fmt.Fprintf(w, "\n  %-14s %-8s %-10s %-8s %-7s %s\n",
-		"WORKER", "STATE", "LAST SEEN", "SCRAPES", "PUSHES", "ERROR")
+	fmt.Fprintf(w, "\n  %-14s %-8s %-10s %s\n", "WORKER", "STATE", "LAST PUSH", "PUSHES")
 	if len(workers) == 0 {
 		fmt.Fprintf(w, "  (no workers reported yet)\n")
 	}
@@ -152,7 +148,6 @@ func RenderStatus(w io.Writer, doc statusDoc) {
 		if wk.LastSeenUnixNS > 0 {
 			seen = time.Duration(wk.AgeNS).Round(time.Millisecond).String() + " ago"
 		}
-		fmt.Fprintf(w, "  %-14s %-8s %-10s %-8d %-7d %s\n",
-			wk.Name, state, seen, wk.Scrapes, wk.Pushes, wk.LastError)
+		fmt.Fprintf(w, "  %-14s %-8s %-10s %d\n", wk.Name, state, seen, wk.Pushes)
 	}
 }

@@ -3,8 +3,8 @@
 // `gmap-sim -serve`. Endpoints:
 //
 //	/metrics       Prometheus text rendered from a Registry snapshot
-//	/metrics.json  the full registry snapshot as JSON (the federation
-//	               scrape format: lossless, unlike the prom text)
+//	/metrics.json  the full registry snapshot as JSON (lossless, unlike
+//	               the prom text; the encoding fleet workers push)
 //	/progress      JSON mirror of the execution engine's live stats
 //	/trace         the span log as a JSONL event stream
 //	/trace/chrome  the span log as Chrome trace-event JSON (Perfetto)
@@ -65,7 +65,7 @@ func Handler(o Options) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, "gmap exposition server\n\n"+
 			"/metrics       Prometheus text\n"+
-			"/metrics.json  registry snapshot JSON (federation scrape format)\n"+
+			"/metrics.json  registry snapshot JSON (lossless)\n"+
 			"/progress      sweep progress JSON\n"+
 			"/trace         span log (JSONL)\n"+
 			"/trace/chrome  span log (Chrome trace JSON, load in Perfetto)\n"+

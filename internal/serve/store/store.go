@@ -13,7 +13,9 @@
 //     here from admission until its result is committed, which is what
 //     lets a restarted server re-enqueue in-flight work. Each journaled
 //     job also owns a runner checkpoint at checkpoints/<job-id>.ckpt
-//     carrying its partially-completed sweep points across restarts.
+//     carrying its partially-completed sweep points across restarts,
+//     plus any sidecar files named <job-id>.ckpt.* next to it (a
+//     delegated sweep's coordinator epoch and lease journal).
 //
 // Every write is crash-consistent: content goes to a temp file, is
 // fsynced, and is renamed into place — a crash at any byte leaves
@@ -293,7 +295,8 @@ func (s *Store) PutJobSpec(id string, envelope any) error {
 }
 
 // DeleteJobSpec retires a journaled job (result committed, or the job
-// was cancelled/permanently failed) along with its checkpoint.
+// was cancelled/permanently failed) along with its checkpoint and the
+// checkpoint's sidecars.
 func (s *Store) DeleteJobSpec(id string) error {
 	if !validID(id) {
 		return fmt.Errorf("store: malformed job id %q", id)
@@ -302,9 +305,18 @@ func (s *Store) DeleteJobSpec(id string) error {
 		return fmt.Errorf("store: removing job %s: %w", id, err)
 	}
 	// The checkpoint is recovery state for the journaled job; once the
-	// job is retired it is dead weight. Best-effort: a leftover
-	// checkpoint is harmless (keys are job-scoped).
-	_ = s.fs.Remove(s.CheckpointPath(id))
+	// job is retired it is dead weight, and so are its sidecars. Those go
+	// only now, not when a delegated sweep returns: lease ids are
+	// lease-<epoch>-<seq>, so the epoch must keep rising for as long as
+	// the job can still resume. Best-effort: a leftover file is harmless
+	// (keys are job-scoped).
+	dir, ckpt := filepath.Split(s.CheckpointPath(id))
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if n := e.Name(); n == ckpt || strings.HasPrefix(n, ckpt+".") {
+			_ = s.fs.Remove(filepath.Join(dir, n))
+		}
+	}
 	return nil
 }
 

@@ -198,8 +198,25 @@ func TestJobJournal(t *testing.T) {
 	if len(specs) != 1 || specs[id] == nil {
 		t.Fatalf("ListJobSpecs = %v, want one entry for %s", specs, id)
 	}
+	// The checkpoint and its sidecars (a delegated sweep's epoch and
+	// lease journal) retire with the job; another job's files stay.
+	other := s.CheckpointPath(strings.Repeat("cd", 12))
+	owned := []string{s.CheckpointPath(id), s.CheckpointPath(id) + ".epoch", s.CheckpointPath(id) + ".leases"}
+	for _, p := range append(owned, other) {
+		if err := os.WriteFile(p, []byte("x\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := s.DeleteJobSpec(id); err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range owned {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived its job's retirement (stat err %v)", p, err)
+		}
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Errorf("another job's checkpoint was removed: %v", err)
 	}
 	if err := s.DeleteJobSpec(id); err != nil {
 		t.Fatalf("double delete: %v", err)

@@ -126,7 +126,7 @@ echo "==> phase 1: starting coordinator on an ephemeral port"
 # shellcheck disable=SC2086
 "$BIN/gmap-eval" $SWEEP_FLAGS \
     -dist-listen 127.0.0.1:0 -dist-addr-file "$ADDR_FILE" \
-    -dist-parts 4 -dist-lease-ttl 2s -fleet-interval 250ms \
+    -dist-parts 4 -dist-lease-ttl 2s \
     -checkpoint "$WORK/ledger.jsonl" -out "$WORK/dist.txt" \
     2>"$WORK/coord.log" &
 COORD_PID=$!
