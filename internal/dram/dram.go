@@ -379,6 +379,8 @@ func NewController(cfg Config) (*Controller, error) {
 func (c *Controller) Config() Config { return c.cfg }
 
 // Enqueue submits a request arriving at cycle now and returns its id.
+// now must not decrease from one call to the next: the scheduler takes a
+// channel's earliest arrival from the head of its queue.
 func (c *Controller) Enqueue(addr uint64, write bool, now uint64) uint64 {
 	id := c.nextID
 	c.nextID++
@@ -463,17 +465,15 @@ func (c *Controller) Drain() []Completion {
 // serviceOne issues at most one request on a channel; it returns false
 // when nothing can be scheduled at or before now.
 func (c *Controller) serviceOne(ch *channel, now uint64) bool {
-	if len(ch.queue) == 0 {
+	// The decision time below is never before busFree, so a busy bus
+	// (the common case when polled every cycle) rules out any service.
+	if len(ch.queue) == 0 || ch.busFree > now {
 		return false
 	}
 	// Scheduling decision time: the bus must be free and at least one
-	// request must have arrived.
+	// request must have arrived. Arrivals are enqueued in non-decreasing
+	// order and removal keeps order, so the head arrived first.
 	earliest := ch.queue[0].arrival
-	for _, p := range ch.queue[1:] {
-		if p.arrival < earliest {
-			earliest = p.arrival
-		}
-	}
 	t := ch.busFree
 	if earliest > t {
 		t = earliest

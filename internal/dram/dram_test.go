@@ -360,6 +360,28 @@ func BenchmarkController(b *testing.B) {
 	c.Drain()
 }
 
+// BenchmarkControllerPoll is the simulator's access pattern: a deep queue
+// advanced with AdvanceInto on every cycle, each completion replaced by a
+// fresh request, so most polls find the channel's bus still busy. One op
+// is one cycle.
+func BenchmarkControllerPoll(b *testing.B) {
+	c := mustController(b, DefaultGDDR3())
+	r := rng.New(1)
+	const depth = 256
+	for i := 0; i < depth; i++ {
+		c.Enqueue(r.Uint64n(1<<28), false, 0)
+	}
+	var buf []Completion
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := uint64(i)
+		buf = c.AdvanceInto(now, buf[:0])
+		for range buf {
+			c.Enqueue(r.Uint64n(1<<28), false, now)
+		}
+	}
+}
+
 func TestRefreshClosesRows(t *testing.T) {
 	cfg := simpleCfg()
 	cfg.TREFI = 100

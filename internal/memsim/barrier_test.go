@@ -156,6 +156,35 @@ func TestBarrierMismatchedCounts(t *testing.T) {
 	}
 }
 
+func TestBarrierReleasedByRetirement(t *testing.T) {
+	// Warp A parks at a barrier that block-mate B never reaches. B's
+	// DRAM read completes at cycle 30 while C, on the same core, waits on
+	// channel 0 until cycle 71, so no warp of the core is ready. B then
+	// retires, which releases A for cycle 31; A passes its second barrier
+	// alone and makes four dependent reads on idle channels. The run takes
+	// 154 cycles; had A waited for C's completion, it would take 194.
+	ld := func(addr uint64) trace.Request { return trace.Request{PC: 0x10, Addr: addr, Kind: trace.Load} }
+	sync := trace.Request{PC: 0xB0, Kind: trace.Sync}
+	warps := []trace.WarpTrace{
+		{WarpID: 0, Block: 0, Requests: []trace.Request{sync, sync, ld(0x80), ld(0x100), ld(0x180), ld(0x200)}},
+		{WarpID: 1, Block: 0, Requests: []trace.Request{ld(0x200000)}},
+		{WarpID: 2, Block: 1, Requests: []trace.Request{ld(0x400000), ld(0x800000), ld(0xc00000)}},
+	}
+	cfg := DefaultConfig()
+	cfg.NumCores = 1
+	sim, err := New(warps, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Cycles != 154 || m.Requests != 8 {
+		t.Errorf("Cycles, Requests = %d, %d; want 154, 8", m.Cycles, m.Requests)
+	}
+}
+
 func TestBarrierEndToEnd(t *testing.T) {
 	// bp carries a real barrier through emulation, coalescing, profiling,
 	// generation and simulation; both sides must complete and stay close.

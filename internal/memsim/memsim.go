@@ -181,6 +181,12 @@ type coreState struct {
 	active    []int // warp indices currently resident, residency order
 	rr        int   // round-robin pointer into active
 	lastWarp  int   // warp index (global) of the last scheduled warp, -1 if none
+	// minReady is a lower bound on nextReady over active: issue skips the
+	// core while the cycle is below it. Every transition that can lower
+	// an active warp's slot (a DRAM completion, a barrier release, a
+	// block admission) lowers it too, and a scan that finds no ready warp
+	// sets it to the exact minimum.
+	minReady uint64
 	// pendingDone counts active warps that have finished their stream but
 	// not yet retired; compactCore's retirement scan is skipped entirely
 	// while it is zero.
@@ -443,6 +449,7 @@ func (s *Simulator) admitBlock(core *coreState) {
 			if s.warps[wi].done() {
 				core.pendingDone++ // empty stream: retires on the next compact
 			}
+			core.minReady = min(core.minReady, s.nextReady[wi])
 		}
 		return
 	}
@@ -611,6 +618,7 @@ func (s *Simulator) complete(comp dram.Completion) {
 		ws.readyAt = comp.Done
 		s.refreshReady(wi)
 	}
+	core.minReady = min(core.minReady, comp.Done)
 	if s.obs != nil {
 		s.obs.waiting[c] -= len(f.warps)
 	}
@@ -667,67 +675,36 @@ func (s *Simulator) compactCore(c int, cycle uint64) {
 // hierarchy. It reports whether the core consumed its issue slot.
 func (s *Simulator) issue(c int, cycle uint64) bool {
 	core := &s.cores[c]
-	n := len(core.active)
-	if n == 0 {
+	if len(core.active) == 0 {
 		return false
 	}
-	ready := func(wi int) bool { return s.nextReady[wi] <= cycle }
-	pick := -1
+	// GTO sticks with the last warp while it is ready, then falls back to
+	// the oldest ready warp (first in residency order). PSelf repeats the
+	// last warp with probability SchedPself, otherwise round-robin
+	// advances, as LRR always does. PSelf draws its coin on every visited
+	// cycle of a core with resident warps and a previous pick, before the
+	// ready bound is consulted, so skipping a core never shifts the draws.
+	repeat, start := false, core.rr+1
 	switch s.cfg.Scheduler {
 	case GTO:
-		// Greedy: stick with the last warp while ready; else oldest ready
-		// (first in residency order).
-		if core.lastWarp >= 0 {
-			for i := 0; i < n; i++ {
-				if core.active[i] == core.lastWarp && ready(core.active[i]) {
-					pick = i
-					break
-				}
-			}
-		}
-		if pick < 0 {
-			for i := 0; i < n; i++ {
-				if ready(core.active[i]) {
-					pick = i
-					break
-				}
-			}
-		}
+		repeat, start = core.lastWarp >= 0, 0
 	case PSelf:
-		// One repeat draw per visited cycle for every core with resident
-		// warps and a previously scheduled warp.
-		if core.lastWarp >= 0 && s.rnd.Bool(s.cfg.SchedPself) {
-			for i := 0; i < n; i++ {
-				if core.active[i] == core.lastWarp && ready(core.active[i]) {
-					pick = i
-					break
-				}
-			}
-		}
-		if pick < 0 {
-			for i := 1; i <= n; i++ {
-				idx := (core.rr + i) % n
-				if ready(core.active[idx]) {
-					pick = idx
-					core.rr = idx
-					break
-				}
-			}
-		}
-	default: // LRR
-		for i := 1; i <= n; i++ {
-			idx := (core.rr + i) % n
-			if ready(core.active[idx]) {
-				pick = idx
-				core.rr = idx
-				break
-			}
-		}
+		repeat = core.lastWarp >= 0 && s.rnd.Bool(s.cfg.SchedPself)
 	}
-	if pick < 0 {
+	if cycle < core.minReady {
 		return false
 	}
-	wi := core.active[pick]
+	// A retired warp's slot is notReady, so a ready lastWarp is active.
+	wi := core.lastWarp
+	if !repeat || s.nextReady[wi] > cycle {
+		pick := s.scanReady(core, start, cycle)
+		if pick < 0 {
+			return false
+		}
+		// GTO never reads rr, so the fallback pick may set it too.
+		core.rr = pick
+		wi = core.active[pick]
+	}
 	core.lastWarp = wi
 	ws := &s.warps[wi]
 	req := ws.requests[ws.cursor]
@@ -750,6 +727,28 @@ func (s *Simulator) issue(c int, cycle uint64) bool {
 	s.advanceCursor(core, wi)
 	s.refreshReady(wi)
 	return true
+}
+
+// scanReady returns the index into core.active of the first ready warp
+// in circular order from start (0 <= start <= len(core.active)). When no
+// warp is ready it returns -1 and records the smallest slot it loaded as
+// core.minReady, the exact bound until the next lowering transition.
+func (s *Simulator) scanReady(core *coreState, start int, cycle uint64) int {
+	n := len(core.active)
+	low := notReady
+	for k := 0; k < n; k++ {
+		i := start + k
+		if i >= n {
+			i -= n
+		}
+		t := s.nextReady[core.active[i]]
+		if t <= cycle {
+			return i
+		}
+		low = min(low, t)
+	}
+	core.minReady = low
+	return -1
 }
 
 // arriveBarrier parks warp wi at its block's barrier, releasing the whole
@@ -787,6 +786,7 @@ func (s *Simulator) releaseBarrier(c, b int, cycle uint64) {
 			}
 		}
 	}
+	core.minReady = min(core.minReady, cycle+1)
 	s.blockWait[b] = 0
 }
 
