@@ -118,14 +118,14 @@ func TestRunLengthsCaptured(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := p.Insts[p.InstIndex(0x20)]
-	up, ok := inst.Runs["128"]
+	up, ok := inst.Runs[128]
 	if !ok {
 		t.Fatalf("no run histogram for +128: %v", inst.Runs)
 	}
 	if key, _, _ := up.Mode(); key != 7 {
 		t.Errorf("dominant +128 run length = %d, want 7", key)
 	}
-	down, ok := inst.Runs["-640"]
+	down, ok := inst.Runs[-640]
 	if !ok {
 		t.Fatalf("no run histogram for the sweep reset: %v", inst.Runs)
 	}

@@ -82,8 +82,9 @@ type StaticInst struct {
 	// Plain iid sampling from IntraStride yields geometric run lengths;
 	// real kernels have fixed-length inner sweeps (e.g. 16 consecutive
 	// +128 steps per op), and the run structure controls where revisits
-	// land. Keys are the stride values as decimal strings (JSON).
-	Runs map[string]*stats.Histogram `json:"runs,omitempty"`
+	// land. encoding/json writes the stride keys as decimal strings, in
+	// the order of that text.
+	Runs map[int64]*stats.Histogram `json:"runs,omitempty"`
 	// Deterministic reports that every warp executed this instruction the
 	// same number of times with the identical sequence of offsets from
 	// its own first access — the tid-linear regularity of §4.2. The
@@ -181,6 +182,16 @@ func (p *Profile) Validate() error {
 	}
 	for i := range p.Insts {
 		inst := &p.Insts[i]
+		if inst.InterStride == nil || inst.IntraStride == nil {
+			return fmt.Errorf("profiler: profile %q: inst %d (pc %#x) has a null stride histogram",
+				p.Name, i, inst.PC)
+		}
+		for _, h := range inst.Runs {
+			if h == nil {
+				return fmt.Errorf("profiler: profile %q: inst %d (pc %#x) has a null run-length histogram",
+					p.Name, i, inst.PC)
+			}
+		}
 		if inst.OffLo > inst.OffHi {
 			return fmt.Errorf("profiler: profile %q: inst %d (pc %#x) offset window [%d, %d] inverted",
 				p.Name, i, inst.PC, inst.OffLo, inst.OffHi)
@@ -197,6 +208,9 @@ func (p *Profile) Validate() error {
 	for i, pp := range p.Profiles {
 		if len(pp.Seq) == 0 {
 			return fmt.Errorf("profiler: profile %q: π[%d] empty", p.Name, i)
+		}
+		if pp.Reuse == nil {
+			return fmt.Errorf("profiler: profile %q: π[%d] has a null reuse histogram", p.Name, i)
 		}
 		for _, idx := range pp.Seq {
 			if idx < 0 || idx >= len(p.Insts) {

@@ -8,12 +8,28 @@ import (
 
 	"github.com/uteda/gmap/internal/profiler"
 	"github.com/uteda/gmap/internal/proptest"
+	"github.com/uteda/gmap/internal/stats"
 )
 
+// histograms returns every histogram of p.
+func histograms(p *profiler.Profile) []*stats.Histogram {
+	var hs []*stats.Histogram
+	for _, inst := range p.Insts {
+		hs = append(hs, inst.InterStride, inst.IntraStride)
+		for _, h := range inst.Runs {
+			hs = append(hs, h)
+		}
+	}
+	for _, pp := range p.Profiles {
+		hs = append(hs, pp.Reuse)
+	}
+	return hs
+}
+
 // FuzzReadJSON feeds arbitrary bytes to the profile decoder. Any input
-// must either be rejected or produce a profile that passes Validate and
-// survives a write/read round trip unchanged in shape; the decoder must
-// never panic.
+// must either be rejected or produce a profile that passes Validate,
+// whose every histogram totals its counts, and whose re-encoding reads
+// back and re-encodes to the same bytes; the decoder must never panic.
 func FuzzReadJSON(f *testing.F) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		var buf bytes.Buffer
@@ -42,10 +58,20 @@ func FuzzReadJSON(f *testing.F) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("accepted profile fails Validate: %v", err)
 		}
+		for _, h := range histograms(p) {
+			var sum uint64
+			for _, k := range h.Keys() {
+				sum += h.Count(k)
+			}
+			if sum != h.Total() {
+				t.Fatalf("histogram %v totals %d, its counts sum to %d", h, h.Total(), sum)
+			}
+		}
 		var buf bytes.Buffer
 		if err := p.WriteJSON(&buf); err != nil {
 			t.Fatalf("re-encode of accepted profile failed: %v", err)
 		}
+		first := append([]byte(nil), buf.Bytes()...)
 		p2, err := profiler.ReadJSON(&buf)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
@@ -53,6 +79,13 @@ func FuzzReadJSON(f *testing.F) {
 		if p2.Name != p.Name || p2.Warps != p.Warps || p2.TotalRequests != p.TotalRequests ||
 			len(p2.Insts) != len(p.Insts) || len(p2.Profiles) != len(p.Profiles) {
 			t.Fatalf("round trip changed shape: %+v vs %+v", p2, p)
+		}
+		buf.Reset()
+		if err := p2.WriteJSON(&buf); err != nil {
+			t.Fatalf("second re-encode failed: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("re-encodes differ:\n%s\n%s", first, buf.Bytes())
 		}
 	})
 }

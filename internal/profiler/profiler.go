@@ -3,7 +3,6 @@ package profiler
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"github.com/uteda/gmap/internal/gpu"
 	"github.com/uteda/gmap/internal/obs"
@@ -146,48 +145,52 @@ func extractStats(p *Profile, warps []trace.WarpTrace) ([][]int, error) {
 		return nil, fmt.Errorf("profiler: %s: no memory requests to profile", p.Name)
 	}
 
-	// Pass 2: per-warp statistics. firstAddr[w][i] is warp w's first
-	// access address for instruction i (the anchor for inter-warp strides
-	// and for B); lastAddr chains intra-warp strides.
-	firstAddrs := make([]map[int]uint64, len(warps))
+	// Pass 2: per-warp statistics, in slices indexed by instruction.
+	// first[i] is the warp's first access address for instruction i (the
+	// anchor for inter-warp strides and for B); last chains intra-warp
+	// strides; execIdx counts the warp's executions of i, and the other
+	// two are read only where it is non-zero. prevFirst and prevExec are
+	// the previous warp's first and execIdx.
+	ni := len(p.Insts)
+	first, prevFirst := make([]uint64, ni), make([]uint64, ni)
+	execIdx, prevExec := make([]int, ni), make([]int, ni)
+	last := make([]uint64, ni)
+	runStride := make([]int64, ni)
+	runLen := make([]int64, ni)
 	seqs := make([][]int, len(warps))
 	// Per-instruction offset reference (from the first warp executing the
 	// instruction) for the §4.2 determinism check.
-	refOffsets := make([][]int64, len(p.Insts))
-	deterministic := make([]bool, len(p.Insts))
+	refOffsets := make([][]int64, ni)
+	deterministic := make([]bool, ni)
 	for i := range deterministic {
 		deterministic[i] = true
 	}
-	execCounts := make([]int, len(p.Insts))
+	execCounts := make([]int, ni)
+	endRun := func(i int) {
+		if runLen[i] == 0 {
+			return
+		}
+		runs := p.Insts[i].Runs
+		if runs == nil {
+			runs = make(map[int64]*stats.Histogram)
+			p.Insts[i].Runs = runs
+		}
+		h := runs[runStride[i]]
+		if h == nil {
+			h = stats.NewHistogram()
+			runs[runStride[i]] = h
+		}
+		h.Add(runLen[i])
+		runLen[i] = 0
+	}
 	for wi := range warps {
 		w := &warps[wi]
-		first := make(map[int]uint64, len(p.Insts))
-		last := make(map[int]uint64, len(p.Insts))
 		seq := make([]int, 0, len(w.Requests))
-		execIdx := make([]int, len(p.Insts))
-		runStride := make(map[int]int64, len(p.Insts))
-		runLen := make(map[int]int64, len(p.Insts))
-		endRun := func(i int) {
-			if runLen[i] == 0 {
-				return
-			}
-			if p.Insts[i].Runs == nil {
-				p.Insts[i].Runs = make(map[string]*stats.Histogram)
-			}
-			key := strconv.FormatInt(runStride[i], 10)
-			h := p.Insts[i].Runs[key]
-			if h == nil {
-				h = stats.NewHistogram()
-				p.Insts[i].Runs[key] = h
-			}
-			h.Add(runLen[i])
-			runLen[i] = 0
-		}
 		for _, r := range w.Requests {
 			i := instOf[r.PC]
 			seq = append(seq, i)
-			if prev, seen := last[i]; seen {
-				stride := int64(r.Addr) - int64(prev)
+			if execIdx[i] > 0 {
+				stride := int64(r.Addr) - int64(last[i])
 				p.Insts[i].IntraStride.Add(stride)
 				if runLen[i] > 0 && stride == runStride[i] {
 					runLen[i]++
@@ -220,55 +223,43 @@ func extractStats(p *Profile, warps []trace.WarpTrace) ([][]int, error) {
 				}
 			}
 		}
-		for i := range p.Insts {
-			endRun(i)
-		}
 		for i, n := range execIdx {
+			endRun(i)
 			if n == 0 {
 				continue
 			}
+			inst := &p.Insts[i]
 			if execCounts[i] == 0 {
+				// The first warp to execute the instruction sets its
+				// base address B.
 				execCounts[i] = n
+				inst.Base = first[i]
 			} else if execCounts[i] != n {
 				deterministic[i] = false
 			}
+			// Inter-warp strides: consecutive warps' first accesses per
+			// instruction (§4.2, measured after coalescing as in
+			// Table 1).
+			if prevExec[i] > 0 {
+				inst.InterStride.Add(int64(first[i]) - int64(prevFirst[i]))
+			}
+			// Anchor spread: how far any warp's first access sits from
+			// the base.
+			off := int64(first[i]) - int64(inst.Base)
+			if off < inst.AnchorLo {
+				inst.AnchorLo = off
+			}
+			if off > inst.AnchorHi {
+				inst.AnchorHi = off
+			}
 		}
-		firstAddrs[wi] = first
+		first, prevFirst = prevFirst, first
+		execIdx, prevExec = prevExec, execIdx
+		clear(execIdx)
 		seqs[wi] = seq
 	}
 	for i := range p.Insts {
 		p.Insts[i].Deterministic = deterministic[i]
-	}
-
-	// Inter-warp strides: consecutive warps' first accesses per
-	// instruction (§4.2, measured after coalescing as in Table 1). Warp
-	// 0's first accesses are the base addresses B.
-	for i := range p.Insts {
-		for wi := 0; wi < len(warps); wi++ {
-			if a, ok := firstAddrs[wi][i]; ok {
-				p.Insts[i].Base = a
-				break
-			}
-		}
-	}
-	for wi := 1; wi < len(warps); wi++ {
-		for i, cur := range firstAddrs[wi] {
-			if prev, ok := firstAddrs[wi-1][i]; ok {
-				p.Insts[i].InterStride.Add(int64(cur) - int64(prev))
-			}
-		}
-	}
-	// Anchor spread: how far any warp's first access sits from the base.
-	for wi := range warps {
-		for i, cur := range firstAddrs[wi] {
-			off := int64(cur) - int64(p.Insts[i].Base)
-			if off < p.Insts[i].AnchorLo {
-				p.Insts[i].AnchorLo = off
-			}
-			if off > p.Insts[i].AnchorHi {
-				p.Insts[i].AnchorHi = off
-			}
-		}
 	}
 	return seqs, nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/uteda/gmap/internal/gpu"
 	"github.com/uteda/gmap/internal/trace"
 	"github.com/uteda/gmap/internal/workloads"
 )
@@ -388,4 +389,56 @@ func BenchmarkProfileKernel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// mumWarps coalesces mum at scale 8, the largest run tables in the tree
+// (about 135k entries), for the benchmarks below.
+func mumWarps(b *testing.B) (*trace.KernelTrace, []trace.WarpTrace) {
+	s, _ := workloads.ByName("mum")
+	tr, err := s.Trace(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr, gpu.NewCoalescer(gpu.DefaultLineSize).BuildWarpTraces(tr)
+}
+
+func BenchmarkProfileWarps(b *testing.B) {
+	tr, warps := mumWarps(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ProfileWarps(tr.Name, tr.GridDim, tr.BlockDim, warps, DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkProfileJSON(b *testing.B) {
+	tr, warps := mumWarps(b)
+	p, err := ProfileWarps(tr.Name, tr.GridDim, tr.BlockDim, warps, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.WriteJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	file := buf.Bytes()
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var out bytes.Buffer
+			if err := p.WriteJSON(&out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ReadJSON(bytes.NewReader(file)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -58,6 +59,43 @@ func TestValidateRejectsCorruptProbabilities(t *testing.T) {
 	}
 }
 
+// TestReadJSONRejectsNullHistograms checks that a profile whose JSON
+// holds null for a histogram fails to load, naming where the null is,
+// instead of loading and panicking in the generator.
+func TestReadJSONRejectsNullHistograms(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*Profile)
+		wantSub string
+	}{
+		{"inter_stride", func(p *Profile) { p.Insts[0].InterStride = nil }, "inst 0 (pc 0x10) has a null stride"},
+		{"intra_stride", func(p *Profile) { p.Insts[0].IntraStride = nil }, "inst 0 (pc 0x10) has a null stride"},
+		{"run table entry", func(p *Profile) {
+			p.Insts[0].Runs = map[int64]*stats.Histogram{128: p.Insts[0].IntraStride, -640: nil}
+		}, "inst 0 (pc 0x10) has a null run-length"},
+		{"reuse", func(p *Profile) { p.Profiles[0].Reuse = nil }, "π[0] has a null reuse"},
+	}
+	for _, c := range cases {
+		p := validProfile()
+		c.mutate(p)
+		var buf bytes.Buffer
+		if err := p.WriteJSON(&buf); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !strings.Contains(buf.String(), "null") {
+			t.Fatalf("%s: the profile JSON holds no null:\n%s", c.name, buf.String())
+		}
+		_, err := ReadJSON(&buf)
+		if err == nil {
+			t.Errorf("%s: null histogram accepted", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.wantSub) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.wantSub)
+		}
+	}
+}
+
 func TestReadAppJSONRejectsNullKernel(t *testing.T) {
 	in := `{"name":"a","kernels":[null],"launches":[0]}`
 	if _, err := ReadAppJSON(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "null") {
@@ -66,9 +104,13 @@ func TestReadAppJSONRejectsNullKernel(t *testing.T) {
 }
 
 func TestReadJSONReportsOffset(t *testing.T) {
-	in := `{"name":"x","grid_dim":"oops"}`
-	_, err := ReadJSON(strings.NewReader(in))
-	if err == nil || !strings.Contains(err.Error(), "offset") {
-		t.Fatalf("type error lost its position: err = %v", err)
+	for _, in := range []string{
+		`{"name":"x","grid_dim":"oops"}`,
+		`{"name":"x","insts":[{"runs":{"1.5":{"1":1}}}]}`,
+	} {
+		_, err := ReadJSON(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "offset") {
+			t.Errorf("%s: type error lost its position: err = %v", in, err)
+		}
 	}
 }

@@ -337,8 +337,8 @@ func (g *G) Profile() *profiler.Profile {
 			Deterministic: g.R.Bool(0.5),
 		}
 		if g.R.Bool(0.4) {
-			inst.Runs = map[string]*stats.Histogram{
-				strconv.FormatInt(choice(g, strideKeys...), 10): g.histogram(1, 2, 4, 8),
+			inst.Runs = map[int64]*stats.Histogram{
+				choice(g, strideKeys...): g.histogram(1, 2, 4, 8),
 			}
 		}
 		insts[i] = inst

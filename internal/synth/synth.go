@@ -13,7 +13,6 @@ package synth
 
 import (
 	"fmt"
-	"strconv"
 
 	"github.com/uteda/gmap/internal/obs"
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
@@ -92,15 +91,37 @@ type Proxy struct {
 	Requests int
 }
 
-// instSamplers holds the per-instruction samplers built once per
-// generation run.
+// instSamplers holds the per-instruction samplers of one generation run.
 type instSamplers struct {
 	inter        *stats.Sampler // P_E
 	intra        *stats.Sampler // P_A
 	intraSupport *stats.Histogram
-	// runs samples a run length for a chosen stride, preserving the
-	// original's fixed-length inner sweeps (see profiler.StaticInst.Runs).
-	runs map[int64]*stats.Sampler
+	// runTable is the instruction's run-length table, and runs the
+	// samplers built from it so far. A run length for a chosen stride
+	// preserves the original's fixed-length inner sweeps (see
+	// profiler.StaticInst.Runs).
+	runTable map[int64]*stats.Histogram
+	runs     map[int64]*stats.Sampler
+}
+
+// runSampler returns the run-length sampler of stride, or nil when the
+// table has no runs of it. It builds each sampler on first use: a clone
+// draws from few of the strides a large profile holds, and building a
+// sampler draws nothing from the RNG.
+func (s *instSamplers) runSampler(stride int64) *stats.Sampler {
+	ls, ok := s.runs[stride]
+	if !ok {
+		h := s.runTable[stride]
+		if h == nil {
+			return nil
+		}
+		ls = stats.NewSampler(h)
+		if s.runs == nil {
+			s.runs = make(map[int64]*stats.Sampler)
+		}
+		s.runs[stride] = ls
+	}
+	return ls
 }
 
 // Generate runs Algorithm 2: it assigns a π profile to every warp of the
@@ -148,17 +169,7 @@ func generate(p *profiler.Profile, opts Options) (*Proxy, error) {
 			inter:        stats.NewSampler(p.Insts[i].InterStride),
 			intra:        stats.NewSampler(p.Insts[i].IntraStride),
 			intraSupport: p.Insts[i].IntraStride,
-		}
-		if len(p.Insts[i].Runs) > 0 {
-			rs := make(map[int64]*stats.Sampler, len(p.Insts[i].Runs))
-			for key, h := range p.Insts[i].Runs {
-				stride, err := strconv.ParseInt(key, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("synth: profile %q: bad run key %q", p.Name, key)
-				}
-				rs[stride] = stats.NewSampler(h)
-			}
-			samplers[i].runs = rs
+			runTable:     p.Insts[i].Runs,
 		}
 	}
 	profileSampler, err := newProfileSampler(p)
@@ -613,7 +624,7 @@ func (g *warpGen) strideStep(k int, local map[int]uint64, first uint64, runs map
 			}
 			break
 		}
-		if ls := g.samplers[k].runs[stride]; ls != nil && !g.abl.NoRunLengths {
+		if ls := g.samplers[k].runSampler(stride); ls != nil && !g.abl.NoRunLengths {
 			rs.stride = stride
 			rs.left = ls.Sample(r) - 1
 			if rs.left < 0 {

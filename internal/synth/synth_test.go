@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/uteda/gmap/internal/profiler"
@@ -12,11 +13,16 @@ import (
 
 func profileOf(t testing.TB, name string) *profiler.Profile {
 	t.Helper()
+	return scaledProfileOf(t, name, 1)
+}
+
+func scaledProfileOf(t testing.TB, name string, scale int) *profiler.Profile {
+	t.Helper()
 	s, ok := workloads.ByName(name)
 	if !ok {
 		t.Fatalf("workload %s missing", name)
 	}
-	tr, err := s.Trace(1)
+	tr, err := s.Trace(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,13 +380,21 @@ func TestGenerateRejectsInvalidProfile(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerate times clone generation on bp at scale 1 and on mum at
+// scale 8, whose profile holds about 135k run-table entries.
 func BenchmarkGenerate(b *testing.B) {
-	p := profileOf(b, "bp")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate(p, Options{Seed: uint64(i), ScaleFactor: 4}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name  string
+		scale int
+	}{{"bp", 1}, {"mum", 8}} {
+		p := scaledProfileOf(b, c.name, c.scale)
+		b.Run(fmt.Sprintf("%s-x%d", c.name, c.scale), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(p, Options{Seed: uint64(i), ScaleFactor: 4}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
