@@ -13,7 +13,6 @@ import (
 	"github.com/uteda/gmap/internal/obs/fleet"
 	obsserve "github.com/uteda/gmap/internal/obs/serve"
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
-	"github.com/uteda/gmap/internal/serve/api"
 )
 
 // distFlags are the distributed-sweep knobs; the sweep-shape flags
@@ -50,7 +49,7 @@ func federate(c *dist.Coordinator, reg *obs.Registry, tracer *obstrace.Tracer, l
 // recorded. The ledger is the only durable state — re-running the same
 // command over it resumes where the previous coordinator died, and a
 // -dist-standby process watching the same ledger takes over live.
-func runCoordinator(ctx context.Context, spec api.JobSpec, df distFlags, ledger string, w io.Writer, logf func(string, ...interface{})) error {
+func runCoordinator(ctx context.Context, spec dist.SweepSpec, df distFlags, ledger string, w io.Writer, logf func(string, ...interface{})) error {
 	if ledger == "" {
 		return fmt.Errorf("-dist-listen requires -checkpoint (the merge ledger)")
 	}
@@ -102,7 +101,7 @@ func runCoordinator(ctx context.Context, spec api.JobSpec, df distFlags, ledger 
 // takes over the sweep from the shared ledger: salvage, epoch bump
 // (fencing the predecessor), serve, rewrite the addr file, and render
 // the report when the sweep completes.
-func runStandby(ctx context.Context, spec api.JobSpec, df distFlags, ledger string, w io.Writer, logf func(string, ...interface{})) error {
+func runStandby(ctx context.Context, spec dist.SweepSpec, df distFlags, ledger string, w io.Writer, logf func(string, ...interface{})) error {
 	if ledger == "" {
 		return fmt.Errorf("-dist-standby requires -checkpoint (the shared merge ledger)")
 	}

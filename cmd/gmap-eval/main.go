@@ -58,9 +58,9 @@ import (
 	"time"
 
 	"github.com/uteda/gmap"
+	"github.com/uteda/gmap/internal/dist"
 	"github.com/uteda/gmap/internal/eval"
 	"github.com/uteda/gmap/internal/obs/fleet"
-	"github.com/uteda/gmap/internal/serve/api"
 )
 
 func main() {
@@ -157,8 +157,7 @@ func main() {
 			}
 			return
 		}
-		spec := api.JobSpec{
-			Kind:        api.KindSweep,
+		spec := dist.SweepSpec{
 			Experiment:  *exp,
 			Scale:       *scale,
 			ScaleFactor: *scaleFactor,

@@ -5,9 +5,13 @@
 // Clients POST profiles (or raw traces) to /v1/profiles and /v1/traces,
 // then submit clone/sim/sweep jobs to /v1/jobs. Identical submissions
 // dedup onto one job and are served from the result cache; admitted
-// jobs are journaled and sweep jobs stream runner checkpoints, so a
-// killed server resumes its backlog on restart. Observability
-// (/metrics, /progress, /trace, /debug/pprof) shares the port.
+// jobs are journaled, so a killed server resumes its backlog on restart.
+// Each sweep job runs through a coordinator over its own checkpoint,
+// with the server as its first worker: `gmap-eval -worker URL` processes
+// dialing the same port (/dist/v1/) join the sweep and push to
+// /fleet/, and an interrupted sweep resumes from its last merged point.
+// Observability (/metrics, /progress, /trace, /debug/pprof) shares the
+// port.
 //
 // Usage:
 //
@@ -25,11 +29,8 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
-	"github.com/uteda/gmap/internal/dist"
 	"github.com/uteda/gmap/internal/obs"
-	"github.com/uteda/gmap/internal/obs/fleet"
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
 	"github.com/uteda/gmap/internal/serve"
 	"github.com/uteda/gmap/internal/serve/api"
@@ -45,16 +46,12 @@ func main() {
 		workers   = flag.Int("workers", 1, "jobs executing concurrently")
 		depth     = flag.Int("queue-depth", 64, "admitted-but-not-running backlog bound; beyond it submissions get 429")
 		weights   = flag.String("tenant-weights", "", "per-tenant scheduling weights, e.g. team-a=3,team-b=1 (unlisted tenants weigh 1)")
-		sweepWkrs = flag.Int("sweep-workers", 0, "runner pool size inside each sweep job (0 = all CPUs)")
-		retries   = flag.Int("retries", 0, "re-execute sweep points failing with a transient error up to N times")
-		retryWait = flag.Duration("retry-backoff", 100*time.Millisecond, "base delay before a retry, doubled per attempt with jitter")
+		sweepWkrs = flag.Int("sweep-workers", 0, "runner pool size of the server's own sweep worker (0 = all CPUs)")
 		fsync     = flag.Bool("fsync", false, "fsync journal/result/checkpoint writes (survives machine crash, not just SIGKILL)")
 		defTenant = flag.String("default-tenant", "anonymous", "tenant attributed to requests without an X-Gmap-Tenant header")
 		quiet     = flag.Bool("quiet", false, "suppress per-job log lines")
-		distSweep = flag.Bool("dist-sweeps", false, "offer sweep jobs to a distributed worker fleet (workers dial this server's /dist/v1/), falling back to local execution from the same checkpoint if the fleet stalls")
-		distDL    = flag.Duration("dist-deadline", 0, "no-progress deadline before a delegated sweep falls back to local execution (0 = 2m; with -dist-sweeps)")
-		distParts = flag.Int("dist-parts", 0, "partitions of each delegated sweep's job space (0 = 8; with -dist-sweeps)")
-		distTTL   = flag.Duration("dist-lease-ttl", 0, "worker lease heartbeat deadline for delegated sweeps (0 = 30s; with -dist-sweeps)")
+		distParts = flag.Int("dist-parts", 0, "partitions of each sweep's job space, leased to the server's own worker and to remote ones (0 = 8)")
+		distTTL   = flag.Duration("dist-lease-ttl", 0, "sweep lease heartbeat deadline; a remote worker silent this long reads stale on /fleet/status (0 = 30s)")
 	)
 	flag.Parse()
 
@@ -79,8 +76,8 @@ func main() {
 			Weights: w,
 		},
 		SweepWorkers:  *sweepWkrs,
-		Retries:       *retries,
-		RetryBackoff:  *retryWait,
+		SweepParts:    *distParts,
+		LeaseTTL:      *distTTL,
 		Fsync:         *fsync,
 		Obs:           reg,
 		Tracer:        tracer,
@@ -91,40 +88,9 @@ func main() {
 			log.Printf("gmap-served: "+format, args...)
 		}
 	}
-	var delegate *dist.Delegate
-	if *distSweep {
-		delegate = dist.NewDelegate(dist.DelegateOptions{
-			Parts:    *distParts,
-			LeaseTTL: *distTTL,
-			Deadline: *distDL,
-			Obs:      reg,
-			Trace:    tracer,
-			Logf:     opts.Logf,
-		})
-		opts.SweepDelegate = delegate
-	}
 	svc, err := api.New(opts)
 	if err != nil {
 		fatal(err)
-	}
-	if delegate != nil {
-		// Federate the delegated-sweep fleet: workers dialing this
-		// server's /dist/v1/ push their reports to /fleet/push on the
-		// service mux and go stale after one lease TTL without a push.
-		// The owner status is composite — the live delegated sweep (if
-		// any) plus the local job queue.
-		svc.SetFleet(fleet.New(fleet.Options{
-			Self:     "gmap-served",
-			Registry: reg,
-			Tracer:   tracer,
-			Status: func() interface{} {
-				return map[string]interface{}{
-					"dist":  delegate.Status(),
-					"queue": svc.Queue().Stats(),
-				}
-			},
-			Stale: *distTTL,
-		}).Handler())
 	}
 	srv, err := serve.Start(ctx, "gmap-served", *addr, svc.Handler())
 	if err != nil {

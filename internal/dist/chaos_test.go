@@ -11,7 +11,6 @@ import (
 
 	"github.com/uteda/gmap/internal/fault"
 	"github.com/uteda/gmap/internal/runner"
-	"github.com/uteda/gmap/internal/serve/api"
 )
 
 // TestChaosWorkerKilledMidLease kills a worker (context cancel — the
@@ -341,7 +340,7 @@ func TestChaosForeignKeyRejected(t *testing.T) {
 	if err := app.Close(); err != nil {
 		t.Fatal(err)
 	}
-	spec := api.JobSpec{Kind: api.KindSweep, Experiment: "synthetic"}
+	spec := SweepSpec{Experiment: "synthetic"}
 	o := CoordinatorOptions{Ledger: ledger}
 	o.fillDefaults()
 	if _, err := newCoordinator(spec, []string{runner.JobKey("synthetic", "job-000")}, o); !errors.Is(err, ErrForeignKey) {

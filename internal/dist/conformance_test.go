@@ -10,14 +10,12 @@ import (
 	"time"
 
 	"github.com/uteda/gmap/internal/obs"
-	"github.com/uteda/gmap/internal/serve/api"
 )
 
 // quickSpec is the sweep spec the conformance suite distributes: one
 // benchmark keeps a full fig6 sweep at 30 jobs.
-func quickSpec(experiment string) api.JobSpec {
-	return api.JobSpec{
-		Kind:        api.KindSweep,
+func quickSpec(experiment string) SweepSpec {
+	return SweepSpec{
 		Experiment:  experiment,
 		Benchmarks:  []string{"nn"},
 		Scale:       1,
@@ -32,7 +30,7 @@ func quickSpec(experiment string) api.JobSpec {
 func serialReport(t *testing.T, experiment string) string {
 	t.Helper()
 	spec := quickSpec(experiment)
-	if err := spec.Normalize(nil); err != nil {
+	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

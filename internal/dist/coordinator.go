@@ -17,7 +17,6 @@ import (
 	"github.com/uteda/gmap/internal/obs"
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
 	"github.com/uteda/gmap/internal/runner"
-	"github.com/uteda/gmap/internal/serve/api"
 )
 
 // Sentinel errors of the lease protocol.
@@ -38,11 +37,11 @@ var (
 
 // CoordinatorOptions configures NewCoordinator.
 type CoordinatorOptions struct {
-	// Spec is the sweep to distribute (kind "sweep"; a zero Kind
-	// defaults to it). It is normalized and then shipped verbatim inside
-	// every lease grant, so workers derive the exact same eval options —
-	// and therefore the exact same job keys — as the coordinator.
-	Spec api.JobSpec
+	// Spec is the sweep to distribute. It is normalized and then shipped
+	// verbatim inside every lease grant, so workers derive the exact same
+	// eval options — and therefore the exact same job keys — as the
+	// coordinator.
+	Spec SweepSpec
 	// Parts is the number of partitions of the job space; <= 0 defaults
 	// to 8, and it is capped at the job count. More parts than workers
 	// gives the lease loop natural rebalancing granularity.
@@ -61,6 +60,9 @@ type CoordinatorOptions struct {
 	// resume path. An existing ledger is salvaged strictly on startup —
 	// that is the coordinator-restart story.
 	Ledger string
+	// Fsync syncs the ledger after every append, hardening merged results
+	// against machine crashes rather than just process kills.
+	Fsync bool
 	// FS routes ledger I/O; nil selects the real filesystem. Chaos tests
 	// substitute a fault.InjectFS to tear writes.
 	FS fault.FS
@@ -136,9 +138,10 @@ type LeaseGrant struct {
 	// old one already delivered.
 	Keys []string `json:"keys,omitempty"`
 	// Spec is the sweep to run; identical for every grant.
-	Spec api.JobSpec `json:"spec,omitempty"`
-	// TTLNS is the heartbeat deadline; RetryNS the suggested wait-state
-	// poll interval.
+	Spec SweepSpec `json:"spec,omitempty"`
+	// TTLNS is the heartbeat deadline, on wait grants too, where it
+	// paces the waiting worker's fleet pushes; RetryNS is the suggested
+	// wait-state poll interval.
 	TTLNS   int64 `json:"ttl_ns,omitempty"`
 	RetryNS int64 `json:"retry_ns,omitempty"`
 	// Traceparent carries the lease span's context ("" when the
@@ -206,7 +209,7 @@ type WorkerStatus struct {
 // report. All methods are safe for concurrent use.
 type Coordinator struct {
 	o    CoordinatorOptions
-	spec api.JobSpec
+	spec SweepSpec
 
 	mu       sync.Mutex
 	universe map[string]int // job key → part
@@ -248,14 +251,8 @@ func NewCoordinator(o CoordinatorOptions) (*Coordinator, error) {
 		return nil, errors.New("dist: coordinator requires a ledger path")
 	}
 	spec := o.Spec
-	if spec.Kind == "" {
-		spec.Kind = api.KindSweep
-	}
-	if err := spec.Normalize(nil); err != nil {
+	if err := spec.Normalize(); err != nil {
 		return nil, fmt.Errorf("dist: bad sweep spec: %w", err)
-	}
-	if spec.Kind != api.KindSweep {
-		return nil, fmt.Errorf("dist: cannot distribute %q jobs, only sweeps", spec.Kind)
 	}
 	keys, err := spec.EvalOptions().SweepKeys(spec.Experiment)
 	if err != nil {
@@ -266,7 +263,7 @@ func NewCoordinator(o CoordinatorOptions) (*Coordinator, error) {
 
 // newCoordinator wires a coordinator over an explicit key universe; the
 // property tests drive it with synthetic keys and a fake clock.
-func newCoordinator(spec api.JobSpec, keys []string, o CoordinatorOptions) (*Coordinator, error) {
+func newCoordinator(spec SweepSpec, keys []string, o CoordinatorOptions) (*Coordinator, error) {
 	c := &Coordinator{
 		o:        o,
 		spec:     spec,
@@ -341,7 +338,7 @@ func newCoordinator(spec api.JobSpec, keys []string, o CoordinatorOptions) (*Coo
 	c.logf("dist: sweep %s: epoch %d, %d jobs in %d parts (%d restored from %s)",
 		spec.Experiment, c.epoch, len(keys), nparts, c.restored, o.Ledger)
 
-	app, err := runner.OpenCheckpointAppender(c.fs(), o.Ledger, false)
+	app, err := runner.OpenCheckpointAppender(c.fs(), o.Ledger, o.Fsync)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +545,13 @@ func (c *Coordinator) Lease(worker string) (LeaseGrant, error) {
 	if p := c.stealLocked(); p != nil {
 		return c.grantLocked(worker, p), nil
 	}
-	return LeaseGrant{Status: GrantWait, Epoch: c.epoch, RetryNS: int64(c.o.LeaseTTL / 4)}, nil
+	return waitGrant(c.epoch, c.o.LeaseTTL), nil
+}
+
+// waitGrant tells a worker that nothing is leasable yet. It carries the
+// lease TTL too, which paces the waiting worker's fleet pushes.
+func waitGrant(epoch uint64, ttl time.Duration) LeaseGrant {
+	return LeaseGrant{Status: GrantWait, Epoch: epoch, TTLNS: int64(ttl), RetryNS: int64(ttl / 4)}
 }
 
 // seenLocked refreshes a worker's last-seen instant.

@@ -189,7 +189,7 @@ func runFailover(t *testing.T, n int, seed int64, serial string) {
 	// learns it is deposed), and the new one rejects the stale epoch at
 	// the door.
 	sp := quickSpec("fig6a")
-	if err := sp.Normalize(nil); err != nil {
+	if err := sp.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	allKeys, err := sp.EvalOptions().SweepKeys(sp.Experiment)

@@ -95,9 +95,17 @@ func statusOf(err error) int {
 	}
 }
 
-// Handler mounts the coordinator's endpoints.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
+// leaseOps is the server side of the lease protocol: a Coordinator, or
+// Sweeps routing to the sweep it is coordinating.
+type leaseOps interface {
+	Lease(worker string) (LeaseGrant, error)
+	Heartbeat(lease string, epoch uint64) error
+	Results(lease string, epoch uint64, entries []Entry) (accepted, duplicates int, err error)
+	Complete(lease string, epoch uint64) (string, error)
+}
+
+// handleLeaseOps mounts the four lease operations of ops on mux.
+func handleLeaseOps(mux *http.ServeMux, ops leaseOps) {
 	mux.HandleFunc("POST /dist/v1/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
@@ -107,7 +115,7 @@ func (c *Coordinator) Handler() http.Handler {
 		if req.Worker == "" {
 			req.Worker = r.RemoteAddr
 		}
-		g, err := c.Lease(req.Worker)
+		g, err := ops.Lease(req.Worker)
 		if err != nil {
 			writeErr(w, statusOf(err), err)
 			return
@@ -120,7 +128,7 @@ func (c *Coordinator) Handler() http.Handler {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("decode heartbeat: %w", err))
 			return
 		}
-		if err := c.Heartbeat(req.Lease, req.Epoch); err != nil {
+		if err := ops.Heartbeat(req.Lease, req.Epoch); err != nil {
 			writeErr(w, statusOf(err), err)
 			return
 		}
@@ -137,7 +145,7 @@ func (c *Coordinator) Handler() http.Handler {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		accepted, dups, err := c.Results(batch.Lease, batch.Epoch, batch.Entries)
+		accepted, dups, err := ops.Results(batch.Lease, batch.Epoch, batch.Entries)
 		if err != nil {
 			writeErr(w, statusOf(err), err)
 			return
@@ -150,13 +158,19 @@ func (c *Coordinator) Handler() http.Handler {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("decode complete: %w", err))
 			return
 		}
-		status, err := c.Complete(req.Lease, req.Epoch)
+		status, err := ops.Complete(req.Lease, req.Epoch)
 		if err != nil {
 			writeErr(w, statusOf(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, completeResponse{Status: status})
 	})
+}
+
+// Handler mounts the coordinator's endpoints.
+func (c *Coordinator) Handler() http.Handler {
+	mux := http.NewServeMux()
+	handleLeaseOps(mux, c)
 	mux.HandleFunc("GET /dist/v1/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, c.StatusSnapshot())
 	})

@@ -9,7 +9,6 @@ import (
 
 	"github.com/uteda/gmap/internal/proptest"
 	"github.com/uteda/gmap/internal/runner"
-	"github.com/uteda/gmap/internal/serve/api"
 )
 
 // TestPartOfInvariants pins the partition function: in-range,
@@ -58,7 +57,7 @@ func syntheticCoordinator(t *testing.T, nkeys int, o CoordinatorOptions) (*Coord
 		o.Ledger = filepath.Join(t.TempDir(), "ledger.jsonl")
 	}
 	o.fillDefaults()
-	spec := api.JobSpec{Kind: api.KindSweep, Experiment: "synthetic"}
+	spec := SweepSpec{Experiment: "synthetic"}
 	c, err := newCoordinator(spec, keys, o)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
 	"github.com/uteda/gmap/internal/runner"
 	"github.com/uteda/gmap/internal/serve"
-	"github.com/uteda/gmap/internal/serve/api"
 )
 
 // StandbyOptions configures RunStandby.
@@ -22,7 +21,7 @@ type StandbyOptions struct {
 	// the standby must enumerate the same job universe and share the same
 	// durable ledger (the files are the replicated state — there is no
 	// other channel between the incarnations).
-	Spec   api.JobSpec
+	Spec   SweepSpec
 	Ledger string
 	// Listen is the address the takeover coordinator binds (":0" picks a
 	// free port).
@@ -39,11 +38,10 @@ type StandbyOptions struct {
 	// or lease-journal growth backing them up) trigger takeover; <= 0
 	// defaults to 3.
 	HealthMisses int
-	// Parts/LeaseTTL/StallFactor configure the takeover coordinator;
-	// zero values take the coordinator defaults.
-	Parts       int
-	LeaseTTL    time.Duration
-	StallFactor float64
+	// Parts/LeaseTTL configure the takeover coordinator; zero values
+	// take the coordinator defaults.
+	Parts    int
+	LeaseTTL time.Duration
 	// FS routes ledger and journal I/O; nil selects the real filesystem.
 	FS fault.FS
 	// Obs, when non-nil, collects standby counters (dist.health_misses,
@@ -242,15 +240,14 @@ func probeStatus(ctx context.Context, hc *http.Client, base string) (Status, err
 // serving/rediscovery plumbing.
 func promote(ctx context.Context, o StandbyOptions, logf func(string, ...interface{})) (*Takeover, error) {
 	c, err := NewCoordinator(CoordinatorOptions{
-		Spec:        o.Spec,
-		Parts:       o.Parts,
-		LeaseTTL:    o.LeaseTTL,
-		StallFactor: o.StallFactor,
-		Ledger:      o.Ledger,
-		FS:          o.FS,
-		Obs:         o.Obs,
-		Trace:       o.Trace,
-		Logf:        o.Logf,
+		Spec:     o.Spec,
+		Parts:    o.Parts,
+		LeaseTTL: o.LeaseTTL,
+		Ledger:   o.Ledger,
+		FS:       o.FS,
+		Obs:      o.Obs,
+		Trace:    o.Trace,
+		Logf:     o.Logf,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dist: takeover: %w", err)

@@ -15,7 +15,6 @@ import (
 	"github.com/uteda/gmap/internal/fault"
 	"github.com/uteda/gmap/internal/obs"
 	"github.com/uteda/gmap/internal/runner"
-	"github.com/uteda/gmap/internal/serve/api"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current results")
@@ -55,7 +54,7 @@ func TestStandbyStandsDownOnDone(t *testing.T) {
 	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
 	probes := 0
 	tk, err := RunStandby(context.Background(), StandbyOptions{
-		Spec:           api.JobSpec{Kind: api.KindSweep, Experiment: "never-enumerated"},
+		Spec:           SweepSpec{Experiment: "never-enumerated"},
 		Ledger:         ledger,
 		HealthInterval: time.Millisecond,
 		Probe: func(ctx context.Context) (Status, error) {
@@ -97,7 +96,7 @@ func TestStandbyGrowthVeto(t *testing.T) {
 	next := 0
 	probes := 0
 	tk, err := RunStandby(context.Background(), StandbyOptions{
-		Spec:           api.JobSpec{Kind: api.KindSweep, Experiment: "never-enumerated"},
+		Spec:           SweepSpec{Experiment: "never-enumerated"},
 		Ledger:         ledger,
 		HealthInterval: time.Millisecond,
 		HealthMisses:   3,
@@ -143,7 +142,7 @@ func TestStandbyTakeover(t *testing.T) {
 	// Promotion re-enumerates the sweep universe, so the spec must be a
 	// real experiment; seed the ledger with three of its job keys.
 	sp := quickSpec("fig6a")
-	if err := sp.Normalize(nil); err != nil {
+	if err := sp.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	keys, err := sp.EvalOptions().SweepKeys(sp.Experiment)

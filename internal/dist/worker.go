@@ -9,10 +9,12 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"time"
 
+	"github.com/uteda/gmap/internal/eval"
 	"github.com/uteda/gmap/internal/fault"
 	"github.com/uteda/gmap/internal/obs"
 	"github.com/uteda/gmap/internal/obs/fleet"
@@ -165,40 +167,64 @@ func (c *client) postJSON(ctx context.Context, path string, in, out interface{})
 	return c.post(ctx, path, "application/json", body, out)
 }
 
-func (c *client) lease(ctx context.Context, worker string) (LeaseGrant, error) {
+// remote speaks the lease protocol over HTTP under one context.
+type remote struct {
+	cl  *client
+	ctx context.Context
+}
+
+func (r remote) Lease(worker string) (LeaseGrant, error) {
 	var g LeaseGrant
-	err := c.postJSON(ctx, "/dist/v1/lease", leaseRequest{Worker: worker}, &g)
+	err := r.cl.postJSON(r.ctx, "/dist/v1/lease", leaseRequest{Worker: worker}, &g)
 	return g, err
 }
 
-func (c *client) heartbeat(ctx context.Context, lease string, epoch uint64) error {
-	return c.postJSON(ctx, "/dist/v1/heartbeat", leaseOpRequest{Lease: lease, Epoch: epoch}, nil)
+func (r remote) Heartbeat(lease string, epoch uint64) error {
+	return r.cl.postJSON(r.ctx, "/dist/v1/heartbeat", leaseOpRequest{Lease: lease, Epoch: epoch}, nil)
 }
 
-func (c *client) results(ctx context.Context, b *Batch) (resultsResponse, error) {
-	var resp resultsResponse
-	data, err := EncodeBatch(b)
+func (r remote) Results(lease string, epoch uint64, entries []Entry) (int, int, error) {
+	data, err := EncodeBatch(&Batch{Lease: lease, Epoch: epoch, Entries: entries})
 	if err != nil {
-		return resp, err
+		return 0, 0, err
 	}
-	err = c.post(ctx, "/dist/v1/results", "application/octet-stream", data, &resp)
-	return resp, err
+	var resp resultsResponse
+	err = r.cl.post(r.ctx, "/dist/v1/results", "application/octet-stream", data, &resp)
+	return resp.Accepted, resp.Duplicates, err
 }
 
-func (c *client) complete(ctx context.Context, lease string, epoch uint64) (string, error) {
+func (r remote) Complete(lease string, epoch uint64) (string, error) {
 	var resp completeResponse
-	if err := c.postJSON(ctx, "/dist/v1/complete", leaseOpRequest{Lease: lease, Epoch: epoch}, &resp); err != nil {
-		return "", err
-	}
-	return resp.Status, nil
+	err := r.cl.postJSON(r.ctx, "/dist/v1/complete", leaseOpRequest{Lease: lease, Epoch: epoch}, &resp)
+	return resp.Status, err
 }
 
-// worker bundles one RunWorker invocation's state: options, the HTTP
-// client and the endpoint-rotation/retry machinery.
+// worker bundles one lease loop's state: options, the coordinator it
+// works for, the endpoint-rotation/retry machinery and the eval options
+// it reuses.
 type worker struct {
-	o    WorkerOptions
+	o WorkerOptions
+	// cl is the HTTP client; nil in process, where c is the coordinator
+	// and there are no endpoints to rotate and no fleet to push to.
 	cl   *client
+	c    *Coordinator
 	logf func(string, ...interface{})
+	// spec and eo are the last lease's sweep and its eval options. Eval's
+	// memos (prepared workloads, Fig 8 originals, ablation variants) live
+	// on eo, so keeping it across a sweep's leases builds each once.
+	spec SweepSpec
+	eo   *eval.Options
+	// pushed is when the wait state last pushed a fleet snapshot.
+	pushed time.Time
+}
+
+// ops is the coordinator as the worker reaches it: in process, itself;
+// otherwise over HTTP under ctx.
+func (w *worker) ops(ctx context.Context) leaseOps {
+	if w.cl == nil {
+		return w.c
+	}
+	return remote{w.cl, ctx}
 }
 
 // normalizeEndpoint turns "host:port" or a URL into a base URL.
@@ -242,6 +268,9 @@ func (w *worker) endpoints() []string {
 // after the current one. With a rewritten addr file the "next"
 // candidate is the new head — the takeover coordinator.
 func (w *worker) rotate() {
+	if w.cl == nil {
+		return
+	}
 	list := w.endpoints()
 	if len(list) == 0 {
 		return
@@ -308,12 +337,13 @@ func (w *worker) withRetry(ctx context.Context, key, counter string, op func() e
 // failure, divergence rejection). Losing a lease — expiry, steal, or a
 // coordinator takeover bumping the epoch — is not an error: the shard
 // is abandoned mid-run and the loop asks the current coordinator for
-// the next lease.
+// the next lease. A gmap-served endpoint never answers "done": its
+// workers wait between sweeps until ctx ends.
 //
 // A worker with Obs or Trace set joins the coordinator's fleet view by
 // push alone (POST /fleet/push): its registry snapshot after every
-// successful heartbeat, snapshot and span log at every lease end, and
-// a final report on exit.
+// successful heartbeat and, while waiting, at most once per TTL/3; its
+// snapshot and span log at every lease end; and a final report on exit.
 func RunWorker(ctx context.Context, o WorkerOptions) error {
 	if o.Coordinator == "" && len(o.Endpoints) == 0 && o.AddrFile == "" {
 		return errors.New("dist: worker requires a coordinator URL, endpoint list, or addr file")
@@ -325,6 +355,28 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 		}
 		o.Name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
+	hc := o.HTTPClient
+	if hc == nil {
+		hc = &http.Client{Timeout: 30 * time.Second}
+	}
+	w := newWorker(o, nil)
+	w.cl = &client{hc: hc}
+	eps := w.endpoints()
+	if len(eps) == 0 {
+		return errors.New("dist: no coordinator endpoint resolvable (addr file missing?)")
+	}
+	w.cl.setBase(eps[0])
+	// Whatever ends this worker — sweep done, cancellation, an error —
+	// its tallies and span log flush to the coordinator's federation
+	// surface so short-lived workers still appear in the merged view.
+	defer w.push(true, true, pushTimeout)
+	return w.run(ctx)
+}
+
+// newWorker fills o's defaults. c, when non-nil, is the coordinator of
+// an in-process worker, which runs the same lease loop as RunWorker but
+// calls c directly.
+func newWorker(o WorkerOptions, c *Coordinator) *worker {
 	if o.Poll <= 0 {
 		o.Poll = 500 * time.Millisecond
 	}
@@ -337,25 +389,21 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 250 * time.Millisecond
 	}
-	hc := o.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
-	}
 	logf := o.Logf
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}
-	w := &worker{o: o, cl: &client{hc: hc}, logf: logf}
-	eps := w.endpoints()
-	if len(eps) == 0 {
-		return errors.New("dist: no coordinator endpoint resolvable (addr file missing?)")
-	}
-	w.cl.setBase(eps[0])
-	// Whatever ends this worker — sweep done, cancellation, an error —
-	// its tallies and span log flush to the coordinator's federation
-	// surface so short-lived workers still appear in the merged view.
-	defer w.push(true, true, pushTimeout)
+	return &worker{o: o, c: c, logf: logf}
+}
 
+// run is the lease loop.
+func (w *worker) run(ctx context.Context) error {
+	o := w.o
+	// In process, a wait ends the moment the sweep completes.
+	var done <-chan struct{}
+	if w.c != nil {
+		done = w.c.Done()
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -363,11 +411,11 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 		var g LeaseGrant
 		err := w.withRetry(ctx, "lease", "dist.lease_retries", func() error {
 			var lerr error
-			g, lerr = w.cl.lease(ctx, o.Name)
+			g, lerr = w.ops(ctx).Lease(o.Name)
 			return lerr
 		})
 		if err != nil {
-			if errors.Is(err, ErrStaleEpoch) {
+			if errors.Is(err, ErrStaleEpoch) && w.cl != nil {
 				// A deposed coordinator answered; its successor owns the
 				// sweep now. Rotate and ask again.
 				w.rotate()
@@ -377,20 +425,27 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 		}
 		switch g.Status {
 		case GrantDone:
-			logf("dist: worker %s: sweep complete", o.Name)
+			w.logf("dist: worker %s: sweep complete", o.Name)
 			return nil
 		case GrantWait:
+			// A waiting worker heartbeats nothing, so it pushes on its own
+			// to stay live in the fleet view.
+			if ttl := time.Duration(g.TTLNS); ttl > 0 && time.Since(w.pushed) >= ttl/3 {
+				w.pushed = time.Now()
+				w.push(false, false, min(pushTimeout, ttl/3))
+			}
 			wait := o.Poll
 			if g.RetryNS > 0 {
 				wait = time.Duration(g.RetryNS)
 			}
 			select {
 			case <-time.After(wait):
+			case <-done:
 			case <-ctx.Done():
 				return ctx.Err()
 			}
 		case GrantLease:
-			logf("dist: worker %s: leased part %d/%d epoch %d (%d keys)", o.Name, g.Part, g.Parts, g.Epoch, len(g.Keys))
+			w.logf("dist: worker %s: leased part %d/%d epoch %d (%d keys)", o.Name, g.Part, g.Parts, g.Epoch, len(g.Keys))
 			if err := w.runLease(ctx, g); err != nil {
 				return err
 			}
@@ -398,6 +453,20 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 			return fmt.Errorf("dist: unknown grant status %q", g.Status)
 		}
 	}
+}
+
+// evalOptions returns the eval options of spec's sweep, kept from the
+// previous lease when it was of the same sweep. Only one sweep's are
+// kept, so a long-lived worker holds one sweep's prepared workloads.
+func (w *worker) evalOptions(spec SweepSpec) *eval.Options {
+	if w.eo == nil || !reflect.DeepEqual(spec, w.spec) {
+		eo := spec.EvalOptions()
+		eo.Workers = w.o.Workers
+		eo.Obs = w.o.Obs
+		eo.Trace = w.o.Trace
+		w.spec, w.eo = spec, &eo
+	}
+	return w.eo
 }
 
 // runLease executes one granted shard: the sweep's own eval pipeline
@@ -478,7 +547,7 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 				return
 			case <-tick.C:
 				err := w.withRetry(shardCtx, g.Lease, "dist.heartbeat_retries", func() error {
-					return w.cl.heartbeat(shardCtx, g.Lease, g.Epoch)
+					return w.ops(shardCtx).Heartbeat(g.Lease, g.Epoch)
 				})
 				switch {
 				case err == nil:
@@ -504,7 +573,7 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 		// Deliveries ride ctx, not shardCtx: results computed before a
 		// lease loss are still worth delivering (late results merge).
 		err := w.withRetry(ctx, g.Lease, "dist.delivery_retries", func() error {
-			_, rerr := w.cl.results(ctx, &Batch{Lease: g.Lease, Epoch: g.Epoch, Entries: pending})
+			_, _, rerr := w.ops(ctx).Results(g.Lease, g.Epoch, pending)
 			return rerr
 		})
 		if err == nil {
@@ -523,11 +592,8 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 		return err
 	}
 
-	eo := g.Spec.EvalOptions()
-	eo.Workers = o.Workers
+	eo := w.evalOptions(g.Spec)
 	eo.Context = shardCtx
-	eo.Obs = o.Obs
-	eo.Trace = o.Trace
 	eo.Shard = func(key string) bool { return mine[key] }
 	eo.ResultSink = func(key string, value json.RawMessage, elapsed time.Duration) error {
 		pending = append(pending, Entry{
@@ -541,10 +607,10 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 		return nil
 	}
 
-	// The shard's assembled report is garbage by construction (the
+	// The shard's assembled figures are garbage by construction (the
 	// unexecuted keys stay zero): only the streamed per-key payloads
-	// matter, so the rendering goes to Discard.
-	runErr := eo.Run(io.Discard, g.Spec.Experiment)
+	// matter, so nothing is rendered and the tables are skipped.
+	runErr := eo.RunSweeps(g.Spec.Experiment)
 
 	leaseLost := false
 	select {
@@ -581,7 +647,7 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 		outcome = "error"
 		return fmt.Errorf("dist: worker %s lease %s: %w", o.Name, g.Lease, runErr)
 	}
-	status, err := w.cl.complete(ctx, g.Lease, g.Epoch)
+	status, err := w.ops(ctx).Complete(g.Lease, g.Epoch)
 	if err != nil {
 		// Completion is advisory — the coordinator marks a part done from
 		// the results themselves — so a lost acknowledgment (say, the
@@ -594,18 +660,20 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 	return nil
 }
 
-// pushTimeout bounds lease-end and final pushes; heartbeat pushes are
-// further capped at a third of the lease TTL.
+// pushTimeout bounds lease-end and final pushes; heartbeat and
+// wait-state pushes are further capped at a third of the lease TTL.
 const pushTimeout = 2 * time.Second
 
 // push ships the worker's metrics snapshot — plus its span log when
 // spans is set — to the coordinator's fleet federation endpoint (POST
 // /fleet/push), best-effort: a coordinator without a federator answers
-// 404 and the report is simply dropped. Pushes ride their own deadline,
-// not the worker ctx — the final push happens exactly when the worker
-// is exiting, possibly because that ctx was cancelled.
+// 404 and the report is simply dropped. An in-process worker never
+// pushes: its registry and tracer are its coordinator's own. Pushes
+// ride their own deadline, not the worker ctx — the final push happens
+// exactly when the worker is exiting, possibly because that ctx was
+// cancelled.
 func (w *worker) push(final, spans bool, timeout time.Duration) {
-	if w.o.Obs == nil && w.o.Trace == nil {
+	if w.cl == nil || (w.o.Obs == nil && w.o.Trace == nil) {
 		return
 	}
 	pr := fleet.PushRequest{Worker: w.o.Name, Final: final}

@@ -10,7 +10,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,5 +161,193 @@ func TestHeartbeatPushesListWorkerLive(t *testing.T) {
 			t.Errorf("heartbeat push %d: final=%v snapshot=%v span log %d bytes; want a snapshot and no span log",
 				i, pr.Final, pr.Snapshot != nil, len(pr.TraceJSONL))
 		}
+	}
+}
+
+// TestWaitingWorkerStaysLive: a worker that waits longer than one lease
+// TTL, because every part is leased, stays live on /fleet/status. Wait
+// grants carry the TTL, and a waiting worker pushes a snapshot — no span
+// log — at most once per TTL/3.
+func TestWaitingWorkerStaysLive(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	const ttl = time.Second
+	c, err := NewCoordinator(CoordinatorOptions{
+		Spec:     quickSpec("fig6a"),
+		Parts:    1,
+		LeaseTTL: ttl,
+		Ledger:   filepath.Join(t.TempDir(), "ledger.jsonl"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fh := fleet.New(fleet.Options{Stale: ttl}).Handler()
+	var mu sync.Mutex
+	var pushes []fleet.PushRequest
+	c.SetFleet(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/fleet/push" {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			var pr fleet.PushRequest
+			if json.Unmarshal(body, &pr) == nil {
+				mu.Lock()
+				pushes = append(pushes, pr)
+				mu.Unlock()
+			}
+		}
+		fh.ServeHTTP(w, r)
+	}))
+	srv, err := c.Serve(ctx, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+
+	// Hold the only part, heartbeating it, so the worker can only wait.
+	g, err := c.Lease("holder")
+	if err != nil || g.Status != GrantLease {
+		t.Fatalf("holder lease: %+v, %v", g, err)
+	}
+	holdCtx, release := context.WithCancel(ctx)
+	defer release()
+	go func() {
+		tick := time.NewTicker(ttl / 4)
+		defer tick.Stop()
+		for {
+			select {
+			case <-holdCtx.Done():
+				return
+			case <-tick.C:
+				_ = c.Heartbeat(g.Lease, g.Epoch)
+			}
+		}
+	}()
+
+	wctx, stop := context.WithCancel(ctx)
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorker(wctx, WorkerOptions{Coordinator: srv.URL(), Name: "w0", Workers: 1, Obs: obs.New(), Logf: t.Logf})
+	}()
+	time.Sleep(5 * ttl / 2)
+
+	var fs fleet.FleetStatus
+	if err := json.Unmarshal([]byte(fetch(t, srv.URL()+"/fleet/status")), &fs); err != nil {
+		t.Fatal(err)
+	}
+	var w0 *fleet.WorkerHealth
+	for i := range fs.Workers {
+		if fs.Workers[i].Name == "w0" {
+			w0 = &fs.Workers[i]
+		}
+	}
+	if w0 == nil || w0.Stale || w0.Final || w0.Pushes < 2 {
+		t.Errorf("after %v of waiting, /fleet/status lists w0 as %+v; want live with pushes", 5*ttl/2, w0)
+	}
+	if st := c.StatusSnapshot(); st.Granted != 1 {
+		t.Errorf("granted %d leases; the worker should have waited throughout", st.Granted)
+	}
+	stop()
+	if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("worker: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, pr := range pushes {
+		if !pr.Final && (pr.Snapshot == nil || pr.TraceJSONL != "") {
+			t.Errorf("wait push %d: snapshot=%v span log %d bytes; want a snapshot and no span log",
+				i, pr.Snapshot != nil, len(pr.TraceJSONL))
+		}
+	}
+}
+
+// TestLeaseRunsOnlySweeps: a lease of an "all" sweep runs only the
+// experiments with sweep jobs. Table 1 has none, yet profiles ten
+// benchmarks whatever the selection, so a lease with no keys left must
+// allocate next to nothing.
+func TestLeaseRunsOnlySweeps(t *testing.T) {
+	var leases atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /dist/v1/lease", func(w http.ResponseWriter, r *http.Request) {
+		if leases.Add(1) == 1 {
+			fmt.Fprint(w, `{"status":"lease","lease":"lease-1-0001","epoch":1,"parts":1,"ttl_ns":60000000000,`+
+				`"spec":{"kind":"sweep","seed":1,"scale_factor":4,"scale":1,"cores":4,"experiment":"all","benchmarks":["nn"]}}`)
+			return
+		}
+		fmt.Fprint(w, `{"status":"done","epoch":1}`)
+	})
+	mux.HandleFunc("POST /dist/v1/complete", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"status":"ok"}`)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := RunWorker(context.Background(), WorkerOptions{Coordinator: srv.URL, Name: "w0", Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 32 {
+		t.Errorf("a lease with no keys allocated %d MB: it ran more than the sweeps", mb)
+	}
+	if n := leases.Load(); n != 2 {
+		t.Errorf("%d lease requests, want 2 (a lease, then done)", n)
+	}
+}
+
+// TestSweepsWireSurface: between sweeps the served surface answers a
+// lease request with a wait grant carrying the TTL and every other
+// lease operation with 410; during one, results for keys outside it come
+// from a retired sweep's lease and answer 410 too, and a sweep with
+// nothing left to grant tells workers to wait, never that it is done.
+func TestSweepsWireSurface(t *testing.T) {
+	const ttl = 2 * time.Second
+	s := NewSweeps(CoordinatorOptions{LeaseTTL: ttl}, 1)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(data)
+	}
+
+	code, body := post("/dist/v1/lease", `{"worker":"w0"}`)
+	var g LeaseGrant
+	if err := json.Unmarshal([]byte(body), &g); code != http.StatusOK || err != nil ||
+		g.Status != GrantWait || g.TTLNS != int64(ttl) || g.RetryNS <= 0 {
+		t.Errorf("idle lease: %d %s, want a wait grant carrying the TTL", code, body)
+	}
+	for _, path := range []string{"/dist/v1/heartbeat", "/dist/v1/complete"} {
+		if code, body := post(path, `{"lease":"lease-1-0001","epoch":1}`); code != http.StatusGone {
+			t.Errorf("idle %s: %d %s, want 410", path, code, body)
+		}
+	}
+	batch, err := EncodeBatch(&Batch{Lease: "lease-1-0001", Epoch: 1, Entries: []Entry{{Key: "k", Value: []byte(`{}`)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, body := post("/dist/v1/results", string(batch)); code != http.StatusGone {
+		t.Errorf("idle results: %d %s, want 410", code, body)
+	}
+
+	c, keys, _ := syntheticCoordinator(t, 2, CoordinatorOptions{Parts: 1})
+	defer c.Close()
+	s.cur.Store(c)
+	if _, _, err := s.Results("lease-0-0001", c.Epoch(), []Entry{{Key: "foreign", Value: []byte(`{}`)}}); !errors.Is(err, ErrLeaseGone) {
+		t.Errorf("results outside the live sweep: %v, want ErrLeaseGone", err)
+	}
+	g = mustLease(t, c, "in-process")
+	if _, _, err := c.Results(g.Lease, g.Epoch, []Entry{{Key: keys[0], Value: []byte(`1`)}, {Key: keys[1], Value: []byte(`2`)}}); err != nil {
+		t.Fatal(err)
+	}
+	if g, err := s.Lease("w0"); err != nil || g.Status != GrantWait {
+		t.Errorf("lease from a finished sweep: %+v, %v; want a wait grant", g, err)
 	}
 }

@@ -61,22 +61,18 @@ type ablSample struct {
 	L2 float64 `json:"l2"`
 }
 
-// variantCache builds each (benchmark, variant) proxy workload at most
-// once, on the first job that needs it.
-type variantCache struct {
-	o  *Options
-	wl *workloadCache
-	m  memo[[2]string, *core.Workload]
-}
-
-func (c *variantCache) get(benchmark string, v AblationVariant) (*core.Workload, error) {
-	return c.m.get([2]string{benchmark, v.Name}, func() (*core.Workload, error) {
-		base, err := c.wl.get(benchmark)
+// variant builds each (benchmark, variant) proxy workload at most once,
+// on the first job that needs it.
+func (o *Options) variant(benchmark string, v AblationVariant) (*core.Workload, error) {
+	key := o.memoKey(benchmark)
+	key.variant = v.Name
+	return o.memos.variants.get(key, func() (*core.Workload, error) {
+		base, err := o.workload(benchmark)
 		if err != nil {
 			return nil, err
 		}
 		proxy, err := synth.Generate(base.Profile, synth.Options{
-			Seed: c.o.Seed, ScaleFactor: c.o.ScaleFactor, Ablation: v.Abl,
+			Seed: o.Seed, ScaleFactor: o.ScaleFactor, Ablation: v.Abl,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("eval ablation %s/%s: %w", benchmark, v.Name, err)
@@ -113,8 +109,6 @@ func (o *Options) Ablation() (*AblationResult, error) {
 		benchmarks = []string{"kmeans", "cp", "bp", "heartwall", "srad", "bfs"}
 	}
 	gens := L1Sweep(o.Cores)
-	wl := o.workloads()
-	vc := &variantCache{o: o, wl: wl}
 
 	// Jobs: originals first (benchmark-major), then proxies
 	// (benchmark, variant, configuration), all in one pool drain.
@@ -126,7 +120,7 @@ func (o *Options) Ablation() (*AblationResult, error) {
 			jobs = append(jobs, runner.Job[ablSample]{
 				Key: o.jobKey("ablation", name, "orig", g.Label),
 				Run: func(ctx context.Context) (ablSample, error) {
-					w, err := wl.get(name)
+					w, err := o.workload(name)
 					if err != nil {
 						return ablSample{}, err
 					}
@@ -153,7 +147,7 @@ func (o *Options) Ablation() (*AblationResult, error) {
 				jobs = append(jobs, runner.Job[ablSample]{
 					Key: o.jobKey("ablation", name, "variant="+v.Name, g.Label),
 					Run: func(ctx context.Context) (ablSample, error) {
-						w, err := vc.get(name, v)
+						w, err := o.variant(name, v)
 						if err != nil {
 							return ablSample{}, err
 						}

@@ -224,11 +224,11 @@ func attribute(w *core.Workload, topK int) ([]PiAttribution, []PCAttribution, er
 // maybeAttribute runs attribution for a figure row that exceeded the
 // threshold. Attribution is diagnostic: failures are logged, never fatal
 // to the sweep.
-func (o *Options) maybeAttribute(experiment string, row BenchResult, metric string, asRate bool, wl *workloadCache) {
+func (o *Options) maybeAttribute(experiment string, row BenchResult, metric string, asRate bool) {
 	if o.Attr == nil || row.Error <= o.Attr.Threshold {
 		return
 	}
-	w, err := wl.get(row.Benchmark)
+	w, err := o.workload(row.Benchmark)
 	if err != nil {
 		o.logf("%s %-12s attribution skipped: %v", experiment, row.Benchmark, err)
 		return

@@ -87,22 +87,21 @@ func TestAttributeTopKCaps(t *testing.T) {
 func TestMaybeAttributeThresholdGate(t *testing.T) {
 	o := &Options{Benchmarks: []string{"nn"}, Scale: 1, ScaleFactor: 4, Seed: 1}
 	o.fillDefaults()
-	wl := o.workloads()
 	row := BenchResult{Benchmark: "nn", Points: 3, Error: 5}
 
 	// Nil Attr: no-op.
-	o.maybeAttribute("fig6a", row, "l1-miss-rate", true, wl)
+	o.maybeAttribute("fig6a", row, "l1-miss-rate", true)
 
 	// Error below threshold: gated off.
 	o.Attr = &AttrOptions{Threshold: 10}
-	o.maybeAttribute("fig6a", row, "l1-miss-rate", true, wl)
+	o.maybeAttribute("fig6a", row, "l1-miss-rate", true)
 	if got := o.Attr.Reports(); len(got) != 0 {
 		t.Fatalf("threshold 10 vs error 5: want 0 reports, got %d", len(got))
 	}
 
 	// Error above threshold: attributed.
 	o.Attr = &AttrOptions{Threshold: 1, TopK: 4}
-	o.maybeAttribute("fig6a", row, "l1-miss-rate", true, wl)
+	o.maybeAttribute("fig6a", row, "l1-miss-rate", true)
 	reports := o.Attr.Reports()
 	if len(reports) != 1 {
 		t.Fatalf("threshold 1 vs error 5: want 1 report, got %d", len(reports))

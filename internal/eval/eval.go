@@ -126,6 +126,11 @@ type Options struct {
 	exec       *execAccum
 	live       *liveProgress
 	strict     *strictResume
+	// memos holds what this value's runs build once and share across
+	// calls: a distributed worker keeps one Options per sweep across its
+	// leases, and "-exp all" prepares each benchmark once, not once per
+	// figure. Also a pointer, so copies share it.
+	memos *memos
 
 	// enumKeys, when non-nil, switches runJobs into enumeration: jobs
 	// are collected by key and nothing executes (see SweepKeys).
@@ -203,6 +208,9 @@ func (o *Options) fillDefaults() {
 	}
 	if o.strict == nil {
 		o.strict = &strictResume{}
+	}
+	if o.memos == nil {
+		o.memos = &memos{}
 	}
 }
 
@@ -349,9 +357,9 @@ func (o Options) SweepKeys(experiment string) ([]string, error) {
 	o.Obs = nil
 	o.Trace = nil
 	o.Attr = nil
-	o.progressMu, o.exec, o.live, o.strict = nil, nil, nil, nil
+	o.progressMu, o.exec, o.live, o.strict, o.memos = nil, nil, nil, nil, nil
 	o.fillDefaults()
-	if err := o.enumerate(experiment); err != nil {
+	if err := o.RunSweeps(experiment); err != nil {
 		return nil, err
 	}
 	keys := append([]string(nil), o.enumKeys.keys...)
@@ -365,16 +373,17 @@ func (o Options) SweepKeys(experiment string) ([]string, error) {
 	return uniq, nil
 }
 
-// enumerate drives the experiment dispatch in enumeration mode. Table
-// experiments have no sweep jobs and are skipped outright rather than
-// computed.
-func (o *Options) enumerate(experiment string) error {
+// RunSweeps runs the sweep jobs of an experiment and renders nothing:
+// every sweep experiment for "all", nothing for the tables. It is what
+// a distributed worker runs for a lease, whose assembled figures are
+// meaningless (see Shard), and what SweepKeys drives in enumeration.
+func (o *Options) RunSweeps(experiment string) error {
 	switch experiment {
 	case "table1", "table2":
 		return nil
 	case "all":
 		for _, id := range ExperimentIDs() {
-			if err := o.enumerate(id); err != nil {
+			if err := o.RunSweeps(id); err != nil {
 				return err
 			}
 		}
@@ -458,20 +467,33 @@ func (c *memo[K, V]) get(key K, build func() (V, error)) (V, error) {
 	return e.v, e.err
 }
 
-// workloadCache builds each benchmark's pipeline at most once, on the
-// first job that needs it — so a fully checkpointed benchmark is never
+// memos are the builds an Options value shares across its runs. Keys
+// carry every option a build depends on, so a copy of the Options with
+// other options never reads a stale entry.
+type memos struct {
+	workloads memo[memoKey, *core.Workload]
+	origs     memo[memoKey, fig8Original]
+	variants  memo[memoKey, *core.Workload]
+}
+
+// memoKey identifies one build: a benchmark's pipeline, plus the core
+// count of a Fig 8 original or the name of an ablation variant.
+type memoKey struct {
+	benchmark, variant string
+	scale, cores       int
+	scaleFactor        float64
+	seed               uint64
+}
+
+func (o *Options) memoKey(benchmark string) memoKey {
+	return memoKey{benchmark: benchmark, scale: o.Scale, scaleFactor: o.ScaleFactor, seed: o.Seed}
+}
+
+// workload builds each benchmark's pipeline at most once, on the first
+// job that needs it — so a fully checkpointed benchmark is never
 // re-profiled on resume.
-type workloadCache struct {
-	o *Options
-	m memo[string, *core.Workload]
-}
-
-func (o *Options) workloads() *workloadCache {
-	return &workloadCache{o: o}
-}
-
-func (c *workloadCache) get(name string) (*core.Workload, error) {
-	return c.m.get(name, func() (*core.Workload, error) { return c.o.prepare(name) })
+func (o *Options) workload(name string) (*core.Workload, error) {
+	return o.memos.workloads.get(o.memoKey(name), func() (*core.Workload, error) { return o.prepare(name) })
 }
 
 // BenchResult is one benchmark's row in a figure: clone error and
@@ -602,7 +624,6 @@ func (o *Options) runFigure(id, title string, metric core.Metric, asRate bool, g
 	}
 	start := time.Now()
 	fig := &FigureResult{ID: id, Title: title, Metric: metric.Name}
-	wl := o.workloads()
 	jobs := make([]runner.Job[pointSample], 0, len(o.Benchmarks)*len(gens))
 	for _, name := range o.Benchmarks {
 		name := name
@@ -611,7 +632,7 @@ func (o *Options) runFigure(id, title string, metric core.Metric, asRate bool, g
 			jobs = append(jobs, runner.Job[pointSample]{
 				Key: o.jobKey(id, name, og.Label, "proxy:"+pg.Label, metric.Name),
 				Run: func(ctx context.Context) (pointSample, error) {
-					w, err := wl.get(name)
+					w, err := o.workload(name)
 					if err != nil {
 						return pointSample{}, err
 					}
@@ -650,7 +671,7 @@ func (o *Options) runFigure(id, title string, metric core.Metric, asRate bool, g
 		fig.Rows = append(fig.Rows, row)
 		o.logf("%s %-12s error %6.2f%s corr %.3f (%d pts)",
 			id, name, row.Error, errUnit(asRate), row.Correlation, row.Points)
-		o.maybeAttribute(id, row, metric.Name, asRate, wl)
+		o.maybeAttribute(id, row, metric.Name, asRate)
 	}
 	if len(fig.Rows) == 0 {
 		return nil, fmt.Errorf("eval %s: every benchmark failed", id)

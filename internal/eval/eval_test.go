@@ -318,7 +318,7 @@ func TestWriteFig8Format(t *testing.T) {
 
 // TestMemoBuildPanicLeavesError pins that a build which panics inside the
 // memo's once leaves an error behind: every later get, of a value-typed
-// memo and of the workload and ablation-variant caches built on it,
+// memo and of the workload and ablation-variant memos built on it,
 // fails instead of returning a zero value or a nil workload.
 func TestMemoBuildPanicLeavesError(t *testing.T) {
 	panicky := func(get func()) {
@@ -340,14 +340,15 @@ func TestMemoBuildPanicLeavesError(t *testing.T) {
 	}
 
 	o := quickOpts()
-	wl := o.workloads()
-	panicky(func() { _, _ = wl.m.get("nn", func() (*core.Workload, error) { panic("prepare failed") }) })
-	if w, err := wl.get("nn"); err == nil || w != nil {
-		t.Errorf("workloadCache.get after a panicked build = (%v, %v), want an error", w, err)
+	o.fillDefaults()
+	panicky(func() {
+		_, _ = o.memos.workloads.get(o.memoKey("nn"), func() (*core.Workload, error) { panic("prepare failed") })
+	})
+	if w, err := o.workload("nn"); err == nil || w != nil {
+		t.Errorf("workload after a panicked build = (%v, %v), want an error", w, err)
 	}
-	vc := &variantCache{o: &o, wl: wl}
-	if w, err := vc.get("nn", AblationVariants()[0]); err == nil || w != nil {
-		t.Errorf("variantCache.get over a panicked workload = (%v, %v), want an error", w, err)
+	if w, err := o.variant("nn", AblationVariants()[0]); err == nil || w != nil {
+		t.Errorf("variant over a panicked workload = (%v, %v), want an error", w, err)
 	}
 }
 

@@ -64,7 +64,6 @@ func (o *Options) Fig7() (*Fig7Result, error) {
 		ReadLat:  &FigureResult{ID: "fig7/rdlat", Title: "DRAM avg read latency", Metric: core.DRAMReadLatency.Name},
 		WriteLat: &FigureResult{ID: "fig7/wrlat", Title: "DRAM avg write latency", Metric: core.DRAMWriteLatency.Name},
 	}
-	wl := o.workloads()
 	jobs := make([]runner.Job[fig7Sample], 0, len(o.Benchmarks)*len(gens))
 	for _, name := range o.Benchmarks {
 		name := name
@@ -73,7 +72,7 @@ func (o *Options) Fig7() (*Fig7Result, error) {
 			jobs = append(jobs, runner.Job[fig7Sample]{
 				Key: o.jobKey("fig7", name, g.Label),
 				Run: func(ctx context.Context) (fig7Sample, error) {
-					w, err := wl.get(name)
+					w, err := o.workload(name)
 					if err != nil {
 						return fig7Sample{}, err
 					}
@@ -235,15 +234,13 @@ type fig8Original struct {
 // the proxy shrinks from 1x to 16x. Each (factor, benchmark) pair is one
 // job. The original does not depend on the factor, so, as in the paper's
 // profile-once, clone-many flow, each benchmark is prepared and its
-// original simulated once per call; every job generates its factor's
-// clone from that one profile. The original's single measured time is
-// the numerator of every factor's speedup.
+// original simulated once per Options value; every job generates its
+// factor's clone from that one profile. The original's single measured
+// time is the numerator of every factor's speedup.
 func (o *Options) Fig8() (*Fig8Result, error) {
 	o.fillDefaults()
 	start := time.Now()
 	factors := []float64{1, 2, 4, 8, 16}
-	wl := o.workloads()
-	var origs memo[string, fig8Original]
 	jobs := make([]runner.Job[fig8Sample], 0, len(factors)*len(o.Benchmarks))
 	for _, factor := range factors {
 		factor := factor
@@ -252,11 +249,13 @@ func (o *Options) Fig8() (*Fig8Result, error) {
 			jobs = append(jobs, runner.Job[fig8Sample]{
 				Key: o.jobKey("fig8", name, "factor="+strconv.FormatFloat(factor, 'g', -1, 64)),
 				Run: func(ctx context.Context) (fig8Sample, error) {
-					w, err := wl.get(name)
+					w, err := o.workload(name)
 					if err != nil {
 						return fig8Sample{}, err
 					}
-					orig, err := origs.get(name, func() (fig8Original, error) {
+					key := o.memoKey(name)
+					key.cores = o.Cores
+					orig, err := o.memos.origs.get(key, func() (fig8Original, error) {
 						t0 := time.Now()
 						om, err := w.SimulateOriginal(baseConfig(o.Cores))
 						return fig8Original{m: om, ns: time.Since(t0).Nanoseconds()}, err

@@ -7,9 +7,11 @@
 // digest of (profile hash × config hash), so resubmitting the same work
 // dedups against the in-flight job and, once finished, is served
 // straight from the result cache without consuming a queue slot.
-// Admitted jobs are journaled before they are queued and sweep jobs
-// stream runner checkpoints, so a killed server resumes its backlog on
-// restart and finishes interrupted sweeps from the last completed point.
+// Admitted jobs are journaled before they are queued. Each sweep job
+// runs through a distributed coordinator (internal/dist) over its own
+// checkpoint, with the service as its first worker and remote workers
+// joining through /dist/v1/, so a killed server resumes its backlog on
+// restart and finishes interrupted sweeps from the last merged point.
 package api
 
 import (
@@ -23,32 +25,16 @@ import (
 	"sync"
 	"time"
 
-	"github.com/uteda/gmap/internal/eval"
-	"github.com/uteda/gmap/internal/fault"
+	"github.com/uteda/gmap/internal/dist"
 	"github.com/uteda/gmap/internal/memsim"
 	"github.com/uteda/gmap/internal/obs"
+	"github.com/uteda/gmap/internal/obs/fleet"
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
 	"github.com/uteda/gmap/internal/serve/queue"
 	"github.com/uteda/gmap/internal/serve/store"
 	"github.com/uteda/gmap/internal/synth"
 	"github.com/uteda/gmap/internal/trace"
 )
-
-// A SweepDelegate runs sweep jobs on an external execution fabric.
-// internal/dist implements it with an in-process coordinator that
-// leases partitions to remote workers (the api package cannot import
-// dist — dist ships JobSpec inside lease grants — so the seam points
-// the other way). RunSweep executes spec over ledger (the job's
-// checkpoint file: delegate progress and local progress accumulate in
-// the same place) and returns the rendered report. An error means the
-// delegate could not finish the sweep — busy, no workers, no progress
-// before its deadline — and the caller falls back to local execution,
-// resuming from the very same ledger. Handler serves the delegate's
-// worker-facing wire surface.
-type SweepDelegate interface {
-	RunSweep(ctx context.Context, spec JobSpec, ledger string) (string, error)
-	Handler() http.Handler
-}
 
 // Job statuses, as reported by GET /v1/jobs/{id}.
 const (
@@ -66,36 +52,26 @@ type Options struct {
 	// Queue configures admission: worker slots, backlog depth and
 	// per-tenant weights. Obs is overridden with Options.Obs.
 	Queue queue.Options
-	// SweepWorkers is the runner pool size inside each sweep job
-	// (0 = every CPU). Clone and sim jobs are single simulations and
-	// ignore it.
+	// SweepWorkers is the runner pool size of the service's own sweep
+	// worker (0 = every CPU). Clone and sim jobs are single simulations
+	// and ignore it.
 	SweepWorkers int
-	// Retries and RetryBackoff configure transient-failure retry for
-	// sweep simulation points (see eval.Options).
-	Retries      int
-	RetryBackoff time.Duration
-	// Fsync hardens journal, result and checkpoint writes against
+	// SweepParts partitions each sweep's job space for leasing (0 = 8),
+	// and LeaseTTL is a lease's heartbeat deadline (0 = 30s); a worker
+	// that stops pushing for one TTL reads stale on /fleet/status.
+	SweepParts int
+	LeaseTTL   time.Duration
+	// Fsync hardens journal, result and sweep-ledger writes against
 	// machine crashes rather than just process kills.
 	Fsync bool
-	// FS routes store and checkpoint I/O; nil selects the real
-	// filesystem.
-	FS fault.FS
 	// Obs collects service metrics (serve.api.*, serve.queue.*,
-	// serve.store.*, serve.tenant.*) into one registry, exposed at
-	// /metrics alongside the simulation instrumentation.
+	// serve.store.*, serve.tenant.*, dist.*) into one registry, exposed
+	// at /metrics alongside the simulation instrumentation of the
+	// service's own sweep work.
 	Obs *obs.Registry
 	// Tracer, when non-nil, records spans for sweep jobs, exposed at
 	// /trace.
 	Tracer *obstrace.Tracer
-	// SweepDelegate, when non-nil, offers sweep jobs to an external
-	// execution fabric (the distributed coordinator) before falling back
-	// to the local runner pool. Both paths execute over the same per-job
-	// checkpoint, so a sweep that starts distributed and finishes local
-	// — or the other way around — never repeats a completed point, and
-	// the rendered report is byte-identical either way. The delegate's
-	// Handler is mounted under /dist/v1/ so workers dial the service
-	// itself.
-	SweepDelegate SweepDelegate
 	// DefaultTenant is the tenant attributed to requests without an
 	// X-Gmap-Tenant header. Default "anonymous".
 	DefaultTenant string
@@ -107,11 +83,11 @@ type Options struct {
 // Service is the clone-and-simulate service. Create with New, then
 // Start; serve Handler over HTTP.
 type Service struct {
-	o  Options
-	st *store.Store
-	q  *queue.Queue
-	// fleet, when non-nil, is mounted under /fleet/ on the service mux
-	// (set with SetFleet before Handler/Start).
+	o      Options
+	st     *store.Store
+	q      *queue.Queue
+	sweeps *dist.Sweeps
+	// fleet federates the remote sweep workers' pushes, under /fleet/.
 	fleet http.Handler
 
 	mu   sync.Mutex
@@ -133,8 +109,8 @@ type jobState struct {
 	errMsg   string
 	created  time.Time
 	finished time.Time
-	canceled bool          // user asked for cancellation
-	evalOpts *eval.Options // live while a sweep runs, for /progress
+	canceled bool              // user asked for cancellation
+	sweep    *dist.Coordinator // live while a sweep coordinates, for /progress
 }
 
 // New builds a Service. The queue is not started; call Start.
@@ -145,17 +121,31 @@ func New(o Options) (*Service, error) {
 	if o.DefaultTenant == "" {
 		o.DefaultTenant = "anonymous"
 	}
-	if o.FS == nil {
-		o.FS = fault.OS
-	}
 	qo := o.Queue
 	qo.Obs = o.Obs
 	s := &Service{
-		o:    o,
-		st:   o.Store,
-		q:    queue.New(qo),
+		o:  o,
+		st: o.Store,
+		q:  queue.New(qo),
+		sweeps: dist.NewSweeps(dist.CoordinatorOptions{
+			Parts:    o.SweepParts,
+			LeaseTTL: o.LeaseTTL,
+			Fsync:    o.Fsync,
+			Obs:      o.Obs,
+			Trace:    o.Tracer,
+			Logf:     o.Logf,
+		}, o.SweepWorkers),
 		jobs: make(map[string]*jobState),
 	}
+	s.fleet = fleet.New(fleet.Options{
+		Self:     "gmap-served",
+		Registry: o.Obs,
+		Tracer:   o.Tracer,
+		Status: func() interface{} {
+			return map[string]interface{}{"dist": s.sweeps.Status(), "queue": s.q.Stats()}
+		},
+		Stale: o.LeaseTTL,
+	}).Handler()
 	return s, nil
 }
 
@@ -175,11 +165,6 @@ func (s *Service) Start(ctx context.Context) error {
 // Wait blocks until the queue has drained after context cancellation.
 func (s *Service) Wait() { s.q.Wait() }
 
-// SetFleet mounts h under /fleet/ on the service mux: the metrics
-// federation and fleet status surface when the service fronts a
-// distributed sweep fabric (-dist-sweeps). Call before Handler/Start.
-func (s *Service) SetFleet(h http.Handler) { s.fleet = h }
-
 // ready backs /readyz: the service is ready while its admission queue
 // still accepts submissions. Liveness (/healthz) stays 200 regardless,
 // so a draining replica is distinguishable from a dead one.
@@ -189,9 +174,6 @@ func (s *Service) ready() error {
 	}
 	return nil
 }
-
-// Queue exposes queue statistics for admission feedback.
-func (s *Service) Queue() *queue.Queue { return s.q }
 
 func (s *Service) logf(format string, args ...interface{}) {
 	if s.o.Logf != nil {
@@ -315,7 +297,7 @@ func (s *Service) execute(ctx context.Context, js *jobState) {
 	}
 
 	js.mu.Lock()
-	js.evalOpts = nil
+	js.sweep = nil
 	js.finished = now
 	switch {
 	case err == nil:
@@ -468,49 +450,18 @@ type sweepResult struct {
 }
 
 func (s *Service) runSweep(ctx context.Context, js *jobState) ([]byte, error) {
-	// Offer the sweep to the distributed fabric first, when one is
-	// configured. Delegate and local execution share the job's
-	// checkpoint, so a delegate that dies mid-sweep (coordinator lost,
-	// workers gone, progress deadline blown) costs nothing: the local
-	// fallback resumes from the points the fabric already merged.
-	if d := s.o.SweepDelegate; d != nil {
-		report, err := d.RunSweep(ctx, js.spec, s.st.CheckpointPath(js.id))
-		if err == nil {
-			return json.Marshal(sweepResult{
-				Kind:       KindSweep,
-				Experiment: js.spec.Experiment,
-				Report:     report,
-			})
-		}
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		s.counter("serve.api.sweep_delegate_fallbacks").Inc()
-		s.logf("job %s: sweep delegate failed (%v); falling back to local execution", js.id, err)
-	}
-	eo := js.spec.EvalOptions()
-	opts := &eo
-	opts.Workers = s.o.SweepWorkers
-	opts.Checkpoint = s.st.CheckpointPath(js.id)
-	opts.Resume = true
-	opts.Retries = s.o.Retries
-	opts.RetryBackoff = s.o.RetryBackoff
-	opts.Fsync = s.o.Fsync
-	opts.FS = s.o.FS
-	opts.Context = ctx
-	opts.Obs = s.o.Obs
-	opts.Trace = s.o.Tracer
-	js.mu.Lock()
-	js.evalOpts = opts
-	js.mu.Unlock()
-	var buf bytes.Buffer
-	if err := opts.Run(&buf, js.spec.Experiment); err != nil {
+	report, err := s.sweeps.Run(ctx, js.spec.SweepSpec, s.st.CheckpointPath(js.id), func(c *dist.Coordinator) {
+		js.mu.Lock()
+		js.sweep = c
+		js.mu.Unlock()
+	})
+	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(sweepResult{
 		Kind:       KindSweep,
 		Experiment: js.spec.Experiment,
-		Report:     buf.String(),
+		Report:     report,
 	})
 }
 
@@ -633,14 +584,14 @@ func (js *jobState) view() jobView {
 	return v
 }
 
-// progress returns a sweep job's live progress, or nil.
+// progress returns a coordinating sweep's status, or nil.
 func (js *jobState) progress() interface{} {
 	js.mu.Lock()
-	opts := js.evalOpts
+	c := js.sweep
 	js.mu.Unlock()
-	if opts == nil {
+	if c == nil {
 		return nil
 	}
-	p := opts.ProgressSnapshot()
-	return &p
+	st := c.StatusSnapshot()
+	return &st
 }

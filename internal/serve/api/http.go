@@ -26,8 +26,9 @@ const (
 )
 
 // Handler builds the service's HTTP mux. Alongside the /v1 API it
-// mounts the shared observability surface (/metrics, /progress, /trace,
-// /debug/pprof) so one port serves both planes.
+// mounts the sweep workers' surface (/dist/v1/, /fleet/) and the shared
+// observability surface (/metrics, /progress, /trace, /debug/pprof), so
+// one port serves every plane.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/profiles", s.handlePutProfile)
@@ -39,17 +40,10 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
 	mux.HandleFunc("GET /v1/jobs/{id}/progress", s.handleJobProgress)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	if d := s.o.SweepDelegate; d != nil {
-		// The distributed fabric's worker-facing surface rides the same
-		// port: workers dial the service and the delegate routes them to
-		// whichever sweep's coordinator is live (503 when none is).
-		mux.Handle("/dist/v1/", d.Handler())
-	}
-	if s.fleet != nil {
-		// Metrics federation and fleet status, live only when the service
-		// fronts a distributed fabric (SetFleet).
-		mux.Handle("/fleet/", s.fleet)
-	}
+	// Remote sweep workers dial the service itself: /dist/v1/ routes them
+	// to the sweep being coordinated, and /fleet/ federates their pushes.
+	mux.Handle("/dist/v1/", s.sweeps.Handler())
+	mux.Handle("/fleet/", s.fleet)
 	mux.Handle("/", obsserve.Handler(obsserve.Options{
 		Registry: s.o.Obs,
 		Tracer:   s.o.Tracer,
@@ -287,7 +281,8 @@ func (s *Service) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
-// handleJobProgress reports a running sweep's live progress.
+// handleJobProgress reports a coordinating sweep's status (dist.Status:
+// merged and total jobs, parts, leases and workers).
 func (s *Service) handleJobProgress(w http.ResponseWriter, r *http.Request) {
 	js, ok := s.job(r.PathValue("id"))
 	if !ok {
@@ -314,7 +309,7 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // progressSnapshot backs the service-wide /progress endpoint: queue
-// census, per-status job counts, and each running sweep's live progress.
+// census, per-status job counts, and each coordinating sweep's status.
 func (s *Service) progressSnapshot() interface{} {
 	type runningJob struct {
 		Job        string      `json:"job"`
@@ -355,11 +350,4 @@ func statusOf(err error) int {
 		return http.StatusNotFound
 	}
 	return http.StatusInternalServerError
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

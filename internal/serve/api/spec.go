@@ -6,16 +6,17 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/uteda/gmap/internal/eval"
+	"github.com/uteda/gmap/internal/dist"
 	"github.com/uteda/gmap/internal/runner"
 	"github.com/uteda/gmap/internal/serve/store"
-	"github.com/uteda/gmap/internal/workloads"
 )
 
 // JobSpec is the wire form of one evaluation request. Every field that
 // shapes the result participates in the config hash, so two submissions
 // asking for the same computation — however formatted — map onto the
-// same job id and the same cached result.
+// same job id and the same cached result. The embedded sweep shape
+// (seed through benchmarks) marshals in place, between profile and
+// obfuscate.
 type JobSpec struct {
 	// Kind selects the computation: "clone" (generate a proxy from a
 	// stored profile), "sim" (generate and run the proxy through the
@@ -24,21 +25,9 @@ type JobSpec struct {
 	Kind string `json:"kind"`
 	// Profile is the content hash of a stored profile (clone and sim).
 	Profile string `json:"profile,omitempty"`
-	// Seed drives generation; 0 defaults to 1.
-	Seed uint64 `json:"seed,omitempty"`
-	// ScaleFactor is the miniaturization factor; 0 defaults to 4.
-	ScaleFactor float64 `json:"scale_factor,omitempty"`
-	// Scale is the workload scale for sweeps; 0 defaults to 1.
-	Scale int `json:"scale,omitempty"`
-	// Cores overrides the simulated SM count (0 = Table 2's 15).
-	Cores int `json:"cores,omitempty"`
-	// Experiment is the paper experiment id for sweeps ("fig6a", ...,
-	// "all").
-	Experiment string `json:"experiment,omitempty"`
-	// Benchmarks restricts a sweep to a benchmark subset; empty means
-	// all 18 (normalized to the explicit full list, so "default" and
-	// "explicitly everything" share a cache entry).
-	Benchmarks []string `json:"benchmarks,omitempty"`
+	// SweepSpec carries the seed, scale factor, scale and cores of every
+	// kind, and the experiment and benchmarks of sweeps.
+	dist.SweepSpec
 	// Obfuscate replaces base addresses in generated clones.
 	Obfuscate bool `json:"obfuscate,omitempty"`
 }
@@ -52,25 +41,10 @@ const (
 
 // Normalize validates a submitted spec against the store and fills
 // defaults in place, returning an error suitable for a 400 response.
-// st may be nil when only profile-less specs are expected (the
-// distributed coordinator reuses sweep specs as its lease wire format
-// and has no store); clone/sim specs then fail validation.
 func (spec *JobSpec) Normalize(st *store.Store) error {
 	spec.Kind = strings.ToLower(strings.TrimSpace(spec.Kind))
-	if spec.Seed == 0 {
-		spec.Seed = 1
-	}
-	if spec.ScaleFactor == 0 {
-		spec.ScaleFactor = 4
-	}
-	if spec.ScaleFactor < 0 {
-		return fmt.Errorf("scale_factor %v must be positive", spec.ScaleFactor)
-	}
-	if spec.Scale <= 0 {
-		spec.Scale = 1
-	}
-	if spec.Cores < 0 {
-		return fmt.Errorf("cores %d must be non-negative", spec.Cores)
+	if err := spec.FillDefaults(); err != nil {
+		return err
 	}
 	switch spec.Kind {
 	case KindClone, KindSim:
@@ -80,9 +54,6 @@ func (spec *JobSpec) Normalize(st *store.Store) error {
 		if spec.Profile == "" {
 			return fmt.Errorf("%s jobs require a profile hash (POST /v1/profiles first)", spec.Kind)
 		}
-		if st == nil {
-			return fmt.Errorf("%s jobs need a profile store", spec.Kind)
-		}
 		if !st.HasProfile(spec.Profile) {
 			return fmt.Errorf("unknown profile %q (POST /v1/profiles first)", spec.Profile)
 		}
@@ -90,50 +61,13 @@ func (spec *JobSpec) Normalize(st *store.Store) error {
 		if spec.Profile != "" {
 			return fmt.Errorf("sweep jobs run the builtin benchmarks; profile is not accepted")
 		}
-		ok := spec.Experiment == "all"
-		for _, id := range eval.ExperimentIDs() {
-			if spec.Experiment == id {
-				ok = true
-			}
-		}
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (have %v and \"all\")", spec.Experiment, eval.ExperimentIDs())
-		}
-		if len(spec.Benchmarks) == 0 {
-			spec.Benchmarks = workloads.Names()
-		}
-		for _, b := range spec.Benchmarks {
-			if _, known := workloads.ByName(b); !known {
-				return fmt.Errorf("unknown benchmark %q (have %v)", b, workloads.Names())
-			}
-		}
+		return spec.SweepSpec.Normalize()
 	case "":
 		return fmt.Errorf("missing job kind (one of clone, sim, sweep)")
 	default:
 		return fmt.Errorf("unknown job kind %q (one of clone, sim, sweep)", spec.Kind)
 	}
 	return nil
-}
-
-// EvalOptions builds the evaluation options a normalized sweep spec
-// denotes. Every execution path that runs or enumerates a sweep — the
-// service's sweep executor, the distributed coordinator's key
-// enumeration and merge replay, and the distributed worker's shard
-// execution — derives its options here, so they can never disagree
-// about job identity (eval's jobKey covers exactly these fields) or
-// about report determinism (NoTimings is forced: cached and merged
-// reports must be byte-identical across executions). Execution-only
-// knobs (workers, checkpoint, retries, ...) are layered on by the
-// caller and never change identity.
-func (spec *JobSpec) EvalOptions() eval.Options {
-	return eval.Options{
-		Benchmarks:  spec.Benchmarks,
-		Scale:       spec.Scale,
-		ScaleFactor: spec.ScaleFactor,
-		Seed:        spec.Seed,
-		Cores:       spec.Cores,
-		NoTimings:   true,
-	}
 }
 
 // hashes derives the result-cache coordinates of a normalized spec: WHAT

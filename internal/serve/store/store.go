@@ -14,8 +14,8 @@
 //     lets a restarted server re-enqueue in-flight work. Each journaled
 //     job also owns a runner checkpoint at checkpoints/<job-id>.ckpt
 //     carrying its partially-completed sweep points across restarts,
-//     plus any sidecar files named <job-id>.ckpt.* next to it (a
-//     delegated sweep's coordinator epoch and lease journal).
+//     plus any sidecar files named <job-id>.ckpt.* next to it (the
+//     sweep coordinator's epoch and lease journal).
 //
 // Every write is crash-consistent: content goes to a temp file, is
 // fsynced, and is renamed into place — a crash at any byte leaves
@@ -306,7 +306,7 @@ func (s *Store) DeleteJobSpec(id string) error {
 	}
 	// The checkpoint is recovery state for the journaled job; once the
 	// job is retired it is dead weight, and so are its sidecars. Those go
-	// only now, not when a delegated sweep returns: lease ids are
+	// only now, not when a sweep's coordinator closes: lease ids are
 	// lease-<epoch>-<seq>, so the epoch must keep rising for as long as
 	// the job can still resume. Best-effort: a leftover file is harmless
 	// (keys are job-scoped).

@@ -198,7 +198,7 @@ func TestJobJournal(t *testing.T) {
 	if len(specs) != 1 || specs[id] == nil {
 		t.Fatalf("ListJobSpecs = %v, want one entry for %s", specs, id)
 	}
-	// The checkpoint and its sidecars (a delegated sweep's epoch and
+	// The checkpoint and its sidecars (the sweep coordinator's epoch and
 	// lease journal) retire with the job; another job's files stay.
 	other := s.CheckpointPath(strings.Repeat("cd", 12))
 	owned := []string{s.CheckpointPath(id), s.CheckpointPath(id) + ".epoch", s.CheckpointPath(id) + ".leases"}

@@ -5,11 +5,14 @@
 # uploads the profile, submits a clone job, waits for the result, then
 # resubmits the identical job and asserts (a) the second response is a
 # cache hit and (b) the serve_api_cache_hits counter moved. A second
-# phase starts a -dist-sweeps server with one gmap-eval worker dialing
-# it and asserts a sweep ran on the worker fleet: delegated, no local
-# fallback, and the worker's pushes on /fleet/status. Exercises the
-# same path a real deployment uses: binaries + HTTP, no test harness.
-# Requires only a Go toolchain and curl.
+# phase runs sweeps, each through its own coordinator with the server as
+# first worker: one with no remote worker, then one joined by a
+# gmap-eval worker started before it. Both reports must equal
+# gmap-eval -no-timings for the same spec; the worker must be listed
+# live on /fleet/status while it waits, take a lease, and still be
+# running afterwards. Exercises the same path a real deployment uses:
+# binaries + HTTP, no test harness. Requires only a Go toolchain and
+# curl.
 #
 # Usage: scripts/served_smoke.sh [workdir]
 set -eu
@@ -155,62 +158,107 @@ echo "==> phase 1 PASS: submit -> result -> cached resubmission ($HITS cache hit
 
 DIST_ADDR="$WORK/dist.addr"
 
-echo "==> phase 2: starting gmap-served -dist-sweeps and one fleet worker"
+# report FILE — print a sweep result's report field.
+cat >"$WORK/report.go" <<'GO'
+package main
+
+import (
+	"encoding/json"
+	"os"
+)
+
+func main() {
+	var r struct {
+		Report string `json:"report"`
+	}
+	if err := json.NewDecoder(os.Stdin).Decode(&r); err != nil {
+		os.Exit(1)
+	}
+	os.Stdout.WriteString(r.Report)
+}
+GO
+go build -o "$BIN/report" "$WORK/report.go"
+
+# sweep NAME SPEC EVAL_ARGS... — submit SPEC, wait for it, and compare
+# its report with gmap-eval -no-timings EVAL_ARGS.
+sweep() {
+    name=$1 spec=$2
+    shift 2
+    curl -sSf -X POST -H 'Content-Type: application/json' -d "$spec" \
+        "$DBASE/v1/jobs" >"$WORK/$name.json"
+    id=$(jget "$WORK/$name.json" job)
+    [ -n "$id" ] || fail "$name submit returned no job id"
+    i=0
+    while :; do
+        curl -sSf "$DBASE/v1/jobs/$id" >"$WORK/$name.status.json"
+        st=$(jget "$WORK/$name.status.json" status)
+        case "$st" in
+        done) break ;;
+        failed | canceled) fail "$name ended $st: $(cat "$WORK/$name.status.json")" ;;
+        esac
+        i=$((i + 1))
+        [ "$i" -le 1200 ] || fail "$name never completed (status $st)"
+        sleep 0.5
+    done
+    curl -sSf "$DBASE/v1/jobs/$id/result" | "$BIN/report" >"$WORK/$name.served.txt" || \
+        fail "$name result carries no report"
+    "$BIN/gmap-eval" -no-timings -quiet "$@" >"$WORK/$name.eval.txt"
+    cmp -s "$WORK/$name.served.txt" "$WORK/$name.eval.txt" || \
+        fail "$name report differs from gmap-eval -no-timings $*: $(diff "$WORK/$name.served.txt" "$WORK/$name.eval.txt" | head -20)"
+}
+
+echo "==> phase 2: starting gmap-served with a 2s lease TTL"
 "$BIN/gmap-served" -addr 127.0.0.1:0 -addr-file "$DIST_ADDR" -store "$WORK/dist-store" \
-    -dist-sweeps -dist-lease-ttl 2s 2>"$WORK/dist-served.log" &
+    -dist-lease-ttl 2s 2>"$WORK/dist-served.log" &
 DIST_PID=$!
 i=0
 while [ ! -s "$DIST_ADDR" ]; do
     i=$((i + 1))
-    [ "$i" -le 100 ] || fail "dist server never wrote $DIST_ADDR"
+    [ "$i" -le 100 ] || fail "second server never wrote $DIST_ADDR"
     sleep 0.1
 done
 DBASE="http://$(cat "$DIST_ADDR")"
-echo "==> dist server is at $DBASE"
-# -serve joins the fleet: the worker pushes its tallies to /fleet/push.
+echo "==> second server is at $DBASE"
+
+echo "==> sweep with no remote worker (fig6a, nn)"
+sweep solo '{"kind":"sweep","experiment":"fig6a","benchmarks":["nn"],"cores":4}' \
+    -exp fig6a -benchmarks nn -cores 4
+
+echo "==> starting a gmap-eval worker before the next sweep"
+# -serve joins the fleet: the worker pushes its tallies to /fleet/push,
+# while it waits as well as while it holds a lease.
 "$BIN/gmap-eval" -worker "$DBASE" -serve 127.0.0.1:0 -workers 1 -quiet 2>"$WORK/worker.log" &
 WORKER_PID=$!
 
-echo "==> submitting a delegated sweep (fig6a, nn)"
-DSWEEP='{"kind":"sweep","experiment":"fig6a","benchmarks":["nn"],"scale":1,"scale_factor":4,"seed":1,"cores":4}'
-curl -sSf -X POST -H 'Content-Type: application/json' -d "$DSWEEP" \
-    "$DBASE/v1/jobs" >"$WORK/dsweep.json"
-DJOB=$(jget "$WORK/dsweep.json" job)
-[ -n "$DJOB" ] || fail "delegated sweep submit returned no job id"
+# live — /fleet/status lists the worker, not stale.
+live() {
+    curl -sSf "$DBASE/fleet/status" >"$WORK/dist_fleet.json"
+    sed -n '/"name": *"[^"]*:'"$WORKER_PID"'"/,/}/p' "$WORK/dist_fleet.json" | grep -q '"stale": *false'
+}
 i=0
-while :; do
-    curl -sSf "$DBASE/v1/jobs/$DJOB" >"$WORK/dstatus.json"
-    DSTATUS=$(jget "$WORK/dstatus.json" status)
-    case "$DSTATUS" in
-    done) break ;;
-    failed | canceled) fail "delegated sweep ended $DSTATUS: $(cat "$WORK/dstatus.json")" ;;
-    esac
+until live; do
     i=$((i + 1))
-    [ "$i" -le 1200 ] || fail "delegated sweep never completed (status $DSTATUS)"
-    sleep 0.5
+    [ "$i" -le 100 ] || fail "/fleet/status never listed the waiting worker live: $(cat "$WORK/dist_fleet.json")"
+    sleep 0.1
 done
-curl -sSf "$DBASE/v1/jobs/$DJOB/result" >"$WORK/dsweep_result.json"
-grep -q '"kind":"sweep"' "$WORK/dsweep_result.json" || fail "delegated sweep result missing report"
+# Longer than one lease TTL with nothing to lease: still live.
+sleep 3
+live || fail "the waiting worker went stale: $(cat "$WORK/dist_fleet.json")"
+echo "==> waiting worker listed live on /fleet/status"
 
-curl -sSf "$DBASE/metrics" >"$WORK/dist_metrics.txt"
-grep -q '^gmap_dist_delegate_sweeps 1$' "$WORK/dist_metrics.txt" || \
-    fail "gmap_dist_delegate_sweeps != 1: $(grep delegate "$WORK/dist_metrics.txt")"
-FALLBACKS=$(sed -n 's/^gmap_serve_api_sweep_delegate_fallbacks[[:space:]]\{1,\}//p' "$WORK/dist_metrics.txt")
-[ "${FALLBACKS:-0}" -eq 0 ] || fail "sweep fell back to local execution ($FALLBACKS fallback(s)): $(cat "$WORK/dist-served.log")"
+echo "==> sweep joined by the worker (fig6c, nn)"
+sweep joined '{"kind":"sweep","experiment":"fig6c","benchmarks":["nn"],"cores":4}' \
+    -exp fig6c -benchmarks nn -cores 4
 
-# /fleet/status is indented JSON; the first "pushes" line after
-# "workers" is the worker's own count, not the fleet total.
-curl -sSf "$DBASE/fleet/status" >"$WORK/dist_fleet.json"
-grep -q '"name": *"[^"]*:'"$WORKER_PID"'"' "$WORK/dist_fleet.json" || \
-    fail "/fleet/status does not list the worker (pid $WORKER_PID): $(cat "$WORK/dist_fleet.json")"
-WPUSHES=$(sed -n '/"workers"/,$p' "$WORK/dist_fleet.json" | sed -n 's/.*"pushes": *\([0-9]*\).*/\1/p' | head -n1)
-[ "${WPUSHES:-0}" -ge 1 ] || fail "worker made no fleet pushes: $(cat "$WORK/dist_fleet.json")"
+curl -sSf "$DBASE/fleet/metrics" >"$WORK/dist_metrics.txt"
+LEASES=$(sed -n 's/^gmap_dist_worker_leases{worker="[^"]*:'"$WORKER_PID"'"} \([0-9]*\)$/\1/p' "$WORK/dist_metrics.txt")
+[ "${LEASES:-0}" -ge 1 ] || fail "the worker took no lease: $(grep dist_worker_leases "$WORK/dist_metrics.txt")"
+kill -0 "$WORKER_PID" 2>/dev/null || fail "the worker exited after the sweep: $(tail -5 "$WORK/worker.log")"
+live || fail "the worker is not live after the sweep: $(cat "$WORK/dist_fleet.json")"
 
-# With no sweep left to coordinate the worker would retry 503s for
-# about a minute; stop it now.
 kill "$WORKER_PID" 2>/dev/null || true
 wait "$WORKER_PID" 2>/dev/null || true
 WORKER_PID=
-echo "==> phase 2 PASS: sweep delegated to the worker fleet, no fallback, worker listed with $WPUSHES push(es)"
+echo "==> phase 2 PASS: both sweeps equal gmap-eval -no-timings; the worker waited live, took $LEASES lease(s) and outlived the sweep"
 
-echo "PASS: cached resubmission ($HITS cache hit(s)) and delegated sweep over a live worker"
+echo "PASS: cached resubmission ($HITS cache hit(s)) and coordinated sweeps with and without a remote worker"
