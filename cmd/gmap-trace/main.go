@@ -33,6 +33,9 @@ func main() {
 		lineSize     = flag.Uint64("line-size", 128, "line size for summaries and coalescing")
 	)
 	flag.Parse()
+	if *lineSize == 0 || *lineSize&(*lineSize-1) != 0 {
+		fatal(fmt.Errorf("-line-size %d is not a power of two", *lineSize))
+	}
 
 	switch {
 	case *summary != "":

@@ -77,8 +77,9 @@ type (
 	// Metrics is one simulation's result set.
 	Metrics = memsim.Metrics
 
-	// Workload bundles original trace, profile and proxy for side-by-side
-	// evaluation; AppWorkload is its multi-kernel counterpart.
+	// Workload bundles the coalesced original, profile and proxy for
+	// side-by-side evaluation; AppWorkload is its multi-kernel
+	// counterpart.
 	Workload    = core.Workload
 	AppWorkload = core.AppWorkload
 
@@ -191,8 +192,9 @@ func Generate(p *Profile, opts GenerateOptions) (*Proxy, error) {
 }
 
 // Coalesce converts a per-thread trace into warp-level transaction
-// streams using the Fermi coalescing rules. lineSize 0 selects the 128B
-// default.
+// streams using the Fermi coalescing rules. lineSize must be a power of
+// two, or 0 for the 128B default; any other size merges lanes into
+// misaligned segments without an error.
 func Coalesce(tr *KernelTrace, lineSize uint64) []WarpTrace {
 	return gpu.NewCoalescer(lineSize).BuildWarpTraces(tr)
 }
@@ -218,7 +220,8 @@ func SimulateProxy(p *Proxy, cfg SimConfig) (Metrics, error) {
 	return SimulateWarps(p.Warps, cfg)
 }
 
-// Prepare runs the complete pipeline for a named built-in benchmark.
+// Prepare runs the complete pipeline for a named built-in benchmark,
+// emulating the kernel one warp at a time straight into the coalescer.
 func Prepare(benchmark string, scale int, pcfg ProfileConfig, gopts GenerateOptions) (*Workload, error) {
 	return core.Prepare(benchmark, scale, pcfg, gopts)
 }

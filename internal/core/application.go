@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/uteda/gmap/internal/gpu"
 	"github.com/uteda/gmap/internal/memsim"
 	"github.com/uteda/gmap/internal/profiler"
 	"github.com/uteda/gmap/internal/synth"
@@ -11,13 +10,11 @@ import (
 	"github.com/uteda/gmap/internal/workloads"
 )
 
-// AppWorkload bundles a multi-kernel application, its profile and its
-// clone for side-by-side simulation with persistent cache/DRAM state
-// across kernel launches.
+// AppWorkload bundles a multi-kernel application's coalesced launches,
+// its profile and its clone for side-by-side simulation with persistent
+// cache/DRAM state across kernel launches.
 type AppWorkload struct {
 	Name string
-	// App is the original launch sequence.
-	App *trace.Application
 	// Launches holds the coalesced original streams, one per launch.
 	Launches [][]trace.WarpTrace
 	// Profile is the application profile (one entry per distinct kernel).
@@ -27,23 +24,35 @@ type AppWorkload struct {
 }
 
 // PrepareApp runs the application pipeline for a named benchmark: emulate
-// its launch sequence, profile it, and generate the clone.
+// its launch sequence, each launch a warp at a time straight into the
+// coalescer, profile it, and generate the clone.
 func PrepareApp(name string, scale int, pcfg profiler.Config, sopts synth.Options) (*AppWorkload, error) {
 	spec, ok := workloads.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown benchmark %q (have %v)", name, workloads.Names())
 	}
-	app, err := spec.AppTrace(scale)
-	if err != nil {
-		return nil, err
+	kernels := spec.Kernels(scale)
+	launches := make([]profiler.Source, len(kernels))
+	for i, k := range kernels {
+		launches[i] = KernelSource(k)
 	}
-	return PrepareAppTrace(app, pcfg, sopts)
+	return prepareAppSources(name, launches, pcfg, sopts)
 }
 
 // PrepareAppTrace runs the pipeline over an externally supplied
-// application trace.
+// application trace, coalescing each launch once.
 func PrepareAppTrace(app *trace.Application, pcfg profiler.Config, sopts synth.Options) (*AppWorkload, error) {
-	prof, err := profiler.ProfileApplication(app, pcfg)
+	launches := make([]profiler.Source, len(app.Launches))
+	for i, k := range app.Launches {
+		launches[i] = profiler.TraceSource(k)
+	}
+	return prepareAppSources(app.Name, launches, pcfg, sopts)
+}
+
+// prepareAppSources profiles the launches, whose warps become Launches, and
+// generates the clone.
+func prepareAppSources(name string, launches []profiler.Source, pcfg profiler.Config, sopts synth.Options) (*AppWorkload, error) {
+	prof, warps, err := profiler.ProfileAppSources(name, launches, pcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -51,15 +60,9 @@ func PrepareAppTrace(app *trace.Application, pcfg profiler.Config, sopts synth.O
 	if err != nil {
 		return nil, err
 	}
-	coalescer := gpu.NewCoalescer(pcfg.LineSize).AttachObs(pcfg.Obs)
-	launches := make([][]trace.WarpTrace, len(app.Launches))
-	for i, k := range app.Launches {
-		launches[i] = coalescer.BuildWarpTraces(k)
-	}
 	return &AppWorkload{
-		Name:     app.Name,
-		App:      app,
-		Launches: launches,
+		Name:     name,
+		Launches: warps,
 		Profile:  prof,
 		Proxy:    proxy,
 	}, nil

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/uteda/gmap/internal/kernelsim"
 	"github.com/uteda/gmap/internal/memsim"
 	"github.com/uteda/gmap/internal/profiler"
 	"github.com/uteda/gmap/internal/stats"
@@ -17,12 +18,10 @@ import (
 	"github.com/uteda/gmap/internal/workloads"
 )
 
-// Workload bundles one benchmark's original stream, its profile and its
-// generated proxy, ready for side-by-side simulation.
+// Workload bundles one benchmark's coalesced original stream, its profile
+// and its generated proxy, ready for side-by-side simulation.
 type Workload struct {
 	Name string
-	// Trace is the original per-thread reference stream.
-	Trace *trace.KernelTrace
 	// Warps is the coalesced original, the form the simulator consumes.
 	Warps []trace.WarpTrace
 	// Profile is the extracted statistical profile.
@@ -32,23 +31,36 @@ type Workload struct {
 }
 
 // Prepare runs the full pipeline for a named benchmark at the given
-// workload scale.
+// workload scale. The kernel is emulated a warp at a time straight into
+// the coalescer, so no per-thread trace of it is ever held.
 func Prepare(name string, scale int, pcfg profiler.Config, sopts synth.Options) (*Workload, error) {
 	spec, ok := workloads.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown benchmark %q (have %v)", name, workloads.Names())
 	}
-	tr, err := spec.Trace(scale)
-	if err != nil {
-		return nil, err
-	}
-	return PrepareTrace(tr, pcfg, sopts)
+	return prepareSource(KernelSource(spec.Kernel(scale)), pcfg, sopts)
 }
 
 // PrepareTrace runs the pipeline over an externally supplied trace. The
 // trace is coalesced once: the warps the profiler built become Warps.
 func PrepareTrace(tr *trace.KernelTrace, pcfg profiler.Config, sopts synth.Options) (*Workload, error) {
-	p, warps, err := profiler.ProfileKernelWarps(tr, pcfg)
+	return prepareSource(profiler.TraceSource(tr), pcfg, sopts)
+}
+
+// KernelSource is the profiler Source of an emulated kernel: its warps
+// come from EmulateWarps, one warp at a time.
+func KernelSource(k *kernelsim.Kernel) profiler.Source {
+	return profiler.Source{
+		Name:     k.Name,
+		GridDim:  k.Launch.NumBlocks(),
+		BlockDim: k.Launch.ThreadsPerBlock(),
+		Warps:    k.EmulateWarps,
+	}
+}
+
+// prepareSource profiles src, whose warps become Warps, and generates the clone.
+func prepareSource(src profiler.Source, pcfg profiler.Config, sopts synth.Options) (*Workload, error) {
+	p, warps, err := profiler.ProfileSource(src, pcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -57,8 +69,7 @@ func PrepareTrace(tr *trace.KernelTrace, pcfg profiler.Config, sopts synth.Optio
 		return nil, err
 	}
 	return &Workload{
-		Name:    tr.Name,
-		Trace:   tr,
+		Name:    src.Name,
 		Warps:   warps,
 		Profile: p,
 		Proxy:   proxy,

@@ -36,7 +36,7 @@ func TestPrepareUnknownBenchmark(t *testing.T) {
 
 func TestPrepareBuildsEverything(t *testing.T) {
 	w := prepare(t, "bp")
-	if w.Trace == nil || w.Profile == nil || w.Proxy == nil || len(w.Warps) == 0 {
+	if w.Profile == nil || w.Proxy == nil || len(w.Warps) == 0 {
 		t.Fatal("incomplete workload")
 	}
 	if w.Name != "bp" {
@@ -226,5 +226,97 @@ func TestPrepareTraceCoalescesOnce(t *testing.T) {
 	if got.Count() != once.Count() || got.Sum() != once.Sum() {
 		t.Errorf("coalescer histogram count/sum %d/%d, want one pass's %d/%d",
 			got.Count(), got.Sum(), once.Count(), once.Sum())
+	}
+}
+
+// TestPrepareStreamsLikePrepareTrace pins the two emulator drivers
+// against each other through the whole pipeline: for every benchmark,
+// Prepare, which emulates a warp at a time into the coalescer, builds the
+// same warps, profile and clone as PrepareTrace over the benchmark's
+// per-thread trace. It does so in one profile.coalesce phase whose
+// coalescer histogram matches PrepareTrace's one pass.
+func TestPrepareStreamsLikePrepareTrace(t *testing.T) {
+	sopts := synth.Options{Seed: 1, ScaleFactor: 4}
+	for _, spec := range workloads.All() {
+		t.Run(spec.Name, func(t *testing.T) {
+			streamed, whole := profiler.DefaultConfig(), profiler.DefaultConfig()
+			streamed.Obs, whole.Obs = obs.New(), obs.New()
+			got, err := Prepare(spec.Name, 1, streamed, sopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := spec.Trace(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := PrepareTrace(tr, whole, sopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Name != want.Name {
+				t.Errorf("Name = %q, want %q", got.Name, want.Name)
+			}
+			if !reflect.DeepEqual(got.Warps, want.Warps) {
+				t.Error("streamed warps differ from the coalesced per-thread trace")
+			}
+			if !reflect.DeepEqual(got.Profile, want.Profile) {
+				t.Error("streamed profile differs")
+			}
+			if !reflect.DeepEqual(got.Proxy, want.Proxy) {
+				t.Error("streamed clone differs")
+			}
+			if n := streamed.Obs.Histogram("phase.profile.coalesce.ns").Count(); n != 1 {
+				t.Errorf("profile.coalesce ran %d times, want 1", n)
+			}
+			g, w := streamed.Obs.Histogram("coalesce.txns_per_request"), whole.Obs.Histogram("coalesce.txns_per_request")
+			if g.Count() != w.Count() || g.Sum() != w.Sum() {
+				t.Errorf("coalescer histogram count/sum %d/%d, want PrepareTrace's %d/%d",
+					g.Count(), g.Sum(), w.Count(), w.Sum())
+			}
+		})
+	}
+}
+
+// TestPrepareAppTraceCoalescesOnce pins that the application pipeline
+// coalesces each launch once: its Launches are a fresh coalescing of
+// each launch, warp ids included (the merged numbering the profiler uses
+// stays inside the profiler), and the coalescer histogram counts one
+// pass over the launches.
+func TestPrepareAppTraceCoalescesOnce(t *testing.T) {
+	spec, _ := workloads.ByName("kmeans")
+	app, err := spec.AppTrace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	pcfg := profiler.DefaultConfig()
+	pcfg.Obs = reg
+	w, err := PrepareAppTrace(app, pcfg, synth.Options{Seed: 1, ScaleFactor: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := obs.New()
+	c := gpu.NewCoalescer(pcfg.LineSize).AttachObs(ref)
+	if len(w.Launches) != len(app.Launches) {
+		t.Fatalf("%d launches, want %d", len(w.Launches), len(app.Launches))
+	}
+	for i, k := range app.Launches {
+		if !reflect.DeepEqual(w.Launches[i], c.BuildWarpTraces(k)) {
+			t.Errorf("launch %d differs from a fresh coalescing of its trace", i)
+		}
+	}
+	got, once := reg.Histogram("coalesce.txns_per_request"), ref.Histogram("coalesce.txns_per_request")
+	if got.Count() != once.Count() || got.Sum() != once.Sum() {
+		t.Errorf("coalescer histogram count/sum %d/%d, want one pass's %d/%d",
+			got.Count(), got.Sum(), once.Count(), once.Sum())
+	}
+
+	streamed, err := PrepareApp("kmeans", 1, profiler.DefaultConfig(), synth.Options{Seed: 1, ScaleFactor: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(streamed.Launches, w.Launches) || !reflect.DeepEqual(streamed.Profile, w.Profile) ||
+		!reflect.DeepEqual(streamed.Proxy, w.Proxy) {
+		t.Error("streamed PrepareApp differs from PrepareAppTrace over the emulated launches")
 	}
 }

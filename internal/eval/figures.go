@@ -214,7 +214,8 @@ type Fig8Result struct {
 // fig8Sample is one (factor, benchmark) measurement: cloning error plus
 // the timing and volume inputs of the speedup/storage axes. Simulation
 // times are recorded in the checkpoint so resumed points keep their
-// measured speedups.
+// measured speedups. Under NoTimings nothing is timed and both times are
+// 0, so every execution of a point delivers the same payload.
 type fig8Sample struct {
 	Err      float64 `json:"err"`
 	OrigNS   int64   `json:"orig_ns"`
@@ -258,7 +259,7 @@ func (o *Options) Fig8() (*Fig8Result, error) {
 					orig, err := o.memos.origs.get(key, func() (fig8Original, error) {
 						t0 := time.Now()
 						om, err := w.SimulateOriginal(baseConfig(o.Cores))
-						return fig8Original{m: om, ns: time.Since(t0).Nanoseconds()}, err
+						return fig8Original{m: om, ns: o.sinceNS(t0)}, err
 					})
 					if err != nil {
 						return fig8Sample{}, err
@@ -283,7 +284,7 @@ func (o *Options) Fig8() (*Fig8Result, error) {
 					return fig8Sample{
 						Err:      stats.AbsError(orig.m.L1MissRate(), pm.L1MissRate()),
 						OrigNS:   orig.ns,
-						ProxNS:   time.Since(t0).Nanoseconds(),
+						ProxNS:   o.sinceNS(t0),
 						OrigReqs: orig.m.Requests,
 						ProxReqs: pm.Requests,
 					}, nil
@@ -312,8 +313,8 @@ func (o *Options) Fig8() (*Fig8Result, error) {
 			if !o.NoTimings {
 				// The speedup axis is wall-clock and thus nondeterministic
 				// across executions; NoTimings drops it (rendered as "-")
-				// so reports stay byte-identical. The per-point checkpoint
-				// payloads keep the measured nanoseconds either way.
+				// so reports stay byte-identical. A resumed checkpoint may
+				// still carry times measured by a timed run.
 				origNS += s.OrigNS
 				proxNS += s.ProxNS
 			}
@@ -337,6 +338,14 @@ func (o *Options) Fig8() (*Fig8Result, error) {
 	return res, nil
 }
 
+// sinceNS is the wall time since t0 in nanoseconds, or 0 under NoTimings.
+func (o *Options) sinceNS(t0 time.Time) int64 {
+	if o.NoTimings {
+		return 0
+	}
+	return time.Since(t0).Nanoseconds()
+}
+
 // Table1Row is one instruction row of Table 1.
 type Table1Row struct {
 	Benchmark   string
@@ -354,13 +363,9 @@ func (o *Options) Table1() ([]Table1Row, error) {
 	o.fillDefaults()
 	var rows []Table1Row
 	for _, spec := range workloads.Table1Set() {
-		tr, err := spec.Trace(o.Scale)
+		p, _, err := profiler.ProfileSource(core.KernelSource(spec.Kernel(o.Scale)), profiler.DefaultConfig())
 		if err != nil {
-			return nil, err
-		}
-		p, err := profiler.ProfileKernel(tr, profiler.DefaultConfig())
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("eval table1: %s: %w", spec.Name, err)
 		}
 		reuseClass := reuseLevelOf(p)
 		dom := p.DominantInsts()

@@ -159,21 +159,29 @@ func TestShardedSinksCoverUniverse(t *testing.T) {
 }
 
 // TestFig8NoTimingsDeterministic pins the fig8 determinism fix: under
-// NoTimings the wall-clock speedup axis is dropped (rendered "-"), so
-// two executions render byte-identically even though the measured
-// nanoseconds differ.
+// NoTimings the wall-clock speedup axis is dropped (rendered "-") and
+// nothing is timed, so two executions render byte-identically and
+// deliver identical checkpoint payloads, with orig_ns and prox_ns 0. Two
+// dist workers running the same key then deliver the same payload, not a
+// divergent duplicate.
 func TestFig8NoTimingsDeterministic(t *testing.T) {
-	render := func() string {
+	render := func() (string, map[string]string) {
 		opts := quickOpts()
 		opts.Benchmarks = []string{"nn"}
 		opts.NoTimings = true
+		payloads := make(map[string]string)
+		opts.ResultSink = func(key string, v json.RawMessage, _ time.Duration) error {
+			payloads[key] = string(v)
+			return nil
+		}
 		var buf bytes.Buffer
 		if err := opts.Run(&buf, "fig8"); err != nil {
 			t.Fatal(err)
 		}
-		return buf.String()
+		return buf.String(), payloads
 	}
-	a, b := render(), render()
+	a, pa := render()
+	b, pb := render()
 	if a != b {
 		t.Errorf("two NoTimings fig8 runs differ:\n%s\nvs\n%s", a, b)
 	}
@@ -181,5 +189,20 @@ func TestFig8NoTimingsDeterministic(t *testing.T) {
 	// renders as a lone dash.
 	if !bytes.Contains([]byte(a), []byte(" - ")) {
 		t.Errorf("NoTimings fig8 still renders a speedup: %s", a)
+	}
+	if len(pa) != 5 {
+		t.Fatalf("fig8 over nn delivered %d payloads, want 5", len(pa))
+	}
+	for key, v := range pa {
+		if pb[key] != v {
+			t.Errorf("key %s: payloads differ between runs:\n%s\nvs\n%s", key, v, pb[key])
+		}
+		var s fig8Sample
+		if err := json.Unmarshal([]byte(v), &s); err != nil {
+			t.Fatal(err)
+		}
+		if s.OrigNS != 0 || s.ProxNS != 0 {
+			t.Errorf("key %s: NoTimings payload carries times orig_ns=%d prox_ns=%d", key, s.OrigNS, s.ProxNS)
+		}
 	}
 }

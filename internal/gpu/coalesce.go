@@ -42,50 +42,38 @@ func (c Coalescer) Coalesce(warpID int, pc uint64, kind trace.Kind, addrs []uint
 	if len(addrs) == 0 {
 		return nil
 	}
-	// Warps have at most 32 lanes; a small slice scan beats a map here.
-	type seg struct {
-		line    uint64
-		threads int
-	}
-	segs := make([]seg, 0, 4)
+	return c.appendCoalesced(nil, warpID, pc, kind, addrs)
+}
+
+// appendCoalesced is Coalesce appending the instruction's transactions
+// to reqs. Warps have at most 32 lanes, so finding a lane's segment among
+// the ones appended so far is a short scan.
+func (c Coalescer) appendCoalesced(reqs []trace.Request, warpID int, pc uint64, kind trace.Kind, addrs []uint64) []trace.Request {
+	start := len(reqs)
 outer:
 	for _, a := range addrs {
 		line := c.lineOf(a)
-		for i := range segs {
-			if segs[i].line == line {
-				segs[i].threads++
+		for i := start; i < len(reqs); i++ {
+			if reqs[i].Addr == line {
+				reqs[i].Threads++
 				continue outer
 			}
 		}
-		segs = append(segs, seg{line: line, threads: 1})
-	}
-	reqs := make([]trace.Request, len(segs))
-	for i, s := range segs {
-		reqs[i] = trace.Request{
-			PC:      pc,
-			Addr:    s.line,
-			Kind:    kind,
-			WarpID:  warpID,
-			Threads: s.threads,
-		}
+		reqs = append(reqs, trace.Request{PC: pc, Addr: line, Kind: kind, WarpID: warpID, Threads: 1})
 	}
 	if c.obs != nil {
-		c.obs.local.Observe(uint64(len(reqs)))
+		c.obs.local.Observe(uint64(len(reqs) - start))
 	}
 	return reqs
 }
 
 // BuildWarpTraces converts a per-thread kernel trace into coalesced
-// per-warp transaction streams. Threads of a warp advance in lockstep: at
-// each step the coalescer groups the next pending access of every active
-// thread that is executing the same static instruction (SIMT serializes
-// divergent subsets, lowest-lane PC first) into transactions. The result
-// is ordered exactly as a Fermi SM would issue it.
+// per-warp transaction streams, one AppendWarp per warp.
 func (c Coalescer) BuildWarpTraces(k *trace.KernelTrace) []trace.WarpTrace {
 	defer c.FlushObs()
 	launch := FromKernelTrace(k)
 	warps := make([]trace.WarpTrace, launch.NumWarps())
-	addrBuf := make([]uint64, 0, WarpSize)
+	var buf []trace.Request
 	for w := range warps {
 		warps[w].WarpID = w
 		warps[w].Block = launch.BlockOfWarp(w)
@@ -96,35 +84,56 @@ func (c Coalescer) BuildWarpTraces(k *trace.KernelTrace) []trace.WarpTrace {
 		if hi > len(k.Threads) {
 			hi = len(k.Threads)
 		}
-		cursors := make([]int, hi-lo)
-		for {
-			// Find the leader: the lowest-lane thread that still has
-			// pending accesses. Its PC defines the next SIMT-issued
-			// instruction subset.
-			leader := -1
-			for i := lo; i < hi; i++ {
-				if cursors[i-lo] < len(k.Threads[i].Accesses) {
-					leader = i
-					break
-				}
-			}
-			if leader < 0 {
-				break
-			}
-			lead := k.Threads[leader].Accesses[cursors[leader-lo]]
-			addrBuf = addrBuf[:0]
-			kind := lead.Kind
-			for i := leader; i < hi; i++ {
-				cur := cursors[i-lo]
-				accs := k.Threads[i].Accesses
-				if cur < len(accs) && accs[cur].PC == lead.PC && accs[cur].Kind == kind {
-					addrBuf = append(addrBuf, accs[cur].Addr)
-					cursors[i-lo]++
-				}
-			}
-			warps[w].Requests = append(warps[w].Requests,
-				c.Coalesce(w, lead.PC, kind, addrBuf)...)
-		}
+		buf = c.AppendWarp(buf[:0], w, k.Threads[lo:hi])
+		warps[w].Requests = Exact(buf)
 	}
 	return warps
+}
+
+// AppendWarp coalesces one warp and appends its transaction stream to
+// reqs: lanes holds the reference streams of the warp's threads, lane 0
+// first, at most WarpSize of them. Threads of a warp advance in lockstep:
+// at each step the coalescer groups the next pending access of every
+// active thread that is executing the same static instruction (SIMT
+// serializes divergent subsets, lowest-lane PC first) into transactions.
+// The result is ordered exactly as a Fermi SM would issue it.
+func (c Coalescer) AppendWarp(reqs []trace.Request, warpID int, lanes []trace.ThreadTrace) []trace.Request {
+	var cursors [WarpSize]int
+	var addrs [WarpSize]uint64
+	for {
+		// Find the leader: the lowest lane that still has pending
+		// accesses. Its PC defines the next SIMT-issued instruction
+		// subset.
+		leader := -1
+		for i := range lanes {
+			if cursors[i] < len(lanes[i].Accesses) {
+				leader = i
+				break
+			}
+		}
+		if leader < 0 {
+			return reqs
+		}
+		lead := lanes[leader].Accesses[cursors[leader]]
+		n := 0
+		for i := leader; i < len(lanes); i++ {
+			cur := cursors[i]
+			accs := lanes[i].Accesses
+			if cur < len(accs) && accs[cur].PC == lead.PC && accs[cur].Kind == lead.Kind {
+				addrs[n] = accs[cur].Addr
+				n++
+				cursors[i]++
+			}
+		}
+		reqs = c.appendCoalesced(reqs, warpID, lead.PC, lead.Kind, addrs[:n])
+	}
+}
+
+// Exact returns a copy of reqs sized to its length, or nil when it is
+// empty, so a warp built in a reused buffer holds no slack.
+func Exact(reqs []trace.Request) []trace.Request {
+	if len(reqs) == 0 {
+		return nil
+	}
+	return append(make([]trace.Request, 0, len(reqs)), reqs...)
 }

@@ -236,7 +236,8 @@ func (k *Kernel) StaticPCs() []uint64 {
 }
 
 // Emulate runs the kernel for every thread of the launch and returns the
-// per-thread reference streams.
+// per-thread reference streams, the form the file chain stores. Each
+// thread runs into one reused buffer and keeps an exactly sized copy.
 func (k *Kernel) Emulate() (*trace.KernelTrace, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
@@ -249,12 +250,42 @@ func (k *Kernel) Emulate() (*trace.KernelTrace, error) {
 		Threads:  make([]trace.ThreadTrace, n),
 	}
 	iters := make([]int, 0, 8)
+	var buf []trace.Access
 	for tid := 0; tid < n; tid++ {
-		tt := &out.Threads[tid]
-		tt.ThreadID = tid
-		tt.Accesses = k.run(k.Body, tid, iters, tt.Accesses)
+		buf = k.run(k.Body, tid, iters, buf[:0])
+		out.Threads[tid].ThreadID = tid
+		if len(buf) > 0 {
+			out.Threads[tid].Accesses = append(make([]trace.Access, 0, len(buf)), buf...)
+		}
 	}
 	return out, nil
+}
+
+// EmulateWarps runs the kernel one warp at a time and coalesces each warp
+// with c as soon as its threads have run, so no per-thread stream outlives
+// its warp. The result equals c.BuildWarpTraces of Emulate's trace,
+// request for request, and c's obs tallies the same transactions; they
+// are flushed once, on return.
+func (k *Kernel) EmulateWarps(c gpu.Coalescer) ([]trace.WarpTrace, error) {
+	if err := k.Validate(); err != nil {
+		return nil, err
+	}
+	defer c.FlushObs()
+	launch := k.Launch
+	warps := make([]trace.WarpTrace, launch.NumWarps())
+	iters := make([]int, 0, 8)
+	var lanes [gpu.WarpSize]trace.ThreadTrace
+	var buf []trace.Request
+	for w := range warps {
+		lo, hi := launch.ThreadsOfWarp(w)
+		for tid := lo; tid < hi; tid++ {
+			lane := &lanes[tid-lo]
+			lane.Accesses = k.run(k.Body, tid, iters, lane.Accesses[:0])
+		}
+		buf = c.AppendWarp(buf[:0], w, lanes[:hi-lo])
+		warps[w] = trace.WarpTrace{WarpID: w, Block: launch.BlockOfWarp(w), Requests: gpu.Exact(buf)}
+	}
+	return warps, nil
 }
 
 // run executes body for one thread, appending emitted accesses to acc.

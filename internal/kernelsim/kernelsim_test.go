@@ -369,16 +369,6 @@ func TestEmulateDeterministicProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkEmulate(b *testing.B) {
-	k := vecAdd(16, 256, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := k.Emulate(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestBarrierEmission(t *testing.T) {
 	k := &Kernel{
 		Name:   "bar",

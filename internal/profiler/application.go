@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/uteda/gmap/internal/gpu"
 	"github.com/uteda/gmap/internal/trace"
 )
 
@@ -46,68 +45,84 @@ func (a *AppProfile) Validate() error {
 	return nil
 }
 
-// ProfileApplication profiles every launch of an application. Launches of
-// the same kernel (by name) are merged into one profile by profiling
-// their warp streams together, so iterative applications stay compact.
+// ProfileApplication profiles every launch of an application trace; see
+// ProfileAppSources.
 func ProfileApplication(app *trace.Application, cfg Config) (*AppProfile, error) {
-	if err := app.Validate(); err != nil {
-		return nil, err
+	launches := make([]Source, len(app.Launches))
+	for i, k := range app.Launches {
+		launches[i] = TraceSource(k)
 	}
+	p, _, err := ProfileAppSources(app.Name, launches, cfg)
+	return p, err
+}
+
+// ProfileAppSources profiles an application's launch sequence, coalescing
+// each launch once. Launches of the same kernel (by name) are merged into
+// one profile by profiling their warp streams together, so iterative
+// applications stay compact. It also returns each launch's warps, with
+// the warp ids BuildWarpTraces gives them, for the caller to simulate.
+func ProfileAppSources(name string, launches []Source, cfg Config) (*AppProfile, [][]trace.WarpTrace, error) {
 	cfg.fillDefaults()
-	out := &AppProfile{Name: app.Name}
+	if err := cfg.checkLineSize(); err != nil {
+		return nil, nil, err
+	}
+	warps := make([][]trace.WarpTrace, len(launches))
+	for i, src := range launches {
+		w, err := cfg.warps(src)
+		if err != nil {
+			return nil, nil, fmt.Errorf("profiler: application %q launch %d: %w", name, i, err)
+		}
+		warps[i] = w
+	}
+	out := &AppProfile{Name: name}
 	kernelIdx := make(map[string]int)
 	// Group launches by kernel name, preserving the first launch's
 	// geometry (re-launches share the static kernel and therefore its
 	// geometry in our model).
-	type group struct {
-		traces []*trace.KernelTrace
-	}
-	groups := make(map[string]*group)
+	groups := make(map[string][]int)
 	var order []string
-	for _, k := range app.Launches {
-		g, ok := groups[k.Name]
-		if !ok {
-			g = &group{}
-			groups[k.Name] = g
-			order = append(order, k.Name)
+	for i, src := range launches {
+		if _, ok := groups[src.Name]; !ok {
+			order = append(order, src.Name)
 		}
-		g.traces = append(g.traces, k)
+		groups[src.Name] = append(groups[src.Name], i)
 	}
-	for _, name := range order {
-		g := groups[name]
-		first := g.traces[0]
-		for li, tr := range g.traces {
-			if tr.GridDim != first.GridDim || tr.BlockDim != first.BlockDim {
-				return nil, fmt.Errorf("profiler: app %q kernel %q launch %d changes geometry", app.Name, name, li)
+	for _, kname := range order {
+		g := groups[kname]
+		first := launches[g[0]]
+		for li, i := range g {
+			if launches[i].GridDim != first.GridDim || launches[i].BlockDim != first.BlockDim {
+				return nil, nil, fmt.Errorf("profiler: app %q kernel %q launch %d changes geometry", name, kname, li)
 			}
 		}
-		// Concatenate the launches' coalesced warp streams: warp w of
-		// launch i is profiled as its own warp, so the per-warp
-		// statistics of every launch merge naturally.
-		coalescer := gpu.NewCoalescer(cfg.LineSize).AttachObs(cfg.Obs)
+		// Concatenate the launches' warp streams: warp w of launch i is
+		// profiled as its own warp, so the per-warp statistics of every
+		// launch merge naturally. The renumbered ids go on copies of the
+		// warp headers; the request slices are shared.
 		var allWarps []trace.WarpTrace
-		for _, tr := range g.traces {
-			warps := coalescer.BuildWarpTraces(tr)
-			base := len(allWarps)
-			for wi := range warps {
-				warps[wi].WarpID = base + wi
-				allWarps = append(allWarps, warps[wi])
+		for _, i := range g {
+			for _, w := range warps[i] {
+				w.WarpID = len(allWarps)
+				allWarps = append(allWarps, w)
 			}
 		}
-		p, err := ProfileWarps(name, first.GridDim, first.BlockDim, allWarps, cfg)
+		p, err := ProfileWarps(kname, first.GridDim, first.BlockDim, allWarps, cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// The merged warp population spans every launch; generation must
 		// regenerate ONE launch's worth of warps.
-		p.Warps = len(allWarps) / len(g.traces)
-		kernelIdx[name] = len(out.Kernels)
+		p.Warps = len(allWarps) / len(g)
+		kernelIdx[kname] = len(out.Kernels)
 		out.Kernels = append(out.Kernels, p)
 	}
-	for _, k := range app.Launches {
-		out.Launches = append(out.Launches, kernelIdx[k.Name])
+	for _, src := range launches {
+		out.Launches = append(out.Launches, kernelIdx[src.Name])
 	}
-	return out, out.Validate()
+	if err := out.Validate(); err != nil {
+		return nil, nil, err
+	}
+	return out, warps, nil
 }
 
 // WriteJSON serializes the application profile.

@@ -68,27 +68,72 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// checkLineSize rejects a coalescing granularity that is not a power of
+// two; the coalescer's line masks assume one. Entry points check it before
+// coalescing, so a bad size fails before any work is done.
+func (c *Config) checkLineSize() error {
+	if c.LineSize&(c.LineSize-1) != 0 {
+		return fmt.Errorf("profiler: line size %d not a power of two", c.LineSize)
+	}
+	return nil
+}
+
+// Source is one kernel launch for a profiler entry point to coalesce: its
+// name, its linearized launch geometry, and Warps, which builds its
+// coalesced warp streams with the coalescer it is handed. TraceSource
+// coalesces a per-thread trace; a kernelsim kernel's EmulateWarps
+// streams the emulator straight into the coalescer.
+type Source struct {
+	Name              string
+	GridDim, BlockDim int
+	Warps             func(gpu.Coalescer) ([]trace.WarpTrace, error)
+}
+
+// TraceSource is the Source of a per-thread kernel trace: Warps validates
+// the trace and coalesces it with BuildWarpTraces.
+func TraceSource(k *trace.KernelTrace) Source {
+	return Source{
+		Name:    k.Name,
+		GridDim: k.GridDim, BlockDim: k.BlockDim,
+		Warps: func(c gpu.Coalescer) ([]trace.WarpTrace, error) {
+			if err := k.Validate(); err != nil {
+				return nil, err
+			}
+			return c.BuildWarpTraces(k), nil
+		},
+	}
+}
+
+// warps builds src's warp streams with cfg's coalescer, under the
+// "profile.coalesce" phase. cfg must have its defaults filled.
+func (c *Config) warps(src Source) (warps []trace.WarpTrace, err error) {
+	c.phase("profile.coalesce", func() {
+		warps, err = src.Warps(gpu.NewCoalescer(c.LineSize).AttachObs(c.Obs))
+	})
+	return warps, err
+}
+
 // ProfileKernel profiles a per-thread kernel trace: it coalesces the trace
 // into warp-level request streams and extracts the statistical profile.
 // This is phase ① of Figure 2.
 func ProfileKernel(k *trace.KernelTrace, cfg Config) (*Profile, error) {
-	p, _, err := ProfileKernelWarps(k, cfg)
+	p, _, err := ProfileSource(TraceSource(k), cfg)
 	return p, err
 }
 
-// ProfileKernelWarps is ProfileKernel that also returns the coalesced
-// warp streams it profiled, so a caller that simulates the original need
-// not coalesce the trace a second time. Profiling only reads the warps.
-func ProfileKernelWarps(k *trace.KernelTrace, cfg Config) (*Profile, []trace.WarpTrace, error) {
+// ProfileSource coalesces src once and profiles its warp streams. It also
+// returns the warps, so a caller that simulates the original need not
+// build them a second time; profiling only reads them.
+func ProfileSource(src Source, cfg Config) (*Profile, []trace.WarpTrace, error) {
 	cfg.fillDefaults()
-	if err := k.Validate(); err != nil {
+	if err := cfg.checkLineSize(); err != nil {
 		return nil, nil, err
 	}
-	var warps []trace.WarpTrace
-	cfg.phase("profile.coalesce", func() {
-		warps = gpu.NewCoalescer(cfg.LineSize).AttachObs(cfg.Obs).BuildWarpTraces(k)
-	})
-	p, err := ProfileWarps(k.Name, k.GridDim, k.BlockDim, warps, cfg)
+	warps, err := cfg.warps(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := ProfileWarps(src.Name, src.GridDim, src.BlockDim, warps, cfg)
 	return p, warps, err
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/uteda/gmap/internal/obs"
 	"github.com/uteda/gmap/internal/stats"
 	"github.com/uteda/gmap/internal/trace"
 )
@@ -112,5 +113,29 @@ func TestReadJSONReportsOffset(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "offset") {
 			t.Errorf("%s: type error lost its position: err = %v", in, err)
 		}
+	}
+}
+
+// TestLineSizeCheckedBeforeCoalescing checks that a coalescing line size
+// that is not a power of two fails at every profiler entry point before
+// any warp is coalesced.
+func TestLineSizeCheckedBeforeCoalescing(t *testing.T) {
+	reg := obs.New()
+	cfg := DefaultConfig()
+	cfg.LineSize = 100
+	cfg.Obs = reg
+	tr := uniformTrace()
+	if _, err := ProfileKernel(tr, cfg); err == nil || !strings.Contains(err.Error(), "not a power of two") {
+		t.Errorf("ProfileKernel with line size 100: err = %v", err)
+	}
+	app := &trace.Application{Name: "app", Launches: []*trace.KernelTrace{tr}}
+	if _, err := ProfileApplication(app, cfg); err == nil || !strings.Contains(err.Error(), "not a power of two") {
+		t.Errorf("ProfileApplication with line size 100: err = %v", err)
+	}
+	if n := reg.Histogram("coalesce.txns_per_request").Count(); n != 0 {
+		t.Errorf("coalescer observed %d instructions before the line size was rejected", n)
+	}
+	if n := reg.Histogram("phase.profile.coalesce.ns").Count(); n != 0 {
+		t.Errorf("profile.coalesce ran %d times before the line size was rejected", n)
 	}
 }

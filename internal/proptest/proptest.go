@@ -1,7 +1,7 @@
 // Package proptest is the seeded generator library behind the
 // differential and property-based test suites: random cache and DRAM
 // configurations, locality-structured address streams, warp-level request
-// streams and statistical profiles, all drawn from a deterministic
+// streams, emulator kernels and statistical profiles, all drawn from a deterministic
 // per-case RNG so every failure replays from its seed.
 //
 // It lives outside the packages it generates inputs for; differential
@@ -15,6 +15,8 @@ import (
 
 	"github.com/uteda/gmap/internal/cache"
 	"github.com/uteda/gmap/internal/dram"
+	"github.com/uteda/gmap/internal/gpu"
+	"github.com/uteda/gmap/internal/kernelsim"
 	"github.com/uteda/gmap/internal/profiler"
 	"github.com/uteda/gmap/internal/rng"
 	"github.com/uteda/gmap/internal/stats"
@@ -372,4 +374,109 @@ func (g *G) Profile() *profiler.Profile {
 		Profiles:      profiles,
 		SchedPself:    float64(g.R.Intn(10)) / 10,
 	}
+}
+
+// kernelGen carries the state of one Kernel draw: the next free PC and
+// the launch's thread count, which TidLess predicates split.
+type kernelGen struct {
+	g       *G
+	pc      uint64
+	threads int
+}
+
+// Kernel generates a small random kernel of every statement kind the
+// emulator runs: loops nested up to three deep, branches on all three
+// predicate kinds with barriers inside them, and affine, wrapped and
+// scattered addresses. Its 1-4 blocks usually hold a thread count that
+// is not a multiple of 32, so the final warp of a block is partial.
+// Every returned kernel passes Validate.
+func (g *G) Kernel() *kernelsim.Kernel {
+	blocks := 1 + g.R.Intn(4)
+	tpb := choice(g, 1, 17, 32, 48, 96, 100, 1+g.R.Intn(160))
+	kg := &kernelGen{g: g, pc: 0x400, threads: blocks * tpb}
+	body := kg.stmts(0, 0, 2+g.R.Intn(3))
+	body = append(body, kg.memOp(0))
+	return &kernelsim.Kernel{
+		Name:   "gen",
+		Launch: gpu.Linear1D(blocks, tpb),
+		Body:   body,
+		Seed:   g.R.Uint64(),
+	}
+}
+
+// nextPC returns a fresh static instruction address.
+func (kg *kernelGen) nextPC() uint64 {
+	kg.pc += 8
+	return kg.pc
+}
+
+// stmts draws n statements at a nesting depth, inside loops enclosing
+// loops.
+func (kg *kernelGen) stmts(depth, loops, n int) []kernelsim.Stmt {
+	g := kg.g
+	out := make([]kernelsim.Stmt, 0, n)
+	for i := 0; i < n; i++ {
+		switch p := g.R.Float64(); {
+		case p < 0.45 || depth >= 3:
+			out = append(out, kg.memOp(loops))
+		case p < 0.65:
+			out = append(out, kernelsim.Loop{
+				Count: 1 + g.R.Intn(3),
+				Body:  kg.stmts(depth+1, loops+1, 1+g.R.Intn(3)),
+			})
+		case p < 0.9:
+			then := kg.stmts(depth+1, loops, 1+g.R.Intn(3))
+			if g.R.Bool(0.5) {
+				then = append([]kernelsim.Stmt{kernelsim.Barrier{PC: kg.nextPC()}}, then...)
+			}
+			out = append(out, kernelsim.If{
+				Pred: kg.pred(),
+				Then: then,
+				Else: kg.stmts(depth+1, loops, g.R.Intn(3)),
+			})
+		default:
+			out = append(out, kernelsim.Barrier{PC: kg.nextPC()})
+		}
+	}
+	return out
+}
+
+// pred draws a thread predicate of one of the three kinds.
+func (kg *kernelGen) pred() kernelsim.Pred {
+	g := kg.g
+	switch g.R.Intn(3) {
+	case 0:
+		m := 1 + g.R.Intn(5)
+		return kernelsim.TidMod{M: m, R: g.R.Intn(m)}
+	case 1:
+		return kernelsim.TidLess{N: g.R.Intn(kg.threads + 1)}
+	default:
+		return kernelsim.HashProb{P: g.R.Float64()}
+	}
+}
+
+// memOp draws a load or store whose address is affine in the thread id
+// and the enclosing loops' counters, wrapped into a window, or scattered.
+func (kg *kernelGen) memOp(loops int) kernelsim.MemOp {
+	g := kg.g
+	kind := trace.Load
+	if g.R.Bool(0.3) {
+		kind = trace.Store
+	}
+	addr := kernelsim.AddrExpr{
+		Base:    uint64(1+g.R.Intn(8)) << 20,
+		TidCoef: choice[int64](g, 0, 4, 8, 128, -4),
+		Const:   int64(g.R.Intn(256)),
+	}
+	for l := 0; l < loops; l++ {
+		addr.IterCoef = append(addr.IterCoef, choice[int64](g, 0, 4, 128, 4096, -256))
+	}
+	switch p := g.R.Float64(); {
+	case p < 0.2:
+		addr.Wrap = choice[uint64](g, 256, 1024, 4096)
+	case p < 0.4:
+		addr.Scatter = choice[uint64](g, 4096, 1<<16)
+		addr.Align = choice[uint64](g, 0, 4, 8, 128)
+	}
+	return kernelsim.MemOp{PC: kg.nextPC(), Kind: kind, Addr: addr}
 }

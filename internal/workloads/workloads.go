@@ -66,14 +66,31 @@ type Spec struct {
 	App func(scale int) []*kernelsim.Kernel
 }
 
-// Trace emulates the workload at the given scale and returns its
-// per-thread reference streams.
-func (s Spec) Trace(scale int) (*trace.KernelTrace, error) {
+// Kernel builds the workload's kernel at the given scale; a scale below
+// 1 selects 1.
+func (s Spec) Kernel(scale int) *kernelsim.Kernel {
 	if scale < 1 {
 		scale = 1
 	}
-	k := s.Build(scale)
-	t, err := k.Emulate()
+	return s.Build(scale)
+}
+
+// Kernels builds the benchmark's launch sequence at the given scale: App's
+// kernels, or Build's one kernel when App is nil.
+func (s Spec) Kernels(scale int) []*kernelsim.Kernel {
+	if scale < 1 {
+		scale = 1
+	}
+	if s.App != nil {
+		return s.App(scale)
+	}
+	return []*kernelsim.Kernel{s.Build(scale)}
+}
+
+// Trace emulates the workload at the given scale and returns its
+// per-thread reference streams.
+func (s Spec) Trace(scale int) (*trace.KernelTrace, error) {
+	t, err := s.Kernel(scale).Emulate()
 	if err != nil {
 		return nil, fmt.Errorf("workloads: %s: %w", s.Name, err)
 	}
@@ -82,15 +99,8 @@ func (s Spec) Trace(scale int) (*trace.KernelTrace, error) {
 
 // AppTrace emulates the benchmark's full launch sequence.
 func (s Spec) AppTrace(scale int) (*trace.Application, error) {
-	if scale < 1 {
-		scale = 1
-	}
-	kernels := []*kernelsim.Kernel{s.Build(scale)}
-	if s.App != nil {
-		kernels = s.App(scale)
-	}
 	app := &trace.Application{Name: s.Name}
-	for i, k := range kernels {
+	for i, k := range s.Kernels(scale) {
 		t, err := k.Emulate()
 		if err != nil {
 			return nil, fmt.Errorf("workloads: %s launch %d: %w", s.Name, i, err)
