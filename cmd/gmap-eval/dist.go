@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/uteda/gmap/internal/dist"
@@ -18,15 +17,10 @@ import (
 // distFlags are the distributed-sweep knobs; the sweep-shape flags
 // (-exp, -benchmarks, -scale, ...) are shared with the serial path.
 type distFlags struct {
-	listen         string        // -dist-listen: coordinator mode
-	addrFile       string        // -dist-addr-file
-	parts          int           // -dist-parts
-	leaseTTL       time.Duration // -dist-lease-ttl
-	worker         string        // -worker: worker mode (comma-separated endpoints)
-	workerAddrFile string        // -worker-addr-file: coordinator discovery file
-	standby        bool          // -dist-standby: standby/failover mode
-	healthInterval time.Duration // -dist-health-interval
-	healthMisses   int           // -dist-health-misses
+	listen   string        // -dist-listen: coordinator mode
+	addrFile string        // -dist-addr-file
+	parts    int           // -dist-parts
+	leaseTTL time.Duration // -dist-lease-ttl
 }
 
 // federate mounts the fleet federator under /fleet/ on a coordinator's
@@ -47,8 +41,9 @@ func federate(c *dist.Coordinator, reg *obs.Registry, tracer *obstrace.Tracer, l
 // parts to workers over HTTP, merge streamed results into the
 // -checkpoint ledger, and render the merged report once every job is
 // recorded. The ledger is the only durable state — re-running the same
-// command over it resumes where the previous coordinator died, and a
-// -dist-standby process watching the same ledger takes over live.
+// command over it resumes where the previous coordinator died: the
+// restart claims the next epoch, which fences the dead incarnation,
+// and rewrites the addr file, which workers re-read before every retry.
 func runCoordinator(ctx context.Context, spec dist.SweepSpec, df distFlags, ledger string, w io.Writer, logf func(string, ...interface{})) error {
 	if ledger == "" {
 		return fmt.Errorf("-dist-listen requires -checkpoint (the merge ledger)")
@@ -81,8 +76,8 @@ func runCoordinator(ctx context.Context, spec dist.SweepSpec, df distFlags, ledg
 	defer srv.Shutdown()
 	fmt.Fprintf(os.Stderr, "gmap-eval: coordinating %s on %s (epoch %d)\n", spec.Experiment, srv.URL(), c.Epoch())
 	if df.addrFile != "" {
-		// Atomic rename, same as a standby's takeover rewrite: a worker
-		// polling the file never reads a torn address.
+		// Atomic rename: a worker re-reading the file never sees a torn
+		// address.
 		if err := dist.WriteAddrFile(nil, df.addrFile, srv.URL()); err != nil {
 			return err
 		}
@@ -94,79 +89,19 @@ func runCoordinator(ctx context.Context, spec dist.SweepSpec, df distFlags, ledg
 	if err := c.Close(); err != nil {
 		return err
 	}
-	return c.WriteReport(w)
-}
-
-// runStandby watches the active coordinator and, if it goes dark,
-// takes over the sweep from the shared ledger: salvage, epoch bump
-// (fencing the predecessor), serve, rewrite the addr file, and render
-// the report when the sweep completes.
-func runStandby(ctx context.Context, spec dist.SweepSpec, df distFlags, ledger string, w io.Writer, logf func(string, ...interface{})) error {
-	if ledger == "" {
-		return fmt.Errorf("-dist-standby requires -checkpoint (the shared merge ledger)")
-	}
-	var watch []string
-	if df.worker != "" {
-		watch = strings.Split(df.worker, ",")
-	}
-	if len(watch) == 0 && df.workerAddrFile == "" {
-		return fmt.Errorf("-dist-standby requires the active coordinator's URL (-worker) or -worker-addr-file")
-	}
-	if len(watch) == 0 && df.workerAddrFile != "" {
-		data, err := os.ReadFile(df.workerAddrFile)
-		if err != nil {
-			return fmt.Errorf("-worker-addr-file: %w", err)
-		}
-		watch = []string{strings.TrimSpace(string(data))}
-	}
-	reg := obs.New()
-	tracer := obstrace.New()
-	t, err := dist.RunStandby(ctx, dist.StandbyOptions{
-		Spec:           spec,
-		Ledger:         ledger,
-		Listen:         df.listen,
-		AddrFile:       df.addrFile,
-		Watch:          watch,
-		HealthInterval: df.healthInterval,
-		HealthMisses:   df.healthMisses,
-		Parts:          df.parts,
-		LeaseTTL:       df.leaseTTL,
-		Obs:            reg,
-		Trace:          tracer,
-		Logf:           logf,
-	})
-	if err != nil {
+	if err := c.WriteReport(w); err != nil {
 		return err
 	}
-	if t == nil {
-		fmt.Fprintf(os.Stderr, "gmap-eval: standby: active coordinator finished the sweep; standing down\n")
-		return nil
-	}
-	c := t.Coordinator
-	defer c.Close()
-	// The takeover coordinator's server is already live; SetFleet is
-	// resolved per request, so federation attaches after the fact.
-	federate(c, reg, tracer, df.leaseTTL)
-	if t.Server != nil {
-		defer t.Server.Shutdown()
-		fmt.Fprintf(os.Stderr, "gmap-eval: standby took over %s on %s (epoch %d)\n", spec.Experiment, t.Server.URL(), c.Epoch())
-	}
-	if err := c.WaitDone(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "gmap-eval: interrupted; merged points saved to %s, re-run to resume\n", ledger)
-		return err
-	}
-	if err := c.Close(); err != nil {
-		return err
-	}
-	return c.WriteReport(w)
+	c.Drain(ctx)
+	return nil
 }
 
 // runWorker joins a coordinator and processes leases until the sweep
 // completes. The sweep's shape comes from the coordinator inside each
-// lease grant; only execution knobs are local. urls may name several
-// coordinator endpoints (active plus standby), and addrFile — re-read
-// before every retry — overrides them all, so a standby takeover
-// redirects the worker without restart.
+// lease grant; only execution knobs are local. addrFile, re-read
+// before every retry, wins over url while it is readable, so a
+// coordinator restarted over the same ledger redirects the worker
+// without restart.
 //
 // serveAddr, when non-empty, opts the worker into the fleet: spans
 // parent under the coordinator's sweep trace, and the registry and span
@@ -176,19 +111,9 @@ func runStandby(ctx context.Context, spec dist.SweepSpec, df distFlags, ledger s
 // same surface as a serial run) for inspection; nothing dials it.
 // Without -serve the worker's Obs and Trace stay nil — the simulation
 // hot path keeps its single disabled-path branch.
-func runWorker(ctx context.Context, urls, addrFile, serveAddr string, workers int, logf func(string, ...interface{})) error {
-	var endpoints []string
-	if urls != "" {
-		endpoints = strings.Split(urls, ",")
-	}
-	var first string
-	if len(endpoints) > 0 {
-		first = endpoints[0]
-		endpoints = endpoints[1:]
-	}
+func runWorker(ctx context.Context, url, addrFile, serveAddr string, workers int, logf func(string, ...interface{})) error {
 	wo := dist.WorkerOptions{
-		Coordinator: first,
-		Endpoints:   endpoints,
+		Coordinator: url,
 		AddrFile:    addrFile,
 		Workers:     workers,
 		Logf:        logf,

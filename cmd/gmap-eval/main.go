@@ -23,15 +23,14 @@
 //	gmap-eval -exp fig6a -dist-listen :9500 -checkpoint fig6a.ckpt
 //	gmap-eval -worker http://host:9500   # on each worker machine
 //
-// For high availability, a standby coordinator on the same filesystem
-// watches the active one and takes over if it dies — epoch fencing over
-// the shared ledger keeps a deposed coordinator from corrupting the
-// merge, and workers rediscover the successor through the addr file:
+// A dead coordinator is replaced by re-running its command over the same
+// ledger. The restart salvages the merged results and claims the next
+// epoch, which fences the dead incarnation should it come back. It then
+// rewrites the addr file, and workers that re-read it before every retry
+// follow it to its new port without a restart:
 //
-//	gmap-eval -exp fig6a -dist-listen :9500 -dist-addr-file coord.addr -checkpoint fig6a.ckpt
-//	gmap-eval -exp fig6a -dist-standby -worker http://host:9500 -dist-listen :9501 \
-//	    -dist-addr-file coord.addr -checkpoint fig6a.ckpt
-//	gmap-eval -worker-addr-file coord.addr   # workers follow the file across failover
+//	gmap-eval -exp fig6a -dist-listen :0 -dist-addr-file coord.addr -checkpoint fig6a.ckpt
+//	gmap-eval -worker-addr-file coord.addr   # workers follow the file across restarts
 //
 // A coordinator federates the fleet's observability from pushes alone:
 // workers started with -serve push their registry snapshot after every
@@ -93,20 +92,20 @@ func main() {
 		distAddr    = flag.String("dist-addr-file", "", "write the coordinator's bound address to this file (for scripts using -dist-listen :0)")
 		distParts   = flag.Int("dist-parts", 0, "partitions of the distributed job space (0 = 8; capped at the job count)")
 		distTTL     = flag.Duration("dist-lease-ttl", 0, "lease heartbeat deadline before a worker's partition is re-leased (0 = 30s)")
-		workerURL   = flag.String("worker", "", "run as a distributed-sweep worker against this coordinator URL (comma-separate standby endpoints); with -dist-standby, the active coordinator URL to watch")
-		workerAddr  = flag.String("worker-addr-file", "", "discover (and re-discover after failover) the coordinator address from this file; preferred over -worker when both are set")
-		distStandby = flag.Bool("dist-standby", false, "run as a standby coordinator: watch the active one (-worker / -worker-addr-file) over the shared -checkpoint ledger and take over if it dies")
-		distHealthI = flag.Duration("dist-health-interval", 0, "standby health-probe interval (0 = 1s)")
-		distHealthM = flag.Int("dist-health-misses", 0, "consecutive failed probes (with no ledger growth) before the standby takes over (0 = 3)")
-		fleetWatch  = flag.String("fleet-watch", "", "live fleet status view: poll this coordinator URL's /fleet/status and repaint (also accepts a -dist-addr-file path)")
+		workerURL   = flag.String("worker", "", "run as a distributed-sweep worker against this one coordinator URL (use -worker-addr-file to follow a restarted coordinator)")
+		workerAddr  = flag.String("worker-addr-file", "", "discover the coordinator address from this file (the one -dist-addr-file writes), re-read before every retry so the worker follows a restarted coordinator; preferred over -worker while readable")
+		fleetWatch  = flag.String("fleet-watch", "", "live fleet status view: poll this coordinator URL's /fleet/status and repaint (also accepts a -dist-addr-file path, re-read before every poll)")
 		fleetIval   = flag.Duration("fleet-interval", 0, "-fleet-watch refresh interval (0 = 2s)")
 	)
 	flag.Parse()
 	if *resume && *checkpoint == "" {
 		fatal(fmt.Errorf("-resume requires -checkpoint"))
 	}
-	if *workerURL != "" && *distListen != "" && !*distStandby {
-		fatal(fmt.Errorf("-worker and -dist-listen are mutually exclusive (unless -dist-standby)"))
+	if *workerURL != "" && *distListen != "" {
+		fatal(fmt.Errorf("-worker and -dist-listen are mutually exclusive"))
+	}
+	if strings.Contains(*workerURL, ",") {
+		fatal(fmt.Errorf("-worker takes one coordinator URL, not a list; to follow a restarted coordinator, use -worker-addr-file"))
 	}
 
 	// Ctrl-C cancels in-flight sweeps cleanly: completed points are
@@ -121,41 +120,26 @@ func main() {
 		}
 	}
 	if *fleetWatch != "" {
-		// Accept either a URL or an addr file (the same file
-		// -dist-addr-file writes), so `gmap-eval -fleet-watch coord.addr`
-		// follows the coordinator across a standby failover.
-		base := *fleetWatch
-		if data, err := os.ReadFile(base); err == nil {
-			base = strings.TrimSpace(string(data))
-		}
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		if err := fleet.Watch(ctx, os.Stdout, base, *fleetIval); err != nil && ctx.Err() == nil {
+		if err := fleet.Watch(ctx, os.Stdout, *fleetWatch, *fleetIval); err != nil && ctx.Err() == nil {
 			fatal(err)
 		}
 		return
 	}
-	if *workerURL != "" || *workerAddr != "" || *distStandby || *distListen != "" {
-		df := distFlags{
-			listen:         *distListen,
-			addrFile:       *distAddr,
-			parts:          *distParts,
-			leaseTTL:       *distTTL,
-			worker:         *workerURL,
-			workerAddrFile: *workerAddr,
-			standby:        *distStandby,
-			healthInterval: *distHealthI,
-			healthMisses:   *distHealthM,
-		}
-		if !df.standby && df.listen == "" {
-			// Plain worker mode: the sweep's shape comes from the
-			// coordinator inside each lease grant. -serve opts the worker
-			// into the fleet (pushes to the coordinator's federator).
-			if err := runWorker(ctx, df.worker, df.workerAddrFile, *serveAddr, *workers, distLogf); err != nil && ctx.Err() == nil {
+	if *workerURL != "" || *workerAddr != "" || *distListen != "" {
+		if *distListen == "" {
+			// Worker mode: the sweep's shape comes from the coordinator
+			// inside each lease grant. -serve opts the worker into the
+			// fleet (pushes to the coordinator's federator).
+			if err := runWorker(ctx, *workerURL, *workerAddr, *serveAddr, *workers, distLogf); err != nil && ctx.Err() == nil {
 				fatal(err)
 			}
 			return
+		}
+		df := distFlags{
+			listen:   *distListen,
+			addrFile: *distAddr,
+			parts:    *distParts,
+			leaseTTL: *distTTL,
 		}
 		spec := dist.SweepSpec{
 			Experiment:  *exp,
@@ -176,11 +160,7 @@ func main() {
 			defer f.Close()
 			w = f
 		}
-		run := runCoordinator
-		if df.standby {
-			run = runStandby
-		}
-		if err := run(ctx, spec, df, *checkpoint, w, distLogf); err != nil && ctx.Err() == nil {
+		if err := runCoordinator(ctx, spec, df, *checkpoint, w, distLogf); err != nil && ctx.Err() == nil {
 			fatal(err)
 		}
 		return

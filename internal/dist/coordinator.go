@@ -117,6 +117,7 @@ type lease struct {
 type workerStat struct {
 	granted  uint64
 	lastSeen time.Time
+	toldDone bool // answered "done" (Drain waits for it)
 }
 
 // LeaseGrant is the coordinator's answer to a lease request.
@@ -127,7 +128,7 @@ type LeaseGrant struct {
 	// Lease is the grant's id, quoted back on heartbeat/results/complete.
 	Lease string `json:"lease,omitempty"`
 	// Epoch is the granting coordinator's incarnation. Every operation on
-	// the lease must quote it back; after a takeover the new coordinator
+	// the lease must quote it back; after a restart the new coordinator
 	// fences traffic carrying an older epoch (ErrStaleEpoch).
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Part and Parts locate the granted partition.
@@ -206,10 +207,12 @@ type WorkerStatus struct {
 // Coordinator owns the sweep's job universe: it enumerates the keys,
 // partitions them, leases partitions to workers, merges streamed
 // results into the ledger, and replays the ledger into the final
-// report. All methods are safe for concurrent use.
+// report. All methods are safe for concurrent use, except SetFleet,
+// which must precede Handler.
 type Coordinator struct {
-	o    CoordinatorOptions
-	spec SweepSpec
+	o     CoordinatorOptions
+	spec  SweepSpec
+	fleet http.Handler // mounted under /fleet/ when set (SetFleet)
 
 	mu       sync.Mutex
 	universe map[string]int // job key → part
@@ -231,7 +234,6 @@ type Coordinator struct {
 	restored int
 
 	sweepSpan *obstrace.Span // ended exactly once, when the last job lands
-	fleet     http.Handler   // mounted under /fleet/ when set
 
 	finished  chan struct{}
 	finishGen sync.Once
@@ -390,19 +392,9 @@ func (c *Coordinator) journalLocked(leaseID, state string, part int, worker stri
 }
 
 // SetFleet mounts h (the fleet federation surface, internal/obs/fleet)
-// under /fleet/ on the coordinator's HTTP handler. Call before Serve.
-func (c *Coordinator) SetFleet(h http.Handler) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fleet = h
-}
-
-// fleetHandler returns the mounted federation surface, nil if none.
-func (c *Coordinator) fleetHandler() http.Handler {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fleet
-}
+// under /fleet/ on the coordinator's HTTP handler. Call before Handler
+// or Serve: the mount is fixed when the handler is built.
+func (c *Coordinator) SetFleet(h http.Handler) { c.fleet = h }
 
 // Ready backs /readyz: a coordinator is ready while it can still merge
 // results — not deposed, ledger appender open, persisted epoch
@@ -521,6 +513,32 @@ func (c *Coordinator) WaitDone(ctx context.Context) error {
 	}
 }
 
+// Drain keeps a finished coordinator answering until every worker seen
+// within the last lease TTL has been told the sweep is done, for half a
+// lease TTL at most: twice a wait grant's retry interval, so a waiting
+// worker asks at least once more. A coordinator that exits the moment
+// its report renders leaves a worker asking for its next lease to spend
+// its whole retry budget on a closed port, and fail.
+func (c *Coordinator) Drain(ctx context.Context) {
+	deadline := time.Now().Add(c.o.LeaseTTL / 2)
+	for !c.drained() && time.Now().Before(deadline) && ctx.Err() == nil {
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// drained reports whether every worker live within the last lease TTL
+// has been told the sweep is done.
+func (c *Coordinator) drained() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ws := range c.workers {
+		if !ws.toldDone && c.now().Sub(ws.lastSeen) < c.o.LeaseTTL {
+			return false
+		}
+	}
+	return true
+}
+
 // Lease grants the requesting worker a partition: the first unleased
 // part with unrecorded keys, or — when every such part is taken — a
 // stolen straggler. With nothing grantable it answers "wait", and once
@@ -532,9 +550,10 @@ func (c *Coordinator) Lease(worker string) (LeaseGrant, error) {
 	if err := c.fenceLocked(-1); err != nil {
 		return LeaseGrant{}, err
 	}
-	c.seenLocked(worker)
+	ws := c.seenLocked(worker)
 	c.expireLocked()
 	if c.doneLocked() {
+		ws.toldDone = true
 		return LeaseGrant{Status: GrantDone, Epoch: c.epoch}, nil
 	}
 	for _, p := range c.parts {
@@ -846,7 +865,7 @@ func (c *Coordinator) Complete(leaseID string, epoch uint64) (string, error) {
 
 // StatusSnapshot reports progress for /dist/v1/status and the tests:
 // aggregate counters plus the per-partition lease ages and per-worker
-// last-seen timestamps an auto-scaler (or a standby deciding whether
+// last-seen timestamps an auto-scaler (or an operator deciding whether
 // the sweep is actually stuck) keys on.
 func (c *Coordinator) StatusSnapshot() Status {
 	c.mu.Lock()

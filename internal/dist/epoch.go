@@ -16,18 +16,21 @@ import (
 // batches all carry the epoch they were granted under, and every
 // mutating operation re-reads the sidecar before touching the ledger:
 // a coordinator that discovers a higher persisted epoch has been
-// superseded by a standby takeover and permanently fences itself, so a
-// deposed coordinator can never append to a ledger someone else now
-// owns — the split-brain guard that makes takeover safe without any
-// coordination channel beyond the shared filesystem.
+// superseded by a restart over the same ledger and permanently fences
+// itself, so a deposed coordinator — one thought dead that comes back —
+// can never append to a ledger someone else now owns. That is the
+// split-brain guard that makes a restart safe without any coordination
+// channel beyond the shared filesystem.
 
 // ErrStaleEpoch reports traffic fenced to an older coordinator epoch:
 // either the request carried an epoch that is no longer current, or the
 // coordinator itself discovered it has been deposed. Workers treat it
-// exactly like a lost lease — abandon the shard and re-lease (the new
-// coordinator re-issues the remaining keys) — and over HTTP it maps to
-// 409 Conflict, because retrying the same request verbatim can never
-// succeed.
+// on a heartbeat or result batch exactly like a lost lease — abandon
+// the shard and re-lease (the new coordinator re-issues the remaining
+// keys). A lease request carries no epoch, so a deposed coordinator's
+// answer to one is retried, within the worker's retry budget, at the
+// re-resolved address. Over HTTP it maps to 409 Conflict, because
+// retrying the same request at the same coordinator can never succeed.
 var ErrStaleEpoch = errors.New("dist: stale coordinator epoch")
 
 // EpochPath is the sidecar file recording the current coordinator epoch
@@ -36,8 +39,9 @@ func EpochPath(ledger string) string { return ledger + ".epoch" }
 
 // JournalPath is the lease journal that rides alongside the ledger: one
 // best-effort JSONL line per lease-state transition, keyed by lease id.
-// Standbys tail it to distinguish "coordinator dead" from "coordinator
-// busy", and operators read it to reconstruct who held what when.
+// It is the only persisted record of which worker held which part and
+// when (lease spans die with the coordinator process), so operators
+// read it to reconstruct who held what across restarts.
 func JournalPath(ledger string) string { return ledger + ".leases" }
 
 // epochRecord is the sidecar file's JSON payload.
@@ -109,8 +113,8 @@ func writeEpoch(fsys fault.FS, ledger string, epoch uint64) error {
 // WriteAddrFile atomically publishes a coordinator address (host:port)
 // to path: temp file then rename, so a worker re-reading the file mid-
 // rewrite sees either the old address or the new one, never a torn
-// prefix. The standby rewrites this file on takeover; workers re-read
-// it before every retry.
+// prefix. A coordinator restarted over the same ledger rewrites this
+// file; workers re-read it before every retry.
 func WriteAddrFile(fsys fault.FS, path, addr string) error {
 	if fsys == nil {
 		fsys = fault.OS

@@ -33,13 +33,14 @@ func failoverSeed(t *testing.T) int64 {
 	return 1
 }
 
-// TestFailoverConformance is the tentpole contract: a sweep split
+// TestFailoverConformance is the recovery contract: a sweep split
 // across N ∈ {2,4} workers whose coordinator is killed (ungracefully —
 // the server stops answering, the coordinator object is abandoned
 // un-Closed, exactly what kill -9 leaves behind) at a seed-randomized
-// mid-sweep point, with a standby watching from the start, must finish
-// under the takeover coordinator and merge to bytes identical to the
-// serial run. Afterwards the deposed incarnation's late traffic — a
+// mid-sweep point, and then restarted over the same ledger on a new
+// port, must finish under the restarted coordinator — the workers
+// finding it through the addr file — and merge to bytes identical to
+// the serial run. Afterwards the deposed incarnation's late traffic — a
 // valid-looking result batch carrying its old epoch — must be rejected
 // whole, pre-write, and the ledger must still pass strict salvage.
 func TestFailoverConformance(t *testing.T) {
@@ -66,14 +67,15 @@ func runFailover(t *testing.T, n int, seed int64, serial string) {
 	defer cancel()
 
 	// Active coordinator (epoch 1).
-	cA, err := NewCoordinator(CoordinatorOptions{
+	co := CoordinatorOptions{
 		Spec:     quickSpec("fig6a"),
 		Parts:    4,
 		LeaseTTL: 2 * time.Second,
 		Ledger:   ledger,
 		Obs:      reg,
 		Logf:     t.Logf,
-	})
+	}
+	cA, err := NewCoordinator(co)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,31 +87,8 @@ func runFailover(t *testing.T, n int, seed int64, serial string) {
 		t.Fatal(err)
 	}
 
-	// Standby, watching from the start. It health-checks the active
-	// coordinator aggressively (sub-second) so the whole failover fits a
-	// test budget; correctness does not depend on the cadence.
-	standbyDone := make(chan struct{})
-	var takeover *Takeover
-	var standbyErr error
-	go func() {
-		defer close(standbyDone)
-		takeover, standbyErr = RunStandby(ctx, StandbyOptions{
-			Spec:           quickSpec("fig6a"),
-			Ledger:         ledger,
-			Listen:         "127.0.0.1:0",
-			AddrFile:       addrFile,
-			Watch:          []string{srvA.URL()},
-			HealthInterval: 100 * time.Millisecond,
-			HealthMisses:   3,
-			Parts:          4,
-			LeaseTTL:       2 * time.Second,
-			Obs:            reg,
-			Logf:           t.Logf,
-		})
-	}()
-
-	// Workers discover the coordinator through the addr file only, so a
-	// takeover redirects them without any static endpoint list.
+	// Workers discover the coordinator through the addr file only, so
+	// the restart below redirects them through the file alone.
 	var wg sync.WaitGroup
 	workerErrs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -148,26 +127,42 @@ func runFailover(t *testing.T, n int, seed int64, serial string) {
 	// — nobody flushes or cleans anything up.
 	srvA.Shutdown()
 
-	// The standby must take over and the workers must finish the sweep
-	// against it.
-	select {
-	case <-standbyDone:
-	case <-time.After(2 * time.Minute):
-		t.Fatal("standby never acted")
+	// Restart only once a worker has met the dead coordinator and begun
+	// retrying, so the workers must rediscover the successor through
+	// the rewritten addr file.
+	retries := func() uint64 {
+		return reg.Counter("dist.lease_retries").Value() +
+			reg.Counter("dist.heartbeat_retries").Value() +
+			reg.Counter("dist.delivery_retries").Value()
 	}
-	if standbyErr != nil {
-		t.Fatalf("standby: %v", standbyErr)
+	for retries() == 0 {
+		select {
+		case <-deadline:
+			t.Fatal("no worker retried against the dead coordinator")
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
-	if takeover == nil {
-		t.Fatal("standby stood down without taking over")
+
+	// Restart: the same options over the same ledger, on a fresh port.
+	// It salvages the merged results and claims epoch 2, which fences
+	// the un-Closed corpse; the addr-file rewrite redirects the workers.
+	cB, err := NewCoordinator(co)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cB := takeover.Coordinator
-	defer takeover.Server.Shutdown()
+	srvB, err := cB.Serve(ctx, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvB.Shutdown()
+	if err := WriteAddrFile(nil, addrFile, srvB.URL()); err != nil {
+		t.Fatal(err)
+	}
 	if got := cB.Epoch(); got != 2 {
-		t.Errorf("takeover epoch = %d, want 2", got)
+		t.Errorf("restarted coordinator's epoch = %d, want 2", got)
 	}
 	if cB.StatusSnapshot().Restored < killAt {
-		t.Errorf("takeover restored %d jobs, expected at least the %d merged pre-kill",
+		t.Errorf("restart restored %d jobs, expected at least the %d merged pre-kill",
 			cB.StatusSnapshot().Restored, killAt)
 	}
 
@@ -201,7 +196,7 @@ func runFailover(t *testing.T, n int, seed int64, serial string) {
 		t.Fatalf("deposed coordinator accepted a late batch: %v", err)
 	}
 	if _, _, err := cB.Results("lease-1-0001", 1, late); !errors.Is(err, ErrStaleEpoch) {
-		t.Fatalf("takeover coordinator accepted an epoch-1 batch: %v", err)
+		t.Fatalf("restarted coordinator accepted an epoch-1 batch: %v", err)
 	}
 	if _, err := cA.Lease("zombie"); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("deposed coordinator still grants leases: %v", err)

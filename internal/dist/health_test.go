@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -72,85 +71,19 @@ func TestLeaseIgnoresLegacyObsURL(t *testing.T) {
 	}
 }
 
-// TestFleetMountIsDynamic: /fleet/ resolves the federation handler per
-// request, so SetFleet works on a coordinator whose server is already
-// live — the standby-takeover wiring order.
-func TestFleetMountIsDynamic(t *testing.T) {
+// TestFleetMountIsStatic: /fleet/ answers 404 on a coordinator without
+// federation, and serves the handler SetFleet mounted before Handler
+// built the mux.
+func TestFleetMountIsStatic(t *testing.T) {
 	c := healthCoordinator(t)
 	defer c.Close()
-	h := c.Handler()
-	if rec := hit(h, "GET", "/fleet/status"); rec.Code != http.StatusNotFound {
+	if rec := hit(c.Handler(), "GET", "/fleet/status"); rec.Code != http.StatusNotFound {
 		t.Fatalf("unfederated /fleet/ = %d, want 404", rec.Code)
 	}
 	c.SetFleet(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 	}))
-	if rec := hit(h, "GET", "/fleet/status"); rec.Code != http.StatusTeapot {
-		t.Fatalf("post-SetFleet /fleet/ = %d, want the federation handler", rec.Code)
+	if rec := hit(c.Handler(), "GET", "/fleet/status"); rec.Code != http.StatusTeapot {
+		t.Fatalf("/fleet/ after SetFleet = %d, want the federation handler", rec.Code)
 	}
-}
-
-// TestProbeHealth covers the standby's two-step probe against the
-// coordinators it can meet: healthy, sick-but-serving, one without
-// /healthz, broken and unreachable.
-func TestProbeHealth(t *testing.T) {
-	hc := &http.Client{Timeout: time.Second}
-	ctx := context.Background()
-
-	mk := func(healthCode int, statusCode int, statusBody string) *httptest.Server {
-		mux := http.NewServeMux()
-		if healthCode != 0 {
-			mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-				w.WriteHeader(healthCode)
-			})
-		}
-		mux.HandleFunc("/dist/v1/status", func(w http.ResponseWriter, r *http.Request) {
-			w.WriteHeader(statusCode)
-			w.Write([]byte(statusBody))
-		})
-		return httptest.NewServer(mux)
-	}
-
-	t.Run("healthy", func(t *testing.T) {
-		srv := mk(http.StatusOK, http.StatusOK, `{"epoch":3,"done":true}`)
-		defer srv.Close()
-		st, err := probeHealth(ctx, hc, srv.URL)
-		if err != nil || st.Epoch != 3 || !st.Done {
-			t.Fatalf("st=%+v err=%v", st, err)
-		}
-	})
-	t.Run("alive but status failing", func(t *testing.T) {
-		// 200 on /healthz with a broken status endpoint is still alive:
-		// liveness is the takeover question, not status availability.
-		srv := mk(http.StatusOK, http.StatusInternalServerError, "")
-		defer srv.Close()
-		st, err := probeHealth(ctx, hc, srv.URL)
-		if err != nil {
-			t.Fatalf("alive coordinator reported dead: %v", err)
-		}
-		if st.Epoch != 0 || st.Experiment != "" || st.Done {
-			t.Fatalf("expected zero status, got %+v", st)
-		}
-	})
-	t.Run("no healthz", func(t *testing.T) {
-		// No /healthz route: the mux answers 404, which is a failed probe
-		// even though the status endpoint would answer.
-		srv := mk(0, http.StatusOK, `{"epoch":1}`)
-		defer srv.Close()
-		if _, err := probeHealth(ctx, hc, srv.URL); err == nil {
-			t.Fatal("404 healthz should read as a failed probe")
-		}
-	})
-	t.Run("unhealthy", func(t *testing.T) {
-		srv := mk(http.StatusServiceUnavailable, http.StatusOK, `{}`)
-		defer srv.Close()
-		if _, err := probeHealth(ctx, hc, srv.URL); err == nil {
-			t.Fatal("503 healthz should read as a failed probe")
-		}
-	})
-	t.Run("unreachable", func(t *testing.T) {
-		if _, err := probeHealth(ctx, hc, "http://127.0.0.1:1"); err == nil {
-			t.Fatal("connection refusal should read as a failed probe")
-		}
-	})
 }

@@ -186,16 +186,9 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/fleet/", func(w http.ResponseWriter, r *http.Request) {
-		// Resolved per request so SetFleet works even after Serve — a
-		// standby wires federation onto its takeover coordinator whose
-		// server is already live.
-		if fh := c.fleetHandler(); fh != nil {
-			fh.ServeHTTP(w, r)
-			return
-		}
-		http.NotFound(w, r)
-	})
+	if c.fleet != nil {
+		mux.Handle("/fleet/", c.fleet)
+	}
 	return serve.Instrument(c.o.Obs, "dist", mux)
 }
 

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -355,4 +356,37 @@ func TestStealThenCompleteIdempotence(t *testing.T) {
 	if mustLease(t, c, "C").Status != GrantDone {
 		t.Error("post-completion lease not answered done")
 	}
+}
+
+// TestDrainWaitsForLiveWorkers: a finished coordinator drains until
+// every worker seen within the last lease TTL has been told the sweep is
+// done; a worker silent for a TTL no longer holds the drain.
+func TestDrainWaitsForLiveWorkers(t *testing.T) {
+	ttl := 10 * time.Second
+	c, keys, clk := syntheticCoordinator(t, 4, CoordinatorOptions{Parts: 1, LeaseTTL: ttl})
+	a := mustLease(t, c, "A")
+	if lg := mustLease(t, c, "B"); lg.Status != GrantWait {
+		t.Fatalf("B granted %+v while A holds the only part", lg)
+	}
+	var entries []Entry
+	for _, k := range keys {
+		entries = append(entries, Entry{Key: k, Value: payloadFor(k), ElapsedNS: 1})
+	}
+	if _, _, err := c.Results(a.Lease, a.Epoch, entries); err != nil {
+		t.Fatal(err)
+	}
+	if c.drained() {
+		t.Fatal("drained before any worker was told the sweep is done")
+	}
+	if lg := mustLease(t, c, "A"); lg.Status != GrantDone {
+		t.Fatalf("A after the last result: %+v, want done", lg)
+	}
+	if c.drained() {
+		t.Fatal("drained while B, waiting, has not been told the sweep is done")
+	}
+	clk.advance(ttl)
+	if !c.drained() {
+		t.Fatal("B, silent for a lease TTL, still holds the drain")
+	}
+	c.Drain(context.Background()) // returns at once: nothing to wait for
 }

@@ -26,14 +26,11 @@ import (
 type WorkerOptions struct {
 	// Coordinator is the coordinator's base URL ("http://host:port").
 	Coordinator string
-	// Endpoints are additional coordinator URLs to fail over to when the
-	// current one becomes unreachable (a standby's listen address).
-	Endpoints []string
 	// AddrFile, when non-empty, names a file holding the coordinator's
 	// current address (host:port or URL). It is re-read before every
-	// retry, so a standby that takes over and rewrites the file
-	// redirects the worker without any restart. The file's address is
-	// always preferred over Coordinator/Endpoints.
+	// retry, so a coordinator restarted over the same ledger, which
+	// rewrites the file, redirects the worker without any restart. The
+	// file's address is preferred over Coordinator while it is readable.
 	AddrFile string
 	// Name identifies this worker in lease attribution and logs; empty
 	// derives "host:pid".
@@ -51,10 +48,11 @@ type WorkerOptions struct {
 	// coordinator's straggler timings live.
 	BatchSize int
 	// Retries bounds how many times an unavailable-coordinator failure
-	// (fault.IsUnavailable) is retried with jittered backoff while
-	// rotating through the resolved endpoints; <= 0 defaults to 8. This
-	// is the failover budget: it must cover the standby's detection
-	// quorum plus takeover.
+	// (fault.IsUnavailable), or a lease request answered by a deposed
+	// coordinator, is retried with jittered backoff, re-resolving the
+	// coordinator's address before each attempt; <= 0 defaults to 8
+	// (about a minute at the default backoff). This is the recovery
+	// budget: it must cover an operator's restart of a dead coordinator.
 	Retries int
 	// RetryBackoff is the base backoff before a retry, doubled per
 	// attempt with deterministic jitter (runner.RetryDelay); <= 0
@@ -76,8 +74,8 @@ type WorkerOptions struct {
 	Logf func(format string, args ...interface{})
 }
 
-// client wraps the coordinator's HTTP surface. base is swapped by the
-// worker's endpoint rotation on failover.
+// client wraps the coordinator's HTTP surface. base is re-resolved
+// before every retry, so it follows a restarted coordinator.
 type client struct {
 	mu   sync.Mutex
 	base string
@@ -200,12 +198,12 @@ func (r remote) Complete(lease string, epoch uint64) (string, error) {
 }
 
 // worker bundles one lease loop's state: options, the coordinator it
-// works for, the endpoint-rotation/retry machinery and the eval options
-// it reuses.
+// works for, the rediscovery/retry machinery and the eval options it
+// reuses.
 type worker struct {
 	o WorkerOptions
 	// cl is the HTTP client; nil in process, where c is the coordinator
-	// and there are no endpoints to rotate and no fleet to push to.
+	// and there is no address to re-resolve and no fleet to push to.
 	cl   *client
 	c    *Coordinator
 	logf func(string, ...interface{})
@@ -239,51 +237,28 @@ func normalizeEndpoint(s string) string {
 	return strings.TrimRight(s, "/")
 }
 
-// endpoints resolves the candidate coordinator URLs, preferred first:
-// the addr file's current content (re-read on every call — the standby
-// rewrites it on takeover), then the static Coordinator URL and the
-// Endpoints list, deduplicated.
-func (w *worker) endpoints() []string {
-	var list []string
-	seen := make(map[string]bool)
-	add := func(s string) {
-		if e := normalizeEndpoint(s); e != "" && !seen[e] {
-			seen[e] = true
-			list = append(list, e)
-		}
-	}
+// endpoint resolves the coordinator's URL: the addr file's current
+// content while it is readable (re-read on every call — a restarted
+// coordinator rewrites it), otherwise Coordinator.
+func (w *worker) endpoint() string {
 	if w.o.AddrFile != "" {
 		if data, err := os.ReadFile(w.o.AddrFile); err == nil {
-			add(string(data))
+			if e := normalizeEndpoint(string(data)); e != "" {
+				return e
+			}
 		}
 	}
-	add(w.o.Coordinator)
-	for _, e := range w.o.Endpoints {
-		add(e)
-	}
-	return list
+	return normalizeEndpoint(w.o.Coordinator)
 }
 
-// rotate re-resolves the endpoint list and moves to the next candidate
-// after the current one. With a rewritten addr file the "next"
-// candidate is the new head — the takeover coordinator.
-func (w *worker) rotate() {
+// rediscover re-resolves the coordinator's URL before a retry and
+// switches to it when it moved.
+func (w *worker) rediscover() {
 	if w.cl == nil {
 		return
 	}
-	list := w.endpoints()
-	if len(list) == 0 {
-		return
-	}
-	cur := w.cl.baseURL()
-	next := list[0]
-	for i, e := range list {
-		if e == cur {
-			next = list[(i+1)%len(list)]
-			break
-		}
-	}
-	if next != cur {
+	cur, next := w.cl.baseURL(), w.endpoint()
+	if next != "" && next != cur {
 		w.o.Obs.Counter("dist.endpoint_rotations").Inc()
 		w.logf("dist: worker %s: switching coordinator %s -> %s", w.o.Name, cur, next)
 		w.cl.setBase(next)
@@ -291,8 +266,8 @@ func (w *worker) rotate() {
 }
 
 // retryable reports whether a coordinator-operation failure is worth
-// retrying against a (possibly different) endpoint: unavailability,
-// yes; protocol rejections (gone lease, stale epoch, divergence), no —
+// retrying, possibly at a rediscovered address: unavailability, yes;
+// protocol rejections (gone lease, stale epoch, divergence), no —
 // those need a different request, not a different try.
 func retryable(err error) bool {
 	if errors.Is(err, ErrLeaseGone) || errors.Is(err, ErrStaleEpoch) ||
@@ -304,10 +279,11 @@ func retryable(err error) bool {
 
 // withRetry runs op, retrying unavailable-coordinator failures up to
 // o.Retries times with the runner's deterministic jittered backoff,
-// rotating endpoints between attempts. key seeds the jitter so
-// concurrent workers spread out. Deliveries retried through here may
-// double-send a batch whose response was lost mid-flight; the
-// coordinator's idempotent merge counts those as duplicates.
+// re-resolving the coordinator's address between attempts. key seeds
+// the jitter so concurrent workers spread out. Deliveries retried
+// through here may double-send a batch whose response was lost
+// mid-flight; the coordinator's idempotent merge counts those as
+// duplicates.
 func (w *worker) withRetry(ctx context.Context, key, counter string, op func() error) error {
 	for attempt := 1; ; attempt++ {
 		err := op()
@@ -319,7 +295,7 @@ func (w *worker) withRetry(ctx context.Context, key, counter string, op func() e
 		}
 		w.o.Obs.Counter(counter).Inc()
 		w.logf("dist: worker %s: %s (retry %d/%d)", w.o.Name, err, attempt, w.o.Retries)
-		w.rotate()
+		w.rediscover()
 		d := runner.RetryDelay(w.o.RetryBackoff, key, attempt)
 		t := time.NewTimer(d)
 		select {
@@ -335,7 +311,7 @@ func (w *worker) withRetry(ctx context.Context, key, counter string, op func() e
 // is done (returns nil), ctx is cancelled, or an unrecoverable error
 // occurs (coordinator unreachable past the retry budget, simulation
 // failure, divergence rejection). Losing a lease — expiry, steal, or a
-// coordinator takeover bumping the epoch — is not an error: the shard
+// restarted coordinator bumping the epoch — is not an error: the shard
 // is abandoned mid-run and the loop asks the current coordinator for
 // the next lease. A gmap-served endpoint never answers "done": its
 // workers wait between sweeps until ctx ends.
@@ -345,8 +321,8 @@ func (w *worker) withRetry(ctx context.Context, key, counter string, op func() e
 // successful heartbeat and, while waiting, at most once per TTL/3; its
 // snapshot and span log at every lease end; and a final report on exit.
 func RunWorker(ctx context.Context, o WorkerOptions) error {
-	if o.Coordinator == "" && len(o.Endpoints) == 0 && o.AddrFile == "" {
-		return errors.New("dist: worker requires a coordinator URL, endpoint list, or addr file")
+	if o.Coordinator == "" && o.AddrFile == "" {
+		return errors.New("dist: worker requires a coordinator URL or addr file")
 	}
 	if o.Name == "" {
 		host, _ := os.Hostname()
@@ -360,12 +336,10 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 		hc = &http.Client{Timeout: 30 * time.Second}
 	}
 	w := newWorker(o, nil)
-	w.cl = &client{hc: hc}
-	eps := w.endpoints()
-	if len(eps) == 0 {
+	w.cl = &client{hc: hc, base: w.endpoint()}
+	if w.cl.base == "" {
 		return errors.New("dist: no coordinator endpoint resolvable (addr file missing?)")
 	}
-	w.cl.setBase(eps[0])
 	// Whatever ends this worker — sweep done, cancellation, an error —
 	// its tallies and span log flush to the coordinator's federation
 	// surface so short-lived workers still appear in the merged view.
@@ -412,15 +386,15 @@ func (w *worker) run(ctx context.Context) error {
 		err := w.withRetry(ctx, "lease", "dist.lease_retries", func() error {
 			var lerr error
 			g, lerr = w.ops(ctx).Lease(o.Name)
+			if errors.Is(lerr, ErrStaleEpoch) && w.cl != nil {
+				// A deposed coordinator answered. A lease request carries
+				// no epoch, so its successor can grant it once the address
+				// resolves there: retry it like an unavailable one.
+				lerr = fault.Transient(fmt.Errorf("dist: lease from deposed coordinator %s: %v", w.cl.baseURL(), lerr))
+			}
 			return lerr
 		})
 		if err != nil {
-			if errors.Is(err, ErrStaleEpoch) && w.cl != nil {
-				// A deposed coordinator answered; its successor owns the
-				// sweep now. Rotate and ask again.
-				w.rotate()
-				continue
-			}
 			return err
 		}
 		switch g.Status {
@@ -473,7 +447,7 @@ func (w *worker) evalOptions(spec SweepSpec) *eval.Options {
 // restricted (Shard) to the granted keys, streaming every completed
 // point back as a checkpoint event (ResultSink), under a heartbeat
 // goroutine that cancels the run the moment the lease is lost. A lost
-// lease — revoked, stolen, or fenced behind a takeover's new epoch —
+// lease — revoked, stolen, or fenced behind a restart's new epoch —
 // abandons the shard without error; the remaining keys re-lease.
 func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 	o := w.o
@@ -524,7 +498,7 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 	// The heartbeat loop renews the lease at a third of its TTL and
 	// abandons the shard when the coordinator says the lease is gone or
 	// fenced — a stolen straggler stops burning CPU on work someone else
-	// owns, and a worker fenced behind a takeover re-leases under the
+	// owns, and a worker fenced behind a restart re-leases under the
 	// new epoch. A dropped heartbeat (coordinator restarting, transient
 	// network fault) is retried with bounded jittered backoff rather
 	// than taken as a verdict: only the coordinator decides lease death.

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -294,6 +295,71 @@ func TestLeaseRunsOnlySweeps(t *testing.T) {
 	}
 	if n := leases.Load(); n != 2 {
 		t.Errorf("%d lease requests, want 2 (a lease, then done)", n)
+	}
+}
+
+// TestDeposedCoordinatorLeaseBudget: a worker whose coordinator was
+// deposed, with no successor at its address, retries its lease request
+// with backoff within its retry budget — one request plus three
+// retries — and then exits with an error naming the deposed endpoint,
+// instead of asking again at once until its context ends.
+func TestDeposedCoordinatorLeaseBudget(t *testing.T) {
+	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
+	c1, _, _ := syntheticCoordinator(t, 8, CoordinatorOptions{Parts: 2, Ledger: ledger})
+	defer c1.Close()
+	c2, _, _ := syntheticCoordinator(t, 8, CoordinatorOptions{Parts: 2, Ledger: ledger})
+	defer c2.Close()
+
+	var leases atomic.Int32
+	h := c1.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/dist/v1/lease" {
+			leases.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	err := RunWorker(ctx, WorkerOptions{Coordinator: srv.URL, Name: "w0", Retries: 3, RetryBackoff: time.Millisecond})
+	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), srv.URL) {
+		t.Errorf("worker returned %v (context: %v); want an error naming the deposed coordinator %s before the deadline",
+			err, ctx.Err(), srv.URL)
+	}
+	if n := leases.Load(); n > 4 {
+		t.Errorf("%d lease requests to a deposed coordinator; a budget of 3 retries allows 4", n)
+	}
+}
+
+// TestWorkerEndpoint: a worker resolves one coordinator address, the
+// addr file's content while the file is readable and names one,
+// otherwise Coordinator.
+func TestWorkerEndpoint(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name, content string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, tc := range []struct {
+		name string
+		o    WorkerOptions
+		want string
+	}{
+		{"coordinator", WorkerOptions{Coordinator: "http://10.0.0.1:9500/"}, "http://10.0.0.1:9500"},
+		{"host:port", WorkerOptions{Coordinator: "10.0.0.1:9500"}, "http://10.0.0.1:9500"},
+		{"addr file wins", WorkerOptions{Coordinator: "http://10.0.0.1:9500", AddrFile: file("a", "127.0.0.1:9501\n")}, "http://127.0.0.1:9501"},
+		{"missing addr file", WorkerOptions{Coordinator: "http://10.0.0.1:9500", AddrFile: filepath.Join(dir, "none")}, "http://10.0.0.1:9500"},
+		{"empty addr file", WorkerOptions{Coordinator: "http://10.0.0.1:9500", AddrFile: file("e", "\n")}, "http://10.0.0.1:9500"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := newWorker(tc.o, nil).endpoint(); got != tc.want {
+				t.Errorf("endpoint = %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
 

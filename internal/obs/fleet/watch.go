@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -52,19 +53,22 @@ type distMirror struct {
 	} `json:"partitions,omitempty"`
 }
 
-// Watch polls base+"/fleet/status" every interval and repaints w with
-// RenderStatus until ctx is cancelled. Transient fetch errors render in
-// place of the status rather than aborting — the fleet surviving a
-// coordinator restart is exactly when an operator is watching.
-func Watch(ctx context.Context, w io.Writer, base string, interval time.Duration) error {
+// Watch polls target's /fleet/status every interval and repaints w
+// with RenderStatus until ctx is cancelled. target is a coordinator URL
+// or an addr file (the one -dist-addr-file writes), which is re-read
+// before every poll, so the view follows a coordinator restarted on a
+// new port. Transient fetch errors render in place of the status rather
+// than aborting — the fleet surviving a coordinator restart is exactly
+// when an operator is watching.
+func Watch(ctx context.Context, w io.Writer, target string, interval time.Duration) error {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
 	hc := &http.Client{Timeout: interval}
-	url := strings.TrimSuffix(base, "/") + "/fleet/status"
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
+		url := resolve(target) + "/fleet/status"
 		doc, err := fetchStatus(ctx, hc, url)
 		fmt.Fprint(w, "\033[H\033[2J") // home + clear: repaint in place
 		if err != nil {
@@ -78,6 +82,19 @@ func Watch(ctx context.Context, w io.Writer, base string, interval time.Duration
 		case <-t.C:
 		}
 	}
+}
+
+// resolve turns target into the base URL to poll: the content of the
+// addr file target names while it is readable, otherwise target itself.
+func resolve(target string) string {
+	base := target
+	if data, err := os.ReadFile(target); err == nil {
+		base = strings.TrimSpace(string(data))
+	}
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
+	}
+	return strings.TrimSuffix(base, "/")
 }
 
 func fetchStatus(ctx context.Context, hc *http.Client, url string) (statusDoc, error) {

@@ -7,11 +7,12 @@
 #      to kill -9 mid-epoch. The coordinator must re-lease the dead
 #      worker's partition and finish byte-identically to serial.
 #
-#   2. Coordinator failover: a coordinator with a standby and two
-#      addr-file workers is kill -9'd mid-sweep. The standby must take
-#      over from the shared ledger (epoch bump fences the corpse), the
-#      workers must rediscover it through the addr file, and the
-#      standby's rendered report must be byte-identical to serial.
+#   2. Coordinator restart: a coordinator with two addr-file workers is
+#      kill -9'd mid-sweep, then its command is re-run over the same
+#      ledger. The restart must claim epoch 2 (which fences the corpse)
+#      with the merged results restored, and rewrite the addr file; the
+#      workers must rediscover it through the file and exit 0, and its
+#      rendered report must be byte-identical to serial.
 #
 # Exercises the deployment path: binaries + HTTP + signals, no test
 # harness. Requires only a Go toolchain and curl.
@@ -130,8 +131,10 @@ echo "==> phase 1: starting coordinator on an ephemeral port"
     -checkpoint "$WORK/ledger.jsonl" -out "$WORK/dist.txt" \
     2>"$WORK/coord.log" &
 COORD_PID=$!
-trap 'kill "$COORD_PID" "$W1_PID" "$W2_PID" "$COORD2_PID" "$STANDBY_PID" "$W3_PID" "$W4_PID" 2>/dev/null || true' EXIT
-W1_PID=; W2_PID=; COORD2_PID=; STANDBY_PID=; W3_PID=; W4_PID=
+# One kill per pid: dash's kill stops at its first empty argument, and
+# a pid variable is emptied once its process has been reaped.
+trap 'for pid in $COORD_PID $W1_PID $W2_PID $COORD2_PID $W3_PID $W4_PID; do kill "$pid" 2>/dev/null || true; done' EXIT
+W1_PID=; W2_PID=; COORD2_PID=; W3_PID=; W4_PID=
 
 wait_file "$ADDR_FILE" "coordinator never published its address"
 BASE=$(read_base "$ADDR_FILE")
@@ -180,28 +183,23 @@ W1_PID=; W2_PID=
 
 ADDR2="$WORK/coord2.addr"
 
-echo "==> phase 2: starting doomed coordinator + standby"
-# shellcheck disable=SC2086
-"$BIN/gmap-eval" $SWEEP_FLAGS \
-    -dist-listen 127.0.0.1:0 -dist-addr-file "$ADDR2" \
-    -dist-parts 4 -dist-lease-ttl 2s \
-    -checkpoint "$WORK/ledger2.jsonl" -out "$WORK/dist2a.txt" \
-    2>"$WORK/coord2.log" &
-COORD2_PID=$!
+# coordinate2 LOG — start the phase-2 coordinator in the background; the
+# restart re-runs exactly this command over the same ledger.
+coordinate2() {
+    # shellcheck disable=SC2086
+    "$BIN/gmap-eval" $SWEEP_FLAGS \
+        -dist-listen 127.0.0.1:0 -dist-addr-file "$ADDR2" \
+        -dist-parts 4 -dist-lease-ttl 2s \
+        -checkpoint "$WORK/ledger2.jsonl" -out "$WORK/dist2.txt" \
+        2>"$1" &
+    COORD2_PID=$!
+}
 
+echo "==> phase 2: starting the doomed coordinator"
+coordinate2 "$WORK/coord2a.log"
 wait_file "$ADDR2" "doomed coordinator never published its address"
 BASE2=$(read_base "$ADDR2")
-echo "==> active coordinator is at $BASE2"
-
-# shellcheck disable=SC2086
-"$BIN/gmap-eval" $SWEEP_FLAGS \
-    -dist-standby -worker "$BASE2" \
-    -dist-listen 127.0.0.1:0 -dist-addr-file "$ADDR2" \
-    -dist-parts 4 -dist-lease-ttl 2s \
-    -dist-health-interval 250ms -dist-health-misses 3 \
-    -checkpoint "$WORK/ledger2.jsonl" -out "$WORK/dist2.txt" \
-    2>"$WORK/standby.log" &
-STANDBY_PID=$!
+echo "==> coordinator is at $BASE2"
 
 echo "==> starting two addr-file workers"
 "$BIN/gmap-eval" -worker-addr-file "$ADDR2" -workers 1 -quiet 2>"$WORK/w3.log" &
@@ -213,25 +211,37 @@ wait_mid_sweep "$BASE2"
 echo "==> mid-epoch ($DONE/$TOTAL jobs merged): kill -9 the coordinator (pid $COORD2_PID)"
 kill -9 "$COORD2_PID"
 wait "$COORD2_PID" 2>/dev/null || true
+
+echo "==> restarting the coordinator over the same ledger"
+coordinate2 "$WORK/coord2.log"
+wait_exit "$COORD2_PID" "restarted coordinator"
+wait "$COORD2_PID" || fail "restarted coordinator exited non-zero: $(cat "$WORK/coord2.log")"
 COORD2_PID=
 
-echo "==> waiting for the standby to take over and finish the sweep"
-wait_exit "$STANDBY_PID" "standby"
-wait "$STANDBY_PID" || fail "standby exited non-zero: $(cat "$WORK/standby.log")"
+grep -q "(epoch 2)" "$WORK/coord2.log" || \
+    fail "the restart did not claim epoch 2: $(cat "$WORK/coord2.log")"
+RESTORED=$(sed -n 's/.*epoch 2, .*(\([0-9]*\) restored from.*/\1/p' "$WORK/coord2.log" | head -n1)
+[ "${RESTORED:-0}" -gt 0 ] || \
+    fail "the restart restored no merged results: $(cat "$WORK/coord2.log")"
+# Compare against the URL the restart printed, not against the old
+# one: a freed ephemeral port can be handed out again.
+URL2=$(sed -n 's/^gmap-eval: coordinating .* on \([^ ]*\) (epoch 2)$/\1/p' "$WORK/coord2.log" | head -n1)
+[ -n "$URL2" ] && [ "$(read_base "$ADDR2")" = "$URL2" ] || \
+    fail "addr file holds $(read_base "$ADDR2"), not the restarted coordinator's ${URL2:-?}"
 
-[ -s "$WORK/dist2.txt" ] || fail "standby wrote no report"
+for pid in "$W3_PID" "$W4_PID"; do
+    wait_exit "$pid" "addr-file worker"
+    wait "$pid" || fail "addr-file worker (pid $pid) exited non-zero: $(cat "$WORK/w3.log" "$WORK/w4.log")"
+done
+W3_PID=; W4_PID=
+
+[ -s "$WORK/dist2.txt" ] || fail "restarted coordinator wrote no report"
 cmp -s "$WORK/dist2.txt" "$WORK/serial.txt" || {
     diff -u "$WORK/serial.txt" "$WORK/dist2.txt" >&2 || true
-    fail "failover report differs from serial reference"
+    fail "post-restart report differs from serial reference"
 }
-grep -q "took over" "$WORK/standby.log" || \
-    fail "standby finished without taking over — the kill hit nothing: $(cat "$WORK/standby.log")"
-grep -q "epoch 2" "$WORK/standby.log" || \
-    fail "takeover did not bump the epoch: $(cat "$WORK/standby.log")"
-BASE2B=$(read_base "$ADDR2")
-[ "$BASE2B" != "$BASE2" ] || fail "addr file still points at the dead coordinator"
-echo "==> takeover rewrote addr file: $BASE2 -> $BASE2B"
+echo "==> restart: epoch 2, $RESTORED result(s) restored, addr file $BASE2 -> $URL2"
 echo "==> merged ledger: $(wc -l <"$WORK/ledger2.jsonl") lines"
-echo "==> phase 2 PASS: coordinator kill -9, standby took over byte-identically"
+echo "==> phase 2 PASS: coordinator kill -9, restarted over the ledger byte-identically"
 
 echo "PASS: both chaos phases merged byte-identically to serial"
