@@ -21,6 +21,19 @@ type distFlags struct {
 	addrFile string        // -dist-addr-file
 	parts    int           // -dist-parts
 	leaseTTL time.Duration // -dist-lease-ttl
+	fsync    bool          // -fsync: sync the ledger after every append
+}
+
+// coordinatorOptions is the coordinator's configuration for a sweep
+// merged into ledger; the caller attaches observability.
+func (df distFlags) coordinatorOptions(spec dist.SweepSpec, ledger string) dist.CoordinatorOptions {
+	return dist.CoordinatorOptions{
+		Spec:     spec,
+		Parts:    df.parts,
+		LeaseTTL: df.leaseTTL,
+		Ledger:   ledger,
+		Fsync:    df.fsync,
+	}
 }
 
 // federate mounts the fleet federator under /fleet/ on a coordinator's
@@ -55,15 +68,9 @@ func runCoordinator(ctx context.Context, spec dist.SweepSpec, df distFlags, ledg
 	// conformance suite).
 	reg := obs.New()
 	tracer := obstrace.New()
-	c, err := dist.NewCoordinator(dist.CoordinatorOptions{
-		Spec:     spec,
-		Parts:    df.parts,
-		LeaseTTL: df.leaseTTL,
-		Ledger:   ledger,
-		Obs:      reg,
-		Trace:    tracer,
-		Logf:     logf,
-	})
+	co := df.coordinatorOptions(spec, ledger)
+	co.Obs, co.Trace, co.Logf = reg, tracer, logf
+	c, err := dist.NewCoordinator(co)
 	if err != nil {
 		return err
 	}

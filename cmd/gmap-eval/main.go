@@ -54,7 +54,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"github.com/uteda/gmap"
 	"github.com/uteda/gmap/internal/dist"
@@ -76,8 +75,6 @@ func main() {
 		checkpoint  = flag.String("checkpoint", "", "stream completed simulation points to this JSONL file")
 		resume      = flag.Bool("resume", false, "skip points already recorded in -checkpoint")
 		jobTimeout  = flag.Duration("job-timeout", 0, "per-simulation-point time limit (0 = none)")
-		retries     = flag.Int("retries", 0, "re-execute simulation points failing with a transient error up to N times")
-		retryWait   = flag.Duration("retry-backoff", 100*time.Millisecond, "base delay before a retry, doubled per attempt with jitter")
 		fsync       = flag.Bool("fsync", false, "fsync the checkpoint after every append (survives machine crash, not just SIGKILL)")
 		tolerate    = flag.Bool("tolerate", false, "skip-and-report benchmarks whose sweep points fail instead of aborting the figure")
 		noTimings   = flag.Bool("no-timings", false, "omit wall-clock timings from the report so identical runs produce byte-identical output (what gmap-served caches)")
@@ -125,40 +122,48 @@ func main() {
 		}
 		return
 	}
-	if *workerURL != "" || *workerAddr != "" || *distListen != "" {
-		if *distListen == "" {
-			// Worker mode: the sweep's shape comes from the coordinator
-			// inside each lease grant. -serve opts the worker into the
-			// fleet (pushes to the coordinator's federator).
-			if err := runWorker(ctx, *workerURL, *workerAddr, *serveAddr, *workers, distLogf); err != nil && ctx.Err() == nil {
-				fatal(err)
-			}
-			return
+	if *distListen == "" && (*workerURL != "" || *workerAddr != "") {
+		// Worker mode: the sweep's shape comes from the coordinator
+		// inside each lease grant. -serve opts the worker into the fleet
+		// (pushes to the coordinator's federator).
+		if err := runWorker(ctx, *workerURL, *workerAddr, *serveAddr, *workers, distLogf); err != nil && ctx.Err() == nil {
+			fatal(err)
 		}
+		return
+	}
+
+	// One spec carries the sweep flags in both modes, checked before
+	// anything runs: an unknown experiment or benchmark, or a negative
+	// scale factor or core count, fails here rather than once per point.
+	spec := dist.SweepSpec{
+		Experiment:  strings.ToLower(*exp), // as eval's Run matches it
+		Scale:       *scale,
+		ScaleFactor: *scaleFactor,
+		Cores:       *cores,
+		Seed:        *seed,
+	}
+	if *benchmarks != "" {
+		spec.Benchmarks = strings.Split(*benchmarks, ",")
+	}
+	if err := spec.Normalize(); err != nil {
+		fatal(err)
+	}
+	var w io.Writer = os.Stdout
+	if *out != "" {
+		f, err := os.Create(*out)
+		if err != nil {
+			fatal(err)
+		}
+		defer f.Close()
+		w = f
+	}
+	if *distListen != "" {
 		df := distFlags{
 			listen:   *distListen,
 			addrFile: *distAddr,
 			parts:    *distParts,
 			leaseTTL: *distTTL,
-		}
-		spec := dist.SweepSpec{
-			Experiment:  *exp,
-			Scale:       *scale,
-			ScaleFactor: *scaleFactor,
-			Cores:       *cores,
-			Seed:        *seed,
-		}
-		if *benchmarks != "" {
-			spec.Benchmarks = strings.Split(*benchmarks, ",")
-		}
-		var w io.Writer = os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
+			fsync:    *fsync,
 		}
 		if err := runCoordinator(ctx, spec, df, *checkpoint, w, distLogf); err != nil && ctx.Err() == nil {
 			fatal(err)
@@ -166,22 +171,15 @@ func main() {
 		return
 	}
 
-	opts := gmap.ExperimentOptions{
-		Scale:        *scale,
-		ScaleFactor:  *scaleFactor,
-		Cores:        *cores,
-		Seed:         *seed,
-		Workers:      *workers,
-		Checkpoint:   *checkpoint,
-		Resume:       *resume,
-		Retries:      *retries,
-		RetryBackoff: *retryWait,
-		Fsync:        *fsync,
-		Tolerate:     *tolerate,
-		NoTimings:    *noTimings,
-		JobTimeout:   *jobTimeout,
-		Context:      ctx,
-	}
+	opts := spec.EvalOptions()
+	opts.Workers = *workers
+	opts.Checkpoint = *checkpoint
+	opts.Resume = *resume
+	opts.Fsync = *fsync
+	opts.Tolerate = *tolerate
+	opts.NoTimings = *noTimings
+	opts.JobTimeout = *jobTimeout
+	opts.Context = ctx
 	if *obsSnap != "" || *serveAddr != "" {
 		opts.Obs = gmap.NewObsRegistry()
 	}
@@ -190,9 +188,6 @@ func main() {
 	}
 	if *attrOut != "" {
 		opts.Attr = &gmap.AttrOptions{Threshold: *attrThresh, TopK: *attrTop}
-	}
-	if *benchmarks != "" {
-		opts.Benchmarks = strings.Split(*benchmarks, ",")
 	}
 	if !*quiet {
 		opts.Progress = func(format string, args ...interface{}) {
@@ -213,16 +208,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gmap-eval: serving observability on http://%s\n", srv.Addr())
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	runErr := gmap.Experiments(w, *exp, &opts)
+	runErr := gmap.Experiments(w, spec.Experiment, &opts)
 	if *summary != "" {
 		if err := writeSummary(*summary, &opts); err != nil {
 			fatal(err)

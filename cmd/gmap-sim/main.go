@@ -58,8 +58,6 @@ func main() {
 		busBytes = flag.Int("dram-bus", 8, "DRAM bus width in bytes")
 		mapping  = flag.String("dram-mapping", "RoBaRaCoCh", "DRAM address mapping: RoBaRaCoCh or ChRaBaRoCo")
 		timeout  = flag.Duration("timeout", 0, "abort the simulation after this long (0 = no limit)")
-		retries  = flag.Int("retries", 0, "re-run the simulation up to N times if it fails with a transient error")
-		retryBck = flag.Duration("retry-backoff", 100*time.Millisecond, "base delay before a retry, doubled per attempt with jitter")
 		obsOut   = flag.String("obs-out", "", "stream cycle-sampled observability series to this JSONL file (- for stdout)")
 		obsSnap  = flag.String("obs-snapshot", "", "dump the full observability registry as JSON to this file (- for stdout)")
 		serveA   = flag.String("serve", "", "serve live observability over HTTP on this address (/metrics, /trace, /debug/pprof)")
@@ -139,7 +137,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gmap-sim: serving observability on http://%s\n", srv.Addr())
 	}
 
-	metrics, name, err := runSim(*workload, *scale, *in, *proxyIn, cfg, *timeout, *retries, *retryBck)
+	metrics, name, err := runSim(*workload, *scale, *in, *proxyIn, cfg, *timeout)
 	root.End()
 	if err != nil {
 		fatal(err)
@@ -184,7 +182,7 @@ func main() {
 // runSim executes the simulation as a job on the experiment engine: a
 // -timeout overrun or a panic in a pathological configuration surfaces
 // as an ordinary error, and Ctrl-C cancels cleanly.
-func runSim(workload string, scale int, in, proxyIn string, cfg gmap.SimConfig, timeout time.Duration, retries int, retryBackoff time.Duration) (gmap.Metrics, string, error) {
+func runSim(workload string, scale int, in, proxyIn string, cfg gmap.SimConfig, timeout time.Duration) (gmap.Metrics, string, error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	type simOut struct {
@@ -199,7 +197,7 @@ func runSim(workload string, scale int, in, proxyIn string, cfg gmap.SimConfig, 
 		},
 	}
 	results, _, err := runner.Run(ctx,
-		runner.Options{Workers: 1, Timeout: timeout, Retries: retries, RetryBackoff: retryBackoff},
+		runner.Options{Workers: 1, Timeout: timeout},
 		[]runner.Job[simOut]{job})
 	if err != nil {
 		return gmap.Metrics{}, "", err

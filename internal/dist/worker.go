@@ -19,7 +19,7 @@ import (
 	"github.com/uteda/gmap/internal/obs"
 	"github.com/uteda/gmap/internal/obs/fleet"
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
-	"github.com/uteda/gmap/internal/runner"
+	"github.com/uteda/gmap/internal/rng"
 )
 
 // WorkerOptions configures RunWorker.
@@ -55,8 +55,8 @@ type WorkerOptions struct {
 	// budget: it must cover an operator's restart of a dead coordinator.
 	Retries int
 	// RetryBackoff is the base backoff before a retry, doubled per
-	// attempt with deterministic jitter (runner.RetryDelay); <= 0
-	// defaults to 250ms.
+	// attempt with deterministic jitter (retryDelay); <= 0 defaults to
+	// 250ms.
 	RetryBackoff time.Duration
 	// HTTPClient overrides the transport (tests); nil uses a default.
 	HTTPClient *http.Client
@@ -278,7 +278,7 @@ func retryable(err error) bool {
 }
 
 // withRetry runs op, retrying unavailable-coordinator failures up to
-// o.Retries times with the runner's deterministic jittered backoff,
+// o.Retries times with deterministic jittered backoff (retryDelay),
 // re-resolving the coordinator's address between attempts. key seeds
 // the jitter so concurrent workers spread out. Deliveries retried
 // through here may double-send a batch whose response was lost
@@ -296,7 +296,7 @@ func (w *worker) withRetry(ctx context.Context, key, counter string, op func() e
 		w.o.Obs.Counter(counter).Inc()
 		w.logf("dist: worker %s: %s (retry %d/%d)", w.o.Name, err, attempt, w.o.Retries)
 		w.rediscover()
-		d := runner.RetryDelay(w.o.RetryBackoff, key, attempt)
+		d := retryDelay(w.o.RetryBackoff, key, attempt)
 		t := time.NewTimer(d)
 		select {
 		case <-t.C:
@@ -305,6 +305,27 @@ func (w *worker) withRetry(ctx context.Context, key, counter string, op func() e
 			return ctx.Err()
 		}
 	}
+}
+
+// retryDelay computes the backoff before the retry that follows a failed
+// attempt: base doubled per prior attempt (capped), plus a deterministic
+// per-(key, attempt) jitter of up to base/2 so synchronized workers
+// hitting a restarting coordinator spread out identically on replay.
+func retryDelay(base time.Duration, key string, attempt int) time.Duration {
+	if base <= 0 {
+		return 0
+	}
+	shift := attempt - 1
+	if shift > 16 {
+		shift = 16
+	}
+	d := base << shift
+	h := rng.Mix64(uint64(attempt))
+	for _, b := range []byte(key) {
+		h = rng.Mix64(h ^ uint64(b))
+	}
+	jitter := time.Duration(h % uint64(base/2+1))
+	return d + jitter
 }
 
 // RunWorker joins the coordinator and processes leases until the sweep

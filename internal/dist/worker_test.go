@@ -417,3 +417,22 @@ func TestSweepsWireSurface(t *testing.T) {
 		t.Errorf("lease from a finished sweep: %+v, %v; want a wait grant", g, err)
 	}
 }
+
+// TestRetryDelayDeterministic: the backoff (including jitter) is a pure
+// function of (base, key, attempt) — no wall-clock or global randomness.
+func TestRetryDelayDeterministic(t *testing.T) {
+	if d := retryDelay(0, "k", 1); d != 0 {
+		t.Fatalf("zero base must not sleep, got %v", d)
+	}
+	d1 := retryDelay(1000, "k", 2)
+	if d2 := retryDelay(1000, "k", 2); d2 != d1 {
+		t.Fatalf("same inputs gave %v then %v", d1, d2)
+	}
+	if d1 < 2000 || d1 > 2500 {
+		t.Fatalf("attempt-2 delay %v outside [2×base, 2×base+base/2]", d1)
+	}
+	if retryDelay(1000, "k", 2) == retryDelay(1000, "other-key", 2) &&
+		retryDelay(1000, "k", 3) == retryDelay(1000, "other-key", 3) {
+		t.Error("jitter ignores the job key")
+	}
+}

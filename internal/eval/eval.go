@@ -28,7 +28,9 @@ type Options struct {
 	Benchmarks []string
 	// Scale is the workload size knob (1 = default evaluation size).
 	Scale int
-	// ScaleFactor is the proxy miniaturization factor (paper: ~4-5).
+	// ScaleFactor is the proxy miniaturization factor (paper: ~4-5); a
+	// factor in (0,1) scales the clone up. A non-positive factor selects
+	// 4.
 	ScaleFactor float64
 	// Seed drives profiling-independent sampling.
 	Seed uint64
@@ -51,12 +53,6 @@ type Options struct {
 	// an interrupted run picks up where it stopped. A torn trailing
 	// checkpoint line is salvaged and truncated (see runner).
 	Resume bool
-	// Retries re-executes simulation points that fail with a
-	// transient-classified error (fault.IsTransient) up to this many
-	// times; RetryBackoff is the base delay between attempts, doubled
-	// per retry with deterministic jitter.
-	Retries      int
-	RetryBackoff time.Duration
 	// Fsync syncs the checkpoint file after every append, hardening it
 	// against machine crashes rather than just process kills.
 	Fsync bool
@@ -69,9 +65,6 @@ type Options struct {
 	// FS routes checkpoint I/O; nil selects the real filesystem (crash
 	// tests substitute a fault injector).
 	FS fault.FS
-	// Inject, when non-nil, is a seeded schedule of artificial transient
-	// point failures (testing and the nightly fault soak only).
-	Inject *fault.Schedule
 	// Context, when non-nil, cancels an in-flight evaluation (e.g. on
 	// SIGINT); completed points remain in the checkpoint.
 	Context context.Context
@@ -86,8 +79,7 @@ type Options struct {
 	// Trace, when non-nil, records hierarchical spans of the run: one
 	// "eval.<experiment>" root per sweep, per-benchmark preparation spans
 	// (nesting the profiler/synth phase spans), and the execution engine's
-	// worker/job/attempt spans beneath each sweep. Purely observational,
-	// like Obs.
+	// worker/job spans beneath each sweep. Purely observational, like Obs.
 	Trace *obstrace.Tracer
 	// Attr, when non-nil, enables per-π / per-PC accuracy attribution:
 	// benchmarks whose figure error exceeds Attr.Threshold get a ranked
@@ -191,7 +183,7 @@ func (o *Options) fillDefaults() {
 	if o.Scale < 1 {
 		o.Scale = 1
 	}
-	if o.ScaleFactor < 1 {
+	if o.ScaleFactor <= 0 {
 		o.ScaleFactor = 4
 	}
 	if o.Seed == 0 {
@@ -294,14 +286,11 @@ func runJobs[R any](o *Options, experiment string, jobs []runner.Job[R]) ([]runn
 	ropts := runner.Options{
 		Workers:      o.Workers,
 		Timeout:      o.JobTimeout,
-		Retries:      o.Retries,
-		RetryBackoff: o.RetryBackoff,
 		Checkpoint:   o.Checkpoint,
 		Resume:       o.Resume,
 		ResumeStrict: o.Resume && o.strict.take(),
 		Fsync:        o.Fsync,
 		FS:           o.FS,
-		Inject:       o.Inject,
 		Obs:          o.Obs,
 		Sink:         o.ResultSink,
 		TraceSpan:    sweepSpan,
@@ -552,26 +541,18 @@ func rateError(orig, prox []float64) float64 {
 	return sum / float64(len(orig))
 }
 
-// relError is the error metric for magnitudes: mean absolute relative
-// percent.
-func relError(orig, prox []float64) float64 {
-	e, err := stats.MeanAbsPctError(orig, prox)
-	if err != nil {
-		return 0
+// benchRow scores one benchmark's paired sweep: rates by rateError,
+// magnitudes by core.Comparison's mean absolute percent error, and the
+// trend by its correlation.
+func benchRow(name string, orig, prox []float64, asRate bool) BenchResult {
+	c := core.Comparison{Original: orig, Proxy: prox}
+	row := BenchResult{Benchmark: name, Points: len(orig), Correlation: c.Correlation()}
+	if asRate {
+		row.Error = rateError(orig, prox)
+	} else {
+		row.Error = c.MeanAbsPctError()
 	}
-	return e
-}
-
-// correlation mirrors core.Comparison's flat-series convention.
-func correlation(orig, prox []float64) float64 {
-	r, err := stats.Pearson(orig, prox)
-	if err != nil {
-		return 0
-	}
-	if r == 0 && stats.StdDev(orig) == 0 && stats.StdDev(prox) == 0 {
-		return 1
-	}
-	return r
+	return row
 }
 
 // pointSample is one simulation point's paired measurement — the
@@ -584,7 +565,7 @@ type pointSample struct {
 // simPoint simulates one configuration on both sides of a workload.
 // Configurations are constructed inside the job because prefetchers
 // carry training state that must not leak across runs. The span riding
-// ctx (the runner's attempt span) parents both simulations' spans.
+// ctx (the runner's job span) parents both simulations' spans.
 func simPoint(ctx context.Context, w *core.Workload, og, pg ConfigGen, metric core.Metric) (pointSample, error) {
 	span := obstrace.FromContext(ctx)
 	ocfg, err := og.Make()
@@ -662,12 +643,7 @@ func (o *Options) runFigure(id, title string, metric core.Metric, asRate bool, g
 			orig = append(orig, s.Orig)
 			prox = append(prox, s.Prox)
 		}
-		row := BenchResult{Benchmark: name, Points: len(gens), Correlation: correlation(orig, prox)}
-		if asRate {
-			row.Error = rateError(orig, prox)
-		} else {
-			row.Error = relError(orig, prox)
-		}
+		row := benchRow(name, orig, prox, asRate)
 		fig.Rows = append(fig.Rows, row)
 		o.logf("%s %-12s error %6.2f%s corr %.3f (%d pts)",
 			id, name, row.Error, errUnit(asRate), row.Correlation, row.Points)

@@ -126,14 +126,7 @@ func (o *Options) Fig7() (*Fig7Result, error) {
 			}
 		}
 		for mi, fig := range figs {
-			row := BenchResult{Benchmark: name, Points: len(gens),
-				Correlation: correlation(perMetric[mi].orig, perMetric[mi].prox)}
-			if asRate[mi] {
-				row.Error = rateError(perMetric[mi].orig, perMetric[mi].prox)
-			} else {
-				row.Error = relError(perMetric[mi].orig, perMetric[mi].prox)
-			}
-			fig.Rows = append(fig.Rows, row)
+			fig.Rows = append(fig.Rows, benchRow(name, perMetric[mi].orig, perMetric[mi].prox, asRate[mi]))
 		}
 		res.Normalized = append(res.Normalized, Fig7Row{
 			Benchmark:     name,

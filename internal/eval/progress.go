@@ -45,12 +45,11 @@ func (l *liveProgress) note(e runner.Event) {
 type Progress struct {
 	// Experiment is the sweep currently draining ("fig6a", "table1", ...).
 	Experiment string `json:"experiment,omitempty"`
-	// Completed/Failed/Skipped/Retries/Total mirror the runner's counters
-	// for the current sweep.
+	// Completed/Failed/Skipped/Total mirror the runner's counters for
+	// the current sweep.
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
 	Skipped   int `json:"skipped"`
-	Retries   int `json:"retries"`
 	Total     int `json:"total"`
 	// JobsPerSec and ETASeconds are the current sweep's execution rate
 	// and remaining-time estimate (0 until a rate is established).
@@ -74,7 +73,6 @@ func (o *Options) ProgressSnapshot() Progress {
 		Completed:  o.live.last.Completed,
 		Failed:     o.live.last.Failed,
 		Skipped:    o.live.last.Skipped,
-		Retries:    o.live.last.Retries,
 		Total:      o.live.last.Total,
 		JobsPerSec: o.live.last.JobsPerSec,
 		ETASeconds: o.live.last.ETA.Seconds(),

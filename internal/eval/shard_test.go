@@ -66,6 +66,35 @@ func TestSweepKeysTableExperimentsEmpty(t *testing.T) {
 	}
 }
 
+// TestSweepKeysScaleFactorBelowOne: a factor in (0,1) scales the clone
+// up, so it is a sweep of its own and must not fall back to the default
+// factor of 4 — the keys, which mix the factor in, have to differ.
+func TestSweepKeysScaleFactorBelowOne(t *testing.T) {
+	keysAt := func(sf float64) []string {
+		opts := quickOpts()
+		opts.Benchmarks = []string{"nn"}
+		opts.ScaleFactor = sf
+		keys, err := opts.SweepKeys("fig6a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return keys
+	}
+	four := make(map[string]bool)
+	for _, k := range keysAt(4) {
+		four[k] = true
+	}
+	half := keysAt(0.5)
+	if len(half) != len(four) {
+		t.Fatalf("%d keys at 0.5, %d at 4", len(half), len(four))
+	}
+	for _, k := range half {
+		if four[k] {
+			t.Fatalf("key %s is the same at scale factors 0.5 and 4", k)
+		}
+	}
+}
+
 func TestSweepKeysUnknownExperiment(t *testing.T) {
 	opts := quickOpts()
 	if _, err := opts.SweepKeys("nonesuch"); err == nil {

@@ -1,22 +1,21 @@
 // Package fault is the deterministic fault-injection layer behind the
 // experiment pipeline's robustness guarantees: a transient-error
-// classifier the runner's retry policy keys on, an fs/io wrapper set that
-// injects short writes, torn final lines, ENOSPC/EIO errors and crash
-// points at chosen byte offsets, and a seeded per-job failure schedule.
+// classifier the distributed worker's network retry keys on, and an
+// fs/io wrapper set that injects short writes, torn final lines,
+// ENOSPC/EIO errors and crash points at chosen byte offsets.
 //
-// The package has two audiences. Production code uses the classifier
-// (IsTransient) and the FS abstraction (OS) so that every byte the
-// checkpoint layer writes can be routed through an injector in tests.
-// Tests and the nightly soak job use WritePlan, InjectFS and Schedule to
-// build reproducible fault scenarios: every injected fault is a pure
-// function of a seed and an offset, so a failing schedule replays
-// exactly.
+// The package has two audiences. Production code uses the classifiers
+// (IsTransient, IsUnavailable) and the FS abstraction (OS) so that every
+// byte the checkpoint layer writes can be routed through an injector in
+// tests. Tests use WritePlan and InjectFS to build reproducible fault
+// scenarios: every injected fault is a pure function of an offset, so a
+// failing scenario replays exactly.
 //
 // Fault model (see DESIGN.md §9): an error is transient when retrying the
-// same operation can plausibly succeed — interrupted syscalls, scheduler
-// overload, explicitly marked flaky-job failures. Resource exhaustion
-// (ENOSPC), data corruption (EIO) and deterministic job failures are
-// fatal: retrying burns time without changing the outcome.
+// same operation can plausibly succeed — interrupted syscalls, a peer
+// that is restarting, explicitly marked transient failures. Resource
+// exhaustion (ENOSPC), data corruption (EIO) and deterministic job
+// failures are fatal: retrying burns time without changing the outcome.
 package fault
 
 import (
@@ -36,8 +35,8 @@ func (e *transientError) Error() string { return "transient: " + e.err.Error() }
 
 func (e *transientError) Unwrap() error { return e.err }
 
-// Transient marks err as transient: the runner's retry policy treats the
-// wrapped error as retryable. Marking nil returns nil.
+// Transient marks err as transient: IsTransient (and so IsUnavailable)
+// accepts the wrapped error as retryable. Marking nil returns nil.
 func Transient(err error) error {
 	if err == nil {
 		return nil

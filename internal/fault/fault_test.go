@@ -144,52 +144,3 @@ func TestInjectFSRenameHook(t *testing.T) {
 		t.Fatalf("second rename: %v", err)
 	}
 }
-
-func TestScheduleDeterministicAndBounded(t *testing.T) {
-	s := &Schedule{Seed: 42, FailProb: 0.5, MaxFailures: 3}
-	sawFail, sawClean := false, false
-	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("job-%d", i)
-		f := s.Failures(key)
-		if f != s.Failures(key) {
-			t.Fatalf("Failures(%q) not deterministic", key)
-		}
-		if f < 0 || f > 3 {
-			t.Fatalf("Failures(%q) = %d, outside [0,3]", key, f)
-		}
-		if f > 0 {
-			sawFail = true
-			if err := s.Check(key, f); err == nil || !IsTransient(err) {
-				t.Fatalf("attempt %d of %q: err=%v, want transient", f, key, err)
-			}
-			if err := s.Check(key, f+1); err != nil {
-				t.Fatalf("attempt past failure budget must succeed, got %v", err)
-			}
-		} else {
-			sawClean = true
-			if err := s.Check(key, 1); err != nil {
-				t.Fatalf("clean job failed: %v", err)
-			}
-		}
-	}
-	if !sawFail || !sawClean {
-		t.Fatalf("schedule degenerate: sawFail=%v sawClean=%v", sawFail, sawClean)
-	}
-	// Different seeds must produce different patterns somewhere.
-	s2 := &Schedule{Seed: 43, FailProb: 0.5, MaxFailures: 3}
-	same := true
-	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("job-%d", i)
-		if s.Failures(key) != s2.Failures(key) {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("two different seeds produced identical schedules over 200 keys")
-	}
-	var nilSched *Schedule
-	if nilSched.Failures("x") != 0 || nilSched.Check("x", 1) != nil {
-		t.Error("nil schedule must be a no-op")
-	}
-}

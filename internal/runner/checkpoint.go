@@ -24,8 +24,8 @@ import (
 // can be torn — every earlier line was newline-terminated and flushed
 // before the next began. Resume salvages the longest valid prefix and
 // truncates the torn tail, so appends never glue new entries onto
-// leftover garbage. Compaction rewrites the file through a temp file and
-// an atomic rename: a crash mid-compaction leaves the original intact.
+// leftover garbage. A resumed run skips every key it can decode, so
+// re-recorded keys never pile up and the file needs no compaction.
 type checkpointEntry struct {
 	Key       string          `json:"key"`
 	Value     json.RawMessage `json:"value"`
@@ -37,7 +37,8 @@ type Salvage struct {
 	// Entries is the number of distinct keys with a valid recorded value.
 	Entries int
 	// Lines is the total count of valid entry lines (re-recorded keys
-	// count once per line; Lines > Entries measures compactable waste).
+	// count once per line, so Lines > Entries means a key was recorded
+	// more than once).
 	Lines int
 	// BadLines counts newline-terminated lines that did not parse —
 	// mid-file corruption, never produced by a clean kill.
@@ -51,9 +52,6 @@ type Salvage struct {
 	// the checkpoint's job universe, used to make resume-mismatch errors
 	// concrete.
 	FirstKey string
-	// Compacted reports whether the file was rewritten to one line per
-	// key.
-	Compacted bool
 	// DivergentLines counts re-recorded keys whose payload bytes differ
 	// from the previously recorded value. A single process re-running a
 	// job writes the same bytes (results are deterministic), so a
@@ -69,7 +67,6 @@ type Salvage struct {
 // ckptScan is the parsed state of a checkpoint file.
 type ckptScan struct {
 	entries map[string]checkpointEntry
-	order   []string // keys in first-appearance order (stable compaction)
 	salvage Salvage
 	endOff  int64 // offset just past the last valid line
 	size    int64 // total bytes scanned
@@ -98,7 +95,9 @@ func scanCheckpoint(fsys fault.FS, path string) (*ckptScan, error) {
 			if len(trimmed) > 0 {
 				if json.Unmarshal(trimmed, &e) == nil && e.Key != "" {
 					if prev, seen := sc.entries[e.Key]; !seen {
-						sc.order = append(sc.order, e.Key)
+						if sc.salvage.FirstKey == "" {
+							sc.salvage.FirstKey = e.Key
+						}
 					} else if !bytes.Equal(prev.Value, e.Value) {
 						if sc.salvage.DivergentLines == 0 {
 							sc.salvage.FirstDivergentKey = e.Key
@@ -127,9 +126,6 @@ func scanCheckpoint(fsys fault.FS, path string) (*ckptScan, error) {
 	}
 	sc.salvage.Entries = len(sc.entries)
 	sc.salvage.TornBytes = sc.size - sc.endOff
-	if len(sc.order) > 0 {
-		sc.salvage.FirstKey = sc.order[0]
-	}
 	return sc, nil
 }
 
@@ -175,70 +171,6 @@ func SalvageCheckpoint(fsys fault.FS, path string) (map[string]json.RawMessage, 
 		sc.salvage.Truncated = true
 	}
 	return sc.values(), sc.salvage, nil
-}
-
-// compactWasteThreshold gates automatic compaction on resume: rewrite
-// only when the file holds at least this many lines and more than twice
-// as many lines as distinct keys — i.e. when re-recorded entries, not the
-// live ones, dominate the file.
-const compactWasteThreshold = 64
-
-// CompactCheckpoint rewrites the checkpoint at path to exactly one line
-// per key (the latest recorded value, keys in first-appearance order),
-// through a temp file, an fsync and an atomic rename — a crash at any
-// byte of the rewrite leaves the original file intact. fsys nil selects
-// the real filesystem.
-func CompactCheckpoint(fsys fault.FS, path string) (Salvage, error) {
-	if fsys == nil {
-		fsys = fault.OS
-	}
-	sc, err := scanCheckpoint(fsys, path)
-	if err != nil {
-		return Salvage{}, err
-	}
-	if err := compactScan(fsys, path, sc); err != nil {
-		return sc.salvage, err
-	}
-	sc.salvage.Compacted = true
-	return sc.salvage, nil
-}
-
-func compactScan(fsys fault.FS, path string, sc *ckptScan) error {
-	tmp := path + ".compact.tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("runner: compacting checkpoint %s: %w", path, err)
-	}
-	bw := bufio.NewWriter(f)
-	writeErr := func() error {
-		for _, key := range sc.order {
-			line, err := json.Marshal(sc.entries[key])
-			if err != nil {
-				return err
-			}
-			if _, err := bw.Write(append(line, '\n')); err != nil {
-				return err
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return f.Sync()
-	}()
-	if writeErr != nil {
-		_ = f.Close()
-		_ = fsys.Remove(tmp) // best-effort cleanup; the compaction error wins
-		return fmt.Errorf("runner: compacting checkpoint %s: %w", path, writeErr)
-	}
-	if err := f.Close(); err != nil {
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("runner: compacting checkpoint %s: %w", path, err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("runner: compacting checkpoint %s: %w", path, err)
-	}
-	return nil
 }
 
 // checkpointWriter appends entries to a checkpoint file, flushing each

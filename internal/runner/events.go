@@ -37,13 +37,9 @@ type Event struct {
 	Key     string
 	Err     error
 	Elapsed time.Duration
-	// Attempts is how many times this job executed (0 for skipped jobs,
-	// > 1 when transient failures were retried).
-	Attempts int
 	// Completed, Failed and Skipped count finished jobs so far; Total is
-	// the run's job count. Retries counts extra attempts across all jobs
-	// so far.
-	Completed, Failed, Skipped, Retries, Total int
+	// the run's job count.
+	Completed, Failed, Skipped, Total int
 	// JobsPerSec is the execution rate over executed (non-skipped) jobs.
 	JobsPerSec float64
 	// ETA estimates the remaining wall time at the current rate (0 until
@@ -68,9 +64,6 @@ func (e Event) ProgressLine() string {
 	if e.Failed > 0 || e.Skipped > 0 {
 		s += fmt.Sprintf("  (%d failed, %d resumed)", e.Failed, e.Skipped)
 	}
-	if e.Retries > 0 {
-		s += fmt.Sprintf("  (%d retried)", e.Retries)
-	}
 	return s
 }
 
@@ -81,8 +74,9 @@ type Stats struct {
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
 	Skipped   int `json:"skipped"`
-	// Retries counts job attempts beyond the first across the run: a job
-	// that succeeded on its third attempt contributes 2.
+	// Retries is always 0: every job runs once. The field stays so the
+	// summary JSON keeps its shape for the readers that still parse it
+	// (the bench harness's runner.retries metric).
 	Retries int `json:"retries"`
 	// Wall is the pool's wall-clock time; Work is the summed per-job
 	// execution time across all workers. Work/Wall approximates the
@@ -108,7 +102,6 @@ func (s Stats) Add(o Stats) Stats {
 		Completed: s.Completed + o.Completed,
 		Failed:    s.Failed + o.Failed,
 		Skipped:   s.Skipped + o.Skipped,
-		Retries:   s.Retries + o.Retries,
 		Wall:      s.Wall + o.Wall,
 		Work:      s.Work + o.Work,
 		Workers:   max(s.Workers, o.Workers),
@@ -125,18 +118,18 @@ func (s Stats) Add(o Stats) Stats {
 // tracker accumulates counters and emits events. finish must be called
 // serially (Run holds a mutex around it).
 type tracker struct {
-	start                               time.Time
-	total, workers                      int
-	onEvent                             func(Event)
-	completed, failed, skipped, retries int
-	work                                time.Duration
+	start                      time.Time
+	total, workers             int
+	onEvent                    func(Event)
+	completed, failed, skipped int
+	work                       time.Duration
 }
 
 func newTracker(total, workers int, onEvent func(Event)) *tracker {
 	return &tracker{start: time.Now(), total: total, workers: workers, onEvent: onEvent}
 }
 
-func (t *tracker) finish(kind EventKind, key string, err error, elapsed time.Duration, attempts int) {
+func (t *tracker) finish(kind EventKind, key string, err error, elapsed time.Duration) {
 	switch kind {
 	case JobFailed:
 		t.failed++
@@ -145,16 +138,13 @@ func (t *tracker) finish(kind EventKind, key string, err error, elapsed time.Dur
 	default:
 		t.completed++
 	}
-	if attempts > 1 {
-		t.retries += attempts - 1
-	}
 	t.work += elapsed
 	if t.onEvent == nil {
 		return
 	}
 	e := Event{
-		Kind: kind, Key: key, Err: err, Elapsed: elapsed, Attempts: attempts,
-		Completed: t.completed, Failed: t.failed, Skipped: t.skipped, Retries: t.retries, Total: t.total,
+		Kind: kind, Key: key, Err: err, Elapsed: elapsed,
+		Completed: t.completed, Failed: t.failed, Skipped: t.skipped, Total: t.total,
 	}
 	executed := t.completed + t.failed
 	if wall := time.Since(t.start); wall > 0 && executed > 0 {
@@ -172,7 +162,6 @@ func (t *tracker) stats() Stats {
 		Completed: t.completed,
 		Failed:    t.failed,
 		Skipped:   t.skipped,
-		Retries:   t.retries,
 		Wall:      time.Since(t.start),
 		Work:      t.work,
 		Workers:   t.workers,

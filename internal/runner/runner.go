@@ -2,17 +2,16 @@
 // evaluation harness: a fixed-size worker pool draining a bounded job
 // queue with deterministic result ordering, per-job panic isolation and
 // optional timeouts, context cancellation, JSONL checkpoint/resume keyed
-// by stable job hashes, bounded retry of transient job failures, and an
-// instrumentation hook reporting progress (jobs/sec, ETA) plus a
-// machine-readable run summary.
+// by stable job hashes, and an instrumentation hook reporting progress
+// (jobs/sec, ETA) plus a machine-readable run summary.
 //
 // Jobs must be independent and deterministic: given the same key they
 // must compute the same value on every run. Under that contract a
 // parallel run is observably identical to a serial one (results come
-// back in submission order), a checkpointed value recorded by an
-// interrupted run can substitute for re-execution, and a retried
-// transient failure converges to the same value a fault-free run would
-// have produced.
+// back in submission order), and a checkpointed value recorded by an
+// interrupted run can substitute for re-execution. It is also why each
+// job runs exactly once: a job that failed would fail the same way
+// again, so the runner records the failure instead of retrying it.
 package runner
 
 import (
@@ -26,27 +25,17 @@ import (
 	"github.com/uteda/gmap/internal/fault"
 	"github.com/uteda/gmap/internal/obs"
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
-	"github.com/uteda/gmap/internal/rng"
 )
 
 // Options configures one Run.
 type Options struct {
 	// Workers is the worker-pool size; <= 0 selects runtime.NumCPU().
 	Workers int
-	// Timeout bounds each job attempt's execution; 0 means no per-job
-	// limit. A timed-out job records a deadline error but cannot be
-	// preempted mid-computation: its goroutine is abandoned and the
-	// worker slot moves on. Timeouts are not retried — a deterministic
-	// job that overran its deadline once will overrun it again.
+	// Timeout bounds each job's execution; 0 means no per-job limit. A
+	// timed-out job records a deadline error but cannot be preempted
+	// mid-computation: its goroutine is abandoned and the worker slot
+	// moves on.
 	Timeout time.Duration
-	// Retries is how many times a job whose error classifies as
-	// transient (fault.IsTransient) is re-executed before its failure is
-	// recorded; 0 disables retry. Fatal errors are never retried.
-	Retries int
-	// RetryBackoff is the base delay before the first retry; each
-	// further retry doubles it, plus a deterministic per-(key, attempt)
-	// jitter of up to half the base. <= 0 retries immediately.
-	RetryBackoff time.Duration
 	// Checkpoint, when non-empty, names a JSONL file successful job
 	// results are streamed to as they complete, keyed by Job.Key. A
 	// checkpoint append that fails aborts the run: progress that cannot
@@ -56,8 +45,7 @@ type Options struct {
 	// already has a recorded value (failed jobs are never recorded, so
 	// they re-run). A torn trailing line — the signature of a killed
 	// run — is salvaged around and truncated from the file before
-	// appending; checkpoints dominated by re-recorded keys are compacted
-	// through an atomic rename.
+	// appending.
 	Resume bool
 	// ResumeStrict upgrades a total resume mismatch from a silent full
 	// re-run to an error: if the checkpoint holds entries but not one of
@@ -75,9 +63,6 @@ type Options struct {
 	// FS routes all checkpoint I/O; nil selects the real filesystem.
 	// Tests substitute a fault.InjectFS to exercise crash consistency.
 	FS fault.FS
-	// Inject, when non-nil, is a seeded schedule of artificial transient
-	// job failures checked before each attempt (testing and soak only).
-	Inject *fault.Schedule
 	// OnEvent, when non-nil, receives one Event per finished job (done,
 	// failed, or skipped). Events are delivered serially.
 	OnEvent func(Event)
@@ -93,15 +78,15 @@ type Options struct {
 	Sink func(key string, value json.RawMessage, elapsed time.Duration) error
 	// Obs, when non-nil, records execution instrumentation: per-job wall
 	// time ("runner.job_ns"), checkpoint-append latency
-	// ("runner.checkpoint_append_ns"), job outcome and retry counters,
+	// ("runner.checkpoint_append_ns"), job outcome counters,
 	// checkpoint-salvage counters and the pool size ("runner.workers").
 	// Purely observational: results, ordering and checkpoints are
 	// identical with or without it.
 	Obs *obs.Registry
 	// Trace, when non-nil, records hierarchical spans of the run: a
 	// "runner.run" root, one "runner.worker" lane per pool worker, a
-	// "runner.job" span per executed job with per-attempt children, and
-	// checkpoint-append spans. Purely observational, like Obs.
+	// "runner.job" span per executed job, and checkpoint-append spans.
+	// Purely observational, like Obs.
 	Trace *obstrace.Tracer
 	// TraceSpan nests the run's spans under an existing span (e.g. a
 	// figure sweep) instead of a fresh root; it takes precedence over
@@ -148,11 +133,7 @@ type Result[R any] struct {
 	// Skipped marks a value restored from the checkpoint rather than
 	// recomputed.
 	Skipped bool
-	// Attempts is how many times the job executed (1 for a first-try
-	// success, 0 when Skipped or never dispatched).
-	Attempts int
-	// Elapsed is the job's total wall-clock execution time across all
-	// attempts, excluding backoff sleeps (0 when Skipped).
+	// Elapsed is the job's wall-clock execution time (0 when Skipped).
 	Elapsed time.Duration
 }
 
@@ -184,7 +165,6 @@ func Run[R any](ctx context.Context, opts Options, jobs []Job[R]) ([]Result[R], 
 	jobsDone := opts.Obs.Counter("runner.jobs_done")
 	jobsFailed := opts.Obs.Counter("runner.jobs_failed")
 	jobsSkipped := opts.Obs.Counter("runner.jobs_skipped")
-	jobRetries := opts.Obs.Counter("runner.job_retries")
 	opts.Obs.Gauge("runner.workers").Set(int64(workers))
 
 	// Restore checkpointed results before dispatching anything so the
@@ -201,12 +181,6 @@ func Run[R any](ctx context.Context, opts Options, jobs []Job[R]) ([]Result[R], 
 		restored = m
 		restoredSample = salvage.FirstKey
 		recordSalvage(opts.Obs, salvage)
-		if salvage.Lines >= compactWasteThreshold && salvage.Lines > 2*salvage.Entries {
-			if _, err := CompactCheckpoint(opts.fs(), opts.Checkpoint); err != nil {
-				return results, tr.stats(), err
-			}
-			opts.Obs.Counter("runner.checkpoint_compactions").Inc()
-		}
 	}
 	var pending []int
 	matched := 0
@@ -218,7 +192,7 @@ func Run[R any](ctx context.Context, opts Options, jobs []Job[R]) ([]Result[R], 
 				results[i] = Result[R]{Key: jobs[i].Key, Value: v, Skipped: true}
 				done[i] = true
 				jobsSkipped.Inc()
-				tr.finish(JobSkipped, jobs[i].Key, nil, 0, 0)
+				tr.finish(JobSkipped, jobs[i].Key, nil, 0)
 				continue
 			}
 			// Unreadable entry (e.g. the job's result type changed):
@@ -267,8 +241,7 @@ func Run[R any](ctx context.Context, opts Options, jobs []Job[R]) ([]Result[R], 
 					continue // leave the job unexecuted; marked below
 				}
 				jobSpan := workerSpan.Child("runner.job", obstrace.String("key", jobs[idx].Key))
-				res := executeWithRetry(runCtx, opts, jobs[idx], jobSpan)
-				jobSpan.Set(obstrace.Int("attempts", int64(res.Attempts)))
+				res := execute(runCtx, opts, jobs[idx], jobSpan)
 				if res.Err != nil {
 					jobSpan.Set(obstrace.String("error", res.Err.Error()))
 				}
@@ -276,9 +249,6 @@ func Run[R any](ctx context.Context, opts Options, jobs []Job[R]) ([]Result[R], 
 				results[idx] = res
 				done[idx] = true
 				jobTime.Observe(uint64(res.Elapsed))
-				if res.Attempts > 1 {
-					jobRetries.Add(uint64(res.Attempts - 1))
-				}
 				mu.Lock()
 				if res.Err == nil && ckpt != nil && ckptErr == nil {
 					ckptSpan := workerSpan.Child("runner.checkpoint", obstrace.String("key", res.Key))
@@ -302,10 +272,10 @@ func Run[R any](ctx context.Context, opts Options, jobs []Job[R]) ([]Result[R], 
 				}
 				if res.Err != nil {
 					jobsFailed.Inc()
-					tr.finish(JobFailed, res.Key, res.Err, res.Elapsed, res.Attempts)
+					tr.finish(JobFailed, res.Key, res.Err, res.Elapsed)
 				} else {
 					jobsDone.Inc()
-					tr.finish(JobDone, res.Key, nil, res.Elapsed, res.Attempts)
+					tr.finish(JobDone, res.Key, nil, res.Elapsed)
 				}
 				mu.Unlock()
 			}
@@ -360,74 +330,13 @@ func recordSalvage(reg *obs.Registry, s Salvage) {
 	}
 }
 
-// executeWithRetry runs one job, re-executing it after a
-// transient-classified failure up to opts.Retries times. Each attempt
-// gets its own timeout; backoff sleeps are context-aware and excluded
-// from the recorded Elapsed.
-func executeWithRetry[R any](ctx context.Context, opts Options, job Job[R], jobSpan *obstrace.Span) Result[R] {
-	var res Result[R]
-	var total time.Duration
-	for attempt := 1; ; attempt++ {
-		attemptSpan := jobSpan.Child("runner.attempt", obstrace.Int("attempt", int64(attempt)))
-		res = execute(ctx, opts, job, attempt, attemptSpan)
-		if res.Err != nil {
-			attemptSpan.Set(obstrace.String("error", res.Err.Error()))
-		}
-		attemptSpan.End()
-		total += res.Elapsed
-		res.Attempts = attempt
-		res.Elapsed = total
-		if res.Err == nil || attempt > opts.Retries || !fault.IsTransient(res.Err) || ctx.Err() != nil {
-			return res
-		}
-		if d := RetryDelay(opts.RetryBackoff, job.Key, attempt); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return res
-			}
-		}
-	}
-}
-
-// RetryDelay computes the backoff before the retry that follows a failed
-// attempt: base doubled per prior attempt (capped), plus a deterministic
-// per-(key, attempt) jitter of up to base/2 so synchronized workers
-// hitting a shared contended resource spread out identically on replay.
-// Exported for the distributed layer, whose workers reuse the exact
-// same policy when the coordinator drops out mid-sweep.
-func RetryDelay(base time.Duration, key string, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	shift := attempt - 1
-	if shift > 16 {
-		shift = 16
-	}
-	d := base << shift
-	h := rng.Mix64(uint64(attempt))
-	for _, b := range []byte(key) {
-		h = rng.Mix64(h ^ uint64(b))
-	}
-	jitter := time.Duration(h % uint64(base/2+1))
-	return d + jitter
-}
-
-// execute runs one job attempt with panic isolation and an optional
-// deadline. The job runs on its own goroutine so a panic unwinds there
-// and a timed-out computation can be abandoned without killing the
-// worker. When an injection schedule is set, it is consulted before the
-// job body runs.
-func execute[R any](ctx context.Context, opts Options, job Job[R], attempt int, span *obstrace.Span) Result[R] {
+// execute runs one job with panic isolation and an optional deadline.
+// The job runs on its own goroutine so a panic unwinds there and a
+// timed-out computation can be abandoned without killing the worker.
+func execute[R any](ctx context.Context, opts Options, job Job[R], span *obstrace.Span) Result[R] {
 	res := Result[R]{Key: job.Key}
-	if err := opts.Inject.Check(job.Key, attempt); err != nil {
-		res.Err = err
-		return res
-	}
-	// The attempt span rides the job context so the body can parent its
-	// own spans (e.g. memsim.run) under this attempt.
+	// The job span rides the job context so the body can parent its own
+	// spans (e.g. memsim.run) under this job.
 	jctx := obstrace.NewContext(ctx, span)
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc

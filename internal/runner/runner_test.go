@@ -97,13 +97,22 @@ func TestPanicIsolation(t *testing.T) {
 func TestJobErrorDoesNotAbortRun(t *testing.T) {
 	jobs := intJobs(6, nil)
 	wantErr := errors.New("bad config")
-	jobs[0].Run = func(ctx context.Context) (int, error) { return 0, wantErr }
+	var runs atomic.Int32
+	jobs[0].Run = func(ctx context.Context) (int, error) {
+		runs.Add(1)
+		return 0, wantErr
+	}
 	results, _, err := Run(context.Background(), Options{Workers: 2}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(results[0].Err, wantErr) {
 		t.Errorf("results[0].Err = %v", results[0].Err)
+	}
+	// A deterministic job that failed once fails every time: its body
+	// runs exactly once.
+	if n := runs.Load(); n != 1 {
+		t.Errorf("failing job body ran %d times, want 1", n)
 	}
 	for i := 1; i < len(results); i++ {
 		if results[i].Err != nil || results[i].Value != i*i {
