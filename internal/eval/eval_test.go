@@ -248,6 +248,41 @@ func TestErrorMetrics(t *testing.T) {
 	}
 }
 
+// TestBenchRow: a figure row scores rates in percentage points and
+// magnitudes in percent through core.Comparison, and its correlation is
+// the comparison's, flat series included.
+func TestBenchRow(t *testing.T) {
+	near := func(got, want float64) bool { return got > want-0.01 && got < want+0.01 }
+	if r := benchRow("x", []float64{0.5, 0.2}, []float64{0.55, 0.25}, true); r.Benchmark != "x" ||
+		r.Points != 2 || !near(r.Error, 5) || !near(r.Correlation, 1) {
+		t.Errorf("rate row = %+v, want 5pp over 2 points, r=1", r)
+	}
+	if r := benchRow("x", []float64{100, 200}, []float64{110, 180}, false); !near(r.Error, 10) || !near(r.Correlation, 1) {
+		t.Errorf("magnitude row = %+v, want 10%%, r=1", r)
+	}
+	if r := benchRow("x", []float64{1, 1}, []float64{1, 1}, false); r.Error != 0 || r.Correlation != 1 {
+		t.Errorf("flat row = %+v, want no error, r=1", r)
+	}
+	for _, asRate := range []bool{true, false} {
+		if r := benchRow("x", nil, nil, asRate); r.Points != 0 || r.Error != 0 {
+			t.Errorf("empty row (rate %v) = %+v, want no points and no error", asRate, r)
+		}
+	}
+}
+
+// TestFillDefaultsKeepsScaleFactorBelowOne: only a missing or negative
+// scale factor takes the default of 4; one in (0,1) scales the clone up
+// and is kept.
+func TestFillDefaultsKeepsScaleFactorBelowOne(t *testing.T) {
+	for sf, want := range map[float64]float64{0: 4, -1: 4, 0.5: 0.5, 1: 1, 4: 4, 5: 5} {
+		o := Options{ScaleFactor: sf}
+		o.fillDefaults()
+		if o.ScaleFactor != want {
+			t.Errorf("ScaleFactor %v filled to %v, want %v", sf, o.ScaleFactor, want)
+		}
+	}
+}
+
 func TestFig6eQuick(t *testing.T) {
 	opts := quickOpts()
 	opts.Benchmarks = []string{"nn"}

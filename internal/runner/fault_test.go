@@ -192,3 +192,54 @@ func TestCheckpointCrashThenResume(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeAppendsWithoutRewriting: resume never rewrites what a
+// checkpoint holds. A key recorded more than once is restored and
+// skipped, the file's bytes stay in place as a prefix, and only the
+// pending job's line is appended after them.
+func TestResumeAppendsWithoutRewriting(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	w, err := openCheckpoint(nil, path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := w.append(JobKey("fault", "0"), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	results, st, err := Run(context.Background(),
+		Options{Workers: 1, Checkpoint: path, Resume: true}, deterministicJobs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Skipped != 1 || st.Completed != 1 || st.Retries != 0 ||
+		results[0].Value != 0 || results[1].Value != 7 {
+		t.Fatalf("stats=%+v results=%+v", st, results)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(after, before) {
+		t.Fatalf("resume rewrote the recorded lines:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	if added := strings.Count(string(after[len(before):]), "\n"); added != 1 {
+		t.Fatalf("resume appended %d lines, want 1 (the pending job)", added)
+	}
+	_, sv, err := SalvageCheckpoint(nil, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sv.Lines != 4 || sv.Entries != 2 {
+		t.Errorf("salvage = %+v, want 4 lines over 2 entries", sv)
+	}
+}

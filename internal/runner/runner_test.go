@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	obstrace "github.com/uteda/gmap/internal/obs/trace"
 )
 
 // intJobs builds n jobs where job i returns i*i, optionally delayed so
@@ -118,6 +120,50 @@ func TestJobErrorDoesNotAbortRun(t *testing.T) {
 		if results[i].Err != nil || results[i].Value != i*i {
 			t.Errorf("job %d: %+v", i, results[i])
 		}
+	}
+}
+
+// TestJobSpanParentsBodySpans: the job's "runner.job" span rides its
+// context, so a span the body begins (memsim's, in a sweep) is a direct
+// child of the span of the job that ran it.
+func TestJobSpanParentsBodySpans(t *testing.T) {
+	tr := obstrace.New()
+	jobs := intJobs(4, nil)
+	for i := range jobs {
+		key, run := jobs[i].Key, jobs[i].Run
+		jobs[i].Run = func(ctx context.Context) (int, error) {
+			obstrace.FromContext(ctx).Child("body", obstrace.String("key", key)).End()
+			return run(ctx)
+		}
+	}
+	if _, _, err := Run(context.Background(), Options{Workers: 2, Trace: tr}, jobs); err != nil {
+		t.Fatal(err)
+	}
+	keyOf := func(e obstrace.Event) interface{} {
+		for _, a := range e.Attrs {
+			if a.Key == "key" {
+				return a.Value
+			}
+		}
+		return nil
+	}
+	events := tr.Events()
+	byID := make(map[uint64]obstrace.Event, len(events))
+	for _, e := range events {
+		byID[e.ID] = e
+	}
+	bodies := 0
+	for _, e := range events {
+		if e.Name != "body" {
+			continue
+		}
+		bodies++
+		if p := byID[e.Parent]; p.Name != "runner.job" || keyOf(p) != keyOf(e) {
+			t.Errorf("body span of %v has parent %q (key %v), want its runner.job span", keyOf(e), p.Name, keyOf(p))
+		}
+	}
+	if bodies != len(jobs) {
+		t.Errorf("%d body spans, want %d", bodies, len(jobs))
 	}
 }
 

@@ -190,3 +190,32 @@ func TestCheckpointAppenderCompactsValues(t *testing.T) {
 		t.Errorf("stored value %s not compacted", vals["k"])
 	}
 }
+
+func TestSalvageFirstKeyIsFirstValidLine(t *testing.T) {
+	// FirstKey samples the checkpoint's job universe for resume-mismatch
+	// errors: it is the first key that parses, not a corrupt line before
+	// it, and a later re-recording of another key does not move it.
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	if err := os.WriteFile(path, []byte("not json\n\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	first, second := JobKey("first"), JobKey("second")
+	appendEntries(t, path, []Entry{
+		{Key: first, Value: json.RawMessage(`{"orig":1}`)},
+		{Key: second, Value: json.RawMessage(`{"orig":2}`)},
+		{Key: second, Value: json.RawMessage(`{"orig":2}`)},
+		{Key: first, Value: json.RawMessage(`{"orig":1}`)},
+	})
+	for name, salvage := range map[string]func() (Salvage, error){
+		"lenient": func() (Salvage, error) { _, sv, err := SalvageCheckpoint(nil, path); return sv, err },
+		"strict":  func() (Salvage, error) { _, sv, err := SalvageStrict(nil, path); return sv, err },
+	} {
+		sv, err := salvage()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if sv.FirstKey != first || sv.BadLines != 1 || sv.Lines != 4 || sv.Entries != 2 {
+			t.Errorf("%s salvage = %+v, want FirstKey %q over 1 bad and 4 good lines", name, sv, first)
+		}
+	}
+}
