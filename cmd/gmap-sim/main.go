@@ -96,24 +96,10 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown DRAM mapping %q", *mapping))
 	}
-	if *l1pf {
-		deg := *l1pfDeg
-		cfg.NewL1Prefetcher = func() (prefetch.Prefetcher, error) {
-			pc := prefetch.DefaultStrideConfig()
-			pc.Degree = deg
-			return prefetch.NewStride(pc)
-		}
-	}
-	if *l2pf {
-		sc := prefetch.DefaultStreamConfig()
-		sc.Window = *l2pfWin
-		sc.Degree = *l2pfDeg
-		sc.LineSize = uint64(*l2Line)
-		p, err := prefetch.NewStream(sc)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.L2Prefetcher = p
+	var err error
+	cfg.L1Prefetch, cfg.L2Prefetch, err = prefetchConfigs(*l1pf, *l1pfDeg, *l2pf, *l2pfWin, *l2pfDeg, *l2Line)
+	if err != nil {
+		fatal(err)
 	}
 
 	if *obsOut != "" || *obsSnap != "" || *serveA != "" {
@@ -177,6 +163,29 @@ func main() {
 	fmt.Printf("DRAM avg queue:    %.2f\n", metrics.DRAM.AvgQueueLen())
 	fmt.Printf("DRAM read latency: %.1f cycles\n", metrics.DRAM.AvgReadLatency())
 	fmt.Printf("DRAM write latency:%.1f cycles\n", metrics.DRAM.AvgWriteLatency())
+}
+
+// prefetchConfigs describes the prefetchers the flags turn on, leaving
+// the zero value for one that is off, and validates them, so a bad
+// prefetch flag fails before any trace is read or emulated.
+func prefetchConfigs(l1 bool, l1Degree int, l2 bool, l2Window, l2Degree, l2Line int) (prefetch.StrideConfig, prefetch.StreamConfig, error) {
+	var stride prefetch.StrideConfig
+	var stream prefetch.StreamConfig
+	if l1 {
+		stride = prefetch.DefaultStrideConfig()
+		stride.Degree = l1Degree
+		if err := stride.Validate(); err != nil {
+			return stride, stream, err
+		}
+	}
+	if l2 {
+		stream = prefetch.DefaultStreamConfig()
+		stream.Window, stream.Degree, stream.LineSize = l2Window, l2Degree, uint64(l2Line)
+		if err := stream.Validate(); err != nil {
+			return stride, stream, err
+		}
+	}
+	return stride, stream, nil
 }
 
 // runSim executes the simulation as a job on the experiment engine: a

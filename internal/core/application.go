@@ -85,25 +85,3 @@ func (w *AppWorkload) SimulateProxy(cfg memsim.Config) (memsim.Metrics, error) {
 	}
 	return sim.Run()
 }
-
-// CompareApp sweeps both the original application and its clone over
-// configurations and collects paired metric values, the application-level
-// analogue of Compare.
-func CompareApp(w *AppWorkload, configs []memsim.Config, labels []string, metric Metric) (*Comparison, error) {
-	if len(configs) != len(labels) {
-		return nil, fmt.Errorf("core: %d configs but %d labels", len(configs), len(labels))
-	}
-	cmp := &Comparison{Benchmark: w.Name, Metric: metric.Name}
-	for i, cfg := range configs {
-		orig, err := w.SimulateOriginal(cfg)
-		if err != nil {
-			return nil, err
-		}
-		prox, err := w.SimulateProxy(cfg)
-		if err != nil {
-			return nil, err
-		}
-		cmp.Add(labels[i], metric.Fn(orig), metric.Fn(prox))
-	}
-	return cmp, nil
-}

@@ -158,24 +158,3 @@ func (c *Comparison) Correlation() float64 {
 	}
 	return r
 }
-
-// Compare sweeps both streams over configurations and collects the paired
-// metric values. Labels must be parallel to configs.
-func Compare(w *Workload, configs []memsim.Config, labels []string, metric Metric) (*Comparison, error) {
-	if len(configs) != len(labels) {
-		return nil, fmt.Errorf("core: %d configs but %d labels", len(configs), len(labels))
-	}
-	cmp := &Comparison{Benchmark: w.Name, Metric: metric.Name}
-	for i, cfg := range configs {
-		orig, err := w.SimulateOriginal(cfg)
-		if err != nil {
-			return nil, err
-		}
-		prox, err := w.SimulateProxy(cfg)
-		if err != nil {
-			return nil, err
-		}
-		cmp.Add(labels[i], metric.Fn(orig), metric.Fn(prox))
-	}
-	return cmp, nil
-}

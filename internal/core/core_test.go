@@ -121,40 +121,6 @@ func TestComparisonFlatSeries(t *testing.T) {
 	}
 }
 
-func TestCompareSweep(t *testing.T) {
-	w := prepare(t, "scalarprod")
-	configs := make([]memsim.Config, 0, 3)
-	labels := make([]string, 0, 3)
-	for _, size := range []int{8 << 10, 32 << 10, 128 << 10} {
-		cfg := smallSim()
-		cfg.L1 = cache.Config{SizeBytes: size, Ways: 4, LineSize: 128}
-		configs = append(configs, cfg)
-		labels = append(labels, cfg.L1.String())
-	}
-	cmp, err := Compare(w, configs, labels, L1MissRate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Len() != 3 {
-		t.Fatalf("Len = %d", cmp.Len())
-	}
-	if cmp.Metric != "l1-miss-rate" || cmp.Benchmark != "scalarprod" {
-		t.Errorf("metadata = %q/%q", cmp.Benchmark, cmp.Metric)
-	}
-	for i, v := range cmp.Original {
-		if v < 0 || v > 1 {
-			t.Errorf("original[%d] = %v", i, v)
-		}
-	}
-}
-
-func TestCompareLabelMismatch(t *testing.T) {
-	w := prepare(t, "nn")
-	if _, err := Compare(w, []memsim.Config{smallSim()}, nil, L1MissRate); err == nil {
-		t.Error("label mismatch accepted")
-	}
-}
-
 func TestMetricAccessors(t *testing.T) {
 	var m memsim.Metrics
 	m.L1.Accesses, m.L1.Misses = 10, 5
@@ -169,26 +135,25 @@ func TestMetricAccessors(t *testing.T) {
 	}
 }
 
-func TestCompareAppSweep(t *testing.T) {
+// TestAppBiggerL1NoWorseMissRate: a bigger L1 must not raise the
+// original application's miss rate.
+func TestAppBiggerL1NoWorseMissRate(t *testing.T) {
 	w, err := PrepareApp("srad", 1, profiler.DefaultConfig(), synth.Options{Seed: 1, ScaleFactor: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	configs := []memsim.Config{smallSim(), smallSim()}
-	configs[1].L1 = cache.Config{SizeBytes: 64 << 10, Ways: 8, LineSize: 128}
-	cmp, err := CompareApp(w, configs, []string{"base", "big-l1"}, L1MissRate)
-	if err != nil {
-		t.Fatal(err)
+	big := smallSim()
+	big.L1 = cache.Config{SizeBytes: 64 << 10, Ways: 8, LineSize: 128}
+	var rates []float64
+	for _, cfg := range []memsim.Config{smallSim(), big} {
+		m, err := w.SimulateOriginal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rates = append(rates, m.L1MissRate())
 	}
-	if cmp.Len() != 2 {
-		t.Fatalf("Len = %d", cmp.Len())
-	}
-	// A bigger L1 must not increase the original's miss rate.
-	if cmp.Original[1] > cmp.Original[0]+1e-9 {
-		t.Errorf("bigger L1 raised app miss rate: %v", cmp.Original)
-	}
-	if _, err := CompareApp(w, configs, nil, L1MissRate); err == nil {
-		t.Error("label mismatch accepted")
+	if rates[1] > rates[0]+1e-9 {
+		t.Errorf("bigger L1 raised app miss rate: %v", rates)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/uteda/gmap/internal/core"
+	obstrace "github.com/uteda/gmap/internal/obs/trace"
 	"github.com/uteda/gmap/internal/runner"
 	"github.com/uteda/gmap/internal/stats"
 	"github.com/uteda/gmap/internal/synth"
@@ -62,8 +63,8 @@ type ablSample struct {
 }
 
 // variant builds each (benchmark, variant) proxy workload at most once,
-// on the first job that needs it.
-func (o *Options) variant(benchmark string, v AblationVariant) (*core.Workload, error) {
+// on the first job that needs it; that job's span parents the generation.
+func (o *Options) variant(ctx context.Context, benchmark string, v AblationVariant) (*core.Workload, error) {
 	key := o.memoKey(benchmark)
 	key.variant = v.Name
 	return o.memos.variants.get(key, func() (*core.Workload, error) {
@@ -73,6 +74,7 @@ func (o *Options) variant(benchmark string, v AblationVariant) (*core.Workload, 
 		}
 		proxy, err := synth.Generate(base.Profile, synth.Options{
 			Seed: o.Seed, ScaleFactor: o.ScaleFactor, Ablation: v.Abl,
+			Obs: o.Obs, TraceSpan: obstrace.FromContext(ctx),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("eval ablation %s/%s: %w", benchmark, v.Name, err)
@@ -124,11 +126,7 @@ func (o *Options) Ablation() (*AblationResult, error) {
 					if err != nil {
 						return ablSample{}, err
 					}
-					cfg, err := g.Make()
-					if err != nil {
-						return ablSample{}, err
-					}
-					om, err := w.SimulateOriginal(cfg)
+					om, err := simulate(ctx, w, false, g)
 					if err != nil {
 						return ablSample{}, err
 					}
@@ -147,15 +145,11 @@ func (o *Options) Ablation() (*AblationResult, error) {
 				jobs = append(jobs, runner.Job[ablSample]{
 					Key: o.jobKey("ablation", name, "variant="+v.Name, g.Label),
 					Run: func(ctx context.Context) (ablSample, error) {
-						w, err := o.variant(name, v)
+						w, err := o.variant(ctx, name, v)
 						if err != nil {
 							return ablSample{}, err
 						}
-						cfg, err := g.Make()
-						if err != nil {
-							return ablSample{}, err
-						}
-						pm, err := w.SimulateProxy(cfg)
+						pm, err := simulate(ctx, w, true, g)
 						if err != nil {
 							return ablSample{}, err
 						}

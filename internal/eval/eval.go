@@ -102,7 +102,8 @@ type Options struct {
 	// figures are meaningless and must be discarded. Shard is an
 	// execution filter only — it never changes job keys — and exists for
 	// the distributed worker (internal/dist), which cares about the
-	// per-key checkpoint values it streams back, not the local report.
+	// per-key checkpoint values it streams back, not the local report,
+	// and for SweepKeys, whose shard records every key and selects none.
 	Shard func(key string) bool
 	// ResultSink, when non-nil, receives every executed simulation
 	// point's checkpoint event (key, canonical JSON payload, execution
@@ -123,22 +124,6 @@ type Options struct {
 	// leases, and "-exp all" prepares each benchmark once, not once per
 	// figure. Also a pointer, so copies share it.
 	memos *memos
-
-	// enumKeys, when non-nil, switches runJobs into enumeration: jobs
-	// are collected by key and nothing executes (see SweepKeys).
-	enumKeys *keyCollector
-}
-
-// keyCollector accumulates the job keys runJobs would have executed.
-type keyCollector struct {
-	mu   sync.Mutex
-	keys []string
-}
-
-func (c *keyCollector) add(keys []string) {
-	c.mu.Lock()
-	c.keys = append(c.keys, keys...)
-	c.mu.Unlock()
 }
 
 // strictResume arms runner.Options.ResumeStrict for exactly the first
@@ -254,17 +239,6 @@ func (o *Options) jobKey(experiment, benchmark string, parts ...string) string {
 // runner statistics. Job-level failures are left in the results for the
 // caller to collect; the error return is cancellation only.
 func runJobs[R any](o *Options, experiment string, jobs []runner.Job[R]) ([]runner.Result[R], runner.Stats, error) {
-	if o.enumKeys != nil {
-		// Enumeration mode: report the job universe without executing,
-		// resuming, or touching the checkpoint. Callers get zero-valued
-		// results; SweepKeys discards the assembled figures.
-		keys := make([]string, len(jobs))
-		for i := range jobs {
-			keys[i] = jobs[i].Key
-		}
-		o.enumKeys.add(keys)
-		return make([]runner.Result[R], len(jobs)), runner.Stats{}, nil
-	}
 	// A shard executes only the selected subset; the skipped jobs' result
 	// slots stay zero-valued and are scattered back so figure assembly
 	// still sees the full sweep shape.
@@ -334,14 +308,18 @@ func runJobs[R any](o *Options, experiment string, jobs []runner.Job[R]) ([]runn
 // execution by construction, so a worker running the same Options can
 // never disagree with the coordinator about job identity.
 func (o Options) SweepKeys(experiment string) ([]string, error) {
-	// o is a value copy: strip everything that would execute, log, or
-	// persist, and detach the shared accumulators so enumeration leaves
-	// the caller's Options untouched.
-	o.enumKeys = &keyCollector{}
+	// o is a value copy: strip everything that would log or persist, and
+	// detach the shared accumulators so enumeration leaves the caller's
+	// Options untouched. The shard records every key and selects none,
+	// so nothing executes and every result stays zero-valued.
+	var keys []string
+	o.Shard = func(key string) bool {
+		keys = append(keys, key)
+		return false
+	}
 	o.Progress = nil
 	o.Checkpoint = ""
 	o.Resume = false
-	o.Shard = nil
 	o.ResultSink = nil
 	o.Obs = nil
 	o.Trace = nil
@@ -351,7 +329,6 @@ func (o Options) SweepKeys(experiment string) ([]string, error) {
 	if err := o.RunSweeps(experiment); err != nil {
 		return nil, err
 	}
-	keys := append([]string(nil), o.enumKeys.keys...)
 	sort.Strings(keys)
 	uniq := keys[:0]
 	for i, k := range keys {
@@ -562,27 +539,28 @@ type pointSample struct {
 	Prox float64 `json:"prox"`
 }
 
-// simPoint simulates one configuration on both sides of a workload.
-// Configurations are constructed inside the job because prefetchers
-// carry training state that must not leak across runs. The span riding
-// ctx (the runner's job span) parents both simulations' spans.
-func simPoint(ctx context.Context, w *core.Workload, og, pg ConfigGen, metric core.Metric) (pointSample, error) {
-	span := obstrace.FromContext(ctx)
-	ocfg, err := og.Make()
+// simulate runs one side of w, the original or its clone, at g's
+// configuration. The span riding ctx (the runner's job span) parents the
+// simulation's spans.
+func simulate(ctx context.Context, w *core.Workload, proxy bool, g ConfigGen) (memsim.Metrics, error) {
+	cfg, err := g.Make()
 	if err != nil {
-		return pointSample{}, fmt.Errorf("eval: %s: %w", og.Label, err)
+		return memsim.Metrics{}, fmt.Errorf("eval: %s: %w", g.Label, err)
 	}
-	ocfg.TraceSpan = span
-	om, err := w.SimulateOriginal(ocfg)
+	cfg.TraceSpan = obstrace.FromContext(ctx)
+	if proxy {
+		return w.SimulateProxy(cfg)
+	}
+	return w.SimulateOriginal(cfg)
+}
+
+// simPoint simulates one configuration on both sides of a workload.
+func simPoint(ctx context.Context, w *core.Workload, og, pg ConfigGen, metric core.Metric) (pointSample, error) {
+	om, err := simulate(ctx, w, false, og)
 	if err != nil {
 		return pointSample{}, err
 	}
-	pcfg, err := pg.Make()
-	if err != nil {
-		return pointSample{}, fmt.Errorf("eval: %s: %w", pg.Label, err)
-	}
-	pcfg.TraceSpan = span
-	pm, err := w.SimulateProxy(pcfg)
+	pm, err := simulate(ctx, w, true, pg)
 	if err != nil {
 		return pointSample{}, err
 	}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -76,20 +77,57 @@ func TestSweepLabelsUnique(t *testing.T) {
 	}
 }
 
-func TestPrefetchConfigsAreFreshPerRun(t *testing.T) {
-	// Two Make() calls must yield distinct prefetcher instances, or
-	// training state would leak between runs.
-	g := L2PrefetchSweep(4)[0]
-	a, err := g.Make()
-	if err != nil {
-		t.Fatal(err)
+// TestSweepPointsAreValues pins that each sweep point is one value: Make
+// returns the same Config on every call, and no two points of a sweep
+// share a Config, so a point's Config can key a per-configuration table.
+func TestSweepPointsAreValues(t *testing.T) {
+	sweeps := []struct {
+		name string
+		gens []ConfigGen
+	}{
+		{"l1", L1Sweep(4)}, {"l2", L2Sweep(4)},
+		{"l1-prefetch", L1PrefetchSweep(4)}, {"l2-prefetch", L2PrefetchSweep(4)},
+		{"dram", DRAMSweep(4)}, {"lrr", SchedulerSweep(4, memsim.LRR)},
+		{"gto", SchedulerSweep(4, memsim.GTO)}, {"pself", SchedulerSweep(4, memsim.PSelf)},
 	}
-	b, err := g.Make()
-	if err != nil {
-		t.Fatal(err)
+	for _, sw := range sweeps {
+		t.Run(sw.name, func(t *testing.T) {
+			seen := make(map[memsim.Config]string, len(sw.gens))
+			for _, g := range sw.gens {
+				a, errA := g.Make()
+				b, errB := g.Make()
+				if errA != nil || errB != nil {
+					t.Fatalf("%q: %v, %v", g.Label, errA, errB)
+				}
+				if a != b {
+					t.Errorf("%q: Make returned %+v, then %+v", g.Label, a, b)
+				}
+				if other, ok := seen[a]; ok {
+					t.Errorf("%q and %q share a configuration", other, g.Label)
+				}
+				seen[a] = g.Label
+			}
+		})
 	}
-	if a.L2Prefetcher == b.L2Prefetcher {
-		t.Error("L2 prefetcher shared between runs")
+}
+
+// TestSchedulerSweepIsL1SweepUnderPolicy pins Figure 6e's points: Figure
+// 6a's L1 configurations, in order, with the policy set and named.
+func TestSchedulerSweepIsL1SweepUnderPolicy(t *testing.T) {
+	l1 := L1Sweep(4)
+	for _, policy := range []memsim.SchedPolicy{memsim.LRR, memsim.GTO, memsim.PSelf} {
+		for i, g := range SchedulerSweep(4, policy) {
+			want, _ := l1[i].Make()
+			want.Scheduler = policy
+			if policy != memsim.LRR {
+				want.SchedPself = 0.9
+			}
+			got, err := g.Make()
+			if err != nil || got != want || g.Label != l1[i].Label+" "+policy.String() {
+				t.Errorf("%s point %d = %q %+v (err %v), want %q %+v",
+					policy, i, g.Label, got, err, l1[i].Label+" "+policy.String(), want)
+			}
+		}
 	}
 }
 
@@ -376,7 +414,7 @@ func TestMemoBuildPanicLeavesError(t *testing.T) {
 	if w, err := o.workload("nn"); err == nil || w != nil {
 		t.Errorf("workload after a panicked build = (%v, %v), want an error", w, err)
 	}
-	if w, err := o.variant("nn", AblationVariants()[0]); err == nil || w != nil {
+	if w, err := o.variant(context.Background(), "nn", AblationVariants()[0]); err == nil || w != nil {
 		t.Errorf("variant over a panicked workload = (%v, %v), want an error", w, err)
 	}
 }

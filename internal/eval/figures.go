@@ -8,6 +8,7 @@ import (
 
 	"github.com/uteda/gmap/internal/core"
 	"github.com/uteda/gmap/internal/memsim"
+	obstrace "github.com/uteda/gmap/internal/obs/trace"
 	"github.com/uteda/gmap/internal/profiler"
 	"github.com/uteda/gmap/internal/reuse"
 	"github.com/uteda/gmap/internal/runner"
@@ -76,19 +77,11 @@ func (o *Options) Fig7() (*Fig7Result, error) {
 					if err != nil {
 						return fig7Sample{}, err
 					}
-					ocfg, err := g.Make()
+					om, err := simulate(ctx, w, false, g)
 					if err != nil {
 						return fig7Sample{}, err
 					}
-					om, err := w.SimulateOriginal(ocfg)
-					if err != nil {
-						return fig7Sample{}, err
-					}
-					pcfg, err := g.Make()
-					if err != nil {
-						return fig7Sample{}, err
-					}
-					pm, err := w.SimulateProxy(pcfg)
+					pm, err := simulate(ctx, w, true, g)
 					if err != nil {
 						return fig7Sample{}, err
 					}
@@ -235,6 +228,7 @@ func (o *Options) Fig8() (*Fig8Result, error) {
 	o.fillDefaults()
 	start := time.Now()
 	factors := []float64{1, 2, 4, 8, 16}
+	base := configGen("base", baseConfig(o.Cores))
 	jobs := make([]runner.Job[fig8Sample], 0, len(factors)*len(o.Benchmarks))
 	for _, factor := range factors {
 		factor := factor
@@ -251,7 +245,7 @@ func (o *Options) Fig8() (*Fig8Result, error) {
 					key.cores = o.Cores
 					orig, err := o.memos.origs.get(key, func() (fig8Original, error) {
 						t0 := time.Now()
-						om, err := w.SimulateOriginal(baseConfig(o.Cores))
+						om, err := simulate(ctx, w, false, base)
 						return fig8Original{m: om, ns: o.sinceNS(t0)}, err
 					})
 					if err != nil {
@@ -261,7 +255,9 @@ func (o *Options) Fig8() (*Fig8Result, error) {
 					// profile and seed at o.ScaleFactor, so it is this
 					// factor's clone when the two agree.
 					if factor != o.ScaleFactor {
-						proxy, err := synth.Generate(w.Profile, synth.Options{Seed: o.Seed, ScaleFactor: factor})
+						proxy, err := synth.Generate(w.Profile, synth.Options{
+							Seed: o.Seed, ScaleFactor: factor, Obs: o.Obs, TraceSpan: obstrace.FromContext(ctx),
+						})
 						if err != nil {
 							return fig8Sample{}, fmt.Errorf("eval fig8 %s at %gx: %w", name, factor, err)
 						}
@@ -270,7 +266,7 @@ func (o *Options) Fig8() (*Fig8Result, error) {
 						w = &clone
 					}
 					t0 := time.Now()
-					pm, err := w.SimulateProxy(baseConfig(o.Cores))
+					pm, err := simulate(ctx, w, true, base)
 					if err != nil {
 						return fig8Sample{}, err
 					}

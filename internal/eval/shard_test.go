@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -92,6 +93,33 @@ func TestSweepKeysScaleFactorBelowOne(t *testing.T) {
 		if four[k] {
 			t.Fatalf("key %s is the same at scale factors 0.5 and 4", k)
 		}
+	}
+}
+
+// TestSweepKeysIgnoreCallerShard: SweepKeys enumerates through a Shard
+// of its own, so a caller's shard — a distributed worker's lease filter
+// — neither filters the enumeration nor sees its keys.
+func TestSweepKeysIgnoreCallerShard(t *testing.T) {
+	opts := quickOpts()
+	opts.Benchmarks = []string{"nn"}
+	want, err := opts.SweepKeys("fig7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	opts.Shard = func(string) bool {
+		calls++
+		return false
+	}
+	got, err := opts.SweepKeys("fig7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 11 || !slices.Equal(got, want) {
+		t.Errorf("with a caller's shard SweepKeys gave %d keys, want the %d unsharded ones (11)", len(got), len(want))
+	}
+	if calls != 0 {
+		t.Errorf("the caller's shard was consulted %d times during enumeration", calls)
 	}
 }
 

@@ -13,12 +13,18 @@ import (
 	"github.com/uteda/gmap/internal/prefetch"
 )
 
-// ConfigGen builds a fresh simulator configuration for every run. A fresh
-// value is required because prefetchers carry training state that must not
-// leak across runs.
+// ConfigGen is one labelled sweep point. Make returns the point's
+// simulator configuration, the same value on every call: a memsim.Config
+// is a plain value from which every run builds its own prefetchers. The
+// {Label, Make} shape stays because bench/ builds and calls it.
 type ConfigGen struct {
 	Label string
 	Make  func() (memsim.Config, error)
+}
+
+// configGen labels a configuration built once.
+func configGen(label string, cfg memsim.Config) ConfigGen {
+	return ConfigGen{Label: label, Make: func() (memsim.Config, error) { return cfg, nil }}
 }
 
 // baseConfig returns the Table 2 system with the evaluation's core count.
@@ -34,19 +40,19 @@ func baseConfig(cores int) memsim.Config {
 // 8-128KB x associativity 1-16 x line size 32-128B, with the L2 fixed at
 // 1MB 8-way.
 func L1Sweep(cores int) []ConfigGen {
+	return l1Sweep(baseConfig(cores), "")
+}
+
+// l1Sweep varies base's L1 over Figure 6a's 30 geometries, appending
+// suffix to every label.
+func l1Sweep(base memsim.Config, suffix string) []ConfigGen {
 	var gens []ConfigGen
 	for _, size := range []int{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10} {
 		for _, ways := range []int{1, 4, 16} {
 			for _, line := range []int{32, 128} {
-				l1 := cache.Config{SizeBytes: size, Ways: ways, LineSize: line}
-				gens = append(gens, ConfigGen{
-					Label: "L1 " + l1.String(),
-					Make: func() (memsim.Config, error) {
-						cfg := baseConfig(cores)
-						cfg.L1 = l1
-						return cfg, nil
-					},
-				})
+				cfg := base
+				cfg.L1 = cache.Config{SizeBytes: size, Ways: ways, LineSize: line}
+				gens = append(gens, configGen("L1 "+cfg.L1.String()+suffix, cfg))
 			}
 		}
 	}
@@ -60,15 +66,9 @@ func L2Sweep(cores int) []ConfigGen {
 	for _, size := range []int{128 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20} {
 		for _, ways := range []int{1, 4, 16} {
 			for _, line := range []int{64, 128} {
-				l2 := cache.Config{SizeBytes: size, Ways: ways, LineSize: line}
-				gens = append(gens, ConfigGen{
-					Label: "L2 " + l2.String(),
-					Make: func() (memsim.Config, error) {
-						cfg := baseConfig(cores)
-						cfg.L2 = l2
-						return cfg, nil
-					},
-				})
+				cfg := baseConfig(cores)
+				cfg.L2 = cache.Config{SizeBytes: size, Ways: ways, LineSize: line}
+				gens = append(gens, configGen("L2 "+cfg.L2.String(), cfg))
 			}
 		}
 	}
@@ -84,19 +84,10 @@ func L1PrefetchSweep(cores int) []ConfigGen {
 		for _, ways := range []int{1, 4, 16} {
 			for _, degree := range []int{1, 2, 4, 8} {
 				for _, table := range []int{16, 64} {
-					l1 := cache.Config{SizeBytes: size, Ways: ways, LineSize: 128}
-					pf := prefetch.StrideConfig{TableSize: table, Degree: degree, MinConfidence: 2, PerWarp: true}
-					gens = append(gens, ConfigGen{
-						Label: fmt.Sprintf("L1 %s stride(d=%d,t=%d)", l1.String(), degree, table),
-						Make: func() (memsim.Config, error) {
-							cfg := baseConfig(cores)
-							cfg.L1 = l1
-							cfg.NewL1Prefetcher = func() (prefetch.Prefetcher, error) {
-								return prefetch.NewStride(pf)
-							}
-							return cfg, nil
-						},
-					})
+					cfg := baseConfig(cores)
+					cfg.L1 = cache.Config{SizeBytes: size, Ways: ways, LineSize: 128}
+					cfg.L1Prefetch = prefetch.StrideConfig{TableSize: table, Degree: degree, MinConfidence: 2, PerWarp: true}
+					gens = append(gens, configGen(fmt.Sprintf("L1 %s stride(d=%d,t=%d)", cfg.L1.String(), degree, table), cfg))
 				}
 			}
 		}
@@ -114,21 +105,10 @@ func L2PrefetchSweep(cores int) []ConfigGen {
 			for _, line := range []int{64, 128} {
 				for _, window := range []int{8, 16, 32} {
 					for _, degree := range []int{1, 2, 4, 8} {
-						l2 := cache.Config{SizeBytes: size, Ways: ways, LineSize: line}
-						pf := prefetch.StreamConfig{Streams: 16, Window: window, Degree: degree, LineSize: uint64(line)}
-						gens = append(gens, ConfigGen{
-							Label: fmt.Sprintf("L2 %s stream(w=%d,d=%d)", l2.String(), window, degree),
-							Make: func() (memsim.Config, error) {
-								cfg := baseConfig(cores)
-								cfg.L2 = l2
-								p, err := prefetch.NewStream(pf)
-								if err != nil {
-									return memsim.Config{}, err
-								}
-								cfg.L2Prefetcher = p
-								return cfg, nil
-							},
-						})
+						cfg := baseConfig(cores)
+						cfg.L2 = cache.Config{SizeBytes: size, Ways: ways, LineSize: line}
+						cfg.L2Prefetch = prefetch.StreamConfig{Streams: 16, Window: window, Degree: degree, LineSize: uint64(line)}
+						gens = append(gens, configGen(fmt.Sprintf("L2 %s stream(w=%d,d=%d)", cfg.L2.String(), window, degree), cfg))
 					}
 				}
 			}
@@ -140,28 +120,14 @@ func L2PrefetchSweep(cores int) []ConfigGen {
 // SchedulerSweep returns Figure 6e's configurations: the L1 sweep under a
 // given warp scheduling policy.
 func SchedulerSweep(cores int, policy memsim.SchedPolicy) []ConfigGen {
-	gens := L1Sweep(cores)
-	out := make([]ConfigGen, len(gens))
-	for i, g := range gens {
-		g := g
-		out[i] = ConfigGen{
-			Label: g.Label + " " + policy.String(),
-			Make: func() (memsim.Config, error) {
-				cfg, err := g.Make()
-				if err != nil {
-					return cfg, err
-				}
-				cfg.Scheduler = policy
-				if policy == memsim.GTO || policy == memsim.PSelf {
-					// GTO re-issues the same warp with high probability;
-					// PSelf is the proxy-side approximation of it (§4.5).
-					cfg.SchedPself = 0.9
-				}
-				return cfg, nil
-			},
-		}
+	base := baseConfig(cores)
+	base.Scheduler = policy
+	if policy == memsim.GTO || policy == memsim.PSelf {
+		// GTO re-issues the same warp with high probability; PSelf is
+		// the proxy-side approximation of it (§4.5).
+		base.SchedPself = 0.9
 	}
-	return out
+	return l1Sweep(base, " "+policy.String())
 }
 
 // DRAMSweep returns the 11 GDDR5 configurations of Figure 7: channel
@@ -186,15 +152,9 @@ func DRAMSweep(cores int) []ConfigGen {
 	}
 	gens := make([]ConfigGen, len(points))
 	for i, pt := range points {
-		pt := pt
-		gens[i] = ConfigGen{
-			Label: fmt.Sprintf("GDDR5 %dch %dB %s", pt.channels, pt.bus, pt.mapping),
-			Make: func() (memsim.Config, error) {
-				cfg := baseConfig(cores)
-				cfg.DRAM = dram.GDDR5(pt.channels, pt.bus, pt.mapping)
-				return cfg, nil
-			},
-		}
+		cfg := baseConfig(cores)
+		cfg.DRAM = dram.GDDR5(pt.channels, pt.bus, pt.mapping)
+		gens[i] = configGen(fmt.Sprintf("GDDR5 %dch %dB %s", pt.channels, pt.bus, pt.mapping), cfg)
 	}
 	return gens
 }

@@ -1,9 +1,9 @@
 // Package gpu models the pieces of the GPU execution model that G-MAP
 // depends on: launch geometry and thread linearization, the Fermi-style
 // grouping of threads into warps and threadblocks (CUDA C Programming
-// Guide §G.1), the per-warp memory coalescer (§G.4.2), occupancy limits,
-// and the round-robin assignment of threadblocks to streaming
-// multiprocessors.
+// Guide §G.1), and the per-warp memory coalescer (§G.4.2). Threadblock
+// residency and their round-robin assignment to streaming
+// multiprocessors are the simulator's (internal/memsim).
 package gpu
 
 import (

@@ -322,113 +322,3 @@ func TestBuildWarpTracesConservation(t *testing.T) {
 		t.Errorf("covered %d thread-accesses, trace has %d", covered, k.NumAccesses())
 	}
 }
-
-func TestBlocksPerSM(t *testing.T) {
-	c := DefaultSMConfig()
-	n, err := c.BlocksPerSM(BlockRequirements{Threads: 256, RegsPerThread: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// threads limit: 1024/256 = 4; regs limit: 32768/(16*256) = 8; block
-	// limit 8 -> 4.
-	if n != 4 {
-		t.Errorf("BlocksPerSM = %d, want 4", n)
-	}
-}
-
-func TestBlocksPerSMRegisterBound(t *testing.T) {
-	c := DefaultSMConfig()
-	n, err := c.BlocksPerSM(BlockRequirements{Threads: 128, RegsPerThread: 63})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// regs: 32768/(63*128) = 4.06 -> 4; threads: 1024/128 = 8 -> regs bind.
-	if n != 4 {
-		t.Errorf("BlocksPerSM = %d, want 4 (register-bound)", n)
-	}
-}
-
-func TestBlocksPerSMSharedMemBound(t *testing.T) {
-	c := DefaultSMConfig()
-	n, err := c.BlocksPerSM(BlockRequirements{Threads: 64, SharedMem: 20 * 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("BlocksPerSM = %d, want 2 (shared-memory-bound)", n)
-	}
-}
-
-func TestBlocksPerSMErrors(t *testing.T) {
-	c := DefaultSMConfig()
-	if _, err := c.BlocksPerSM(BlockRequirements{Threads: 0}); err == nil {
-		t.Error("zero-thread block accepted")
-	}
-	if _, err := c.BlocksPerSM(BlockRequirements{Threads: 2048}); err == nil {
-		t.Error("unfittable block accepted")
-	}
-}
-
-func TestAssignBlocks(t *testing.T) {
-	a := AssignBlocks(10, 4, 1)
-	wantSM := []int{0, 1, 2, 3, 0, 1, 2, 3, 0, 1}
-	wantWave := []int{0, 0, 0, 0, 1, 1, 1, 1, 2, 2}
-	for b := range wantSM {
-		if a.SMOfBlock[b] != wantSM[b] || a.WaveOfBlock[b] != wantWave[b] {
-			t.Errorf("block %d -> (sm=%d, wave=%d), want (%d, %d)",
-				b, a.SMOfBlock[b], a.WaveOfBlock[b], wantSM[b], wantWave[b])
-		}
-	}
-	if a.NumWaves() != 3 {
-		t.Errorf("NumWaves = %d", a.NumWaves())
-	}
-}
-
-func TestAssignBlocksMultiPerSM(t *testing.T) {
-	a := AssignBlocks(8, 2, 2)
-	// Wave 0 holds 4 blocks (2 SMs x 2 resident); blocks 0..3 in wave 0.
-	for b := 0; b < 4; b++ {
-		if a.WaveOfBlock[b] != 0 {
-			t.Errorf("block %d wave = %d, want 0", b, a.WaveOfBlock[b])
-		}
-	}
-	for b := 4; b < 8; b++ {
-		if a.WaveOfBlock[b] != 1 {
-			t.Errorf("block %d wave = %d, want 1", b, a.WaveOfBlock[b])
-		}
-	}
-}
-
-func TestAssignBlocksDegenerate(t *testing.T) {
-	a := AssignBlocks(3, 0, 0)
-	if len(a.SMOfBlock) != 3 || a.NumWaves() != 3 {
-		t.Errorf("degenerate assignment = %+v", a)
-	}
-	if AssignBlocks(0, 4, 2).NumWaves() != 0 {
-		t.Error("empty assignment waves != 0")
-	}
-}
-
-func TestOccupancy(t *testing.T) {
-	c := DefaultSMConfig()
-	// 256-thread blocks, 16 regs/thread: 4 resident -> 1024/1024 = 100%.
-	occ, err := c.Occupancy(BlockRequirements{Threads: 256, RegsPerThread: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if occ != 1.0 {
-		t.Errorf("occupancy = %v, want 1.0", occ)
-	}
-	// Register-starved: 63 regs/thread with 128-thread blocks -> 4 blocks
-	// = 512 threads = 50%.
-	occ, err = c.Occupancy(BlockRequirements{Threads: 128, RegsPerThread: 63})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if occ != 0.5 {
-		t.Errorf("register-bound occupancy = %v, want 0.5", occ)
-	}
-	if _, err := c.Occupancy(BlockRequirements{Threads: 2048}); err == nil {
-		t.Error("unfittable block accepted")
-	}
-}

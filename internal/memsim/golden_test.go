@@ -72,18 +72,11 @@ func simGoldenDigest(t *testing.T, seed uint64) string {
 		Seed:         g.R.Uint64(),
 	}
 	if g.R.Intn(3) == 0 {
-		cfg.NewL1Prefetcher = func() (prefetch.Prefetcher, error) {
-			return prefetch.NewStride(prefetch.DefaultStrideConfig())
-		}
+		cfg.L1Prefetch = prefetch.DefaultStrideConfig()
 	}
 	if g.R.Intn(3) == 0 {
-		scfg := prefetch.DefaultStreamConfig()
-		scfg.LineSize = uint64(l2cfg.LineSize)
-		p, err := prefetch.NewStream(scfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		cfg.L2Prefetcher = p
+		cfg.L2Prefetch = prefetch.DefaultStreamConfig()
+		cfg.L2Prefetch.LineSize = uint64(l2cfg.LineSize)
 	}
 
 	reg := obs.New()

@@ -78,10 +78,12 @@ type Config struct {
 	// MSHRsPerCore bounds outstanding L1 misses per core (Table 2: 64);
 	// 0 means unbounded.
 	MSHRsPerCore int
-	// NewL1Prefetcher, when non-nil, builds one L1 prefetcher per core.
-	NewL1Prefetcher func() (prefetch.Prefetcher, error)
-	// L2Prefetcher, when non-nil, observes the shared L2 demand stream.
-	L2Prefetcher prefetch.Prefetcher
+	// L1Prefetch, when non-zero, gives each core its own stride
+	// prefetcher; L2Prefetch, when non-zero, puts a stream prefetcher on
+	// the shared L2 demand stream. Every simulator builds fresh, untrained
+	// prefetchers from them, so one Config serves any number of runs.
+	L1Prefetch prefetch.StrideConfig
+	L2Prefetch prefetch.StreamConfig
 	// DRAM configures the memory system.
 	DRAM dram.Config
 	// Scheduler selects the warp scheduling policy; SchedPself is the
@@ -332,11 +334,13 @@ func newSim(warps []trace.WarpTrace, warpEpochs []int, numEpochs int, cfg Config
 	s.obs = newSimObs(cfg.Obs, cfg.NumCores, cfg.L2Banks)
 	s.l2.AttachObs(cfg.Obs, "l2")
 	s.dram.AttachObs(cfg.Obs)
-	s.l2pf = cfg.L2Prefetcher
-	if s.l2pf == nil {
-		s.l2pf = prefetch.Nil{}
-	} else {
-		s.l2pf = prefetch.Instrument(s.l2pf, cfg.Obs, "prefetch.l2")
+	s.l2pf = prefetch.Nil{}
+	if cfg.L2Prefetch != (prefetch.StreamConfig{}) {
+		pf, err := prefetch.NewStream(cfg.L2Prefetch)
+		if err != nil {
+			return nil, err
+		}
+		s.l2pf = prefetch.Instrument(pf, cfg.Obs, "prefetch.l2")
 	}
 
 	numBlocks := 0
@@ -379,15 +383,15 @@ func newSim(warps []trace.WarpTrace, warpEpochs []int, numEpochs int, cfg Config
 		if core.l1, err = cache.New(l1cfg); err != nil {
 			return nil, err
 		}
-		if cfg.NewL1Prefetcher != nil {
-			if core.l1pf, err = cfg.NewL1Prefetcher(); err != nil {
+		core.l1pf = prefetch.Nil{}
+		if cfg.L1Prefetch != (prefetch.StrideConfig{}) {
+			pf, err := prefetch.NewStride(cfg.L1Prefetch)
+			if err != nil {
 				return nil, err
 			}
 			// All cores share the prefetch.l1 counters; the per-core
 			// tracking state stays private to each wrapper.
-			core.l1pf = prefetch.Instrument(core.l1pf, cfg.Obs, "prefetch.l1")
-		} else {
-			core.l1pf = prefetch.Nil{}
+			core.l1pf = prefetch.Instrument(pf, cfg.Obs, "prefetch.l1")
 		}
 	}
 	// Round-robin threadblock assignment (§4.5), then initial residency.

@@ -1,6 +1,9 @@
 package memsim
 
 import (
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -299,9 +302,7 @@ func TestL1PrefetcherReducesMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := base
-	cfg.NewL1Prefetcher = func() (prefetch.Prefetcher, error) {
-		return prefetch.NewStride(prefetch.StrideConfig{TableSize: 64, Degree: 4, MinConfidence: 2, PerWarp: true})
-	}
+	cfg.L1Prefetch = prefetch.StrideConfig{TableSize: 64, Degree: 4, MinConfidence: 2, PerWarp: true}
 	withPf, err := New(warps, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -332,11 +333,7 @@ func TestL2StreamPrefetcherReducesL2Misses(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := base
-	pf, err := prefetch.NewStream(prefetch.StreamConfig{Streams: 16, Window: 16, Degree: 4, LineSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.L2Prefetcher = pf
+	cfg.L2Prefetch = prefetch.StreamConfig{Streams: 16, Window: 16, Degree: 4, LineSize: 128}
 	withPf, err := New(warps, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -347,6 +344,98 @@ func TestL2StreamPrefetcherReducesL2Misses(t *testing.T) {
 	}
 	if m1.L2MissRate() >= m0.L2MissRate() {
 		t.Errorf("stream prefetcher did not help L2: %.3f -> %.3f", m0.L2MissRate(), m1.L2MissRate())
+	}
+}
+
+// prefetchingConfig turns both prefetchers on.
+func prefetchingConfig() Config {
+	cfg := smallConfig()
+	cfg.L1Prefetch = prefetch.DefaultStrideConfig()
+	cfg.L2Prefetch = prefetch.DefaultStreamConfig()
+	return cfg
+}
+
+// TestConfigValueReusable pins that a Config is a plain value: each run
+// builds its own untrained prefetchers from it, so two runs of one value,
+// one after the other or at once, give identical Metrics.
+func TestConfigValueReusable(t *testing.T) {
+	s, _ := workloads.ByName("nn")
+	tr, err := s.Trace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warps := gpu.NewCoalescer(128).BuildWarpTraces(tr)
+	cfg := prefetchingConfig()
+	run := func() Metrics {
+		sim, err := New(warps, cfg)
+		if err != nil {
+			t.Error(err)
+			return Metrics{}
+		}
+		m, err := sim.Run()
+		if err != nil {
+			t.Error(err)
+		}
+		return m
+	}
+	first, second := run(), run()
+	if first.L1.PrefetchFills == 0 || first.L2.PrefetchFills == 0 {
+		t.Fatalf("prefetchers idle (L1 fills %d, L2 fills %d): the test exercises nothing",
+			first.L1.PrefetchFills, first.L2.PrefetchFills)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("second sequential run differs:\n first:  %+v\n second: %+v", first, second)
+	}
+	var wg sync.WaitGroup
+	concurrent := make([]Metrics, 2)
+	for i := range concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[i] = run()
+		}()
+	}
+	wg.Wait()
+	for i, m := range concurrent {
+		if !reflect.DeepEqual(first, m) {
+			t.Errorf("concurrent run %d differs:\n want: %+v\n got:  %+v", i, first, m)
+		}
+	}
+}
+
+// TestConfigIsMapKey pins that a Config compares by content, prefetchers
+// included, so it can key a per-configuration table.
+func TestConfigIsMapKey(t *testing.T) {
+	a := prefetchingConfig()
+	seen := map[Config]int{a: 1}
+	if seen[prefetchingConfig()] != 1 {
+		t.Error("two Configs built alike are different keys")
+	}
+	b := a
+	b.L2Prefetch.Window = 32
+	if _, ok := seen[b]; ok {
+		t.Error("configs with different stream windows share a key")
+	}
+	c := a
+	c.L1Prefetch = prefetch.StrideConfig{}
+	if _, ok := seen[c]; ok {
+		t.Error("a config without the L1 prefetcher shares a key with one that has it")
+	}
+}
+
+// TestPartialPrefetchConfigFails pins that only the zero value turns a
+// prefetcher off: a half-set description is validated and rejected.
+func TestPartialPrefetchConfigFails(t *testing.T) {
+	warps := streamWarps(2, 10)
+	l1 := smallConfig()
+	l1.L1Prefetch = prefetch.StrideConfig{Degree: 2}
+	if _, err := New(warps, l1); err == nil || !strings.Contains(err.Error(), "stride table size") {
+		t.Errorf("half-set stride config: err = %v, want a table-size error", err)
+	}
+	l2 := smallConfig()
+	l2.L2Prefetch = prefetch.StreamConfig{Window: 16}
+	if _, err := New(warps, l2); err == nil || !strings.Contains(err.Error(), "streams") {
+		t.Errorf("half-set stream config: err = %v, want a stream-count error", err)
 	}
 }
 

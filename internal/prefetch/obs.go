@@ -89,19 +89,3 @@ func (i *Instrumented) track(addr uint64) {
 	i.head = (i.head + 1) % len(i.ring)
 	i.recent[addr] = struct{}{}
 }
-
-// Reset implements Prefetcher: clears the wrapped scheme's training state
-// and the tracking set; cumulative counters are left standing.
-func (i *Instrumented) Reset() {
-	i.p.Reset()
-	for k := range i.recent {
-		delete(i.recent, k)
-	}
-	for j := range i.ring {
-		i.ring[j] = noLine
-	}
-	i.head = 0
-}
-
-// Unwrap returns the decorated prefetcher.
-func (i *Instrumented) Unwrap() Prefetcher { return i.p }

@@ -21,7 +21,6 @@ func (s *scripted) Observe(uint64, int, uint64, bool) []uint64 {
 	s.calls++
 	return o
 }
-func (s *scripted) Reset() { s.calls = 0 }
 
 func TestInstrumentNilPassThrough(t *testing.T) {
 	p := &scripted{}
@@ -118,20 +117,5 @@ func TestInstrumentTransparent(t *testing.T) {
 				t.Fatalf("step %d: %v vs %v", i, a, b)
 			}
 		}
-	}
-}
-
-func TestInstrumentReset(t *testing.T) {
-	r := obs.New()
-	inst := Instrument(&scripted{out: [][]uint64{{0x100}}}, r, "pf").(*Instrumented)
-	inst.Observe(0, 0, 0x0, true)
-	inst.Reset()
-	// The tracked line must be forgotten after Reset.
-	inst.Observe(0, 0, 0x100, false)
-	if got := r.Counter("pf.useful").Value(); got != 0 {
-		t.Errorf("useful = %d after Reset, want 0", got)
-	}
-	if inst.Unwrap() == nil {
-		t.Error("Unwrap lost the inner prefetcher")
 	}
 }

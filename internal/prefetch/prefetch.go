@@ -19,8 +19,6 @@ type Prefetcher interface {
 	// Observe is called for every demand access; it returns the line
 	// addresses to prefetch (possibly none).
 	Observe(pc uint64, warp int, lineAddr uint64, miss bool) []uint64
-	// Reset clears all training state.
-	Reset()
 }
 
 // Nil is a no-op prefetcher for baseline configurations.
@@ -28,9 +26,6 @@ type Nil struct{}
 
 // Observe implements Prefetcher; it never prefetches.
 func (Nil) Observe(uint64, int, uint64, bool) []uint64 { return nil }
-
-// Reset implements Prefetcher.
-func (Nil) Reset() {}
 
 // StrideConfig parameterizes the per-PC stride prefetcher.
 type StrideConfig struct {
@@ -133,13 +128,6 @@ func (s *Stride) Observe(pc uint64, warp int, lineAddr uint64, _ bool) []uint64 
 		s.buf = append(s.buf, uint64(next))
 	}
 	return s.buf
-}
-
-// Reset implements Prefetcher.
-func (s *Stride) Reset() {
-	for i := range s.table {
-		s.table[i] = strideEntry{}
-	}
 }
 
 // StreamConfig parameterizes the L2 stream prefetcher.
@@ -267,55 +255,3 @@ func (s *Stream) Observe(_ uint64, _ int, lineAddr uint64, miss bool) []uint64 {
 	s.streams[victim] = stream{valid: true, head: ln, lastUsed: s.tick}
 	return nil
 }
-
-// Reset implements Prefetcher.
-func (s *Stream) Reset() {
-	for i := range s.streams {
-		s.streams[i] = stream{}
-	}
-	s.tick = 0
-}
-
-// NextLine is the classic sequential prefetcher: on every demand miss it
-// fetches the next Degree lines. It is the simplest useful baseline for
-// prefetcher studies — cheap, reasonably effective on streaming code, and
-// wasteful on strided or irregular code, which is exactly the contrast
-// the smarter schemes above are measured against.
-type NextLine struct {
-	// Degree is how many sequential lines to prefetch per miss.
-	Degree int
-	// LineSize is the line granularity in bytes.
-	LineSize uint64
-	buf      []uint64
-}
-
-// NewNextLine builds a next-line prefetcher; degree must be positive and
-// lineSize a power of two (0 selects 128).
-func NewNextLine(degree int, lineSize uint64) (*NextLine, error) {
-	if degree <= 0 {
-		return nil, fmt.Errorf("prefetch: next-line degree %d", degree)
-	}
-	if lineSize == 0 {
-		lineSize = 128
-	}
-	if lineSize&(lineSize-1) != 0 {
-		return nil, fmt.Errorf("prefetch: next-line line size %d", lineSize)
-	}
-	return &NextLine{Degree: degree, LineSize: lineSize}, nil
-}
-
-// Observe implements Prefetcher: misses trigger Degree sequential fills.
-func (n *NextLine) Observe(_ uint64, _ int, lineAddr uint64, miss bool) []uint64 {
-	if !miss {
-		return nil
-	}
-	n.buf = n.buf[:0]
-	base := lineAddr &^ (n.LineSize - 1)
-	for d := 1; d <= n.Degree; d++ {
-		n.buf = append(n.buf, base+uint64(d)*n.LineSize)
-	}
-	return n.buf
-}
-
-// Reset implements Prefetcher; next-line keeps no state.
-func (n *NextLine) Reset() {}

@@ -27,7 +27,6 @@ func TestNilPrefetcher(t *testing.T) {
 	if got := n.Observe(1, 0, 0x1000, true); got != nil {
 		t.Errorf("Nil prefetched %v", got)
 	}
-	n.Reset()
 }
 
 func TestStrideConfigValidate(t *testing.T) {
@@ -131,16 +130,6 @@ func TestStridePerWarpIsolation(t *testing.T) {
 	}
 }
 
-func TestStrideReset(t *testing.T) {
-	s := mustStride(t, StrideConfig{TableSize: 64, Degree: 1, MinConfidence: 2})
-	s.Observe(0x900, 0, 0x1000, true)
-	s.Observe(0x900, 0, 0x1080, true)
-	s.Reset()
-	if got := s.Observe(0x900, 0, 0x1100, true); got != nil {
-		t.Errorf("state survived reset: %v", got)
-	}
-}
-
 func TestStreamConfigValidate(t *testing.T) {
 	if err := DefaultStreamConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
@@ -231,16 +220,6 @@ func TestStreamLRUReplacement(t *testing.T) {
 	}
 }
 
-func TestStreamReset(t *testing.T) {
-	s := mustStream(t, StreamConfig{Streams: 4, Window: 8, Degree: 1, LineSize: 128})
-	s.Observe(0, 0, 100*128, true)
-	s.Observe(0, 0, 102*128, true)
-	s.Reset()
-	if got := s.Observe(0, 0, 104*128, true); got != nil {
-		t.Errorf("state survived reset: %v", got)
-	}
-}
-
 func BenchmarkStrideObserve(b *testing.B) {
 	s, err := NewStride(DefaultStrideConfig())
 	if err != nil {
@@ -258,60 +237,5 @@ func BenchmarkStreamObserve(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		s.Observe(0, 0, uint64(i)*128, true)
-	}
-}
-
-func TestNextLineBasics(t *testing.T) {
-	n, err := NewNextLine(2, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := n.Observe(0, 0, 0x1000, true)
-	if len(got) != 2 || got[0] != 0x1080 || got[1] != 0x1100 {
-		t.Fatalf("next-line prefetch = %#v", got)
-	}
-	if n.Observe(0, 0, 0x1000, false) != nil {
-		t.Error("next-line prefetched on a hit")
-	}
-	n.Reset() // must not panic
-}
-
-func TestNextLineAlignsBase(t *testing.T) {
-	n, err := NewNextLine(1, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := n.Observe(0, 0, 0x10a4, true)
-	if len(got) != 1 || got[0] != 0x1100 {
-		t.Fatalf("unaligned trigger prefetch = %#v", got)
-	}
-}
-
-func TestNextLineValidation(t *testing.T) {
-	if _, err := NewNextLine(0, 128); err == nil {
-		t.Error("zero degree accepted")
-	}
-	if _, err := NewNextLine(1, 100); err == nil {
-		t.Error("non-pow2 line accepted")
-	}
-	if n, err := NewNextLine(1, 0); err != nil || n.LineSize != 128 {
-		t.Error("zero line size did not default")
-	}
-}
-
-func TestNextLineHelpsStreaming(t *testing.T) {
-	// Through the simulator: streaming workload, next-line L1 prefetcher
-	// must cut the miss rate roughly in half at degree 1.
-	// (Uses the prefetcher interface only; the integration lives in
-	// memsim tests.)
-	n, _ := NewNextLine(4, 128)
-	issued := 0
-	for i := 0; i < 100; i++ {
-		if got := n.Observe(0, 0, uint64(i)*128, true); len(got) == 4 {
-			issued++
-		}
-	}
-	if issued != 100 {
-		t.Errorf("issued on %d/100 misses", issued)
 	}
 }

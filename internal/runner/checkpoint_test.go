@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/uteda/gmap/internal/memsim"
-	"github.com/uteda/gmap/internal/prefetch"
 	"github.com/uteda/gmap/internal/proptest"
 )
 
@@ -228,20 +227,6 @@ func TestResumeWithChangedValueTypeRecomputes(t *testing.T) {
 	}
 }
 
-// faultyPrefetcher panics partway through a simulation — standing in for
-// any defect inside the simulator.
-type faultyPrefetcher struct{ calls int }
-
-func (p *faultyPrefetcher) Observe(uint64, int, uint64, bool) []uint64 {
-	p.calls++
-	if p.calls >= 5 {
-		panic("injected mid-epoch SM fault")
-	}
-	return nil
-}
-
-func (p *faultyPrefetcher) Reset() {}
-
 // simFigures is the checkpointed reduction of one simulation's metrics —
 // exported fields only, like eval's point samples, so the JSON
 // round-trip through the checkpoint is exact.
@@ -265,12 +250,15 @@ func figuresOf(m memsim.Metrics) simFigures {
 	}
 }
 
-// TestCheckpointResumeAfterSimPanic extends the crash matrix into the
-// simulator: a panic raised mid-epoch inside a simulation must be
-// contained by the runner's per-job panic isolation — failing only that
-// job, never the process, never the checkpoint — and a resume afterwards
-// must re-run just the poisoned job and reproduce a direct run's figures
-// bit-identically.
+// TestCheckpointResumeAfterSimPanic extends the crash matrix to
+// simulation jobs: a panic in a simulating job's body must be contained
+// by the runner's per-job panic isolation — failing only that job, never
+// the process, never the checkpoint — and a resume afterwards must re-run
+// just the poisoned job and reproduce a direct run's figures
+// bit-identically. The armed job panics after its simulation: the runner
+// cannot tell where in a body a panic started, and memsim's
+// TestSimPanicPropagates pins that one raised inside Run reaches the
+// caller unchanged.
 func TestCheckpointResumeAfterSimPanic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "simpanic.ckpt")
 	warps := proptest.New(0xfa17).WarpSet(8, 0.05)
@@ -287,19 +275,16 @@ func TestCheckpointResumeAfterSimPanic(t *testing.T) {
 			jobs[i] = Job[simFigures]{
 				Key: JobKey("simpanic", fmt.Sprint(i)),
 				Run: func(ctx context.Context) (simFigures, error) {
-					cfg := baseCfg(i)
-					if i == 2 && arm != nil && arm.CompareAndSwap(true, false) {
-						cfg.NewL1Prefetcher = func() (prefetch.Prefetcher, error) {
-							return &faultyPrefetcher{}, nil
-						}
-					}
-					sim, err := memsim.New(warps, cfg)
+					sim, err := memsim.New(warps, baseCfg(i))
 					if err != nil {
 						return simFigures{}, err
 					}
 					m, err := sim.Run()
 					if err != nil {
 						return simFigures{}, err
+					}
+					if i == 2 && arm != nil && arm.CompareAndSwap(true, false) {
+						panic("injected fault after a simulation")
 					}
 					return figuresOf(m), nil
 				},

@@ -102,24 +102,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(v / float64(len(xs)))
 }
 
-// GeoMean returns the geometric mean of xs; all values must be positive.
-// Zero or negative values are skipped (they would otherwise collapse the
-// mean), and 0 is returned if no positive values remain.
-func GeoMean(xs []float64) float64 {
-	var logSum float64
-	n := 0
-	for _, x := range xs {
-		if x > 0 {
-			logSum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
-}
-
 // HistDistance returns the total variation distance between two histograms
 // viewed as probability distributions: 0 means identical shape, 1 means
 // disjoint support. It is used in tests to assert that proxy streams

@@ -117,18 +117,6 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); !almostEq(g, 10) {
-		t.Errorf("GeoMean = %v", g)
-	}
-	if g := GeoMean([]float64{0, 10}); !almostEq(g, 10) {
-		t.Errorf("GeoMean skipping zeros = %v", g)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) != 0")
-	}
-}
-
 func TestHistDistance(t *testing.T) {
 	a, b := NewHistogram(), NewHistogram()
 	a.AddN(1, 10)

@@ -130,10 +130,3 @@ func (k *KernelTrace) Validate() error {
 	}
 	return nil
 }
-
-// CoreStream is the interleaved, scheduler-ordered request stream seen by
-// one core (SM); this is what drives the cache hierarchy model.
-type CoreStream struct {
-	Core     int
-	Requests []Request
-}
