@@ -96,8 +96,10 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown DRAM mapping %q", *mapping))
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	var err error
-	cfg.L1Prefetch, cfg.L2Prefetch, err = prefetchConfigs(*l1pf, *l1pfDeg, *l2pf, *l2pfWin, *l2pfDeg, *l2Line)
+	cfg.L1Prefetch, cfg.L2Prefetch, err = prefetchConfigs(*l1pf, *l1pfDeg, *l2pf, *l2pfWin, *l2pfDeg, *l2Line, set)
 	if err != nil {
 		fatal(err)
 	}
@@ -167,10 +169,18 @@ func main() {
 
 // prefetchConfigs describes the prefetchers the flags turn on, leaving
 // the zero value for one that is off, and validates them, so a bad
-// prefetch flag fails before any trace is read or emulated.
-func prefetchConfigs(l1 bool, l1Degree int, l2 bool, l2Window, l2Degree, l2Line int) (prefetch.StrideConfig, prefetch.StreamConfig, error) {
+// prefetch flag fails before any trace is read or emulated. set holds the
+// flags given on the command line: a prefetcher's tuning flag given
+// without its switch is an error, since the run would ignore it.
+func prefetchConfigs(l1 bool, l1Degree int, l2 bool, l2Window, l2Degree, l2Line int, set map[string]bool) (prefetch.StrideConfig, prefetch.StreamConfig, error) {
 	var stride prefetch.StrideConfig
 	var stream prefetch.StreamConfig
+	on := map[string]bool{"l1-prefetch": l1, "l2-prefetch": l2}
+	for _, name := range []string{"l1-prefetch-degree", "l2-prefetch-window", "l2-prefetch-degree"} {
+		if sw := name[:len("lN-prefetch")]; set[name] && !on[sw] {
+			return stride, stream, fmt.Errorf("-%s needs -%s", name, sw)
+		}
+	}
 	if l1 {
 		stride = prefetch.DefaultStrideConfig()
 		stride.Degree = l1Degree

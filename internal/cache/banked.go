@@ -170,10 +170,3 @@ func (b *Banked) Stats() Stats {
 	}
 	return s
 }
-
-// Reset clears every bank.
-func (b *Banked) Reset() {
-	for _, bank := range b.banks {
-		bank.Reset()
-	}
-}

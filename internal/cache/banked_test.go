@@ -2,61 +2,6 @@ package cache
 
 import "testing"
 
-func TestMSHRMergeAndCapacity(t *testing.T) {
-	m := NewMSHRFile(2)
-	merged, ok := m.Allocate(0x100)
-	if merged || !ok {
-		t.Fatalf("first allocation = (%v, %v)", merged, ok)
-	}
-	merged, ok = m.Allocate(0x100)
-	if !merged || !ok {
-		t.Fatalf("secondary miss = (%v, %v), want merged", merged, ok)
-	}
-	if m.InFlight() != 1 {
-		t.Errorf("InFlight = %d", m.InFlight())
-	}
-	m.Allocate(0x200)
-	if m.Full() != true {
-		t.Error("file not full at capacity")
-	}
-	if _, ok := m.Allocate(0x300); ok {
-		t.Error("allocation beyond capacity succeeded")
-	}
-	if m.StallEvents != 1 {
-		t.Errorf("StallEvents = %d", m.StallEvents)
-	}
-	m.Release(0x100)
-	if m.Lookup(0x100) {
-		t.Error("released entry still present")
-	}
-	if _, ok := m.Allocate(0x300); !ok {
-		t.Error("allocation after release failed")
-	}
-	if m.Allocations != 3 || m.Merges != 1 {
-		t.Errorf("counters = %d allocs, %d merges", m.Allocations, m.Merges)
-	}
-}
-
-func TestMSHRUnbounded(t *testing.T) {
-	m := NewMSHRFile(0)
-	for i := uint64(0); i < 1000; i++ {
-		if _, ok := m.Allocate(i * 64); !ok {
-			t.Fatal("unbounded file stalled")
-		}
-	}
-	if m.Full() {
-		t.Error("unbounded file reports full")
-	}
-}
-
-func TestMSHRReleaseUnknown(t *testing.T) {
-	m := NewMSHRFile(4)
-	m.Release(0xdead) // must not panic
-	if m.InFlight() != 0 {
-		t.Error("phantom entry")
-	}
-}
-
 func TestBankedRouting(t *testing.T) {
 	b, err := NewBanked(Config{SizeBytes: 1 << 20, Ways: 8, LineSize: 128}, 8)
 	if err != nil {
@@ -93,10 +38,6 @@ func TestBankedAccessAggregation(t *testing.T) {
 	s := b.Stats()
 	if s.Accesses != 128 || s.Misses != 64 || s.Hits != 64 {
 		t.Errorf("aggregate stats = %+v", s)
-	}
-	b.Reset()
-	if b.Stats().Accesses != 0 {
-		t.Error("reset did not clear banks")
 	}
 }
 

@@ -2,9 +2,10 @@
 // levels of the simulated GPU memory hierarchy. It is the CMP$im-style
 // component of the paper's validation simulator: demand accesses, optional
 // prefetch fills with usefulness tracking, write-back/write-allocate
-// semantics with dirty-victim reporting, pluggable replacement, an MSHR
-// file with secondary-miss merging, and an address-interleaved banked
-// wrapper for the shared L2.
+// semantics with dirty-victim reporting, pluggable replacement, and an
+// address-interleaved banked wrapper for the shared L2. The MSHR file
+// that bounds a core's outstanding misses lives with the flights it
+// tracks, in internal/memsim.
 package cache
 
 import (
@@ -342,15 +343,4 @@ func (c *Cache) reconstruct(tag, incoming uint64) uint64 {
 	setBits := uint(bits.TrailingZeros(uint(len(c.sets))))
 	setIdx := (incoming >> c.lineBits) & c.setMask
 	return ((tag << setBits) | setIdx) << c.lineBits
-}
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
-	c.tick = 0
-	c.Stats = Stats{}
 }

@@ -75,8 +75,8 @@ func TestLRUEviction(t *testing.T) {
 	if c.Access(b, false).Hit != true {
 		t.Error("b evicted instead of a")
 	}
-	// Now a, touch a, insert d: b must go.
-	c.Reset()
+	// Now a, touch a, insert d on a fresh cache: b must go.
+	c = mustNew(t, smallCfg())
 	c.Access(a, false)
 	c.Access(b, false)
 	c.Access(a, false) // refresh a
@@ -207,7 +207,7 @@ func TestMissRateStreamVsResident(t *testing.T) {
 	if c.Stats.Misses != 32 {
 		t.Errorf("resident set missed %d times, want 32 cold", c.Stats.Misses)
 	}
-	c.Reset()
+	c = mustNew(t, Config{SizeBytes: 4096, Ways: 4, LineSize: 64})
 	for pass := 0; pass < 4; pass++ {
 		for addr := uint64(0); addr < 16384; addr += 64 {
 			c.Access(addr, false)
@@ -263,18 +263,6 @@ func TestVictimAddressReconstruction(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestResetClears(t *testing.T) {
-	c := mustNew(t, smallCfg())
-	c.Access(0x40, true)
-	c.Reset()
-	if c.Stats.Accesses != 0 {
-		t.Error("stats survived reset")
-	}
-	if c.Probe(0x40) {
-		t.Error("contents survived reset")
 	}
 }
 

@@ -11,26 +11,20 @@ import (
 	"github.com/uteda/gmap/internal/refmodel"
 )
 
-// runProduction enqueues all requests (nondecreasing arrivals) and drains
-// the controller, returning per-ID completions.
+// runProduction enqueues all requests (nondecreasing arrivals) under
+// their own IDs and drains the controller, returning per-ID completions.
 func runProduction(t *testing.T, cfg dram.Config, reqs []refmodel.DRAMRequest) (*dram.Controller, map[uint64]dram.Completion) {
 	t.Helper()
 	ctl, err := dram.NewController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]uint64, len(reqs))
-	for i, r := range reqs {
-		ids[i] = ctl.Enqueue(r.Addr, r.Write, r.Arrival)
+	for _, r := range reqs {
+		ctl.Enqueue(r.Addr, r.Write, r.Arrival, r.ID)
 	}
-	byID := make(map[uint64]dram.Completion, len(reqs))
-	for _, c := range ctl.Drain() {
-		byID[c.ID] = c
-	}
-	// Rewrite completions under the caller's request IDs.
 	out := make(map[uint64]dram.Completion, len(reqs))
-	for i, r := range reqs {
-		out[r.ID] = byID[ids[i]]
+	for _, c := range ctl.Drain() {
+		out[c.ID] = c
 	}
 	return ctl, out
 }

@@ -5,14 +5,13 @@
 // address mapping schemes the paper sweeps (RoBaRaCoCh and ChRaBaRoCo).
 //
 // The controller is event-queued: requests are enqueued with an arrival
-// cycle, each channel services its queue under the scheduling policy, and
-// completions are delivered as simulated time advances. It reports the
-// three Figure 7 metrics — row buffer locality, average queue length, and
-// average read/write latency.
+// cycle and a caller-chosen id, each channel services its queue under the
+// scheduling policy, and completions are delivered in service order as
+// simulated time advances. It reports the three Figure 7 metrics — row
+// buffer locality, average queue length, and average read/write latency.
 package dram
 
 import (
-	"container/heap"
 	"fmt"
 
 	"github.com/uteda/gmap/internal/obs"
@@ -207,25 +206,13 @@ type bankState struct {
 	activatedAt uint64 // for tRAS
 }
 
-type completionHeap []Completion
-
-func (h completionHeap) Len() int            { return len(h) }
-func (h completionHeap) Less(i, j int) bool  { return h[i].Done < h[j].Done }
-func (h completionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x interface{}) { *h = append(*h, x.(Completion)) }
-func (h *completionHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 type channel struct {
 	queue   []pending
 	banks   []bankState
 	busFree uint64
-	done    completionHeap
+	// done holds undelivered completions in service order, which is Done
+	// order: each burst ends after the previous one (DESIGN.md §12).
+	done []Completion
 	// nextRefresh is the cycle the channel's next all-bank refresh is due.
 	nextRefresh uint64
 }
@@ -288,8 +275,10 @@ func (s Stats) AvgWriteLatency() float64 {
 type Controller struct {
 	cfg      Config
 	channels []channel
-	nextID   uint64
 	inFlight int
+	// wake is a lower bound on the first cycle at which any channel can
+	// service or deliver; an earlier advance has nothing to do.
+	wake uint64
 	// Stats is exported for read-out; callers must not mutate it.
 	Stats Stats
 	// obs holds live observability handles; nil when detached, so the
@@ -378,12 +367,10 @@ func NewController(cfg Config) (*Controller, error) {
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Enqueue submits a request arriving at cycle now and returns its id.
-// now must not decrease from one call to the next: the scheduler takes a
-// channel's earliest arrival from the head of its queue.
-func (c *Controller) Enqueue(addr uint64, write bool, now uint64) uint64 {
-	id := c.nextID
-	c.nextID++
+// Enqueue submits a request arriving at cycle now; its completion carries
+// id back. now must not decrease from one call to the next: the scheduler
+// takes a channel's earliest arrival from the head of its queue.
+func (c *Controller) Enqueue(addr uint64, write bool, now uint64, id uint64) {
 	coord := c.cfg.Decompose(addr)
 	ch := &c.channels[coord.Channel]
 	c.Stats.queueSamples++
@@ -395,6 +382,7 @@ func (c *Controller) Enqueue(addr uint64, write bool, now uint64) uint64 {
 		c.Stats.Reads++
 	}
 	ch.queue = append(ch.queue, pending{id: id, addr: addr, write: write, arrival: now, coord: coord})
+	c.wake = min(c.wake, max(ch.busFree, now))
 	c.inFlight++
 	if c.obs != nil {
 		if write {
@@ -404,14 +392,14 @@ func (c *Controller) Enqueue(addr uint64, write bool, now uint64) uint64 {
 		}
 		c.obs.queueDepth.Sample(now, float64(c.inFlight))
 	}
-	return id
 }
 
 // InFlight returns the number of requests enqueued but not yet delivered.
 func (c *Controller) InFlight() int { return c.inFlight }
 
 // AdvanceTo services queues up to cycle now and returns the completions
-// whose data finished by now, in completion order.
+// whose data finished by now, channel by channel, each channel's in
+// completion order.
 func (c *Controller) AdvanceTo(now uint64) []Completion {
 	return c.AdvanceInto(now, nil)
 }
@@ -419,17 +407,33 @@ func (c *Controller) AdvanceTo(now uint64) []Completion {
 // AdvanceInto is AdvanceTo with a caller-owned completion buffer: the
 // batch is appended to buf (typically buf[:0] of a retained slice) and
 // the extended slice returned, so a caller advancing the controller once
-// per simulated cycle allocates nothing in steady state.
+// per simulated cycle allocates nothing in steady state. Before the wake
+// cycle it returns at once.
 func (c *Controller) AdvanceInto(now uint64, buf []Completion) []Completion {
+	if now < c.wake {
+		return buf
+	}
+	wake := ^uint64(0)
 	for i := range c.channels {
 		ch := &c.channels[i]
 		for c.serviceOne(ch, now) {
 		}
-		for ch.done.Len() > 0 && ch.done[0].Done <= now {
-			buf = append(buf, heap.Pop(&ch.done).(Completion))
-			c.inFlight--
+		n := 0
+		for n < len(ch.done) && ch.done[n].Done <= now {
+			n++
+		}
+		buf = append(buf, ch.done[:n]...)
+		c.inFlight -= n
+		ch.done = ch.done[:copy(ch.done, ch.done[n:])]
+		// The channel's next event; a refresh can only delay service.
+		if len(ch.done) > 0 {
+			wake = min(wake, ch.done[0].Done)
+		}
+		if len(ch.queue) > 0 {
+			wake = min(wake, max(ch.busFree, ch.queue[0].arrival))
 		}
 	}
+	c.wake = wake
 	return buf
 }
 
@@ -439,16 +443,17 @@ func (c *Controller) AdvanceInto(now uint64, buf []Completion) []Completion {
 // system is otherwise blocked; in that state no new arrivals can precede
 // the returned cycle, so the forced service order is exactly what a
 // cycle-by-cycle advance would produce. ok is false when nothing is
-// outstanding.
+// outstanding. The forced service only moves a channel's next event
+// later, so the wake cycle stays a lower bound.
 func (c *Controller) NextCompletion() (uint64, bool) {
 	best := ^uint64(0)
 	ok := false
 	for i := range c.channels {
 		ch := &c.channels[i]
-		if ch.done.Len() == 0 && len(ch.queue) > 0 {
+		if len(ch.done) == 0 && len(ch.queue) > 0 {
 			c.serviceOne(ch, ^uint64(0)>>1)
 		}
-		if ch.done.Len() > 0 && ch.done[0].Done < best {
+		if len(ch.done) > 0 && ch.done[0].Done < best {
 			best = ch.done[0].Done
 			ok = true
 		}
@@ -593,19 +598,6 @@ func (c *Controller) serviceOne(ch *channel, now uint64) bool {
 	if c.obs != nil {
 		c.obs.lat.Observe(lat)
 	}
-	heap.Push(&ch.done, Completion{ID: p.id, Done: done, RowHit: rowHit, Write: p.write, Arrival: p.arrival})
+	ch.done = append(ch.done, Completion{ID: p.id, Done: done, RowHit: rowHit, Write: p.write, Arrival: p.arrival})
 	return true
-}
-
-// Reset clears all state and statistics.
-func (c *Controller) Reset() {
-	for i := range c.channels {
-		c.channels[i] = channel{
-			banks:       make([]bankState, c.cfg.RanksPerChannel*c.cfg.BanksPerRank),
-			nextRefresh: uint64(c.cfg.TREFI),
-		}
-	}
-	c.nextID = 0
-	c.inFlight = 0
-	c.Stats = Stats{}
 }

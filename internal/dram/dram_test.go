@@ -94,8 +94,8 @@ func TestMappingChannelInterleaving(t *testing.T) {
 func TestRowHitTiming(t *testing.T) {
 	c := mustController(t, simpleCfg())
 	// Two reads to the same row, same bank, back to back.
-	c.Enqueue(0, false, 0)
-	c.Enqueue(128, false, 0)
+	c.Enqueue(0, false, 0, 0)
+	c.Enqueue(128, false, 0, 1)
 	comps := c.Drain()
 	if len(comps) != 2 {
 		t.Fatalf("%d completions", len(comps))
@@ -119,13 +119,13 @@ func TestRowConflictSlower(t *testing.T) {
 	cfg := simpleCfg()
 	cfg.Mapping = ChRaBaRoCo // keep everything in one bank
 	hitC := mustController(t, cfg)
-	hitC.Enqueue(0, false, 0)
-	hitC.Enqueue(128, false, 0) // same row
+	hitC.Enqueue(0, false, 0, 0)
+	hitC.Enqueue(128, false, 0, 1) // same row
 	hits := hitC.Drain()
 
 	confC := mustController(t, cfg)
-	confC.Enqueue(0, false, 0)
-	confC.Enqueue(1<<22, false, 0) // same bank, different row
+	confC.Enqueue(0, false, 0, 0)
+	confC.Enqueue(1<<22, false, 0, 1) // same bank, different row
 	confs := confC.Drain()
 
 	if confs[1].Done <= hits[1].Done {
@@ -141,10 +141,11 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	cfg := simpleCfg()
 	cfg.Mapping = ChRaBaRoCo
 	c := mustController(t, cfg)
-	c.Enqueue(0, false, 0)                     // opens row 0
-	_ = c.AdvanceTo(100)                       // service it
-	idConflict := c.Enqueue(1<<22, false, 100) // different row
-	idHit := c.Enqueue(256, false, 100)        // row 0 again
+	const idConflict, idHit = 1, 2
+	c.Enqueue(0, false, 0, 0)                // opens row 0
+	_ = c.AdvanceTo(100)                     // service it
+	c.Enqueue(1<<22, false, 100, idConflict) // different row
+	c.Enqueue(256, false, 100, idHit)        // row 0 again
 	comps := c.Drain()
 	if len(comps) != 2 {
 		t.Fatalf("%d completions", len(comps))
@@ -162,10 +163,11 @@ func TestFCFSKeepsArrivalOrder(t *testing.T) {
 	cfg.Mapping = ChRaBaRoCo
 	cfg.Sched = FCFS
 	c := mustController(t, cfg)
-	c.Enqueue(0, false, 0)
+	const idConflict = 1
+	c.Enqueue(0, false, 0, 0)
 	_ = c.AdvanceTo(100)
-	idConflict := c.Enqueue(1<<22, false, 100)
-	c.Enqueue(256, false, 100) // would be a row hit, must wait
+	c.Enqueue(1<<22, false, 100, idConflict)
+	c.Enqueue(256, false, 100, 2) // would be a row hit, must wait
 	comps := c.Drain()
 	if comps[0].ID != idConflict {
 		t.Errorf("FCFS reordered: first completion %+v", comps[0])
@@ -181,8 +183,8 @@ func TestFRFCFSImprovesRBL(t *testing.T) {
 		cfg.Sched = p
 		c := mustController(t, cfg)
 		for i := 0; i < 32; i++ {
-			c.Enqueue(uint64(i%8)*128, false, 0)       // row 0
-			c.Enqueue(1<<22+uint64(i%8)*128, false, 0) // row N
+			c.Enqueue(uint64(i%8)*128, false, 0, uint64(2*i))         // row 0
+			c.Enqueue(1<<22+uint64(i%8)*128, false, 0, uint64(2*i+1)) // row N
 		}
 		c.Drain()
 		return c.Stats.RowBufferLocality()
@@ -202,7 +204,7 @@ func TestWiderBusFaster(t *testing.T) {
 		cfg.BusBytes = busBytes
 		c := mustController(t, cfg)
 		for i := 0; i < 64; i++ {
-			c.Enqueue(uint64(i)*128, false, 0)
+			c.Enqueue(uint64(i)*128, false, 0, uint64(i))
 		}
 		comps := c.Drain()
 		var last uint64
@@ -224,7 +226,7 @@ func TestMoreChannelsFaster(t *testing.T) {
 		cfg.Channels = channels
 		c := mustController(t, cfg)
 		for i := 0; i < 256; i++ {
-			c.Enqueue(uint64(i)*128, false, 0)
+			c.Enqueue(uint64(i)*128, false, 0, uint64(i))
 		}
 		comps := c.Drain()
 		var last uint64
@@ -244,16 +246,16 @@ func TestQueueLengthSampling(t *testing.T) {
 	c := mustController(t, simpleCfg())
 	// Burst of simultaneous arrivals: queue builds up.
 	for i := 0; i < 16; i++ {
-		c.Enqueue(uint64(i)*4096, false, 0)
+		c.Enqueue(uint64(i)*4096, false, 0, uint64(i))
 	}
 	c.Drain()
 	if c.Stats.AvgQueueLen() <= 1 {
 		t.Errorf("AvgQueueLen = %.2f for a 16-deep burst", c.Stats.AvgQueueLen())
 	}
-	// Widely spaced arrivals: queue stays empty.
-	c.Reset()
+	// Widely spaced arrivals on a fresh controller: queue stays empty.
+	c = mustController(t, simpleCfg())
 	for i := 0; i < 16; i++ {
-		c.Enqueue(uint64(i)*4096, false, uint64(i)*10000)
+		c.Enqueue(uint64(i)*4096, false, uint64(i)*10000, uint64(i))
 		c.AdvanceTo(uint64(i) * 10000)
 	}
 	c.Drain()
@@ -264,8 +266,8 @@ func TestQueueLengthSampling(t *testing.T) {
 
 func TestLatencyAccounting(t *testing.T) {
 	c := mustController(t, simpleCfg())
-	c.Enqueue(0, false, 0)
-	c.Enqueue(1<<20, true, 0)
+	c.Enqueue(0, false, 0, 0)
+	c.Enqueue(1<<20, true, 0, 1)
 	c.Drain()
 	if c.Stats.Reads != 1 || c.Stats.Writes != 1 {
 		t.Fatalf("counts = %+v", c.Stats)
@@ -277,7 +279,7 @@ func TestLatencyAccounting(t *testing.T) {
 
 func TestAdvanceToDeliversIncrementally(t *testing.T) {
 	c := mustController(t, simpleCfg())
-	c.Enqueue(0, false, 0)
+	c.Enqueue(0, false, 0, 0)
 	if got := c.AdvanceTo(5); len(got) != 0 {
 		t.Errorf("completion before service finished: %v", got)
 	}
@@ -307,7 +309,7 @@ func TestAllRequestsComplete(t *testing.T) {
 		r := rng.New(seed)
 		const n = 300
 		for i := 0; i < n; i++ {
-			c.Enqueue(r.Uint64n(1<<28), r.Bool(0.3), uint64(i)*3)
+			c.Enqueue(r.Uint64n(1<<28), r.Bool(0.3), uint64(i)*3, uint64(i))
 		}
 		comps := c.Drain()
 		if len(comps) != n || c.InFlight() != 0 {
@@ -352,7 +354,7 @@ func BenchmarkController(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Enqueue(addrs[i&(len(addrs)-1)], false, uint64(i))
+		c.Enqueue(addrs[i&(len(addrs)-1)], false, uint64(i), uint64(i))
 		if i&63 == 0 {
 			c.AdvanceTo(uint64(i))
 		}
@@ -369,7 +371,7 @@ func BenchmarkControllerPoll(b *testing.B) {
 	r := rng.New(1)
 	const depth = 256
 	for i := 0; i < depth; i++ {
-		c.Enqueue(r.Uint64n(1<<28), false, 0)
+		c.Enqueue(r.Uint64n(1<<28), false, 0, uint64(i))
 	}
 	var buf []Completion
 	b.ResetTimer()
@@ -377,7 +379,7 @@ func BenchmarkControllerPoll(b *testing.B) {
 		now := uint64(i)
 		buf = c.AdvanceInto(now, buf[:0])
 		for range buf {
-			c.Enqueue(r.Uint64n(1<<28), false, now)
+			c.Enqueue(r.Uint64n(1<<28), false, now, 0)
 		}
 	}
 }
@@ -388,8 +390,8 @@ func TestRefreshClosesRows(t *testing.T) {
 	cfg.TRFC = 20
 	c := mustController(t, cfg)
 	// Open row 0 and hit it once before the refresh boundary.
-	c.Enqueue(0, false, 0)
-	c.Enqueue(128, false, 0)
+	c.Enqueue(0, false, 0, 0)
+	c.Enqueue(128, false, 0, 1)
 	if got := c.AdvanceTo(90); len(got) != 2 {
 		t.Fatalf("pre-refresh completions = %d", len(got))
 	}
@@ -398,7 +400,7 @@ func TestRefreshClosesRows(t *testing.T) {
 	}
 	// A request after tREFI must see the row closed again (activation, not
 	// a hit) and be delayed past the tRFC window.
-	c.Enqueue(256, false, 150)
+	c.Enqueue(256, false, 150, 2)
 	comps := c.Drain()
 	if len(comps) != 1 {
 		t.Fatalf("post-refresh completions = %d", len(comps))
@@ -420,7 +422,7 @@ func TestRefreshDelaysService(t *testing.T) {
 		c := mustController(t, cfg)
 		var last uint64
 		for i := 0; i < 64; i++ {
-			c.Enqueue(uint64(i)*4096, false, uint64(i)*10)
+			c.Enqueue(uint64(i)*4096, false, uint64(i)*10, uint64(i))
 		}
 		for _, co := range c.Drain() {
 			if co.Done > last {
@@ -454,8 +456,8 @@ func TestAdvanceIntoMatchesAdvanceTo(t *testing.T) {
 	mk := func() *Controller { return mustController(t, simpleCfg()) }
 	enq := func(c *Controller, step uint64) {
 		// A mix of same-row, cross-bank and write traffic per step.
-		c.Enqueue(step*128, false, step*7)
-		c.Enqueue(step*4096+128, step%3 == 0, step*7)
+		c.Enqueue(step*128, false, step*7, 2*step)
+		c.Enqueue(step*4096+128, step%3 == 0, step*7, 2*step+1)
 	}
 	a, b := mk(), mk()
 	var buf []Completion

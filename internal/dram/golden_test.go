@@ -54,9 +54,9 @@ func ctrlGoldenDigest(t *testing.T, seed uint64) string {
 	}
 	var buf []dram.Completion
 	var now, arrival uint64
-	for _, addr := range g.AddrStream(50+g.R.Intn(250), uint64(cfg.TxBytes)) {
+	for id, addr := range g.AddrStream(50+g.R.Intn(250), uint64(cfg.TxBytes)) {
 		arrival = max(arrival, now+g.R.Uint64n(16))
-		ctl.Enqueue(addr, g.R.Bool(0.3), arrival)
+		ctl.Enqueue(addr, g.R.Bool(0.3), arrival, uint64(id))
 		switch r := g.R.Intn(20); {
 		case r < 10:
 			now += g.R.Uint64n(24)

@@ -18,13 +18,10 @@ import (
 	"testing"
 	"time"
 
-	"github.com/uteda/gmap/internal/dram"
 	"github.com/uteda/gmap/internal/memsim"
 	"github.com/uteda/gmap/internal/obs"
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
-	"github.com/uteda/gmap/internal/prefetch"
 	"github.com/uteda/gmap/internal/proptest"
-	"github.com/uteda/gmap/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current results")
@@ -37,9 +34,6 @@ const (
 	simGoldenShort = 60
 )
 
-// simGoldenSeed is case i's generator seed.
-func simGoldenSeed(i int) uint64 { return uint64(0x9a7a11e1) + uint64(i)*7919 }
-
 // simGoldenDigest runs case seed fully instrumented and returns one
 // golden line: the seed, then the SHA-256 of the metrics (JSON), the obs
 // snapshot, the cycle-keyed series export and the span trace (exported
@@ -47,37 +41,7 @@ func simGoldenSeed(i int) uint64 { return uint64(0x9a7a11e1) + uint64(i)*7919 }
 // byte difference).
 func simGoldenDigest(t *testing.T, seed uint64) string {
 	t.Helper()
-	g := proptest.New(seed)
-	l1cfg := g.CacheConfig()
-	l2cfg := g.CacheConfig()
-	// Bank count must divide the L2's set count.
-	banks := []int{1, 2, 4}[g.R.Intn(3)]
-	for l2cfg.SizeBytes/(l2cfg.Ways*l2cfg.LineSize) < banks {
-		banks /= 2
-	}
-	// Single- and multi-launch sequences, with barrier-carrying warps.
-	launches := [][]trace.WarpTrace{g.WarpSet(8, 0.08)}
-	if g.R.Intn(3) == 0 {
-		launches = append(launches, g.WarpSet(5, 0.08))
-	}
-	cfg := memsim.Config{
-		NumCores:     1 + g.R.Intn(6),
-		L1:           l1cfg,
-		L2:           l2cfg,
-		L2Banks:      banks,
-		MSHRsPerCore: []int{0, 1, 4, 64}[g.R.Intn(4)],
-		DRAM:         dram.DefaultGDDR3(),
-		Scheduler:    []memsim.SchedPolicy{memsim.LRR, memsim.GTO, memsim.PSelf}[g.R.Intn(3)],
-		SchedPself:   0.7,
-		Seed:         g.R.Uint64(),
-	}
-	if g.R.Intn(3) == 0 {
-		cfg.L1Prefetch = prefetch.DefaultStrideConfig()
-	}
-	if g.R.Intn(3) == 0 {
-		cfg.L2Prefetch = prefetch.DefaultStreamConfig()
-		cfg.L2Prefetch.LineSize = uint64(l2cfg.LineSize)
-	}
+	launches, cfg := memsim.GoldenCase(seed)
 
 	reg := obs.New()
 	var clk int64
@@ -129,7 +93,7 @@ func TestSimGolden(t *testing.T) {
 		var buf bytes.Buffer
 		buf.WriteString("# seed metrics snapshot series trace (SHA-256; see golden_test.go)\n")
 		for i := 0; i < simGoldenCases; i++ {
-			buf.WriteString(simGoldenDigest(t, simGoldenSeed(i)) + "\n")
+			buf.WriteString(simGoldenDigest(t, memsim.GoldenSeed(i)) + "\n")
 		}
 		if err := os.MkdirAll(filepath.Dir(simGoldenFile), 0o755); err != nil {
 			t.Fatal(err)
@@ -164,7 +128,7 @@ func TestSimGolden(t *testing.T) {
 		n = len(want)
 	}
 	for i := 0; i < n; i++ {
-		if got := simGoldenDigest(t, simGoldenSeed(i)); got != want[i] {
+		if got := simGoldenDigest(t, memsim.GoldenSeed(i)); got != want[i] {
 			t.Fatalf("case %d diverges from %s:\n got  %s\n want %s", i, simGoldenFile, got, want[i])
 		}
 	}

@@ -193,22 +193,30 @@ type coreState struct {
 	// not yet retired; compactCore's retirement scan is skipped entirely
 	// while it is zero.
 	pendingDone int
-	mshr        *cache.MSHRFile
 	l1          *cache.Cache
 	l1pf        prefetch.Prefetcher
-	// Outstanding DRAM reads owned by this core: request id -> flight and
-	// L1 line -> request id (secondary-miss merging).
-	flights    map[uint64]*flight
-	lineFlight map[uint64]uint64
-	flightPool []*flight // retired flight records, reused to curb allocation
+	// The MSHR file: outstanding demand reads by slot (a read's DRAM
+	// request id names its core and slot), the free slots, each in-flight
+	// L1 line's slot, and how many flights hold an entry.
+	flights   []flight
+	freeSlots []int32
+	lineSlot  map[uint64]int32
+	entries   int
 }
 
-// flight tracks one outstanding DRAM read: the L1 line it fills and the
-// warps blocked on it. The owning core is the map key's context.
+// flight tracks one outstanding demand DRAM read: the L1 line it fills,
+// the warps blocked on it, and whether it holds an MSHR entry. A read can
+// go out without one (DESIGN.md §12); only holders count toward
+// MSHRsPerCore.
 type flight struct {
-	line  uint64
-	warps []int
+	line     uint64
+	warps    []int
+	hasEntry bool
 }
+
+// flightID is the DRAM request id of core c's read in slot; writebacks
+// and prefetches, which nothing waits on, use 0.
+func flightID(c int, slot int32) uint64 { return uint64(c+1)<<32 | uint64(slot) }
 
 // Simulator runs warp streams through the hierarchy. Create one per run
 // with New (single kernel) or NewSequence (an application's kernel
@@ -240,10 +248,10 @@ type Simulator struct {
 	l2pf      prefetch.Prefetcher
 	dram      *dram.Controller
 	rnd       *rng.Rand
-	// flightCore routes DRAM completions to the core whose flight they
-	// finish.
-	flightCore map[uint64]int
-	metrics    Metrics
+	// pendingDone is the sum of the cores' pendingDone: Run skips the
+	// compaction pass while no active warp anywhere has finished.
+	pendingDone int
+	metrics     Metrics
 	// obs carries the pre-resolved observability handles; nil when
 	// disabled (see obs.go).
 	obs *simObs
@@ -260,6 +268,9 @@ type Simulator struct {
 	// both are nil (no-op) when Config.TraceSpan is unset.
 	runSpan   *obstrace.Span
 	epochSpan *obstrace.Span
+
+	// checkNextReady, set only by tests, sees each nextEvent warp answer.
+	checkNextReady func(cycle, next uint64)
 }
 
 // New builds a simulator over the given warp streams. Warps carry their
@@ -320,9 +331,8 @@ func newSim(warps []trace.WarpTrace, warpEpochs []int, numEpochs int, cfg Config
 		return nil, fmt.Errorf("memsim: no warps")
 	}
 	s := &Simulator{
-		cfg:        cfg,
-		rnd:        rng.New(cfg.Seed ^ 0x51713),
-		flightCore: make(map[uint64]int),
+		cfg: cfg,
+		rnd: rng.New(cfg.Seed ^ 0x51713),
 	}
 	var err error
 	if s.l2, err = cache.NewBanked(cfg.L2, cfg.L2Banks); err != nil {
@@ -374,10 +384,8 @@ func newSim(warps []trace.WarpTrace, warpEpochs []int, numEpochs int, cfg Config
 	s.cores = make([]coreState, cfg.NumCores)
 	for c := range s.cores {
 		core := &s.cores[c]
-		core.mshr = cache.NewMSHRFile(cfg.MSHRsPerCore)
 		core.lastWarp = -1
-		core.flights = make(map[uint64]*flight)
-		core.lineFlight = make(map[uint64]uint64)
+		core.lineSlot = make(map[uint64]int32)
 		l1cfg := cfg.L1
 		l1cfg.Seed = cfg.Seed + uint64(c)
 		if core.l1, err = cache.New(l1cfg); err != nil {
@@ -430,6 +438,7 @@ func (s *Simulator) advanceCursor(core *coreState, wi int) {
 	ws.cursor++
 	if ws.done() {
 		core.pendingDone++
+		s.pendingDone++
 	}
 }
 
@@ -452,6 +461,7 @@ func (s *Simulator) admitBlock(core *coreState) {
 		for _, wi := range s.blockWarps[b] {
 			if s.warps[wi].done() {
 				core.pendingDone++ // empty stream: retires on the next compact
+				s.pendingDone++
 			}
 			core.minReady = min(core.minReady, s.nextReady[wi])
 		}
@@ -511,8 +521,10 @@ func (s *Simulator) Run() (Metrics, error) {
 				s.noteStall(c)
 			}
 		}
-		for c := range s.cores {
-			s.compactCore(c, cycle)
+		if s.pendingDone > 0 {
+			for c := range s.cores {
+				s.compactCore(c, cycle)
+			}
 		}
 		s.advanceEpochs(cycle)
 		if issued {
@@ -606,16 +618,15 @@ func diffStats(now, before cache.Stats) cache.Stats {
 	}
 }
 
-// complete wakes the warps blocked on a finished DRAM read and releases
-// the owning core's MSHR entry.
+// complete wakes the warps blocked on a finished DRAM read and frees its
+// flight slot, with the MSHR entry it holds.
 func (s *Simulator) complete(comp dram.Completion) {
-	c, ok := s.flightCore[comp.ID]
-	if !ok {
+	if comp.ID == 0 {
 		return // fire-and-forget traffic (writebacks, prefetches)
 	}
-	delete(s.flightCore, comp.ID)
+	c, slot := int(comp.ID>>32)-1, int32(comp.ID)
 	core := &s.cores[c]
-	f := core.flights[comp.ID]
+	f := &core.flights[slot]
 	for _, wi := range f.warps {
 		ws := &s.warps[wi]
 		ws.waiting = false
@@ -626,11 +637,17 @@ func (s *Simulator) complete(comp dram.Completion) {
 	if s.obs != nil {
 		s.obs.waiting[c] -= len(f.warps)
 	}
-	core.mshr.Release(f.line)
-	delete(core.lineFlight, f.line)
-	delete(core.flights, comp.ID)
+	if f.hasEntry {
+		core.entries--
+	}
+	delete(core.lineSlot, f.line)
 	f.warps = f.warps[:0]
-	core.flightPool = append(core.flightPool, f)
+	core.freeSlots = append(core.freeSlots, slot)
+}
+
+// mshrFull reports whether every MSHR entry of core is taken.
+func (s *Simulator) mshrFull(core *coreState) bool {
+	return s.cfg.MSHRsPerCore > 0 && core.entries >= s.cfg.MSHRsPerCore
 }
 
 // compactCore retires finished warps, admits follow-on blocks, and keeps
@@ -648,6 +665,7 @@ func (s *Simulator) compactCore(c int, cycle uint64) {
 		ws := &s.warps[wi]
 		if ws.done() && !ws.waiting && ws.readyAt <= cycle {
 			core.pendingDone--
+			s.pendingDone--
 			s.remaining--
 			s.blockRem[ws.block]--
 			s.epochRem[s.epochOf[ws.block]]--
@@ -775,7 +793,9 @@ func (s *Simulator) arriveBarrier(c, wi int, cycle uint64) {
 }
 
 // releaseBarrier frees every warp parked at block b's barrier. c is the
-// core block b resides on (a block is never split across cores).
+// core block b resides on (a block is never split across cores). The
+// bound drops to each freed warp's slot, which stays notReady for a warp
+// whose stream ended at the barrier, so nextEvent can trust it.
 func (s *Simulator) releaseBarrier(c, b int, cycle uint64) {
 	core := &s.cores[c]
 	for _, other := range s.blockWarps[b] {
@@ -785,12 +805,12 @@ func (s *Simulator) releaseBarrier(c, b int, cycle uint64) {
 			ow.readyAt = cycle + 1
 			s.advanceCursor(core, other)
 			s.refreshReady(other)
+			core.minReady = min(core.minReady, s.nextReady[other])
 			if s.obs != nil {
 				s.obs.blocked[c]--
 			}
 		}
 	}
-	core.minReady = min(core.minReady, cycle+1)
 	s.blockWait[b] = 0
 }
 
@@ -806,9 +826,14 @@ func (s *Simulator) access(c, wi int, req trace.Request, cycle uint64) bool {
 	line := core.l1.LineAddr(req.Addr)
 
 	// Secondary miss on an in-flight line: merge into the outstanding
-	// entry and wait for the same completion.
-	if reqID, inflight := core.lineFlight[line]; inflight {
-		core.mshr.Allocate(line)
+	// flight and wait for the same completion; a flight without an MSHR
+	// entry takes a free one.
+	if slot, inflight := core.lineSlot[line]; inflight {
+		f := &core.flights[slot]
+		if !f.hasEntry && !s.mshrFull(core) {
+			f.hasEntry = true
+			core.entries++
+		}
 		core.l1.Stats.Accesses++
 		core.l1.Stats.Misses++
 		if write {
@@ -822,7 +847,7 @@ func (s *Simulator) access(c, wi int, req trace.Request, cycle uint64) bool {
 			s.obs.tally.nRequests++
 			s.obs.waiting[c]++
 		}
-		core.flights[reqID].warps = append(core.flights[reqID].warps, wi)
+		f.warps = append(f.warps, wi)
 		return true
 	}
 
@@ -831,7 +856,7 @@ func (s *Simulator) access(c, wi int, req trace.Request, cycle uint64) bool {
 	// statistic changes — a stalled request must replay identically.
 	// Write-through stores never allocate an MSHR.
 	wouldAllocate := !(write && core.l1.Config().Writes == cache.WriteThroughNoAllocate)
-	if wouldAllocate && core.mshr.Full() && !core.l1.Probe(req.Addr) && !s.l2.Probe(req.Addr) {
+	if wouldAllocate && s.mshrFull(core) && !core.l1.Probe(req.Addr) && !s.l2.Probe(req.Addr) {
 		return false
 	}
 
@@ -842,7 +867,7 @@ func (s *Simulator) access(c, wi int, req trace.Request, cycle uint64) bool {
 	}
 	// The L1 prefetcher's candidates, in candidate order: each accepted
 	// one is filled into the L1, its dirty victim written back, and the
-	// line fetched through the L2. This order fixes the DRAM request ids.
+	// line fetched through the L2. This order fixes the DRAM queue order.
 	for _, cand := range core.l1pf.Observe(req.PC, req.WarpID, line, !res.Hit) {
 		if core.l1.Probe(cand) {
 			continue
@@ -852,9 +877,9 @@ func (s *Simulator) access(c, wi int, req trace.Request, cycle uint64) bool {
 		}
 		if l2res := s.l2.Access(cand, false); !l2res.Hit {
 			if l2res.Evicted && l2res.EvictedDirty {
-				s.dram.Enqueue(l2res.EvictedAddr, true, cycle)
+				s.dram.Enqueue(l2res.EvictedAddr, true, cycle, 0)
 			}
-			s.dram.Enqueue(s.l2.LineAddr(cand), false, cycle)
+			s.dram.Enqueue(s.l2.LineAddr(cand), false, cycle, 0)
 		}
 	}
 	if res.WroteThrough {
@@ -867,9 +892,9 @@ func (s *Simulator) access(c, wi int, req trace.Request, cycle uint64) bool {
 		}
 		if l2res := s.l2.Access(req.Addr, true); !l2res.Hit {
 			if l2res.Evicted && l2res.EvictedDirty {
-				s.dram.Enqueue(l2res.EvictedAddr, true, cycle)
+				s.dram.Enqueue(l2res.EvictedAddr, true, cycle, 0)
 			}
-			s.dram.Enqueue(s.l2.LineAddr(req.Addr), true, cycle)
+			s.dram.Enqueue(s.l2.LineAddr(req.Addr), true, cycle, 0)
 		}
 		return true
 	}
@@ -892,23 +917,28 @@ func (s *Simulator) access(c, wi int, req trace.Request, cycle uint64) bool {
 		return true
 	}
 	if l2res.Evicted && l2res.EvictedDirty {
-		s.dram.Enqueue(l2res.EvictedAddr, true, cycle)
+		s.dram.Enqueue(l2res.EvictedAddr, true, cycle, 0)
 	}
-	// The stall-before-touch check guaranteed an entry is available.
-	core.mshr.Allocate(line)
-	reqID := s.dram.Enqueue(s.l2.LineAddr(req.Addr), write, cycle)
-	var f *flight
-	if n := len(core.flightPool); n > 0 {
-		f = core.flightPool[n-1]
-		core.flightPool = core.flightPool[:n-1]
-		f.line = line
-		f.warps = append(f.warps, wi)
+	// The stall-before-touch check does not guarantee an entry: this
+	// miss's L1 victim or prefetch fills may have evicted the L2 copy it
+	// passed on, and then the read goes out without one.
+	var slot int32
+	if n := len(core.freeSlots); n > 0 {
+		slot = core.freeSlots[n-1]
+		core.freeSlots = core.freeSlots[:n-1]
 	} else {
-		f = &flight{line: line, warps: []int{wi}}
+		slot = int32(len(core.flights))
+		core.flights = append(core.flights, flight{})
 	}
-	core.flights[reqID] = f
-	core.lineFlight[line] = reqID
-	s.flightCore[reqID] = c
+	f := &core.flights[slot]
+	f.line = line
+	f.warps = append(f.warps, wi)
+	f.hasEntry = !s.mshrFull(core)
+	if f.hasEntry {
+		core.entries++
+	}
+	core.lineSlot[line] = slot
+	s.dram.Enqueue(s.l2.LineAddr(req.Addr), write, cycle, flightID(c, slot))
 	ws.waiting = true
 	if s.obs != nil {
 		s.obs.waiting[c]++
@@ -924,9 +954,9 @@ func (s *Simulator) l2PrefetchFill(cands []uint64, cycle uint64) {
 		}
 		fill := s.l2.Fill(cand)
 		if fill.Evicted && fill.EvictedDirty {
-			s.dram.Enqueue(fill.EvictedAddr, true, cycle)
+			s.dram.Enqueue(fill.EvictedAddr, true, cycle, 0)
 		}
-		s.dram.Enqueue(cand, false, cycle)
+		s.dram.Enqueue(cand, false, cycle, 0)
 	}
 }
 
@@ -934,24 +964,34 @@ func (s *Simulator) l2PrefetchFill(cands []uint64, cycle uint64) {
 func (s *Simulator) l2WriteBack(addr uint64, cycle uint64) {
 	res := s.l2.Access(addr, true)
 	if !res.Hit && res.Evicted && res.EvictedDirty {
-		s.dram.Enqueue(res.EvictedAddr, true, cycle)
+		s.dram.Enqueue(res.EvictedAddr, true, cycle, 0)
 	}
 }
 
 // nextEvent returns the earliest future cycle at which anything can
 // happen: a warp becoming ready or a DRAM completion. It is only called
 // when no core could issue, which means every pending arrival is already
-// enqueued — making the controller's minimal-service peek exact. The scan
-// reads the nextReady column only: done, waiting and parked warps sit at
-// notReady and fall out of the comparison.
+// enqueued — making the controller's minimal-service peek exact — and a
+// core whose bound is above the cycle holds the exact minimum of its
+// slots (DESIGN.md §12). Only a core whose bound is not above the cycle,
+// as after a block admission past its issue slot, is scanned; done,
+// waiting and parked warps sit at notReady and fall out of the scan.
 func (s *Simulator) nextEvent(cycle uint64) uint64 {
 	next := notReady
 	for c := range s.cores {
-		for _, wi := range s.cores[c].active {
+		core := &s.cores[c]
+		if core.minReady > cycle {
+			next = min(next, core.minReady)
+			continue
+		}
+		for _, wi := range core.active {
 			if t := s.nextReady[wi]; t > cycle && t < next {
 				next = t
 			}
 		}
+	}
+	if s.checkNextReady != nil {
+		s.checkNextReady(cycle, next)
 	}
 	if t, ok := s.dram.NextCompletion(); ok && t < next {
 		next = t

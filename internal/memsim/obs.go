@@ -121,10 +121,12 @@ func (s *Simulator) sampleCycle(cycle uint64) {
 	if !o.sampleDue(cycle) {
 		return
 	}
+	flights := 0
 	for c := range s.cores {
 		core := &s.cores[c]
 		o.queueDepth[c].Sample(cycle, float64(len(core.active)))
-		o.mshrDepth[c].Sample(cycle, float64(core.mshr.InFlight()))
+		o.mshrDepth[c].Sample(cycle, float64(core.entries))
+		flights += len(core.lineSlot)
 	}
 	var l1, l1acc uint64
 	for c := range s.cores {
@@ -137,7 +139,7 @@ func (s *Simulator) sampleCycle(cycle uint64) {
 	if l2 := s.l2.Stats(); l2.Accesses > 0 {
 		o.l2MissRate.Sample(cycle, l2.MissRate())
 	}
-	o.inFlight.Sample(cycle, float64(len(s.flightCore)))
+	o.inFlight.Sample(cycle, float64(flights))
 }
 
 // noteStall classifies why core c failed to issue this cycle, with
