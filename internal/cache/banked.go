@@ -109,7 +109,6 @@ func NewBanked(cfg Config, numBanks int) (*Banked, error) {
 		bankMask: uint64(numBanks - 1),
 	}
 	for i := range b.banks {
-		sliceCfg.Seed = cfg.Seed + uint64(i)
 		c, err := New(sliceCfg)
 		if err != nil {
 			return nil, fmt.Errorf("cache: bank %d: %w", i, err)

@@ -2,7 +2,7 @@
 // levels of the simulated GPU memory hierarchy. It is the CMP$im-style
 // component of the paper's validation simulator: demand accesses, optional
 // prefetch fills with usefulness tracking, write-back/write-allocate
-// semantics with dirty-victim reporting, pluggable replacement, and an
+// semantics with dirty-victim reporting, LRU replacement, and an
 // address-interleaved banked wrapper for the shared L2. The MSHR file
 // that bounds a core's outstanding misses lives with the flights it
 // tracks, in internal/memsim.
@@ -11,31 +11,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-
-	"github.com/uteda/gmap/internal/rng"
 )
-
-// ReplPolicy selects the replacement policy of a cache.
-type ReplPolicy int
-
-// Supported replacement policies.
-const (
-	LRU ReplPolicy = iota
-	FIFO
-	Random
-)
-
-// String returns "lru", "fifo" or "random".
-func (p ReplPolicy) String() string {
-	switch p {
-	case FIFO:
-		return "fifo"
-	case Random:
-		return "random"
-	default:
-		return "lru"
-	}
-}
 
 // WritePolicy selects how stores interact with the cache.
 type WritePolicy int
@@ -68,12 +44,8 @@ type Config struct {
 	Ways int
 	// LineSize is the block size in bytes (power of two).
 	LineSize int
-	// Policy is the replacement policy (default LRU).
-	Policy ReplPolicy
 	// Writes is the write policy (default write-back write-allocate).
 	Writes WritePolicy
-	// Seed drives the Random policy.
-	Seed uint64
 }
 
 // Validate checks the configuration and returns the derived set count.
@@ -144,15 +116,6 @@ func (s *Stats) Add(other Stats) {
 	s.PrefetchUseful += other.PrefetchUseful
 }
 
-type line struct {
-	tag      uint64
-	valid    bool
-	dirty    bool
-	prefetch bool // installed by prefetcher, no demand hit yet
-	lastUse  uint64
-	filledAt uint64
-}
-
 // Result reports the outcome of one access or fill.
 type Result struct {
 	// Hit is true when the line was present.
@@ -170,15 +133,29 @@ type Result struct {
 	EvictedDirty bool
 }
 
-// Cache is a single set-associative cache. It is not safe for concurrent
-// use; the simulator drives each cache from one goroutine.
+// Line flags, one byte per way.
+const (
+	flagDirty    uint8 = 1 << iota
+	flagPrefetch       // installed by a prefetcher, no demand hit yet
+)
+
+// Cache is a single set-associative LRU cache. It is not safe for
+// concurrent use; the simulator drives each cache from one goroutine.
+//
+// The lines live in set-major columns: way w of set i sits at index
+// i*ways+w of tags, lastUse and flags, so a lookup scans one set's tags.
+// A way is valid exactly when its lastUse is not 0 (DESIGN.md §12): every
+// Access and Fill advances tick before it stamps a line, and stamps at
+// most one, so valid ways hold distinct stamps of at least 1.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	tags     []uint64
+	lastUse  []uint64
+	flags    []uint8
 	setMask  uint64
+	setBits  uint
 	lineBits uint
 	tick     uint64
-	rnd      *rng.Rand
 	// Stats is exported for read-out; callers must not mutate it.
 	Stats Stats
 }
@@ -189,18 +166,16 @@ func New(cfg Config) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cache{
+	n := nSets * cfg.Ways
+	return &Cache{
 		cfg:      cfg,
-		sets:     make([][]line, nSets),
+		tags:     make([]uint64, n),
+		lastUse:  make([]uint64, n),
+		flags:    make([]uint8, n),
 		setMask:  uint64(nSets - 1),
+		setBits:  uint(bits.TrailingZeros(uint(nSets))),
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineSize))),
-		rnd:      rng.New(cfg.Seed ^ 0xcac4e),
-	}
-	backing := make([]line, nSets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Ways:cfg.Ways], backing[cfg.Ways:]
-	}
-	return c, nil
+	}, nil
 }
 
 // Config returns the cache's configuration.
@@ -209,12 +184,21 @@ func (c *Cache) Config() Config { return c.cfg }
 // LineAddr returns addr aligned down to the cache's line size.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineBits << c.lineBits }
 
-func (c *Cache) setOf(addr uint64) []line {
-	return c.sets[(addr>>c.lineBits)&c.setMask]
+// locate returns the index of addr's set's first way and addr's tag.
+func (c *Cache) locate(addr uint64) (base int, tag uint64) {
+	line := addr >> c.lineBits
+	return int(line&c.setMask) * c.cfg.Ways, line >> c.setBits
 }
 
-func (c *Cache) tagOf(addr uint64) uint64 {
-	return addr >> c.lineBits >> uint(bits.TrailingZeros(uint(len(c.sets))))
+// find returns the index of the valid way holding tag in the set at
+// base, or -1.
+func (c *Cache) find(base int, tag uint64) int {
+	for w, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == tag && c.lastUse[base+w] != 0 {
+			return base + w
+		}
+	}
+	return -1
 }
 
 // Access performs a demand access: on hit it updates recency; on miss it
@@ -227,29 +211,26 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	} else {
 		c.Stats.Reads++
 	}
-	set := c.setOf(addr)
-	tag := c.tagOf(addr)
+	base, tag := c.locate(addr)
 	writeThrough := c.cfg.Writes == WriteThroughNoAllocate
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.Stats.Hits++
-			res := Result{Hit: true}
-			if set[i].prefetch {
-				set[i].prefetch = false
-				c.Stats.PrefetchUseful++
-				res.PrefetchHit = true
-			}
-			set[i].lastUse = c.tick
-			if write {
-				if writeThrough {
-					res.WroteThrough = true
-					c.Stats.Writebacks++
-				} else {
-					set[i].dirty = true
-				}
-			}
-			return res
+	if i := c.find(base, tag); i >= 0 {
+		c.Stats.Hits++
+		res := Result{Hit: true}
+		if c.flags[i]&flagPrefetch != 0 {
+			c.flags[i] &^= flagPrefetch
+			c.Stats.PrefetchUseful++
+			res.PrefetchHit = true
 		}
+		c.lastUse[i] = c.tick
+		if write {
+			if writeThrough {
+				res.WroteThrough = true
+				c.Stats.Writebacks++
+			} else {
+				c.flags[i] |= flagDirty
+			}
+		}
+		return res
 	}
 	c.Stats.Misses++
 	if write && writeThrough {
@@ -257,90 +238,56 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		c.Stats.Writebacks++
 		return Result{WroteThrough: true}
 	}
-	res := c.install(set, tag, addr, write && !writeThrough, false)
-	res.Hit = false
-	return res
+	var fl uint8
+	if write {
+		fl = flagDirty
+	}
+	return c.install(base, tag, addr, fl)
 }
 
 // Probe reports whether addr is present without touching recency or
 // statistics. Prefetchers use it to filter redundant fills.
 func (c *Cache) Probe(addr uint64) bool {
-	set := c.setOf(addr)
-	tag := c.tagOf(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	base, tag := c.locate(addr)
+	return c.find(base, tag) >= 0
 }
 
 // Fill installs addr as a prefetched line. It is a no-op (returning a hit)
 // when the line is already present.
 func (c *Cache) Fill(addr uint64) Result {
 	c.tick++
-	set := c.setOf(addr)
-	tag := c.tagOf(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return Result{Hit: true}
-		}
+	base, tag := c.locate(addr)
+	if c.find(base, tag) >= 0 {
+		return Result{Hit: true}
 	}
 	c.Stats.PrefetchFills++
-	res := c.install(set, tag, addr, false, true)
-	res.Hit = false
-	return res
+	return c.install(base, tag, addr, flagPrefetch)
 }
 
-// install places a line, choosing a victim per the replacement policy.
-func (c *Cache) install(set []line, tag, addr uint64, dirty, prefetch bool) Result {
-	victim := 0
-	found := false
-	for i := range set {
-		if !set[i].valid {
-			victim, found = i, true
-			break
+// install places addr's line, with tag, in the set at base over its
+// victim: the first way with the smallest lastUse, which is the first
+// invalid way if there is one (lastUse 0) and otherwise the least
+// recently used.
+func (c *Cache) install(base int, tag, addr uint64, fl uint8) Result {
+	set := c.lastUse[base : base+c.cfg.Ways]
+	w := 0
+	for i := 1; i < len(set); i++ {
+		if set[i] < set[w] {
+			w = i
 		}
 	}
-	if !found {
-		switch c.cfg.Policy {
-		case FIFO:
-			oldest := set[0].filledAt
-			for i := 1; i < len(set); i++ {
-				if set[i].filledAt < oldest {
-					oldest, victim = set[i].filledAt, i
-				}
-			}
-		case Random:
-			victim = c.rnd.Intn(len(set))
-		default: // LRU
-			oldest := set[0].lastUse
-			for i := 1; i < len(set); i++ {
-				if set[i].lastUse < oldest {
-					oldest, victim = set[i].lastUse, i
-				}
-			}
-		}
-	}
+	v := base + w
 	var res Result
-	v := &set[victim]
-	if v.valid {
+	if set[w] != 0 {
 		c.Stats.Evictions++
 		res.Evicted = true
-		res.EvictedAddr = c.reconstruct(v.tag, addr)
-		res.EvictedDirty = v.dirty
-		if v.dirty {
+		// The victim shares addr's set.
+		res.EvictedAddr = (c.tags[v]<<c.setBits | addr>>c.lineBits&c.setMask) << c.lineBits
+		res.EvictedDirty = c.flags[v]&flagDirty != 0
+		if res.EvictedDirty {
 			c.Stats.Writebacks++
 		}
 	}
-	*v = line{tag: tag, valid: true, dirty: dirty, prefetch: prefetch, lastUse: c.tick, filledAt: c.tick}
+	c.tags[v], c.lastUse[v], c.flags[v] = tag, c.tick, fl
 	return res
-}
-
-// reconstruct rebuilds a victim's line address from its tag and the set
-// index of the incoming address (they share the set by construction).
-func (c *Cache) reconstruct(tag, incoming uint64) uint64 {
-	setBits := uint(bits.TrailingZeros(uint(len(c.sets))))
-	setIdx := (incoming >> c.lineBits) & c.setMask
-	return ((tag << setBits) | setIdx) << c.lineBits
 }

@@ -123,7 +123,7 @@ type workerStat struct {
 // LeaseGrant is the coordinator's answer to a lease request.
 type LeaseGrant struct {
 	// Status is "lease" (Keys/Spec are populated), "wait" (all parts are
-	// leased; retry after RetryNS) or "done" (the sweep is complete).
+	// leased; ask again later) or "done" (the sweep is complete).
 	Status string `json:"status"`
 	// Lease is the grant's id, quoted back on heartbeat/results/complete.
 	Lease string `json:"lease,omitempty"`
@@ -141,10 +141,8 @@ type LeaseGrant struct {
 	// Spec is the sweep to run; identical for every grant.
 	Spec SweepSpec `json:"spec,omitempty"`
 	// TTLNS is the heartbeat deadline, on wait grants too, where it
-	// paces the waiting worker's fleet pushes; RetryNS is the suggested
-	// wait-state poll interval.
-	TTLNS   int64 `json:"ttl_ns,omitempty"`
-	RetryNS int64 `json:"retry_ns,omitempty"`
+	// paces the waiting worker's fleet pushes.
+	TTLNS int64 `json:"ttl_ns,omitempty"`
 	// Traceparent carries the lease span's context ("" when the
 	// coordinator is not tracing): the worker opens its own lease span as
 	// a remote child of it, which is what lets a merged trace export show
@@ -515,10 +513,10 @@ func (c *Coordinator) WaitDone(ctx context.Context) error {
 
 // Drain keeps a finished coordinator answering until every worker seen
 // within the last lease TTL has been told the sweep is done, for half a
-// lease TTL at most: twice a wait grant's retry interval, so a waiting
-// worker asks at least once more. A coordinator that exits the moment
-// its report renders leaves a worker asking for its next lease to spend
-// its whole retry budget on a closed port, and fail.
+// lease TTL at most: long enough for a worker waiting at its poll
+// interval (500ms by default) to ask again. A coordinator that exits the
+// moment its report renders leaves a worker asking for its next lease to
+// spend its whole retry budget on a closed port, and fail.
 func (c *Coordinator) Drain(ctx context.Context) {
 	deadline := time.Now().Add(c.o.LeaseTTL / 2)
 	for !c.drained() && time.Now().Before(deadline) && ctx.Err() == nil {
@@ -570,7 +568,7 @@ func (c *Coordinator) Lease(worker string) (LeaseGrant, error) {
 // waitGrant tells a worker that nothing is leasable yet. It carries the
 // lease TTL too, which paces the waiting worker's fleet pushes.
 func waitGrant(epoch uint64, ttl time.Duration) LeaseGrant {
-	return LeaseGrant{Status: GrantWait, Epoch: epoch, TTLNS: int64(ttl), RetryNS: int64(ttl / 4)}
+	return LeaseGrant{Status: GrantWait, Epoch: epoch, TTLNS: int64(ttl)}
 }
 
 // seenLocked refreshes a worker's last-seen instant.

@@ -40,8 +40,7 @@ type WorkerOptions struct {
 	// payloads are unchanged.
 	Workers int
 	// Poll is the wait-state retry interval when every part is leased;
-	// <= 0 defaults to 500ms (the coordinator's RetryNS suggestion wins
-	// when present).
+	// <= 0 defaults to 500ms.
 	Poll time.Duration
 	// BatchSize is how many results accumulate before a delivery; <= 1
 	// streams every completed job immediately, which is what keeps the
@@ -429,12 +428,8 @@ func (w *worker) run(ctx context.Context) error {
 				w.pushed = time.Now()
 				w.push(false, false, min(pushTimeout, ttl/3))
 			}
-			wait := o.Poll
-			if g.RetryNS > 0 {
-				wait = time.Duration(g.RetryNS)
-			}
 			select {
-			case <-time.After(wait):
+			case <-time.After(o.Poll):
 			case <-done:
 			case <-ctx.Done():
 				return ctx.Err()

@@ -262,6 +262,73 @@ func TestWaitingWorkerStaysLive(t *testing.T) {
 	}
 }
 
+// TestWaitingWorkerHearsDoneAtItsPoll: a wait grant does not set the
+// worker's pace. An HTTP worker told "wait" asks again at its own Poll
+// interval, so it hears "done" and exits within a few intervals of the
+// sweep's last merge, however long the lease TTL.
+func TestWaitingWorkerHearsDoneAtItsPoll(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	const poll = 50 * time.Millisecond
+	c, err := NewCoordinator(CoordinatorOptions{
+		Spec:     quickSpec("fig6a"),
+		Parts:    1,
+		LeaseTTL: time.Hour,
+		Ledger:   filepath.Join(t.TempDir(), "ledger.jsonl"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var asked atomic.Int64
+	h := c.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/dist/v1/lease" {
+			asked.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	// Hold the only part, so the worker can only wait.
+	g, err := c.Lease("holder")
+	if err != nil || g.Status != GrantLease {
+		t.Fatalf("holder lease: %+v, %v", g, err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorker(ctx, WorkerOptions{Coordinator: srv.URL, Name: "w0", Workers: 1, Poll: poll, Logf: t.Logf})
+	}()
+	for deadline := time.Now().Add(100 * poll); asked.Load() < 2; time.Sleep(poll / 5) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the worker asked for a lease %d time(s) in %v; a waiting worker asks at its %v poll",
+				asked.Load(), 100*poll, poll)
+		}
+	}
+
+	entries := make([]Entry, len(g.Keys))
+	for i, k := range g.Keys {
+		entries[i] = Entry{Key: k, Value: json.RawMessage(`{}`)}
+	}
+	if _, _, err := c.Results(g.Lease, g.Epoch, entries); err != nil {
+		t.Fatal(err)
+	}
+	merged := time.Now()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+	case <-time.After(100 * poll):
+		t.Fatalf("the waiting worker was still running %v after the last merge", 100*poll)
+	}
+	// Twenty polls leave room for a loaded host; the old quarter-TTL
+	// hint would have kept the worker asleep for fifteen minutes.
+	if d := time.Since(merged); d > 20*poll {
+		t.Errorf("the waiting worker exited %v after the last merge; want within a few %v polls", d, poll)
+	}
+}
+
 // TestLeaseRunsOnlySweeps: a lease of an "all" sweep runs only the
 // experiments with sweep jobs. Table 1 has none, yet profiles ten
 // benchmarks whatever the selection, so a lease with no keys left must
@@ -387,7 +454,7 @@ func TestSweepsWireSurface(t *testing.T) {
 	code, body := post("/dist/v1/lease", `{"worker":"w0"}`)
 	var g LeaseGrant
 	if err := json.Unmarshal([]byte(body), &g); code != http.StatusOK || err != nil ||
-		g.Status != GrantWait || g.TTLNS != int64(ttl) || g.RetryNS <= 0 {
+		g.Status != GrantWait || g.TTLNS != int64(ttl) {
 		t.Errorf("idle lease: %d %s, want a wait grant carrying the TTL", code, body)
 	}
 	for _, path := range []string{"/dist/v1/heartbeat", "/dist/v1/complete"} {

@@ -13,6 +13,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/uteda/gmap/internal/obs"
 )
@@ -130,52 +131,42 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// burstCycles is the data-bus occupancy of one transaction.
-func (c Config) burstCycles() uint64 {
-	n := c.TxBytes / (2 * c.BusBytes) // DDR: two beats per cycle
-	if n < 1 {
-		n = 1
-	}
-	return uint64(n)
-}
-
 // Coord is a decomposed address.
 type Coord struct {
 	Channel, Rank, Bank, Row, Col int
 }
 
 // Decompose maps a byte address to its DRAM coordinates under the
-// configured mapping.
+// configured mapping. Every field is a power of two (Validate), so each
+// coordinate is a bit field of the address.
 func (c Config) Decompose(addr uint64) Coord {
-	line := addr / uint64(c.TxBytes)
-	cols := uint64(c.RowBytes / c.TxBytes)
-	ch, ra, ba := uint64(c.Channels), uint64(c.RanksPerChannel), uint64(c.BanksPerRank)
+	line := addr >> log2(c.TxBytes)
 	var co Coord
+	field := func(n int) int {
+		v := int(line & uint64(n-1))
+		line >>= log2(n)
+		return v
+	}
 	switch c.Mapping {
 	case ChRaBaRoCo:
 		// LSB -> MSB: column, row, bank, rank, channel.
-		co.Col = int(line % cols)
-		line /= cols
-		co.Row = int(line % (1 << 16))
-		line /= 1 << 16
-		co.Bank = int(line % ba)
-		line /= ba
-		co.Rank = int(line % ra)
-		line /= ra
-		co.Channel = int(line % ch)
+		co.Col = field(c.RowBytes / c.TxBytes)
+		co.Row = field(1 << 16)
+		co.Bank = field(c.BanksPerRank)
+		co.Rank = field(c.RanksPerChannel)
+		co.Channel = field(c.Channels)
 	default: // RoBaRaCoCh: LSB -> MSB: channel, column, rank, bank, row.
-		co.Channel = int(line % ch)
-		line /= ch
-		co.Col = int(line % cols)
-		line /= cols
-		co.Rank = int(line % ra)
-		line /= ra
-		co.Bank = int(line % ba)
-		line /= ba
+		co.Channel = field(c.Channels)
+		co.Col = field(c.RowBytes / c.TxBytes)
+		co.Rank = field(c.RanksPerChannel)
+		co.Bank = field(c.BanksPerRank)
 		co.Row = int(line)
 	}
 	return co
 }
+
+// log2 returns the exponent of the power of two n.
+func log2(n int) uint { return uint(bits.TrailingZeros(uint(n))) }
 
 // Completion reports a finished request.
 type Completion struct {
@@ -191,12 +182,14 @@ type Completion struct {
 	Arrival uint64
 }
 
+// pending is a queued request: 32 bytes, so the FR-FCFS scan and the
+// removal copy touch as little memory as the decision needs.
 type pending struct {
 	id      uint64
-	addr    uint64
-	write   bool
 	arrival uint64
-	coord   Coord
+	row     int
+	bank    int32 // rank*BanksPerRank + bank
+	write   bool
 }
 
 type bankState struct {
@@ -210,9 +203,15 @@ type channel struct {
 	queue   []pending
 	banks   []bankState
 	busFree uint64
-	// done holds undelivered completions in service order, which is Done
-	// order: each burst ends after the previous one (DESIGN.md §12).
+	// done[head:] holds undelivered completions in service order, which
+	// is Done order: each burst ends after the previous one (DESIGN.md
+	// §12).
 	done []Completion
+	head int
+	// next is a lower bound on the first cycle at which the channel can
+	// service a request or deliver a completion; an advance before it
+	// skips the channel.
+	next uint64
 	// nextRefresh is the cycle the channel's next all-bank refresh is due.
 	nextRefresh uint64
 }
@@ -275,6 +274,8 @@ func (s Stats) AvgWriteLatency() float64 {
 type Controller struct {
 	cfg      Config
 	channels []channel
+	// burst is the data-bus occupancy of one transaction, in cycles.
+	burst    uint64
 	inFlight int
 	// wake is a lower bound on the first cycle at which any channel can
 	// service or deliver; an earlier advance has nothing to do.
@@ -356,7 +357,9 @@ func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg, channels: make([]channel, cfg.Channels)}
+	// DDR: two beats per cycle.
+	burst := uint64(max(cfg.TxBytes/(2*cfg.BusBytes), 1))
+	c := &Controller{cfg: cfg, channels: make([]channel, cfg.Channels), burst: burst}
 	for i := range c.channels {
 		c.channels[i].banks = make([]bankState, cfg.RanksPerChannel*cfg.BanksPerRank)
 		c.channels[i].nextRefresh = uint64(cfg.TREFI)
@@ -381,8 +384,12 @@ func (c *Controller) Enqueue(addr uint64, write bool, now uint64, id uint64) {
 	} else {
 		c.Stats.Reads++
 	}
-	ch.queue = append(ch.queue, pending{id: id, addr: addr, write: write, arrival: now, coord: coord})
-	c.wake = min(c.wake, max(ch.busFree, now))
+	ch.queue = append(ch.queue, pending{
+		id: id, arrival: now, row: coord.Row,
+		bank: int32(coord.Rank*c.cfg.BanksPerRank + coord.Bank), write: write,
+	})
+	ch.next = min(ch.next, max(ch.busFree, now))
+	c.wake = min(c.wake, ch.next)
 	c.inFlight++
 	if c.obs != nil {
 		if write {
@@ -408,7 +415,8 @@ func (c *Controller) AdvanceTo(now uint64) []Completion {
 // batch is appended to buf (typically buf[:0] of a retained slice) and
 // the extended slice returned, so a caller advancing the controller once
 // per simulated cycle allocates nothing in steady state. Before the wake
-// cycle it returns at once.
+// cycle it returns at once, and it skips a channel before the channel's
+// own next cycle.
 func (c *Controller) AdvanceInto(now uint64, buf []Completion) []Completion {
 	if now < c.wake {
 		return buf
@@ -416,22 +424,37 @@ func (c *Controller) AdvanceInto(now uint64, buf []Completion) []Completion {
 	wake := ^uint64(0)
 	for i := range c.channels {
 		ch := &c.channels[i]
+		if now < ch.next {
+			wake = min(wake, ch.next)
+			continue
+		}
 		for c.serviceOne(ch, now) {
 		}
-		n := 0
+		n := ch.head
 		for n < len(ch.done) && ch.done[n].Done <= now {
 			n++
 		}
-		buf = append(buf, ch.done[:n]...)
-		c.inFlight -= n
-		ch.done = ch.done[:copy(ch.done, ch.done[n:])]
+		buf = append(buf, ch.done[ch.head:n]...)
+		c.inFlight -= n - ch.head
+		switch {
+		case n == len(ch.done):
+			ch.done, ch.head = ch.done[:0], 0
+		case n > len(ch.done)/2:
+			// Move the undelivered tail down so a channel that never
+			// drains keeps a buffer bounded by twice its backlog.
+			ch.done, ch.head = ch.done[:copy(ch.done, ch.done[n:])], 0
+		default:
+			ch.head = n
+		}
 		// The channel's next event; a refresh can only delay service.
-		if len(ch.done) > 0 {
-			wake = min(wake, ch.done[0].Done)
+		ch.next = ^uint64(0)
+		if ch.head < len(ch.done) {
+			ch.next = ch.done[ch.head].Done
 		}
 		if len(ch.queue) > 0 {
-			wake = min(wake, max(ch.busFree, ch.queue[0].arrival))
+			ch.next = min(ch.next, max(ch.busFree, ch.queue[0].arrival))
 		}
+		wake = min(wake, ch.next)
 	}
 	c.wake = wake
 	return buf
@@ -444,17 +467,18 @@ func (c *Controller) AdvanceInto(now uint64, buf []Completion) []Completion {
 // the returned cycle, so the forced service order is exactly what a
 // cycle-by-cycle advance would produce. ok is false when nothing is
 // outstanding. The forced service only moves a channel's next event
-// later, so the wake cycle stays a lower bound.
+// later, so the channel's next cycle and the wake cycle stay lower
+// bounds.
 func (c *Controller) NextCompletion() (uint64, bool) {
 	best := ^uint64(0)
 	ok := false
 	for i := range c.channels {
 		ch := &c.channels[i]
-		if len(ch.done) == 0 && len(ch.queue) > 0 {
+		if ch.head == len(ch.done) && len(ch.queue) > 0 {
 			c.serviceOne(ch, ^uint64(0)>>1)
 		}
-		if len(ch.done) > 0 && ch.done[0].Done < best {
-			best = ch.done[0].Done
+		if ch.head < len(ch.done) && ch.done[ch.head].Done < best {
+			best = ch.done[ch.head].Done
 			ok = true
 		}
 	}
@@ -521,8 +545,8 @@ func (c *Controller) serviceOne(ch *channel, now uint64) bool {
 			if p.arrival > t {
 				continue
 			}
-			b := &ch.banks[p.coord.Rank*c.cfg.BanksPerRank+p.coord.Bank]
-			if b.hasOpenRow && b.openRow == p.coord.Row {
+			b := &ch.banks[p.bank]
+			if b.hasOpenRow && b.openRow == p.row {
 				pick = i
 				break
 			}
@@ -542,7 +566,7 @@ func (c *Controller) serviceOne(ch *channel, now uint64) bool {
 	p := ch.queue[pick]
 	ch.queue = append(ch.queue[:pick], ch.queue[pick+1:]...)
 
-	b := &ch.banks[p.coord.Rank*c.cfg.BanksPerRank+p.coord.Bank]
+	b := &ch.banks[p.bank]
 	start := t
 	if b.readyAt > start {
 		start = b.readyAt
@@ -550,7 +574,7 @@ func (c *Controller) serviceOne(ch *channel, now uint64) bool {
 	var dataStart uint64
 	var rowHit bool
 	switch {
-	case b.hasOpenRow && b.openRow == p.coord.Row:
+	case b.hasOpenRow && b.openRow == p.row:
 		rowHit = true
 		c.Stats.RowHits++
 		if c.obs != nil {
@@ -578,14 +602,13 @@ func (c *Controller) serviceOne(ch *channel, now uint64) bool {
 		dataStart = actAt + uint64(c.cfg.TRCD+c.cfg.TCAS)
 		b.activatedAt = actAt
 	}
-	b.openRow, b.hasOpenRow = p.coord.Row, true
+	b.openRow, b.hasOpenRow = p.row, true
 
-	burst := c.cfg.burstCycles()
 	// Data bus occupied for the burst; serialize bursts on the channel.
 	if dataStart < ch.busFree {
 		dataStart = ch.busFree
 	}
-	done := dataStart + burst
+	done := dataStart + c.burst
 	ch.busFree = done
 	b.readyAt = dataStart
 

@@ -490,3 +490,30 @@ func TestAdvanceIntoMatchesAdvanceTo(t *testing.T) {
 		t.Fatalf("stats diverged:\n AdvanceTo:   %+v\n AdvanceInto: %+v", a.Stats, b.Stats)
 	}
 }
+
+// TestUndrainedChannelKeepsBoundedBuffer: a channel advanced every time
+// while its newest request is still in flight never empties its
+// completion FIFO, yet the FIFO's buffer must not grow with the number
+// of completions it has delivered.
+func TestUndrainedChannelKeepsBoundedBuffer(t *testing.T) {
+	c := mustController(t, simpleCfg())
+	const steps = 10000
+	var buf []Completion
+	delivered := 0
+	for s := uint64(0); s < steps; s++ {
+		now := s * 100
+		c.Enqueue(s%8*128, false, now, s)
+		buf = c.AdvanceInto(now, buf[:0])
+		delivered += len(buf)
+		ch := &c.channels[0]
+		if backlog := len(ch.done) - ch.head; backlog != 1 {
+			t.Fatalf("step %d: %d completions undelivered, want the newest one", s, backlog)
+		}
+		if cap(ch.done) > 8 {
+			t.Fatalf("step %d: completion buffer grew to %d entries for a backlog of 1", s, cap(ch.done))
+		}
+	}
+	if delivered != steps-1 {
+		t.Fatalf("delivered %d completions, want %d", delivered, steps-1)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/uteda/gmap/internal/dram"
+	"github.com/uteda/gmap/internal/eval"
 	"github.com/uteda/gmap/internal/proptest"
 )
 
@@ -75,7 +76,8 @@ func TestCompletionsLeaveInServiceOrder(t *testing.T) {
 // dense one is advanced at every cycle. The dense controller must deliver
 // every completion at exactly its Done cycle, and by each sparse cycle
 // both must have delivered the same completions, with the same Done and
-// RowHit, and end with the same statistics.
+// RowHit, and end with the same statistics. The machines are proptest's
+// and Fig 7's 11 GDDR5 systems.
 func TestSparseAdvanceMatchesEveryCycle(t *testing.T) {
 	for i := 0; i < proptest.N(t, 60, 250); i++ {
 		seed := uint64(0x5ba25e) + uint64(i)*104729
@@ -84,57 +86,78 @@ func TestSparseAdvanceMatchesEveryCycle(t *testing.T) {
 		if g.R.Bool(0.5) {
 			cfg.Sched = dram.FRFCFS
 		}
-		dense, err := dram.NewController(cfg)
+		checkSparseAdvance(t, seed, g, cfg, 60)
+	}
+	// Longer streams here, so each crosses the GDDR5 refresh interval.
+	for i, gen := range eval.DRAMSweep(0) {
+		mc, err := gen.Make()
 		if err != nil {
-			t.Fatalf("seed %#x: %v", seed, err)
+			t.Fatal(err)
 		}
-		sparse, err := dram.NewController(cfg)
-		if err != nil {
-			t.Fatalf("seed %#x: %v", seed, err)
+		for k := 0; k < 3; k++ {
+			seed := uint64(0xf197) + uint64(i*3+k)*104729
+			checkSparseAdvance(t, seed, proptest.New(seed), mc.DRAM, 600)
 		}
-		pending := map[uint64]dram.Completion{} // dense deliveries the sparse one has not matched
-		var buf []dram.Completion
-		var cycle, arrival, id uint64 // cycle: the last arrival cycle
-		for step := 0; step < 60+g.R.Intn(120); step++ {
-			for next := cycle + 1 + g.R.Uint64n(40); cycle < next; {
-				cycle++
-				buf = dense.AdvanceInto(cycle, buf[:0])
-				for _, c := range buf {
-					if c.Done != cycle {
-						t.Fatalf("seed %#x: dense controller delivered done %d at cycle %d", seed, c.Done, cycle)
-					}
-					pending[c.ID] = c
+	}
+}
+
+// checkSparseAdvance runs one TestSparseAdvanceMatchesEveryCycle case on
+// cfg, drawing the stream, of at least minSteps arrival steps, from g.
+func checkSparseAdvance(t *testing.T, seed uint64, g *proptest.G, cfg dram.Config, minSteps int) {
+	t.Helper()
+	dense, err := dram.NewController(cfg)
+	if err != nil {
+		t.Fatalf("seed %#x: %v", seed, err)
+	}
+	sparse, err := dram.NewController(cfg)
+	if err != nil {
+		t.Fatalf("seed %#x: %v", seed, err)
+	}
+	pending := map[uint64]dram.Completion{} // dense deliveries the sparse one has not matched
+	var buf []dram.Completion
+	var cycle, arrival, id uint64 // cycle: the last arrival cycle
+	for step := 0; step < minSteps+g.R.Intn(2*minSteps); step++ {
+		for next := cycle + 1 + g.R.Uint64n(40); cycle < next; {
+			cycle++
+			buf = dense.AdvanceInto(cycle, buf[:0])
+			for _, c := range buf {
+				if c.Done != cycle {
+					t.Fatalf("seed %#x: dense controller delivered done %d at cycle %d", seed, c.Done, cycle)
 				}
-			}
-			for _, c := range sparse.AdvanceInto(cycle, buf[:0]) {
-				d, ok := pending[c.ID]
-				if !ok || d.Done != c.Done || d.RowHit != c.RowHit {
-					t.Fatalf("seed %#x: at cycle %d the sparse controller delivered %+v, the dense one %+v (found %v)",
-						seed, cycle, c, d, ok)
-				}
-				delete(pending, c.ID)
-			}
-			if len(pending) != 0 {
-				t.Fatalf("seed %#x: by cycle %d the dense controller delivered %d completions the sparse one did not",
-					seed, cycle, len(pending))
-			}
-			for n := g.R.Intn(4); n > 0; n-- {
-				arrival = max(arrival, cycle+g.R.Uint64n(8))
-				addr := g.R.Uint64n(1<<22) &^ uint64(cfg.TxBytes-1)
-				write := g.R.Bool(0.3)
-				dense.Enqueue(addr, write, arrival, id)
-				sparse.Enqueue(addr, write, arrival, id)
-				id++
+				pending[c.ID] = c
 			}
 		}
-		dense.Drain()
-		sparse.Drain()
-		if dense.Stats.Requests != id || dense.InFlight() != 0 || sparse.InFlight() != 0 {
-			t.Fatalf("seed %#x: %d requests, %d and %d left in flight after Drain",
-				seed, id, dense.InFlight(), sparse.InFlight())
+		for _, c := range sparse.AdvanceInto(cycle, buf[:0]) {
+			d, ok := pending[c.ID]
+			if !ok || d.Done != c.Done || d.RowHit != c.RowHit {
+				t.Fatalf("seed %#x: at cycle %d the sparse controller delivered %+v, the dense one %+v (found %v)",
+					seed, cycle, c, d, ok)
+			}
+			delete(pending, c.ID)
 		}
-		if dense.Stats != sparse.Stats {
-			t.Fatalf("seed %#x: statistics diverged:\n dense  %+v\n sparse %+v", seed, dense.Stats, sparse.Stats)
+		if len(pending) != 0 {
+			t.Fatalf("seed %#x: by cycle %d the dense controller delivered %d completions the sparse one did not",
+				seed, cycle, len(pending))
 		}
+		for n := g.R.Intn(4); n > 0; n-- {
+			arrival = max(arrival, cycle+g.R.Uint64n(8))
+			addr := g.R.Uint64n(1<<22) &^ uint64(cfg.TxBytes-1)
+			write := g.R.Bool(0.3)
+			dense.Enqueue(addr, write, arrival, id)
+			sparse.Enqueue(addr, write, arrival, id)
+			id++
+		}
+	}
+	dense.Drain()
+	sparse.Drain()
+	if cfg.TREFI > 0 && minSteps > 60 && dense.Stats.Refreshes == 0 {
+		t.Fatalf("seed %#x: the stream ended at cycle %d before the first refresh", seed, cycle)
+	}
+	if dense.Stats.Requests != id || dense.InFlight() != 0 || sparse.InFlight() != 0 {
+		t.Fatalf("seed %#x: %d requests, %d and %d left in flight after Drain",
+			seed, id, dense.InFlight(), sparse.InFlight())
+	}
+	if dense.Stats != sparse.Stats {
+		t.Fatalf("seed %#x: statistics diverged:\n dense  %+v\n sparse %+v", seed, dense.Stats, sparse.Stats)
 	}
 }

@@ -386,9 +386,7 @@ func newSim(warps []trace.WarpTrace, warpEpochs []int, numEpochs int, cfg Config
 		core := &s.cores[c]
 		core.lastWarp = -1
 		core.lineSlot = make(map[uint64]int32)
-		l1cfg := cfg.L1
-		l1cfg.Seed = cfg.Seed + uint64(c)
-		if core.l1, err = cache.New(l1cfg); err != nil {
+		if core.l1, err = cache.New(cfg.L1); err != nil {
 			return nil, err
 		}
 		core.l1pf = prefetch.Nil{}
@@ -500,6 +498,9 @@ func (s *Simulator) Run() (Metrics, error) {
 	for c := range s.cores {
 		s.compactCore(c, 0)
 	}
+	// PSelf draws its coin inside issue before the ready bound is checked,
+	// so only LRR and GTO cores are skipped here (DESIGN.md §12).
+	pself := s.cfg.Scheduler == PSelf
 	guard := uint64(0)
 	for s.remaining > 0 {
 		guard++
@@ -515,7 +516,7 @@ func (s *Simulator) Run() (Metrics, error) {
 		}
 		issued := false
 		for c := range s.cores {
-			if s.issue(c, cycle) {
+			if (pself || cycle >= s.cores[c].minReady) && s.issue(c, cycle) {
 				issued = true
 			} else if s.obs != nil {
 				s.noteStall(c)
@@ -526,7 +527,9 @@ func (s *Simulator) Run() (Metrics, error) {
 				s.compactCore(c, cycle)
 			}
 		}
-		s.advanceEpochs(cycle)
+		if s.epoch+1 < len(s.epochRem) && s.epochRem[s.epoch] == 0 {
+			s.advanceEpochs(cycle)
+		}
 		if issued {
 			cycle++
 			continue
@@ -713,6 +716,8 @@ func (s *Simulator) issue(c int, cycle uint64) bool {
 	case PSelf:
 		repeat = core.lastWarp >= 0 && s.rnd.Bool(s.cfg.SchedPself)
 	}
+	// Run skips an LRR or GTO core below its bound without calling issue:
+	// for them nothing above changes state.
 	if cycle < core.minReady {
 		return false
 	}

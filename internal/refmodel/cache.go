@@ -14,11 +14,7 @@
 // implementation with the packages they check.
 package refmodel
 
-import (
-	"fmt"
-
-	"github.com/uteda/gmap/internal/cache"
-)
+import "github.com/uteda/gmap/internal/cache"
 
 // refLine is one resident cache line. Recency is positional — a line's
 // index in its set's list — so there is no per-line clock to get wrong.
@@ -30,9 +26,7 @@ type refLine struct {
 
 // Cache is a set-associative LRU cache whose every set is an explicit
 // recency-ordered slice: index 0 is the most recently used line, the last
-// element is the LRU victim. Only the LRU replacement policy is
-// supported; FIFO and Random depend on internal counters/RNG streams that
-// a reference cannot reproduce independently.
+// element is the LRU victim.
 type Cache struct {
 	cfg      cache.Config
 	sets     [][]refLine
@@ -47,9 +41,6 @@ func NewCache(cfg cache.Config) (*Cache, error) {
 	sets, err := cfg.Validate()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Policy != cache.LRU {
-		return nil, fmt.Errorf("refmodel: only LRU is modeled, not %v", cfg.Policy)
 	}
 	return &Cache{
 		cfg:      cfg,

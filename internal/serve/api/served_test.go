@@ -198,9 +198,12 @@ func startWorker(t *testing.T, url, name string, retries int) *remoteWorker {
 	w := &remoteWorker{t: t, name: name, reg: obs.New(), cancel: cancel, exited: make(chan struct{})}
 	go func() {
 		w.err = dist.RunWorker(ctx, dist.WorkerOptions{
-			Coordinator:  url,
-			Name:         name,
-			Workers:      1,
+			Coordinator: url,
+			Name:        name,
+			Workers:     1,
+			// A wait grant does not pace the worker; its own poll does,
+			// and it must ask again within a sweep of about half a second.
+			Poll:         50 * time.Millisecond,
 			Retries:      retries,
 			RetryBackoff: time.Millisecond,
 			Obs:          w.reg,
