@@ -1,6 +1,6 @@
-// Command gmap-served is the multi-tenant clone-and-simulate service:
-// an HTTP server over a content-addressed profile/result store and an
-// admission-controlled, weighted-fair job queue.
+// Command gmap-served is the clone-and-simulate service: an HTTP server
+// over a content-addressed profile/result store and an
+// admission-controlled FIFO job queue.
 //
 // Clients POST profiles (or raw traces) to /v1/profiles and /v1/traces,
 // then submit clone/sim/sweep jobs to /v1/jobs. Identical submissions
@@ -16,7 +16,7 @@
 // Usage:
 //
 //	gmap-served -store /var/lib/gmap -addr :9400
-//	gmap-served -addr 127.0.0.1:0 -addr-file gmap.addr -tenant-weights team-a=3,team-b=1
+//	gmap-served -addr 127.0.0.1:0 -addr-file gmap.addr -workers 2 -queue-depth 16
 package main
 
 import (
@@ -26,8 +26,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"github.com/uteda/gmap/internal/obs"
@@ -45,10 +43,8 @@ func main() {
 		storeDir  = flag.String("store", "gmap-store", "content-addressed store root (profiles, results, job journal, checkpoints)")
 		workers   = flag.Int("workers", 1, "jobs executing concurrently")
 		depth     = flag.Int("queue-depth", 64, "admitted-but-not-running backlog bound; beyond it submissions get 429")
-		weights   = flag.String("tenant-weights", "", "per-tenant scheduling weights, e.g. team-a=3,team-b=1 (unlisted tenants weigh 1)")
 		sweepWkrs = flag.Int("sweep-workers", 0, "runner pool size of the server's own sweep worker (0 = all CPUs)")
 		fsync     = flag.Bool("fsync", false, "fsync journal/result/checkpoint writes (survives machine crash, not just SIGKILL)")
-		defTenant = flag.String("default-tenant", "anonymous", "tenant attributed to requests without an X-Gmap-Tenant header")
 		quiet     = flag.Bool("quiet", false, "suppress per-job log lines")
 		distParts = flag.Int("dist-parts", 0, "partitions of each sweep's job space, leased to the server's own worker and to remote ones (0 = 8)")
 		distTTL   = flag.Duration("dist-lease-ttl", 0, "sweep lease heartbeat deadline; a remote worker silent this long reads stale on /fleet/status (0 = 30s)")
@@ -58,10 +54,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	w, err := parseWeights(*weights)
-	if err != nil {
-		fatal(err)
-	}
 	reg := obs.New()
 	tracer := obstrace.New()
 	st, err := store.Open(*storeDir, nil, reg)
@@ -73,15 +65,13 @@ func main() {
 		Queue: queue.Options{
 			Workers: *workers,
 			Depth:   *depth,
-			Weights: w,
 		},
-		SweepWorkers:  *sweepWkrs,
-		SweepParts:    *distParts,
-		LeaseTTL:      *distTTL,
-		Fsync:         *fsync,
-		Obs:           reg,
-		Tracer:        tracer,
-		DefaultTenant: *defTenant,
+		SweepWorkers: *sweepWkrs,
+		SweepParts:   *distParts,
+		LeaseTTL:     *distTTL,
+		Fsync:        *fsync,
+		Obs:          reg,
+		Tracer:       tracer,
 	}
 	if !*quiet {
 		opts.Logf = func(format string, args ...interface{}) {
@@ -113,26 +103,6 @@ func main() {
 		log.Printf("gmap-served: shutdown: %v", err)
 	}
 	svc.Wait()
-}
-
-// parseWeights parses "a=3,b=1" into a weight map.
-func parseWeights(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	m := make(map[string]int)
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("bad -tenant-weights entry %q (want name=weight)", part)
-		}
-		n, err := strconv.Atoi(val)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad weight %q for tenant %q (want a positive integer)", val, name)
-		}
-		m[name] = n
-	}
-	return m, nil
 }
 
 func fatal(err error) {

@@ -1,12 +1,13 @@
-// Package api is the clone-and-simulate service: a multi-tenant HTTP
-// front end over the content-addressed store (internal/serve/store) and
-// the weighted fair admission queue (internal/serve/queue).
+// Package api is the clone-and-simulate service: an HTTP front end over
+// the content-addressed store (internal/serve/store) and the FIFO
+// admission queue (internal/serve/queue).
 //
 // Clients upload profiles (or raw traces, profiled server-side), then
 // submit jobs referencing them by content hash. Job identity is the
 // digest of (profile hash × config hash), so resubmitting the same work
 // dedups against the in-flight job and, once finished, is served
-// straight from the result cache without consuming a queue slot.
+// straight from the result cache without consuming a queue slot; this
+// package alone decides whether a submission duplicates a live job.
 // Admitted jobs are journaled before they are queued. Each sweep job
 // runs through a distributed coordinator (internal/dist) over its own
 // checkpoint, with the service as its first worker and remote workers
@@ -49,8 +50,8 @@ const (
 type Options struct {
 	// Store is the content-addressed profile/result store (required).
 	Store *store.Store
-	// Queue configures admission: worker slots, backlog depth and
-	// per-tenant weights. Obs is overridden with Options.Obs.
+	// Queue configures admission: worker slots and backlog depth. Obs
+	// is overridden with Options.Obs.
 	Queue queue.Options
 	// SweepWorkers is the runner pool size of the service's own sweep
 	// worker (0 = every CPU). Clone and sim jobs are single simulations
@@ -65,16 +66,13 @@ type Options struct {
 	// machine crashes rather than just process kills.
 	Fsync bool
 	// Obs collects service metrics (serve.api.*, serve.queue.*,
-	// serve.store.*, serve.tenant.*, dist.*) into one registry, exposed
-	// at /metrics alongside the simulation instrumentation of the
-	// service's own sweep work.
+	// serve.store.*, dist.*) into one registry, exposed at /metrics
+	// alongside the simulation instrumentation of the service's own
+	// sweep work.
 	Obs *obs.Registry
 	// Tracer, when non-nil, records spans for sweep jobs, exposed at
 	// /trace.
 	Tracer *obstrace.Tracer
-	// DefaultTenant is the tenant attributed to requests without an
-	// X-Gmap-Tenant header. Default "anonymous".
-	DefaultTenant string
 	// Logf, when non-nil, receives one line per service event (job
 	// admitted/finished, recovery, rejections).
 	Logf func(format string, args ...interface{})
@@ -98,7 +96,6 @@ type Service struct {
 // mu are guarded by it.
 type jobState struct {
 	id          string
-	tenant      string
 	spec        JobSpec
 	profileHash string
 	configHash  string
@@ -117,9 +114,6 @@ type jobState struct {
 func New(o Options) (*Service, error) {
 	if o.Store == nil {
 		return nil, fmt.Errorf("serve/api: Options.Store is required")
-	}
-	if o.DefaultTenant == "" {
-		o.DefaultTenant = "anonymous"
 	}
 	qo := o.Queue
 	qo.Obs = o.Obs
@@ -185,11 +179,11 @@ func (s *Service) counter(name string) *obs.Counter {
 	return s.o.Obs.Counter(name)
 }
 
-// submit admits one normalized spec for tenant and returns its job
-// state. Cache hits (cached=true: the result already exists, in memory
-// or on disk) and duplicate in-flight submissions return immediately
-// with admitted=false; a full queue returns queue.ErrFull.
-func (s *Service) submit(tenant string, spec JobSpec) (js *jobState, admitted, cached bool, err error) {
+// submit admits one normalized spec and returns its job state. Cache
+// hits (cached=true: the result already exists, in memory or on disk)
+// and duplicate in-flight submissions return immediately with
+// admitted=false; a full queue returns queue.ErrFull.
+func (s *Service) submit(spec JobSpec) (js *jobState, admitted, cached bool, err error) {
 	profileHash, configHash, id, err := spec.hashes()
 	if err != nil {
 		return nil, false, false, err
@@ -216,7 +210,6 @@ func (s *Service) submit(tenant string, spec JobSpec) (js *jobState, admitted, c
 
 	js = &jobState{
 		id:          id,
-		tenant:      tenant,
 		spec:        spec,
 		profileHash: profileHash,
 		configHash:  configHash,
@@ -239,7 +232,7 @@ func (s *Service) submit(tenant string, spec JobSpec) (js *jobState, admitted, c
 	// Journal first, then enqueue: a job is only ever queued with its
 	// spec durably on disk, so a crash between the two re-enqueues it
 	// on restart instead of losing it.
-	env := jobEnvelope{Spec: spec, Tenant: tenant, ProfileHash: profileHash, ConfigHash: configHash}
+	env := jobEnvelope{Spec: spec, ProfileHash: profileHash, ConfigHash: configHash}
 	if err := s.st.PutJobSpec(id, env); err != nil {
 		return nil, false, false, fmt.Errorf("journal job: %w", err)
 	}
@@ -256,9 +249,8 @@ func (s *Service) submit(tenant string, spec JobSpec) (js *jobState, admitted, c
 // s.mu.
 func (s *Service) enqueueLocked(js *jobState) error {
 	err := s.q.Submit(queue.Job{
-		ID:     js.id,
-		Tenant: js.tenant,
-		Run:    func(ctx context.Context) { s.execute(ctx, js) },
+		ID:  js.id,
+		Run: func(ctx context.Context) { s.execute(ctx, js) },
 	})
 	if err != nil {
 		return err
@@ -278,11 +270,11 @@ func (s *Service) execute(ctx context.Context, js *jobState) {
 		return
 	}
 	if js.canceled {
+		s.retireJournal(js.id)
 		js.status = StatusCanceled
 		js.finished = time.Now()
 		js.mu.Unlock()
 		s.counter("serve.api.jobs_canceled").Inc()
-		s.retireJournal(js.id)
 		return
 	}
 	js.status = StatusRunning
@@ -296,22 +288,26 @@ func (s *Service) execute(ctx context.Context, js *jobState) {
 		}
 	}
 
+	// A terminal status is published only after the journal entry is
+	// retired, with js.mu held throughout: a resubmission, which reads
+	// the status under js.mu, can then journal afresh without this
+	// retirement deleting its entry.
 	js.mu.Lock()
 	js.sweep = nil
 	js.finished = now
 	switch {
 	case err == nil:
+		s.retireJournal(js.id)
 		js.status = StatusDone
 		js.mu.Unlock()
 		s.counter("serve.api.jobs_done").Inc()
-		s.retireJournal(js.id)
-		s.logf("job %s (%s, tenant %s) done", js.id, js.spec.Kind, js.tenant)
+		s.logf("job %s (%s) done", js.id, js.spec.Kind)
 	case js.canceled:
+		s.retireJournal(js.id)
 		js.status = StatusCanceled
 		js.errMsg = "canceled"
 		js.mu.Unlock()
 		s.counter("serve.api.jobs_canceled").Inc()
-		s.retireJournal(js.id)
 		s.logf("job %s canceled", js.id)
 	case ctx.Err() != nil:
 		// Shutdown, not user cancellation: keep the journal (and any
@@ -322,11 +318,11 @@ func (s *Service) execute(ctx context.Context, js *jobState) {
 		s.counter("serve.api.jobs_interrupted").Inc()
 		s.logf("job %s interrupted by shutdown; journal retained for restart", js.id)
 	default:
+		s.retireJournal(js.id)
 		js.status = StatusFailed
 		js.errMsg = err.Error()
 		js.mu.Unlock()
 		s.counter("serve.api.jobs_failed").Inc()
-		s.retireJournal(js.id)
 		s.logf("job %s failed: %v", js.id, err)
 	}
 }
@@ -485,11 +481,11 @@ func (s *Service) cancel(id string) (found bool) {
 		if s.q.Cancel(id) {
 			js.mu.Lock()
 			if js.status == StatusQueued {
+				s.retireJournal(id) // before publishing, as in execute
 				js.status = StatusCanceled
 				js.finished = time.Now()
 				js.mu.Unlock()
 				s.counter("serve.api.jobs_canceled").Inc()
-				s.retireJournal(id)
 			} else {
 				js.mu.Unlock()
 			}
@@ -509,7 +505,9 @@ func (s *Service) cancel(id string) (found bool) {
 // recover re-enqueues every journaled job that has no committed result:
 // the backlog of a predecessor process that was killed. Jobs whose
 // result already exists (crash between PutResult and journal deletion)
-// are retired directly.
+// are retired directly. A journaled job the service already knows was
+// submitted to this process before Start; submit decided its fate, so
+// recovery leaves it alone.
 func (s *Service) recover() (int, error) {
 	specs, err := s.st.ListJobSpecs()
 	if err != nil {
@@ -529,7 +527,6 @@ func (s *Service) recover() (int, error) {
 		}
 		js := &jobState{
 			id:          id,
-			tenant:      env.Tenant,
 			spec:        env.Spec,
 			profileHash: env.ProfileHash,
 			configHash:  env.ConfigHash,
@@ -537,6 +534,10 @@ func (s *Service) recover() (int, error) {
 			created:     time.Now(),
 		}
 		s.mu.Lock()
+		if _, known := s.jobs[id]; known {
+			s.mu.Unlock()
+			continue
+		}
 		err := s.enqueueLocked(js)
 		s.mu.Unlock()
 		if err != nil {
@@ -555,7 +556,6 @@ type jobView struct {
 	Job         string `json:"job"`
 	Kind        string `json:"kind"`
 	Status      string `json:"status"`
-	Tenant      string `json:"tenant"`
 	Cached      bool   `json:"cached,omitempty"`
 	Error       string `json:"error,omitempty"`
 	ProfileHash string `json:"profile_hash"`
@@ -571,7 +571,6 @@ func (js *jobState) view() jobView {
 		Job:         js.id,
 		Kind:        js.spec.Kind,
 		Status:      js.status,
-		Tenant:      js.tenant,
 		Cached:      js.cached,
 		Error:       js.errMsg,
 		ProfileHash: js.profileHash,

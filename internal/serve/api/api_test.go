@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/uteda/gmap/internal/eval"
+	"github.com/uteda/gmap/internal/fault"
 	"github.com/uteda/gmap/internal/obs"
 	"github.com/uteda/gmap/internal/profiler"
 	"github.com/uteda/gmap/internal/serve"
@@ -30,13 +34,20 @@ type env struct {
 	reg    *obs.Registry
 	svc    *api.Service
 	srv    *serve.Server
+	ctx    context.Context
 	cancel context.CancelFunc
 }
 
 func newEnv(t *testing.T, root string, qopts queue.Options, start bool) *env {
 	t.Helper()
+	return newEnvFS(t, root, nil, qopts, start)
+}
+
+// newEnvFS is newEnv with the store's file I/O going through fsys.
+func newEnvFS(t *testing.T, root string, fsys fault.FS, qopts queue.Options, start bool) *env {
+	t.Helper()
 	reg := obs.New()
-	st, err := store.Open(root, nil, reg)
+	st, err := store.Open(root, fsys, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +66,7 @@ func newEnv(t *testing.T, root string, qopts queue.Options, start bool) *env {
 		cancel()
 		t.Fatal(err)
 	}
-	e := &env{t: t, root: root, reg: reg, svc: svc, srv: srv, cancel: cancel}
+	e := &env{t: t, root: root, reg: reg, svc: svc, srv: srv, ctx: ctx, cancel: cancel}
 	if start {
 		if err := svc.Start(ctx); err != nil {
 			t.Fatal(err)
@@ -111,7 +122,6 @@ type jobView struct {
 	Job         string `json:"job"`
 	Kind        string `json:"kind"`
 	Status      string `json:"status"`
-	Tenant      string `json:"tenant"`
 	Cached      bool   `json:"cached"`
 	Error       string `json:"error"`
 	ProfileHash string `json:"profile_hash"`
@@ -380,11 +390,16 @@ func TestSubmitValidation(t *testing.T) {
 			t.Fatalf("spec %s: no error message", c)
 		}
 	}
-	// Bad tenant names are rejected too.
-	code, _ := e.do("POST", "/v1/jobs", strings.NewReader(`{"kind":"sweep","experiment":"table2"}`), nil,
+	// A client still naming a tenant is served like any other, and job
+	// views name none.
+	var view map[string]interface{}
+	code, _ := e.do("POST", "/v1/jobs", strings.NewReader(table2Spec), &view,
 		map[string]string{"X-Gmap-Tenant": "no spaces allowed"})
-	if code != http.StatusBadRequest {
-		t.Fatalf("bad tenant: status %d, want 400", code)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit with X-Gmap-Tenant: status %d, want 202", code)
+	}
+	if _, ok := view["tenant"]; ok {
+		t.Fatalf("job view carries a tenant: %v", view)
 	}
 }
 
@@ -462,6 +477,209 @@ func TestCancelQueuedJob(t *testing.T) {
 	code, _ = e.do("DELETE", "/v1/jobs/"+strings.Repeat("00", 12), nil, nil, nil)
 	if code != http.StatusNotFound {
 		t.Fatalf("cancel of unknown job: status %d", code)
+	}
+}
+
+// hold is a one-shot gate in a file operation: the operation closes
+// reached when it gets there, then waits until the test opens the gate.
+type hold struct {
+	reached, opened chan struct{}
+	once            sync.Once
+}
+
+func newHold() *hold { return &hold{reached: make(chan struct{}), opened: make(chan struct{})} }
+
+func (h *hold) wait() {
+	close(h.reached)
+	<-h.opened
+}
+
+func (h *hold) open() { h.once.Do(func() { close(h.opened) }) }
+
+// waitReached blocks until an operation is held at the gate.
+func (h *hold) waitReached(t *testing.T) {
+	t.Helper()
+	select {
+	case <-h.reached:
+	case <-time.After(time.Minute):
+		t.Fatal("no file operation reached the gate")
+	}
+}
+
+// during runs f while an operation is held, opening the gate when f
+// returns or after 200 ms, whichever comes first.
+func (h *hold) during(f func()) {
+	timer := time.AfterFunc(200*time.Millisecond, h.open)
+	defer timer.Stop()
+	f()
+	h.open()
+}
+
+// gateFS is the store's file system with scripted faults. The first
+// Remove of a journal entry waits at remove. With failResult set, the
+// first Create under results/ fails, so the job committing that result
+// fails, and the second waits at commit.
+type gateFS struct {
+	fault.FS
+	root           string
+	failResult     bool
+	creates        atomic.Int32
+	removes        atomic.Int32
+	remove, commit *hold
+}
+
+// newGatedEnv is a fresh env over a gateFS, with one worker and depth 4.
+func newGatedEnv(t *testing.T, failResult, start bool) (*env, *gateFS) {
+	t.Helper()
+	root := t.TempDir()
+	g := &gateFS{FS: fault.OS, root: root, failResult: failResult, remove: newHold(), commit: newHold()}
+	e := newEnvFS(t, root, g, queue.Options{Workers: 1, Depth: 4}, start)
+	// Cleanups run last-in first-out: the gates open before the env's
+	// cleanup waits for the operations they hold.
+	t.Cleanup(g.remove.open)
+	t.Cleanup(g.commit.open)
+	return e, g
+}
+
+func (g *gateFS) Create(name string) (fault.File, error) {
+	if g.failResult && filepath.Dir(name) == filepath.Join(g.root, "results") {
+		switch g.creates.Add(1) {
+		case 1:
+			return nil, errors.New("injected: results/ refuses the write")
+		case 2:
+			g.commit.wait()
+		}
+	}
+	return g.FS.Create(name)
+}
+
+func (g *gateFS) Remove(name string) error {
+	if filepath.Dir(name) == filepath.Join(g.root, "jobs") && g.removes.Add(1) == 1 {
+		g.remove.wait()
+	}
+	return g.FS.Remove(name)
+}
+
+const table2Spec = `{"kind":"sweep","experiment":"table2"}`
+
+// TestResubmitFailedJob: a job whose result cannot be committed fails,
+// and resubmitting it while the failed run still retires its journal
+// entry is a fresh admission that stays journaled until it finishes.
+// The service alone decides duplicates: the failed run's worker has not
+// returned yet, so a queue refusing ids it still holds would answer 500.
+func TestResubmitFailedJob(t *testing.T) {
+	e, g := newGatedEnv(t, true, true)
+	var sub jobView
+	if code, _ := e.do("POST", "/v1/jobs", strings.NewReader(table2Spec), &sub, nil); code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	g.remove.waitReached(t)
+	var resub jobView
+	var code int
+	g.remove.during(func() { code, _ = e.do("POST", "/v1/jobs", strings.NewReader(table2Spec), &resub, nil) })
+	if code != http.StatusAccepted {
+		t.Fatalf("resubmission of the failed job: status %d (%q), want 202", code, resub.Error)
+	}
+	g.commit.waitReached(t) // the resubmission ran and is committing its result
+	if _, err := os.Stat(filepath.Join(e.root, "jobs", resub.Job+".json")); err != nil {
+		t.Fatalf("admitted resubmission lost its journal entry before finishing: %v", err)
+	}
+	g.commit.open()
+	e.waitDone(t, resub.Job, time.Minute)
+}
+
+// TestCancelWindowKeepsJournal: cancelling a queued job retires its
+// journal entry before the job reads canceled, so a resubmission
+// admitted meanwhile keeps the entry it journaled and survives a
+// restart. Were the status published first, the late retirement would
+// delete that entry: an admitted job with nothing on disk.
+func TestCancelWindowKeepsJournal(t *testing.T) {
+	e, g := newGatedEnv(t, false, false) // queue not started: nothing drains
+	var sub jobView
+	if code, _ := e.do("POST", "/v1/jobs", strings.NewReader(table2Spec), &sub, nil); code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	canceled := make(chan int, 1)
+	go func() {
+		req, err := http.NewRequest("DELETE", e.url("/v1/jobs/"+sub.Job), nil)
+		if err == nil {
+			var resp *http.Response
+			if resp, err = http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+				canceled <- resp.StatusCode
+				return
+			}
+		}
+		t.Error(err)
+		canceled <- 0
+	}()
+	g.remove.waitReached(t)
+	var resub jobView
+	var code int
+	g.remove.during(func() { code, _ = e.do("POST", "/v1/jobs", strings.NewReader(table2Spec), &resub, nil) })
+	if c := <-canceled; c != http.StatusOK {
+		t.Fatalf("cancel: status %d", c)
+	}
+	if code != http.StatusAccepted {
+		t.Fatalf("resubmission of the canceled job: status %d, want 202", code)
+	}
+	if _, err := os.Stat(filepath.Join(e.root, "jobs", resub.Job+".json")); err != nil {
+		t.Fatalf("admitted resubmission (now %s) has no journal entry: %v", resub.Status, err)
+	}
+	e.shutdown()
+	b := newEnv(t, e.root, queue.Options{Workers: 1, Depth: 4}, true)
+	b.waitDone(t, resub.Job, time.Minute)
+	if got := b.reg.CounterTotal("serve.api.recovered_jobs"); got != 1 {
+		t.Fatalf("recovered_jobs = %d, want 1", got)
+	}
+}
+
+// TestSubmitBeforeStart: the HTTP surface serves before Start, so a job
+// admitted then is also in the journal Start recovers from. It runs
+// once: recovery leaves a job the service already knows alone.
+func TestSubmitBeforeStart(t *testing.T) {
+	e := newEnv(t, t.TempDir(), queue.Options{Workers: 1, Depth: 4}, false)
+	var sub jobView
+	if code, _ := e.do("POST", "/v1/jobs", strings.NewReader(table2Spec), &sub, nil); code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	if err := e.svc.Start(e.ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.reg.CounterTotal("serve.api.recovered_jobs"); got != 0 {
+		t.Fatalf("recovered_jobs = %d, want 0", got)
+	}
+	e.waitDone(t, sub.Job, time.Minute)
+	e.shutdown()
+	for _, c := range []string{"serve.queue.admitted", "serve.queue.completed"} {
+		if got := e.reg.CounterTotal(c); got != 1 {
+			t.Fatalf("%s = %d, want 1", c, got)
+		}
+	}
+}
+
+// TestRecoverOldJournal: an envelope journaled when envelopes carried a
+// tenant still loads, and its job completes.
+func TestRecoverOldJournal(t *testing.T) {
+	root := t.TempDir()
+	a := newEnv(t, root, queue.Options{Workers: 1, Depth: 4}, false)
+	var sub jobView
+	if code, _ := a.do("POST", "/v1/jobs", strings.NewReader(table2Spec), &sub, nil); code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	a.shutdown()
+	path := filepath.Join(root, "jobs", sub.Job+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.Replace(data, []byte("{"), []byte(`{"tenant":"alice",`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b := newEnv(t, root, queue.Options{Workers: 1, Depth: 4}, true)
+	b.waitDone(t, sub.Job, time.Minute)
+	if got := b.reg.CounterTotal("serve.api.recovered_jobs"); got != 1 {
+		t.Fatalf("recovered_jobs = %d, want 1", got)
 	}
 }
 

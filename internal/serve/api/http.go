@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 
 	obsserve "github.com/uteda/gmap/internal/obs/serve"
 	"github.com/uteda/gmap/internal/profiler"
@@ -51,27 +50,6 @@ func (s *Service) Handler() http.Handler {
 		Ready:    s.ready,
 	}))
 	return httpserve.Instrument(s.o.Obs, "serve", mux)
-}
-
-// tenantOf resolves the request's tenant from the X-Gmap-Tenant header.
-// Tenant names feed metric names and scheduler state, so they are
-// restricted to a safe alphabet.
-func (s *Service) tenantOf(r *http.Request) (string, error) {
-	t := strings.TrimSpace(r.Header.Get("X-Gmap-Tenant"))
-	if t == "" {
-		return s.o.DefaultTenant, nil
-	}
-	if len(t) > 64 {
-		return "", fmt.Errorf("tenant name longer than 64 bytes")
-	}
-	for _, c := range t {
-		ok := c == '-' || c == '_' || c == '.' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-		if !ok {
-			return "", fmt.Errorf("tenant name %q: only [A-Za-z0-9._-] allowed", t)
-		}
-	}
-	return t, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
@@ -185,11 +163,6 @@ func (s *Service) handlePutTrace(w http.ResponseWriter, r *http.Request) {
 // in-flight duplicates, 202 for fresh admissions, 400 for bad specs,
 // 429 + Retry-After when the backlog is full.
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantOf(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
 	var spec JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
 	dec.DisallowUnknownFields()
@@ -201,7 +174,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	js, admitted, cached, err := s.submit(tenant, spec)
+	js, admitted, cached, err := s.submit(spec)
 	switch {
 	case errors.Is(err, queue.ErrFull):
 		st := s.q.Stats()
@@ -227,8 +200,8 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, v)
 }
 
-// handleListJobs returns every known job, newest unfinished first is not
-// guaranteed — order is by id for determinism.
+// handleListJobs returns every known job, ordered by id so the listing
+// is deterministic.
 func (s *Service) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	views := make([]jobView, 0, len(s.jobs))
@@ -313,7 +286,6 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Service) progressSnapshot() interface{} {
 	type runningJob struct {
 		Job        string      `json:"job"`
-		Tenant     string      `json:"tenant"`
 		Kind       string      `json:"kind"`
 		Experiment string      `json:"experiment,omitempty"`
 		Progress   interface{} `json:"progress,omitempty"`
@@ -331,7 +303,7 @@ func (s *Service) progressSnapshot() interface{} {
 		counts[v.Status]++
 		if v.Status == StatusRunning {
 			running = append(running, runningJob{
-				Job: v.Job, Tenant: v.Tenant, Kind: v.Kind,
+				Job: v.Job, Kind: v.Kind,
 				Experiment: v.Experiment, Progress: js.progress(),
 			})
 		}

@@ -103,7 +103,6 @@ func (spec *JobSpec) hashes() (profileHash, configHash, jobID string, err error)
 // restarted server needs to re-enqueue it.
 type jobEnvelope struct {
 	Spec        JobSpec `json:"spec"`
-	Tenant      string  `json:"tenant"`
 	ProfileHash string  `json:"profile_hash"`
 	ConfigHash  string  `json:"config_hash"`
 }

@@ -1,23 +1,18 @@
 // Package queue is the clone-and-simulate service's admission-controlled
 // execution queue: a bounded backlog with explicit rejection (the API
 // layer maps ErrFull to 429 + Retry-After, so overload surfaces as
-// backpressure instead of unbounded memory growth) drained by a fixed
-// worker pool under per-tenant weighted fair scheduling.
+// backpressure instead of unbounded memory growth) drained in
+// submission order by a fixed worker pool.
 //
-// Scheduling is stride-based: each tenant carries a virtual "pass" that
-// advances by 1/weight per dispatched job, and the dispatcher always
-// picks the backlogged tenant with the smallest pass (ties broken by
-// tenant name, so dispatch order is deterministic for a deterministic
-// submission order). Two backlogged tenants with weights 3:1 are served
-// 3:1 whatever their submission ratio — a tenant flooding the queue
-// 10:1 cannot starve the other. A tenant going idle forfeits its unused
-// share: on re-activation its pass is advanced to the queue's current
-// virtual time, so saved-up credit cannot be burst later.
+// The queue does not decide job identity. Its caller decides whether a
+// submission duplicates live work; the queue indexes jobs by id only so
+// that Cancel can find them.
 package queue
 
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,9 +22,8 @@ import (
 // Submission errors. ErrFull is the backpressure signal: the caller
 // should retry later (HTTP 429 + Retry-After at the API layer).
 var (
-	ErrFull      = errors.New("queue: backlog full")
-	ErrClosed    = errors.New("queue: closed")
-	ErrDuplicate = errors.New("queue: job id already queued or running")
+	ErrFull   = errors.New("queue: backlog full")
+	ErrClosed = errors.New("queue: closed")
 )
 
 // Job is one admitted unit of work. Run is invoked on a worker goroutine
@@ -37,9 +31,8 @@ var (
 // queue shuts down; Run owns all result reporting (the queue never sees
 // job outcomes).
 type Job struct {
-	ID     string
-	Tenant string
-	Run    func(ctx context.Context)
+	ID  string
+	Run func(ctx context.Context)
 }
 
 // Options configures a queue.
@@ -49,28 +42,18 @@ type Options struct {
 	// Depth bounds the admitted-but-not-yet-running backlog; a Submit
 	// beyond it returns ErrFull. <= 0 means 64.
 	Depth int
-	// Weights assigns per-tenant scheduling weights; absent or
-	// non-positive entries default to 1.
-	Weights map[string]int
 	// Obs, when non-nil, records queue instrumentation: depth/running
-	// gauges, admission/rejection/completion counters and per-tenant
-	// job counts and service-time histograms.
+	// gauges, admission/rejection/completion counters and a
+	// service-time histogram.
 	Obs *obs.Registry
 }
 
 type entry struct {
-	job      Job
-	canceled bool
-	cancel   context.CancelFunc // set while running
+	job    Job
+	cancel context.CancelFunc // set while running
 }
 
-type tenantState struct {
-	weight float64
-	pass   float64
-	fifo   []*entry
-}
-
-// Queue is an admission-controlled, weighted-fair job queue.
+// Queue is an admission-controlled FIFO job queue.
 type Queue struct {
 	opts    Options
 	workers int
@@ -78,11 +61,9 @@ type Queue struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	tenants map[string]*tenantState
+	fifo    []*entry // the backlog, in submission order
 	byID    map[string]*entry
-	queued  int
 	running int
-	vtime   float64
 	closed  bool
 	started bool
 	wg      sync.WaitGroup
@@ -102,7 +83,6 @@ func New(opts Options) *Queue {
 		opts:    opts,
 		workers: workers,
 		depth:   depth,
-		tenants: make(map[string]*tenantState),
 		byID:    make(map[string]*entry),
 	}
 	q.cond = sync.NewCond(&q.mu)
@@ -137,46 +117,26 @@ func (q *Queue) Start(ctx context.Context) {
 // cancellation and current jobs finished).
 func (q *Queue) Wait() { q.wg.Wait() }
 
-// weightOf resolves a tenant's configured weight.
-func (q *Queue) weightOf(tenant string) float64 {
-	if w, ok := q.opts.Weights[tenant]; ok && w > 0 {
-		return float64(w)
-	}
-	return 1
-}
-
-// Submit admits a job into its tenant's backlog, or rejects it with
-// ErrFull (backlog at Depth), ErrDuplicate (id already live) or
-// ErrClosed. Admission is the only place memory grows, so a full queue
-// rejects instead of buffering.
+// Submit appends a job to the backlog, or rejects it with ErrFull
+// (backlog at Depth) or ErrClosed. Admission is the only place memory
+// grows, so a full queue rejects instead of buffering. A job submitted
+// under the id of a running one takes over the id: Cancel then reaches
+// the new job, and the old one's completion leaves it registered.
 func (q *Queue) Submit(j Job) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrClosed
 	}
-	if _, live := q.byID[j.ID]; live {
-		return ErrDuplicate
-	}
-	if q.queued >= q.depth {
+	if len(q.fifo) >= q.depth {
 		q.opts.Obs.Counter("serve.queue.rejected").Inc()
 		return ErrFull
 	}
-	t := q.tenants[j.Tenant]
-	if t == nil {
-		t = &tenantState{weight: q.weightOf(j.Tenant)}
-		q.tenants[j.Tenant] = t
-	}
-	if len(t.fifo) == 0 && t.pass < q.vtime {
-		// Re-activating after idleness: no banked credit.
-		t.pass = q.vtime
-	}
 	e := &entry{job: j}
-	t.fifo = append(t.fifo, e)
+	q.fifo = append(q.fifo, e)
 	q.byID[j.ID] = e
-	q.queued++
 	q.opts.Obs.Counter("serve.queue.admitted").Inc()
-	q.opts.Obs.Gauge("serve.queue.depth").Set(int64(q.queued))
+	q.opts.Obs.Gauge("serve.queue.depth").Set(int64(len(q.fifo)))
 	q.cond.Signal()
 	return nil
 }
@@ -191,14 +151,12 @@ func (q *Queue) Cancel(id string) bool {
 		q.mu.Unlock()
 		return false
 	}
-	e.canceled = true
 	delete(q.byID, id)
-	var cancel context.CancelFunc
-	if e.cancel != nil {
-		cancel = e.cancel // running: cancel outside the lock
-	} else {
-		q.queued-- // queued: it will be skipped at dispatch
-		q.opts.Obs.Gauge("serve.queue.depth").Set(int64(q.queued))
+	cancel := e.cancel // running: cancel outside the lock
+	if cancel == nil {
+		// Queued: leave the backlog now, freeing the slot.
+		q.fifo = slices.DeleteFunc(q.fifo, func(x *entry) bool { return x == e })
+		q.opts.Obs.Gauge("serve.queue.depth").Set(int64(len(q.fifo)))
 	}
 	q.opts.Obs.Counter("serve.queue.canceled").Inc()
 	q.mu.Unlock()
@@ -221,7 +179,7 @@ type Stats struct {
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return Stats{Queued: q.queued, Running: q.running, Workers: q.workers, Depth: q.depth}
+	return Stats{Queued: len(q.fifo), Running: q.running, Workers: q.workers, Depth: q.depth}
 }
 
 // Accepting reports whether Submit can still admit work — false once
@@ -233,51 +191,20 @@ func (q *Queue) Accepting() bool {
 	return !q.closed
 }
 
-// pickLocked pops the next job under stride scheduling: the backlogged
-// tenant with the smallest pass, ties broken by name. Cancelled heads
-// are pruned without being counted. Returns nil when nothing runnable
-// is queued.
-func (q *Queue) pickLocked() *entry {
-	var best *tenantState
-	bestName := ""
-	for name, t := range q.tenants {
-		for len(t.fifo) > 0 && t.fifo[0].canceled {
-			t.fifo = t.fifo[1:]
-		}
-		if len(t.fifo) == 0 {
-			continue
-		}
-		if best == nil || t.pass < best.pass || (t.pass == best.pass && name < bestName) {
-			best, bestName = t, name
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	e := best.fifo[0]
-	best.fifo = best.fifo[1:]
-	q.queued--
-	q.opts.Obs.Gauge("serve.queue.depth").Set(int64(q.queued))
-	q.vtime = best.pass
-	best.pass += 1 / best.weight
-	return e
-}
-
 func (q *Queue) worker(ctx context.Context) {
 	defer q.wg.Done()
 	for {
 		q.mu.Lock()
-		var e *entry
-		for {
-			if q.closed {
-				q.mu.Unlock()
-				return
-			}
-			if e = q.pickLocked(); e != nil {
-				break
-			}
+		for !q.closed && len(q.fifo) == 0 {
 			q.cond.Wait()
 		}
+		if q.closed {
+			q.mu.Unlock()
+			return
+		}
+		e := q.fifo[0]
+		q.fifo = q.fifo[1:]
+		q.opts.Obs.Gauge("serve.queue.depth").Set(int64(len(q.fifo)))
 		jctx, cancel := context.WithCancel(ctx)
 		e.cancel = cancel
 		q.running++
@@ -292,14 +219,14 @@ func (q *Queue) worker(ctx context.Context) {
 		q.mu.Lock()
 		q.running--
 		q.opts.Obs.Gauge("serve.queue.running").Set(int64(q.running))
-		// Remove only our own registration: a cancel followed by a
-		// resubmission may have installed a fresh entry under this id.
+		// Remove only our own registration: a resubmission after a
+		// cancel, or after this job failed, may have installed a fresh
+		// entry under this id.
 		if cur, live := q.byID[e.job.ID]; live && cur == e {
 			delete(q.byID, e.job.ID)
 		}
 		q.opts.Obs.Counter("serve.queue.completed").Inc()
-		q.opts.Obs.Counter("serve.tenant." + e.job.Tenant + ".jobs").Inc()
-		q.opts.Obs.Histogram("serve.tenant." + e.job.Tenant + ".service_ns").Observe(uint64(elapsed))
+		q.opts.Obs.Histogram("serve.queue.service_ns").Observe(uint64(elapsed))
 		q.mu.Unlock()
 	}
 }

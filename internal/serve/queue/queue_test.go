@@ -11,30 +11,34 @@ import (
 	"github.com/uteda/gmap/internal/serve/queue"
 )
 
-// collect runs every submitted job through a single worker and returns
-// the dispatch order. Submitting everything before Start makes stride
-// scheduling fully deterministic.
-func collect(t *testing.T, opts queue.Options, jobs []queue.Job) []string {
-	t.Helper()
-	opts.Workers = 1
-	q := queue.New(opts)
+// TestFIFOOrder: jobs dispatch in submission order, and a job cancelled
+// while queued never runs. Submitting everything before starting the
+// single worker makes the order deterministic.
+func TestFIFOOrder(t *testing.T) {
+	const n = 20
+	q := queue.New(queue.Options{Workers: 1, Depth: n})
 	var mu sync.Mutex
-	var order []string
+	var order, want []string
 	done := make(chan struct{})
-	total := len(jobs)
-	for _, j := range jobs {
-		j := j
-		j.Run = func(ctx context.Context) {
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("j%02d", i)
+		if i != 7 {
+			want = append(want, id)
+		}
+		err := q.Submit(queue.Job{ID: id, Run: func(context.Context) {
 			mu.Lock()
-			order = append(order, j.ID)
-			if len(order) == total {
+			defer mu.Unlock()
+			order = append(order, id)
+			if len(order) == n-1 {
 				close(done)
 			}
-			mu.Unlock()
+		}})
+		if err != nil {
+			t.Fatalf("submit %s: %v", id, err)
 		}
-		if err := q.Submit(j); err != nil {
-			t.Fatalf("submit %s: %v", j.ID, err)
-		}
+	}
+	if !q.Cancel("j07") {
+		t.Fatal("cancel of queued job reported not found")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q.Start(ctx)
@@ -47,94 +51,44 @@ func collect(t *testing.T, opts queue.Options, jobs []queue.Job) []string {
 	q.Wait()
 	mu.Lock()
 	defer mu.Unlock()
-	return order
-}
-
-// TestFairnessWeighted is the fairness property: two backlogged tenants
-// with weights 3:1 are served 3:1 within every window of the dispatch
-// order, however lopsided the submission ratio is.
-func TestFairnessWeighted(t *testing.T) {
-	var jobs []queue.Job
-	// Tenant a floods 40 jobs, tenant b submits 20; weights 3:1.
-	for i := 0; i < 40; i++ {
-		jobs = append(jobs, queue.Job{ID: fmt.Sprintf("aa%02d", i), Tenant: "a"})
-	}
-	for i := 0; i < 20; i++ {
-		jobs = append(jobs, queue.Job{ID: fmt.Sprintf("bb%02d", i), Tenant: "b"})
-	}
-	order := collect(t, queue.Options{
-		Depth:   len(jobs),
-		Weights: map[string]int{"a": 3, "b": 1},
-	}, jobs)
-	if len(order) != len(jobs) {
-		t.Fatalf("dispatched %d of %d jobs", len(order), len(jobs))
-	}
-	// Both tenants stay backlogged until tenant a drains: a's 40 jobs at
-	// a 3/4 share last until slot ~53. Within that contended prefix,
-	// every window of 8 dispatches must hold ~6 a's and ~2 b's.
-	for start := 0; start+8 <= 48; start += 8 {
-		na, nb := 0, 0
-		for _, id := range order[start : start+8] {
-			if id[0] == 'a' {
-				na++
-			} else {
-				nb++
-			}
-		}
-		if nb == 0 {
-			t.Fatalf("window %d-%d starved tenant b entirely: %v", start, start+8, order[start:start+8])
-		}
-		if na < 5 {
-			t.Fatalf("window %d-%d under-served weighted tenant a (%d/8): %v", start, start+8, na, order[start:start+8])
-		}
-	}
-	// Aggregate over the contended prefix (both backlogged): service
-	// ratio within the configured 3:1 ± one slot per window.
-	na, nb := 0, 0
-	for _, id := range order[:40] {
-		if id[0] == 'a' {
-			na++
-		} else {
-			nb++
-		}
-	}
-	if na < 27 || na > 33 {
-		t.Fatalf("contended prefix served a %d/40 times, want ~30 (3:1 weights)", na)
-	}
-	if nb < 7 || nb > 13 {
-		t.Fatalf("contended prefix served b %d/40 times, want ~10 (3:1 weights)", nb)
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("dispatch order %v, want %v", order, want)
 	}
 }
 
-// TestFairnessFloodResistance: a tenant submitting 10:1 against an
-// equal-weight tenant cannot starve it — while both are backlogged they
-// alternate.
-func TestFairnessFloodResistance(t *testing.T) {
-	var jobs []queue.Job
-	for i := 0; i < 50; i++ {
-		jobs = append(jobs, queue.Job{ID: fmt.Sprintf("ff%02d", i), Tenant: "flooder"})
+// TestCancelFreesSlot: cancelling a queued job frees its backlog slot at
+// once, with no worker running, so a full depth-1 queue admits the job's
+// resubmission; only the resubmission runs.
+func TestCancelFreesSlot(t *testing.T) {
+	q := queue.New(queue.Options{Workers: 1, Depth: 1})
+	ran := make(chan string, 2)
+	job := func(run string) queue.Job {
+		return queue.Job{ID: "aa", Run: func(context.Context) { ran <- run }}
 	}
-	for i := 0; i < 5; i++ {
-		jobs = append(jobs, queue.Job{ID: fmt.Sprintf("vv%02d", i), Tenant: "victim"})
+	if err := q.Submit(job("first")); err != nil {
+		t.Fatal(err)
 	}
-	order := collect(t, queue.Options{Depth: len(jobs)}, jobs)
-	// Equal weights: the victim's 5 jobs must all dispatch within the
-	// first ~10 slots, not after the flooder's 50.
-	last := -1
-	for i, id := range order {
-		if id[0] == 'v' {
-			last = i
-		}
+	if err := q.Submit(queue.Job{ID: "bb", Run: func(context.Context) {}}); !errors.Is(err, queue.ErrFull) {
+		t.Fatalf("submit to a full queue: %v, want ErrFull", err)
 	}
-	if last > 10 {
-		t.Fatalf("victim's last job dispatched at slot %d; flooder starved it: %v", last, order[:last+1])
+	if !q.Cancel("aa") {
+		t.Fatal("cancel of queued job reported not found")
+	}
+	if err := q.Submit(job("second")); err != nil {
+		t.Fatalf("resubmit after cancel: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	q.Start(ctx)
+	if r := <-ran; r != "second" {
+		t.Fatalf("dispatched the %s submission, want only the second", r)
 	}
 }
 
 func TestAdmissionControl(t *testing.T) {
 	q := queue.New(queue.Options{Workers: 1, Depth: 2})
 	mk := func(id string) queue.Job {
-		return queue.Job{ID: id, Tenant: "t", Run: func(ctx context.Context) {}}
+		return queue.Job{ID: id, Run: func(ctx context.Context) {}}
 	}
 	if err := q.Submit(mk("aa")); err != nil {
 		t.Fatal(err)
@@ -144,9 +98,6 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if err := q.Submit(mk("cc")); !errors.Is(err, queue.ErrFull) {
 		t.Fatalf("over-depth submit: %v, want ErrFull", err)
-	}
-	if err := q.Submit(mk("aa")); !errors.Is(err, queue.ErrDuplicate) {
-		t.Fatalf("duplicate submit: %v, want ErrDuplicate", err)
 	}
 	st := q.Stats()
 	if st.Queued != 2 || st.Depth != 2 {
@@ -159,7 +110,7 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 	ran := make(chan string, 8)
 	block := make(chan struct{})
 	mk := func(id string) queue.Job {
-		return queue.Job{ID: id, Tenant: "t", Run: func(ctx context.Context) {
+		return queue.Job{ID: id, Run: func(ctx context.Context) {
 			ran <- id
 			if id == "gate" {
 				<-block
@@ -167,7 +118,7 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 		}}
 	}
 	// gate occupies the worker; victim sits queued and gets cancelled.
-	if err := q.Submit(queue.Job{ID: "gate", Tenant: "t", Run: mk("gate").Run}); err != nil {
+	if err := q.Submit(queue.Job{ID: "gate", Run: mk("gate").Run}); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Submit(mk("victim")); err != nil {
@@ -198,7 +149,7 @@ func TestCancelRunningCancelsContext(t *testing.T) {
 	q := queue.New(queue.Options{Workers: 1, Depth: 4})
 	started := make(chan struct{})
 	stopped := make(chan error, 1)
-	err := q.Submit(queue.Job{ID: "rr", Tenant: "t", Run: func(ctx context.Context) {
+	err := q.Submit(queue.Job{ID: "rr", Run: func(ctx context.Context) {
 		close(started)
 		<-ctx.Done()
 		stopped <- ctx.Err()
@@ -235,73 +186,7 @@ func TestShutdownDrainsWorkers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("workers did not exit on context cancellation")
 	}
-	if err := q.Submit(queue.Job{ID: "zz", Tenant: "t", Run: func(context.Context) {}}); !errors.Is(err, queue.ErrClosed) {
+	if err := q.Submit(queue.Job{ID: "zz", Run: func(context.Context) {}}); !errors.Is(err, queue.ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
-	}
-}
-
-// TestIdleTenantForfeitsCredit: a tenant idle while another is served
-// re-enters at current virtual time — it cannot burst banked credit and
-// monopolize the worker.
-func TestIdleTenantForfeitsCredit(t *testing.T) {
-	q := queue.New(queue.Options{Workers: 1, Depth: 64})
-	var mu sync.Mutex
-	var order []string
-	gate := make(chan struct{})
-	run := func(id string) func(context.Context) {
-		return func(ctx context.Context) {
-			mu.Lock()
-			order = append(order, id)
-			mu.Unlock()
-			if id == "aa00" {
-				<-gate
-			}
-		}
-	}
-	// Tenant a runs 10 jobs alone; tenant b then arrives with 10.
-	for i := 0; i < 10; i++ {
-		id := fmt.Sprintf("aa%02d", i)
-		if err := q.Submit(queue.Job{ID: id, Tenant: "a", Run: run(id)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	q.Start(ctx)
-	// Let a's first job start, then inject b's backlog and release.
-	for i := 0; i < 10; i++ {
-		id := fmt.Sprintf("bb%02d", i)
-		if err := q.Submit(queue.Job{ID: id, Tenant: "b", Run: run(id)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(gate)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		n := len(order)
-		mu.Unlock()
-		if n == 20 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of 20 jobs dispatched", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// After b arrives the two tenants must interleave: within any
-	// post-arrival window of 6, b gets at least 2 dispatches.
-	mu.Lock()
-	defer mu.Unlock()
-	for start := 2; start+6 <= 20; start += 6 {
-		nb := 0
-		for _, id := range order[start : start+6] {
-			if id[0] == 'b' {
-				nb++
-			}
-		}
-		if nb < 2 {
-			t.Fatalf("window %d-%d served b only %d/6 times: %v", start, start+6, nb, order)
-		}
 	}
 }

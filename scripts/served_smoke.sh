@@ -2,9 +2,11 @@
 # served_smoke.sh — end-to-end smoke test for the gmap-served service.
 #
 # Starts a server on an ephemeral port, profiles a built-in workload,
-# uploads the profile, submits a clone job, waits for the result, then
-# resubmits the identical job and asserts (a) the second response is a
-# cache hit and (b) the serve_api_cache_hits counter moved. A second
+# uploads the profile, submits a clone job (with an X-Gmap-Tenant header,
+# which the service ignores), waits for the result, then resubmits the
+# identical job and asserts (a) the second response is a cache hit, (b)
+# the serve_api_cache_hits counter moved and (c) /metrics carries the
+# queue's service-time histogram and no per-tenant series. A second
 # phase runs sweeps, each through its own coordinator with the server as
 # first worker: one with no remote worker, then one joined by a
 # gmap-eval worker started before it. Both reports must equal
@@ -69,9 +71,9 @@ echo "    profile $HASH"
 
 SPEC="{\"kind\":\"clone\",\"profile\":\"$HASH\",\"seed\":7}"
 
-echo "==> submitting clone job"
+echo "==> submitting clone job (naming a tenant, which is ignored)"
 curl -sS -o "$WORK/submit1.json" -w '%{http_code}' -X POST \
-    -H 'Content-Type: application/json' -d "$SPEC" \
+    -H 'Content-Type: application/json' -H 'X-Gmap-Tenant: alice' -d "$SPEC" \
     "$BASE/v1/jobs" >"$WORK/code1"
 [ "$(cat "$WORK/code1")" = "202" ] || \
     fail "first submit returned $(cat "$WORK/code1"): $(cat "$WORK/submit1.json")"
@@ -147,11 +149,15 @@ curl -sSf "$BASE/v1/jobs/$SJOB/result" >"$WORK/sweep_result2.json"
 cmp -s "$WORK/sweep_result1.json" "$WORK/sweep_result2.json" || \
     fail "cached sweep result differs from original"
 
-echo "==> checking /metrics for the cache-hit counter"
+echo "==> checking /metrics: cache hits, queue service time, no per-tenant series"
 curl -sSf "$BASE/metrics" >"$WORK/metrics.txt"
 HITS=$(sed -n 's/^gmap_serve_api_cache_hits[[:space:]]\{1,\}//p' "$WORK/metrics.txt")
 [ -n "$HITS" ] || fail "serve_api_cache_hits missing from /metrics"
 [ "$HITS" -ge 1 ] || fail "serve_api_cache_hits = $HITS, want >= 1"
+SERVICE=$(sed -n 's/^gmap_serve_queue_service_ns_count[[:space:]]\{1,\}//p' "$WORK/metrics.txt")
+[ "${SERVICE:-0}" -ge 1 ] || fail "gmap_serve_queue_service_ns_count = ${SERVICE:-missing}, want >= 1"
+! grep -q '^gmap_serve_tenant_' "$WORK/metrics.txt" || \
+    fail "/metrics still has per-tenant series: $(grep '^gmap_serve_tenant_' "$WORK/metrics.txt" | head -3)"
 echo "==> phase 1 PASS: submit -> result -> cached resubmission ($HITS cache hit(s)), bit-identical results"
 
 # ---------------------------------------------------------------- phase 2
