@@ -28,6 +28,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"github.com/uteda/gmap/internal/fault"
 	"github.com/uteda/gmap/internal/obs"
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
 	"github.com/uteda/gmap/internal/serve"
@@ -89,7 +90,7 @@ func main() {
 	log.Printf("gmap-served: listening on http://%s (store %s, %d worker(s), depth %d)",
 		srv.Addr(), *storeDir, *workers, *depth)
 	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
+		if err := fault.WriteFile(nil, *addrFile, []byte(srv.Addr()+"\n")); err != nil {
 			fatal(err)
 		}
 	}

@@ -49,11 +49,6 @@ type CoordinatorOptions struct {
 	// LeaseTTL is how long a lease survives without a heartbeat; <= 0
 	// defaults to 30s.
 	LeaseTTL time.Duration
-	// StallFactor scales the straggler threshold: an idle worker may
-	// steal a live lease once its holder has gone StallFactor times the
-	// observed mean job duration (never less than one TTL) without
-	// delivering a result. <= 0 defaults to 8.
-	StallFactor float64
 	// Ledger is the merged checkpoint JSONL path (required): every
 	// accepted result becomes one flushed checkpoint line, and the final
 	// report is produced by replaying this file through the ordinary
@@ -84,13 +79,16 @@ func (o *CoordinatorOptions) fillDefaults() {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 30 * time.Second
 	}
-	if o.StallFactor <= 0 {
-		o.StallFactor = 8
-	}
 	if o.FS == nil {
 		o.FS = fault.OS
 	}
 }
+
+// stallFactor scales the straggler threshold: an idle worker may steal
+// a live lease once its holder has gone stallFactor times the observed
+// mean job duration (never less than one TTL) without delivering a
+// result.
+const stallFactor = 8
 
 // partState is one partition of the job space.
 type partState struct {
@@ -100,9 +98,10 @@ type partState struct {
 	leaseID   string // live lease holding the part, "" if none
 }
 
-// lease is one live grant. Revoked and completed leases are simply
-// forgotten: any later operation on their id answers ErrLeaseGone,
-// which is exactly what a worker holding a stale grant must hear.
+// lease is one live grant. Revoked leases, and leases whose part's last
+// key was recorded, are simply forgotten: any later operation on their
+// id answers ErrLeaseGone, which is exactly what a worker holding a
+// stale grant must hear.
 type lease struct {
 	id         string
 	worker     string
@@ -125,7 +124,7 @@ type LeaseGrant struct {
 	// Status is "lease" (Keys/Spec are populated), "wait" (all parts are
 	// leased; ask again later) or "done" (the sweep is complete).
 	Status string `json:"status"`
-	// Lease is the grant's id, quoted back on heartbeat/results/complete.
+	// Lease is the grant's id, quoted back on heartbeat and results.
 	Lease string `json:"lease,omitempty"`
 	// Epoch is the granting coordinator's incarnation. Every operation on
 	// the lease must quote it back; after a restart the new coordinator
@@ -427,9 +426,8 @@ func (c *Coordinator) Epoch() uint64 {
 // operation: it re-reads the persisted epoch and, if a later
 // incarnation has claimed the ledger, permanently fences this one —
 // the ledger appender is closed so not even a bug can write through
-// it. reqEpoch is the epoch the request was fenced to; < 0 skips the
-// request check (lease requests carry no epoch yet).
-func (c *Coordinator) fenceLocked(reqEpoch int64) error {
+// it. Lease requests, which carry no epoch yet, pass this check alone.
+func (c *Coordinator) fenceLocked() error {
 	if c.deposed {
 		return fmt.Errorf("%w: coordinator epoch %d was deposed", ErrStaleEpoch, c.epoch)
 	}
@@ -451,9 +449,19 @@ func (c *Coordinator) fenceLocked(reqEpoch int64) error {
 		c.logf("dist: epoch %d deposed by persisted epoch %d; fencing", c.epoch, cur)
 		return fmt.Errorf("%w: coordinator epoch %d deposed by epoch %d", ErrStaleEpoch, c.epoch, cur)
 	}
-	if reqEpoch >= 0 && uint64(reqEpoch) != c.epoch {
+	return nil
+}
+
+// fenceEpochLocked is fenceLocked for a request fenced to epoch, as
+// heartbeats and result deliveries are: any epoch but this
+// incarnation's is stale.
+func (c *Coordinator) fenceEpochLocked(epoch uint64) error {
+	if err := c.fenceLocked(); err != nil {
+		return err
+	}
+	if epoch != c.epoch {
 		c.o.Obs.Counter("dist.stale_epoch_rejections").Inc()
-		return fmt.Errorf("%w: request epoch %d, coordinator epoch %d", ErrStaleEpoch, reqEpoch, c.epoch)
+		return fmt.Errorf("%w: request epoch %d, coordinator epoch %d", ErrStaleEpoch, epoch, c.epoch)
 	}
 	return nil
 }
@@ -545,7 +553,7 @@ func (c *Coordinator) drained() bool {
 func (c *Coordinator) Lease(worker string) (LeaseGrant, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.fenceLocked(-1); err != nil {
+	if err := c.fenceLocked(); err != nil {
 		return LeaseGrant{}, err
 	}
 	ws := c.seenLocked(worker)
@@ -636,9 +644,8 @@ func (c *Coordinator) expireLocked() {
 }
 
 // revokeLocked forgets a live lease and returns its part to the pool.
-// The lease span ends here — whatever the cause (expiry, steal,
-// completion, part exhaustion), the callers journal the outcome and the
-// span just bounds the lease's lifetime.
+// The lease span ends here — whatever the cause (expiry, steal, the
+// part's last key recorded), the span just bounds the lease's lifetime.
 func (c *Coordinator) revokeLocked(l *lease) {
 	l.span.End()
 	delete(c.leases, l.id)
@@ -649,7 +656,7 @@ func (c *Coordinator) revokeLocked(l *lease) {
 
 // stealLocked picks a straggler lease to revoke: per-job span timings
 // streamed with each result give a mean job duration, and a lease that
-// has gone StallFactor times that mean (never less than one TTL)
+// has gone stallFactor times that mean (never less than one TTL)
 // without delivering a result is slower than re-running its remainder
 // elsewhere. Among stragglers the one holding the most unrecorded keys
 // is stolen first; ties break on part id so the choice is
@@ -659,7 +666,7 @@ func (c *Coordinator) stealLocked() *partState {
 	if jobs == 0 || c.elapsed <= 0 {
 		return nil // no timing signal yet: nothing to judge stragglers by
 	}
-	threshold := time.Duration(float64(c.elapsed/int64(jobs)) * c.o.StallFactor)
+	threshold := time.Duration(c.elapsed / int64(jobs) * stallFactor)
 	if threshold < c.o.LeaseTTL {
 		threshold = c.o.LeaseTTL
 	}
@@ -702,7 +709,7 @@ func (c *Coordinator) stealLocked() *partState {
 func (c *Coordinator) Heartbeat(leaseID string, epoch uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.fenceLocked(int64(epoch)); err != nil {
+	if err := c.fenceEpochLocked(epoch); err != nil {
 		return err
 	}
 	c.expireLocked()
@@ -729,7 +736,7 @@ func (c *Coordinator) Heartbeat(leaseID string, epoch uint64) error {
 func (c *Coordinator) Results(leaseID string, epoch uint64, entries []Entry) (accepted, duplicates int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.fenceLocked(int64(epoch)); err != nil {
+	if err := c.fenceEpochLocked(epoch); err != nil {
 		return 0, 0, err
 	}
 	c.expireLocked()
@@ -828,37 +835,6 @@ func (c *Coordinator) checkFinishedLocked() {
 			close(c.finished)
 		})
 	}
-}
-
-// Complete acknowledges a worker's claim that its leased part is
-// finished. It is idempotent: a live lease over an exhausted part
-// answers "ok"; a revoked or unknown lease answers "superseded" (the
-// results that mattered were already merged, or the part was re-leased
-// — either way the worker is free to move on); a live lease whose part
-// still has unrecorded keys is revoked and re-pooled, answering
-// "incomplete". A stale epoch is an error: the worker must re-lease.
-func (c *Coordinator) Complete(leaseID string, epoch uint64) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.fenceLocked(int64(epoch)); err != nil {
-		return "", err
-	}
-	c.expireLocked()
-	l, ok := c.leases[leaseID]
-	if !ok {
-		return "superseded", nil
-	}
-	c.seenLocked(l.worker)
-	p := c.parts[l.part]
-	if len(p.remaining) > 0 {
-		c.logf("dist: lease %s completed with %d keys unrecorded; re-pooling part %d", leaseID, len(p.remaining), l.part)
-		c.journalLocked(leaseID, "incomplete", l.part, l.worker)
-		c.revokeLocked(l)
-		return "incomplete", nil
-	}
-	c.journalLocked(leaseID, "completed", l.part, l.worker)
-	c.revokeLocked(l)
-	return "ok", nil
 }
 
 // StatusSnapshot reports progress for /dist/v1/status and the tests:

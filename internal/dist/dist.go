@@ -10,14 +10,14 @@
 // ledger is replayed serially with NoTimings, a Fig6-8 sweep split
 // across N worker processes produces figures and reports byte-identical
 // to the serial run — under worker kills, coordinator restarts, torn
-// ledger writes, and duplicate or late lease completions. The
-// conformance and chaos suites in this package hold that line.
+// ledger writes, and duplicate or late results. The conformance and
+// chaos suites in this package hold that line.
 //
 // Lease state machine (DESIGN.md §13):
 //
-//	pending ──lease──▶ leased ──all keys recorded──▶ done
+//	pending ──lease──▶ leased ──last key recorded──▶ done
 //	   ▲                  │
-//	   └──TTL expiry / steal / incomplete-complete──┘
+//	   └─TTL expiry/steal─┘
 //
 // A part (partition of the key space) is leased to at most one live
 // worker at a time. Leases expire when the worker misses its heartbeat
@@ -50,12 +50,13 @@ func PartOf(key string, parts int) int {
 }
 
 // Entry is one completed job result in transit: the checkpoint line a
-// worker streams to the coordinator. Value carries the exact canonical
-// JSON bytes a local checkpoint would have recorded, so merged-ledger
-// payload comparison is byte-level. ElapsedNS is advisory — it feeds
-// the coordinator's straggler detection, never job identity.
+// worker streams to the coordinator, in the checkpoint's own JSON shape.
+// Value carries the JSON a local checkpoint would have recorded; the
+// coordinator compacts it, so merged-ledger payload comparison is
+// byte-level. ElapsedNS is advisory — it feeds the coordinator's
+// straggler detection, never job identity.
 type Entry struct {
-	Key       string
-	Value     json.RawMessage
-	ElapsedNS int64
+	Key       string          `json:"key"`
+	Value     json.RawMessage `json:"value"`
+	ElapsedNS int64           `json:"elapsed_ns,omitempty"`
 }

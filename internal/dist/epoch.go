@@ -13,7 +13,7 @@ import (
 // Epoch fencing (DESIGN.md §14). Every coordinator incarnation over a
 // ledger claims a monotonically increasing epoch, persisted in a tiny
 // sidecar file next to the ledger. Leases, heartbeats and result
-// batches all carry the epoch they were granted under, and every
+// deliveries all carry the epoch they were granted under, and every
 // mutating operation re-reads the sidecar before touching the ledger:
 // a coordinator that discovers a higher persisted epoch has been
 // superseded by a restart over the same ledger and permanently fences
@@ -25,7 +25,7 @@ import (
 // ErrStaleEpoch reports traffic fenced to an older coordinator epoch:
 // either the request carried an epoch that is no longer current, or the
 // coordinator itself discovered it has been deposed. Workers treat it
-// on a heartbeat or result batch exactly like a lost lease — abandon
+// on a heartbeat or result delivery exactly like a lost lease — abandon
 // the shard and re-lease (the new coordinator re-issues the remaining
 // keys). A lease request carries no epoch, so a deposed coordinator's
 // answer to one is retried, within the worker's retry budget, at the
@@ -74,73 +74,28 @@ func ReadEpoch(fsys fault.FS, ledger string) (uint64, error) {
 	return rec.Epoch, nil
 }
 
-// writeEpoch persists epoch atomically: temp file, fsync, rename. A
-// crash at any byte leaves either the old record or the new one, never
-// a torn mix, so ReadEpoch can always answer.
+// writeEpoch persists epoch atomically (fault.WriteFile): a crash at
+// any byte leaves either the old record or the new one, never a torn
+// mix, so ReadEpoch can always answer.
 func writeEpoch(fsys fault.FS, ledger string, epoch uint64) error {
-	path := EpochPath(ledger)
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("dist: writing epoch file: %w", err)
-	}
 	data, err := json.Marshal(epochRecord{Epoch: epoch})
 	if err != nil {
-		f.Close()
 		return err
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		_ = fsys.Remove(tmp)
+	if err := fault.WriteFile(fsys, EpochPath(ledger), append(data, '\n')); err != nil {
 		return fmt.Errorf("dist: writing epoch file: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("dist: syncing epoch file: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("dist: closing epoch file: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("dist: installing epoch file: %w", err)
 	}
 	return nil
 }
 
 // WriteAddrFile atomically publishes a coordinator address (host:port)
-// to path: temp file then rename, so a worker re-reading the file mid-
+// to path (fault.WriteFile), so a worker re-reading the file mid-
 // rewrite sees either the old address or the new one, never a torn
 // prefix. A coordinator restarted over the same ledger rewrites this
 // file; workers re-read it before every retry.
 func WriteAddrFile(fsys fault.FS, path, addr string) error {
-	if fsys == nil {
-		fsys = fault.OS
-	}
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
+	if err := fault.WriteFile(fsys, path, []byte(addr+"\n")); err != nil {
 		return fmt.Errorf("dist: writing addr file: %w", err)
-	}
-	if _, err := f.Write([]byte(addr + "\n")); err != nil {
-		f.Close()
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("dist: writing addr file: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("dist: syncing addr file: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("dist: closing addr file: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("dist: installing addr file: %w", err)
 	}
 	return nil
 }

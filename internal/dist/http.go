@@ -5,20 +5,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"github.com/uteda/gmap/internal/serve"
 )
 
 // The coordinator's wire surface, mounted under /dist/v1/ on the shared
-// serve transport. Control messages (lease, heartbeat, complete,
-// status) are small JSON; result deliveries are the binary batch codec
-// (codec.go) so checkpoint payload bytes pass through untouched.
+// serve transport. Every message is JSON: the three lease operations
+// (lease, heartbeat, results) and status. A result's value is embedded
+// as raw JSON and compacted on receipt, so its bytes reach the ledger
+// exactly as a local checkpoint would have recorded them.
 
-// leaseRequest / leaseOpRequest are the JSON bodies of the control
-// endpoints. Epoch on lease operations is the fencing epoch the lease
-// was granted under.
+// leaseRequest, leaseOpRequest and resultsRequest are the bodies of the
+// lease operations. Epoch is the fencing epoch the lease was granted
+// under; a body without one reads epoch 0, which no coordinator holds.
 type leaseRequest struct {
 	Worker string `json:"worker"`
 }
@@ -28,15 +28,19 @@ type leaseOpRequest struct {
 	Epoch uint64 `json:"epoch"`
 }
 
+type resultsRequest struct {
+	leaseOpRequest
+	Entries []Entry `json:"entries"`
+}
+
+// maxResultsBytes caps a results body; values are one simulation
+// point's JSON each, far below it.
+const maxResultsBytes = 64 << 20
+
 // resultsResponse reports what a results POST merged.
 type resultsResponse struct {
 	Accepted   int `json:"accepted"`
 	Duplicates int `json:"duplicates"`
-}
-
-// completeResponse carries the completion verdict.
-type completeResponse struct {
-	Status string `json:"status"`
 }
 
 // Machine-readable error codes carried beside the human message, so
@@ -96,20 +100,29 @@ func statusOf(err error) int {
 }
 
 // leaseOps is the server side of the lease protocol: a Coordinator, or
-// Sweeps routing to the sweep it is coordinating.
+// Sweeps routing to the sweep it is coordinating. A part ends when its
+// last key is recorded.
 type leaseOps interface {
 	Lease(worker string) (LeaseGrant, error)
 	Heartbeat(lease string, epoch uint64) error
 	Results(lease string, epoch uint64, entries []Entry) (accepted, duplicates int, err error)
-	Complete(lease string, epoch uint64) (string, error)
 }
 
-// handleLeaseOps mounts the four lease operations of ops on mux.
+// decodeBody decodes r's JSON body, at most limit bytes, into v. A body
+// that does not decode is answered 400 and reported false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v interface{}) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode %s: %w", r.URL.Path, err))
+		return false
+	}
+	return true
+}
+
+// handleLeaseOps mounts the three lease operations of ops on mux.
 func handleLeaseOps(mux *http.ServeMux, ops leaseOps) {
 	mux.HandleFunc("POST /dist/v1/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decode lease request: %w", err))
+		if !decodeBody(w, r, 1<<16, &req) {
 			return
 		}
 		if req.Worker == "" {
@@ -124,8 +137,7 @@ func handleLeaseOps(mux *http.ServeMux, ops leaseOps) {
 	})
 	mux.HandleFunc("POST /dist/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseOpRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decode heartbeat: %w", err))
+		if !decodeBody(w, r, 1<<16, &req) {
 			return
 		}
 		if err := ops.Heartbeat(req.Lease, req.Epoch); err != nil {
@@ -135,35 +147,25 @@ func handleLeaseOps(mux *http.ServeMux, ops leaseOps) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("POST /dist/v1/results", func(w http.ResponseWriter, r *http.Request) {
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBytes))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("read results body: %w", err))
+		var req resultsRequest
+		if !decodeBody(w, r, maxResultsBytes, &req) {
 			return
 		}
-		batch, err := DecodeBatch(data)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
+		// A malformed entry is the sender's fault, answered before the
+		// coordinator sees the delivery: a missing value would otherwise
+		// fail compaction as a 500 that the worker retries.
+		for _, e := range req.Entries {
+			if e.Key == "" || len(e.Value) == 0 || e.ElapsedNS < 0 {
+				writeErr(w, http.StatusBadRequest, fmt.Errorf("result entry %q: want a key, a value and a nonnegative elapsed_ns", e.Key))
+				return
+			}
 		}
-		accepted, dups, err := ops.Results(batch.Lease, batch.Epoch, batch.Entries)
+		accepted, dups, err := ops.Results(req.Lease, req.Epoch, req.Entries)
 		if err != nil {
 			writeErr(w, statusOf(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, resultsResponse{Accepted: accepted, Duplicates: dups})
-	})
-	mux.HandleFunc("POST /dist/v1/complete", func(w http.ResponseWriter, r *http.Request) {
-		var req leaseOpRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decode complete: %w", err))
-			return
-		}
-		status, err := ops.Complete(req.Lease, req.Epoch)
-		if err != nil {
-			writeErr(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, completeResponse{Status: status})
 	})
 }
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -154,7 +155,7 @@ func TestLeaseInvariantsProperty(t *testing.T) {
 			var grants []grant // every grant ever issued, live or not
 			steps := 200 + g.R.Intn(200)
 			for s := 0; s < steps; s++ {
-				switch g.R.Intn(10) {
+				switch g.R.Intn(9) {
 				case 0, 1: // request a lease
 					lg := mustLease(t, c, fmt.Sprintf("w%d", g.R.Intn(4)))
 					if lg.Status == GrantLease {
@@ -181,13 +182,9 @@ func TestLeaseInvariantsProperty(t *testing.T) {
 							t.Fatalf("results rejected: %v", err)
 						}
 					}
-				case 7: // complete a random grant (idempotent, any state)
-					if len(grants) > 0 {
-						c.Complete(grants[g.R.Intn(len(grants))].id, c.Epoch())
-					}
-				case 8: // time passes, possibly past the TTL
+				case 7: // time passes, possibly past the TTL
 					clk.advance(time.Duration(g.R.Intn(int(ttl * 2))))
-				case 9: // a snapshot is always consistent
+				case 8: // a snapshot is always consistent
 					st := c.StatusSnapshot()
 					if st.DoneJobs > st.TotalJobs || st.DoneParts > st.Parts {
 						t.Fatalf("inconsistent snapshot %+v", st)
@@ -212,9 +209,6 @@ func TestLeaseInvariantsProperty(t *testing.T) {
 				}
 				if _, _, err := c.Results(lg.Lease, lg.Epoch, entries); err != nil {
 					t.Fatal(err)
-				}
-				if got, err := c.Complete(lg.Lease, lg.Epoch); err != nil || (got != "superseded" && got != "ok") {
-					t.Fatalf("drain complete = %q (%v)", got, err)
 				}
 				checkInvariants(t, c)
 			}
@@ -247,18 +241,14 @@ func TestLeaseInvariantsProperty(t *testing.T) {
 	}
 }
 
-// TestStealThenCompleteIdempotence scripts the straggler dance: worker
-// A leases the only part and delivers half of it, stalls long past the
-// straggler threshold (while heartbeating, so the lease never expires),
-// B steals the remainder, A's late results and completion land
-// harmlessly, and the merged ledger is exactly one line per key.
-func TestStealThenCompleteIdempotence(t *testing.T) {
+// TestStealIdempotence scripts the straggler dance: worker A leases the
+// only part and delivers half of it, stalls long past the straggler
+// threshold (while heartbeating, so the lease never expires), B steals
+// the remainder, A's late results land harmlessly and end B's lease, and
+// the merged ledger is exactly one line per key.
+func TestStealIdempotence(t *testing.T) {
 	ttl := 10 * time.Second
-	c, keys, clk := syntheticCoordinator(t, 12, CoordinatorOptions{
-		Parts:       1,
-		LeaseTTL:    ttl,
-		StallFactor: 4,
-	})
+	c, keys, clk := syntheticCoordinator(t, 12, CoordinatorOptions{Parts: 1, LeaseTTL: ttl})
 
 	a := mustLease(t, c, "A")
 	if a.Status != GrantLease || len(a.Keys) != len(keys) {
@@ -275,7 +265,7 @@ func TestStealThenCompleteIdempotence(t *testing.T) {
 	}
 
 	// B asks while A is healthy: every part is leased, so B waits; the
-	// steal threshold (max(TTL, 4×1ms) = TTL) hasn't passed.
+	// steal threshold (max(TTL, 8×1ms) = TTL) hasn't passed.
 	if lg := mustLease(t, c, "B"); lg.Status != GrantWait {
 		t.Fatalf("B granted %+v while A healthy", lg)
 	}
@@ -319,19 +309,16 @@ func TestStealThenCompleteIdempotence(t *testing.T) {
 	if dup != len(half) || acc != len(keys)-len(half) {
 		t.Fatalf("late delivery: accepted %d dup %d, want %d/%d", acc, dup, len(keys)-len(half), len(half))
 	}
-	if got, err := c.Complete(a.Lease, a.Epoch); err != nil || got != "superseded" {
-		t.Fatalf("A complete = %q (%v), want superseded", got, err)
-	}
 
-	// The part completed under B's lease the moment A's late results
-	// covered it; B's completion is idempotent.
+	// The part was done the moment A's late results covered it, and
+	// its last key ended B's lease.
 	select {
 	case <-c.Done():
 	default:
 		t.Fatal("sweep not done after late completion")
 	}
-	if got, err := c.Complete(b.Lease, b.Epoch); err != nil || (got != "superseded" && got != "ok") {
-		t.Fatalf("B complete = %q (%v)", got, err)
+	if err := c.Heartbeat(b.Lease, b.Epoch); !errors.Is(err, ErrLeaseGone) {
+		t.Fatalf("B heartbeat after the part's last key: %v, want ErrLeaseGone", err)
 	}
 	// B re-delivering its (now duplicate) remainder is still harmless.
 	var bs []Entry

@@ -122,15 +122,6 @@ func (s *Sweeps) Results(lease string, epoch uint64, entries []Entry) (int, int,
 	return accepted, dups, err
 }
 
-// Complete acknowledges a lease of the sweep being coordinated.
-func (s *Sweeps) Complete(lease string, epoch uint64) (string, error) {
-	c := s.cur.Load()
-	if c == nil {
-		return "", ErrLeaseGone
-	}
-	return c.Complete(lease, epoch)
-}
-
 // Handler serves the worker-facing wire surface under /dist/v1/.
 // GET /dist/v1/status answers the live sweep's status, null between
 // sweeps.

@@ -42,10 +42,6 @@ type WorkerOptions struct {
 	// Poll is the wait-state retry interval when every part is leased;
 	// <= 0 defaults to 500ms.
 	Poll time.Duration
-	// BatchSize is how many results accumulate before a delivery; <= 1
-	// streams every completed job immediately, which is what keeps the
-	// coordinator's straggler timings live.
-	BatchSize int
 	// Retries bounds how many times an unavailable-coordinator failure
 	// (fault.IsUnavailable), or a lease request answered by a deposed
 	// coordinator, is retried with jittered backoff, re-resolving the
@@ -129,12 +125,18 @@ func (c *client) apiErr(status int, body []byte) error {
 	return err
 }
 
-func (c *client) post(ctx context.Context, path, contentType string, body []byte, out interface{}) error {
+// postJSON posts in as JSON to path and decodes the answer into out,
+// unless out is nil.
+func (c *client) postJSON(ctx context.Context, path string, in, out interface{}) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return err
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL()+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return fmt.Errorf("dist: %s: %w", path, err)
@@ -156,14 +158,6 @@ func (c *client) post(ctx context.Context, path, contentType string, body []byte
 	return nil
 }
 
-func (c *client) postJSON(ctx context.Context, path string, in, out interface{}) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	return c.post(ctx, path, "application/json", body, out)
-}
-
 // remote speaks the lease protocol over HTTP under one context.
 type remote struct {
 	cl  *client
@@ -181,19 +175,10 @@ func (r remote) Heartbeat(lease string, epoch uint64) error {
 }
 
 func (r remote) Results(lease string, epoch uint64, entries []Entry) (int, int, error) {
-	data, err := EncodeBatch(&Batch{Lease: lease, Epoch: epoch, Entries: entries})
-	if err != nil {
-		return 0, 0, err
-	}
+	req := resultsRequest{leaseOpRequest: leaseOpRequest{Lease: lease, Epoch: epoch}, Entries: entries}
 	var resp resultsResponse
-	err = r.cl.post(r.ctx, "/dist/v1/results", "application/octet-stream", data, &resp)
+	err := r.cl.postJSON(r.ctx, "/dist/v1/results", req, &resp)
 	return resp.Accepted, resp.Duplicates, err
-}
-
-func (r remote) Complete(lease string, epoch uint64) (string, error) {
-	var resp completeResponse
-	err := r.cl.postJSON(r.ctx, "/dist/v1/complete", leaseOpRequest{Lease: lease, Epoch: epoch}, &resp)
-	return resp.Status, err
 }
 
 // worker bundles one lease loop's state: options, the coordinator it
@@ -280,7 +265,7 @@ func retryable(err error) bool {
 // o.Retries times with deterministic jittered backoff (retryDelay),
 // re-resolving the coordinator's address between attempts. key seeds
 // the jitter so concurrent workers spread out. Deliveries retried
-// through here may double-send a batch whose response was lost
+// through here may double-send a result whose response was lost
 // mid-flight; the coordinator's idempotent merge counts those as
 // duplicates.
 func (w *worker) withRetry(ctx context.Context, key, counter string, op func() error) error {
@@ -373,9 +358,6 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 func newWorker(o WorkerOptions, c *Coordinator) *worker {
 	if o.Poll <= 0 {
 		o.Poll = 500 * time.Millisecond
-	}
-	if o.BatchSize < 1 {
-		o.BatchSize = 1
 	}
 	if o.Retries <= 0 {
 		o.Retries = 8
@@ -555,81 +537,45 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 		}
 	}()
 
-	var pending []Entry
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		// Deliveries ride ctx, not shardCtx: results computed before a
-		// lease loss are still worth delivering (late results merge).
+	eo := w.evalOptions(g.Spec)
+	eo.Context = shardCtx
+	eo.Shard = func(key string) bool { return mine[key] }
+	// Every completed point is delivered at once, which keeps the
+	// coordinator's straggler timings live. Deliveries ride ctx, not
+	// shardCtx: results computed before a lease loss are still worth
+	// delivering (late results merge).
+	eo.ResultSink = func(key string, value json.RawMessage, elapsed time.Duration) error {
+		entries := []Entry{{Key: key, Value: value, ElapsedNS: elapsed.Nanoseconds()}}
 		err := w.withRetry(ctx, g.Lease, "dist.delivery_retries", func() error {
-			_, _, rerr := w.ops(ctx).Results(g.Lease, g.Epoch, pending)
+			_, _, rerr := w.ops(ctx).Results(g.Lease, g.Epoch, entries)
 			return rerr
 		})
-		if err == nil {
-			pending = pending[:0]
-			return nil
-		}
 		if errors.Is(err, ErrStaleEpoch) || errors.Is(err, ErrLeaseGone) {
-			// The batch was rejected whole by a fence (or the part was
-			// re-leased). Drop it and abandon: the new coordinator
-			// re-issues every key it has no result for, and re-execution
-			// reproduces identical payloads.
-			pending = pending[:0]
+			// The delivery was rejected whole by a fence (or the sweep was
+			// retired). Drop it and abandon: the coordinator re-issues
+			// every key it has no result for, and re-execution reproduces
+			// identical payloads.
 			abandon(err)
 			return nil
 		}
 		return err
 	}
 
-	eo := w.evalOptions(g.Spec)
-	eo.Context = shardCtx
-	eo.Shard = func(key string) bool { return mine[key] }
-	eo.ResultSink = func(key string, value json.RawMessage, elapsed time.Duration) error {
-		pending = append(pending, Entry{
-			Key:       key,
-			Value:     json.RawMessage(append([]byte(nil), value...)),
-			ElapsedNS: elapsed.Nanoseconds(),
-		})
-		if len(pending) >= o.BatchSize {
-			return flush()
-		}
-		return nil
-	}
-
 	// The shard's assembled figures are garbage by construction (the
 	// unexecuted keys stay zero): only the streamed per-key payloads
 	// matter, so nothing is rendered and the tables are skipped.
 	runErr := eo.RunSweeps(g.Spec.Experiment)
-
-	leaseLost := false
-	select {
-	case <-lost:
-		leaseLost = true
-	default:
-	}
 	cancelShard()
 	<-hbDone
 
-	// Deliver whatever completed, even after an abandoned shard; the
-	// coordinator accepts late results idempotently. flush itself may
-	// conclude the lease is lost (fence rejection) — re-check after.
-	ferr := flush()
 	select {
 	case <-lost:
-		leaseLost = true
-	default:
-	}
-	if ferr != nil && runErr == nil && !leaseLost {
-		outcome = "error"
-		return ferr
-	}
-
-	switch {
-	case leaseLost:
 		// Not an error: someone else owns the part (or the epoch) now.
 		outcome = "lost"
 		return nil
+	default:
+	}
+	switch {
 	case runErr != nil && ctx.Err() != nil:
 		outcome = "canceled"
 		return ctx.Err()
@@ -637,16 +583,8 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 		outcome = "error"
 		return fmt.Errorf("dist: worker %s lease %s: %w", o.Name, g.Lease, runErr)
 	}
-	status, err := w.ops(ctx).Complete(g.Lease, g.Epoch)
-	if err != nil {
-		// Completion is advisory — the coordinator marks a part done from
-		// the results themselves — so a lost acknowledgment (say, the
-		// coordinator rendered and exited the instant the last result
-		// landed) never fails the worker.
-		logf("dist: worker %s: complete: %v", o.Name, err)
-		return nil
-	}
-	logf("dist: worker %s: part %d complete (%s)", o.Name, g.Part, status)
+	// Every key was delivered, and the last one ended the lease.
+	logf("dist: worker %s: part %d delivered", o.Name, g.Part)
 	return nil
 }
 

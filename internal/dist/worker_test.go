@@ -22,6 +22,7 @@ import (
 	"github.com/uteda/gmap/internal/obs"
 	"github.com/uteda/gmap/internal/obs/fleet"
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
+	"github.com/uteda/gmap/internal/runner"
 )
 
 // TestAPIErrMapping: the worker maps coordinator error bodies back onto
@@ -344,9 +345,6 @@ func TestLeaseRunsOnlySweeps(t *testing.T) {
 		}
 		fmt.Fprint(w, `{"status":"done","epoch":1}`)
 	})
-	mux.HandleFunc("POST /dist/v1/complete", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{"status":"ok"}`)
-	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -457,17 +455,13 @@ func TestSweepsWireSurface(t *testing.T) {
 		g.Status != GrantWait || g.TTLNS != int64(ttl) {
 		t.Errorf("idle lease: %d %s, want a wait grant carrying the TTL", code, body)
 	}
-	for _, path := range []string{"/dist/v1/heartbeat", "/dist/v1/complete"} {
-		if code, body := post(path, `{"lease":"lease-1-0001","epoch":1}`); code != http.StatusGone {
-			t.Errorf("idle %s: %d %s, want 410", path, code, body)
+	for path, body := range map[string]string{
+		"/dist/v1/heartbeat": `{"lease":"lease-1-0001","epoch":1}`,
+		"/dist/v1/results":   `{"lease":"lease-1-0001","epoch":1,"entries":[{"key":"k","value":{}}]}`,
+	} {
+		if code, resp := post(path, body); code != http.StatusGone {
+			t.Errorf("idle %s: %d %s, want 410", path, code, resp)
 		}
-	}
-	batch, err := EncodeBatch(&Batch{Lease: "lease-1-0001", Epoch: 1, Entries: []Entry{{Key: "k", Value: []byte(`{}`)}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, body := post("/dist/v1/results", string(batch)); code != http.StatusGone {
-		t.Errorf("idle results: %d %s, want 410", code, body)
 	}
 
 	c, keys, _ := syntheticCoordinator(t, 2, CoordinatorOptions{Parts: 1})
@@ -482,6 +476,228 @@ func TestSweepsWireSurface(t *testing.T) {
 	}
 	if g, err := s.Lease("w0"); err != nil || g.Status != GrantWait {
 		t.Errorf("lease from a finished sweep: %+v, %v; want a wait grant", g, err)
+	}
+}
+
+// TestResultsRouteRejects: the results route answers a malformed
+// delivery 400 before the coordinator sees it, and a delivery fenced to
+// no epoch of this coordinator's 409 stale_epoch: none at all (epochs
+// start at 1), or one past int64. None writes a ledger line; the same
+// delivery well formed is accepted.
+func TestResultsRouteRejects(t *testing.T) {
+	c, keys, _ := syntheticCoordinator(t, 2, CoordinatorOptions{Parts: 1})
+	defer c.Close()
+	g := mustLease(t, c, "w0")
+	lease := fmt.Sprintf(`"lease":%q,"epoch":%d`, g.Lease, g.Epoch)
+	key := fmt.Sprintf(`"key":%q`, keys[0])
+	entries := `"entries":[{` + key + `,"value":{}}]`
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/dist/v1/results", strings.NewReader(body)))
+		return rec
+	}
+	for _, tc := range []struct {
+		name, body string
+		code       int
+	}{
+		{"empty body", "", http.StatusBadRequest},
+		{"binary batch", "gmapdist2\n\x0clease-1-0001\x01\x01\x18" + keys[0] + "\x02{}\x00", http.StatusBadRequest},
+		{"truncated JSON", `{` + lease + `,"entries":[{` + key + `,"val`, http.StatusBadRequest},
+		{"entries not a list", `{` + lease + `,"entries":{` + key + `,"value":{}}}`, http.StatusBadRequest},
+		{"no value", `{` + lease + `,"entries":[{` + key + `}]}`, http.StatusBadRequest},
+		{"empty key", `{` + lease + `,"entries":[{"key":"","value":{}}]}`, http.StatusBadRequest},
+		{"negative elapsed", `{` + lease + `,"entries":[{` + key + `,"value":{},"elapsed_ns":-1}]}`, http.StatusBadRequest},
+		{"negative epoch", fmt.Sprintf(`{"lease":%q,"epoch":-1,%s}`, g.Lease, entries), http.StatusBadRequest},
+		{"epoch past uint64", fmt.Sprintf(`{"lease":%q,"epoch":18446744073709551616,%s}`, g.Lease, entries), http.StatusBadRequest},
+		{"no epoch", fmt.Sprintf(`{"lease":%q,%s}`, g.Lease, entries), http.StatusConflict},
+		{"epoch past int64", fmt.Sprintf(`{"lease":%q,"epoch":18446744073709551615,%s}`, g.Lease, entries), http.StatusConflict},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := post(tc.body)
+			if rec.Code != tc.code {
+				t.Errorf("%d %s, want %d", rec.Code, rec.Body, tc.code)
+			}
+			if tc.code == http.StatusConflict && !strings.Contains(rec.Body.String(), `"code":"stale_epoch"`) {
+				t.Errorf("%s, want code stale_epoch", rec.Body)
+			}
+		})
+	}
+	if data, err := os.ReadFile(c.o.Ledger); err != nil || len(data) != 0 {
+		t.Fatalf("rejected deliveries wrote the ledger: %q, %v", data, err)
+	}
+	if rec := post(`{` + lease + `,"entries":[{` + key + `,"value":{},"elapsed_ns":5}]}`); rec.Code != http.StatusOK ||
+		!strings.Contains(rec.Body.String(), `"accepted":1`) {
+		t.Fatalf("well-formed delivery: %d %s, want one result accepted", rec.Code, rec.Body)
+	}
+}
+
+// TestResultsRoundTrip: results a worker posts reach the ledger as the
+// bytes a local checkpoint records for the same entries, spacing
+// compacted away, and the same delivery posted again after its part is
+// done counts as duplicates and writes nothing.
+func TestResultsRoundTrip(t *testing.T) {
+	c, keys, _ := syntheticCoordinator(t, 4, CoordinatorOptions{Parts: 1})
+	defer c.Close()
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	g := mustLease(t, c, "w0")
+	entries := append(sampleEntries(), Entry{Value: json.RawMessage(`{ "a" : [1, 2.50] }`), ElapsedNS: 7})
+	for i := range entries {
+		entries[i].Key = keys[i]
+	}
+	r := remote{&client{base: srv.URL, hc: srv.Client()}, context.Background()}
+	if acc, dups, err := r.Results(g.Lease, g.Epoch, entries); err != nil || acc != len(entries) || dups != 0 {
+		t.Fatalf("delivery: %d accepted, %d duplicates, %v; want %d accepted", acc, dups, err, len(entries))
+	}
+
+	local := filepath.Join(t.TempDir(), "local.jsonl")
+	app, err := runner.OpenCheckpointAppender(nil, local, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if err := app.Append(e.Key, e.Value, time.Duration(e.ElapsedNS)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := app.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(c.o.Ledger); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ledger after the wire:\n%s\nlocal checkpoint:\n%s (%v)", got, want, err)
+	}
+
+	if st := c.StatusSnapshot(); !st.Done {
+		t.Fatalf("every key delivered but the sweep is not done: %+v", st)
+	}
+	if acc, dups, err := r.Results(g.Lease, g.Epoch, entries); err != nil || acc != 0 || dups != len(entries) {
+		t.Fatalf("re-delivery: %d accepted, %d duplicates, %v; want %d duplicates", acc, dups, err, len(entries))
+	}
+	if got, err := os.ReadFile(c.o.Ledger); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("re-delivery wrote the ledger:\n%s (%v)", got, err)
+	}
+}
+
+// TestResultsEmptyDelivery: a delivery without entries under a live
+// lease accepts nothing and writes no ledger line, but proves the
+// worker alive: it renews the lease as a heartbeat does.
+func TestResultsEmptyDelivery(t *testing.T) {
+	const ttl = 10 * time.Second
+	c, _, clk := syntheticCoordinator(t, 2, CoordinatorOptions{Parts: 1, LeaseTTL: ttl})
+	defer c.Close()
+	g := mustLease(t, c, "w0")
+	body := fmt.Sprintf(`{"lease":%q,"epoch":%d,"entries":[]}`, g.Lease, g.Epoch)
+	for i := 0; i < 3; i++ {
+		clk.advance(ttl * 3 / 4)
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/dist/v1/results", strings.NewReader(body)))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"accepted":0`) {
+			t.Fatalf("empty delivery %d: %d %s, want nothing accepted", i, rec.Code, rec.Body)
+		}
+	}
+	if err := c.Heartbeat(g.Lease, g.Epoch); err != nil {
+		t.Fatalf("lease %s after empty deliveries spanning 2.25 TTLs: %v", g.Lease, err)
+	}
+	if data, err := os.ReadFile(c.o.Ledger); err != nil || len(data) != 0 {
+		t.Fatalf("empty deliveries wrote the ledger: %q, %v", data, err)
+	}
+}
+
+// TestResultsInvalidValueNotSent: a worker whose result value is not
+// JSON fails that delivery before posting anything, with an error no
+// retry can mend.
+func TestResultsInvalidValueNotSent(t *testing.T) {
+	var posts atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		writeJSON(w, http.StatusOK, resultsResponse{})
+	}))
+	defer srv.Close()
+	r := remote{&client{base: srv.URL, hc: srv.Client()}, context.Background()}
+	_, _, err := r.Results("lease-1-0001", 1, []Entry{{Key: "k", Value: json.RawMessage(`{"orig":`)}})
+	if err == nil || retryable(err) {
+		t.Errorf("invalid value: %v, want an error that is not retryable", err)
+	}
+	if n := posts.Load(); n != 0 {
+		t.Errorf("invalid value posted %d times, want none", n)
+	}
+}
+
+// TestHeartbeatFencedToEpoch: a heartbeat renews its lease only at the
+// coordinator's own epoch. One fenced to no epoch, a later one, or one
+// past int64 answers 409 stale_epoch.
+func TestHeartbeatFencedToEpoch(t *testing.T) {
+	c, _, _ := syntheticCoordinator(t, 2, CoordinatorOptions{Parts: 1})
+	defer c.Close()
+	g := mustLease(t, c, "w0")
+	beat := func(epoch string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		body := fmt.Sprintf(`{"lease":%q,"epoch":%s}`, g.Lease, epoch)
+		c.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/dist/v1/heartbeat", strings.NewReader(body)))
+		return rec
+	}
+	for _, epoch := range []string{"0", fmt.Sprint(g.Epoch + 1), "9223372036854775808", "18446744073709551615"} {
+		if rec := beat(epoch); rec.Code != http.StatusConflict || !strings.Contains(rec.Body.String(), `"code":"stale_epoch"`) {
+			t.Errorf("heartbeat at epoch %s: %d %s, want 409 stale_epoch", epoch, rec.Code, rec.Body)
+		}
+	}
+	if rec := beat(fmt.Sprint(g.Epoch)); rec.Code != http.StatusOK {
+		t.Errorf("heartbeat at epoch %d: %d %s, want 200", g.Epoch, rec.Code, rec.Body)
+	}
+}
+
+// TestWorkerDeliversEachResult: a worker posts every completed point as
+// its own JSON delivery, one entry per body and one body per leased key.
+func TestWorkerDeliversEachResult(t *testing.T) {
+	c, err := NewCoordinator(CoordinatorOptions{
+		Spec:   quickSpec("fig6a"),
+		Parts:  2,
+		Ledger: filepath.Join(t.TempDir(), "ledger.jsonl"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	h := c.Handler()
+	var mu sync.Mutex
+	var bodies []resultsRequest
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/dist/v1/results" {
+			data, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(data))
+			var req resultsRequest
+			if err := json.Unmarshal(data, &req); err != nil {
+				t.Errorf("results body %q: %v", data, err)
+			}
+			mu.Lock()
+			bodies = append(bodies, req)
+			mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	reg := obs.New()
+	if err := RunWorker(context.Background(), WorkerOptions{Coordinator: srv.URL, Name: "w0", Workers: 1, Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	leased := reg.CounterTotal("dist.worker.keys_leased")
+	if st := c.StatusSnapshot(); !st.Done || leased != uint64(st.TotalJobs) {
+		t.Fatalf("a lone worker leased %d keys of %d (done %v)", leased, st.TotalJobs, st.Done)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if uint64(len(bodies)) != leased {
+		t.Errorf("%d result bodies for %d leased keys, want one each", len(bodies), leased)
+	}
+	for i, b := range bodies {
+		if len(b.Entries) != 1 || b.Epoch != c.Epoch() {
+			t.Errorf("body %d: %d entries at epoch %d, want one at epoch %d", i, len(b.Entries), b.Epoch, c.Epoch())
+		}
 	}
 }
 

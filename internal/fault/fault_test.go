@@ -144,3 +144,48 @@ func TestInjectFSRenameHook(t *testing.T) {
 		t.Fatalf("second rename: %v", err)
 	}
 }
+
+// TestWriteFileAtomic: WriteFile through an InjectFS never leaves a torn
+// file. A crash at any byte of the new content leaves the old content
+// readable, and a failed Sync or Rename also removes the temp.
+func TestWriteFileAtomic(t *testing.T) {
+	const old, next = "old content\n", "the new content\n"
+	setup := func(t *testing.T) string {
+		path := filepath.Join(t.TempDir(), "f")
+		if err := WriteFile(nil, path, []byte(old)); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	check := func(t *testing.T, path string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("a failed write reported success")
+		}
+		if got, rerr := os.ReadFile(path); rerr != nil || string(got) != old {
+			t.Fatalf("after a failed write: %q, %v; want the old content", got, rerr)
+		}
+	}
+	for at := int64(0); at < int64(len(next)); at++ {
+		path := setup(t)
+		fsys := &InjectFS{WritePlanFor: func(string) *WritePlan { return NewWritePlan().CrashAt(at) }}
+		check(t, path, WriteFile(fsys, path, []byte(next)))
+	}
+	for name, fsys := range map[string]*InjectFS{
+		"sync":   {SyncErr: func(string) error { return ErrInjectedEIO }},
+		"rename": {RenameErr: func(string, string) error { return ErrInjectedEIO }},
+	} {
+		path := setup(t)
+		check(t, path, WriteFile(fsys, path, []byte(next)))
+		if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("failed %s left the temp file behind: %v", name, err)
+		}
+	}
+	path := setup(t)
+	if err := WriteFile(&InjectFS{}, path, []byte(next)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != next {
+		t.Fatalf("after a clean write: %q, %v; want the new content", got, err)
+	}
+}

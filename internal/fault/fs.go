@@ -162,3 +162,32 @@ func (f *InjectFS) Truncate(name string, size int64) error {
 
 // Remove passes through to the inner FS.
 func (f *InjectFS) Remove(name string) error { return f.inner().Remove(name) }
+
+// WriteFile replaces path's content with data atomically through fsys
+// (nil means OS): it writes path+".tmp", syncs and closes it, then
+// renames it over path. A crash at any byte leaves path's old content,
+// or no file, never a torn mix; a failed step removes the temp.
+func WriteFile(fsys FS, path string, data []byte) error {
+	if fsys == nil {
+		fsys = OS
+	}
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp) // best-effort; the first error wins
+	}
+	return err
+}

@@ -461,14 +461,15 @@ func (s *Service) runSweep(ctx context.Context, js *jobState) ([]byte, error) {
 	})
 }
 
-// cancel marks a job canceled. Queued jobs are finalized immediately;
-// running jobs get their context cancelled and finalize in execute.
-func (s *Service) cancel(id string) (found bool) {
+// cancel marks a job canceled and returns it, nil for an unknown id.
+// Queued jobs are finalized immediately; running jobs get their context
+// cancelled and finalize in execute.
+func (s *Service) cancel(id string) *jobState {
 	s.mu.Lock()
-	js, ok := s.jobs[id]
+	js := s.jobs[id]
 	s.mu.Unlock()
-	if !ok {
-		return false
+	if js == nil {
+		return nil
 	}
 	js.mu.Lock()
 	switch js.status {
@@ -490,16 +491,14 @@ func (s *Service) cancel(id string) (found bool) {
 				js.mu.Unlock()
 			}
 		}
-		return true
 	case StatusRunning:
 		js.canceled = true
 		js.mu.Unlock()
 		s.q.Cancel(id)
-		return true
 	default:
 		js.mu.Unlock()
-		return true
 	}
+	return js
 }
 
 // recover re-enqueues every journaled job that has no committed result:

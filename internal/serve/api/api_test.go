@@ -592,33 +592,42 @@ func TestResubmitFailedJob(t *testing.T) {
 // journal entry before the job reads canceled, so a resubmission
 // admitted meanwhile keeps the entry it journaled and survives a
 // restart. Were the status published first, the late retirement would
-// delete that entry: an admitted job with nothing on disk.
+// delete that entry: an admitted job with nothing on disk. The DELETE
+// answers with the job it cancelled, not the resubmission that took
+// the id meanwhile.
 func TestCancelWindowKeepsJournal(t *testing.T) {
 	e, g := newGatedEnv(t, false, false) // queue not started: nothing drains
 	var sub jobView
 	if code, _ := e.do("POST", "/v1/jobs", strings.NewReader(table2Spec), &sub, nil); code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	canceled := make(chan int, 1)
+	type answer struct {
+		code int
+		view jobView
+	}
+	canceled := make(chan answer, 1)
 	go func() {
+		var a answer
 		req, err := http.NewRequest("DELETE", e.url("/v1/jobs/"+sub.Job), nil)
 		if err == nil {
 			var resp *http.Response
 			if resp, err = http.DefaultClient.Do(req); err == nil {
+				a.code = resp.StatusCode
+				err = json.NewDecoder(resp.Body).Decode(&a.view)
 				resp.Body.Close()
-				canceled <- resp.StatusCode
-				return
 			}
 		}
-		t.Error(err)
-		canceled <- 0
+		if err != nil {
+			t.Error(err)
+		}
+		canceled <- a
 	}()
 	g.remove.waitReached(t)
 	var resub jobView
 	var code int
 	g.remove.during(func() { code, _ = e.do("POST", "/v1/jobs", strings.NewReader(table2Spec), &resub, nil) })
-	if c := <-canceled; c != http.StatusOK {
-		t.Fatalf("cancel: status %d", c)
+	if a := <-canceled; a.code != http.StatusOK || a.view.Status != "canceled" {
+		t.Fatalf("cancel: status %d, job %+v; want 200 and the canceled job", a.code, a.view)
 	}
 	if code != http.StatusAccepted {
 		t.Fatalf("resubmission of the canceled job: status %d, want 202", code)

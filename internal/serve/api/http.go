@@ -273,11 +273,13 @@ func (s *Service) handleJobProgress(w http.ResponseWriter, r *http.Request) {
 // handleCancel cancels a queued or running job.
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !s.cancel(id) {
+	// Render the job cancel acted on: a resubmission may hold the id by
+	// the time cancel returns.
+	js := s.cancel(id)
+	if js == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
-	js, _ := s.job(id)
 	writeJSON(w, http.StatusOK, js.view())
 }
 

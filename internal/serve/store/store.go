@@ -153,35 +153,14 @@ func (s *Store) exists(path string) bool {
 	return true
 }
 
-// writeAtomic commits data under path via temp+fsync+rename. A crash at
+// writeAtomic commits data under path (fault.WriteFile). A crash at
 // any byte of the temp write leaves path absent (or holding its previous
 // content); a stale temp from an earlier crash is simply overwritten.
 func (s *Store) writeAtomic(path string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tmp := path + ".tmp"
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: creating %s: %w", tmp, err)
-	}
-	writeErr := func() error {
-		if _, err := f.Write(data); err != nil {
-			return err
-		}
-		return f.Sync()
-	}()
-	if writeErr != nil {
-		_ = f.Close()
-		_ = s.fs.Remove(tmp) // best-effort; the write error wins
-		return fmt.Errorf("store: writing %s: %w", tmp, writeErr)
-	}
-	if err := f.Close(); err != nil {
-		_ = s.fs.Remove(tmp)
-		return fmt.Errorf("store: closing %s: %w", tmp, err)
-	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		_ = s.fs.Remove(tmp)
-		return fmt.Errorf("store: committing %s: %w", path, err)
+	if err := fault.WriteFile(s.fs, path, data); err != nil {
+		return fmt.Errorf("store: writing %s: %w", path, err)
 	}
 	return nil
 }

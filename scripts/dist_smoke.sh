@@ -4,8 +4,9 @@
 # Two phases, both measured against the same serial reference report:
 #
 #   1. Worker kill: a coordinator with two worker processes loses one
-#      to kill -9 mid-epoch. The coordinator must re-lease the dead
-#      worker's partition and finish byte-identically to serial.
+#      to kill -9 mid-epoch, while it holds a lease with keys left. The
+#      coordinator must re-lease the dead worker's partition and finish
+#      byte-identically to serial.
 #
 #   2. Coordinator restart: a coordinator with two addr-file workers is
 #      kill -9'd mid-sweep, then its command is re-run over the same
@@ -67,6 +68,30 @@ wait_mid_sweep() {
         fi
         [ $(($(date +%s) - start)) -lt "$DEADLINE" ] || fail "sweep never reached mid-epoch (done=${DONE:-?} total=${TOTAL:-?})"
         sleep 0.1
+    done
+}
+
+# wait_victim BASE — poll /dist/v1/status until a partition shows a
+# live lease held by worker 1 or worker 2 with at least 2 keys
+# remaining; leaves VICTIM set to that worker's pid. Workers are named
+# host:pid, and the status body is one line of JSON, so each partition
+# is one line once the braces are split. Fails fast if the coordinator
+# finishes first.
+wait_victim() {
+    start=$(date +%s)
+    while :; do
+        VICTIM=$(curl -sSf "$1/dist/v1/status" 2>/dev/null | tr '{}' '\n\n' |
+            sed -n 's/.*"remaining": *\([0-9][0-9]*\),.*"worker": *"[^"]*:\([0-9][0-9]*\)".*/\1 \2/p' |
+            while read -r rem pid; do
+                if [ "$rem" -ge 2 ] && { [ "$pid" = "$W1_PID" ] || [ "$pid" = "$W2_PID" ]; }; then
+                    echo "$pid"
+                    break
+                fi
+            done)
+        [ -z "$VICTIM" ] || return 0
+        kill -0 "$COORD_PID" 2>/dev/null || fail "coordinator finished before a worker held a lease with keys left"
+        [ $(($(date +%s) - start)) -lt "$DEADLINE" ] || fail "no worker ever held a lease with 2 or more keys left"
+        sleep 0.05
     done
 }
 
@@ -146,15 +171,20 @@ W1_PID=$!
 "$BIN/gmap-eval" -worker "$BASE" -serve 127.0.0.1:0 -workers 1 -quiet 2>"$WORK/w2.log" &
 W2_PID=$!
 
+# Kill a worker the moment it holds a lease with keys left, so the kill
+# always lands on live work; the observability probes run after, while
+# the dead worker's lease waits out its TTL.
 wait_mid_sweep "$BASE"
-check_observability "$BASE" "$COORD_PID"
-echo "==> mid-epoch ($DONE/$TOTAL jobs merged): kill -9 worker 1 (pid $W1_PID)"
-kill -9 "$W1_PID"
-wait "$W1_PID" 2>/dev/null || true
+wait_victim "$BASE"
+echo "==> mid-epoch ($DONE/$TOTAL jobs merged): kill -9 the worker holding a lease with keys left (pid $VICTIM)"
+kill -9 "$VICTIM"
+wait "$VICTIM" 2>/dev/null || true
 
 echo "==> starting a replacement worker"
 "$BIN/gmap-eval" -worker "$BASE" -workers 1 -quiet 2>"$WORK/w1b.log" &
-W1_PID=$!
+if [ "$VICTIM" = "$W1_PID" ]; then W1_PID=$!; else W2_PID=$!; fi
+
+check_observability "$BASE" "$COORD_PID"
 
 echo "==> waiting for the coordinator to finish and render"
 wait_exit "$COORD_PID" "coordinator"
