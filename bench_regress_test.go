@@ -284,15 +284,11 @@ func TestBenchRegressTraceOverhead(t *testing.T) {
 	off := DefaultSimConfig()
 	// Each traced round gets a fresh tracer so the event log never grows
 	// across rounds — the measurement stays per-run, not cumulative. The
-	// traced root is a RemoteChild of a synthetic coordinator span — the
-	// exact shape a distributed worker's simulation runs under — so the
-	// budget also covers trace-id adoption and remote-parent bookkeeping.
-	coord := NewTracer()
-	sweep := coord.Root("bench.sweep")
-	defer sweep.End()
+	// traced root is a Root span, the shape a distributed worker's lease
+	// span takes.
 	tracedRound := func() time.Duration {
 		tracer := NewTracer()
-		root := tracer.RemoteChild(sweep.Context(), "bench")
+		root := tracer.Root("bench")
 		on := DefaultSimConfig()
 		on.TraceSpan = root
 		d := measureSim(t, on, warps, minOf)

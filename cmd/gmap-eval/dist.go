@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"github.com/uteda/gmap/internal/dist"
@@ -22,6 +23,7 @@ type distFlags struct {
 	parts    int           // -dist-parts
 	leaseTTL time.Duration // -dist-lease-ttl
 	fsync    bool          // -fsync: sync the ledger after every append
+	traceOut string        // -trace-out: the merged fleet trace, Chrome JSON
 }
 
 // coordinatorOptions is the coordinator's configuration for a sweep
@@ -40,14 +42,16 @@ func (df distFlags) coordinatorOptions(spec dist.SweepSpec, ledger string) dist.
 // listener: workers push their reports there, the owner status document
 // is the coordinator's own snapshot, and a worker goes stale after one
 // lease TTL without a push — when its lease would expire too.
-func federate(c *dist.Coordinator, reg *obs.Registry, tracer *obstrace.Tracer, leaseTTL time.Duration) {
-	c.SetFleet(fleet.New(fleet.Options{
+func federate(c *dist.Coordinator, reg *obs.Registry, tracer *obstrace.Tracer, leaseTTL time.Duration) *fleet.Federator {
+	f := fleet.New(fleet.Options{
 		Self:     "coordinator",
 		Registry: reg,
 		Tracer:   tracer,
 		Status:   func() interface{} { return c.StatusSnapshot() },
 		Stale:    leaseTTL,
-	}).Handler())
+	})
+	c.SetFleet(f.Handler())
+	return f
 }
 
 // runCoordinator distributes the sweep: partition the job space, lease
@@ -57,9 +61,14 @@ func federate(c *dist.Coordinator, reg *obs.Registry, tracer *obstrace.Tracer, l
 // command over it resumes where the previous coordinator died: the
 // restart claims the next epoch, which fences the dead incarnation,
 // and rewrites the addr file, which workers re-read before every retry.
+// Once its workers have drained, it writes the merged fleet trace to
+// df.traceOut, when set.
 func runCoordinator(ctx context.Context, spec dist.SweepSpec, df distFlags, ledger string, w io.Writer, logf func(string, ...interface{})) error {
 	if ledger == "" {
 		return fmt.Errorf("-dist-listen requires -checkpoint (the merge ledger)")
+	}
+	if strings.HasSuffix(df.traceOut, ".jsonl") {
+		return fmt.Errorf("-trace-out %s: a coordinator writes the merged trace as Chrome JSON only", df.traceOut)
 	}
 	// The coordinator is a service, not a simulation hot path: its
 	// registry and tracer are always on, so /fleet/ and the merged
@@ -75,7 +84,7 @@ func runCoordinator(ctx context.Context, spec dist.SweepSpec, df distFlags, ledg
 		return err
 	}
 	defer c.Close()
-	federate(c, reg, tracer, df.leaseTTL)
+	fed := federate(c, reg, tracer, df.leaseTTL)
 	srv, err := c.Serve(ctx, df.listen)
 	if err != nil {
 		return err
@@ -100,6 +109,11 @@ func runCoordinator(ctx context.Context, spec dist.SweepSpec, df distFlags, ledg
 		return err
 	}
 	c.Drain(ctx)
+	if df.traceOut != "" {
+		if err := writeOut(df.traceOut, fed.WriteTrace); err != nil {
+			return fmt.Errorf("trace export: %w", err)
+		}
+	}
 	return nil
 }
 

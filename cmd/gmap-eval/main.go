@@ -37,11 +37,15 @@
 // lease heartbeat, their span log at every lease end and a final report
 // on exit, and the merged view — labeled metrics, fleet status, the
 // cross-process sweep trace — is served under /fleet/ on the
-// coordinator's port. A worker that has not pushed for one lease TTL is
-// marked stale. Watch it live from any terminal:
+// coordinator's port; -trace-out saves the merged trace when the sweep
+// ends. A worker that has not pushed for one lease TTL is marked stale.
+// Watch it live from any terminal:
 //
 //	gmap-eval -worker http://host:9500 -serve :0     # worker joins the fleet
 //	gmap-eval -fleet-watch http://host:9500          # or -fleet-watch coord.addr
+//
+// Each mode reads only some flags (modeFlags); a flag its mode would
+// ignore is an error.
 package main
 
 import (
@@ -52,6 +56,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -95,11 +100,14 @@ func main() {
 		fleetIval   = flag.Duration("fleet-interval", 0, "-fleet-watch refresh interval (0 = 2s)")
 	)
 	flag.Parse()
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	mode := evalMode(*fleetWatch, *distListen, *workerURL, *workerAddr)
+	if err := checkModeFlags(mode, set); err != nil {
+		fatal(err)
+	}
 	if *resume && *checkpoint == "" {
 		fatal(fmt.Errorf("-resume requires -checkpoint"))
-	}
-	if *workerURL != "" && *distListen != "" {
-		fatal(fmt.Errorf("-worker and -dist-listen are mutually exclusive"))
 	}
 	if strings.Contains(*workerURL, ",") {
 		fatal(fmt.Errorf("-worker takes one coordinator URL, not a list; to follow a restarted coordinator, use -worker-addr-file"))
@@ -116,13 +124,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	if *fleetWatch != "" {
+	if mode == modeFleetWatch {
 		if err := fleet.Watch(ctx, os.Stdout, *fleetWatch, *fleetIval); err != nil && ctx.Err() == nil {
 			fatal(err)
 		}
 		return
 	}
-	if *distListen == "" && (*workerURL != "" || *workerAddr != "") {
+	if mode == modeWorker {
 		// Worker mode: the sweep's shape comes from the coordinator
 		// inside each lease grant. -serve opts the worker into the fleet
 		// (pushes to the coordinator's federator).
@@ -157,13 +165,14 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if *distListen != "" {
+	if mode == modeCoordinator {
 		df := distFlags{
 			listen:   *distListen,
 			addrFile: *distAddr,
 			parts:    *distParts,
 			leaseTTL: *distTTL,
 			fsync:    *fsync,
+			traceOut: *traceOut,
 		}
 		if err := runCoordinator(ctx, spec, df, *checkpoint, w, distLogf); err != nil && ctx.Err() == nil {
 			fatal(err)
@@ -215,18 +224,29 @@ func main() {
 		}
 	}
 	if *obsSnap != "" {
-		if err := writeObsSnapshot(*obsSnap, opts.Obs); err != nil {
-			fatal(err)
+		if err := writeOut(*obsSnap, opts.Obs.WriteJSON); err != nil {
+			fatal(fmt.Errorf("obs snapshot: %w", err))
 		}
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, opts.Trace); err != nil {
-			fatal(err)
+		// .jsonl gets the structured-event stream, anything else the
+		// Chrome trace-event JSON Perfetto loads.
+		export := opts.Trace.WriteChrome
+		if strings.HasSuffix(*traceOut, ".jsonl") {
+			export = opts.Trace.WriteJSONL
+		}
+		if err := writeOut(*traceOut, export); err != nil {
+			fatal(fmt.Errorf("trace export: %w", err))
 		}
 	}
 	if *attrOut != "" {
-		if err := writeAttr(*attrOut, opts.Attr.Reports()); err != nil {
-			fatal(err)
+		reports := opts.Attr.Reports()
+		export := func(w io.Writer) error { return gmap.WriteAttrJSON(w, reports) }
+		if strings.HasSuffix(*attrOut, ".md") {
+			export = func(w io.Writer) error { return gmap.WriteAttrMarkdown(w, reports) }
+		}
+		if err := writeOut(*attrOut, export); err != nil {
+			fatal(fmt.Errorf("attribution report: %w", err))
 		}
 	}
 	if runErr != nil {
@@ -237,68 +257,69 @@ func main() {
 	}
 }
 
-func writeObsSnapshot(path string, r *gmap.ObsRegistry) error {
+// Modes of one invocation, worded for the error that names a flag the
+// mode does not read.
+const (
+	modeSerial      = "in a serial sweep"
+	modeCoordinator = "with -dist-listen"
+	modeWorker      = "in worker mode"
+	modeFleetWatch  = "with -fleet-watch"
+)
+
+// sweepShape are the flags that define a sweep's job space.
+const sweepShape = "exp benchmarks scale scale-factor cores seed "
+
+// modeFlags lists the flags each mode reads. A coordinator always
+// resumes its ledger and renders without timings, so -resume and
+// -no-timings are allowed there and change nothing.
+var modeFlags = map[string][]string{
+	modeSerial: strings.Fields(sweepShape + "out quiet workers checkpoint resume job-timeout fsync tolerate " +
+		"no-timings summary obs-snapshot serve trace-out attr-out attr-threshold attr-top"),
+	modeCoordinator: strings.Fields(sweepShape + "out quiet checkpoint resume fsync no-timings trace-out " +
+		"dist-listen dist-addr-file dist-parts dist-lease-ttl"),
+	modeWorker:     strings.Fields("worker worker-addr-file serve workers quiet"),
+	modeFleetWatch: strings.Fields("fleet-watch fleet-interval"),
+}
+
+// evalMode picks the mode from the flags that select one: -fleet-watch
+// over -dist-listen over -worker and -worker-addr-file.
+func evalMode(fleetWatch, distListen, worker, workerAddr string) string {
+	switch {
+	case fleetWatch != "":
+		return modeFleetWatch
+	case distListen != "":
+		return modeCoordinator
+	case worker != "" || workerAddr != "":
+		return modeWorker
+	}
+	return modeSerial
+}
+
+// checkModeFlags names the first flag of set, the flags given on the
+// command line, that mode does not read.
+func checkModeFlags(mode string, set []string) error {
+	for _, name := range set {
+		if !slices.Contains(modeFlags[mode], name) {
+			return fmt.Errorf("-%s has no effect %s", name, mode)
+		}
+	}
+	return nil
+}
+
+// writeOut writes export's output to path, or to stdout for "-".
+func writeOut(path string, export func(io.Writer) error) error {
 	if path == "-" {
-		return r.WriteJSON(os.Stdout)
+		return export(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := r.WriteJSON(f); err != nil {
+	if err := export(f); err != nil {
 		f.Close()
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	return f.Close()
-}
-
-// writeTrace exports the span log, picking the format from the path:
-// .jsonl gets the structured-event stream, anything else the Chrome
-// trace-event JSON Perfetto loads.
-func writeTrace(path string, tr *gmap.Tracer) error {
-	export := tr.WriteChrome
-	if strings.HasSuffix(path, ".jsonl") {
-		export = tr.WriteJSONL
-	}
-	if path == "-" {
-		return export(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace export: %w", err)
-	}
-	if err := export(f); err != nil {
-		f.Close()
-		return fmt.Errorf("trace export %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("trace export %s: %w", path, err)
-	}
-	return nil
-}
-
-// writeAttr writes the attribution reports, as markdown when the path
-// ends in .md and JSON otherwise.
-func writeAttr(path string, reports []*gmap.AttrReport) error {
-	export := func(w io.Writer) error { return gmap.WriteAttrJSON(w, reports) }
-	if strings.HasSuffix(path, ".md") {
-		export = func(w io.Writer) error { return gmap.WriteAttrMarkdown(w, reports) }
-	}
-	if path == "-" {
-		return export(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("attribution report: %w", err)
-	}
-	if err := export(f); err != nil {
-		f.Close()
-		return fmt.Errorf("attribution report %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("attribution report %s: %w", path, err)
-	}
-	return nil
 }
 
 func writeSummary(path string, opts *gmap.ExperimentOptions) error {

@@ -15,65 +15,52 @@ type Banked struct {
 	bankMask uint64
 	bankBits uint
 	lineBits uint
-	// obs holds per-bank observability counters; nil when detached, so
-	// the instrumented access path costs one predictable branch.
+	// obs holds per-bank observability counters; nil when detached.
 	obs []bankObs
 }
 
-// bankObs is one bank's live counters: demand pressure, miss traffic and
-// write-back pressure toward the next level. Banked has no internal
-// locking — it is driven by one goroutine — so the hot path counts into
-// the plain tallies and FlushObs publishes them in one batch.
+// bankObs publishes one bank's Stats: demand pressure, miss traffic and
+// write-back pressure toward the next level.
 type bankObs struct {
 	accesses   *obs.Counter
 	misses     *obs.Counter
 	writebacks *obs.Counter
-
-	nAccesses   uint64
-	nMisses     uint64
-	nWritebacks uint64
+	// published is the bank's Stats as the counters last received it.
+	published Stats
 }
 
 // AttachObs registers per-bank counters ("<prefix>.bank<i>.accesses",
 // ".misses", ".writebacks") with r. A nil registry leaves the cache
-// detached; attaching never changes cache behaviour or Stats.
+// detached; attaching never changes cache behaviour or Stats. The
+// counters publish only the Stats gained after attaching.
 func (b *Banked) AttachObs(r *obs.Registry, prefix string) {
 	if r == nil {
 		return
 	}
 	b.obs = make([]bankObs, len(b.banks))
-	for i := range b.banks {
+	for i, bank := range b.banks {
 		name := fmt.Sprintf("%s.bank%d", prefix, i)
 		b.obs[i] = bankObs{
 			accesses:   r.Counter(name + ".accesses"),
 			misses:     r.Counter(name + ".misses"),
 			writebacks: r.Counter(name + ".writebacks"),
+			published:  bank.Stats,
 		}
 	}
 }
 
-// note records one access outcome on bank's tallies.
-func (b *Banked) note(bank int, res Result) {
-	o := &b.obs[bank]
-	o.nAccesses++
-	if !res.Hit {
-		o.nMisses++
-	}
-	if res.WroteThrough || (res.Evicted && res.EvictedDirty) {
-		o.nWritebacks++
-	}
-}
-
-// FlushObs publishes the per-bank tallies accumulated since the last
-// flush to the attached registry counters. No-op when detached; callers
-// flush once per run (or before reading the registry), not per access.
+// FlushObs publishes what each bank's Stats gained since the last flush
+// to the attached registry counters: demand accesses and misses, and
+// every write-back, a prefetch fill's dirty victim included. No-op when
+// detached; callers flush once per run (or before reading the
+// registry), not per access.
 func (b *Banked) FlushObs() {
 	for i := range b.obs {
-		o := &b.obs[i]
-		o.accesses.Add(o.nAccesses)
-		o.misses.Add(o.nMisses)
-		o.writebacks.Add(o.nWritebacks)
-		o.nAccesses, o.nMisses, o.nWritebacks = 0, 0, 0
+		o, s := &b.obs[i], b.banks[i].Stats
+		o.accesses.Add(s.Accesses - o.published.Accesses)
+		o.misses.Add(s.Misses - o.published.Misses)
+		o.writebacks.Add(s.Writebacks - o.published.Writebacks)
+		o.published = s
 	}
 }
 
@@ -133,9 +120,6 @@ func (b *Banked) Access(addr uint64, write bool) Result {
 	res := b.banks[bank].Access(b.sliceAddr(addr), write)
 	if res.Evicted {
 		res.EvictedAddr = b.unsliceAddr(res.EvictedAddr, bank)
-	}
-	if b.obs != nil {
-		b.note(bank, res)
 	}
 	return res
 }

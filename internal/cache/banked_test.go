@@ -1,6 +1,10 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/uteda/gmap/internal/obs"
+)
 
 func TestBankedRouting(t *testing.T) {
 	b, err := NewBanked(Config{SizeBytes: 1 << 20, Ways: 8, LineSize: 128}, 8)
@@ -52,6 +56,36 @@ func TestBankedProbeAndFill(t *testing.T) {
 	}
 	if b.Stats().PrefetchFills != 1 {
 		t.Error("fill not counted")
+	}
+}
+
+// TestBankedObsPublishesStats: the per-bank counters publish what each
+// bank's Stats gained since attaching, so a dirty victim that a prefetch
+// Fill evicts counts as a write-back, as it does in Stats.
+func TestBankedObsPublishesStats(t *testing.T) {
+	// Two banks of two 1-way sets: lines 0 and 4 share bank 0's set 0.
+	b, err := NewBanked(Config{SizeBytes: 256, Ways: 1, LineSize: 64}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Access(1*64, false) // bank 1, before attaching: not published
+	reg := obs.New()
+	b.AttachObs(reg, "l2")
+	b.Access(0, true) // bank 0: write miss, the line turns dirty
+	if res := b.Fill(4 * 64); !res.Evicted || !res.EvictedDirty {
+		t.Fatalf("fill = %+v, want it to evict the dirty line", res)
+	}
+	for i := 0; i < 2; i++ { // a second flush publishes nothing new
+		b.FlushObs()
+	}
+	want := map[string]uint64{
+		"l2.bank0.accesses": 1, "l2.bank0.misses": 1, "l2.bank0.writebacks": 1,
+		"l2.bank1.accesses": 0, "l2.bank1.misses": 0, "l2.bank1.writebacks": 0,
+	}
+	for name, v := range want {
+		if got := reg.Counter(name).Value(); got != v {
+			t.Errorf("%s = %d, want %d", name, got, v)
+		}
 	}
 }
 

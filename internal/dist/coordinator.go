@@ -64,9 +64,8 @@ type CoordinatorOptions struct {
 	// Obs, when non-nil, mirrors lease/merge counters ("dist.*").
 	Obs *obs.Registry
 	// Trace, when non-nil, records the sweep span and one child span per
-	// lease. Each grant carries the lease span's context as a
-	// traceparent header, so worker-side spans parent under it in a
-	// merged export (internal/obs/fleet).
+	// lease. A worker's own lease span carries the same lease id, which
+	// is what joins the two in a merged export (internal/obs/fleet).
 	Trace *obstrace.Tracer
 	// Logf, when non-nil, receives one line per lease-state transition.
 	Logf func(format string, args ...interface{})
@@ -142,11 +141,6 @@ type LeaseGrant struct {
 	// TTLNS is the heartbeat deadline, on wait grants too, where it
 	// paces the waiting worker's fleet pushes.
 	TTLNS int64 `json:"ttl_ns,omitempty"`
-	// Traceparent carries the lease span's context ("" when the
-	// coordinator is not tracing): the worker opens its own lease span as
-	// a remote child of it, which is what lets a merged trace export show
-	// worker work nested under the coordinator's sweep.
-	Traceparent string `json:"traceparent,omitempty"`
 }
 
 // Grant statuses.
@@ -616,15 +610,14 @@ func (c *Coordinator) grantLocked(worker string, p *partState) LeaseGrant {
 	c.journalLocked(id, "granted", p.id, worker)
 	c.logf("dist: lease %s: part %d/%d (%d keys) -> worker %s", id, p.id, len(c.parts), len(keys), worker)
 	return LeaseGrant{
-		Status:      GrantLease,
-		Lease:       id,
-		Epoch:       c.epoch,
-		Part:        p.id,
-		Parts:       len(c.parts),
-		Keys:        keys,
-		Spec:        c.spec,
-		TTLNS:       int64(c.o.LeaseTTL),
-		Traceparent: l.span.Context().Traceparent(),
+		Status: GrantLease,
+		Lease:  id,
+		Epoch:  c.epoch,
+		Part:   p.id,
+		Parts:  len(c.parts),
+		Keys:   keys,
+		Spec:   c.spec,
+		TTLNS:  int64(c.o.LeaseTTL),
 	}
 }
 

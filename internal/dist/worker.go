@@ -59,11 +59,10 @@ type WorkerOptions struct {
 	// plus the retry counters (dist.lease_retries,
 	// dist.heartbeat_retries, dist.delivery_retries).
 	Obs *obs.Registry
-	// Trace, when non-nil, records one span per lease — a remote child
-	// of the coordinator's lease span when the grant carries a
-	// traceparent — with the eval pipeline's own spans nested under it,
-	// so a merged fleet export shows this worker's work inside the
-	// coordinator's sweep.
+	// Trace, when non-nil, records one span per lease, with the eval
+	// pipeline's own spans nested under it. Its lease attribute equals
+	// the one on the coordinator's span of the same lease, so a merged
+	// fleet export shows which coordinator lease each worker span ran.
 	Trace *obstrace.Tracer
 	// Logf, when non-nil, receives worker progress lines.
 	Logf func(format string, args ...interface{})
@@ -455,14 +454,12 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 		mine[k] = true
 	}
 
-	// The lease span parents under the coordinator's lease span through
-	// the grant's traceparent (an absent or garbage header degrades to a
-	// local root); installing it as default parent nests the eval
-	// pipeline's own spans under it without the pipeline knowing
+	// The lease span's attributes match the coordinator's dist.lease
+	// span of the same grant; installing it as default parent nests the
+	// eval pipeline's own spans under it without the pipeline knowing
 	// anything about distribution. Everything here is nil-safe: an
 	// untraced worker takes one predictable branch per call.
-	sc, _ := obstrace.ParseTraceparent(g.Traceparent)
-	leaseSpan := o.Trace.RemoteChild(sc, "dist.worker.lease",
+	leaseSpan := o.Trace.Root("dist.worker.lease",
 		obstrace.String("lease", g.Lease),
 		obstrace.Int("epoch", int64(g.Epoch)),
 		obstrace.Int("part", int64(g.Part)),
@@ -613,6 +610,7 @@ func (w *worker) push(final, spans bool, timeout time.Duration) {
 		var buf bytes.Buffer
 		if err := w.o.Trace.WriteJSONL(&buf); err == nil {
 			pr.TraceJSONL = buf.String()
+			pr.TraceOriginUnixNS = w.o.Trace.Origin().UnixNano()
 		}
 	}
 	body, err := json.Marshal(pr)

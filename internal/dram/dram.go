@@ -287,9 +287,10 @@ type Controller struct {
 	obs *ctrlObs
 }
 
-// ctrlObs mirrors the controller's row-buffer and traffic activity into
-// an observability registry and samples the outstanding-request depth as
-// a cycle-keyed series. Pure observer: it never influences scheduling.
+// ctrlObs publishes the controller's Stats into an observability
+// registry, and samples the outstanding-request depth and the request
+// latencies, which Stats does not hold. Pure observer: it never
+// influences scheduling.
 type ctrlObs struct {
 	rowHits      *obs.Counter
 	rowMisses    *obs.Counter
@@ -300,22 +301,19 @@ type ctrlObs struct {
 	queueDepth   *obs.Sampler
 	latency      *obs.Histogram // per-request arrival-to-data cycles
 
-	// Plain hot-path tallies: the controller is driven by one goroutine,
-	// so command scheduling counts here and FlushObs publishes the batch
-	// to the registry handles above once per run.
-	nRowHits      uint64
-	nRowMisses    uint64
-	nRowConflicts uint64
-	nRefreshes    uint64
-	nReads        uint64
-	nWrites       uint64
-	lat           obs.LocalHistogram
+	// published is the Stats the counters last received; FlushObs adds
+	// what Stats gained since.
+	published Stats
+	// lat batches latencies on the hot path (the controller is driven by
+	// one goroutine) until FlushObs.
+	lat obs.LocalHistogram
 }
 
 // AttachObs registers the controller's counters ("dram.row_hits",
 // "dram.row_misses", "dram.row_conflicts", "dram.refreshes",
 // "dram.reads", "dram.writes"), the "dram.queue_depth" series and the
-// "dram.latency_cycles" histogram with r. A nil registry detaches.
+// "dram.latency_cycles" histogram with r. A nil registry detaches. The
+// counters publish only the Stats gained after attaching.
 func (c *Controller) AttachObs(r *obs.Registry) {
 	if r == nil {
 		c.obs = nil
@@ -330,25 +328,27 @@ func (c *Controller) AttachObs(r *obs.Registry) {
 		writes:       r.Counter("dram.writes"),
 		queueDepth:   r.Sampler("dram.queue_depth", 0),
 		latency:      r.Histogram("dram.latency_cycles"),
+		published:    c.Stats,
 	}
 }
 
-// FlushObs publishes the tallies accumulated since the last flush to
-// the attached registry handles. No-op when detached; callers flush once
-// per run (or before reading the registry), not per command.
+// FlushObs publishes what Stats gained since the last flush, and the
+// batched latencies, to the attached registry handles. No-op when
+// detached; callers flush once per run (or before reading the
+// registry), not per command.
 func (c *Controller) FlushObs() {
 	o := c.obs
 	if o == nil {
 		return
 	}
-	o.rowHits.Add(o.nRowHits)
-	o.rowMisses.Add(o.nRowMisses)
-	o.rowConflicts.Add(o.nRowConflicts)
-	o.refreshes.Add(o.nRefreshes)
-	o.reads.Add(o.nReads)
-	o.writes.Add(o.nWrites)
-	o.nRowHits, o.nRowMisses, o.nRowConflicts = 0, 0, 0
-	o.nRefreshes, o.nReads, o.nWrites = 0, 0, 0
+	s, p := c.Stats, o.published
+	o.rowHits.Add(s.RowHits - p.RowHits)
+	o.rowMisses.Add(s.RowMisses - p.RowMisses)
+	o.rowConflicts.Add(s.RowConflicts - p.RowConflicts)
+	o.refreshes.Add(s.Refreshes - p.Refreshes)
+	o.reads.Add(s.Reads - p.Reads)
+	o.writes.Add(s.Writes - p.Writes)
+	o.published = s
 	o.lat.FlushTo(o.latency)
 }
 
@@ -392,11 +392,6 @@ func (c *Controller) Enqueue(addr uint64, write bool, now uint64, id uint64) {
 	c.wake = min(c.wake, ch.next)
 	c.inFlight++
 	if c.obs != nil {
-		if write {
-			c.obs.nWrites++
-		} else {
-			c.obs.nReads++
-		}
 		c.obs.queueDepth.Sample(now, float64(c.inFlight))
 	}
 }
@@ -526,9 +521,6 @@ func (c *Controller) serviceOne(ch *channel, now uint64) bool {
 			}
 			ch.nextRefresh += uint64(c.cfg.TREFI)
 			c.Stats.Refreshes++
-			if c.obs != nil {
-				c.obs.nRefreshes++
-			}
 		}
 		if ch.busFree > t {
 			t = ch.busFree
@@ -577,22 +569,13 @@ func (c *Controller) serviceOne(ch *channel, now uint64) bool {
 	case b.hasOpenRow && b.openRow == p.row:
 		rowHit = true
 		c.Stats.RowHits++
-		if c.obs != nil {
-			c.obs.nRowHits++
-		}
 		dataStart = start + uint64(c.cfg.TCAS)
 	case !b.hasOpenRow:
 		c.Stats.RowMisses++
-		if c.obs != nil {
-			c.obs.nRowMisses++
-		}
 		dataStart = start + uint64(c.cfg.TRCD+c.cfg.TCAS)
 		b.activatedAt = start
 	default:
 		c.Stats.RowConflicts++
-		if c.obs != nil {
-			c.obs.nRowConflicts++
-		}
 		// Precharge may not begin before tRAS from the last activate.
 		pre := start
 		if min := b.activatedAt + uint64(c.cfg.TRAS); min > pre {

@@ -470,10 +470,10 @@ func (s *Simulator) admitBlock(core *coreState) {
 // Run executes the simulation to completion and returns the metrics.
 func (s *Simulator) Run() (Metrics, error) {
 	if s.obs != nil {
-		// The hierarchy's hot paths count into plain tallies; publish
-		// them to the registry on every return path.
+		// Publish the model's statistics and the hot-path tallies to the
+		// registry on every return path.
 		defer func() {
-			s.obs.flush()
+			s.obs.flush(&s.metrics)
 			s.l2.FlushObs()
 			s.dram.FlushObs()
 		}()
@@ -744,9 +744,6 @@ func (s *Simulator) issue(c int, cycle uint64) bool {
 	if !s.access(c, wi, req, cycle) {
 		// MSHR full: the slot is lost and the warp retries later.
 		s.metrics.MSHRStalls++
-		if s.obs != nil {
-			s.obs.tally.nStallMSHR++
-		}
 		ws.readyAt = cycle + 1
 		s.nextReady[wi] = cycle + 1
 		return true
@@ -849,7 +846,6 @@ func (s *Simulator) access(c, wi int, req trace.Request, cycle uint64) bool {
 		s.metrics.Requests++
 		ws.waiting = true
 		if s.obs != nil {
-			s.obs.tally.nRequests++
 			s.obs.waiting[c]++
 		}
 		f.warps = append(f.warps, wi)
@@ -867,9 +863,6 @@ func (s *Simulator) access(c, wi int, req trace.Request, cycle uint64) bool {
 
 	res := core.l1.Access(req.Addr, write)
 	s.metrics.Requests++
-	if s.obs != nil {
-		s.obs.tally.nRequests++
-	}
 	// The L1 prefetcher's candidates, in candidate order: each accepted
 	// one is filled into the L1, its dirty victim written back, and the
 	// line fetched through the L2. This order fixes the DRAM queue order.

@@ -6,15 +6,13 @@ import (
 	"github.com/uteda/gmap/internal/obs"
 )
 
-// hotTally is the simulator's plain hot-path counters; flush() publishes
-// them to the registry counters.
+// hotTally is the simulator's plain hot-path counters for the events no
+// model statistic holds; flush() publishes them to the registry counters.
 type hotTally struct {
-	nStallMSHR    uint64
 	nStallBarrier uint64
 	nStallMem     uint64
 	nStallSleep   uint64
 	nIdleEmpty    uint64
-	nRequests     uint64
 	nBarriers     uint64
 	nBankConflict uint64
 }
@@ -42,13 +40,13 @@ type simObs struct {
 
 	// Scheduler stall reasons, counted per core-cycle that fails to
 	// issue.
-	stallMSHR    *obs.Counter // issue slot lost to a full MSHR file
+	stallMSHR    *obs.Counter // issue slot lost to a full MSHR file (Metrics.MSHRStalls)
 	stallBarrier *obs.Counter // every candidate warp parked at a barrier
 	stallMem     *obs.Counter // every candidate warp blocked on DRAM
 	stallSleep   *obs.Counter // warps exist but become ready later
 	idleEmpty    *obs.Counter // core has no resident warps at all
 
-	requests      *obs.Counter
+	requests      *obs.Counter // Metrics.Requests
 	launches      *obs.Counter
 	barriers      *obs.Counter // barrier arrivals
 	bankConflicts *obs.Counter // same-cycle accesses to one L2 bank
@@ -170,18 +168,19 @@ func (o *simObs) noteL2Bank(bank int, cycle uint64) {
 	o.bankStamp[bank] = cycle + 1
 }
 
-// flush publishes the hot-path tallies to their registry counters and
-// zeroes them. Run defers it, so the counters hold the run's totals on
+// flush publishes the run's request and MSHR-stall totals from m and
+// the hot-path tallies to their registry counters, and zeroes the
+// tallies. Run defers it once, so the counters hold the run's totals on
 // both the success and the no-forward-progress return paths.
-func (o *simObs) flush() {
+func (o *simObs) flush(m *Metrics) {
 	t := o.tally
 	o.tally = hotTally{}
-	o.stallMSHR.Add(t.nStallMSHR)
+	o.stallMSHR.Add(m.MSHRStalls)
 	o.stallBarrier.Add(t.nStallBarrier)
 	o.stallMem.Add(t.nStallMem)
 	o.stallSleep.Add(t.nStallSleep)
 	o.idleEmpty.Add(t.nIdleEmpty)
-	o.requests.Add(t.nRequests)
+	o.requests.Add(m.Requests)
 	o.barriers.Add(t.nBarriers)
 	o.bankConflicts.Add(t.nBankConflict)
 }

@@ -6,6 +6,7 @@ package memsim_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/uteda/gmap/internal/dram"
@@ -73,6 +74,56 @@ func TestObsInvariance(t *testing.T) {
 		// shadows: the request counter is the same stream.
 		if got := reg.Counter("memsim.requests").Value(); got != plain.Requests {
 			t.Fatalf("seed %d: obs requests %d != metrics requests %d", seed, got, plain.Requests)
+		}
+	}
+}
+
+// TestObsCountersMatchStats: the counters the simulator publishes are
+// its own statistics, not a second count of the same events. Over
+// TestSimGolden's cases each counter equals the Metrics field it
+// publishes, the L2's per-bank counters summed over the banks.
+func TestObsCountersMatchStats(t *testing.T) {
+	n := min(proptest.N(t, simGoldenShort, simGoldenCases), simGoldenCases)
+	for i := 0; i < n; i++ {
+		seed := memsim.GoldenSeed(i)
+		launches, cfg := memsim.GoldenCase(seed)
+		reg := obs.New()
+		cfg.Obs = reg
+		sim, err := memsim.NewSequence(launches, cfg)
+		if err != nil {
+			t.Fatalf("seed %#x: %v", seed, err)
+		}
+		m, err := sim.Run()
+		if err != nil {
+			t.Fatalf("seed %#x: %v", seed, err)
+		}
+		c := reg.Snapshot().Counters
+		l2 := map[string]uint64{}
+		for name, v := range c {
+			if strings.HasPrefix(name, "l2.bank") {
+				l2[name[strings.LastIndexByte(name, '.')+1:]] += v
+			}
+		}
+		for _, ck := range []struct {
+			name      string
+			got, want uint64
+		}{
+			{"dram.reads", c["dram.reads"], m.DRAM.Reads},
+			{"dram.writes", c["dram.writes"], m.DRAM.Writes},
+			{"dram.row_hits", c["dram.row_hits"], m.DRAM.RowHits},
+			{"dram.row_misses", c["dram.row_misses"], m.DRAM.RowMisses},
+			{"dram.row_conflicts", c["dram.row_conflicts"], m.DRAM.RowConflicts},
+			{"dram.refreshes", c["dram.refreshes"], m.DRAM.Refreshes},
+			{"l2.bank*.accesses", l2["accesses"], m.L2.Accesses},
+			{"l2.bank*.misses", l2["misses"], m.L2.Misses},
+			{"l2.bank*.writebacks", l2["writebacks"], m.L2.Writebacks},
+			{"memsim.requests", c["memsim.requests"], m.Requests},
+			{"memsim.sched.stall_mshr", c["memsim.sched.stall_mshr"], m.MSHRStalls},
+			{"memsim.launches", c["memsim.launches"], uint64(len(m.PerLaunch))},
+		} {
+			if ck.got != ck.want {
+				t.Fatalf("case %d (seed %#x): %s = %d, want %d", i, seed, ck.name, ck.got, ck.want)
+			}
 		}
 	}
 }

@@ -21,7 +21,8 @@
 //	                     (coordinator lease/epoch state) under "dist"
 //	/fleet/trace/chrome  one Chrome trace-event document merging the
 //	                     owner's spans with every pushed worker span
-//	                     log, pid per process (load in Perfetto)
+//	                     log, pid per process, all on the owner's clock
+//	                     (load in Perfetto)
 //	/fleet/push          worker-side report endpoint (POST)
 //
 // The package deliberately imports only obs and obs/trace — the dist
@@ -32,6 +33,7 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -110,6 +112,11 @@ type PushRequest struct {
 	// is cumulative, so the latest push supersedes). Heartbeat pushes
 	// leave it empty and keep the events of the last lease end.
 	TraceJSONL string `json:"trace_jsonl,omitempty"`
+	// TraceOriginUnixNS is the worker tracer's origin (Tracer.Origin) in
+	// Unix nanoseconds, from which TraceJSONL's start_us count. The
+	// federator shifts the events onto its owner tracer's clock; a push
+	// without it (an older worker) merges them unshifted.
+	TraceOriginUnixNS int64 `json:"trace_origin_unix_ns,omitempty"`
 }
 
 // Record folds one worker report in. Exposed for in-process callers;
@@ -127,6 +134,12 @@ func (f *Federator) Record(pr PushRequest) error {
 		events, err = obstrace.ReadJSONL(strings.NewReader(pr.TraceJSONL))
 		if err != nil {
 			return fmt.Errorf("fleet: push from %s: %w", pr.Worker, err)
+		}
+	}
+	if pr.TraceOriginUnixNS != 0 && f.o.Tracer != nil {
+		shiftUS := float64(pr.TraceOriginUnixNS-f.o.Tracer.Origin().UnixNano()) / 1e3
+		for i := range events {
+			events[i].StartUS += shiftUS
 		}
 	}
 	f.mu.Lock()
@@ -266,6 +279,16 @@ func (f *Federator) traceProcesses() []obstrace.Process {
 	return procs
 }
 
+// WriteTrace writes the merged Chrome trace-event document that
+// /fleet/trace/chrome serves. A nil Federator writes an empty trace.
+func (f *Federator) WriteTrace(w io.Writer) error {
+	var procs []obstrace.Process
+	if f != nil {
+		procs = f.traceProcesses()
+	}
+	return obstrace.WriteMergedChrome(w, procs)
+}
+
 // Handler serves the federation surface; mount at /fleet/.
 func (f *Federator) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -287,7 +310,7 @@ func (f *Federator) Handler() http.Handler {
 	mux.HandleFunc("GET /fleet/trace/chrome", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="gmap-fleet-trace.json"`)
-		if err := obstrace.WriteMergedChrome(w, f.traceProcesses()); err != nil {
+		if err := f.WriteTrace(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

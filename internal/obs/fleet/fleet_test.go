@@ -193,11 +193,10 @@ func TestStaleness(t *testing.T) {
 func TestMergedTraceExport(t *testing.T) {
 	coord := obstrace.New()
 	sweep := coord.Root("dist.sweep")
-	lease := sweep.ChildTrack("dist.lease")
-	sc := lease.Context()
+	lease := sweep.ChildTrack("dist.lease", obstrace.String("lease", "lease-1-0001"))
 
 	wrk := obstrace.New()
-	ws := wrk.RemoteChild(sc, "dist.worker.lease")
+	ws := wrk.Root("dist.worker.lease", obstrace.String("lease", "lease-1-0001"))
 	ws.End()
 	lease.End()
 	sweep.End()
@@ -218,11 +217,79 @@ func TestMergedTraceExport(t *testing.T) {
 		`"name":"coordinator"`,
 		`"name":"w0"`,
 		`"name":"dist.worker.lease"`,
-		`"trace_id":"` + coord.TraceID() + `"`,
+		`"lease":"lease-1-0001"`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("merged export missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// clockAt returns a tracer clock that reads creation on its first call,
+// which NewWithOptions makes to set the tracer's origin, and later on
+// every call after.
+func clockAt(creation, later time.Time) func() time.Time {
+	calls := 0
+	return func() time.Time {
+		calls++
+		if calls == 1 {
+			return creation
+		}
+		return later
+	}
+}
+
+// TestMergedTraceSharesOwnerClock: each tracer counts start_us from its
+// own creation, so a worker tracer created 5 s after the owner's would
+// show a span begun at the same instant 5 s early. The pushed origin
+// puts both on the owner's clock: equal instants get equal ts.
+func TestMergedTraceSharesOwnerClock(t *testing.T) {
+	t0 := time.Unix(1_700_000_000, 0)
+	at := t0.Add(6 * time.Second)
+	owner := obstrace.NewWithOptions(obstrace.Options{Now: clockAt(t0, at)})
+	owner.Root("owner.span").End()
+	wrk := obstrace.NewWithOptions(obstrace.Options{Now: clockAt(t0.Add(5*time.Second), at)})
+	wrk.Root("worker.span").End()
+	var jsonl bytes.Buffer
+	if err := wrk.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+
+	f := New(Options{Tracer: owner})
+	if err := f.Record(PushRequest{
+		Worker:            "w0",
+		TraceJSONL:        jsonl.String(),
+		TraceOriginUnixNS: wrk.Origin().UnixNano(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := f.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string          `json:"name"`
+			TS   json.RawMessage `json:"ts"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("%v:\n%s", err, buf.String())
+	}
+	ts := map[string]string{}
+	for _, e := range doc.TraceEvents {
+		ts[e.Name] = string(e.TS)
+	}
+	if ts["owner.span"] != "6000000.000" || ts["worker.span"] != ts["owner.span"] {
+		t.Fatalf("owner span at ts %s, worker span at ts %s; want both at 6000000.000", ts["owner.span"], ts["worker.span"])
+	}
+
+	// A push without an origin, from an older worker, merges unshifted.
+	if err := f.Record(PushRequest{Worker: "w0", TraceJSONL: jsonl.String()}); err != nil {
+		t.Fatal(err)
+	}
+	if procs := f.traceProcesses(); procs[1].Events[0].StartUS != 1e6 {
+		t.Fatalf("origin-less push: worker span at %v us, want 1e6", procs[1].Events[0].StartUS)
 	}
 }
 
@@ -283,6 +350,10 @@ func TestNilFederatorNoOps(t *testing.T) {
 	var buf bytes.Buffer
 	if err := f.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := f.WriteTrace(&buf); err != nil || !json.Valid(buf.Bytes()) {
+		t.Fatalf("nil federator trace = %q, %v; want a valid empty trace", buf.String(), err)
 	}
 }
 

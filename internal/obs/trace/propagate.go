@@ -1,176 +1,17 @@
-// Cross-process span propagation: the wire form of "this work belongs
-// under that span over there".
-//
-// A SpanContext names one span globally — a 128-bit trace id shared by
-// every process contributing to one distributed operation, plus the
-// span's own 64-bit id — and serializes as a W3C-traceparent-style
-// header ("00-<32 hex trace id>-<16 hex span id>-01"). The dist layer
-// carries it inside lease grants: the coordinator opens a lease span,
-// exports its context into the grant, and the worker begins its own
-// span as a RemoteChild of that context. Each process still owns its
-// private bounded event log; WriteMergedChrome stitches the logs into
-// one multi-process Chrome trace where the trace id and remote-parent
-// attributes let a viewer (or a test) correlate worker spans back to
-// the coordinator spans that caused them.
-//
-// Everything here preserves the nil contract: a nil tracer's
-// RemoteChild is nil, a nil span's Context is the zero SpanContext and
-// the zero SpanContext's Traceparent is "" — so a worker running
-// without tracing ships empty headers and drops incoming ones at a
-// single predictable branch.
+// Cross-process span merging. Each process owns its private bounded
+// event log; WriteMergedChrome stitches the logs into one multi-process
+// Chrome trace. Spans of different processes join on the attributes both
+// sides record: in a distributed sweep, the coordinator's dist.lease span
+// and the worker's dist.worker.lease span carry the same lease id.
 package trace
 
 import (
 	"bufio"
 	"bytes"
-	"crypto/rand"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"time"
 )
-
-// SpanContext identifies one span for cross-process parenting.
-type SpanContext struct {
-	// TraceID is the distributed trace's id: 32 lowercase hex chars,
-	// shared by every span of one distributed operation.
-	TraceID string
-	// SpanID is the identified span's id inside its own tracer.
-	SpanID uint64
-}
-
-// Valid reports whether the context names a real span.
-func (sc SpanContext) Valid() bool {
-	return validTraceID(sc.TraceID) && sc.SpanID != 0
-}
-
-// Traceparent renders the context as a traceparent-style header value:
-// "00-<trace id>-<16 hex span id>-01". An invalid context renders "",
-// which ParseTraceparent rejects — so round-tripping a disabled
-// tracer's context stays a no-op.
-func (sc SpanContext) Traceparent() string {
-	if !sc.Valid() {
-		return ""
-	}
-	return fmt.Sprintf("00-%s-%016x-01", sc.TraceID, sc.SpanID)
-}
-
-// ParseTraceparent parses a Traceparent header value back into a
-// SpanContext. Unknown versions are accepted as long as the field
-// shapes match (forward compatibility, as in W3C trace context).
-func ParseTraceparent(s string) (SpanContext, error) {
-	// version(2) - traceid(32) - spanid(16) - flags(2)
-	if len(s) != 2+1+32+1+16+1+2 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
-		return SpanContext{}, fmt.Errorf("trace: malformed traceparent %q", s)
-	}
-	if !isHex(s[:2]) || !isHex(s[53:]) {
-		return SpanContext{}, fmt.Errorf("trace: malformed traceparent %q", s)
-	}
-	tid := s[3:35]
-	if !validTraceID(tid) {
-		return SpanContext{}, fmt.Errorf("trace: bad trace id in %q", s)
-	}
-	sid, err := strconv.ParseUint(s[36:52], 16, 64)
-	if err != nil || sid == 0 {
-		return SpanContext{}, fmt.Errorf("trace: bad span id in %q", s)
-	}
-	return SpanContext{TraceID: tid, SpanID: sid}, nil
-}
-
-// validTraceID reports whether id is 32 lowercase hex chars and not
-// all-zero.
-func validTraceID(id string) bool {
-	if len(id) != 32 || !isHex(id) {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		if id[i] != '0' {
-			return true
-		}
-	}
-	return false
-}
-
-func isHex(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// randomTraceID draws a fresh 128-bit trace id. crypto/rand failing is
-// effectively impossible; the fallback derives an id from the clock so
-// a tracer is never left without one.
-func randomTraceID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		binary.BigEndian.PutUint64(b[:8], uint64(time.Now().UnixNano()))
-		binary.BigEndian.PutUint64(b[8:], ^uint64(time.Now().UnixNano()))
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// TraceID is the tracer's distributed trace id ("" for nil).
-func (t *Tracer) TraceID() string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.traceID
-}
-
-// AdoptTraceID joins the tracer to an existing distributed trace: its
-// spans' contexts export under id from now on. Invalid ids are ignored
-// — a worker handed a garbage grant keeps its own trace rather than
-// corrupting the merge key.
-func (t *Tracer) AdoptTraceID(id string) {
-	if t == nil || !validTraceID(id) {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.traceID = id
-}
-
-// Context exports the span's identity for cross-process parenting; the
-// zero SpanContext for nil.
-func (s *Span) Context() SpanContext {
-	if s == nil {
-		return SpanContext{}
-	}
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	return SpanContext{TraceID: s.t.traceID, SpanID: s.id}
-}
-
-// RemoteChild begins a span whose parent lives in another process: a
-// top-level span on a fresh track (its local Parent is 0) that records
-// sc's trace id and span id as the event's trace_id / remote_parent,
-// the linkage a merged export correlates on. The tracer adopts sc's
-// trace id. An invalid sc degrades to a plain Root span, so a worker
-// leased by a coordinator that is not tracing still traces locally.
-func (t *Tracer) RemoteChild(sc SpanContext, name string, attrs ...Attr) *Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.nextTrack++
-	s := t.begin(name, 0, t.nextTrack, attrs)
-	if sc.Valid() {
-		t.traceID = sc.TraceID
-		s.remoteTrace = sc.TraceID
-		s.remoteParent = sc.SpanID
-	}
-	return s
-}
 
 // SetDefaultParent makes subsequent Root spans children of s (each
 // still on its own fresh track); nil restores top-level roots. A
@@ -209,7 +50,6 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		e := Event{
 			ID: je.ID, Parent: je.Parent, Track: je.Track, Name: je.Name,
 			Instant: je.Instant, StartUS: je.StartUS, DurUS: je.DurUS,
-			TraceID: je.TraceID, RemoteParent: je.RemoteParent,
 		}
 		if je.StartCycle != nil || je.EndCycle != nil {
 			e.HasCycles = true
@@ -284,8 +124,9 @@ type Process struct {
 // Chrome trace-event JSON document: process i renders under pid i+1
 // with a process_name metadata record, so Perfetto shows the whole
 // distributed sweep — coordinator and every worker — on one timeline.
-// Cross-process parent links ride each event's trace_id/remote_parent
-// args. Events are sorted per process exactly as Tracer.Events sorts.
+// Events are sorted per process exactly as Tracer.Events sorts; their
+// timestamps are taken as given, so callers put every process on one
+// clock first.
 func WriteMergedChrome(w io.Writer, procs []Process) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[` + "\n"); err != nil {

@@ -3,13 +3,10 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-const testTraceID = "0123456789abcdef0123456789abcdef"
 
 // fixedClock returns a deterministic Now stepping 1ms per call.
 func fixedClock() func() time.Time {
@@ -21,128 +18,49 @@ func fixedClock() func() time.Time {
 	}
 }
 
-func TestTraceparentRoundTrip(t *testing.T) {
-	sc := SpanContext{TraceID: testTraceID, SpanID: 0xdeadbeef}
-	h := sc.Traceparent()
-	if want := "00-" + testTraceID + "-00000000deadbeef-01"; h != want {
-		t.Fatalf("Traceparent = %q, want %q", h, want)
-	}
-	got, err := ParseTraceparent(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != sc {
-		t.Fatalf("round trip = %+v, want %+v", got, sc)
-	}
-}
+// TestDefaultParentNesting: while a default parent is installed, Root
+// spans nest under it, each on a fresh track; clearing it (or ending
+// the parent) restores top-level roots. A nil tracer ignores the call.
+func TestDefaultParentNesting(t *testing.T) {
+	var nilTracer *Tracer
+	nilTracer.SetDefaultParent(nil) // must not panic
 
-func TestTraceparentRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"00-" + testTraceID + "-0000000000000000-01",              // zero span id
-		"00-00000000000000000000000000000000-00000000deadbeef-01", // zero trace id
-		"00-" + strings.ToUpper(testTraceID) + "-00000000deadbeef-01",
-		"00-" + testTraceID + "-00000000deadbee-01", // short span id
-		"xx-" + testTraceID + "-00000000deadbeef-01",
-		"00_" + testTraceID + "-00000000deadbeef-01",
-	}
-	for _, s := range bad {
-		if sc, err := ParseTraceparent(s); err == nil {
-			t.Errorf("ParseTraceparent(%q) = %+v, want error", s, sc)
-		}
-	}
-}
-
-func TestNilContextPropagation(t *testing.T) {
-	var tr *Tracer
-	s := tr.Root("x")
-	if got := s.Context(); got.Valid() {
-		t.Fatalf("nil span context = %+v, want invalid", got)
-	}
-	if h := s.Context().Traceparent(); h != "" {
-		t.Fatalf("nil span traceparent = %q, want empty", h)
-	}
-	if rc := tr.RemoteChild(SpanContext{}, "y"); rc != nil {
-		t.Fatalf("nil tracer RemoteChild = %v, want nil", rc)
-	}
-	tr.SetDefaultParent(nil) // must not panic
-	tr.AdoptTraceID(testTraceID)
-	if id := tr.TraceID(); id != "" {
-		t.Fatalf("nil tracer TraceID = %q, want empty", id)
-	}
-}
-
-func TestRemoteChildLinkage(t *testing.T) {
-	coord := NewWithOptions(Options{Now: fixedClock(), TraceID: testTraceID})
-	sweep := coord.Root("dist.sweep")
-	lease := sweep.ChildTrack("dist.lease", String("lease", "lease-1-0001"))
-	sc := lease.Context()
-	if sc.TraceID != testTraceID {
-		t.Fatalf("lease context trace id = %q", sc.TraceID)
-	}
-
-	// The worker side: its own tracer, parented through the wire form.
 	wrk := NewWithOptions(Options{Now: fixedClock()})
-	parsed, err := ParseTraceparent(sc.Traceparent())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := wrk.RemoteChild(parsed, "dist.worker.lease")
-	if got := wrk.TraceID(); got != testTraceID {
-		t.Fatalf("worker tracer did not adopt trace id: %q", got)
-	}
+	ws := wrk.Root("dist.worker.lease", String("lease", "lease-1-0001"))
 	wrk.SetDefaultParent(ws)
 	job := wrk.Root("eval.fig6a")
 	job.End()
 	wrk.SetDefaultParent(nil)
 	after := wrk.Root("other")
 	after.End()
+	wrk.SetDefaultParent(ws)
 	ws.End()
+	late := wrk.Root("late")
+	late.End()
 
-	events := wrk.Events()
 	byName := map[string]Event{}
-	for _, e := range events {
+	for _, e := range wrk.Events() {
 		byName[e.Name] = e
 	}
 	we := byName["dist.worker.lease"]
-	if we.TraceID != testTraceID || we.RemoteParent != sc.SpanID {
-		t.Fatalf("worker lease event linkage = (%q, %d), want (%q, %d)",
-			we.TraceID, we.RemoteParent, testTraceID, sc.SpanID)
+	if we.Parent != 0 {
+		t.Fatalf("lease span parent = %d, want a root", we.Parent)
 	}
-	if je := byName["eval.fig6a"]; je.Parent != we.ID {
-		t.Fatalf("eval root parent = %d, want lease span %d", je.Parent, we.ID)
+	if je := byName["eval.fig6a"]; je.Parent != we.ID || je.Track == we.Track {
+		t.Fatalf("eval root = parent %d track %d, want parent %d on a track other than %d", je.Parent, je.Track, we.ID, we.Track)
 	}
 	if oe := byName["other"]; oe.Parent != 0 {
 		t.Fatalf("post-clear root parent = %d, want 0", oe.Parent)
 	}
-
-	// Local spans must not leak remote fields into exports.
-	lease.End()
-	sweep.End()
-	for _, e := range coord.Events() {
-		if e.TraceID != "" || e.RemoteParent != 0 {
-			t.Fatalf("local event %q carries remote linkage %+v", e.Name, e)
-		}
-	}
-}
-
-func TestRemoteChildInvalidContextIsRoot(t *testing.T) {
-	tr := NewWithOptions(Options{Now: fixedClock(), TraceID: testTraceID})
-	s := tr.RemoteChild(SpanContext{}, "lease")
-	s.End()
-	e := tr.Events()[0]
-	if e.TraceID != "" || e.RemoteParent != 0 || e.Parent != 0 {
-		t.Fatalf("invalid-context RemoteChild event = %+v, want plain root", e)
-	}
-	if tr.TraceID() != testTraceID {
-		t.Fatalf("tracer trace id clobbered: %q", tr.TraceID())
+	if le := byName["late"]; le.Parent != 0 {
+		t.Fatalf("root under an ended default parent has parent %d, want 0", le.Parent)
 	}
 }
 
 func TestReadJSONLRoundTrip(t *testing.T) {
-	tr := NewWithOptions(Options{Now: fixedClock(), TraceID: testTraceID})
+	tr := NewWithOptions(Options{Now: fixedClock()})
 	root := tr.Root("sweep", String("experiment", "fig6a"), Int("jobs", 30))
-	child := tr.RemoteChild(SpanContext{TraceID: testTraceID, SpanID: 7}, "lease", Float("f", 1.5))
+	child := root.ChildTrack("lease", Float("f", 1.5))
 	child.SetCycles(10, 20)
 	child.End()
 	root.End()
@@ -161,14 +79,13 @@ func TestReadJSONLRoundTrip(t *testing.T) {
 	}
 
 	// Re-exporting the parsed events must reproduce the original stream:
-	// attribute order and remote linkage survive the round trip.
+	// attribute order, parents and cycle windows survive the round trip.
 	reexport := func(events []Event) string {
 		var buf bytes.Buffer
 		for _, e := range events {
 			je := jsonlEvent{
 				ID: e.ID, Parent: e.Parent, Track: e.Track, Name: e.Name,
 				Instant: e.Instant, StartUS: e.StartUS, DurUS: e.DurUS,
-				TraceID: e.TraceID, RemoteParent: e.RemoteParent,
 			}
 			if e.HasCycles {
 				sc, ec := e.StartCycle, e.EndCycle
@@ -195,13 +112,12 @@ func TestReadJSONLRoundTrip(t *testing.T) {
 }
 
 func TestWriteMergedChrome(t *testing.T) {
-	coord := NewWithOptions(Options{Now: fixedClock(), TraceID: testTraceID})
+	coord := NewWithOptions(Options{Now: fixedClock()})
 	sweep := coord.Root("dist.sweep")
-	lease := sweep.ChildTrack("dist.lease")
-	sc := lease.Context()
+	lease := sweep.ChildTrack("dist.lease", String("lease", "lease-1-0001"))
 
 	wrk := NewWithOptions(Options{Now: fixedClock()})
-	ws := wrk.RemoteChild(sc, "dist.worker.lease", String("worker", "w0"))
+	ws := wrk.Root("dist.worker.lease", String("lease", "lease-1-0001"), String("worker", "w0"))
 	ws.End()
 	lease.End()
 	sweep.End()
@@ -238,11 +154,8 @@ func TestWriteMergedChrome(t *testing.T) {
 			if e.PID != 2 {
 				t.Errorf("worker event pid = %d, want 2", e.PID)
 			}
-			if e.Args["trace_id"] != testTraceID {
-				t.Errorf("worker event trace_id = %v", e.Args["trace_id"])
-			}
-			if e.Args["remote_parent"] == nil {
-				t.Errorf("worker event missing remote_parent: %v", e.Args)
+			if e.Args["lease"] != "lease-1-0001" {
+				t.Errorf("worker event lease = %v, want the coordinator's lease id", e.Args["lease"])
 			}
 		}
 	}

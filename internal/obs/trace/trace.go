@@ -87,7 +87,7 @@ type Event struct {
 	// Instant marks a zero-duration point event.
 	Instant bool `json:"instant,omitempty"`
 	// StartUS and DurUS are microseconds of wall time relative to the
-	// tracer's creation.
+	// tracer's creation (Tracer.Origin).
 	StartUS float64 `json:"start_us"`
 	DurUS   float64 `json:"dur_us"`
 	// StartCycle and EndCycle are simulation-cycle timestamps, present
@@ -95,14 +95,6 @@ type Event struct {
 	HasCycles  bool   `json:"-"`
 	StartCycle uint64 `json:"start_cycle,omitempty"`
 	EndCycle   uint64 `json:"end_cycle,omitempty"`
-	// TraceID and RemoteParent link a span begun via RemoteChild to a
-	// parent in another process (propagate.go): TraceID is the
-	// distributed trace the span belongs to, RemoteParent the foreign
-	// parent span's id. Both are zero for purely local spans, so exports
-	// of single-process traces are byte-identical to before propagation
-	// existed.
-	TraceID      string `json:"trace_id,omitempty"`
-	RemoteParent uint64 `json:"remote_parent,omitempty"`
 	// Attrs are the span's attributes in the order they were added.
 	Attrs []Attr `json:"-"`
 }
@@ -114,10 +106,6 @@ type Options struct {
 	// Now supplies wall timestamps; nil selects time.Now. Tests inject a
 	// deterministic clock so exports are golden-comparable.
 	Now func() time.Time
-	// TraceID fixes the tracer's distributed trace id (32 lowercase hex
-	// chars); empty generates a random one. Tests pin it so span-context
-	// headers are golden-comparable.
-	TraceID string
 }
 
 // Tracer collects ended spans. The nil Tracer is the disabled
@@ -127,7 +115,6 @@ type Tracer struct {
 	now       func() time.Time
 	start     time.Time
 	cap       int
-	traceID   string
 	defParent *Span // Root() parents under this span when set (propagate.go)
 	events    []Event
 	dropped   uint64
@@ -146,35 +133,41 @@ func NewWithOptions(o Options) *Tracer {
 	if o.Now == nil {
 		o.Now = time.Now
 	}
-	if !validTraceID(o.TraceID) {
-		o.TraceID = randomTraceID()
-	}
-	return &Tracer{now: o.Now, start: o.Now(), cap: o.Cap, traceID: o.TraceID}
+	return &Tracer{now: o.Now, start: o.Now(), cap: o.Cap}
 }
 
 // Enabled reports whether the tracer records anything.
 func (t *Tracer) Enabled() bool { return t != nil }
 
+// Origin is the wall instant the tracer was created, from which every
+// event's StartUS counts; the zero time for nil. Merging another
+// process's events onto this tracer's clock shifts them by the
+// difference of the two origins.
+func (t *Tracer) Origin() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return t.start
+}
+
 // Span is one open unit of traced work. The nil Span is a no-op.
 type Span struct {
-	t            *Tracer
-	id, parent   uint64
-	track        int
-	name         string
-	startWall    time.Time
-	attrs        []Attr
-	hasCycles    bool
-	startCycle   uint64
-	endCycle     uint64
-	remoteTrace  string
-	remoteParent uint64
-	ended        bool
+	t          *Tracer
+	id, parent uint64
+	track      int
+	name       string
+	startWall  time.Time
+	attrs      []Attr
+	hasCycles  bool
+	startCycle uint64
+	endCycle   uint64
+	ended      bool
 }
 
 // Root begins a top-level span on a fresh timeline track; nil for the nil
 // tracer. When a default parent is installed (SetDefaultParent) the span
 // nests under it instead — that is how a worker's eval spans end up under
-// the lease span the coordinator's grant parented.
+// its lease span.
 func (t *Tracer) Root(name string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
@@ -264,18 +257,16 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	e := Event{
-		ID:           s.id,
-		Parent:       s.parent,
-		Track:        s.track,
-		Name:         s.name,
-		StartUS:      float64(s.startWall.Sub(s.t.start)) / float64(time.Microsecond),
-		DurUS:        float64(s.t.now().Sub(s.startWall)) / float64(time.Microsecond),
-		HasCycles:    s.hasCycles,
-		StartCycle:   s.startCycle,
-		EndCycle:     s.endCycle,
-		TraceID:      s.remoteTrace,
-		RemoteParent: s.remoteParent,
-		Attrs:        s.attrs,
+		ID:         s.id,
+		Parent:     s.parent,
+		Track:      s.track,
+		Name:       s.name,
+		StartUS:    float64(s.startWall.Sub(s.t.start)) / float64(time.Microsecond),
+		DurUS:      float64(s.t.now().Sub(s.startWall)) / float64(time.Microsecond),
+		HasCycles:  s.hasCycles,
+		StartCycle: s.startCycle,
+		EndCycle:   s.endCycle,
+		Attrs:      s.attrs,
 	}
 	s.t.record(e)
 }
@@ -388,16 +379,6 @@ func argsJSON(e Event) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if e.TraceID != "" {
-		if err := put("trace_id", e.TraceID); err != nil {
-			return nil, err
-		}
-	}
-	if e.RemoteParent != 0 {
-		if err := put("remote_parent", e.RemoteParent); err != nil {
-			return nil, err
-		}
-	}
 	b = append(b, '}')
 	return b, nil
 }
@@ -459,18 +440,16 @@ func chromeLine(e Event, pid int) (string, error) {
 
 // jsonlEvent is the JSONL wire form of one event.
 type jsonlEvent struct {
-	ID           uint64          `json:"id"`
-	Parent       uint64          `json:"parent,omitempty"`
-	Track        int             `json:"track"`
-	Name         string          `json:"name"`
-	Instant      bool            `json:"instant,omitempty"`
-	StartUS      float64         `json:"start_us"`
-	DurUS        float64         `json:"dur_us"`
-	StartCycle   *uint64         `json:"start_cycle,omitempty"`
-	EndCycle     *uint64         `json:"end_cycle,omitempty"`
-	TraceID      string          `json:"trace_id,omitempty"`
-	RemoteParent uint64          `json:"remote_parent,omitempty"`
-	Attrs        json.RawMessage `json:"attrs,omitempty"`
+	ID         uint64          `json:"id"`
+	Parent     uint64          `json:"parent,omitempty"`
+	Track      int             `json:"track"`
+	Name       string          `json:"name"`
+	Instant    bool            `json:"instant,omitempty"`
+	StartUS    float64         `json:"start_us"`
+	DurUS      float64         `json:"dur_us"`
+	StartCycle *uint64         `json:"start_cycle,omitempty"`
+	EndCycle   *uint64         `json:"end_cycle,omitempty"`
+	Attrs      json.RawMessage `json:"attrs,omitempty"`
 }
 
 // WriteJSONL exports the log as JSON Lines — one structured event object
@@ -482,7 +461,6 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		je := jsonlEvent{
 			ID: e.ID, Parent: e.Parent, Track: e.Track, Name: e.Name,
 			Instant: e.Instant, StartUS: e.StartUS, DurUS: e.DurUS,
-			TraceID: e.TraceID, RemoteParent: e.RemoteParent,
 		}
 		if e.HasCycles {
 			sc, ec := e.StartCycle, e.EndCycle
