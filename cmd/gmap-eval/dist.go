@@ -64,9 +64,6 @@ func federate(c *dist.Coordinator, reg *obs.Registry, tracer *obstrace.Tracer, l
 // Once its workers have drained, it writes the merged fleet trace to
 // df.traceOut, when set.
 func runCoordinator(ctx context.Context, spec dist.SweepSpec, df distFlags, ledger string, w io.Writer, logf func(string, ...interface{})) error {
-	if ledger == "" {
-		return fmt.Errorf("-dist-listen requires -checkpoint (the merge ledger)")
-	}
 	if strings.HasSuffix(df.traceOut, ".jsonl") {
 		return fmt.Errorf("-trace-out %s: a coordinator writes the merged trace as Chrome JSON only", df.traceOut)
 	}

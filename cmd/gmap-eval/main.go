@@ -45,7 +45,8 @@
 //	gmap-eval -fleet-watch http://host:9500          # or -fleet-watch coord.addr
 //
 // Each mode reads only some flags (modeFlags); a flag its mode would
-// ignore is an error.
+// ignore is an error, and so is a flag given without the flag it tunes
+// (flagNeeds).
 package main
 
 import (
@@ -79,9 +80,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "parallel simulation jobs (0 = all CPUs, 1 = serial)")
 		checkpoint  = flag.String("checkpoint", "", "stream completed simulation points to this JSONL file")
 		resume      = flag.Bool("resume", false, "skip points already recorded in -checkpoint")
-		jobTimeout  = flag.Duration("job-timeout", 0, "per-simulation-point time limit (0 = none)")
 		fsync       = flag.Bool("fsync", false, "fsync the checkpoint after every append (survives machine crash, not just SIGKILL)")
-		tolerate    = flag.Bool("tolerate", false, "skip-and-report benchmarks whose sweep points fail instead of aborting the figure")
 		noTimings   = flag.Bool("no-timings", false, "omit wall-clock timings from the report so identical runs produce byte-identical output (what gmap-served caches)")
 		summary     = flag.String("summary", "", "write a machine-readable execution summary (JSON, incl. worker utilization) to this file")
 		obsSnap     = flag.String("obs-snapshot", "", "dump the observability registry (runner/profiler/synth instrumentation) as JSON to this file (- for stdout)")
@@ -106,15 +105,13 @@ func main() {
 	if err := checkModeFlags(mode, set); err != nil {
 		fatal(err)
 	}
-	if *resume && *checkpoint == "" {
-		fatal(fmt.Errorf("-resume requires -checkpoint"))
-	}
 	if strings.Contains(*workerURL, ",") {
 		fatal(fmt.Errorf("-worker takes one coordinator URL, not a list; to follow a restarted coordinator, use -worker-addr-file"))
 	}
 
-	// Ctrl-C cancels in-flight sweeps cleanly: completed points are
-	// already in the checkpoint, so a -resume re-run picks up from there.
+	// Ctrl-C stops a sweep cleanly: no new point starts, the points in
+	// flight finish into the checkpoint, and a -resume re-run picks up
+	// from there.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -185,9 +182,7 @@ func main() {
 	opts.Checkpoint = *checkpoint
 	opts.Resume = *resume
 	opts.Fsync = *fsync
-	opts.Tolerate = *tolerate
 	opts.NoTimings = *noTimings
-	opts.JobTimeout = *jobTimeout
 	opts.Context = ctx
 	if *obsSnap != "" || *serveAddr != "" {
 		opts.Obs = gmap.NewObsRegistry()
@@ -273,12 +268,22 @@ const sweepShape = "exp benchmarks scale scale-factor cores seed "
 // resumes its ledger and renders without timings, so -resume and
 // -no-timings are allowed there and change nothing.
 var modeFlags = map[string][]string{
-	modeSerial: strings.Fields(sweepShape + "out quiet workers checkpoint resume job-timeout fsync tolerate " +
+	modeSerial: strings.Fields(sweepShape + "out quiet workers checkpoint resume fsync " +
 		"no-timings summary obs-snapshot serve trace-out attr-out attr-threshold attr-top"),
 	modeCoordinator: strings.Fields(sweepShape + "out quiet checkpoint resume fsync no-timings trace-out " +
 		"dist-listen dist-addr-file dist-parts dist-lease-ttl"),
 	modeWorker:     strings.Fields("worker worker-addr-file serve workers quiet"),
 	modeFleetWatch: strings.Fields("fleet-watch fleet-interval"),
+}
+
+// flagNeeds maps a flag that tunes another to the flag it tunes: given
+// alone, it would change nothing.
+var flagNeeds = map[string]string{
+	"attr-threshold": "attr-out",
+	"attr-top":       "attr-out",
+	"fsync":          "checkpoint",
+	"resume":         "checkpoint",
+	"dist-listen":    "checkpoint",
 }
 
 // evalMode picks the mode from the flags that select one: -fleet-watch
@@ -296,11 +301,17 @@ func evalMode(fleetWatch, distListen, worker, workerAddr string) string {
 }
 
 // checkModeFlags names the first flag of set, the flags given on the
-// command line, that mode does not read.
+// command line, that mode does not read, and failing that the first one
+// given without the flag it needs (flagNeeds).
 func checkModeFlags(mode string, set []string) error {
 	for _, name := range set {
 		if !slices.Contains(modeFlags[mode], name) {
 			return fmt.Errorf("-%s has no effect %s", name, mode)
+		}
+	}
+	for _, name := range set {
+		if need, ok := flagNeeds[name]; ok && !slices.Contains(set, need) {
+			return fmt.Errorf("-%s needs -%s", name, need)
 		}
 	}
 	return nil

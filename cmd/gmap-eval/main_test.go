@@ -7,7 +7,8 @@ import (
 
 // TestCheckModeFlags pins which flags each mode reads: a flag the mode
 // would ignore fails, naming the first such flag in command-line (flag
-// package) order.
+// package) order. A flag that tunes another fails without it, naming
+// both; given together they pass.
 func TestCheckModeFlags(t *testing.T) {
 	cases := []struct {
 		mode    string
@@ -21,7 +22,7 @@ func TestCheckModeFlags(t *testing.T) {
 		{modeSerial, []string{"fleet-interval"}, "-fleet-interval has no effect in a serial sweep"},
 
 		{modeCoordinator, []string{"checkpoint", "dist-listen", "exp", "no-timings", "out", "resume", "trace-out"}, ""},
-		{modeCoordinator, []string{"cores", "dist-addr-file", "dist-lease-ttl", "dist-parts", "fsync", "quiet", "seed"}, ""},
+		{modeCoordinator, []string{"cores", "dist-addr-file", "dist-lease-ttl", "dist-parts", "fsync", "quiet", "seed"}, "-fsync needs -checkpoint"},
 		{modeCoordinator, []string{"obs-snapshot"}, "-obs-snapshot has no effect with -dist-listen"},
 		{modeCoordinator, []string{"summary"}, "-summary has no effect with -dist-listen"},
 		{modeCoordinator, []string{"attr-out"}, "-attr-out has no effect with -dist-listen"},
@@ -29,8 +30,6 @@ func TestCheckModeFlags(t *testing.T) {
 		{modeCoordinator, []string{"attr-top"}, "-attr-top has no effect with -dist-listen"},
 		{modeCoordinator, []string{"serve"}, "-serve has no effect with -dist-listen"},
 		{modeCoordinator, []string{"workers"}, "-workers has no effect with -dist-listen"},
-		{modeCoordinator, []string{"job-timeout"}, "-job-timeout has no effect with -dist-listen"},
-		{modeCoordinator, []string{"tolerate"}, "-tolerate has no effect with -dist-listen"},
 		{modeCoordinator, []string{"worker"}, "-worker has no effect with -dist-listen"},
 		{modeCoordinator, []string{"worker-addr-file"}, "-worker-addr-file has no effect with -dist-listen"},
 
@@ -46,6 +45,16 @@ func TestCheckModeFlags(t *testing.T) {
 		{modeFleetWatch, []string{"quiet"}, "-quiet has no effect with -fleet-watch"},
 		{modeFleetWatch, []string{"dist-listen"}, "-dist-listen has no effect with -fleet-watch"},
 		{modeFleetWatch, []string{"exp", "worker"}, "-exp has no effect with -fleet-watch"},
+
+		{modeSerial, []string{"attr-threshold"}, "-attr-threshold needs -attr-out"},
+		{modeSerial, []string{"attr-top"}, "-attr-top needs -attr-out"},
+		{modeSerial, []string{"exp", "fsync"}, "-fsync needs -checkpoint"},
+		{modeSerial, []string{"resume"}, "-resume needs -checkpoint"},
+		{modeCoordinator, []string{"dist-listen"}, "-dist-listen needs -checkpoint"},
+		{modeCoordinator, []string{"dist-listen", "fsync"}, "-dist-listen needs -checkpoint"},
+		{modeSerial, []string{"attr-out", "attr-threshold", "attr-top"}, ""},
+		{modeSerial, []string{"checkpoint", "fsync", "resume"}, ""},
+		{modeCoordinator, []string{"checkpoint", "dist-listen", "fsync", "resume"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.mode+"/"+strings.Join(tc.set, ","), func(t *testing.T) {

@@ -8,7 +8,6 @@
 //	gmap-sim -workload kmeans
 //	gmap-sim -proxy kmeans.proxy.wtrc -l1-size 32768 -l1-ways 8
 //	gmap-sim -in app.trc -scheduler gto -l1-prefetch
-//	gmap-sim -workload bfs -timeout 30s
 package main
 
 import (
@@ -17,16 +16,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"github.com/uteda/gmap"
 	"github.com/uteda/gmap/internal/cache"
 	"github.com/uteda/gmap/internal/dram"
 	"github.com/uteda/gmap/internal/prefetch"
-	"github.com/uteda/gmap/internal/runner"
 )
 
 func main() {
@@ -57,7 +52,6 @@ func main() {
 		channels = flag.Int("dram-channels", 8, "DRAM channels")
 		busBytes = flag.Int("dram-bus", 8, "DRAM bus width in bytes")
 		mapping  = flag.String("dram-mapping", "RoBaRaCoCh", "DRAM address mapping: RoBaRaCoCh or ChRaBaRoCo")
-		timeout  = flag.Duration("timeout", 0, "abort the simulation after this long (0 = no limit)")
 		obsOut   = flag.String("obs-out", "", "stream cycle-sampled observability series to this JSONL file (- for stdout)")
 		obsSnap  = flag.String("obs-snapshot", "", "dump the full observability registry as JSON to this file (- for stdout)")
 		serveA   = flag.String("serve", "", "serve live observability over HTTP on this address (/metrics, /trace, /debug/pprof)")
@@ -115,9 +109,7 @@ func main() {
 		cfg.TraceSpan = root
 	}
 	if *serveA != "" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		srv, err := gmap.StartObsServer(ctx, gmap.ServeOptions{Addr: *serveA, Registry: cfg.Obs, Tracer: tracer})
+		srv, err := gmap.StartObsServer(context.Background(), gmap.ServeOptions{Addr: *serveA, Registry: cfg.Obs, Tracer: tracer})
 		if err != nil {
 			fatal(err)
 		}
@@ -125,7 +117,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gmap-sim: serving observability on http://%s\n", srv.Addr())
 	}
 
-	metrics, name, err := runSim(*workload, *scale, *in, *proxyIn, cfg, *timeout)
+	metrics, name, err := run(*workload, *scale, *in, *proxyIn, cfg)
 	root.End()
 	if err != nil {
 		fatal(err)
@@ -196,33 +188,6 @@ func prefetchConfigs(l1 bool, l1Degree int, l2 bool, l2Window, l2Degree, l2Line 
 		}
 	}
 	return stride, stream, nil
-}
-
-// runSim executes the simulation as a job on the experiment engine: a
-// -timeout overrun or a panic in a pathological configuration surfaces
-// as an ordinary error, and Ctrl-C cancels cleanly.
-func runSim(workload string, scale int, in, proxyIn string, cfg gmap.SimConfig, timeout time.Duration) (gmap.Metrics, string, error) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	type simOut struct {
-		Metrics gmap.Metrics
-		Name    string
-	}
-	job := runner.Job[simOut]{
-		Key: runner.JobKey("gmap-sim", workload, in, proxyIn),
-		Run: func(ctx context.Context) (simOut, error) {
-			m, name, err := run(workload, scale, in, proxyIn, cfg)
-			return simOut{Metrics: m, Name: name}, err
-		},
-	}
-	results, _, err := runner.Run(ctx,
-		runner.Options{Workers: 1, Timeout: timeout},
-		[]runner.Job[simOut]{job})
-	if err != nil {
-		return gmap.Metrics{}, "", err
-	}
-	r := results[0]
-	return r.Value.Metrics, r.Value.Name, r.Err
 }
 
 func run(workload string, scale int, in, proxyIn string, cfg gmap.SimConfig) (gmap.Metrics, string, error) {

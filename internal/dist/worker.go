@@ -445,7 +445,9 @@ func (w *worker) evalOptions(spec SweepSpec) *eval.Options {
 // point back as a checkpoint event (ResultSink), under a heartbeat
 // goroutine that cancels the run the moment the lease is lost. A lost
 // lease — revoked, stolen, or fenced behind a restart's new epoch —
-// abandons the shard without error; the remaining keys re-lease.
+// abandons the shard without error: no new point starts, the points in
+// flight finish and are delivered as late results, and the remaining
+// keys re-lease.
 func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 	o := w.o
 	logf := w.logf
@@ -492,7 +494,7 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 
 	// The heartbeat loop renews the lease at a third of its TTL and
 	// abandons the shard when the coordinator says the lease is gone or
-	// fenced — a stolen straggler stops burning CPU on work someone else
+	// fenced — a stolen straggler starts no more of the work someone else
 	// owns, and a worker fenced behind a restart re-leases under the
 	// new epoch. A dropped heartbeat (coordinator restarting, transient
 	// network fault) is retried with bounded jittered backoff rather

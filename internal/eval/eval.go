@@ -56,21 +56,13 @@ type Options struct {
 	// Fsync syncs the checkpoint file after every append, hardening it
 	// against machine crashes rather than just process kills.
 	Fsync bool
-	// Tolerate downgrades per-benchmark sweep failures from fatal to
-	// skip-and-report: benchmarks with failed points are dropped from the
-	// figure (logged via Progress) and the remaining rows are kept.
-	// Fig8 ignores it — its per-factor averages span benchmarks, so a
-	// dropped benchmark would silently skew every factor's accuracy.
-	Tolerate bool
 	// FS routes checkpoint I/O; nil selects the real filesystem (crash
 	// tests substitute a fault injector).
 	FS fault.FS
 	// Context, when non-nil, cancels an in-flight evaluation (e.g. on
-	// SIGINT); completed points remain in the checkpoint.
+	// SIGINT): no new point starts, the points in flight finish, and every
+	// completed point remains in the checkpoint.
 	Context context.Context
-	// JobTimeout, when non-zero, bounds each simulation point's wall
-	// time; a timed-out point fails that job without killing the sweep.
-	JobTimeout time.Duration
 	// Obs, when non-nil, collects execution instrumentation across the
 	// run: runner job/checkpoint timings and utilization, plus
 	// profiling/generation phase histograms ("profile.*", "synth.*").
@@ -259,7 +251,6 @@ func runJobs[R any](o *Options, experiment string, jobs []runner.Job[R]) ([]runn
 	o.live.beginSweep(experiment, len(run))
 	ropts := runner.Options{
 		Workers:      o.Workers,
-		Timeout:      o.JobTimeout,
 		Checkpoint:   o.Checkpoint,
 		Resume:       o.Resume,
 		ResumeStrict: o.Resume && o.strict.take(),
@@ -375,18 +366,6 @@ func collectErrors[R any](experiment string, results []runner.Result[R]) error {
 		return nil
 	}
 	return fmt.Errorf("eval %s: %d/%d jobs failed; first: %w", experiment, n, len(results), first)
-}
-
-// benchFailure returns the first failure among benchmark bi's points in
-// a benchmark-major result layout (results[bi*per+gi]), or nil if all
-// its points succeeded.
-func benchFailure[R any](results []runner.Result[R], bi, per int) error {
-	for gi := 0; gi < per; gi++ {
-		if err := results[bi*per+gi].Err; err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // prepare builds the workload pipeline for one benchmark.
@@ -604,16 +583,10 @@ func (o *Options) runFigure(id, title string, metric core.Metric, asRate bool, g
 	if err != nil {
 		return nil, fmt.Errorf("eval %s: %w", id, err)
 	}
-	if err := collectErrors(id, results); err != nil && !o.Tolerate {
+	if err := collectErrors(id, results); err != nil {
 		return nil, err
 	}
 	for bi, name := range o.Benchmarks {
-		if ferr := benchFailure(results, bi, len(gens)); ferr != nil {
-			// Only reachable with Tolerate: drop the benchmark's row
-			// rather than fold failed (zero) points into its error stats.
-			o.logf("%s %-12s skipped: %v", id, name, ferr)
-			continue
-		}
 		orig := make([]float64, 0, len(gens))
 		prox := make([]float64, 0, len(gens))
 		for i := 0; i < len(gens); i++ {
@@ -626,9 +599,6 @@ func (o *Options) runFigure(id, title string, metric core.Metric, asRate bool, g
 		o.logf("%s %-12s error %6.2f%s corr %.3f (%d pts)",
 			id, name, row.Error, errUnit(asRate), row.Correlation, row.Points)
 		o.maybeAttribute(id, row, metric.Name, asRate)
-	}
-	if len(fig.Rows) == 0 {
-		return nil, fmt.Errorf("eval %s: every benchmark failed", id)
 	}
 	fig.finalize()
 	if !o.NoTimings {

@@ -99,17 +99,13 @@ func (o *Options) Fig7() (*Fig7Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eval fig7: %w", err)
 	}
-	if err := collectErrors("fig7", results); err != nil && !o.Tolerate {
+	if err := collectErrors("fig7", results); err != nil {
 		return nil, err
 	}
 	type series struct{ orig, prox []float64 }
 	figs := []*FigureResult{res.RBL, res.QueueLen, res.ReadLat, res.WriteLat}
 	asRate := []bool{true, false, false, false}
 	for bi, name := range o.Benchmarks {
-		if ferr := benchFailure(results, bi, len(gens)); ferr != nil {
-			o.logf("fig7 %-12s skipped: %v", name, ferr)
-			continue
-		}
 		perMetric := make([]series, len(metrics))
 		for gi := range gens {
 			s := results[bi*len(gens)+gi].Value
@@ -162,9 +158,6 @@ func (o *Options) Fig7() (*Fig7Result, error) {
 			r.ReadLatOrig, r.ReadLatProxy = norm(r.ReadLatOrig, ref.ReadLatOrig), norm(r.ReadLatProxy, ref.ReadLatOrig)
 			r.WriteLatOrig, r.WriteLatProxy = norm(r.WriteLatOrig, ref.WriteLatOrig), norm(r.WriteLatProxy, ref.WriteLatOrig)
 		}
-	}
-	if len(res.Normalized) == 0 {
-		return nil, fmt.Errorf("eval fig7: every benchmark failed")
 	}
 	for _, fig := range figs {
 		fig.finalize()
@@ -285,9 +278,6 @@ func (o *Options) Fig8() (*Fig8Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eval fig8: %w", err)
 	}
-	// Tolerate is deliberately not honored here: each factor's accuracy
-	// averages across benchmarks, so dropping one would silently shift
-	// every point of the curve rather than removing a labeled row.
 	if err := collectErrors("fig8", results); err != nil {
 		return nil, err
 	}

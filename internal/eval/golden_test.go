@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/uteda/gmap/internal/core"
@@ -96,4 +98,74 @@ func TestGoldenNN(t *testing.T) {
 		t.Errorf("end-to-end metrics drifted from golden file %s\ngot:\n%s\nwant:\n%s\n(run with -update if the change is intentional)",
 			path, data, want)
 	}
+}
+
+// TestReportGolden pins every figure's bytes: the report of
+// `gmap-eval -exp all -no-timings` (Table 1 and 2, every figure's
+// per-benchmark rows and averages, Fig 7's bars, Fig 8 and the ablation
+// table) must equal testdata/report_all.txt, and under -short the same
+// report over nn, kmeans and heartwall must equal
+// testdata/report_short.txt. A row that moves fails. A change that moves
+// accuracy on purpose re-records both files with
+// `go test ./internal/eval -run TestReportGolden -update` and lists every
+// row that got worse in CHANGES.md.
+func TestReportGolden(t *testing.T) {
+	goldens := []struct {
+		path       string
+		benchmarks []string
+	}{
+		{"report_all.txt", nil},
+		{"report_short.txt", []string{"nn", "kmeans", "heartwall"}},
+	}
+	for _, g := range goldens {
+		// -short checks the three-benchmark file, a full run the other;
+		// -update re-records both.
+		if short := g.benchmarks != nil; short != testing.Short() && !*update {
+			continue
+		}
+		opts := DefaultOptions()
+		opts.Benchmarks = g.benchmarks
+		opts.NoTimings = true
+		var buf bytes.Buffer
+		if err := opts.Run(&buf, "all"); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", g.path)
+		if *update {
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("updated %s", path)
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create the golden file)", err)
+		}
+		if diff := firstDiffs(buf.String(), string(want), 5); diff != "" {
+			t.Errorf("report drifted from golden file %s:\n%s\n(if the change is intentional, re-record with `go test ./internal/eval -run TestReportGolden -update`)",
+				path, diff)
+		}
+	}
+}
+
+// firstDiffs lists up to n lines where got and want differ, or returns
+// "" when they are equal.
+func firstDiffs(got, want string, n int) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	var b strings.Builder
+	for i := 0; (i < len(g) || i < len(w)) && n > 0; i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl || (i < len(g)) != (i < len(w)) {
+			fmt.Fprintf(&b, "line %d:\n  got:  %q\n  want: %q\n", i+1, gl, wl)
+			n--
+		}
+	}
+	return b.String()
 }

@@ -1,17 +1,18 @@
 // Package runner is the experiment-execution engine behind the
 // evaluation harness: a fixed-size worker pool draining a bounded job
-// queue with deterministic result ordering, per-job panic isolation and
-// optional timeouts, context cancellation, JSONL checkpoint/resume keyed
-// by stable job hashes, and an instrumentation hook reporting progress
-// (jobs/sec, ETA) plus a machine-readable run summary.
+// queue with deterministic result ordering, per-job panic isolation,
+// context cancellation, JSONL checkpoint/resume keyed by stable job
+// hashes, and an instrumentation hook reporting progress (jobs/sec, ETA)
+// plus a machine-readable run summary.
 //
 // Jobs must be independent and deterministic: given the same key they
 // must compute the same value on every run. Under that contract a
 // parallel run is observably identical to a serial one (results come
 // back in submission order), and a checkpointed value recorded by an
 // interrupted run can substitute for re-execution. It is also why each
-// job runs exactly once: a job that failed would fail the same way
-// again, so the runner records the failure instead of retrying it.
+// job runs exactly once, to completion: a job that failed would fail the
+// same way again, so the runner records the failure instead of retrying
+// it, and nothing bounds or abandons a job in flight.
 package runner
 
 import (
@@ -31,11 +32,6 @@ import (
 type Options struct {
 	// Workers is the worker-pool size; <= 0 selects runtime.NumCPU().
 	Workers int
-	// Timeout bounds each job's execution; 0 means no per-job limit. A
-	// timed-out job records a deadline error but cannot be preempted
-	// mid-computation: its goroutine is abandoned and the worker slot
-	// moves on.
-	Timeout time.Duration
 	// Checkpoint, when non-empty, names a JSONL file successful job
 	// results are streamed to as they complete, keyed by Job.Key. A
 	// checkpoint append that fails aborts the run: progress that cannot
@@ -83,27 +79,11 @@ type Options struct {
 	// Purely observational: results, ordering and checkpoints are
 	// identical with or without it.
 	Obs *obs.Registry
-	// Trace, when non-nil, records hierarchical spans of the run: a
-	// "runner.run" root, one "runner.worker" lane per pool worker, a
-	// "runner.job" span per executed job, and checkpoint-append spans.
-	// Purely observational, like Obs.
-	Trace *obstrace.Tracer
-	// TraceSpan nests the run's spans under an existing span (e.g. a
-	// figure sweep) instead of a fresh root; it takes precedence over
-	// Trace for parenting.
+	// TraceSpan, when non-nil, parents hierarchical spans of the run (e.g.
+	// under a figure sweep): a "runner.run" span, one "runner.worker" lane
+	// per pool worker, a "runner.job" span per executed job, and
+	// checkpoint-append spans. Purely observational, like Obs.
 	TraceSpan *obstrace.Span
-}
-
-// runSpan resolves the run's parent span from TraceSpan/Trace.
-func (o *Options) runSpan(jobs, workers int) *obstrace.Span {
-	attrs := []obstrace.Attr{
-		obstrace.Int("jobs", int64(jobs)),
-		obstrace.Int("workers", int64(workers)),
-	}
-	if o.TraceSpan != nil {
-		return o.TraceSpan.Child("runner.run", attrs...)
-	}
-	return o.Trace.Root("runner.run", attrs...)
 }
 
 // fs returns the effective checkpoint filesystem.
@@ -127,7 +107,7 @@ type Job[R any] struct {
 type Result[R any] struct {
 	Key   string
 	Value R
-	// Err records this job's failure (error return, panic, timeout, or
+	// Err records this job's failure (error return, panic, or
 	// cancellation before dispatch) without aborting the rest of the run.
 	Err error
 	// Skipped marks a value restored from the checkpoint rather than
@@ -142,7 +122,9 @@ type Result[R any] struct {
 // not abort the run; the returned error is non-nil only for
 // infrastructure failures (unusable or unwritable checkpoint file) or
 // context cancellation, in which case already-computed results are still
-// returned.
+// returned. A cancellation stops dispatch, not the jobs in flight: Run
+// returns once every job it started has returned, with their results
+// recorded like any other.
 func Run[R any](ctx context.Context, opts Options, jobs []Job[R]) ([]Result[R], Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -158,7 +140,8 @@ func Run[R any](ctx context.Context, opts Options, jobs []Job[R]) ([]Result[R], 
 	results := make([]Result[R], len(jobs))
 	done := make([]bool, len(jobs))
 	tr := newTracker(len(jobs), workers, opts.OnEvent)
-	runSpan := opts.runSpan(len(jobs), workers)
+	runSpan := opts.TraceSpan.Child("runner.run",
+		obstrace.Int("jobs", int64(len(jobs))), obstrace.Int("workers", int64(workers)))
 	defer runSpan.End()
 	jobTime := opts.Obs.Histogram("runner.job_ns")
 	ckptTime := opts.Obs.Histogram("runner.checkpoint_append_ns")
@@ -241,7 +224,7 @@ func Run[R any](ctx context.Context, opts Options, jobs []Job[R]) ([]Result[R], 
 					continue // leave the job unexecuted; marked below
 				}
 				jobSpan := workerSpan.Child("runner.job", obstrace.String("key", jobs[idx].Key))
-				res := execute(runCtx, opts, jobs[idx], jobSpan)
+				res := execute(runCtx, jobs[idx], jobSpan)
 				if res.Err != nil {
 					jobSpan.Set(obstrace.String("error", res.Err.Error()))
 				}
@@ -330,40 +313,20 @@ func recordSalvage(reg *obs.Registry, s Salvage) {
 	}
 }
 
-// execute runs one job with panic isolation and an optional deadline.
-// The job runs on its own goroutine so a panic unwinds there and a
-// timed-out computation can be abandoned without killing the worker.
-func execute[R any](ctx context.Context, opts Options, job Job[R], span *obstrace.Span) Result[R] {
-	res := Result[R]{Key: job.Key}
+// execute runs one job to completion on the calling worker. A panic
+// fails the job alone: the worker, and the process around it (a service
+// runs sweeps in process), carry on.
+func execute[R any](ctx context.Context, job Job[R], span *obstrace.Span) (res Result[R]) {
+	res.Key = job.Key
+	start := time.Now()
+	defer func() {
+		if p := recover(); p != nil {
+			res.Err = fmt.Errorf("runner: job %q panicked: %v", job.Key, p)
+		}
+		res.Elapsed = time.Since(start)
+	}()
 	// The job span rides the job context so the body can parent its own
 	// spans (e.g. memsim.run) under this job.
-	jctx := obstrace.NewContext(ctx, span)
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		jctx, cancel = context.WithTimeout(jctx, opts.Timeout)
-		defer cancel()
-	}
-	type outcome struct {
-		val R
-		err error
-	}
-	ch := make(chan outcome, 1)
-	start := time.Now()
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- outcome{err: fmt.Errorf("runner: job %q panicked: %v", job.Key, p)}
-			}
-		}()
-		v, err := job.Run(jctx)
-		ch <- outcome{val: v, err: err}
-	}()
-	select {
-	case o := <-ch:
-		res.Value, res.Err = o.val, o.err
-	case <-jctx.Done():
-		res.Err = fmt.Errorf("runner: job %q: %w", job.Key, jctx.Err())
-	}
-	res.Elapsed = time.Since(start)
+	res.Value, res.Err = job.Run(obstrace.NewContext(ctx, span))
 	return res
 }

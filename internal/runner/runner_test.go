@@ -136,7 +136,8 @@ func TestJobSpanParentsBodySpans(t *testing.T) {
 			return run(ctx)
 		}
 	}
-	if _, _, err := Run(context.Background(), Options{Workers: 2, Trace: tr}, jobs); err != nil {
+	root := tr.Root("sweep")
+	if _, _, err := Run(context.Background(), Options{Workers: 2, TraceSpan: root}, jobs); err != nil {
 		t.Fatal(err)
 	}
 	keyOf := func(e obstrace.Event) interface{} {
@@ -203,25 +204,47 @@ func TestCancellationMidRun(t *testing.T) {
 	}
 }
 
-func TestPerJobTimeout(t *testing.T) {
-	jobs := intJobs(3, nil)
-	jobs[1].Run = func(ctx context.Context) (int, error) {
-		select {
-		case <-time.After(5 * time.Second):
-			return 0, nil
-		case <-ctx.Done():
-			return 0, ctx.Err()
+// TestCancelWaitsForStartedJobs: a cancelled Run returns only after
+// every job body it started has returned, even bodies that ignore their
+// context, and records each started job's own result. No job outlives
+// its Run.
+func TestCancelWaitsForStartedJobs(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const workers = 4
+	var running, started atomic.Int32
+	ran := make([]atomic.Bool, 8)
+	jobs := make([]Job[int], len(ran))
+	for i := range jobs {
+		i := i
+		jobs[i] = Job[int]{
+			Key: JobKey("wait", fmt.Sprint(i)),
+			Run: func(context.Context) (int, error) {
+				running.Add(1)
+				defer running.Add(-1)
+				ran[i].Store(true)
+				if started.Add(1) == workers {
+					cancel()
+				}
+				time.Sleep(50 * time.Millisecond)
+				return i, nil
+			},
 		}
 	}
-	results, _, err := Run(context.Background(), Options{Workers: 2, Timeout: 20 * time.Millisecond}, jobs)
-	if err != nil {
-		t.Fatal(err)
+	results, _, err := Run(ctx, Options{Workers: workers}, jobs)
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d job bodies still running after Run returned", n)
 	}
-	if results[1].Err == nil || !errors.Is(results[1].Err, context.DeadlineExceeded) {
-		t.Errorf("timed-out job error = %v", results[1].Err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Error("timeout leaked into healthy jobs")
+	for i, r := range results {
+		switch {
+		case ran[i].Load() && (r.Err != nil || r.Value != i):
+			t.Errorf("started job %d recorded %+v, want its value %d", i, r, i)
+		case !ran[i].Load() && !errors.Is(r.Err, context.Canceled):
+			t.Errorf("unstarted job %d recorded %+v, want a cancellation", i, r)
+		}
 	}
 }
 
