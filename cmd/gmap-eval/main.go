@@ -99,10 +99,8 @@ func main() {
 		fleetIval   = flag.Duration("fleet-interval", 0, "-fleet-watch refresh interval (0 = 2s)")
 	)
 	flag.Parse()
-	var set []string
-	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	mode := evalMode(*fleetWatch, *distListen, *workerURL, *workerAddr)
-	if err := checkModeFlags(mode, set); err != nil {
+	if err := checkModeFlags(mode, flag.CommandLine); err != nil {
 		fatal(err)
 	}
 	if strings.Contains(*workerURL, ",") {
@@ -300,17 +298,24 @@ func evalMode(fleetWatch, distListen, worker, workerAddr string) string {
 	return modeSerial
 }
 
-// checkModeFlags names the first flag of set, the flags given on the
-// command line, that mode does not read, and failing that the first one
-// given without the flag it needs (flagNeeds).
-func checkModeFlags(mode string, set []string) error {
+// checkModeFlags names the first flag given on fs's command line that
+// mode does not read, and failing that the first one given without the
+// flag it needs (flagNeeds). A needed flag counts as given only when its
+// value differs from its default: -checkpoint "" switches nothing on.
+func checkModeFlags(mode string, fs *flag.FlagSet) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	for _, name := range set {
 		if !slices.Contains(modeFlags[mode], name) {
 			return fmt.Errorf("-%s has no effect %s", name, mode)
 		}
 	}
 	for _, name := range set {
-		if need, ok := flagNeeds[name]; ok && !slices.Contains(set, need) {
+		need, ok := flagNeeds[name]
+		if !ok {
+			continue
+		}
+		if f := fs.Lookup(need); f.Value.String() == f.DefValue {
 			return fmt.Errorf("-%s needs -%s", name, need)
 		}
 	}

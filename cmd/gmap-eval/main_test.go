@@ -1,14 +1,42 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 )
 
+// commandLine parses set into a FlagSet holding every flag some mode
+// reads, each a string flag whose default is "". An entry "name=value"
+// gives the flag that value; a bare name gives it "x".
+func commandLine(t *testing.T, set []string) *flag.FlagSet {
+	fs := flag.NewFlagSet("gmap-eval", flag.ContinueOnError)
+	for _, names := range modeFlags {
+		for _, name := range names {
+			if fs.Lookup(name) == nil {
+				fs.String(name, "", "")
+			}
+		}
+	}
+	var args []string
+	for _, entry := range set {
+		name, value, ok := strings.Cut(entry, "=")
+		if !ok {
+			value = "x"
+		}
+		args = append(args, "-"+name+"="+value)
+	}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
 // TestCheckModeFlags pins which flags each mode reads: a flag the mode
 // would ignore fails, naming the first such flag in command-line (flag
 // package) order. A flag that tunes another fails without it, naming
-// both; given together they pass.
+// both; given together they pass. A needed flag given its default value
+// ("checkpoint=") is not given.
 func TestCheckModeFlags(t *testing.T) {
 	cases := []struct {
 		mode    string
@@ -55,10 +83,14 @@ func TestCheckModeFlags(t *testing.T) {
 		{modeSerial, []string{"attr-out", "attr-threshold", "attr-top"}, ""},
 		{modeSerial, []string{"checkpoint", "fsync", "resume"}, ""},
 		{modeCoordinator, []string{"checkpoint", "dist-listen", "fsync", "resume"}, ""},
+		{modeSerial, []string{"checkpoint=", "fsync", "resume"}, "-fsync needs -checkpoint"},
+		{modeSerial, []string{"checkpoint=", "resume"}, "-resume needs -checkpoint"},
+		{modeSerial, []string{"attr-out=", "attr-threshold"}, "-attr-threshold needs -attr-out"},
+		{modeCoordinator, []string{"checkpoint=", "dist-listen"}, "-dist-listen needs -checkpoint"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.mode+"/"+strings.Join(tc.set, ","), func(t *testing.T) {
-			err := checkModeFlags(tc.mode, tc.set)
+			err := checkModeFlags(tc.mode, commandLine(t, tc.set))
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 
 	"github.com/uteda/gmap/internal/stats"
 	"github.com/uteda/gmap/internal/trace"
@@ -82,8 +83,8 @@ type StaticInst struct {
 	// Plain iid sampling from IntraStride yields geometric run lengths;
 	// real kernels have fixed-length inner sweeps (e.g. 16 consecutive
 	// +128 steps per op), and the run structure controls where revisits
-	// land. encoding/json writes the stride keys as decimal strings, in
-	// the order of that text.
+	// land. The JSON form writes the stride keys as decimal strings, in
+	// the order of that text, as encoding/json writes such a map.
 	Runs map[int64]*stats.Histogram `json:"runs,omitempty"`
 	// Deterministic reports that every warp executed this instruction the
 	// same number of times with the identical sequence of offsets from
@@ -225,11 +226,228 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// WriteJSON serializes the profile.
+// WriteJSON serializes the profile: the bytes an encoding/json Encoder
+// with SetIndent("", " ") writes, handed to w in chunks of about
+// jsonChunk bytes.
 func (p *Profile) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(p)
+	e := profileJSON{b: make([]byte, 0, 2*jsonChunk), indent: true, w: w}
+	if err := e.profile(p); err != nil {
+		return err
+	}
+	if e.err == nil {
+		_, e.err = w.Write(e.b)
+	}
+	return e.err
+}
+
+// MarshalJSON encodes the profile as json.Marshal encodes its fields,
+// without reflection. A NaN or infinite SchedPself is an error, as it
+// is for encoding/json.
+func (p *Profile) MarshalJSON() ([]byte, error) {
+	var e profileJSON
+	err := e.profile(p)
+	return e.b, err
+}
+
+// jsonChunk is the size at which WriteJSON hands its buffer to the
+// writer.
+const jsonChunk = 64 << 10
+
+// jsonSpaces indents the deepest line of an indented profile: the
+// entries of a run-length histogram.
+const jsonSpaces = "     "
+
+// profileJSON appends a profile's JSON to b, laid out as encoding/json
+// lays it out: compact as json.Marshal writes it, or indented as an
+// Encoder with SetIndent("", " ") writes it. encoding/json's output is
+// the specification; FuzzWriteJSONMatchesEncodingJSON holds the two
+// equal. With w set, b is handed to w whenever it passes jsonChunk.
+type profileJSON struct {
+	b      []byte
+	indent bool
+	w      io.Writer
+	err    error // the first error w returned
+}
+
+// flush hands b to w once it holds a chunk.
+func (e *profileJSON) flush() {
+	if e.w == nil || len(e.b) < jsonChunk {
+		return
+	}
+	if e.err == nil {
+		_, e.err = e.w.Write(e.b)
+	}
+	e.b = e.b[:0]
+}
+
+// line starts a line at depth in the indented form.
+func (e *profileJSON) line(depth int) {
+	if e.indent {
+		e.b = append(e.b, '\n')
+		e.b = append(e.b, jsonSpaces[:depth]...)
+	}
+}
+
+// key starts the object member name at depth, after a comma unless it
+// is the first.
+func (e *profileJSON) key(depth int, name string, first bool) {
+	if !first {
+		e.b = append(e.b, ',')
+	}
+	e.line(depth)
+	e.b = append(e.b, '"')
+	e.b = append(e.b, name...)
+	e.b = append(e.b, '"', ':')
+	if e.indent {
+		e.b = append(e.b, ' ')
+	}
+}
+
+// array appends an array of n elements, or null for a nil slice, whose
+// line is at depth; elem appends element i.
+func (e *profileJSON) array(depth, n int, isNil bool, elem func(i int)) {
+	if isNil {
+		e.b = append(e.b, "null"...)
+		return
+	}
+	e.b = append(e.b, '[')
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			e.b = append(e.b, ',')
+		}
+		e.line(depth + 1)
+		elem(i)
+		e.flush()
+	}
+	e.end(depth, n, ']')
+}
+
+// end closes, with c, an array or object of n elements whose line is at
+// depth.
+func (e *profileJSON) end(depth, n int, c byte) {
+	if n > 0 {
+		e.line(depth)
+	}
+	e.b = append(e.b, c)
+}
+
+func (e *profileJSON) i64(v int64)  { e.b = strconv.AppendInt(e.b, v, 10) }
+func (e *profileJSON) u64(v uint64) { e.b = strconv.AppendUint(e.b, v, 10) }
+
+// hist appends h, whose line is at depth.
+func (e *profileJSON) hist(depth int, h *stats.Histogram) {
+	switch {
+	case h == nil:
+		e.b = append(e.b, "null"...)
+	case e.indent:
+		e.b = h.AppendJSON(e.b, jsonSpaces[:depth], " ")
+	default:
+		e.b = h.AppendJSON(e.b, "", "")
+	}
+}
+
+func (e *profileJSON) profile(p *Profile) error {
+	// The two fields without a fixed form go through encoding/json
+	// itself: it escapes the name (HTML characters included) and
+	// formats the float, or rejects NaN and infinities before any byte
+	// is written.
+	name, err := json.Marshal(p.Name)
+	if err != nil {
+		return err
+	}
+	pself, err := json.Marshal(p.SchedPself)
+	if err != nil {
+		return err
+	}
+	e.b = append(e.b, '{')
+	e.key(1, "name", true)
+	e.b = append(e.b, name...)
+	e.key(1, "grid_dim", false)
+	e.i64(int64(p.GridDim))
+	e.key(1, "block_dim", false)
+	e.i64(int64(p.BlockDim))
+	e.key(1, "line_size", false)
+	e.u64(p.LineSize)
+	e.key(1, "warps", false)
+	e.i64(int64(p.Warps))
+	e.key(1, "total_requests", false)
+	e.u64(p.TotalRequests)
+	e.key(1, "insts", false)
+	e.array(1, len(p.Insts), p.Insts == nil, func(i int) { e.inst(&p.Insts[i]) })
+	e.key(1, "profiles", false)
+	e.array(1, len(p.Profiles), p.Profiles == nil, func(i int) { e.pi(&p.Profiles[i]) })
+	e.key(1, "sched_p_self", false)
+	e.b = append(e.b, pself...)
+	e.end(0, 1, '}')
+	if e.indent {
+		e.b = append(e.b, '\n')
+	}
+	return nil
+}
+
+// inst appends a StaticInst whose line is at depth 2.
+func (e *profileJSON) inst(in *StaticInst) {
+	e.b = append(e.b, '{')
+	e.key(3, "pc", true)
+	e.u64(in.PC)
+	e.key(3, "kind", false)
+	e.u64(uint64(in.Kind))
+	e.key(3, "base", false)
+	e.u64(in.Base)
+	e.key(3, "inter_stride", false)
+	e.hist(3, in.InterStride)
+	e.key(3, "intra_stride", false)
+	e.hist(3, in.IntraStride)
+	e.key(3, "count", false)
+	e.u64(in.Count)
+	e.key(3, "off_lo", false)
+	e.i64(in.OffLo)
+	e.key(3, "off_hi", false)
+	e.i64(in.OffHi)
+	e.key(3, "anchor_lo", false)
+	e.i64(in.AnchorLo)
+	e.key(3, "anchor_hi", false)
+	e.i64(in.AnchorHi)
+	if len(in.Runs) > 0 {
+		// encoding/json orders an integer-keyed map by the keys' text.
+		keys := make([]int64, 0, len(in.Runs))
+		for k := range in.Runs {
+			keys = append(keys, k)
+		}
+		stats.SortText(keys)
+		e.key(3, "runs", false)
+		e.b = append(e.b, '{')
+		for i, k := range keys {
+			if i > 0 {
+				e.b = append(e.b, ',')
+			}
+			e.line(4)
+			e.b = append(e.b, '"')
+			e.i64(k)
+			e.b = append(e.b, '"', ':')
+			if e.indent {
+				e.b = append(e.b, ' ')
+			}
+			e.hist(4, in.Runs[k])
+			e.flush()
+		}
+		e.end(3, len(keys), '}')
+	}
+	e.key(3, "deterministic", false)
+	e.b = strconv.AppendBool(e.b, in.Deterministic)
+	e.end(2, 1, '}')
+}
+
+// pi appends a PiProfile whose line is at depth 2.
+func (e *profileJSON) pi(pp *PiProfile) {
+	e.b = append(e.b, '{')
+	e.key(3, "seq", true)
+	e.array(3, len(pp.Seq), pp.Seq == nil, func(i int) { e.i64(int64(pp.Seq[i])) })
+	e.key(3, "count", false)
+	e.u64(pp.Count)
+	e.key(3, "reuse", false)
+	e.hist(3, pp.Reuse)
+	e.end(2, 1, '}')
 }
 
 // ReadJSON deserializes a profile written by WriteJSON and validates it.

@@ -5,6 +5,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -64,7 +65,7 @@ func (h *Histogram) Keys() []int64 {
 	for k := range h.counts {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 

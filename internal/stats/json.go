@@ -14,23 +14,67 @@ import (
 // decimal text, which is the order encoding/json gives a string-keyed
 // map, so the bytes equal json.Marshal of such a map.
 func (h *Histogram) MarshalJSON() ([]byte, error) {
-	entries := make([]textKey, 0, len(h.counts))
-	for k, c := range h.counts {
-		entries = append(entries, newTextKey(k, c))
+	return h.AppendJSON(make([]byte, 0, 2+len(h.counts)*16), "", ""), nil
+}
+
+// AppendJSON appends the object MarshalJSON returns to b. With indent
+// "" it appends those bytes; otherwise it lays them out as json.Indent
+// does with that indent for an object on a line that starts with
+// prefix: each entry on its own line under prefix+indent, and the
+// closing brace under prefix unless the object is empty.
+func (h *Histogram) AppendJSON(b []byte, prefix, indent string) []byte {
+	var small [8]textKey
+	entries := small[:0]
+	if len(h.counts) > len(small) {
+		entries = make([]textKey, 0, len(h.counts))
 	}
-	slices.SortFunc(entries, compareText)
-	b := make([]byte, 0, 2+len(entries)*16)
+	entries = appendTextKeys(entries, h.counts)
 	b = append(b, '{')
 	for i, e := range entries {
 		if i > 0 {
 			b = append(b, ',')
 		}
+		if indent != "" {
+			b = append(b, '\n')
+			b = append(b, prefix...)
+			b = append(b, indent...)
+		}
 		b = append(b, '"')
 		b = strconv.AppendInt(b, e.key, 10)
 		b = append(b, '"', ':')
+		if indent != "" {
+			b = append(b, ' ')
+		}
 		b = strconv.AppendUint(b, e.count, 10)
 	}
-	return append(b, '}'), nil
+	if indent != "" && len(entries) > 0 {
+		b = append(b, '\n')
+		b = append(b, prefix...)
+	}
+	return append(b, '}')
+}
+
+// SortText sorts keys in the order of their decimal text, the order in
+// which encoding/json writes the entries of an integer-keyed map.
+func SortText(keys []int64) {
+	entries := make([]textKey, len(keys))
+	for i, k := range keys {
+		entries[i] = newTextKey(k, 0)
+	}
+	slices.SortFunc(entries, compareText)
+	for i, e := range entries {
+		keys[i] = e.key
+	}
+}
+
+// appendTextKeys appends the entries of counts to entries in the order
+// of their keys' decimal text.
+func appendTextKeys(entries []textKey, counts map[int64]uint64) []textKey {
+	for k, c := range counts {
+		entries = append(entries, newTextKey(k, c))
+	}
+	slices.SortFunc(entries, compareText)
+	return entries
 }
 
 // pow10 holds the powers of ten an int64 magnitude can reach.

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -153,7 +155,9 @@ func TestHistogramJSONCanonicalOnly(t *testing.T) {
 // FuzzHistogramJSON checks the histogram codec against its reference:
 // whatever UnmarshalJSON accepts, referenceDecode accepts with the same
 // counts and total; MarshalJSON writes the bytes json.Marshal writes for
-// the string-keyed map; and UnmarshalJSON reads those bytes back.
+// the string-keyed map, and AppendJSON the bytes json.MarshalIndent
+// writes; SortText orders the keys as their text; and UnmarshalJSON
+// reads MarshalJSON's bytes back.
 func FuzzHistogramJSON(f *testing.F) {
 	for _, s := range []string{
 		`{}`,
@@ -200,6 +204,21 @@ func FuzzHistogramJSON(f *testing.F) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("MarshalJSON wrote\n%s\njson.Marshal of the string-keyed map writes\n%s", got, want)
+		}
+		indented := g.AppendJSON([]byte("x"), "   ", " ")
+		want, err = json.MarshalIndent(stringKeyed(g), "   ", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(indented, append([]byte("x"), want...)) {
+			t.Fatalf("AppendJSON wrote\n%s\njson.MarshalIndent of the string-keyed map writes\nx%s", indented, want)
+		}
+		keys := g.Keys()
+		SortText(keys)
+		if !slices.IsSortedFunc(keys, func(a, b int64) int {
+			return strings.Compare(strconv.FormatInt(a, 10), strconv.FormatInt(b, 10))
+		}) {
+			t.Fatalf("SortText left %v out of text order", keys)
 		}
 		var back Histogram
 		if err := back.UnmarshalJSON(got); err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 )
 
 // Binary trace format:
@@ -66,28 +67,6 @@ func (e *FormatError) Error() string {
 
 func (e *FormatError) Unwrap() error { return e.Err }
 
-// countReader counts bytes actually consumed from the decode stream —
-// unlike wrapping the underlying reader, buffered read-ahead does not
-// inflate the position.
-type countReader struct {
-	br *bufio.Reader
-	n  int64
-}
-
-func (c *countReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		c.n++
-	}
-	return b, err
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.br.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 const maxReasonableCount = 1 << 34
 
 // allocHint caps eager slice preallocation from decoded header counts. A
@@ -106,135 +85,302 @@ func allocHint(claimed uint64) int {
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// chunkSize is the size of the byte window both binary formats are
+// written and read through: one Write or Read per chunk, not per field.
+const chunkSize = 64 << 10
+
+// windows recycles the codecs' byte windows, so a small trace does not
+// pay for a fresh chunk. The spare capacity past chunkSize holds the
+// record that crosses the chunk boundary.
+var windows = sync.Pool{New: func() any {
+	b := make([]byte, chunkSize+4*binary.MaxVarintLen64)
+	return &b
+}}
+
+// binWriter appends an encoded stream to a reused buffer and hands the
+// buffer to w each time it fills.
+type binWriter struct {
+	w   io.Writer
+	buf []byte
+	win *[]byte
+}
+
+// newBinWriter starts a stream with magic and the header both formats
+// share: the name, the launch geometry and the count of records that
+// follow. The caller releases the writer when done.
+func newBinWriter(w io.Writer, magic, name string, grid, block, n int) *binWriter {
+	win := windows.Get().(*[]byte)
+	bw := &binWriter{w: w, buf: (*win)[:0], win: win}
+	bw.buf = append(bw.buf, magic...)
+	bw.buf = binary.AppendUvarint(bw.buf, uint64(len(name)))
+	bw.buf = append(bw.buf, name...)
+	bw.buf = binary.AppendUvarint(bw.buf, uint64(grid))
+	bw.buf = binary.AppendUvarint(bw.buf, uint64(block))
+	bw.buf = binary.AppendUvarint(bw.buf, uint64(n))
+	return bw
+}
+
+// flush writes out the buffered bytes.
+func (bw *binWriter) flush() error {
+	n, err := bw.w.Write(bw.buf)
+	if err == nil && n < len(bw.buf) {
+		err = io.ErrShortWrite
+	}
+	bw.buf = bw.buf[:0]
+	return err
+}
+
+// flushFull writes out the buffer once it holds a chunk.
+func (bw *binWriter) flushFull() error {
+	if len(bw.buf) < chunkSize {
+		return nil
+	}
+	return bw.flush()
+}
+
+// release returns the buffer to the pool.
+func (bw *binWriter) release() {
+	*bw.win = bw.buf[:cap(bw.buf)]
+	windows.Put(bw.win)
+}
+
+// binReader decodes from a window over r, refilled a chunk at a time.
+// off counts the bytes that have left the window, so off+pos is the
+// number of bytes consumed: the offset a FormatError reports.
+type binReader struct {
+	r        io.Reader
+	buf      []byte
+	win      *[]byte
+	pos, end int
+	off      int64
+	err      error // the first error r returned
+}
+
+// newBinReader returns a reader over r; the caller releases it when
+// done.
+func newBinReader(r io.Reader) *binReader {
+	win := windows.Get().(*[]byte)
+	return &binReader{r: r, buf: *win, win: win}
+}
+
+// release returns the window to the pool.
+func (d *binReader) release() { windows.Put(d.win) }
+
+// fail wraps err with the current offset.
+func (d *binReader) fail(err error) error {
+	return &FormatError{Offset: d.off + int64(d.pos), Err: err}
+}
+
+// fill reads until the window holds n unread bytes, and reports whether
+// it does; when it does not, r has failed or ended. n is at most the
+// window's length: the longest field is a name, capped at 1<<16 bytes.
+func (d *binReader) fill(n int) bool {
+	if d.end-d.pos >= n {
+		return true
+	}
+	d.off += int64(d.pos)
+	copy(d.buf, d.buf[d.pos:d.end])
+	d.end -= d.pos
+	d.pos = 0
+	for empty := 0; d.end < n && d.err == nil; {
+		m, err := d.r.Read(d.buf[d.end:])
+		d.end += m
+		d.err = err
+		if m == 0 && err == nil {
+			if empty++; empty == 100 {
+				d.err = io.ErrNoProgress
+			}
+		}
+	}
+	return d.end >= n
+}
+
+// short consumes what is left of the input and returns the error for
+// an input that ended inside a field, as io.ReadFull reports it: io.EOF
+// only when the field had not begun.
+func (d *binReader) short() error {
+	err := d.err
+	if d.pos < d.end && err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	d.pos = d.end
+	return err
+}
+
+// next consumes the next n bytes and returns them; they stay valid until
+// the next read.
+func (d *binReader) next(n int) ([]byte, error) {
+	if !d.fill(n) {
+		return nil, d.short()
+	}
+	b := d.buf[d.pos : d.pos+n]
+	d.pos += n
+	return b, nil
+}
+
+// errOverflow is binary.ReadUvarint's error for a varint longer than 64
+// bits.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// uvarint decodes a varint, consuming the bytes binary.ReadUvarint
+// would: through the terminating byte, or ten bytes on overflow.
+func (d *binReader) uvarint() (uint64, error) {
+	if d.end-d.pos >= binary.MaxVarintLen64 {
+		if v, n := binary.Uvarint(d.buf[d.pos : d.pos+binary.MaxVarintLen64]); n > 0 {
+			d.pos += n
+			return v, nil
+		}
+	}
+	return d.uvarintSlow()
+}
+
+// uvarintSlow is uvarint near the end of the window: it refills, and
+// reports an overflowing or cut-short varint.
+func (d *binReader) uvarintSlow() (uint64, error) {
+	if d.fill(binary.MaxVarintLen64) {
+		v, n := binary.Uvarint(d.buf[d.pos : d.pos+binary.MaxVarintLen64])
+		if n > 0 {
+			d.pos += n
+			return v, nil
+		}
+		d.pos += binary.MaxVarintLen64
+		return 0, d.fail(fmt.Errorf("truncated stream: %w", errOverflow))
+	}
+	// Fewer than ten bytes are left, so the varint ends or is cut short.
+	v, n := binary.Uvarint(d.buf[d.pos:d.end])
+	if n > 0 {
+		d.pos += n
+		return v, nil
+	}
+	return 0, d.truncated()
+}
+
+// readByte consumes one byte.
+func (d *binReader) readByte() (byte, error) {
+	if d.pos == d.end && !d.fill(1) {
+		return 0, d.truncated()
+	}
+	b := d.buf[d.pos]
+	d.pos++
+	return b, nil
+}
+
+// truncated reports a stream that ended inside a field.
+func (d *binReader) truncated() error {
+	return d.fail(fmt.Errorf("truncated stream: %w", d.short()))
+}
+
+// header reads what newBinWriter writes after the magic, which it
+// checks first: the name, the launch geometry and the record count, each
+// capped so that a corrupt header can neither wrap an int negative nor
+// claim an absurd allocation.
+func (d *binReader) header(magic string, badMagic error) (name string, grid, block, n int, err error) {
+	m, err := d.next(len(magic))
+	if err != nil {
+		return "", 0, 0, 0, d.fail(fmt.Errorf("reading magic: %w", err))
+	}
+	if string(m) != magic {
+		return "", 0, 0, 0, &FormatError{Offset: 0, Err: badMagic}
+	}
+	nameLen, err := d.uvarint()
+	if err != nil {
+		return "", 0, 0, 0, err
+	}
+	if nameLen > 1<<16 {
+		return "", 0, 0, 0, d.fail(errTooLarge)
+	}
+	b, err := d.next(int(nameLen))
+	if err != nil {
+		return "", 0, 0, 0, d.fail(fmt.Errorf("reading name: %w", err))
+	}
+	name = string(b)
+	var v [3]uint64
+	for i := range v {
+		if v[i], err = d.uvarint(); err != nil {
+			return "", 0, 0, 0, err
+		}
+	}
+	if v[0] > maxReasonableCount || v[1] > maxReasonableCount || v[2] > maxReasonableCount {
+		return "", 0, 0, 0, d.fail(errTooLarge)
+	}
+	return name, int(v[0]), int(v[1]), int(v[2]), nil
+}
+
+// count reads a count and caps it at maxReasonableCount.
+func (d *binReader) count() (int, error) {
+	v, err := d.uvarint()
+	if err == nil && v > maxReasonableCount {
+		err = d.fail(errTooLarge)
+	}
+	return int(v), err
+}
+
 // WriteBinary encodes k into w using the compact binary format.
 func WriteBinary(w io.Writer, k *KernelTrace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(k.Name))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(k.Name); err != nil {
-		return err
-	}
-	for _, v := range []uint64{uint64(k.GridDim), uint64(k.BlockDim), uint64(len(k.Threads))} {
-		if err := putUvarint(v); err != nil {
-			return err
-		}
-	}
+	bw := newBinWriter(w, binaryMagic, k.Name, k.GridDim, k.BlockDim, len(k.Threads))
+	defer bw.release()
 	for i := range k.Threads {
-		tt := &k.Threads[i]
-		if err := putUvarint(uint64(len(tt.Accesses))); err != nil {
+		if err := bw.flushFull(); err != nil {
 			return err
 		}
+		tt := &k.Threads[i]
+		bw.buf = binary.AppendUvarint(bw.buf, uint64(len(tt.Accesses)))
 		var prevPC, prevAddr uint64
 		for _, a := range tt.Accesses {
-			if err := putUvarint(zigzag(int64(a.PC - prevPC))); err != nil {
+			if err := bw.flushFull(); err != nil {
 				return err
 			}
-			if err := putUvarint(zigzag(int64(a.Addr - prevAddr))); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(byte(a.Kind)); err != nil {
-				return err
-			}
+			bw.buf = binary.AppendUvarint(bw.buf, zigzag(int64(a.PC-prevPC)))
+			bw.buf = binary.AppendUvarint(bw.buf, zigzag(int64(a.Addr-prevAddr)))
+			bw.buf = append(bw.buf, byte(a.Kind))
 			prevPC, prevAddr = a.PC, a.Addr
 		}
 	}
-	return bw.Flush()
+	return bw.flush()
 }
 
 // ReadBinary decodes a kernel trace previously written by WriteBinary
 // and validates it (see KernelTrace.Validate). Decode and validation
-// failures are *FormatError values carrying the byte offset at which the
-// stream broke.
+// failures are *FormatError values carrying the number of bytes
+// consumed when the stream broke.
 func ReadBinary(r io.Reader) (*KernelTrace, error) {
-	cr := &countReader{br: bufio.NewReader(r)}
-	fail := func(err error) error { return &FormatError{Offset: cr.n, Line: 0, Err: err} }
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, fail(fmt.Errorf("reading magic: %w", err))
-	}
-	if string(magic) != binaryMagic {
-		return nil, &FormatError{Offset: 0, Err: ErrBadMagic}
-	}
-	readUvarint := func() (uint64, error) {
-		v, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return 0, fail(fmt.Errorf("truncated stream: %w", err))
-		}
-		return v, nil
-	}
-	nameLen, err := readUvarint()
+	d := newBinReader(r)
+	defer d.release()
+	name, grid, block, nThreads, err := d.header(binaryMagic, ErrBadMagic)
 	if err != nil {
 		return nil, err
-	}
-	if nameLen > 1<<16 {
-		return nil, fail(errTooLarge)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(cr, name); err != nil {
-		return nil, fail(fmt.Errorf("reading name: %w", err))
-	}
-	grid, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	block, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	nThreads, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Every decoded quantity destined for an int must be capped before the
-	// cast: a corrupt header claiming >= 2^63 would otherwise wrap to a
-	// negative dimension.
-	if grid > maxReasonableCount || block > maxReasonableCount || nThreads > maxReasonableCount {
-		return nil, fail(errTooLarge)
 	}
 	k := &KernelTrace{
-		Name:     string(name),
-		GridDim:  int(grid),
-		BlockDim: int(block),
-		Threads:  make([]ThreadTrace, 0, allocHint(nThreads)),
+		Name:     name,
+		GridDim:  grid,
+		BlockDim: block,
+		Threads:  make([]ThreadTrace, 0, allocHint(uint64(nThreads))),
 	}
-	for t := 0; t < int(nThreads); t++ {
-		nAcc, err := readUvarint()
+	for t := 0; t < nThreads; t++ {
+		nAcc, err := d.count()
 		if err != nil {
 			return nil, err
 		}
-		if nAcc > maxReasonableCount {
-			return nil, fail(errTooLarge)
-		}
 		tt := ThreadTrace{
 			ThreadID: t,
-			Accesses: make([]Access, 0, allocHint(nAcc)),
+			Accesses: make([]Access, 0, allocHint(uint64(nAcc))),
 		}
 		var prevPC, prevAddr uint64
-		for i := 0; i < int(nAcc); i++ {
-			dpc, err := readUvarint()
+		for i := 0; i < nAcc; i++ {
+			dpc, err := d.uvarint()
 			if err != nil {
 				return nil, err
 			}
-			daddr, err := readUvarint()
+			daddr, err := d.uvarint()
 			if err != nil {
 				return nil, err
 			}
-			kind, err := cr.ReadByte()
+			kind, err := d.readByte()
 			if err != nil {
-				return nil, fail(fmt.Errorf("truncated stream: %w", err))
+				return nil, err
 			}
 			if kind > byte(Sync) {
-				return nil, fail(fmt.Errorf("invalid access kind %d", kind))
+				return nil, d.fail(fmt.Errorf("invalid access kind %d", kind))
 			}
 			prevPC += uint64(unzigzag(dpc))
 			prevAddr += uint64(unzigzag(daddr))
@@ -243,7 +389,7 @@ func ReadBinary(r io.Reader) (*KernelTrace, error) {
 		k.Threads = append(k.Threads, tt)
 	}
 	if err := k.Validate(); err != nil {
-		return nil, fail(err)
+		return nil, d.fail(err)
 	}
 	return k, nil
 }

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -125,21 +127,20 @@ func FuzzReadWarpsBinary(f *testing.F) {
 	})
 }
 
+// uv encodes a sequence of uvarints, for assembling corrupt streams.
+func uv(vals ...uint64) string {
+	var out []byte
+	for _, v := range vals {
+		out = binary.AppendUvarint(out, v)
+	}
+	return string(out)
+}
+
 // TestCorruptHeadersError pins the hardening down without the fuzzer: a
 // header claiming a count beyond the sanity limit must be rejected, and a
 // large-but-allowed claimed count over an empty body must hit the
 // truncation error without first allocating the claimed size.
 func TestCorruptHeadersError(t *testing.T) {
-	// uv encodes a sequence of uvarints, for assembling corrupt headers.
-	uv := func(vals ...uint64) string {
-		var out []byte
-		var tmp [binary.MaxVarintLen64]byte
-		for _, v := range vals {
-			n := binary.PutUvarint(tmp[:], v)
-			out = append(out, tmp[:n]...)
-		}
-		return string(out)
-	}
 	const wrap = uint64(1) << 63 // wraps to a negative int if cast unchecked
 	cases := []struct {
 		name string
@@ -168,4 +169,69 @@ func TestCorruptHeadersError(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBinaryErrorOffsets pins where each binary format reports a break:
+// every decode failure is a *FormatError whose Offset is the number of
+// bytes consumed when decoding failed, so bytes the decoder never
+// reached (the trailing "zz" below) do not count.
+func TestBinaryErrorOffsets(t *testing.T) {
+	const over = maxReasonableCount + 1 // five varint bytes
+	cases := []struct {
+		name   string
+		data   string
+		read   func(string) error
+		offset int64
+		is     error
+	}{
+		{"trace bad magic", "NOTMAGICjunk", readTrace, 0, ErrBadMagic},
+		{"trace truncated magic", "GMAP", readTrace, 4, io.ErrUnexpectedEOF},
+		{"trace truncated header varint", binaryMagic + uv(0, 1) + "\x80", readTrace, 11, io.ErrUnexpectedEOF},
+		{"trace header varint overflows", binaryMagic + uv(0) + strings.Repeat("\xff", 10) + "zz", readTrace, 19, nil},
+		{"trace name over the cap", binaryMagic + uv(1<<16+1) + "zz", readTrace, 11, errTooLarge},
+		{"trace truncated name", binaryMagic + uv(5) + "ab", readTrace, 11, io.ErrUnexpectedEOF},
+		{"trace record truncated mid-varint", binaryMagic + uv(0, 1, 1, 1, 1, 2) + "\x80", readTrace, 15, io.ErrUnexpectedEOF},
+		{"trace record truncated before its kind", binaryMagic + uv(0, 1, 1, 1, 1, 2, 2), readTrace, 15, io.EOF},
+		{"trace kind byte 3", binaryMagic + uv(0, 1, 1, 1, 1, 2, 2) + "\x03zz", readTrace, 16, nil},
+		{"trace thread count over limit", binaryMagic + uv(0, 1, 1, over) + "zz", readTrace, 16, errTooLarge},
+		{"trace access count over limit", binaryMagic + uv(0, 1, 1, 1, over) + "zz", readTrace, 17, errTooLarge},
+		{"trace fails Validate", binaryMagic + uv(0, 1, 2, 1, 0) + "zz", readTrace, 13, nil},
+
+		{"warp bad magic", binaryMagic + "junk", readWarps, 0, ErrBadWarpMagic},
+		{"warp truncated magic", "GMAP", readWarps, 4, io.ErrUnexpectedEOF},
+		{"warp truncated header varint", warpMagic + uv(0, 1) + "\x80", readWarps, 11, io.ErrUnexpectedEOF},
+		{"warp header varint overflows", warpMagic + uv(0) + strings.Repeat("\xff", 10) + "zz", readWarps, 19, nil},
+		{"warp name over the cap", warpMagic + uv(1<<16+1) + "zz", readWarps, 11, errTooLarge},
+		{"warp truncated name", warpMagic + uv(5) + "ab", readWarps, 11, io.ErrUnexpectedEOF},
+		{"warp record truncated mid-varint", warpMagic + uv(0, 1, 32, 1, 0, 0, 1, 2) + "\x80", readWarps, 17, io.ErrUnexpectedEOF},
+		{"warp record truncated before its threads", warpMagic + uv(0, 1, 32, 1, 0, 0, 1, 2, 2) + "\x00", readWarps, 18, io.EOF},
+		{"warp kind byte 3", warpMagic + uv(0, 1, 32, 1, 0, 0, 1, 2, 2) + "\x03\x20zz", readWarps, 18, nil},
+		{"warp count over limit", warpMagic + uv(0, 1, 32, over) + "zz", readWarps, 16, errTooLarge},
+		{"warp request count over limit", warpMagic + uv(0, 1, 32, 1, 0, 0, over) + "zz", readWarps, 19, errTooLarge},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.read(tc.data)
+			var fe *FormatError
+			if !errors.As(err, &fe) {
+				t.Fatalf("err = %v (%T), want a *FormatError", err, err)
+			}
+			if fe.Offset != tc.offset {
+				t.Errorf("offset = %d, want %d (err: %v)", fe.Offset, tc.offset, err)
+			}
+			if tc.is != nil && !errors.Is(err, tc.is) {
+				t.Errorf("err = %v, want it to wrap %v", err, tc.is)
+			}
+		})
+	}
+}
+
+func readTrace(data string) error {
+	_, err := ReadBinary(strings.NewReader(data))
+	return err
+}
+
+func readWarps(data string) error {
+	_, err := ReadWarpsBinary(strings.NewReader(data))
+	return err
 }

@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -241,28 +243,93 @@ func tracesEqual(a, b *KernelTrace) bool {
 	return true
 }
 
-func BenchmarkWriteBinary(b *testing.B) {
-	k := sampleTrace()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, k); err != nil {
-			b.Fatal(err)
+// TestBinaryConcurrent round-trips traces of different sizes on several
+// goroutines at once: the codecs share a pool of byte windows, and no
+// two calls may hold the same window.
+func TestBinaryConcurrent(t *testing.T) {
+	traces := []*KernelTrace{sampleTrace(), largeTrace()}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				k := traces[(g+i)%len(traces)]
+				var buf bytes.Buffer
+				if err := WriteBinary(&buf, k); err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := ReadBinary(&buf)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !tracesEqual(k, got) {
+					t.Errorf("goroutine %d: %s changed in a concurrent round trip", g, k.Name)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// largeTrace is a kernel trace of 512k accesses, about the size of one
+// large-kernel benchmark at scale 8: each thread walks two arrays at a
+// thread-linear stride, with a data-dependent jump every 16 accesses.
+func largeTrace() *KernelTrace {
+	k := &KernelTrace{Name: "large", GridDim: 64, BlockDim: 64}
+	for t := 0; t < 64*64; t++ {
+		tt := ThreadTrace{ThreadID: t, Accesses: make([]Access, 0, 128)}
+		for j := 0; j < 64; j++ {
+			jump := uint64(j/16) * uint64(t*7919%4096) << 12
+			tt.Accesses = append(tt.Accesses,
+				Access{PC: 0x100, Addr: 0x10000000 + jump + uint64(4*t+4096*j), Kind: Load},
+				Access{PC: 0x108 + 8*uint64(j%3), Addr: 0x80000000 + uint64(4*t+128*j), Kind: Kind(j % 2)},
+			)
 		}
+		k.Threads = append(k.Threads, tt)
+	}
+	return k
+}
+
+// binaryInputs are the traces the codec benchmarks encode and decode:
+// the 48-access sample, where per-call costs dominate, and largeTrace.
+var binaryInputs = []struct {
+	name  string
+	trace func() *KernelTrace
+}{{"small", sampleTrace}, {"large", largeTrace}}
+
+func BenchmarkWriteBinary(b *testing.B) {
+	for _, in := range binaryInputs {
+		k := in.trace()
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := WriteBinary(io.Discard, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkReadBinary(b *testing.B) {
-	k := sampleTrace()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, k); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+	for _, in := range binaryInputs {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, in.trace()); err != nil {
 			b.Fatal(err)
 		}
+		data := buf.Bytes()
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

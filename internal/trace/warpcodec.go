@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,150 +40,86 @@ type WarpFile struct {
 
 // WriteWarpsBinary encodes wf into w.
 func WriteWarpsBinary(w io.Writer, wf *WarpFile) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(warpMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := put(uint64(len(wf.Name))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(wf.Name); err != nil {
-		return err
-	}
-	for _, v := range []uint64{uint64(wf.GridDim), uint64(wf.BlockDim), uint64(len(wf.Warps))} {
-		if err := put(v); err != nil {
+	bw := newBinWriter(w, warpMagic, wf.Name, wf.GridDim, wf.BlockDim, len(wf.Warps))
+	defer bw.release()
+	for i := range wf.Warps {
+		if err := bw.flushFull(); err != nil {
 			return err
 		}
-	}
-	for i := range wf.Warps {
 		wt := &wf.Warps[i]
-		for _, v := range []uint64{uint64(wt.WarpID), uint64(wt.Block), uint64(len(wt.Requests))} {
-			if err := put(v); err != nil {
-				return err
-			}
-		}
+		bw.buf = binary.AppendUvarint(bw.buf, uint64(wt.WarpID))
+		bw.buf = binary.AppendUvarint(bw.buf, uint64(wt.Block))
+		bw.buf = binary.AppendUvarint(bw.buf, uint64(len(wt.Requests)))
 		var prevPC, prevAddr uint64
 		for _, r := range wt.Requests {
-			if err := put(zigzag(int64(r.PC - prevPC))); err != nil {
-				return err
-			}
-			if err := put(zigzag(int64(r.Addr - prevAddr))); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(byte(r.Kind)); err != nil {
+			if err := bw.flushFull(); err != nil {
 				return err
 			}
 			threads := r.Threads
 			if threads < 0 || threads > 255 {
 				threads = 0
 			}
-			if err := bw.WriteByte(byte(threads)); err != nil {
-				return err
-			}
+			bw.buf = binary.AppendUvarint(bw.buf, zigzag(int64(r.PC-prevPC)))
+			bw.buf = binary.AppendUvarint(bw.buf, zigzag(int64(r.Addr-prevAddr)))
+			bw.buf = append(bw.buf, byte(r.Kind), byte(threads))
 			prevPC, prevAddr = r.PC, r.Addr
 		}
 	}
-	return bw.Flush()
+	return bw.flush()
 }
 
-// ReadWarpsBinary decodes a stream written by WriteWarpsBinary.
+// ReadWarpsBinary decodes a stream written by WriteWarpsBinary. Decode
+// failures are *FormatError values carrying the number of bytes consumed
+// when the stream broke.
 func ReadWarpsBinary(r io.Reader) (*WarpFile, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(warpMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(magic) != warpMagic {
-		return nil, ErrBadWarpMagic
-	}
-	get := func() (uint64, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("trace: truncated warp stream: %w", err)
-		}
-		return v, nil
-	}
-	nameLen, err := get()
+	d := newBinReader(r)
+	defer d.release()
+	name, grid, block, nWarps, err := d.header(warpMagic, ErrBadWarpMagic)
 	if err != nil {
 		return nil, err
-	}
-	if nameLen > 1<<16 {
-		return nil, errTooLarge
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
-	}
-	grid, err := get()
-	if err != nil {
-		return nil, err
-	}
-	block, err := get()
-	if err != nil {
-		return nil, err
-	}
-	nWarps, err := get()
-	if err != nil {
-		return nil, err
-	}
-	// Cap every header quantity cast to int (see ReadBinary): corrupt
-	// values >= 2^63 would wrap negative.
-	if grid > maxReasonableCount || block > maxReasonableCount || nWarps > maxReasonableCount {
-		return nil, errTooLarge
 	}
 	wf := &WarpFile{
-		Name:     string(name),
-		GridDim:  int(grid),
-		BlockDim: int(block),
-		Warps:    make([]WarpTrace, 0, allocHint(nWarps)),
+		Name:     name,
+		GridDim:  grid,
+		BlockDim: block,
+		Warps:    make([]WarpTrace, 0, allocHint(uint64(nWarps))),
 	}
-	for i := 0; i < int(nWarps); i++ {
-		id, err := get()
-		if err != nil {
-			return nil, err
+	for i := 0; i < nWarps; i++ {
+		var v [3]uint64
+		for j := range v {
+			if v[j], err = d.uvarint(); err != nil {
+				return nil, err
+			}
 		}
-		blk, err := get()
-		if err != nil {
-			return nil, err
+		if v[0] > maxReasonableCount || v[1] > maxReasonableCount || v[2] > maxReasonableCount {
+			return nil, d.fail(errTooLarge)
 		}
-		nReq, err := get()
-		if err != nil {
-			return nil, err
-		}
-		if id > maxReasonableCount || blk > maxReasonableCount || nReq > maxReasonableCount {
-			return nil, errTooLarge
-		}
+		id, nReq := int(v[0]), int(v[2])
 		wt := WarpTrace{
-			WarpID:   int(id),
-			Block:    int(blk),
-			Requests: make([]Request, 0, allocHint(nReq)),
+			WarpID:   id,
+			Block:    int(v[1]),
+			Requests: make([]Request, 0, allocHint(v[2])),
 		}
 		var prevPC, prevAddr uint64
-		for j := 0; j < int(nReq); j++ {
-			dpc, err := get()
+		for j := 0; j < nReq; j++ {
+			dpc, err := d.uvarint()
 			if err != nil {
 				return nil, err
 			}
-			daddr, err := get()
+			daddr, err := d.uvarint()
 			if err != nil {
 				return nil, err
 			}
-			kind, err := br.ReadByte()
+			kind, err := d.readByte()
 			if err != nil {
-				return nil, fmt.Errorf("trace: truncated warp stream: %w", err)
+				return nil, err
 			}
 			if kind > byte(Sync) {
-				return nil, fmt.Errorf("trace: invalid request kind %d", kind)
+				return nil, d.fail(fmt.Errorf("invalid request kind %d", kind))
 			}
-			threads, err := br.ReadByte()
+			threads, err := d.readByte()
 			if err != nil {
-				return nil, fmt.Errorf("trace: truncated warp stream: %w", err)
+				return nil, err
 			}
 			prevPC += uint64(unzigzag(dpc))
 			prevAddr += uint64(unzigzag(daddr))
@@ -192,7 +127,7 @@ func ReadWarpsBinary(r io.Reader) (*WarpFile, error) {
 				PC:      prevPC,
 				Addr:    prevAddr,
 				Kind:    Kind(kind),
-				WarpID:  int(id),
+				WarpID:  id,
 				Threads: int(threads),
 			})
 		}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,7 +58,7 @@ func TestWarpBinaryRoundTrip(t *testing.T) {
 }
 
 func TestWarpBinaryBadMagic(t *testing.T) {
-	if _, err := ReadWarpsBinary(strings.NewReader("GMAPTRC1xxxx")); err != ErrBadWarpMagic {
+	if _, err := ReadWarpsBinary(strings.NewReader("GMAPTRC1xxxx")); !errors.Is(err, ErrBadWarpMagic) {
 		t.Errorf("err = %v, want ErrBadWarpMagic", err)
 	}
 }
