@@ -85,7 +85,7 @@ func TestChaosWorkerKilledMidLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.StatusSnapshot()
-	if st.Expired+st.Stolen == 0 {
+	if st.Expired == 0 {
 		t.Errorf("victim's lease was never reclaimed: %+v", st)
 	}
 	if err := c.Close(); err != nil {
@@ -102,7 +102,7 @@ func TestChaosWorkerKilledMidLease(t *testing.T) {
 
 // TestChaosCoordinatorRestart interrupts a sweep, drops the coordinator
 // entirely, and builds a fresh one over the surviving ledger: the
-// journal is the only durable state, restored results are not re-run,
+// ledger is the only durable state, restored results are not re-run,
 // and the finished report is byte-identical to serial.
 func TestChaosCoordinatorRestart(t *testing.T) {
 	if testing.Short() {
@@ -149,7 +149,7 @@ func TestChaosCoordinatorRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Epoch 2: a brand-new coordinator restores the journal and a fresh
+	// Epoch 2: a brand-new coordinator restores the ledger and a fresh
 	// worker finishes only the remainder.
 	c2, err := NewCoordinator(CoordinatorOptions{
 		Spec:     quickSpec("fig6a"),
@@ -213,7 +213,7 @@ func TestChaosTornLedgerWrite(t *testing.T) {
 	for _, k := range g.Keys {
 		entries = append(entries, Entry{Key: k, Value: payloadFor(k), ElapsedNS: 1e6})
 	}
-	accepted, _, err := c.Results(g.Lease, g.Epoch, entries)
+	accepted, _, err := c.Results("w", g.Lease, g.Epoch, entries)
 	if err == nil {
 		t.Fatal("batch survived a crashed ledger stream")
 	}
@@ -247,7 +247,7 @@ func TestChaosTornLedgerWrite(t *testing.T) {
 	for _, k := range g2.Keys {
 		rest = append(rest, Entry{Key: k, Value: payloadFor(k), ElapsedNS: 1e6})
 	}
-	if _, _, err := c2.Results(g2.Lease, g2.Epoch, rest); err != nil {
+	if _, _, err := c2.Results("w2", g2.Lease, g2.Epoch, rest); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -275,12 +275,12 @@ func TestChaosDivergentPayloadRejected(t *testing.T) {
 	c, _, _ := syntheticCoordinator(t, 6, CoordinatorOptions{Parts: 1, LeaseTTL: time.Minute})
 	g := mustLease(t, c, "w")
 	first := g.Keys[0]
-	if _, _, err := c.Results(g.Lease, g.Epoch, []Entry{{Key: first, Value: payloadFor(first), ElapsedNS: 1}}); err != nil {
+	if _, _, err := c.Results("w", g.Lease, g.Epoch, []Entry{{Key: first, Value: payloadFor(first), ElapsedNS: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
 	fresh := g.Keys[1]
-	_, _, err := c.Results(g.Lease, g.Epoch, []Entry{
+	_, _, err := c.Results("w", g.Lease, g.Epoch, []Entry{
 		{Key: fresh, Value: payloadFor(fresh), ElapsedNS: 1},
 		{Key: first, Value: json.RawMessage(`{"job":"tampered"}`), ElapsedNS: 1},
 	})
@@ -306,7 +306,7 @@ func TestChaosDivergentPayloadRejected(t *testing.T) {
 	g2 := mustLease(t, c2, "w")
 	k := g2.Keys[0]
 	for i := 0; i < 2; i++ {
-		if _, _, err := c2.Results(g2.Lease, g2.Epoch, []Entry{{Key: k, Value: payloadFor(k), ElapsedNS: 1}}); err != nil {
+		if _, _, err := c2.Results("w", g2.Lease, g2.Epoch, []Entry{{Key: k, Value: payloadFor(k), ElapsedNS: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,7 +321,7 @@ func TestChaosDivergentPayloadRejected(t *testing.T) {
 func TestChaosForeignKeyRejected(t *testing.T) {
 	c, _, _ := syntheticCoordinator(t, 4, CoordinatorOptions{Parts: 1, LeaseTTL: time.Minute})
 	g := mustLease(t, c, "w")
-	_, _, err := c.Results(g.Lease, g.Epoch, []Entry{{Key: "deadbeef", Value: json.RawMessage(`{}`), ElapsedNS: 1}})
+	_, _, err := c.Results("w", g.Lease, g.Epoch, []Entry{{Key: "deadbeef", Value: json.RawMessage(`{}`), ElapsedNS: 1}})
 	if !errors.Is(err, ErrForeignKey) {
 		t.Fatalf("foreign result: %v", err)
 	}

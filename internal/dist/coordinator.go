@@ -21,9 +21,10 @@ import (
 
 // Sentinel errors of the lease protocol.
 var (
-	// ErrLeaseGone reports an operation on a lease that expired, was
-	// stolen, or never existed. Workers treat it as "stop this shard and
-	// ask for a new lease"; over HTTP it maps to 410 Gone.
+	// ErrLeaseGone reports an operation on a lease that expired, ended
+	// with its part's last key, or never existed. Workers treat it as
+	// "stop this shard and ask for a new lease"; over HTTP it maps to 410
+	// Gone.
 	ErrLeaseGone = errors.New("dist: lease expired or superseded")
 	// ErrDivergent reports a result whose payload differs byte-for-byte
 	// from the already-recorded result for the same job key. Jobs are
@@ -83,12 +84,6 @@ func (o *CoordinatorOptions) fillDefaults() {
 	}
 }
 
-// stallFactor scales the straggler threshold: an idle worker may steal
-// a live lease once its holder has gone stallFactor times the observed
-// mean job duration (never less than one TTL) without delivering a
-// result.
-const stallFactor = 8
-
 // partState is one partition of the job space.
 type partState struct {
 	id        int
@@ -102,13 +97,12 @@ type partState struct {
 // id answers ErrLeaseGone, which is exactly what a worker holding a
 // stale grant must hear.
 type lease struct {
-	id         string
-	worker     string
-	part       int
-	granted    time.Time
-	renewed    time.Time
-	lastResult time.Time
-	span       *obstrace.Span // child of the sweep span; nil when not tracing
+	id      string
+	worker  string
+	part    int
+	granted time.Time
+	renewed time.Time
+	span    *obstrace.Span // child of the sweep span; nil when not tracing
 }
 
 // workerStat tracks one worker's liveness across its leases.
@@ -133,7 +127,7 @@ type LeaseGrant struct {
 	Part  int `json:"part,omitempty"`
 	Parts int `json:"parts,omitempty"`
 	// Keys are the part's still-unrecorded job keys, sorted. The worker
-	// runs exactly these — after a steal, the new holder skips what the
+	// runs exactly these — after an expiry, the new holder skips what the
 	// old one already delivered.
 	Keys []string `json:"keys,omitempty"`
 	// Spec is the sweep to run; identical for every grant.
@@ -165,7 +159,6 @@ type Status struct {
 	LiveLeases int            `json:"live_leases"`
 	Granted    uint64         `json:"granted"`
 	Expired    uint64         `json:"expired"`
-	Stolen     uint64         `json:"stolen"`
 	Duplicates uint64         `json:"duplicates"`
 	Late       uint64         `json:"late_results"`
 	Restored   int            `json:"restored"`
@@ -211,15 +204,12 @@ type Coordinator struct {
 	leases   map[string]*lease // live only
 	done     map[string]json.RawMessage
 	appender *runner.CheckpointAppender
-	journal  *runner.CheckpointAppender // lease journal; nil after a write error (best-effort)
 	epoch    uint64
 	deposed  bool // a higher epoch is persisted: permanently fenced
 	workers  map[string]*workerStat
 	seq      int
-	elapsed  int64 // summed ElapsedNS of first-time results
 	granted  uint64
 	expired  uint64
-	stolen   uint64
 	dups     uint64
 	late     uint64
 	restored int
@@ -230,7 +220,7 @@ type Coordinator struct {
 	finishGen sync.Once
 
 	// now is the clock; tests substitute a fake for deterministic
-	// expiry/steal schedules.
+	// expiry schedules.
 	now func() time.Time
 }
 
@@ -321,7 +311,7 @@ func newCoordinator(spec SweepSpec, keys []string, o CoordinatorOptions) (*Coord
 		if cerr != nil {
 			return nil, fmt.Errorf("dist: ledger %s entry %q: %w", o.Ledger, k, cerr)
 		}
-		c.markDoneLocked(k, cv, 0)
+		c.markDoneLocked(k, cv)
 		c.restored++
 	}
 	if salvage.TornBytes > 0 {
@@ -336,50 +326,8 @@ func newCoordinator(spec SweepSpec, keys []string, o CoordinatorOptions) (*Coord
 		return nil, err
 	}
 	c.appender = app
-
-	// The lease journal is advisory (salvaged loosely, appended
-	// best-effort): losing it can cost observability, never correctness.
-	// A torn tail from a killed predecessor is truncated before reopening
-	// so new lines cannot glue onto garbage.
-	if _, _, jerr := runner.SalvageCheckpoint(c.fs(), JournalPath(o.Ledger)); jerr != nil {
-		c.logf("dist: lease journal %s unusable: %v", JournalPath(o.Ledger), jerr)
-		o.Obs.Counter("dist.journal_errors").Inc()
-	} else if j, jerr := runner.OpenCheckpointAppender(c.fs(), JournalPath(o.Ledger), false); jerr != nil {
-		c.logf("dist: lease journal %s unusable: %v", JournalPath(o.Ledger), jerr)
-		o.Obs.Counter("dist.journal_errors").Inc()
-	} else {
-		c.journal = j
-	}
-	c.journalLocked("epoch", "claimed", -1, "")
-
 	c.checkFinishedLocked()
 	return c, nil
-}
-
-// journalLocked appends one lease-state transition to the lease
-// journal, best-effort: a journal that cannot be written is dropped
-// (and counted) rather than failing the operation that triggered it.
-func (c *Coordinator) journalLocked(leaseID, state string, part int, worker string) {
-	if c.journal == nil {
-		return
-	}
-	rec := struct {
-		Epoch  uint64 `json:"epoch"`
-		State  string `json:"state"`
-		Part   int    `json:"part,omitempty"`
-		Worker string `json:"worker,omitempty"`
-		AtNS   int64  `json:"at_unix_ns"`
-	}{Epoch: c.epoch, State: state, Part: part, Worker: worker, AtNS: c.now().UnixNano()}
-	val, err := json.Marshal(rec)
-	if err == nil {
-		err = c.journal.Append(leaseID, val, 0)
-	}
-	if err != nil {
-		c.logf("dist: lease journal: %v (journaling disabled)", err)
-		c.o.Obs.Counter("dist.journal_errors").Inc()
-		_ = c.journal.Close()
-		c.journal = nil
-	}
 }
 
 // SetFleet mounts h (the fleet federation surface, internal/obs/fleet)
@@ -435,10 +383,6 @@ func (c *Coordinator) fenceLocked() error {
 			_ = c.appender.Close()
 			c.appender = nil
 		}
-		if c.journal != nil {
-			_ = c.journal.Close()
-			c.journal = nil
-		}
 		c.o.Obs.Counter("dist.deposed").Inc()
 		c.logf("dist: epoch %d deposed by persisted epoch %d; fencing", c.epoch, cur)
 		return fmt.Errorf("%w: coordinator epoch %d deposed by epoch %d", ErrStaleEpoch, c.epoch, cur)
@@ -483,15 +427,11 @@ func compactValue(v json.RawMessage) (json.RawMessage, error) {
 	return json.RawMessage(buf.Bytes()), nil
 }
 
-// Close flushes and closes the ledger and lease journal. The
-// coordinator stays queryable but refuses further results.
+// Close flushes and closes the ledger. The coordinator stays queryable
+// but refuses further results.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.journal != nil {
-		_ = c.journal.Close()
-		c.journal = nil
-	}
 	if c.appender == nil {
 		return nil
 	}
@@ -516,9 +456,12 @@ func (c *Coordinator) WaitDone(ctx context.Context) error {
 // Drain keeps a finished coordinator answering until every worker seen
 // within the last lease TTL has been told the sweep is done, for half a
 // lease TTL at most: long enough for a worker waiting at its poll
-// interval (500ms by default) to ask again. A coordinator that exits the
-// moment its report renders leaves a worker asking for its next lease to
-// spend its whole retry budget on a closed port, and fail.
+// interval (500ms by default) to ask again. Every request a worker
+// makes counts as seen, one fenced to a previous epoch too, so a
+// restarted coordinator also waits for the workers of its predecessor.
+// A coordinator that exits the moment its report renders leaves a
+// worker asking for its next lease to spend its whole retry budget on a
+// closed port, and fail.
 func (c *Coordinator) Drain(ctx context.Context) {
 	deadline := time.Now().Add(c.o.LeaseTTL / 2)
 	for !c.drained() && time.Now().Before(deadline) && ctx.Err() == nil {
@@ -539,18 +482,17 @@ func (c *Coordinator) drained() bool {
 	return true
 }
 
-// Lease grants the requesting worker a partition: the first unleased
-// part with unrecorded keys, or — when every such part is taken — a
-// stolen straggler. With nothing grantable it answers "wait", and once
+// Lease grants the requesting worker the first unleased part with
+// unrecorded keys. With nothing grantable it answers "wait", and once
 // every key is recorded, "done". A deposed coordinator refuses to
 // grant (ErrStaleEpoch): the worker's retry loop finds the successor.
 func (c *Coordinator) Lease(worker string) (LeaseGrant, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	ws := c.seenLocked(worker)
 	if err := c.fenceLocked(); err != nil {
 		return LeaseGrant{}, err
 	}
-	ws := c.seenLocked(worker)
 	c.expireLocked()
 	if c.doneLocked() {
 		ws.toldDone = true
@@ -561,9 +503,6 @@ func (c *Coordinator) Lease(worker string) (LeaseGrant, error) {
 			return c.grantLocked(worker, p), nil
 		}
 	}
-	if p := c.stealLocked(); p != nil {
-		return c.grantLocked(worker, p), nil
-	}
 	return waitGrant(c.epoch, c.o.LeaseTTL), nil
 }
 
@@ -573,7 +512,8 @@ func waitGrant(epoch uint64, ttl time.Duration) LeaseGrant {
 	return LeaseGrant{Status: GrantWait, Epoch: epoch, TTLNS: int64(ttl)}
 }
 
-// seenLocked refreshes a worker's last-seen instant.
+// seenLocked refreshes a worker's last-seen instant. Every lease
+// operation names its worker and calls it first, fenced or not.
 func (c *Coordinator) seenLocked(worker string) *workerStat {
 	ws := c.workers[worker]
 	if ws == nil {
@@ -607,7 +547,6 @@ func (c *Coordinator) grantLocked(worker string, p *partState) LeaseGrant {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	c.journalLocked(id, "granted", p.id, worker)
 	c.logf("dist: lease %s: part %d/%d (%d keys) -> worker %s", id, p.id, len(c.parts), len(keys), worker)
 	return LeaseGrant{
 		Status: GrantLease,
@@ -630,15 +569,14 @@ func (c *Coordinator) expireLocked() {
 			c.o.Obs.Counter("dist.leases_expired").Inc()
 			c.logf("dist: lease %s (part %d, worker %s) expired after %v without heartbeat",
 				id, l.part, l.worker, now.Sub(l.renewed))
-			c.journalLocked(id, "expired", l.part, l.worker)
 			c.revokeLocked(l)
 		}
 	}
 }
 
 // revokeLocked forgets a live lease and returns its part to the pool.
-// The lease span ends here — whatever the cause (expiry, steal, the
-// part's last key recorded), the span just bounds the lease's lifetime.
+// The lease span ends here — whatever the cause (expiry or the part's
+// last key recorded), the span just bounds the lease's lifetime.
 func (c *Coordinator) revokeLocked(l *lease) {
 	l.span.End()
 	delete(c.leases, l.id)
@@ -647,61 +585,13 @@ func (c *Coordinator) revokeLocked(l *lease) {
 	}
 }
 
-// stealLocked picks a straggler lease to revoke: per-job span timings
-// streamed with each result give a mean job duration, and a lease that
-// has gone stallFactor times that mean (never less than one TTL)
-// without delivering a result is slower than re-running its remainder
-// elsewhere. Among stragglers the one holding the most unrecorded keys
-// is stolen first; ties break on part id so the choice is
-// deterministic.
-func (c *Coordinator) stealLocked() *partState {
-	jobs := len(c.done)
-	if jobs == 0 || c.elapsed <= 0 {
-		return nil // no timing signal yet: nothing to judge stragglers by
-	}
-	threshold := time.Duration(c.elapsed / int64(jobs) * stallFactor)
-	if threshold < c.o.LeaseTTL {
-		threshold = c.o.LeaseTTL
-	}
-	now := c.now()
-	var victim *lease
-	for _, l := range c.leases {
-		p := c.parts[l.part]
-		if len(p.remaining) == 0 {
-			continue
-		}
-		last := l.lastResult
-		if last.IsZero() {
-			last = l.granted
-		}
-		if now.Sub(last) <= threshold {
-			continue
-		}
-		if victim == nil ||
-			len(p.remaining) > len(c.parts[victim.part].remaining) ||
-			(len(p.remaining) == len(c.parts[victim.part].remaining) && l.part < victim.part) {
-			victim = l
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	c.stolen++
-	c.o.Obs.Counter("dist.leases_stolen").Inc()
-	c.logf("dist: stealing lease %s (part %d, worker %s): no result for > %v",
-		victim.id, victim.part, victim.worker, threshold)
-	c.journalLocked(victim.id, "stolen", victim.part, victim.worker)
-	p := c.parts[victim.part]
-	c.revokeLocked(victim)
-	return p
-}
-
-// Heartbeat renews a lease's TTL. ErrLeaseGone tells the worker its
-// grant was revoked and the shard should be abandoned; ErrStaleEpoch
-// tells it the coordinator changed and it must re-lease.
-func (c *Coordinator) Heartbeat(leaseID string, epoch uint64) error {
+// Heartbeat renews a lease's TTL for worker. ErrLeaseGone tells the
+// worker its grant was revoked and the shard should be abandoned;
+// ErrStaleEpoch tells it the coordinator changed and it must re-lease.
+func (c *Coordinator) Heartbeat(worker, leaseID string, epoch uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.seenLocked(worker)
 	if err := c.fenceEpochLocked(epoch); err != nil {
 		return err
 	}
@@ -711,24 +601,25 @@ func (c *Coordinator) Heartbeat(leaseID string, epoch uint64) error {
 		return ErrLeaseGone
 	}
 	l.renewed = c.now()
-	c.seenLocked(l.worker)
 	return nil
 }
 
-// Results merges a batch of completed jobs into the ledger. Acceptance
-// is idempotent and lease-independent: results are keyed by job hash,
-// so duplicates with identical payloads are counted and dropped, late
-// results from revoked leases are folded in (the work is done — the
-// determinism contract makes it indistinguishable from the live
-// holder's), and a payload that diverges from the recorded one rejects
-// the whole batch before any ledger write. The fence check runs before
-// anything else: a batch fenced to a stale epoch is rejected whole,
-// pre-validation and pre-write, no matter what it contains. The error
+// Results merges a batch of completed jobs, delivered by worker, into
+// the ledger. Acceptance is idempotent and lease-independent: results
+// are keyed by job hash, so duplicates with identical payloads are
+// counted and dropped, late results from revoked leases are folded in
+// (the work is done — the determinism contract makes it
+// indistinguishable from the live holder's), and a payload that
+// diverges from the recorded one rejects the whole batch before any
+// ledger write. The fence check runs before anything else: a batch
+// fenced to a stale epoch is rejected whole, pre-validation and
+// pre-write, no matter what it contains. The error
 // return is a fencing rejection (ErrStaleEpoch), a validation
 // rejection (ErrDivergent/ErrForeignKey) or a ledger append failure.
-func (c *Coordinator) Results(leaseID string, epoch uint64, entries []Entry) (accepted, duplicates int, err error) {
+func (c *Coordinator) Results(worker, leaseID string, epoch uint64, entries []Entry) (accepted, duplicates int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.seenLocked(worker)
 	if err := c.fenceEpochLocked(epoch); err != nil {
 		return 0, 0, err
 	}
@@ -787,16 +678,11 @@ func (c *Coordinator) Results(leaseID string, epoch uint64, entries []Entry) (ac
 			// point was merged, and the in-memory state matches the file.
 			return accepted, duplicates, fmt.Errorf("dist: ledger append: %w", err)
 		}
-		c.markDoneLocked(a.key, a.val, a.ns)
+		c.markDoneLocked(a.key, a.val)
 		accepted++
 	}
 	if live {
-		now := c.now()
-		l.renewed = now
-		if accepted > 0 {
-			l.lastResult = now
-		}
-		c.seenLocked(l.worker)
+		l.renewed = c.now()
 	}
 	c.o.Obs.Counter("dist.results_merged").Add(uint64(accepted))
 	return accepted, duplicates, nil
@@ -805,9 +691,8 @@ func (c *Coordinator) Results(leaseID string, epoch uint64, entries []Entry) (ac
 // markDoneLocked records one merged result and advances part/sweep
 // completion. A part whose last key arrives is done no matter which
 // lease delivered it; its live lease, if any, is released on the spot.
-func (c *Coordinator) markDoneLocked(key string, val json.RawMessage, elapsedNS int64) {
+func (c *Coordinator) markDoneLocked(key string, val json.RawMessage) {
 	c.done[key] = val
-	c.elapsed += elapsedNS
 	p := c.parts[c.universe[key]]
 	delete(p.remaining, key)
 	if len(p.remaining) == 0 {
@@ -850,7 +735,6 @@ func (c *Coordinator) StatusSnapshot() Status {
 		LiveLeases: len(c.leases),
 		Granted:    c.granted,
 		Expired:    c.expired,
-		Stolen:     c.stolen,
 		Duplicates: c.dups,
 		Late:       c.late,
 		Restored:   c.restored,

@@ -17,18 +17,20 @@
 //
 //	pending ──lease──▶ leased ──last key recorded──▶ done
 //	   ▲                  │
-//	   └─TTL expiry/steal─┘
+//	   └────TTL expiry────┘
 //
 // A part (partition of the key space) is leased to at most one live
-// worker at a time. Leases expire when the worker misses its heartbeat
-// TTL and may be revoked early (stolen) when the worker has not
-// delivered a result for stallFactor times the observed mean job time
-// while other workers are idle. Results are accepted idempotently from
-// any lease, live or revoked: a duplicate with an identical payload is
-// counted and dropped, a duplicate with a divergent payload is an error
-// naming the key — determinism says that can only mean two different
-// job universes were merged. A part completes when every one of its
-// keys has a recorded result, no matter which lease delivered them.
+// worker at a time. A lease ends in one of three ways: its holder stops
+// heartbeating for one TTL (expiry), its part's last key is recorded,
+// or its coordinator is replaced by a restart over the same ledger,
+// which fences every lease of the old epoch (epoch.go). A holder that
+// heartbeats keeps its part however slowly it delivers. Results are
+// accepted idempotently from any lease, live or revoked: a duplicate
+// with an identical payload is counted and dropped, a duplicate with a
+// divergent payload is an error naming the key — determinism says that
+// can only mean two different job universes were merged. A part
+// completes when every one of its keys has a recorded result, no matter
+// which lease delivered them.
 package dist
 
 import (
@@ -53,8 +55,8 @@ func PartOf(key string, parts int) int {
 // worker streams to the coordinator, in the checkpoint's own JSON shape.
 // Value carries the JSON a local checkpoint would have recorded; the
 // coordinator compacts it, so merged-ledger payload comparison is
-// byte-level. ElapsedNS is advisory — it feeds the coordinator's
-// straggler detection, never job identity.
+// byte-level. ElapsedNS is advisory: the ledger line records it, and
+// it is never part of job identity.
 type Entry struct {
 	Key       string          `json:"key"`
 	Value     json.RawMessage `json:"value"`

@@ -26,23 +26,16 @@ import (
 // either the request carried an epoch that is no longer current, or the
 // coordinator itself discovered it has been deposed. Workers treat it
 // on a heartbeat or result delivery exactly like a lost lease — abandon
-// the shard and re-lease (the new coordinator re-issues the remaining
-// keys). A lease request carries no epoch, so a deposed coordinator's
-// answer to one is retried, within the worker's retry budget, at the
-// re-resolved address. Over HTTP it maps to 409 Conflict, because
+// the shard, deliver nothing more for it, and re-lease (the new
+// coordinator re-issues the remaining keys). A lease request carries no
+// epoch, so a deposed coordinator's answer to one is retried, within
+// the worker's retry budget, at the re-resolved address. Over HTTP it maps to 409 Conflict, because
 // retrying the same request at the same coordinator can never succeed.
 var ErrStaleEpoch = errors.New("dist: stale coordinator epoch")
 
 // EpochPath is the sidecar file recording the current coordinator epoch
 // for the ledger.
 func EpochPath(ledger string) string { return ledger + ".epoch" }
-
-// JournalPath is the lease journal that rides alongside the ledger: one
-// best-effort JSONL line per lease-state transition, keyed by lease id.
-// It is the only persisted record of which worker held which part and
-// when (lease spans die with the coordinator process), so operators
-// read it to reconstruct who held what across restarts.
-func JournalPath(ledger string) string { return ledger + ".leases" }
 
 // epochRecord is the sidecar file's JSON payload.
 type epochRecord struct {

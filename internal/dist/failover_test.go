@@ -97,14 +97,15 @@ func runFailover(t *testing.T, n int, seed int64, serial string) {
 		go func() {
 			defer wg.Done()
 			workerErrs[i] = RunWorker(ctx, WorkerOptions{
-				AddrFile:     addrFile,
-				Name:         fmt.Sprintf("w%d", i),
-				Workers:      2,
-				Poll:         10 * time.Millisecond,
-				Retries:      40,
-				RetryBackoff: 50 * time.Millisecond,
-				Obs:          reg,
-				Logf:         t.Logf,
+				AddrFile: addrFile,
+				Name:     fmt.Sprintf("w%d", i),
+				Workers:  2,
+				// A retry every Poll for 30s covers the restart below,
+				// under -race too.
+				Poll:    10 * time.Millisecond,
+				Retries: 3000,
+				Obs:     reg,
+				Logf:    t.Logf,
 			})
 		}()
 	}
@@ -192,10 +193,10 @@ func runFailover(t *testing.T, n int, seed int64, serial string) {
 		t.Fatal(err)
 	}
 	late := []Entry{{Key: allKeys[0], Value: json.RawMessage(`{"tampered":true}`), ElapsedNS: 1}}
-	if _, _, err := cA.Results("lease-1-0001", 1, late); !errors.Is(err, ErrStaleEpoch) {
+	if _, _, err := cA.Results("w0", "lease-1-0001", 1, late); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("deposed coordinator accepted a late batch: %v", err)
 	}
-	if _, _, err := cB.Results("lease-1-0001", 1, late); !errors.Is(err, ErrStaleEpoch) {
+	if _, _, err := cB.Results("w0", "lease-1-0001", 1, late); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("restarted coordinator accepted an epoch-1 batch: %v", err)
 	}
 	if _, err := cA.Lease("zombie"); !errors.Is(err, ErrStaleEpoch) {
@@ -233,7 +234,7 @@ func TestChaosSplitBrainFencing(t *testing.T) {
 	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
 	c1, keys, _ := syntheticCoordinator(t, 8, CoordinatorOptions{Parts: 2, LeaseTTL: time.Minute, Ledger: ledger})
 	g1 := mustLease(t, c1, "w1")
-	if _, _, err := c1.Results(g1.Lease, g1.Epoch, []Entry{{Key: g1.Keys[0], Value: payloadFor(g1.Keys[0]), ElapsedNS: 1}}); err != nil {
+	if _, _, err := c1.Results("w1", g1.Lease, g1.Epoch, []Entry{{Key: g1.Keys[0], Value: payloadFor(g1.Keys[0]), ElapsedNS: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -250,13 +251,13 @@ func TestChaosSplitBrainFencing(t *testing.T) {
 	// Every mutating op of the deposed incarnation is fenced, and the
 	// rejected batch must leave no trace in the ledger.
 	entries := []Entry{{Key: g1.Keys[1], Value: payloadFor(g1.Keys[1]), ElapsedNS: 1}}
-	if _, _, err := c1.Results(g1.Lease, g1.Epoch, entries); !errors.Is(err, ErrStaleEpoch) {
+	if _, _, err := c1.Results("w1", g1.Lease, g1.Epoch, entries); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("deposed Results: %v", err)
 	}
 	if _, err := c1.Lease("w1"); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("deposed Lease: %v", err)
 	}
-	if err := c1.Heartbeat(g1.Lease, g1.Epoch); !errors.Is(err, ErrStaleEpoch) {
+	if err := c1.Heartbeat("w1", g1.Lease, g1.Epoch); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("deposed Heartbeat: %v", err)
 	}
 	if st := c1.StatusSnapshot(); !st.Deposed {
@@ -268,7 +269,7 @@ func TestChaosSplitBrainFencing(t *testing.T) {
 
 	// The new incarnation also fences any batch still quoting epoch 1,
 	// even on a lease id it never granted.
-	if _, _, err := c2.Results(g1.Lease, g1.Epoch, entries); !errors.Is(err, ErrStaleEpoch) {
+	if _, _, err := c2.Results("w1", g1.Lease, g1.Epoch, entries); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("stale-epoch batch at the takeover: %v", err)
 	}
 
@@ -292,7 +293,7 @@ func TestChaosSplitBrainFencing(t *testing.T) {
 		for _, k := range g.Keys {
 			es = append(es, Entry{Key: k, Value: payloadFor(k), ElapsedNS: 1})
 		}
-		if _, _, err := c2.Results(g.Lease, g.Epoch, es); err != nil {
+		if _, _, err := c2.Results("w2", g.Lease, g.Epoch, es); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -336,8 +337,9 @@ func TestEpochFencingProperty(t *testing.T) {
 			live := fresh()
 			old := []*Coordinator{} // every deposed incarnation, still callable
 			type grant struct {
-				from *Coordinator
-				g    LeaseGrant
+				from   *Coordinator
+				worker string
+				g      LeaseGrant
 			}
 			var grants []grant
 
@@ -362,7 +364,8 @@ func TestEpochFencingProperty(t *testing.T) {
 					if len(old) > 0 && g.R.Bool(0.3) {
 						c = old[g.R.Intn(len(old))]
 					}
-					lg, err := c.Lease(fmt.Sprintf("w%d", g.R.Intn(3)))
+					worker := fmt.Sprintf("w%d", g.R.Intn(3))
+					lg, err := c.Lease(worker)
 					if err != nil {
 						if !errors.Is(err, ErrStaleEpoch) || c == live {
 							t.Fatalf("lease: %v (live=%v)", err, c == live)
@@ -370,7 +373,7 @@ func TestEpochFencingProperty(t *testing.T) {
 						continue
 					}
 					if lg.Status == GrantLease {
-						grants = append(grants, grant{from: c, g: lg})
+						grants = append(grants, grant{from: c, worker: worker, g: lg})
 					}
 				case 3, 4, 5: // deliver a batch under its original grant epoch
 					if len(grants) == 0 {
@@ -390,7 +393,7 @@ func TestEpochFencingProperty(t *testing.T) {
 						target = old[g.R.Intn(len(old))]
 					}
 					before := ledgerLines()
-					_, _, err := target.Results(gr.g.Lease, gr.g.Epoch, entries)
+					_, _, err := target.Results(gr.worker, gr.g.Lease, gr.g.Epoch, entries)
 					if err != nil {
 						// (a) any rejection — stale epoch, closed appender —
 						// must have written nothing.
@@ -405,7 +408,7 @@ func TestEpochFencingProperty(t *testing.T) {
 				case 6: // heartbeat a random grant anywhere
 					if len(grants) > 0 {
 						gr := grants[g.R.Intn(len(grants))]
-						_ = live.Heartbeat(gr.g.Lease, gr.g.Epoch)
+						_ = live.Heartbeat(gr.worker, gr.g.Lease, gr.g.Epoch)
 					}
 				case 7: // (b) invariants hold on the live incarnation
 					checkInvariants(t, live)
@@ -433,7 +436,7 @@ func TestEpochFencingProperty(t *testing.T) {
 				for _, k := range lg.Keys {
 					es = append(es, Entry{Key: k, Value: payloadFor(k), ElapsedNS: 1e6})
 				}
-				if _, _, err := live.Results(lg.Lease, lg.Epoch, es); err != nil {
+				if _, _, err := live.Results("drain", lg.Lease, lg.Epoch, es); err != nil {
 					t.Fatal(err)
 				}
 				checkInvariants(t, live)

@@ -17,13 +17,16 @@ import (
 // exactly as a local checkpoint would have recorded them.
 
 // leaseRequest, leaseOpRequest and resultsRequest are the bodies of the
-// lease operations. Epoch is the fencing epoch the lease was granted
-// under; a body without one reads epoch 0, which no coordinator holds.
+// lease operations. Each names its worker; a body that names none is
+// named by its remote address. Epoch is the fencing epoch the lease was
+// granted under; a body without one reads epoch 0, which no coordinator
+// holds.
 type leaseRequest struct {
 	Worker string `json:"worker"`
 }
 
 type leaseOpRequest struct {
+	leaseRequest
 	Lease string `json:"lease"`
 	Epoch uint64 `json:"epoch"`
 }
@@ -100,12 +103,12 @@ func statusOf(err error) int {
 }
 
 // leaseOps is the server side of the lease protocol: a Coordinator, or
-// Sweeps routing to the sweep it is coordinating. A part ends when its
-// last key is recorded.
+// Sweeps routing to the sweep it is coordinating. Every operation names
+// the worker that asks. A part ends when its last key is recorded.
 type leaseOps interface {
 	Lease(worker string) (LeaseGrant, error)
-	Heartbeat(lease string, epoch uint64) error
-	Results(lease string, epoch uint64, entries []Entry) (accepted, duplicates int, err error)
+	Heartbeat(worker, lease string, epoch uint64) error
+	Results(worker, lease string, epoch uint64, entries []Entry) (accepted, duplicates int, err error)
 }
 
 // decodeBody decodes r's JSON body, at most limit bytes, into v. A body
@@ -118,6 +121,15 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v interface
 	return true
 }
 
+// worker names the worker behind r: the name its body gives, else its
+// remote address.
+func (q leaseRequest) worker(r *http.Request) string {
+	if q.Worker == "" {
+		return r.RemoteAddr
+	}
+	return q.Worker
+}
+
 // handleLeaseOps mounts the three lease operations of ops on mux.
 func handleLeaseOps(mux *http.ServeMux, ops leaseOps) {
 	mux.HandleFunc("POST /dist/v1/lease", func(w http.ResponseWriter, r *http.Request) {
@@ -125,10 +137,7 @@ func handleLeaseOps(mux *http.ServeMux, ops leaseOps) {
 		if !decodeBody(w, r, 1<<16, &req) {
 			return
 		}
-		if req.Worker == "" {
-			req.Worker = r.RemoteAddr
-		}
-		g, err := ops.Lease(req.Worker)
+		g, err := ops.Lease(req.worker(r))
 		if err != nil {
 			writeErr(w, statusOf(err), err)
 			return
@@ -140,7 +149,7 @@ func handleLeaseOps(mux *http.ServeMux, ops leaseOps) {
 		if !decodeBody(w, r, 1<<16, &req) {
 			return
 		}
-		if err := ops.Heartbeat(req.Lease, req.Epoch); err != nil {
+		if err := ops.Heartbeat(req.worker(r), req.Lease, req.Epoch); err != nil {
 			writeErr(w, statusOf(err), err)
 			return
 		}
@@ -160,7 +169,7 @@ func handleLeaseOps(mux *http.ServeMux, ops leaseOps) {
 				return
 			}
 		}
-		accepted, dups, err := ops.Results(req.Lease, req.Epoch, req.Entries)
+		accepted, dups, err := ops.Results(req.worker(r), req.Lease, req.Epoch, req.Entries)
 		if err != nil {
 			writeErr(w, statusOf(err), err)
 			return

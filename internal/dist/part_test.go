@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -133,7 +136,7 @@ func checkInvariants(t *testing.T, c *Coordinator) {
 }
 
 // TestLeaseInvariantsProperty drives a random schedule of lease,
-// heartbeat, result, complete and clock-advance operations against a
+// heartbeat, result and clock-advance operations against a
 // synthetic universe and asserts the state-machine invariants after
 // every step, then drains the sweep to completion and checks the ledger
 // covers the universe exactly.
@@ -149,24 +152,26 @@ func TestLeaseInvariantsProperty(t *testing.T) {
 				LeaseTTL: ttl,
 			})
 			type grant struct {
-				id   string
-				keys []string
+				id, worker string
+				keys       []string
 			}
 			var grants []grant // every grant ever issued, live or not
 			steps := 200 + g.R.Intn(200)
 			for s := 0; s < steps; s++ {
 				switch g.R.Intn(9) {
 				case 0, 1: // request a lease
-					lg := mustLease(t, c, fmt.Sprintf("w%d", g.R.Intn(4)))
+					worker := fmt.Sprintf("w%d", g.R.Intn(4))
+					lg := mustLease(t, c, worker)
 					if lg.Status == GrantLease {
-						grants = append(grants, grant{id: lg.Lease, keys: lg.Keys})
+						grants = append(grants, grant{id: lg.Lease, worker: worker, keys: lg.Keys})
 					}
 				case 2: // heartbeat a random (possibly stale) grant
 					if len(grants) > 0 {
-						_ = c.Heartbeat(grants[g.R.Intn(len(grants))].id, c.Epoch())
+						gr := grants[g.R.Intn(len(grants))]
+						_ = c.Heartbeat(gr.worker, gr.id, c.Epoch())
 					}
 				case 3: // heartbeat a lease that never existed
-					if err := c.Heartbeat("lease-bogus", c.Epoch()); err == nil {
+					if err := c.Heartbeat("w0", "lease-bogus", c.Epoch()); err == nil {
 						t.Fatal("bogus lease heartbeat accepted")
 					}
 				case 4, 5, 6: // deliver results for a random grant subset
@@ -178,7 +183,7 @@ func TestLeaseInvariantsProperty(t *testing.T) {
 								entries = append(entries, Entry{Key: k, Value: payloadFor(k), ElapsedNS: int64(1e6 + g.R.Intn(1e6))})
 							}
 						}
-						if _, _, err := c.Results(gr.id, c.Epoch(), entries); err != nil {
+						if _, _, err := c.Results(gr.worker, gr.id, c.Epoch(), entries); err != nil {
 							t.Fatalf("results rejected: %v", err)
 						}
 					}
@@ -207,7 +212,7 @@ func TestLeaseInvariantsProperty(t *testing.T) {
 				for _, k := range lg.Keys {
 					entries = append(entries, Entry{Key: k, Value: payloadFor(k), ElapsedNS: 1e6})
 				}
-				if _, _, err := c.Results(lg.Lease, lg.Epoch, entries); err != nil {
+				if _, _, err := c.Results("drain", lg.Lease, lg.Epoch, entries); err != nil {
 					t.Fatal(err)
 				}
 				checkInvariants(t, c)
@@ -241,73 +246,62 @@ func TestLeaseInvariantsProperty(t *testing.T) {
 	}
 }
 
-// TestStealIdempotence scripts the straggler dance: worker A leases the
-// only part and delivers half of it, stalls long past the straggler
-// threshold (while heartbeating, so the lease never expires), B steals
-// the remainder, A's late results land harmlessly and end B's lease, and
-// the merged ledger is exactly one line per key.
-func TestStealIdempotence(t *testing.T) {
+// TestExpiryIdempotence scripts a holder going silent: worker A leases
+// the only part, delivers half of it and stops heartbeating. B waits
+// while A's lease lives and leases the remainder once A has been silent
+// for a TTL. A's late results land harmlessly — duplicates for the half
+// it already sent, late results for the rest, the last of which ends
+// B's lease — and the merged ledger is exactly one line per key.
+func TestExpiryIdempotence(t *testing.T) {
 	ttl := 10 * time.Second
 	c, keys, clk := syntheticCoordinator(t, 12, CoordinatorOptions{Parts: 1, LeaseTTL: ttl})
+	deliver := func(worker string, g LeaseGrant, keys []string) (acc, dup int, err error) {
+		var entries []Entry
+		for _, k := range keys {
+			entries = append(entries, Entry{Key: k, Value: payloadFor(k), ElapsedNS: int64(time.Millisecond)})
+		}
+		return c.Results(worker, g.Lease, g.Epoch, entries)
+	}
 
 	a := mustLease(t, c, "A")
 	if a.Status != GrantLease || len(a.Keys) != len(keys) {
 		t.Fatalf("grant A = %+v", a)
 	}
-	// A delivers half, establishing a mean job time of ~1ms.
 	half := a.Keys[:len(a.Keys)/2]
-	var entries []Entry
-	for _, k := range half {
-		entries = append(entries, Entry{Key: k, Value: payloadFor(k), ElapsedNS: int64(time.Millisecond)})
-	}
-	if _, _, err := c.Results(a.Lease, a.Epoch, entries); err != nil {
+	if _, _, err := deliver("A", a, half); err != nil {
 		t.Fatal(err)
 	}
 
-	// B asks while A is healthy: every part is leased, so B waits; the
-	// steal threshold (max(TTL, 8×1ms) = TTL) hasn't passed.
+	// A goes silent. For one TTL its lease lives, and B waits.
+	clk.advance(ttl)
 	if lg := mustLease(t, c, "B"); lg.Status != GrantWait {
-		t.Fatalf("B granted %+v while A healthy", lg)
+		t.Fatalf("B granted %+v while A's lease lives", lg)
 	}
-
-	// A keeps heartbeating but stops delivering: after > TTL of silence
-	// on the results channel, B's next request steals the part.
-	for i := 0; i < 4; i++ {
-		clk.advance(ttl / 2)
-		if err := c.Heartbeat(a.Lease, a.Epoch); err != nil {
-			t.Fatalf("A heartbeat while healthy: %v", err)
-		}
-		checkInvariants(t, c)
-	}
+	clk.advance(time.Second)
 	b := mustLease(t, c, "B")
-	if b.Status != GrantLease {
-		t.Fatalf("B not granted after stall: %+v", b)
+	if b.Status != GrantLease || len(b.Keys) != len(keys)-len(half) {
+		t.Fatalf("B after A's silence: %+v, want the %d-key remainder", b, len(keys)-len(half))
 	}
-	if len(b.Keys) != len(keys)-len(half) {
-		t.Fatalf("B leased %d keys, want the %d-key remainder", len(b.Keys), len(keys)-len(half))
+	if st := c.StatusSnapshot(); st.Expired != 1 {
+		t.Fatalf("expired = %d, want 1", st.Expired)
 	}
-	st := c.StatusSnapshot()
-	if st.Stolen != 1 {
-		t.Fatalf("stolen = %d, want 1", st.Stolen)
-	}
-	if err := c.Heartbeat(a.Lease, a.Epoch); err == nil {
-		t.Fatal("A's stolen lease still heartbeats")
+	if err := c.Heartbeat("A", a.Lease, a.Epoch); !errors.Is(err, ErrLeaseGone) {
+		t.Fatalf("A's expired lease heartbeats: %v, want ErrLeaseGone", err)
 	}
 	checkInvariants(t, c)
 
 	// A finishes anyway and reports late: duplicates for the half it
 	// already sent, late-but-first results for the rest. All accepted,
 	// nothing double-written.
-	var all []Entry
-	for _, k := range a.Keys {
-		all = append(all, Entry{Key: k, Value: payloadFor(k), ElapsedNS: int64(time.Millisecond)})
-	}
-	acc, dup, err := c.Results(a.Lease, a.Epoch, all)
+	acc, dup, err := deliver("A", a, a.Keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dup != len(half) || acc != len(keys)-len(half) {
 		t.Fatalf("late delivery: accepted %d dup %d, want %d/%d", acc, dup, len(keys)-len(half), len(half))
+	}
+	if st := c.StatusSnapshot(); st.Late != uint64(acc) {
+		t.Errorf("late results = %d, want %d", st.Late, acc)
 	}
 
 	// The part was done the moment A's late results covered it, and
@@ -317,15 +311,11 @@ func TestStealIdempotence(t *testing.T) {
 	default:
 		t.Fatal("sweep not done after late completion")
 	}
-	if err := c.Heartbeat(b.Lease, b.Epoch); !errors.Is(err, ErrLeaseGone) {
+	if err := c.Heartbeat("B", b.Lease, b.Epoch); !errors.Is(err, ErrLeaseGone) {
 		t.Fatalf("B heartbeat after the part's last key: %v, want ErrLeaseGone", err)
 	}
 	// B re-delivering its (now duplicate) remainder is still harmless.
-	var bs []Entry
-	for _, k := range b.Keys {
-		bs = append(bs, Entry{Key: k, Value: payloadFor(k), ElapsedNS: int64(time.Millisecond)})
-	}
-	if acc, dup, err := c.Results(b.Lease, b.Epoch, bs); err != nil || acc != 0 || dup != len(bs) {
+	if acc, dup, err := deliver("B", b, b.Keys); err != nil || acc != 0 || dup != len(b.Keys) {
 		t.Fatalf("B redelivery: acc %d dup %d err %v", acc, dup, err)
 	}
 	checkInvariants(t, c)
@@ -345,9 +335,37 @@ func TestStealIdempotence(t *testing.T) {
 	}
 }
 
+// TestSilentHolderKeepsLease: a holder that heartbeats keeps its part
+// however long it goes without delivering a result. B, asking all the
+// while, waits.
+func TestSilentHolderKeepsLease(t *testing.T) {
+	ttl := 10 * time.Second
+	c, _, clk := syntheticCoordinator(t, 12, CoordinatorOptions{Parts: 1, LeaseTTL: ttl})
+	a := mustLease(t, c, "A")
+	first := a.Keys[0]
+	if _, _, err := c.Results("A", a.Lease, a.Epoch, []Entry{{Key: first, Value: payloadFor(first), ElapsedNS: int64(time.Millisecond)}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		clk.advance(ttl / 2)
+		if err := c.Heartbeat("A", a.Lease, a.Epoch); err != nil {
+			t.Fatalf("A's heartbeat after %v without a result: %v", time.Duration(i+1)*ttl/2, err)
+		}
+		if lg := mustLease(t, c, "B"); lg.Status != GrantWait {
+			t.Fatalf("B granted %+v after A went %v without a result", lg, time.Duration(i+1)*ttl/2)
+		}
+		checkInvariants(t, c)
+	}
+	if st := c.StatusSnapshot(); st.Granted != 1 || st.Expired != 0 || st.Partitions[0].Worker != "A" {
+		t.Errorf("after 50 TTLs of heartbeats: %+v, want A's one lease still live", st)
+	}
+}
+
 // TestDrainWaitsForLiveWorkers: a finished coordinator drains until
 // every worker seen within the last lease TTL has been told the sweep is
-// done; a worker silent for a TTL no longer holds the drain.
+// done; a worker silent for a TTL no longer holds the drain. A
+// restarted coordinator also waits for its predecessor's workers, which
+// it has seen only through requests fenced to the old epoch.
 func TestDrainWaitsForLiveWorkers(t *testing.T) {
 	ttl := 10 * time.Second
 	c, keys, clk := syntheticCoordinator(t, 4, CoordinatorOptions{Parts: 1, LeaseTTL: ttl})
@@ -359,7 +377,7 @@ func TestDrainWaitsForLiveWorkers(t *testing.T) {
 	for _, k := range keys {
 		entries = append(entries, Entry{Key: k, Value: payloadFor(k), ElapsedNS: 1})
 	}
-	if _, _, err := c.Results(a.Lease, a.Epoch, entries); err != nil {
+	if _, _, err := c.Results("A", a.Lease, a.Epoch, entries); err != nil {
 		t.Fatal(err)
 	}
 	if c.drained() {
@@ -376,4 +394,39 @@ func TestDrainWaitsForLiveWorkers(t *testing.T) {
 		t.Fatal("B, silent for a lease TTL, still holds the drain")
 	}
 	c.Drain(context.Background()) // returns at once: nothing to wait for
+
+	// Restart: w1 holds an epoch-1 lease when epoch 2 claims the ledger.
+	// Its heartbeat names it and is fenced; w2 then finishes the sweep.
+	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
+	c1, _, _ := syntheticCoordinator(t, 4, CoordinatorOptions{Parts: 1, LeaseTTL: ttl, Ledger: ledger})
+	g1 := mustLease(t, c1, "w1")
+	c2, _, _ := syntheticCoordinator(t, 4, CoordinatorOptions{Parts: 1, LeaseTTL: ttl, Ledger: ledger})
+	rec := httptest.NewRecorder()
+	body := fmt.Sprintf(`{"worker":"w1","lease":%q,"epoch":%d}`, g1.Lease, g1.Epoch)
+	c2.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/dist/v1/heartbeat", strings.NewReader(body)))
+	if rec.Code != http.StatusConflict {
+		t.Fatalf("epoch-1 heartbeat at epoch 2: %d %s, want 409", rec.Code, rec.Body)
+	}
+	g2 := mustLease(t, c2, "w2")
+	entries = nil
+	for _, k := range g2.Keys {
+		entries = append(entries, Entry{Key: k, Value: payloadFor(k), ElapsedNS: 1})
+	}
+	if _, _, err := c2.Results("w2", g2.Lease, g2.Epoch, entries); err != nil {
+		t.Fatal(err)
+	}
+	if lg := mustLease(t, c2, "w2"); lg.Status != GrantDone {
+		t.Fatalf("w2 after the last result: %+v, want done", lg)
+	}
+	if c2.drained() {
+		t.Fatal("drained while w1, seen only fenced to epoch 1, has not been told the sweep is done")
+	}
+	if lg := mustLease(t, c2, "w1"); lg.Status != GrantDone {
+		t.Fatalf("w1 at epoch 2: %+v, want done", lg)
+	}
+	if !c2.drained() {
+		t.Fatal("not drained once every worker has been told the sweep is done")
+	}
+	_ = c1.Close()
+	_ = c2.Close()
 }

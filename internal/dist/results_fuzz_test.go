@@ -12,10 +12,10 @@ import (
 // the results route hands it.
 type recordingOps struct{ deliveries []resultsRequest }
 
-func (r *recordingOps) Lease(string) (LeaseGrant, error) { return LeaseGrant{}, nil }
-func (r *recordingOps) Heartbeat(string, uint64) error   { return nil }
-func (r *recordingOps) Results(lease string, epoch uint64, entries []Entry) (int, int, error) {
-	r.deliveries = append(r.deliveries, resultsRequest{leaseOpRequest{Lease: lease, Epoch: epoch}, entries})
+func (r *recordingOps) Lease(string) (LeaseGrant, error)       { return LeaseGrant{}, nil }
+func (r *recordingOps) Heartbeat(string, string, uint64) error { return nil }
+func (r *recordingOps) Results(worker, lease string, epoch uint64, entries []Entry) (int, int, error) {
+	r.deliveries = append(r.deliveries, resultsRequest{leaseOpRequest{leaseRequest{worker}, lease, epoch}, entries})
 	return len(entries), 0, nil
 }
 
@@ -60,7 +60,7 @@ func sampleEntries() []Entry {
 // a worker marshals it, must arrive as the same bytes: the wire adds
 // and loses nothing. The route must never panic.
 func FuzzResultsRoute(f *testing.F) {
-	good, err := json.Marshal(resultsRequest{leaseOpRequest{Lease: "lease-2-0042", Epoch: 2}, sampleEntries()})
+	good, err := json.Marshal(resultsRequest{leaseOpRequest{leaseRequest{"w0"}, "lease-2-0042", 2}, sampleEntries()})
 	if err != nil {
 		f.Fatal(err)
 	}

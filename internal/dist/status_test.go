@@ -28,11 +28,11 @@ func TestStatusGolden(t *testing.T) {
 	for _, k := range g1.Keys {
 		entries = append(entries, Entry{Key: k, Value: payloadFor(k), ElapsedNS: int64(time.Millisecond)})
 	}
-	if _, _, err := c.Results(g1.Lease, g1.Epoch, entries); err != nil {
+	if _, _, err := c.Results("alice", g1.Lease, g1.Epoch, entries); err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(3 * time.Second)
-	if err := c.Heartbeat(g2.Lease, g2.Epoch); err != nil {
+	if err := c.Heartbeat("bob", g2.Lease, g2.Epoch); err != nil {
 		t.Fatal(err)
 	}
 

@@ -99,23 +99,23 @@ func (s *Sweeps) Lease(worker string) (LeaseGrant, error) {
 
 // Heartbeat renews a lease of the sweep being coordinated; a retired
 // sweep's leases are gone.
-func (s *Sweeps) Heartbeat(lease string, epoch uint64) error {
+func (s *Sweeps) Heartbeat(worker, lease string, epoch uint64) error {
 	c := s.cur.Load()
 	if c == nil {
 		return ErrLeaseGone
 	}
-	return c.Heartbeat(lease, epoch)
+	return c.Heartbeat(worker, lease, epoch)
 }
 
 // Results merges into the sweep being coordinated. Every grant carries
 // its sweep's spec, so results for keys outside that sweep were
 // computed under a retired sweep's lease: the lease is gone.
-func (s *Sweeps) Results(lease string, epoch uint64, entries []Entry) (int, int, error) {
+func (s *Sweeps) Results(worker, lease string, epoch uint64, entries []Entry) (int, int, error) {
 	c := s.cur.Load()
 	if c == nil {
 		return 0, 0, ErrLeaseGone
 	}
-	accepted, dups, err := c.Results(lease, epoch, entries)
+	accepted, dups, err := c.Results(worker, lease, epoch, entries)
 	if errors.Is(err, ErrForeignKey) {
 		err = fmt.Errorf("%w: %v", ErrLeaseGone, err)
 	}

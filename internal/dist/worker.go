@@ -19,7 +19,6 @@ import (
 	"github.com/uteda/gmap/internal/obs"
 	"github.com/uteda/gmap/internal/obs/fleet"
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
-	"github.com/uteda/gmap/internal/rng"
 )
 
 // WorkerOptions configures RunWorker.
@@ -39,22 +38,17 @@ type WorkerOptions struct {
 	// (eval.Options.Workers). Pure execution detail: job keys and
 	// payloads are unchanged.
 	Workers int
-	// Poll is the wait-state retry interval when every part is leased;
-	// <= 0 defaults to 500ms.
+	// Poll is the interval at which a waiting worker asks for a lease
+	// again, and a failed request is retried; <= 0 defaults to 500ms.
 	Poll time.Duration
 	// Retries bounds how many times an unavailable-coordinator failure
 	// (fault.IsUnavailable), or a lease request answered by a deposed
-	// coordinator, is retried with jittered backoff, re-resolving the
-	// coordinator's address before each attempt; <= 0 defaults to 8
-	// (about a minute at the default backoff). This is the recovery
-	// budget: it must cover an operator's restart of a dead coordinator.
+	// coordinator, is retried, one Poll apart, re-resolving the
+	// coordinator's address before each try. The recovery budget is
+	// Retries × Poll, and it must cover an operator's restart of a dead
+	// coordinator; <= 0 defaults to a minute of retries at any Poll (120
+	// at the default).
 	Retries int
-	// RetryBackoff is the base backoff before a retry, doubled per
-	// attempt with deterministic jitter (retryDelay); <= 0 defaults to
-	// 250ms.
-	RetryBackoff time.Duration
-	// HTTPClient overrides the transport (tests); nil uses a default.
-	HTTPClient *http.Client
 	// Obs, when non-nil, collects the local execution instrumentation
 	// plus the retry counters (dist.lease_retries,
 	// dist.heartbeat_retries, dist.delivery_retries).
@@ -169,12 +163,12 @@ func (r remote) Lease(worker string) (LeaseGrant, error) {
 	return g, err
 }
 
-func (r remote) Heartbeat(lease string, epoch uint64) error {
-	return r.cl.postJSON(r.ctx, "/dist/v1/heartbeat", leaseOpRequest{Lease: lease, Epoch: epoch}, nil)
+func (r remote) Heartbeat(worker, lease string, epoch uint64) error {
+	return r.cl.postJSON(r.ctx, "/dist/v1/heartbeat", leaseOpRequest{leaseRequest{worker}, lease, epoch}, nil)
 }
 
-func (r remote) Results(lease string, epoch uint64, entries []Entry) (int, int, error) {
-	req := resultsRequest{leaseOpRequest: leaseOpRequest{Lease: lease, Epoch: epoch}, Entries: entries}
+func (r remote) Results(worker, lease string, epoch uint64, entries []Entry) (int, int, error) {
+	req := resultsRequest{leaseOpRequest: leaseOpRequest{leaseRequest{worker}, lease, epoch}, Entries: entries}
 	var resp resultsResponse
 	err := r.cl.postJSON(r.ctx, "/dist/v1/results", req, &resp)
 	return resp.Accepted, resp.Duplicates, err
@@ -260,61 +254,34 @@ func retryable(err error) bool {
 	return fault.IsUnavailable(err)
 }
 
-// withRetry runs op, retrying unavailable-coordinator failures up to
-// o.Retries times with deterministic jittered backoff (retryDelay),
-// re-resolving the coordinator's address between attempts. key seeds
-// the jitter so concurrent workers spread out. Deliveries retried
+// withRetry runs op, retrying unavailable-coordinator failures once per
+// Poll, at most o.Retries times, and re-resolving the coordinator's
+// address before each retry: a worker retrying is a worker waiting, and
+// it finds a restarted coordinator within a Poll. Deliveries retried
 // through here may double-send a result whose response was lost
 // mid-flight; the coordinator's idempotent merge counts those as
 // duplicates.
-func (w *worker) withRetry(ctx context.Context, key, counter string, op func() error) error {
-	for attempt := 1; ; attempt++ {
+func (w *worker) withRetry(ctx context.Context, counter string, op func() error) error {
+	for retry := 1; ; retry++ {
 		err := op()
-		if err == nil || !retryable(err) || ctx.Err() != nil {
-			return err
-		}
-		if attempt > w.o.Retries {
+		if err == nil || !retryable(err) || ctx.Err() != nil || retry > w.o.Retries {
 			return err
 		}
 		w.o.Obs.Counter(counter).Inc()
-		w.logf("dist: worker %s: %s (retry %d/%d)", w.o.Name, err, attempt, w.o.Retries)
-		w.rediscover()
-		d := retryDelay(w.o.RetryBackoff, key, attempt)
-		t := time.NewTimer(d)
+		w.logf("dist: worker %s: %s (retry %d/%d)", w.o.Name, err, retry, w.o.Retries)
 		select {
-		case <-t.C:
+		case <-time.After(w.o.Poll):
 		case <-ctx.Done():
-			t.Stop()
 			return ctx.Err()
 		}
+		w.rediscover()
 	}
-}
-
-// retryDelay computes the backoff before the retry that follows a failed
-// attempt: base doubled per prior attempt (capped), plus a deterministic
-// per-(key, attempt) jitter of up to base/2 so synchronized workers
-// hitting a restarting coordinator spread out identically on replay.
-func retryDelay(base time.Duration, key string, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	shift := attempt - 1
-	if shift > 16 {
-		shift = 16
-	}
-	d := base << shift
-	h := rng.Mix64(uint64(attempt))
-	for _, b := range []byte(key) {
-		h = rng.Mix64(h ^ uint64(b))
-	}
-	jitter := time.Duration(h % uint64(base/2+1))
-	return d + jitter
 }
 
 // RunWorker joins the coordinator and processes leases until the sweep
 // is done (returns nil), ctx is cancelled, or an unrecoverable error
 // occurs (coordinator unreachable past the retry budget, simulation
-// failure, divergence rejection). Losing a lease — expiry, steal, or a
+// failure, divergence rejection). Losing a lease — to expiry, or to a
 // restarted coordinator bumping the epoch — is not an error: the shard
 // is abandoned mid-run and the loop asks the current coordinator for
 // the next lease. A gmap-served endpoint never answers "done": its
@@ -335,12 +302,8 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 		}
 		o.Name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	hc := o.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
-	}
 	w := newWorker(o, nil)
-	w.cl = &client{hc: hc, base: w.endpoint()}
+	w.cl = &client{hc: &http.Client{Timeout: 30 * time.Second}, base: w.endpoint()}
 	if w.cl.base == "" {
 		return errors.New("dist: no coordinator endpoint resolvable (addr file missing?)")
 	}
@@ -359,10 +322,7 @@ func newWorker(o WorkerOptions, c *Coordinator) *worker {
 		o.Poll = 500 * time.Millisecond
 	}
 	if o.Retries <= 0 {
-		o.Retries = 8
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 250 * time.Millisecond
+		o.Retries = max(1, int(time.Minute/o.Poll))
 	}
 	logf := o.Logf
 	if logf == nil {
@@ -384,7 +344,7 @@ func (w *worker) run(ctx context.Context) error {
 			return err
 		}
 		var g LeaseGrant
-		err := w.withRetry(ctx, "lease", "dist.lease_retries", func() error {
+		err := w.withRetry(ctx, "dist.lease_retries", func() error {
 			var lerr error
 			g, lerr = w.ops(ctx).Lease(o.Name)
 			if errors.Is(lerr, ErrStaleEpoch) && w.cl != nil {
@@ -444,10 +404,10 @@ func (w *worker) evalOptions(spec SweepSpec) *eval.Options {
 // restricted (Shard) to the granted keys, streaming every completed
 // point back as a checkpoint event (ResultSink), under a heartbeat
 // goroutine that cancels the run the moment the lease is lost. A lost
-// lease — revoked, stolen, or fenced behind a restart's new epoch —
-// abandons the shard without error: no new point starts, the points in
-// flight finish and are delivered as late results, and the remaining
-// keys re-lease.
+// lease — expired, or fenced behind a restart's new epoch — abandons
+// the shard without error: no new point starts, the points in flight
+// finish and are delivered (as late results after an expiry; a fenced
+// delivery is refused and dropped), and the remaining keys re-lease.
 func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 	o := w.o
 	logf := w.logf
@@ -494,11 +454,11 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 
 	// The heartbeat loop renews the lease at a third of its TTL and
 	// abandons the shard when the coordinator says the lease is gone or
-	// fenced — a stolen straggler starts no more of the work someone else
+	// fenced — an expired holder starts no more of the work someone else
 	// owns, and a worker fenced behind a restart re-leases under the
 	// new epoch. A dropped heartbeat (coordinator restarting, transient
-	// network fault) is retried with bounded jittered backoff rather
-	// than taken as a verdict: only the coordinator decides lease death.
+	// network fault) is retried, within the retry budget, rather than
+	// taken as a verdict: only the coordinator decides lease death.
 	// Each renewal is also the worker's fleet liveness signal: a snapshot
 	// push (no span log — that waits for lease end), bounded to a third
 	// of the TTL so a slow federator can never hold the next heartbeat
@@ -517,8 +477,8 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 			case <-shardCtx.Done():
 				return
 			case <-tick.C:
-				err := w.withRetry(shardCtx, g.Lease, "dist.heartbeat_retries", func() error {
-					return w.ops(shardCtx).Heartbeat(g.Lease, g.Epoch)
+				err := w.withRetry(shardCtx, "dist.heartbeat_retries", func() error {
+					return w.ops(shardCtx).Heartbeat(o.Name, g.Lease, g.Epoch)
 				})
 				switch {
 				case err == nil:
@@ -539,14 +499,13 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 	eo := w.evalOptions(g.Spec)
 	eo.Context = shardCtx
 	eo.Shard = func(key string) bool { return mine[key] }
-	// Every completed point is delivered at once, which keeps the
-	// coordinator's straggler timings live. Deliveries ride ctx, not
-	// shardCtx: results computed before a lease loss are still worth
+	// Every completed point is delivered at once. Deliveries ride ctx,
+	// not shardCtx: results computed before an expiry are still worth
 	// delivering (late results merge).
 	eo.ResultSink = func(key string, value json.RawMessage, elapsed time.Duration) error {
 		entries := []Entry{{Key: key, Value: value, ElapsedNS: elapsed.Nanoseconds()}}
-		err := w.withRetry(ctx, g.Lease, "dist.delivery_retries", func() error {
-			_, _, rerr := w.ops(ctx).Results(g.Lease, g.Epoch, entries)
+		err := w.withRetry(ctx, "dist.delivery_retries", func() error {
+			_, _, rerr := w.ops(ctx).Results(o.Name, g.Lease, g.Epoch, entries)
 			return rerr
 		})
 		if errors.Is(err, ErrStaleEpoch) || errors.Is(err, ErrLeaseGone) {

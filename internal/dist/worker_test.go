@@ -221,7 +221,7 @@ func TestWaitingWorkerStaysLive(t *testing.T) {
 			case <-holdCtx.Done():
 				return
 			case <-tick.C:
-				_ = c.Heartbeat(g.Lease, g.Epoch)
+				_ = c.Heartbeat("holder", g.Lease, g.Epoch)
 			}
 		}
 	}()
@@ -311,7 +311,7 @@ func TestWaitingWorkerHearsDoneAtItsPoll(t *testing.T) {
 	for i, k := range g.Keys {
 		entries[i] = Entry{Key: k, Value: json.RawMessage(`{}`)}
 	}
-	if _, _, err := c.Results(g.Lease, g.Epoch, entries); err != nil {
+	if _, _, err := c.Results("holder", g.Lease, g.Epoch, entries); err != nil {
 		t.Fatal(err)
 	}
 	merged := time.Now()
@@ -365,7 +365,7 @@ func TestLeaseRunsOnlySweeps(t *testing.T) {
 
 // TestDeposedCoordinatorLeaseBudget: a worker whose coordinator was
 // deposed, with no successor at its address, retries its lease request
-// with backoff within its retry budget — one request plus three
+// once per Poll within its retry budget — one request plus three
 // retries — and then exits with an error naming the deposed endpoint,
 // instead of asking again at once until its context ends.
 func TestDeposedCoordinatorLeaseBudget(t *testing.T) {
@@ -375,25 +375,36 @@ func TestDeposedCoordinatorLeaseBudget(t *testing.T) {
 	c2, _, _ := syntheticCoordinator(t, 8, CoordinatorOptions{Parts: 2, Ledger: ledger})
 	defer c2.Close()
 
-	var leases atomic.Int32
+	var mu sync.Mutex
+	var asked []time.Time
 	h := c1.Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/dist/v1/lease" {
-			leases.Add(1)
+			mu.Lock()
+			asked = append(asked, time.Now())
+			mu.Unlock()
 		}
 		h.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
 
+	const poll = 20 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	err := RunWorker(ctx, WorkerOptions{Coordinator: srv.URL, Name: "w0", Retries: 3, RetryBackoff: time.Millisecond})
+	err := RunWorker(ctx, WorkerOptions{Coordinator: srv.URL, Name: "w0", Poll: poll, Retries: 3})
 	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), srv.URL) {
 		t.Errorf("worker returned %v (context: %v); want an error naming the deposed coordinator %s before the deadline",
 			err, ctx.Err(), srv.URL)
 	}
-	if n := leases.Load(); n > 4 {
-		t.Errorf("%d lease requests to a deposed coordinator; a budget of 3 retries allows 4", n)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(asked) > 4 {
+		t.Errorf("%d lease requests to a deposed coordinator; a budget of 3 retries allows 4", len(asked))
+	}
+	for i := 1; i < len(asked); i++ {
+		if d := asked[i].Sub(asked[i-1]); d < poll {
+			t.Errorf("lease request %d came %v after the one before; retries are a %v poll apart", i+1, d, poll)
+		}
 	}
 }
 
@@ -467,11 +478,11 @@ func TestSweepsWireSurface(t *testing.T) {
 	c, keys, _ := syntheticCoordinator(t, 2, CoordinatorOptions{Parts: 1})
 	defer c.Close()
 	s.cur.Store(c)
-	if _, _, err := s.Results("lease-0-0001", c.Epoch(), []Entry{{Key: "foreign", Value: []byte(`{}`)}}); !errors.Is(err, ErrLeaseGone) {
+	if _, _, err := s.Results("w0", "lease-0-0001", c.Epoch(), []Entry{{Key: "foreign", Value: []byte(`{}`)}}); !errors.Is(err, ErrLeaseGone) {
 		t.Errorf("results outside the live sweep: %v, want ErrLeaseGone", err)
 	}
 	g = mustLease(t, c, "in-process")
-	if _, _, err := c.Results(g.Lease, g.Epoch, []Entry{{Key: keys[0], Value: []byte(`1`)}, {Key: keys[1], Value: []byte(`2`)}}); err != nil {
+	if _, _, err := c.Results("in-process", g.Lease, g.Epoch, []Entry{{Key: keys[0], Value: []byte(`1`)}, {Key: keys[1], Value: []byte(`2`)}}); err != nil {
 		t.Fatal(err)
 	}
 	if g, err := s.Lease("w0"); err != nil || g.Status != GrantWait {
@@ -546,7 +557,7 @@ func TestResultsRoundTrip(t *testing.T) {
 		entries[i].Key = keys[i]
 	}
 	r := remote{&client{base: srv.URL, hc: srv.Client()}, context.Background()}
-	if acc, dups, err := r.Results(g.Lease, g.Epoch, entries); err != nil || acc != len(entries) || dups != 0 {
+	if acc, dups, err := r.Results("w0", g.Lease, g.Epoch, entries); err != nil || acc != len(entries) || dups != 0 {
 		t.Fatalf("delivery: %d accepted, %d duplicates, %v; want %d accepted", acc, dups, err, len(entries))
 	}
 
@@ -574,7 +585,7 @@ func TestResultsRoundTrip(t *testing.T) {
 	if st := c.StatusSnapshot(); !st.Done {
 		t.Fatalf("every key delivered but the sweep is not done: %+v", st)
 	}
-	if acc, dups, err := r.Results(g.Lease, g.Epoch, entries); err != nil || acc != 0 || dups != len(entries) {
+	if acc, dups, err := r.Results("w0", g.Lease, g.Epoch, entries); err != nil || acc != 0 || dups != len(entries) {
 		t.Fatalf("re-delivery: %d accepted, %d duplicates, %v; want %d duplicates", acc, dups, err, len(entries))
 	}
 	if got, err := os.ReadFile(c.o.Ledger); err != nil || !bytes.Equal(got, want) {
@@ -599,7 +610,7 @@ func TestResultsEmptyDelivery(t *testing.T) {
 			t.Fatalf("empty delivery %d: %d %s, want nothing accepted", i, rec.Code, rec.Body)
 		}
 	}
-	if err := c.Heartbeat(g.Lease, g.Epoch); err != nil {
+	if err := c.Heartbeat("w0", g.Lease, g.Epoch); err != nil {
 		t.Fatalf("lease %s after empty deliveries spanning 2.25 TTLs: %v", g.Lease, err)
 	}
 	if data, err := os.ReadFile(c.o.Ledger); err != nil || len(data) != 0 {
@@ -618,7 +629,7 @@ func TestResultsInvalidValueNotSent(t *testing.T) {
 	}))
 	defer srv.Close()
 	r := remote{&client{base: srv.URL, hc: srv.Client()}, context.Background()}
-	_, _, err := r.Results("lease-1-0001", 1, []Entry{{Key: "k", Value: json.RawMessage(`{"orig":`)}})
+	_, _, err := r.Results("w0", "lease-1-0001", 1, []Entry{{Key: "k", Value: json.RawMessage(`{"orig":`)}})
 	if err == nil || retryable(err) {
 		t.Errorf("invalid value: %v, want an error that is not retryable", err)
 	}
@@ -698,24 +709,5 @@ func TestWorkerDeliversEachResult(t *testing.T) {
 		if len(b.Entries) != 1 || b.Epoch != c.Epoch() {
 			t.Errorf("body %d: %d entries at epoch %d, want one at epoch %d", i, len(b.Entries), b.Epoch, c.Epoch())
 		}
-	}
-}
-
-// TestRetryDelayDeterministic: the backoff (including jitter) is a pure
-// function of (base, key, attempt) — no wall-clock or global randomness.
-func TestRetryDelayDeterministic(t *testing.T) {
-	if d := retryDelay(0, "k", 1); d != 0 {
-		t.Fatalf("zero base must not sleep, got %v", d)
-	}
-	d1 := retryDelay(1000, "k", 2)
-	if d2 := retryDelay(1000, "k", 2); d2 != d1 {
-		t.Fatalf("same inputs gave %v then %v", d1, d2)
-	}
-	if d1 < 2000 || d1 > 2500 {
-		t.Fatalf("attempt-2 delay %v outside [2×base, 2×base+base/2]", d1)
-	}
-	if retryDelay(1000, "k", 2) == retryDelay(1000, "other-key", 2) &&
-		retryDelay(1000, "k", 3) == retryDelay(1000, "other-key", 3) {
-		t.Error("jitter ignores the job key")
 	}
 }

@@ -74,7 +74,7 @@ func IsTransient(err error) bool {
 // a broken pipe, a response torn mid-body (unexpected EOF), or any
 // net.Error (dial failures and I/O timeouts). Distributed clients key
 // failover retry on this: an unavailable coordinator is worth retrying
-// against a (possibly new) endpoint with backoff, while a 4xx-style
+// against a (possibly new) endpoint a little later, while a 4xx-style
 // protocol rejection is not — the same request can never succeed.
 func IsUnavailable(err error) bool {
 	if err == nil {

@@ -41,7 +41,6 @@ type distMirror struct {
 	LiveLeases int    `json:"live_leases"`
 	Granted    uint64 `json:"granted"`
 	Expired    uint64 `json:"expired"`
-	Stolen     uint64 `json:"stolen"`
 	Done       bool   `json:"done"`
 	Partitions []struct {
 		Part       int    `json:"part"`
@@ -126,9 +125,9 @@ func RenderStatus(w io.Writer, doc statusDoc) {
 		if dm.Done {
 			state = "done"
 		}
-		fmt.Fprintf(w, "sweep %s  epoch %d  %s  jobs %d/%d  parts %d/%d  leases %d live (granted %d, expired %d, stolen %d)\n",
+		fmt.Fprintf(w, "sweep %s  epoch %d  %s  jobs %d/%d  parts %d/%d  leases %d live (granted %d, expired %d)\n",
 			dm.Experiment, dm.Epoch, state, dm.DoneJobs, dm.TotalJobs,
-			dm.DoneParts, dm.Parts, dm.LiveLeases, dm.Granted, dm.Expired, dm.Stolen)
+			dm.DoneParts, dm.Parts, dm.LiveLeases, dm.Granted, dm.Expired)
 		if len(dm.Partitions) > 0 {
 			fmt.Fprintf(w, "\n  %-5s %-6s %-10s %-22s %-14s %s\n",
 				"PART", "KEYS", "REMAINING", "LEASE", "WORKER", "LEASE AGE")

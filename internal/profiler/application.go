@@ -135,8 +135,8 @@ func (a *AppProfile) WriteJSON(w io.Writer) error {
 // ReadAppJSON deserializes and validates an application profile.
 func ReadAppJSON(r io.Reader) (*AppProfile, error) {
 	var a AppProfile
-	if err := json.NewDecoder(r).Decode(&a); err != nil {
-		return nil, decodeJSONError("app profile", err)
+	if err := decodeJSON(r, "app profile", &a); err != nil {
+		return nil, err
 	}
 	if err := a.Validate(); err != nil {
 		return nil, err

@@ -26,6 +26,20 @@ import (
 	"github.com/uteda/gmap/internal/trace"
 )
 
+// decodeJSON decodes the one JSON value r holds into v: only whitespace
+// may follow it.
+func decodeJSON(r io.Reader, what string, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return decodeJSONError(what, err)
+	}
+	off := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("profiler: decoding %s: offset %d: data after the %s", what, off, what)
+	}
+	return nil
+}
+
 // decodeJSONError rewrites a json decode failure to carry the byte
 // offset where the input broke, so a corrupt profile file points at the
 // damage instead of only naming the Go type that failed to fit.
@@ -451,10 +465,11 @@ func (e *profileJSON) pi(pp *PiProfile) {
 }
 
 // ReadJSON deserializes a profile written by WriteJSON and validates it.
+// Only whitespace may follow the profile object.
 func ReadJSON(r io.Reader) (*Profile, error) {
 	var p Profile
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, decodeJSONError("profile", err)
+	if err := decodeJSON(r, "profile", &p); err != nil {
+		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

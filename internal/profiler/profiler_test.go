@@ -283,12 +283,49 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadJSONRejectsInvalid: a profile that fails Validate, input that
+// is not JSON, and a valid profile or application profile followed by
+// anything but whitespace are rejected; followed by whitespace, each
+// loads.
 func TestReadJSONRejectsInvalid(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader(`{"name":"x"}`)); err == nil {
-		t.Error("invalid profile accepted")
+	p, err := ProfileKernel(divergentTrace(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadJSON(strings.NewReader(`not json`)); err == nil {
-		t.Error("garbage accepted")
+	var prof, app bytes.Buffer
+	if err := p.WriteJSON(&prof); err != nil {
+		t.Fatal(err)
+	}
+	if err := (&AppProfile{Name: "a", Kernels: []*Profile{p}, Launches: []int{0, 0}}).WriteJSON(&app); err != nil {
+		t.Fatal(err)
+	}
+	readProfile := func(in string) error { _, err := ReadJSON(strings.NewReader(in)); return err }
+	readApp := func(in string) error { _, err := ReadAppJSON(strings.NewReader(in)); return err }
+	for _, tc := range []struct {
+		name string
+		read func(string) error
+		in   string
+	}{
+		{"fails Validate", readProfile, `{"name":"x"}`},
+		{"not JSON", readProfile, `not json`},
+		{"garbage after the profile", readProfile, prof.String() + "garbage after the last thread"},
+		{"an object after the profile", readProfile, prof.String() + `{"not": "a profile"} trailing`},
+		{"two profiles", readProfile, prof.String() + prof.String()},
+		{"a bracket after the profile", readProfile, prof.String() + "]"},
+		{"garbage after the app profile", readApp, app.String() + "zz"},
+		{"two app profiles", readApp, app.String() + app.String()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.read(tc.in); err == nil {
+				t.Error("accepted")
+			}
+		})
+	}
+	if err := readProfile(prof.String() + " \n\t\r\n"); err != nil {
+		t.Errorf("profile followed by whitespace: %v", err)
+	}
+	if err := readApp(app.String() + "\n\n"); err != nil {
+		t.Errorf("app profile followed by whitespace: %v", err)
 	}
 }
 

@@ -275,9 +275,9 @@ func OpenCheckpointAppender(fsys fault.FS, path string, fsync bool) (*Checkpoint
 	return &CheckpointAppender{w: w}, nil
 }
 
-// Append records one entry. elapsed is advisory (it feeds work-stealing
-// heuristics, not identity): entries for the same key may legitimately
-// differ in elapsed but never in value.
+// Append records one entry. elapsed is advisory, never part of
+// identity: entries for the same key may legitimately differ in elapsed
+// but never in value.
 func (a *CheckpointAppender) Append(key string, value json.RawMessage, elapsed time.Duration) error {
 	if key == "" {
 		return errors.New("runner: checkpoint append with empty key")

@@ -24,6 +24,7 @@ import (
 	"github.com/uteda/gmap/internal/serve/api"
 	"github.com/uteda/gmap/internal/serve/queue"
 	"github.com/uteda/gmap/internal/serve/store"
+	"github.com/uteda/gmap/internal/trace"
 	"github.com/uteda/gmap/internal/workloads"
 )
 
@@ -400,6 +401,41 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, ok := view["tenant"]; ok {
 		t.Fatalf("job view carries a tenant: %v", view)
+	}
+}
+
+// TestUploadRejectsTrailingData: a profile or binary trace upload
+// followed by bytes past its last record answers 400 and stores
+// nothing; the same upload without them is stored.
+func TestUploadRejectsTrailingData(t *testing.T) {
+	e := newEnv(t, t.TempDir(), queue.Options{Workers: 1, Depth: 4}, true)
+	spec, _ := workloads.ByName("nn")
+	k, err := spec.Trace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := profiler.ProfileKernel(k, profiler.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prof, tr bytes.Buffer
+	if err := p.WriteJSON(&prof); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteBinary(&tr, k); err != nil {
+		t.Fatal(err)
+	}
+	for _, up := range []struct{ path, body string }{
+		{"/v1/profiles", prof.String()},
+		{"/v1/traces", tr.String()},
+	} {
+		if code, _ := e.do("POST", up.path, strings.NewReader(up.body+"zz"), nil, nil); code != http.StatusBadRequest {
+			t.Errorf("POST %s with bytes after the last record: status %d, want 400", up.path, code)
+		}
+		// The trace profiles to the profile already stored: 200, not 201.
+		if code, _ := e.do("POST", up.path, strings.NewReader(up.body), nil, nil); code != http.StatusCreated && code != http.StatusOK {
+			t.Errorf("POST %s: status %d, want it stored", up.path, code)
+		}
 	}
 }
 

@@ -203,12 +203,13 @@ func startWorker(t *testing.T, url, name string, retries int) *remoteWorker {
 			Workers:     1,
 			// A wait grant does not pace the worker; its own poll does,
 			// and it must ask again within a sweep of about half a second.
-			Poll:         50 * time.Millisecond,
-			Retries:      retries,
-			RetryBackoff: time.Millisecond,
-			Obs:          w.reg,
-			Trace:        obstrace.New(),
-			Logf:         t.Logf,
+			// A failed request is retried at the same poll, retries times
+			// (0: the default, a minute of them).
+			Poll:    50 * time.Millisecond,
+			Retries: retries,
+			Obs:     w.reg,
+			Trace:   obstrace.New(),
+			Logf:    t.Logf,
 		})
 		close(w.exited)
 	}()
@@ -333,7 +334,7 @@ func TestServedSweepMatchesSerial(t *testing.T) {
 			}
 
 			// Stopping drains the queue, so the job is retired: none of its
-			// checkpoint files (ledger, epoch, lease journal) outlive it.
+			// checkpoint files (ledger, epoch) outlive it.
 			s.stop()
 			entries, err := os.ReadDir(filepath.Join(s.root, "checkpoints"))
 			if err != nil {
@@ -360,8 +361,8 @@ func TestServedWorkerOutlivesSweeps(t *testing.T) {
 	s := startServed(t, t.TempDir(), time.Second, true)
 	w := startWorker(t, s.srv.URL(), "w0", 1)
 
-	// With one retry 1ms apart, a worker refused by the idle service
-	// would be gone long before this.
+	// With one retry a 50ms poll later, a worker refused by the idle
+	// service would be gone long before this.
 	time.Sleep(500 * time.Millisecond)
 	if !w.running() {
 		t.FailNow()

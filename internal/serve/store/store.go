@@ -15,7 +15,7 @@
 //     job also owns a runner checkpoint at checkpoints/<job-id>.ckpt
 //     carrying its partially-completed sweep points across restarts,
 //     plus any sidecar files named <job-id>.ckpt.* next to it (the
-//     sweep coordinator's epoch and lease journal).
+//     sweep coordinator's epoch).
 //
 // Every write is crash-consistent: content goes to a temp file, is
 // fsynced, and is renamed into place — a crash at any byte leaves

@@ -37,6 +37,9 @@ var (
 	// errTooLarge guards against corrupt headers requesting absurd
 	// allocations.
 	errTooLarge = errors.New("trace: header count exceeds sanity limit")
+	// errTrailing reports bytes after the last record: a file with
+	// garbage appended, or two streams concatenated.
+	errTrailing = errors.New("trace: data after the last record")
 )
 
 // FormatError is a decode failure that carries its position in the
@@ -306,6 +309,17 @@ func (d *binReader) header(magic string, badMagic error) (name string, grid, blo
 	return name, int(v[0]), int(v[1]), int(v[2]), nil
 }
 
+// eof requires the input to end here.
+func (d *binReader) eof() error {
+	if d.fill(1) {
+		return d.fail(errTrailing)
+	}
+	if d.err != io.EOF {
+		return d.fail(fmt.Errorf("reading past the last record: %w", d.err))
+	}
+	return nil
+}
+
 // count reads a count and caps it at maxReasonableCount.
 func (d *binReader) count() (int, error) {
 	v, err := d.uvarint()
@@ -340,9 +354,9 @@ func WriteBinary(w io.Writer, k *KernelTrace) error {
 }
 
 // ReadBinary decodes a kernel trace previously written by WriteBinary
-// and validates it (see KernelTrace.Validate). Decode and validation
-// failures are *FormatError values carrying the number of bytes
-// consumed when the stream broke.
+// and validates it (see KernelTrace.Validate). The input must end after
+// the last thread. Decode and validation failures are *FormatError
+// values carrying the number of bytes consumed when the stream broke.
 func ReadBinary(r io.Reader) (*KernelTrace, error) {
 	d := newBinReader(r)
 	defer d.release()
@@ -390,6 +404,9 @@ func ReadBinary(r io.Reader) (*KernelTrace, error) {
 	}
 	if err := k.Validate(); err != nil {
 		return nil, d.fail(err)
+	}
+	if err := d.eof(); err != nil {
+		return nil, err
 	}
 	return k, nil
 }

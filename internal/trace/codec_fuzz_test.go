@@ -174,9 +174,13 @@ func TestCorruptHeadersError(t *testing.T) {
 // TestBinaryErrorOffsets pins where each binary format reports a break:
 // every decode failure is a *FormatError whose Offset is the number of
 // bytes consumed when decoding failed, so bytes the decoder never
-// reached (the trailing "zz" below) do not count.
+// reached (the trailing "zz" below) do not count. A stream must end
+// after its last record: a byte past it fails at its own offset.
 func TestBinaryErrorOffsets(t *testing.T) {
 	const over = maxReasonableCount + 1 // five varint bytes
+	// Whole one-record streams: 16 bytes of trace, 19 of warps.
+	trace1 := binaryMagic + uv(0, 1, 1, 1, 1, 2, 2) + "\x00"
+	warps1 := warpMagic + uv(0, 1, 32, 1, 0, 0, 1, 2, 2) + "\x00\x20"
 	cases := []struct {
 		name   string
 		data   string
@@ -196,6 +200,9 @@ func TestBinaryErrorOffsets(t *testing.T) {
 		{"trace thread count over limit", binaryMagic + uv(0, 1, 1, over) + "zz", readTrace, 16, errTooLarge},
 		{"trace access count over limit", binaryMagic + uv(0, 1, 1, 1, over) + "zz", readTrace, 17, errTooLarge},
 		{"trace fails Validate", binaryMagic + uv(0, 1, 2, 1, 0) + "zz", readTrace, 13, nil},
+		{"trace bytes after the last thread", trace1 + "zz", readTrace, 16, errTrailing},
+		{"trace newline after the last thread", trace1 + "\n", readTrace, 16, errTrailing},
+		{"two traces concatenated", trace1 + trace1, readTrace, 16, errTrailing},
 
 		{"warp bad magic", binaryMagic + "junk", readWarps, 0, ErrBadWarpMagic},
 		{"warp truncated magic", "GMAP", readWarps, 4, io.ErrUnexpectedEOF},
@@ -208,6 +215,8 @@ func TestBinaryErrorOffsets(t *testing.T) {
 		{"warp kind byte 3", warpMagic + uv(0, 1, 32, 1, 0, 0, 1, 2, 2) + "\x03\x20zz", readWarps, 18, nil},
 		{"warp count over limit", warpMagic + uv(0, 1, 32, over) + "zz", readWarps, 16, errTooLarge},
 		{"warp request count over limit", warpMagic + uv(0, 1, 32, 1, 0, 0, over) + "zz", readWarps, 19, errTooLarge},
+		{"warp bytes after the last warp", warps1 + "zz", readWarps, 19, errTrailing},
+		{"two warp streams concatenated", warps1 + warps1, readWarps, 19, errTrailing},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

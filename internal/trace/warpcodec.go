@@ -68,9 +68,9 @@ func WriteWarpsBinary(w io.Writer, wf *WarpFile) error {
 	return bw.flush()
 }
 
-// ReadWarpsBinary decodes a stream written by WriteWarpsBinary. Decode
-// failures are *FormatError values carrying the number of bytes consumed
-// when the stream broke.
+// ReadWarpsBinary decodes a stream written by WriteWarpsBinary. The
+// input must end after the last warp. Decode failures are *FormatError
+// values carrying the number of bytes consumed when the stream broke.
 func ReadWarpsBinary(r io.Reader) (*WarpFile, error) {
 	d := newBinReader(r)
 	defer d.release()
@@ -132,6 +132,9 @@ func ReadWarpsBinary(r io.Reader) (*WarpFile, error) {
 			})
 		}
 		wf.Warps = append(wf.Warps, wt)
+	}
+	if err := d.eof(); err != nil {
+		return nil, err
 	}
 	return wf, nil
 }
