@@ -107,7 +107,7 @@ func runCoordinator(ctx context.Context, spec dist.SweepSpec, df distFlags, ledg
 	}
 	c.Drain(ctx)
 	if df.traceOut != "" {
-		if err := writeOut(df.traceOut, fed.WriteTrace); err != nil {
+		if err := obs.WriteFile(df.traceOut, fed.WriteTrace); err != nil {
 			return fmt.Errorf("trace export: %w", err)
 		}
 	}

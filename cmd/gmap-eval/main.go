@@ -64,6 +64,7 @@ import (
 	"github.com/uteda/gmap"
 	"github.com/uteda/gmap/internal/dist"
 	"github.com/uteda/gmap/internal/eval"
+	"github.com/uteda/gmap/internal/obs"
 	"github.com/uteda/gmap/internal/obs/fleet"
 )
 
@@ -217,7 +218,7 @@ func main() {
 		}
 	}
 	if *obsSnap != "" {
-		if err := writeOut(*obsSnap, opts.Obs.WriteJSON); err != nil {
+		if err := obs.WriteFile(*obsSnap, opts.Obs.WriteJSON); err != nil {
 			fatal(fmt.Errorf("obs snapshot: %w", err))
 		}
 	}
@@ -228,7 +229,7 @@ func main() {
 		if strings.HasSuffix(*traceOut, ".jsonl") {
 			export = opts.Trace.WriteJSONL
 		}
-		if err := writeOut(*traceOut, export); err != nil {
+		if err := obs.WriteFile(*traceOut, export); err != nil {
 			fatal(fmt.Errorf("trace export: %w", err))
 		}
 	}
@@ -238,7 +239,7 @@ func main() {
 		if strings.HasSuffix(*attrOut, ".md") {
 			export = func(w io.Writer) error { return gmap.WriteAttrMarkdown(w, reports) }
 		}
-		if err := writeOut(*attrOut, export); err != nil {
+		if err := obs.WriteFile(*attrOut, export); err != nil {
 			fatal(fmt.Errorf("attribution report: %w", err))
 		}
 	}
@@ -320,22 +321,6 @@ func checkModeFlags(mode string, fs *flag.FlagSet) error {
 		}
 	}
 	return nil
-}
-
-// writeOut writes export's output to path, or to stdout for "-".
-func writeOut(path string, export func(io.Writer) error) error {
-	if path == "-" {
-		return export(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := export(f); err != nil {
-		f.Close()
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return f.Close()
 }
 
 func writeSummary(path string, opts *gmap.ExperimentOptions) error {

@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"github.com/uteda/gmap"
+	"github.com/uteda/gmap/internal/obs"
 )
 
 func main() {
@@ -53,8 +54,8 @@ func main() {
 		fatal(err)
 	}
 	if *obsSnap != "" {
-		if err := writeObsSnapshot(*obsSnap, gopts.Obs); err != nil {
-			fatal(err)
+		if err := obs.WriteFile(*obsSnap, gopts.Obs.WriteJSON); err != nil {
+			fatal(fmt.Errorf("obs snapshot: %w", err))
 		}
 	}
 	w := os.Stdout
@@ -79,26 +80,6 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// writeObsSnapshot dumps the registry as JSON; write failures carry the
-// destination path.
-func writeObsSnapshot(path string, r *gmap.ObsRegistry) error {
-	if path == "-" {
-		return r.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs snapshot: %w", err)
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("obs snapshot %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("obs snapshot %s: %w", path, err)
-	}
-	return nil
 }
 
 func fatal(err error) {

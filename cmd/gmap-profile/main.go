@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"github.com/uteda/gmap"
+	"github.com/uteda/gmap/internal/obs"
 	"github.com/uteda/gmap/internal/trace"
 )
 
@@ -49,8 +50,8 @@ func main() {
 		fatal(err)
 	}
 	if *obsSnap != "" {
-		if err := writeObsSnapshot(*obsSnap, cfg.Obs); err != nil {
-			fatal(err)
+		if err := obs.WriteFile(*obsSnap, cfg.Obs.WriteJSON); err != nil {
+			fatal(fmt.Errorf("obs snapshot: %w", err))
 		}
 	}
 
@@ -97,26 +98,6 @@ func loadTrace(workload string, scale int, in, format string) (*gmap.KernelTrace
 	default:
 		return nil, fmt.Errorf("one of -workload or -in is required")
 	}
-}
-
-// writeObsSnapshot dumps the registry as JSON; write failures carry the
-// destination path.
-func writeObsSnapshot(path string, r *gmap.ObsRegistry) error {
-	if path == "-" {
-		return r.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs snapshot: %w", err)
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("obs snapshot %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("obs snapshot %s: %w", path, err)
-	}
-	return nil
 }
 
 func fatal(err error) {

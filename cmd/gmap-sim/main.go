@@ -14,13 +14,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"github.com/uteda/gmap"
 	"github.com/uteda/gmap/internal/cache"
 	"github.com/uteda/gmap/internal/dram"
+	"github.com/uteda/gmap/internal/obs"
 	"github.com/uteda/gmap/internal/prefetch"
 )
 
@@ -123,13 +123,13 @@ func main() {
 		fatal(err)
 	}
 	if *obsOut != "" {
-		if err := writeObs(*obsOut, cfg.Obs.WriteSeriesJSONL); err != nil {
-			fatal(err)
+		if err := obs.WriteFile(*obsOut, cfg.Obs.WriteSeriesJSONL); err != nil {
+			fatal(fmt.Errorf("obs series: %w", err))
 		}
 	}
 	if *obsSnap != "" {
-		if err := writeObs(*obsSnap, cfg.Obs.WriteJSON); err != nil {
-			fatal(err)
+		if err := obs.WriteFile(*obsSnap, cfg.Obs.WriteJSON); err != nil {
+			fatal(fmt.Errorf("obs snapshot: %w", err))
 		}
 	}
 	if *traceOut != "" {
@@ -137,8 +137,8 @@ func main() {
 		if strings.HasSuffix(*traceOut, ".jsonl") {
 			export = tracer.WriteJSONL
 		}
-		if err := writeObs(*traceOut, export); err != nil {
-			fatal(fmt.Errorf("trace export %s: %w", *traceOut, err))
+		if err := obs.WriteFile(*traceOut, export); err != nil {
+			fatal(fmt.Errorf("trace export: %w", err))
 		}
 	}
 	fmt.Printf("workload:          %s\n", name)
@@ -233,23 +233,6 @@ func run(workload string, scale int, in, proxyIn string, cfg gmap.SimConfig) (gm
 		m, err := gmap.SimulateProxy(proxy, cfg)
 		return m, proxy.Name + " (proxy)", err
 	}
-}
-
-// writeObs streams one observability export (JSONL series or a JSON
-// snapshot) to path, with "-" selecting stdout.
-func writeObs(path string, export func(io.Writer) error) error {
-	if path == "-" {
-		return export(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := export(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

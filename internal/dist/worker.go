@@ -568,11 +568,8 @@ func (w *worker) push(final, spans bool, timeout time.Duration) {
 		pr.Snapshot = &snap
 	}
 	if spans && w.o.Trace != nil {
-		var buf bytes.Buffer
-		if err := w.o.Trace.WriteJSONL(&buf); err == nil {
-			pr.TraceJSONL = buf.String()
-			pr.TraceOriginUnixNS = w.o.Trace.Origin().UnixNano()
-		}
+		pr.Trace = w.o.Trace.Events()
+		pr.TraceOriginUnixNS = w.o.Trace.Origin().UnixNano()
 	}
 	body, err := json.Marshal(pr)
 	if err != nil {

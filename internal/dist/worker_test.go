@@ -159,9 +159,9 @@ func TestHeartbeatPushesListWorkerLive(t *testing.T) {
 		t.Fatal("no push landed while the lease was live")
 	}
 	for i, pr := range midLease {
-		if pr.Final || pr.Snapshot == nil || pr.TraceJSONL != "" {
-			t.Errorf("heartbeat push %d: final=%v snapshot=%v span log %d bytes; want a snapshot and no span log",
-				i, pr.Final, pr.Snapshot != nil, len(pr.TraceJSONL))
+		if pr.Final || pr.Snapshot == nil || len(pr.Trace) != 0 {
+			t.Errorf("heartbeat push %d: final=%v snapshot=%v span log %d events; want a snapshot and no span log",
+				i, pr.Final, pr.Snapshot != nil, len(pr.Trace))
 		}
 	}
 }
@@ -256,9 +256,9 @@ func TestWaitingWorkerStaysLive(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for i, pr := range pushes {
-		if !pr.Final && (pr.Snapshot == nil || pr.TraceJSONL != "") {
-			t.Errorf("wait push %d: snapshot=%v span log %d bytes; want a snapshot and no span log",
-				i, pr.Snapshot != nil, len(pr.TraceJSONL))
+		if !pr.Final && (pr.Snapshot == nil || len(pr.Trace) != 0) {
+			t.Errorf("wait push %d: snapshot=%v span log %d events; want a snapshot and no span log",
+				i, pr.Snapshot != nil, len(pr.Trace))
 		}
 	}
 }

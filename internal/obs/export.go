@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -112,6 +113,26 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(data, '\n'))
 	return err
+}
+
+// WriteFile streams export to path, or to stdout for "-"; every CLI
+// writes its -obs-*, -trace-out and -attr-out exports through it. An
+// error names the path. It is not fault.WriteFile: that one is the
+// durable temp+fsync+rename writer for state the program reads back,
+// while an export streams straight to its destination.
+func WriteFile(path string, export func(io.Writer) error) error {
+	if path == "-" {
+		return export(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := export(f); err != nil {
+		f.Close()
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return f.Close()
 }
 
 // seriesLine is one JSONL record of WriteSeriesJSONL.

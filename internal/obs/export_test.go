@@ -2,9 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -90,5 +93,56 @@ func TestGoldenEmptyRegistry(t *testing.T) {
 	}
 	if series.Len() != 0 {
 		t.Errorf("empty registry emitted JSONL: %q", series.String())
+	}
+}
+
+// TestWriteFile covers both destinations of an export — a file and, for
+// "-", stdout — and that every failure names the path.
+func TestWriteFile(t *testing.T) {
+	hello := func(w io.Writer) error {
+		_, err := io.WriteString(w, "hello\n")
+		return err
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.txt")
+	if err := WriteFile(path, hello); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "hello\n" {
+		t.Fatalf("file holds %q, %v; want %q", got, err, "hello\n")
+	}
+
+	stdout := filepath.Join(dir, "stdout.txt")
+	f, err := os.Create(stdout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = f
+	err = WriteFile("-", hello)
+	os.Stdout = saved
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(stdout); err != nil || string(got) != "hello\n" {
+		t.Fatalf("stdout got %q, %v; want %q", got, err, "hello\n")
+	}
+	if _, err := os.Stat(filepath.Join(".", "-")); err == nil {
+		t.Fatal(`"-" was written as a file`)
+	}
+
+	failing := func(io.Writer) error { return errors.New("export failed") }
+	for _, tc := range []struct {
+		path   string
+		export func(io.Writer) error
+	}{
+		{filepath.Join(dir, "missing", "out.txt"), hello},
+		{filepath.Join(dir, "failed.txt"), failing},
+	} {
+		err := WriteFile(tc.path, tc.export)
+		if err == nil || !strings.Contains(err.Error(), tc.path) {
+			t.Errorf("WriteFile(%s) = %v, want an error naming the path", tc.path, err)
+		}
 	}
 }

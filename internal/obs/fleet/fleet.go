@@ -6,22 +6,25 @@
 // (gmap-eval coordinator mode, or gmap-served with -dist-sweeps) —
 // joins them from worker pushes alone: a worker that joined the fleet
 // POSTs its registry snapshot to /fleet/push after every successful
-// lease heartbeat (every TTL/3), its snapshot and span log at every
+// lease heartbeat (every TTL/3), its snapshot and span events at every
 // lease end, and a final report on exit. Nothing dials a worker. A
 // worker that has not pushed for Options.Stale — one lease TTL, the
 // deadline on which the coordinator expires its lease — is marked
 // stale; a worker whose final report arrived never is.
 //
-// The merged state serves:
+// The merged state serves the many-member case of each local export,
+// rendered by the same writer:
 //
-//	/fleet/metrics       prometheus text, one worker="..." label per
-//	                     source plus an unlabeled cross-fleet aggregate
+//	/fleet/metrics       prometheus text (obs.WriteMembers), one
+//	                     worker="..." label per source plus an
+//	                     unlabeled cross-fleet aggregate
 //	/fleet/status        fleet health JSON: per-worker last-push age and
 //	                     staleness, plus the owner's own status document
 //	                     (coordinator lease/epoch state) under "dist"
-//	/fleet/trace/chrome  one Chrome trace-event document merging the
-//	                     owner's spans with every pushed worker span
-//	                     log, pid per process, all on the owner's clock
+//	/fleet/trace/chrome  one Chrome trace-event document
+//	                     (obstrace.WriteMergedChrome) merging the owner's
+//	                     spans with every pushed worker's span events,
+//	                     pid per process, all on the owner's clock
 //	                     (load in Perfetto)
 //	/fleet/push          worker-side report endpoint (POST)
 //
@@ -107,20 +110,21 @@ type PushRequest struct {
 	Final bool `json:"final,omitempty"`
 	// Snapshot is the worker's registry export at push time.
 	Snapshot *obs.Snapshot `json:"snapshot,omitempty"`
-	// TraceJSONL carries the worker's span log in WriteJSONL form; it
-	// replaces any earlier pushed events wholesale (the worker's tracer
-	// is cumulative, so the latest push supersedes). Heartbeat pushes
-	// leave it empty and keep the events of the last lease end.
-	TraceJSONL string `json:"trace_jsonl,omitempty"`
+	// Trace carries the worker's span log (Tracer.Events); it replaces
+	// any earlier pushed events wholesale (the worker's tracer is
+	// cumulative, so the latest push supersedes). Heartbeat pushes leave
+	// it empty and keep the events of the last lease end.
+	Trace []obstrace.Event `json:"trace,omitempty"`
 	// TraceOriginUnixNS is the worker tracer's origin (Tracer.Origin) in
-	// Unix nanoseconds, from which TraceJSONL's start_us count. The
-	// federator shifts the events onto its owner tracer's clock; a push
-	// without it (an older worker) merges them unshifted.
+	// Unix nanoseconds, from which Trace's StartUS count. The federator
+	// shifts the events onto its owner tracer's clock; a push without it
+	// merges them unshifted.
 	TraceOriginUnixNS int64 `json:"trace_origin_unix_ns,omitempty"`
 }
 
 // Record folds one worker report in. Exposed for in-process callers;
-// HTTP workers reach it through POST /fleet/push.
+// HTTP workers reach it through POST /fleet/push. It keeps pr.Trace,
+// shifting its events onto the owner's clock in place.
 func (f *Federator) Record(pr PushRequest) error {
 	if f == nil {
 		return nil
@@ -128,14 +132,7 @@ func (f *Federator) Record(pr PushRequest) error {
 	if pr.Worker == "" {
 		return fmt.Errorf("fleet: push without worker name")
 	}
-	var events []obstrace.Event
-	if pr.TraceJSONL != "" {
-		var err error
-		events, err = obstrace.ReadJSONL(strings.NewReader(pr.TraceJSONL))
-		if err != nil {
-			return fmt.Errorf("fleet: push from %s: %w", pr.Worker, err)
-		}
-	}
+	events := pr.Trace
 	if pr.TraceOriginUnixNS != 0 && f.o.Tracer != nil {
 		shiftUS := float64(pr.TraceOriginUnixNS-f.o.Tracer.Origin().UnixNano()) / 1e3
 		for i := range events {
@@ -157,7 +154,7 @@ func (f *Federator) Record(pr PushRequest) error {
 	if pr.Snapshot != nil {
 		ws.snap, ws.hasSnap = *pr.Snapshot, true
 	}
-	if events != nil {
+	if len(events) > 0 {
 		ws.events = events
 	}
 	ws.final = pr.Final
@@ -234,12 +231,26 @@ func (f *Federator) StatusSnapshot() FleetStatus {
 	return fs
 }
 
-// snapshots returns the (name, snapshot) pairs of every member that has
-// reported metrics, owner first, workers sorted by name.
-func (f *Federator) snapshots() []namedSnapshot {
-	var out []namedSnapshot
+// WriteMetrics renders the merged fleet exposition that /fleet/metrics
+// serves: obs.WriteMembers over the owner and every worker that has
+// pushed a snapshot, each labeled by name, owner first and workers
+// sorted by name. Two workers reporting the same counter therefore sum
+// into the aggregate while the labels keep their values apart. A nil
+// Federator writes nothing.
+func (f *Federator) WriteMetrics(w io.Writer) error {
+	var members []obs.Member
+	if f != nil {
+		members = f.members()
+	}
+	return obs.WriteMembers(w, members)
+}
+
+// members returns every member that has reported metrics, owner first,
+// workers sorted by name.
+func (f *Federator) members() []obs.Member {
+	var out []obs.Member
 	if f.o.Registry != nil {
-		out = append(out, namedSnapshot{name: f.o.Self, snap: f.o.Registry.Snapshot()})
+		out = append(out, obs.Member{Name: f.o.Self, Snap: f.o.Registry.Snapshot()})
 	}
 	f.mu.Lock()
 	var names []string
@@ -250,7 +261,7 @@ func (f *Federator) snapshots() []namedSnapshot {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		out = append(out, namedSnapshot{name: name, snap: f.workers[name].snap})
+		out = append(out, obs.Member{Name: name, Snap: f.workers[name].snap})
 	}
 	f.mu.Unlock()
 	return out

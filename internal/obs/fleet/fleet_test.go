@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -57,6 +59,73 @@ func TestMetricsLabelMergeSums(t *testing.T) {
 	}
 	if strings.Count(body, "# TYPE gmap_dist_jobs_done counter") != 1 {
 		t.Errorf("duplicate TYPE line for merged family:\n%s", body)
+	}
+}
+
+// TestFleetMetricsGolden freezes the merged /fleet/metrics exposition:
+// an owner and two workers sharing a counter, a gauge whose maximum
+// differs from its value, histograms whose buckets merge by inclusive
+// bound, and series (owner and worker) that a fleet exposition leaves
+// out. GMAP_UPDATE_GOLDEN=1 re-records testdata/fleet_metrics.txt.
+func TestFleetMetricsGolden(t *testing.T) {
+	owner := obs.New()
+	owner.Counter("dist.jobs_done").Add(5)
+	owner.Counter("dist.leases").Add(2)
+	owner.Gauge("dist.live_leases").Set(3)
+	owner.Histogram("http.dist.latency_ns").Observe(900)
+	owner.Sampler("ipc", 8).Sample(0, 0.5)
+	f := New(Options{Self: "coordinator", Registry: owner})
+
+	w0 := obs.New()
+	w0.Counter("dist.jobs_done").Add(3)
+	w0.Counter("runner.jobs_done").Add(7)
+	g := w0.Gauge("runner.workers")
+	g.Set(6)
+	g.Set(2)
+	for _, v := range []uint64{0, 3, 5, 100} {
+		w0.Histogram("runner.job_ns").Observe(v)
+	}
+	w1 := obs.New()
+	w1.Counter("dist.jobs_done").Add(4)
+	w1.Gauge("runner.workers").Set(4)
+	for _, v := range []uint64{4, 100, 5000} {
+		w1.Histogram("runner.job_ns").Observe(v)
+	}
+	w1.Sampler("memsim.ipc", 8).Sample(0, 1.25)
+	for name, r := range map[string]*obs.Registry{"w0": w0, "w1": w1} {
+		snap := r.Snapshot()
+		if err := f.Record(PushRequest{Worker: name, Snapshot: &snap}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := f.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "series") {
+		t.Errorf("fleet exposition carries a series:\n%s", buf.String())
+	}
+	golden(t, "fleet_metrics.txt", buf.Bytes())
+}
+
+func golden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if os.Getenv("GMAP_UPDATE_GOLDEN") == "1" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with GMAP_UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s mismatch:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
 }
 
@@ -139,16 +208,12 @@ func TestPushFoldsWorkerIn(t *testing.T) {
 func TestFinalSurvivesLatePush(t *testing.T) {
 	wrk := obstrace.New()
 	wrk.Root("dist.worker.lease").End()
-	var jsonl bytes.Buffer
-	if err := wrk.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
 	f := New(Options{Stale: time.Millisecond})
 	if err := f.Record(PushRequest{
-		Worker:     "w0",
-		Final:      true,
-		Snapshot:   snapWith(map[string]uint64{"dist.worker.jobs": 9}),
-		TraceJSONL: jsonl.String(),
+		Worker:   "w0",
+		Final:    true,
+		Snapshot: snapWith(map[string]uint64{"dist.worker.jobs": 9}),
+		Trace:    wrk.Events(),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -200,14 +265,16 @@ func TestMergedTraceExport(t *testing.T) {
 	ws.End()
 	lease.End()
 	sweep.End()
-	var jsonl bytes.Buffer
-	if err := wrk.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
 
 	f := New(Options{Self: "coordinator", Tracer: coord})
-	if err := f.Record(PushRequest{Worker: "w0", Final: true, TraceJSONL: jsonl.String()}); err != nil {
+	push, err := json.Marshal(PushRequest{Worker: "w0", Final: true, Trace: wrk.Events()})
+	if err != nil {
 		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	f.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/fleet/push", bytes.NewReader(push)))
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("push = %d: %s", rec.Code, rec.Body.String())
 	}
 	res, body := get(t, f.Handler(), "/fleet/trace/chrome")
 	if res.StatusCode != http.StatusOK || !json.Valid([]byte(body)) {
@@ -250,15 +317,11 @@ func TestMergedTraceSharesOwnerClock(t *testing.T) {
 	owner.Root("owner.span").End()
 	wrk := obstrace.NewWithOptions(obstrace.Options{Now: clockAt(t0.Add(5*time.Second), at)})
 	wrk.Root("worker.span").End()
-	var jsonl bytes.Buffer
-	if err := wrk.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
 
 	f := New(Options{Tracer: owner})
 	if err := f.Record(PushRequest{
 		Worker:            "w0",
-		TraceJSONL:        jsonl.String(),
+		Trace:             wrk.Events(),
 		TraceOriginUnixNS: wrk.Origin().UnixNano(),
 	}); err != nil {
 		t.Fatal(err)
@@ -284,8 +347,8 @@ func TestMergedTraceSharesOwnerClock(t *testing.T) {
 		t.Fatalf("owner span at ts %s, worker span at ts %s; want both at 6000000.000", ts["owner.span"], ts["worker.span"])
 	}
 
-	// A push without an origin, from an older worker, merges unshifted.
-	if err := f.Record(PushRequest{Worker: "w0", TraceJSONL: jsonl.String()}); err != nil {
+	// A push without an origin merges unshifted.
+	if err := f.Record(PushRequest{Worker: "w0", Trace: wrk.Events()}); err != nil {
 		t.Fatal(err)
 	}
 	if procs := f.traceProcesses(); procs[1].Events[0].StartUS != 1e6 {
@@ -317,6 +380,14 @@ func TestPushEndpoint(t *testing.T) {
 		strings.NewReader(`{"worker":"w1","url":"http://127.0.0.1:9300"}`)))
 	if rec.Code != http.StatusNoContent {
 		t.Fatalf("push with legacy url field = %d: %s", rec.Code, rec.Body.String())
+	}
+	// A span attribute is a string, number, bool or null: a pushed event
+	// with an object or array value is refused, naming the key.
+	rec = httptest.NewRecorder()
+	f.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/fleet/push",
+		strings.NewReader(`{"worker":"w2","trace":[{"id":1,"name":"x","attrs":{"a":{"b":1},"c":2}}]}`)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `attr "a"`) {
+		t.Fatalf("push with an object attribute = %d %q, want 400 naming attr \"a\"", rec.Code, rec.Body.String())
 	}
 	if fs := f.StatusSnapshot(); fs.Pushes != 2 || !fs.Workers[0].Final || fs.Workers[1].Name != "w1" {
 		t.Fatalf("pushes not recorded: %+v", fs)

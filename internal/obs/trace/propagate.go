@@ -27,57 +27,10 @@ func (t *Tracer) SetDefaultParent(s *Span) {
 	t.defParent = s
 }
 
-// ReadJSONL parses a WriteJSONL stream back into events, preserving
-// attribute order and numeric formatting (attrs round-trip through
-// json.Number, so re-exporting parsed events is lossless for integer
-// values). Blank lines are skipped; a malformed line fails the whole
-// read with its line number.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	var events []Event
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var je jsonlEvent
-		if err := json.Unmarshal(line, &je); err != nil {
-			return nil, fmt.Errorf("trace: jsonl line %d: %w", lineNo, err)
-		}
-		e := Event{
-			ID: je.ID, Parent: je.Parent, Track: je.Track, Name: je.Name,
-			Instant: je.Instant, StartUS: je.StartUS, DurUS: je.DurUS,
-		}
-		if je.StartCycle != nil || je.EndCycle != nil {
-			e.HasCycles = true
-			if je.StartCycle != nil {
-				e.StartCycle = *je.StartCycle
-			}
-			if je.EndCycle != nil {
-				e.EndCycle = *je.EndCycle
-			}
-		}
-		attrs, err := parseAttrs(je.Attrs)
-		if err != nil {
-			return nil, fmt.Errorf("trace: jsonl line %d: %w", lineNo, err)
-		}
-		e.Attrs = attrs
-		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: reading jsonl: %w", err)
-	}
-	return events, nil
-}
-
-// parseAttrs decodes an exported attrs object back into ordered Attrs.
-// Cycle-window keys written by argsJSON are folded back out by the
-// caller's event fields, so they are kept as plain attrs here only if
-// the producer put them there explicitly — ReadJSONL events re-export
-// byte-identically either way because argsJSON re-renders in order.
+// parseAttrs decodes an exported attrs object back into ordered Attrs
+// (Event.UnmarshalJSON). A value must be a string, number, bool or
+// null: a push is input from another process, and an object or array
+// value would otherwise be misread token by token.
 func parseAttrs(raw json.RawMessage) ([]Attr, error) {
 	if len(raw) == 0 {
 		return nil, nil
@@ -105,6 +58,9 @@ func parseAttrs(raw json.RawMessage) ([]Attr, error) {
 		if err != nil {
 			return nil, err
 		}
+		if _, ok := vt.(json.Delim); ok {
+			return nil, fmt.Errorf("attr %q: value is an object or array", key)
+		}
 		attrs = append(attrs, Attr{Key: key, Value: vt})
 	}
 	if _, err := dec.Token(); err != nil {
@@ -121,26 +77,35 @@ type Process struct {
 }
 
 // WriteMergedChrome stitches several processes' span logs into one
-// Chrome trace-event JSON document: process i renders under pid i+1
-// with a process_name metadata record, so Perfetto shows the whole
-// distributed sweep — coordinator and every worker — on one timeline.
-// Events are sorted per process exactly as Tracer.Events sorts; their
-// timestamps are taken as given, so callers put every process on one
-// clock first.
+// Chrome trace-event JSON document: process i renders under pid i+1, a
+// named process after a process_name metadata record, so Perfetto shows
+// the whole distributed sweep — coordinator and every worker — on one
+// timeline. Events are sorted per process exactly as Tracer.Events
+// sorts; their timestamps are taken as given, so callers put every
+// process on one clock first. Each line is written as it is rendered.
 func WriteMergedChrome(w io.Writer, procs []Process) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[` + "\n"); err != nil {
+	sep := "\n"
+	put := func(line string) error {
+		_, err := bw.WriteString(sep + line)
+		sep = ",\n"
 		return err
 	}
-	var lines []string
+	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
+		return err
+	}
 	for i, p := range procs {
 		pid := i + 1
-		name, err := json.Marshal(p.Name)
-		if err != nil {
-			return err
+		if p.Name != "" {
+			name, err := json.Marshal(p.Name)
+			if err != nil {
+				return err
+			}
+			if err := put(fmt.Sprintf(
+				`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%s}}`, pid, name)); err != nil {
+				return err
+			}
 		}
-		lines = append(lines, fmt.Sprintf(
-			`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%s}}`, pid, name))
 		events := append([]Event(nil), p.Events...)
 		sortEvents(events)
 		for _, e := range events {
@@ -148,18 +113,12 @@ func WriteMergedChrome(w io.Writer, procs []Process) error {
 			if err != nil {
 				return err
 			}
-			lines = append(lines, line)
+			if err := put(line); err != nil {
+				return err
+			}
 		}
 	}
-	for i, line := range lines {
-		if i < len(lines)-1 {
-			line += ","
-		}
-		if _, err := bw.WriteString(line + "\n"); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
+	if _, err := bw.WriteString("\n]}\n"); err != nil {
 		return err
 	}
 	return bw.Flush()

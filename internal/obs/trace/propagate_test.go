@@ -3,6 +3,11 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -57,7 +62,10 @@ func TestDefaultParentNesting(t *testing.T) {
 	}
 }
 
-func TestReadJSONLRoundTrip(t *testing.T) {
+// TestEventJSONRoundTrip: decoding an event's JSON form and encoding it
+// again reproduces the WriteJSONL stream byte for byte, so attribute
+// order, parents and cycle windows survive a push.
+func TestEventJSONRoundTrip(t *testing.T) {
 	tr := NewWithOptions(Options{Now: fixedClock()})
 	root := tr.Root("sweep", String("experiment", "fig6a"), Int("jobs", 30))
 	child := root.ChildTrack("lease", Float("f", 1.5))
@@ -66,49 +74,91 @@ func TestReadJSONLRoundTrip(t *testing.T) {
 	root.End()
 	tr.Instant("marker", String("k", "v"))
 
-	var out bytes.Buffer
-	if err := tr.WriteJSONL(&out); err != nil {
+	var want bytes.Buffer
+	if err := tr.WriteJSONL(&want); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadJSONL(bytes.NewReader(out.Bytes()))
+	data, err := json.Marshal(tr.Events())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var events []Event
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatal(err)
+	}
 	if len(events) != 3 {
-		t.Fatalf("parsed %d events, want 3", len(events))
+		t.Fatalf("decoded %d events, want 3", len(events))
 	}
-
-	// Re-exporting the parsed events must reproduce the original stream:
-	// attribute order, parents and cycle windows survive the round trip.
-	reexport := func(events []Event) string {
-		var buf bytes.Buffer
-		for _, e := range events {
-			je := jsonlEvent{
-				ID: e.ID, Parent: e.Parent, Track: e.Track, Name: e.Name,
-				Instant: e.Instant, StartUS: e.StartUS, DurUS: e.DurUS,
-			}
-			if e.HasCycles {
-				sc, ec := e.StartCycle, e.EndCycle
-				je.StartCycle, je.EndCycle = &sc, &ec
-			}
-			if len(e.Attrs) > 0 {
-				args, err := argsJSON(Event{Attrs: e.Attrs})
-				if err != nil {
-					t.Fatal(err)
-				}
-				je.Attrs = args
-			}
-			line, err := json.Marshal(je)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf.Write(append(line, '\n'))
+	if events[1].Parent != events[0].ID || !events[1].HasCycles || events[1].StartCycle != 10 || events[1].EndCycle != 20 {
+		t.Fatalf("child event = %+v, want parent %d and cycles 10..20", events[1], events[0].ID)
+	}
+	if a := events[0].Attrs; len(a) != 2 || a[0].Key != "experiment" || a[1].Key != "jobs" {
+		t.Fatalf("root attrs = %+v, want experiment then jobs", a)
+	}
+	var got bytes.Buffer
+	for _, e := range events {
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return buf.String()
+		got.Write(append(line, '\n'))
 	}
-	if got := reexport(events); got != out.String() {
-		t.Fatalf("re-export differs:\n--- got ---\n%s--- want ---\n%s", got, out.String())
+	if got.String() != want.String() {
+		t.Fatalf("re-export differs:\n--- got ---\n%s--- want ---\n%s", got.String(), want.String())
 	}
+}
+
+// TestEventJSONRejectsNestedAttrs: an attribute value is a string,
+// number, bool or null; an object or array fails the decode naming its
+// key instead of hoisting inner keys or misreading the delimiter.
+func TestEventJSONRejectsNestedAttrs(t *testing.T) {
+	for _, tc := range []struct{ attrs, key string }{
+		{`{"a":{"b":1},"c":2}`, "a"},
+		{`{"a":[1,2]}`, "a"},
+		{`{"k":"v","x":[]}`, "x"},
+		{`{"k":"v","x":{}}`, "x"},
+	} {
+		var e Event
+		err := json.Unmarshal([]byte(`{"id":1,"track":1,"name":"s","start_us":0,"dur_us":1,"attrs":`+tc.attrs+`}`), &e)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("attr %q", tc.key)) {
+			t.Errorf("attrs %s: err = %v, want one naming attr %q", tc.attrs, err, tc.key)
+		}
+	}
+	var e Event
+	if err := json.Unmarshal([]byte(`{"id":1,"name":"s","attrs":{"s":"v","n":-1.5e3,"b":true,"z":null}}`), &e); err != nil {
+		t.Fatalf("scalar attrs rejected: %v", err)
+	}
+}
+
+// FuzzEventJSON: any input that decodes into an Event re-encodes to
+// bytes that decode to an equal Event.
+func FuzzEventJSON(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "events.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range bytes.Split(golden, []byte("\n")) {
+		f.Add(line)
+	}
+	f.Add([]byte(`{"id":7,"parent":3,"track":2,"name":"x","start_us":1.5,"dur_us":-0,"start_cycle":4,"attrs":{"a":"\u00e9","a":1e400,"n":null}}`))
+	f.Add([]byte(`{"id":1,"name":"s","attrs":{"a":{"b":1},"c":2}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var e Event
+		if json.Unmarshal(data, &e) != nil {
+			return
+		}
+		out, err := json.Marshal(e)
+		if err != nil {
+			t.Fatalf("re-encode %+v: %v", e, err)
+		}
+		var again Event
+		if err := json.Unmarshal(out, &again); err != nil {
+			t.Fatalf("decode re-encoded %s: %v", out, err)
+		}
+		if !reflect.DeepEqual(e, again) {
+			t.Fatalf("round trip changed the event:\n%+v\n%+v", e, again)
+		}
+	})
 }
 
 func TestWriteMergedChrome(t *testing.T) {
@@ -162,6 +212,35 @@ func TestWriteMergedChrome(t *testing.T) {
 	if metas != 2 || workers != 1 {
 		t.Fatalf("merged export has %d process metas, %d worker spans; want 2, 1", metas, workers)
 	}
+}
+
+// TestWriteMergedChromeGolden freezes the merged Chrome document: two
+// named processes, each with a process_name record, attributes, a
+// cycle window and an instant. GMAP_UPDATE_GOLDEN=1 re-records
+// testdata/merged_chrome.json.
+func TestWriteMergedChromeGolden(t *testing.T) {
+	coord := NewWithOptions(Options{Now: fakeClock(100 * time.Microsecond)})
+	sweep := coord.Root("dist.sweep", String("experiment", "fig6a"), Int("parts", 2))
+	lease := sweep.ChildTrack("dist.lease", String("lease", "lease-1-0001"), Int("part", 0))
+	coord.Instant("dist.epoch", Int("epoch", 1))
+	lease.End()
+	sweep.End()
+
+	wrk := NewWithOptions(Options{Now: fakeClock(40 * time.Microsecond)})
+	ws := wrk.Root("dist.worker.lease", String("lease", "lease-1-0001"), String("worker", "w0"))
+	sim := ws.Child("memsim.run", Float("ipc", 0.75))
+	sim.SetCycles(128, 4096)
+	sim.End()
+	ws.End()
+
+	var buf bytes.Buffer
+	if err := WriteMergedChrome(&buf, []Process{
+		{Name: "coordinator", Events: coord.Events()},
+		{Name: "w0", Events: wrk.Events()},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "merged_chrome.json", buf.Bytes())
 }
 
 // TestDropCounterConcurrent hammers a tiny-capped tracer from many

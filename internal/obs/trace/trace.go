@@ -74,29 +74,30 @@ func Int(k string, v int64) Attr { return Attr{Key: k, Value: v} }
 // Float builds a float attribute.
 func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
 
-// Event is one ended span (or instant marker) in the tracer's log.
+// Event is one ended span (or instant marker) in the tracer's log. Its
+// JSON form (MarshalJSON) is one line of the WriteJSONL stream.
 type Event struct {
 	// ID is the span's unique id; Parent is the enclosing span's id (0
 	// for roots). Track groups a root span and all its descendants onto
 	// one timeline lane of the Chrome export.
-	ID     uint64 `json:"id"`
-	Parent uint64 `json:"parent,omitempty"`
-	Track  int    `json:"track"`
+	ID     uint64
+	Parent uint64
+	Track  int
 	// Name is the span name ("runner.job", "memsim.epoch", ...).
-	Name string `json:"name"`
+	Name string
 	// Instant marks a zero-duration point event.
-	Instant bool `json:"instant,omitempty"`
+	Instant bool
 	// StartUS and DurUS are microseconds of wall time relative to the
 	// tracer's creation (Tracer.Origin).
-	StartUS float64 `json:"start_us"`
-	DurUS   float64 `json:"dur_us"`
+	StartUS float64
+	DurUS   float64
 	// StartCycle and EndCycle are simulation-cycle timestamps, present
 	// only when the span recorded them via SetCycles.
-	HasCycles  bool   `json:"-"`
-	StartCycle uint64 `json:"start_cycle,omitempty"`
-	EndCycle   uint64 `json:"end_cycle,omitempty"`
+	HasCycles  bool
+	StartCycle uint64
+	EndCycle   uint64
 	// Attrs are the span's attributes in the order they were added.
-	Attrs []Attr `json:"-"`
+	Attrs []Attr
 }
 
 // Options configures a Tracer.
@@ -393,34 +394,15 @@ func fmtUS(us float64) string {
 // object with a traceEvents array of "X" (complete) and "i" (instant)
 // events — directly loadable in Perfetto or chrome://tracing. Spans of
 // one root share a tid (track), so a sweep's jobs render as parallel
-// lanes. A nil tracer writes a valid empty trace.
+// lanes. It is WriteMergedChrome of one unnamed process, so the
+// document has no process_name record. A nil tracer writes a valid
+// empty trace.
 func (t *Tracer) WriteChrome(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[` + "\n"); err != nil {
-		return err
-	}
-	events := t.Events()
-	for i, e := range events {
-		line, err := chromeLine(e, 1)
-		if err != nil {
-			return err
-		}
-		if i < len(events)-1 {
-			line += ","
-		}
-		if _, err := bw.WriteString(line + "\n"); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return WriteMergedChrome(w, []Process{{Events: t.Events()}})
 }
 
 // chromeLine renders one event as a Chrome trace-event object under the
-// given pid (process lane). Shared by WriteChrome (always pid 1) and the
-// merged multi-process export (propagate.go).
+// given pid (process lane).
 func chromeLine(e Event, pid int) (string, error) {
 	args, err := argsJSON(e)
 	if err != nil {
@@ -438,7 +420,7 @@ func chromeLine(e Event, pid int) (string, error) {
 		name, ph, fmtUS(e.StartUS), pid, e.Track, extra, args), nil
 }
 
-// jsonlEvent is the JSONL wire form of one event.
+// jsonlEvent is the JSON form of one event.
 type jsonlEvent struct {
 	ID         uint64          `json:"id"`
 	Parent     uint64          `json:"parent,omitempty"`
@@ -452,28 +434,62 @@ type jsonlEvent struct {
 	Attrs      json.RawMessage `json:"attrs,omitempty"`
 }
 
-// WriteJSONL exports the log as JSON Lines — one structured event object
-// per line, in deterministic (start, id) order. This is the /trace
+// MarshalJSON renders the event as one JSON object: attributes in
+// order under "attrs", and the cycle window only when the span
+// recorded one.
+func (e Event) MarshalJSON() ([]byte, error) {
+	je := jsonlEvent{
+		ID: e.ID, Parent: e.Parent, Track: e.Track, Name: e.Name,
+		Instant: e.Instant, StartUS: e.StartUS, DurUS: e.DurUS,
+	}
+	if e.HasCycles {
+		je.StartCycle, je.EndCycle = &e.StartCycle, &e.EndCycle
+	}
+	if len(e.Attrs) > 0 {
+		args, err := argsJSON(Event{Attrs: e.Attrs})
+		if err != nil {
+			return nil, err
+		}
+		je.Attrs = args
+	}
+	return json.Marshal(je)
+}
+
+// UnmarshalJSON parses MarshalJSON's form, preserving attribute order
+// and numeric formatting (attribute numbers decode as json.Number, so a
+// re-export is lossless). An attribute whose value is an object or an
+// array is an error naming its key.
+func (e *Event) UnmarshalJSON(data []byte) error {
+	var je jsonlEvent
+	if err := json.Unmarshal(data, &je); err != nil {
+		return err
+	}
+	attrs, err := parseAttrs(je.Attrs)
+	if err != nil {
+		return fmt.Errorf("trace: event %d: %w", je.ID, err)
+	}
+	*e = Event{
+		ID: je.ID, Parent: je.Parent, Track: je.Track, Name: je.Name,
+		Instant: je.Instant, StartUS: je.StartUS, DurUS: je.DurUS,
+		HasCycles: je.StartCycle != nil || je.EndCycle != nil,
+		Attrs:     attrs,
+	}
+	if je.StartCycle != nil {
+		e.StartCycle = *je.StartCycle
+	}
+	if je.EndCycle != nil {
+		e.EndCycle = *je.EndCycle
+	}
+	return nil
+}
+
+// WriteJSONL exports the log as JSON Lines — one event's JSON form per
+// line, in deterministic (start, id) order. This is the /trace
 // endpoint's stream format. A nil tracer writes nothing.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, e := range t.Events() {
-		je := jsonlEvent{
-			ID: e.ID, Parent: e.Parent, Track: e.Track, Name: e.Name,
-			Instant: e.Instant, StartUS: e.StartUS, DurUS: e.DurUS,
-		}
-		if e.HasCycles {
-			sc, ec := e.StartCycle, e.EndCycle
-			je.StartCycle, je.EndCycle = &sc, &ec
-		}
-		if len(e.Attrs) > 0 {
-			args, err := argsJSON(Event{Attrs: e.Attrs})
-			if err != nil {
-				return err
-			}
-			je.Attrs = args
-		}
-		line, err := json.Marshal(je)
+		line, err := json.Marshal(e)
 		if err != nil {
 			return err
 		}

@@ -22,10 +22,11 @@ import (
 //
 // Recovery contract (DESIGN.md §9): only the final line of a checkpoint
 // can be torn — every earlier line was newline-terminated and flushed
-// before the next began. Resume salvages the longest valid prefix and
-// truncates the torn tail, so appends never glue new entries onto
-// leftover garbage. A resumed run skips every key it can decode, so
-// re-recorded keys never pile up and the file needs no compaction.
+// before the next began. Every run that names a checkpoint, resumed or
+// not, salvages the longest valid prefix and truncates the torn tail,
+// so appends never glue new entries onto leftover garbage. A resumed
+// run skips every key it can decode, so re-recorded keys never pile up
+// and the file needs no compaction.
 type checkpointEntry struct {
 	Key       string          `json:"key"`
 	Value     json.RawMessage `json:"value"`

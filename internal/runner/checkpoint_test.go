@@ -10,7 +10,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/uteda/gmap/internal/fault"
 	"github.com/uteda/gmap/internal/memsim"
+	"github.com/uteda/gmap/internal/obs"
 	"github.com/uteda/gmap/internal/proptest"
 )
 
@@ -115,6 +117,52 @@ func TestCheckpointToleratesTornFinalLine(t *testing.T) {
 	}
 	if executed.Load() != 0 || stats.Skipped != 4 {
 		t.Errorf("torn line broke resume: executed=%d stats=%+v", executed.Load(), stats)
+	}
+}
+
+// TestFreshRunSalvagesTornCheckpoint: a run without Resume still
+// appends to a named checkpoint, so it must cut a torn tail first, or
+// its first entry glues onto the garbage and a later resume loses it.
+// It records the salvage counters but reuses no recorded value.
+func TestFreshRunSalvagesTornCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	var executed atomic.Int32
+	if _, _, err := Run(context.Background(),
+		Options{Workers: 2, Checkpoint: path}, countingJobs(4, &executed, -1)); err != nil {
+		t.Fatal(err)
+	}
+	const torn = `{"key":"deadbeef","val`
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(torn); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	executed.Store(0)
+	reg := obs.New()
+	_, stats, err := Run(context.Background(),
+		Options{Workers: 2, Checkpoint: path, Obs: reg}, countingJobs(4, &executed, -1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if executed.Load() != 4 || stats.Skipped != 0 {
+		t.Errorf("a run without Resume reused recorded values: executed=%d stats=%+v", executed.Load(), stats)
+	}
+	if n := reg.Counter("runner.checkpoint_salvages").Value(); n != 1 {
+		t.Errorf("runner.checkpoint_salvages = %d, want 1", n)
+	}
+	if n := reg.Counter("runner.checkpoint_torn_bytes").Value(); n != uint64(len(torn)) {
+		t.Errorf("runner.checkpoint_torn_bytes = %d, want %d", n, len(torn))
+	}
+	sc, err := scanCheckpoint(fault.OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sv := sc.salvage; sv.Lines != 8 || sv.BadLines != 0 || sv.TornBytes != 0 {
+		t.Fatalf("checkpoint after a fresh run over a torn tail: %+v; want 8 lines, no bad line, no torn bytes", sv)
 	}
 }
 

@@ -33,15 +33,15 @@ type Options struct {
 	// Workers is the worker-pool size; <= 0 selects runtime.NumCPU().
 	Workers int
 	// Checkpoint, when non-empty, names a JSONL file successful job
-	// results are streamed to as they complete, keyed by Job.Key. A
-	// checkpoint append that fails aborts the run: progress that cannot
-	// be recorded must not be silently recomputed-from-zero later.
+	// results are streamed to as they complete, keyed by Job.Key. A torn
+	// trailing line — the signature of a killed run — is truncated from
+	// it before the first append, with or without Resume. A checkpoint
+	// append that fails aborts the run: progress that cannot be recorded
+	// must not be silently recomputed-from-zero later.
 	Checkpoint string
 	// Resume loads Checkpoint before running and skips jobs whose key
 	// already has a recorded value (failed jobs are never recorded, so
-	// they re-run). A torn trailing line — the signature of a killed
-	// run — is salvaged around and truncated from the file before
-	// appending.
+	// they re-run).
 	Resume bool
 	// ResumeStrict upgrades a total resume mismatch from a silent full
 	// re-run to an error: if the checkpoint holds entries but not one of
@@ -150,20 +150,23 @@ func Run[R any](ctx context.Context, opts Options, jobs []Job[R]) ([]Result[R], 
 	jobsSkipped := opts.Obs.Counter("runner.jobs_skipped")
 	opts.Obs.Gauge("runner.workers").Set(int64(workers))
 
-	// Restore checkpointed results before dispatching anything so the
-	// pool only sees genuinely pending work. Salvage makes the file
-	// append-safe again: a torn tail is truncated so the next entry
-	// cannot glue onto it and be lost on a later resume.
+	// Salvage makes a named checkpoint append-safe again, resumed or
+	// not: a torn tail is truncated so the next entry cannot glue onto
+	// it and be lost on a later resume. A resumed run restores the
+	// recorded results before dispatching anything so the pool only
+	// sees genuinely pending work.
 	var restored map[string]json.RawMessage
 	var restoredSample string
-	if opts.Resume && opts.Checkpoint != "" {
+	if opts.Checkpoint != "" {
 		m, salvage, err := SalvageCheckpoint(opts.fs(), opts.Checkpoint)
 		if err != nil {
 			return results, tr.stats(), err
 		}
-		restored = m
-		restoredSample = salvage.FirstKey
 		recordSalvage(opts.Obs, salvage)
+		if opts.Resume {
+			restored = m
+			restoredSample = salvage.FirstKey
+		}
 	}
 	var pending []int
 	matched := 0
