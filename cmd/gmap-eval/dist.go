@@ -38,22 +38,6 @@ func (df distFlags) coordinatorOptions(spec dist.SweepSpec, ledger string) dist.
 	}
 }
 
-// federate mounts the fleet federator under /fleet/ on a coordinator's
-// listener: workers push their reports there, the owner status document
-// is the coordinator's own snapshot, and a worker goes stale after one
-// lease TTL without a push — when its lease would expire too.
-func federate(c *dist.Coordinator, reg *obs.Registry, tracer *obstrace.Tracer, leaseTTL time.Duration) *fleet.Federator {
-	f := fleet.New(fleet.Options{
-		Self:     "coordinator",
-		Registry: reg,
-		Tracer:   tracer,
-		Status:   func() interface{} { return c.StatusSnapshot() },
-		Stale:    leaseTTL,
-	})
-	c.SetFleet(f.Handler())
-	return f
-}
-
 // runCoordinator distributes the sweep: partition the job space, lease
 // parts to workers over HTTP, merge streamed results into the
 // -checkpoint ledger, and render the merged report once every job is
@@ -81,7 +65,9 @@ func runCoordinator(ctx context.Context, spec dist.SweepSpec, df distFlags, ledg
 		return err
 	}
 	defer c.Close()
-	fed := federate(c, reg, tracer, df.leaseTTL)
+	// Workers push their reports to the federator under /fleet/.
+	fed := fleet.New(fleet.Options{Self: "coordinator", Registry: reg, Tracer: tracer})
+	c.SetFleet(fed.Handler())
 	srv, err := c.Serve(ctx, df.listen)
 	if err != nil {
 		return err
@@ -121,10 +107,11 @@ func runCoordinator(ctx context.Context, spec dist.SweepSpec, df distFlags, ledg
 // coordinator restarted over the same ledger redirects the worker
 // without restart.
 //
-// serveAddr, when non-empty, opts the worker into the fleet: spans
-// parent under the coordinator's sweep trace, and the registry and span
-// log push to the coordinator's /fleet/push (snapshot after every
-// heartbeat, span log at lease end, a final report on exit). The same
+// serveAddr, when non-empty, opts the worker into the fleet view: its
+// lease spans carry the lease id of the coordinator's span of the same
+// grant, and the registry and span log push to the coordinator's
+// /fleet/push (snapshot after every heartbeat, span log at lease end, a
+// final report on exit). The same
 // registry and tracer are also served locally on serveAddr (-serve,
 // same surface as a serial run) for inspection; nothing dials it.
 // Without -serve the worker's Obs and Trace stay nil — the simulation

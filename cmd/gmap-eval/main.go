@@ -35,11 +35,13 @@
 // A coordinator federates the fleet's observability from pushes alone:
 // workers started with -serve push their registry snapshot after every
 // lease heartbeat, their span log at every lease end and a final report
-// on exit, and the merged view — labeled metrics, fleet status, the
-// cross-process sweep trace — is served under /fleet/ on the
-// coordinator's port; -trace-out saves the merged trace when the sweep
-// ends. A worker that has not pushed for one lease TTL is marked stale.
-// Watch it live from any terminal:
+// on exit, and the merged view — labeled metrics and the cross-process
+// sweep trace — is served under /fleet/ on the coordinator's port;
+// -trace-out saves the merged trace when the sweep ends. Its roster on
+// /dist/v1/status lists every worker, -serve or not: live while it
+// asks within one lease TTL, stale after, done once told the sweep is
+// done. Watch it live from any terminal, against a coordinator or a
+// gmap-served:
 //
 //	gmap-eval -worker http://host:9500 -serve :0     # worker joins the fleet
 //	gmap-eval -fleet-watch http://host:9500          # or -fleet-watch coord.addr
@@ -65,7 +67,6 @@ import (
 	"github.com/uteda/gmap/internal/dist"
 	"github.com/uteda/gmap/internal/eval"
 	"github.com/uteda/gmap/internal/obs"
-	"github.com/uteda/gmap/internal/obs/fleet"
 )
 
 func main() {
@@ -96,7 +97,7 @@ func main() {
 		distTTL     = flag.Duration("dist-lease-ttl", 0, "lease heartbeat deadline before a worker's partition is re-leased (0 = 30s)")
 		workerURL   = flag.String("worker", "", "run as a distributed-sweep worker against this one coordinator URL (use -worker-addr-file to follow a restarted coordinator)")
 		workerAddr  = flag.String("worker-addr-file", "", "discover the coordinator address from this file (the one -dist-addr-file writes), re-read before every retry so the worker follows a restarted coordinator; preferred over -worker while readable")
-		fleetWatch  = flag.String("fleet-watch", "", "live fleet status view: poll this coordinator URL's /fleet/status and repaint (also accepts a -dist-addr-file path, re-read before every poll)")
+		fleetWatch  = flag.String("fleet-watch", "", "live fleet view: poll /dist/v1/status of this coordinator or gmap-served URL and repaint (also accepts a -dist-addr-file path, re-read before every poll)")
 		fleetIval   = flag.Duration("fleet-interval", 0, "-fleet-watch refresh interval (0 = 2s)")
 	)
 	flag.Parse()
@@ -121,7 +122,7 @@ func main() {
 		}
 	}
 	if mode == modeFleetWatch {
-		if err := fleet.Watch(ctx, os.Stdout, *fleetWatch, *fleetIval); err != nil && ctx.Err() == nil {
+		if err := dist.Watch(ctx, os.Stdout, *fleetWatch, *fleetIval); err != nil && ctx.Err() == nil {
 			fatal(err)
 		}
 		return

@@ -10,6 +10,8 @@
 // with the server as its first worker: `gmap-eval -worker URL` processes
 // dialing the same port (/dist/v1/) join the sweep and push to
 // /fleet/, and an interrupted sweep resumes from its last merged point.
+// GET /dist/v1/status lists every worker, live or stale, during and
+// between sweeps; `gmap-eval -fleet-watch URL` renders it.
 // Observability (/metrics, /progress, /trace, /debug/pprof) shares the
 // port.
 //
@@ -48,7 +50,7 @@ func main() {
 		fsync     = flag.Bool("fsync", false, "fsync journal/result/checkpoint writes (survives machine crash, not just SIGKILL)")
 		quiet     = flag.Bool("quiet", false, "suppress per-job log lines")
 		distParts = flag.Int("dist-parts", 0, "partitions of each sweep's job space, leased to the server's own worker and to remote ones (0 = 8)")
-		distTTL   = flag.Duration("dist-lease-ttl", 0, "sweep lease heartbeat deadline; a remote worker silent this long reads stale on /fleet/status (0 = 30s)")
+		distTTL   = flag.Duration("dist-lease-ttl", 0, "sweep lease heartbeat deadline; a worker silent this long reads stale on /dist/v1/status (0 = 30s)")
 	)
 	flag.Parse()
 

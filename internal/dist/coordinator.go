@@ -105,11 +105,63 @@ type lease struct {
 	span    *obstrace.Span // child of the sweep span; nil when not tracing
 }
 
-// workerStat tracks one worker's liveness across its leases.
+// roster is the fleet's one record of worker liveness. Every lease
+// operation names its worker, and the roster records each one, fenced
+// or not, with its answer. A coordinator keeps one; gmap-served's
+// Sweeps keeps one for the life of the service and hands it to every
+// sweep's coordinator.
+type roster struct {
+	mu      sync.Mutex
+	workers map[string]*workerStat
+}
+
+// workerStat is one roster entry.
 type workerStat struct {
 	granted  uint64
 	lastSeen time.Time
-	toldDone bool // answered "done" (Drain waits for it)
+	done     bool // the last request was answered "done"
+}
+
+// seen records a request from worker at instant at, answered with a
+// grant of status answer: a lease counts toward the worker's grants,
+// and "done" marks it done until its next request. A heartbeat or
+// delivery passes "".
+func (r *roster) seen(worker string, at time.Time, answer string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.workers == nil {
+		r.workers = make(map[string]*workerStat)
+	}
+	ws := r.workers[worker]
+	if ws == nil {
+		ws = &workerStat{}
+		r.workers[worker] = ws
+	}
+	if answer == GrantLease {
+		ws.granted++
+	}
+	ws.lastSeen = at
+	ws.done = answer == GrantDone
+}
+
+// list returns every worker by name with its state at now: done, live
+// when seen within the last ttl, or stale.
+func (r *roster) list(now time.Time, ttl time.Duration) []WorkerStatus {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]WorkerStatus, 0, len(r.workers))
+	for name, ws := range r.workers {
+		state := WorkerStale
+		switch {
+		case ws.done:
+			state = WorkerDone
+		case now.Sub(ws.lastSeen) < ttl:
+			state = WorkerLive
+		}
+		out = append(out, WorkerStatus{Name: name, State: state, Granted: ws.granted, LastSeenUnixNS: ws.lastSeen.UnixNano()})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // LeaseGrant is the coordinator's answer to a lease request.
@@ -132,8 +184,8 @@ type LeaseGrant struct {
 	Keys []string `json:"keys,omitempty"`
 	// Spec is the sweep to run; identical for every grant.
 	Spec SweepSpec `json:"spec,omitempty"`
-	// TTLNS is the heartbeat deadline, on wait grants too, where it
-	// paces the waiting worker's fleet pushes.
+	// TTLNS is the lease's heartbeat deadline; the holder heartbeats
+	// every third of it. A wait grant carries none.
 	TTLNS int64 `json:"ttl_ns,omitempty"`
 }
 
@@ -147,7 +199,8 @@ const (
 // Status is a point-in-time snapshot of coordinator state, served on
 // GET /dist/v1/status and asserted on by the chaos suites. Partitions
 // and Workers are the auto-scaling hook surface: lease ages expose
-// stragglers, worker last-seen timestamps expose dead workers.
+// stragglers, worker states expose dead workers. Between gmap-served's
+// sweeps only Workers is set.
 type Status struct {
 	Experiment string         `json:"experiment"`
 	Epoch      uint64         `json:"epoch"`
@@ -179,14 +232,25 @@ type PartStatus struct {
 	LeaseAgeNS int64  `json:"lease_age_ns,omitempty"`
 }
 
-// WorkerStatus is one worker's liveness in a Status snapshot: every
-// worker that ever held a lease this incarnation, with the wall-clock
-// instant of its last lease/heartbeat/result.
+// WorkerStatus is one roster entry in a Status snapshot: every worker
+// that made a lease request, a heartbeat or a delivery, with the leases
+// it was granted, the wall-clock instant of its last request and its
+// state.
 type WorkerStatus struct {
 	Name           string `json:"name"`
+	State          string `json:"state"`
 	Granted        uint64 `json:"granted"`
 	LastSeenUnixNS int64  `json:"last_seen_unix_ns"`
 }
+
+// Worker states: done when the worker's last request was answered
+// "done", otherwise live when it came within one lease TTL, otherwise
+// stale.
+const (
+	WorkerLive  = "live"
+	WorkerStale = "stale"
+	WorkerDone  = "done"
+)
 
 // Coordinator owns the sweep's job universe: it enumerates the keys,
 // partitions them, leases partitions to workers, merges streamed
@@ -206,7 +270,7 @@ type Coordinator struct {
 	appender *runner.CheckpointAppender
 	epoch    uint64
 	deposed  bool // a higher epoch is persisted: permanently fenced
-	workers  map[string]*workerStat
+	roster   *roster
 	seq      int
 	granted  uint64
 	expired  uint64
@@ -253,7 +317,7 @@ func newCoordinator(spec SweepSpec, keys []string, o CoordinatorOptions) (*Coord
 		universe: make(map[string]int, len(keys)),
 		leases:   make(map[string]*lease),
 		done:     make(map[string]json.RawMessage),
-		workers:  make(map[string]*workerStat),
+		roster:   &roster{},
 		finished: make(chan struct{}),
 		now:      time.Now,
 	}
@@ -453,12 +517,12 @@ func (c *Coordinator) WaitDone(ctx context.Context) error {
 	}
 }
 
-// Drain keeps a finished coordinator answering until every worker seen
-// within the last lease TTL has been told the sweep is done, for half a
-// lease TTL at most: long enough for a worker waiting at its poll
-// interval (500ms by default) to ask again. Every request a worker
-// makes counts as seen, one fenced to a previous epoch too, so a
-// restarted coordinator also waits for the workers of its predecessor.
+// Drain keeps a finished coordinator answering until no worker on its
+// roster is live, for half a lease TTL at most: long enough for a
+// worker waiting at its poll interval (500ms by default) to ask again
+// and hear "done". The roster records every request, one fenced to a
+// previous epoch too, so a restarted coordinator also waits for the
+// workers of its predecessor.
 // A coordinator that exits the moment its report renders leaves a
 // worker asking for its next lease to spend its whole retry budget on a
 // closed port, and fail.
@@ -469,13 +533,11 @@ func (c *Coordinator) Drain(ctx context.Context) {
 	}
 }
 
-// drained reports whether every worker live within the last lease TTL
-// has been told the sweep is done.
+// drained reports whether no worker on the roster is live: each was
+// told the sweep is done or has been silent for a lease TTL.
 func (c *Coordinator) drained() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ws := range c.workers {
-		if !ws.toldDone && c.now().Sub(ws.lastSeen) < c.o.LeaseTTL {
+	for _, w := range c.roster.list(c.now(), c.o.LeaseTTL) {
+		if w.State == WorkerLive {
 			return false
 		}
 	}
@@ -486,16 +548,16 @@ func (c *Coordinator) drained() bool {
 // unrecorded keys. With nothing grantable it answers "wait", and once
 // every key is recorded, "done". A deposed coordinator refuses to
 // grant (ErrStaleEpoch): the worker's retry loop finds the successor.
-func (c *Coordinator) Lease(worker string) (LeaseGrant, error) {
+// The roster records the request with its answer, a refusal too.
+func (c *Coordinator) Lease(worker string) (g LeaseGrant, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ws := c.seenLocked(worker)
-	if err := c.fenceLocked(); err != nil {
+	defer func() { c.roster.seen(worker, c.now(), g.Status) }()
+	if err = c.fenceLocked(); err != nil {
 		return LeaseGrant{}, err
 	}
 	c.expireLocked()
 	if c.doneLocked() {
-		ws.toldDone = true
 		return LeaseGrant{Status: GrantDone, Epoch: c.epoch}, nil
 	}
 	for _, p := range c.parts {
@@ -503,32 +565,13 @@ func (c *Coordinator) Lease(worker string) (LeaseGrant, error) {
 			return c.grantLocked(worker, p), nil
 		}
 	}
-	return waitGrant(c.epoch, c.o.LeaseTTL), nil
-}
-
-// waitGrant tells a worker that nothing is leasable yet. It carries the
-// lease TTL too, which paces the waiting worker's fleet pushes.
-func waitGrant(epoch uint64, ttl time.Duration) LeaseGrant {
-	return LeaseGrant{Status: GrantWait, Epoch: epoch, TTLNS: int64(ttl)}
-}
-
-// seenLocked refreshes a worker's last-seen instant. Every lease
-// operation names its worker and calls it first, fenced or not.
-func (c *Coordinator) seenLocked(worker string) *workerStat {
-	ws := c.workers[worker]
-	if ws == nil {
-		ws = &workerStat{}
-		c.workers[worker] = ws
-	}
-	ws.lastSeen = c.now()
-	return ws
+	return LeaseGrant{Status: GrantWait, Epoch: c.epoch}, nil
 }
 
 // grantLocked issues a lease on part p to worker.
 func (c *Coordinator) grantLocked(worker string, p *partState) LeaseGrant {
 	c.seq++
 	c.granted++
-	c.seenLocked(worker).granted++
 	c.o.Obs.Counter("dist.leases_granted").Inc()
 	// Ids are epoch-qualified so a lease can never collide with one a
 	// predecessor granted (each incarnation restarts seq at 0).
@@ -591,7 +634,7 @@ func (c *Coordinator) revokeLocked(l *lease) {
 func (c *Coordinator) Heartbeat(worker, leaseID string, epoch uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.seenLocked(worker)
+	c.roster.seen(worker, c.now(), "")
 	if err := c.fenceEpochLocked(epoch); err != nil {
 		return err
 	}
@@ -619,7 +662,7 @@ func (c *Coordinator) Heartbeat(worker, leaseID string, epoch uint64) error {
 func (c *Coordinator) Results(worker, leaseID string, epoch uint64, entries []Entry) (accepted, duplicates int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.seenLocked(worker)
+	c.roster.seen(worker, c.now(), "")
 	if err := c.fenceEpochLocked(epoch); err != nil {
 		return 0, 0, err
 	}
@@ -716,9 +759,9 @@ func (c *Coordinator) checkFinishedLocked() {
 }
 
 // StatusSnapshot reports progress for /dist/v1/status and the tests:
-// aggregate counters plus the per-partition lease ages and per-worker
-// last-seen timestamps an auto-scaler (or an operator deciding whether
-// the sweep is actually stuck) keys on.
+// aggregate counters plus the per-partition lease ages and the roster
+// an auto-scaler (or an operator deciding whether the sweep is actually
+// stuck) keys on.
 func (c *Coordinator) StatusSnapshot() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -753,19 +796,7 @@ func (c *Coordinator) StatusSnapshot() Status {
 		st.Partitions = append(st.Partitions, ps)
 	}
 	st.DoneParts = doneParts
-	names := make([]string, 0, len(c.workers))
-	for name := range c.workers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ws := c.workers[name]
-		st.Workers = append(st.Workers, WorkerStatus{
-			Name:           name,
-			Granted:        ws.granted,
-			LastSeenUnixNS: ws.lastSeen.UnixNano(),
-		})
-	}
+	st.Workers = c.roster.list(now, c.o.LeaseTTL)
 	return st
 }
 

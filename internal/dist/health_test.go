@@ -77,13 +77,13 @@ func TestLeaseIgnoresLegacyObsURL(t *testing.T) {
 func TestFleetMountIsStatic(t *testing.T) {
 	c := healthCoordinator(t)
 	defer c.Close()
-	if rec := hit(c.Handler(), "GET", "/fleet/status"); rec.Code != http.StatusNotFound {
+	if rec := hit(c.Handler(), "GET", "/fleet/metrics"); rec.Code != http.StatusNotFound {
 		t.Fatalf("unfederated /fleet/ = %d, want 404", rec.Code)
 	}
 	c.SetFleet(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 	}))
-	if rec := hit(c.Handler(), "GET", "/fleet/status"); rec.Code != http.StatusTeapot {
+	if rec := hit(c.Handler(), "GET", "/fleet/metrics"); rec.Code != http.StatusTeapot {
 		t.Fatalf("/fleet/ after SetFleet = %d, want the federation handler", rec.Code)
 	}
 }

@@ -36,15 +36,31 @@ func fetch(t *testing.T, url string) string {
 	return string(body)
 }
 
+// rosterWorker fetches base's /dist/v1/status and returns the roster
+// entry of the worker named name, nil when none is listed.
+func rosterWorker(t *testing.T, base, name string) *WorkerStatus {
+	t.Helper()
+	var st Status
+	if err := json.Unmarshal([]byte(fetch(t, base+"/dist/v1/status")), &st); err != nil {
+		t.Fatal(err)
+	}
+	for i := range st.Workers {
+		if st.Workers[i].Name == name {
+			return &st.Workers[i]
+		}
+	}
+	return nil
+}
+
 // TestConformanceObservability is the fleet-observability contract: a
 // distributed sweep with everything on — coordinator registry, sweep
 // tracer, push-only metrics federation, worker registries and tracers —
 // still merges to bytes identical to the serial run, and the federated
 // surfaces describe the fleet truthfully from worker pushes alone (no
-// worker serves anything): /fleet/status lists every worker with a
-// final push, /fleet/metrics keeps per-worker labels, and the merged
-// Chrome trace joins every worker lease span to a coordinator lease
-// span by lease id.
+// worker serves anything): the roster on /dist/v1/status lists every
+// worker done with at least one lease, /fleet/metrics keeps per-worker
+// labels, and the merged Chrome trace joins every worker lease span to
+// a coordinator lease span by lease id.
 func TestConformanceObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep conformance; skipped in -short")
@@ -71,13 +87,7 @@ func TestConformanceObservability(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			c.SetFleet(fleet.New(fleet.Options{
-				Self:     "coordinator",
-				Registry: reg,
-				Tracer:   tracer,
-				Status:   func() interface{} { return c.StatusSnapshot() },
-				Stale:    time.Minute,
-			}).Handler())
+			c.SetFleet(fleet.New(fleet.Options{Self: "coordinator", Registry: reg, Tracer: tracer}).Handler())
 			srv, err := c.Serve(ctx, "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -120,22 +130,18 @@ func TestConformanceObservability(t *testing.T) {
 					n, buf.String(), serial)
 			}
 
-			// /fleet/status over the coordinator's real listener: every
-			// worker made at least its final push (RunWorker flushes
-			// tallies and trace on exit).
-			var fs fleet.FleetStatus
-			if err := json.Unmarshal([]byte(fetch(t, srv.URL()+"/fleet/status")), &fs); err != nil {
-				t.Fatalf("fleet status not JSON: %v", err)
+			// The roster over the coordinator's real listener: every
+			// worker took a lease and heard "done".
+			var st Status
+			if err := json.Unmarshal([]byte(fetch(t, srv.URL()+"/dist/v1/status")), &st); err != nil {
+				t.Fatalf("status not JSON: %v", err)
 			}
-			if len(fs.Workers) != n {
-				t.Fatalf("fleet status lists %d workers, want %d: %+v", len(fs.Workers), n, fs.Workers)
+			if len(st.Workers) != n {
+				t.Fatalf("roster lists %d workers, want %d: %+v", len(st.Workers), n, st.Workers)
 			}
-			for _, w := range fs.Workers {
-				if w.Pushes == 0 {
-					t.Errorf("worker %s never pushed: %+v", w.Name, w)
-				}
-				if !w.Final {
-					t.Errorf("worker %s missing final push: %+v", w.Name, w)
+			for _, w := range st.Workers {
+				if w.State != WorkerDone || w.Granted == 0 {
+					t.Errorf("roster lists %+v; want done with at least one lease", w)
 				}
 			}
 

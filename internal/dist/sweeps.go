@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync/atomic"
+	"time"
 )
 
 // Sweeps runs a service's sweeps one at a time, each through a
@@ -15,12 +16,16 @@ import (
 // in-process worker runs the same lease loop as a remote one, calling
 // the coordinator directly, so a sweep finishes with no remote worker
 // at all. Remote workers join through Handler, which routes them to the
-// sweep being coordinated and keeps them waiting between sweeps.
+// sweep being coordinated and keeps them waiting between sweeps. One
+// roster outlives the sweeps: each sweep's coordinator records into it,
+// and between sweeps Sweeps records every request it answers itself, so
+// GET /dist/v1/status lists the workers between sweeps too.
 type Sweeps struct {
 	o       CoordinatorOptions
 	workers int
 	slot    chan struct{}               // held by the sweep being coordinated
 	cur     atomic.Pointer[Coordinator] // the sweep being coordinated, nil between sweeps
+	roster  roster
 }
 
 // NewSweeps builds a Sweeps. Each sweep's coordinator takes its options
@@ -52,6 +57,7 @@ func (s *Sweeps) Run(ctx context.Context, spec SweepSpec, ledger string, started
 		return "", err
 	}
 	defer c.Close()
+	c.roster = &s.roster
 	if started != nil {
 		started(c)
 	}
@@ -72,27 +78,29 @@ func (s *Sweeps) Run(ctx context.Context, spec SweepSpec, ledger string, started
 	return buf.String(), nil
 }
 
-// Status snapshots the sweep being coordinated, nil between sweeps.
-func (s *Sweeps) Status() *Status {
-	c := s.cur.Load()
-	if c == nil {
-		return nil
+// Status snapshots the sweep being coordinated; between sweeps it
+// holds only the roster.
+func (s *Sweeps) Status() Status {
+	if c := s.cur.Load(); c != nil {
+		return c.StatusSnapshot()
 	}
-	st := c.StatusSnapshot()
-	return &st
+	return Status{Workers: s.roster.list(time.Now(), s.o.LeaseTTL)}
 }
 
 // Lease grants from the sweep being coordinated. A service outlives its
 // sweeps, so a worker never hears "done": between sweeps, and once the
-// live sweep has nothing left to grant, it is told to wait.
+// live sweep has nothing left to grant, it is told to wait, and the
+// roster records the wait.
 func (s *Sweeps) Lease(worker string) (LeaseGrant, error) {
 	c := s.cur.Load()
 	if c == nil {
-		return waitGrant(0, s.o.LeaseTTL), nil
+		s.roster.seen(worker, time.Now(), GrantWait)
+		return LeaseGrant{Status: GrantWait}, nil
 	}
 	g, err := c.Lease(worker)
 	if err == nil && g.Status == GrantDone {
-		g = waitGrant(g.Epoch, s.o.LeaseTTL)
+		g = LeaseGrant{Status: GrantWait, Epoch: g.Epoch}
+		s.roster.seen(worker, c.now(), GrantWait)
 	}
 	return g, err
 }
@@ -102,6 +110,7 @@ func (s *Sweeps) Lease(worker string) (LeaseGrant, error) {
 func (s *Sweeps) Heartbeat(worker, lease string, epoch uint64) error {
 	c := s.cur.Load()
 	if c == nil {
+		s.roster.seen(worker, time.Now(), "")
 		return ErrLeaseGone
 	}
 	return c.Heartbeat(worker, lease, epoch)
@@ -113,6 +122,7 @@ func (s *Sweeps) Heartbeat(worker, lease string, epoch uint64) error {
 func (s *Sweeps) Results(worker, lease string, epoch uint64, entries []Entry) (int, int, error) {
 	c := s.cur.Load()
 	if c == nil {
+		s.roster.seen(worker, time.Now(), "")
 		return 0, 0, ErrLeaseGone
 	}
 	accepted, dups, err := c.Results(worker, lease, epoch, entries)
@@ -123,8 +133,7 @@ func (s *Sweeps) Results(worker, lease string, epoch uint64, entries []Entry) (i
 }
 
 // Handler serves the worker-facing wire surface under /dist/v1/.
-// GET /dist/v1/status answers the live sweep's status, null between
-// sweeps.
+// GET /dist/v1/status answers Status.
 func (s *Sweeps) Handler() http.Handler {
 	mux := http.NewServeMux()
 	handleLeaseOps(mux, s)

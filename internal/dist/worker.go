@@ -189,8 +189,6 @@ type worker struct {
 	// on eo, so keeping it across a sweep's leases builds each once.
 	spec SweepSpec
 	eo   *eval.Options
-	// pushed is when the wait state last pushed a fleet snapshot.
-	pushed time.Time
 }
 
 // ops is the coordinator as the worker reaches it: in process, itself;
@@ -202,30 +200,24 @@ func (w *worker) ops(ctx context.Context) leaseOps {
 	return remote{w.cl, ctx}
 }
 
-// normalizeEndpoint turns "host:port" or a URL into a base URL.
-func normalizeEndpoint(s string) string {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return ""
-	}
-	if !strings.HasPrefix(s, "http://") && !strings.HasPrefix(s, "https://") {
-		s = "http://" + s
-	}
-	return strings.TrimRight(s, "/")
-}
-
-// endpoint resolves the coordinator's URL: the addr file's current
-// content while it is readable (re-read on every call — a restarted
-// coordinator rewrites it), otherwise Coordinator.
-func (w *worker) endpoint() string {
-	if w.o.AddrFile != "" {
-		if data, err := os.ReadFile(w.o.AddrFile); err == nil {
-			if e := normalizeEndpoint(string(data)); e != "" {
-				return e
-			}
+// resolveEndpoint returns a coordinator's base URL: the content of
+// addrFile while that file is readable and non-empty, otherwise url;
+// either may be a URL or host:port. The file is re-read on every call,
+// since a coordinator restarted over the same ledger rewrites it.
+func resolveEndpoint(addrFile, url string) string {
+	if addrFile != "" {
+		if data, err := os.ReadFile(addrFile); err == nil && strings.TrimSpace(string(data)) != "" {
+			url = string(data)
 		}
 	}
-	return normalizeEndpoint(w.o.Coordinator)
+	url = strings.TrimSpace(url)
+	if url == "" {
+		return ""
+	}
+	if !strings.HasPrefix(url, "http://") && !strings.HasPrefix(url, "https://") {
+		url = "http://" + url
+	}
+	return strings.TrimRight(url, "/")
 }
 
 // rediscover re-resolves the coordinator's URL before a retry and
@@ -234,7 +226,7 @@ func (w *worker) rediscover() {
 	if w.cl == nil {
 		return
 	}
-	cur, next := w.cl.baseURL(), w.endpoint()
+	cur, next := w.cl.baseURL(), resolveEndpoint(w.o.AddrFile, w.o.Coordinator)
 	if next != "" && next != cur {
 		w.o.Obs.Counter("dist.endpoint_rotations").Inc()
 		w.logf("dist: worker %s: switching coordinator %s -> %s", w.o.Name, cur, next)
@@ -287,10 +279,12 @@ func (w *worker) withRetry(ctx context.Context, counter string, op func() error)
 // the next lease. A gmap-served endpoint never answers "done": its
 // workers wait between sweeps until ctx ends.
 //
-// A worker with Obs or Trace set joins the coordinator's fleet view by
-// push alone (POST /fleet/push): its registry snapshot after every
-// successful heartbeat and, while waiting, at most once per TTL/3; its
-// snapshot and span log at every lease end; and a final report on exit.
+// A worker with Obs or Trace set pushes its observability to the
+// coordinator (POST /fleet/push): its registry snapshot after every
+// successful heartbeat, its snapshot and span log at every lease end,
+// and a final report on exit. Its liveness needs no push: the
+// coordinator's roster records every lease request, heartbeat and
+// delivery.
 func RunWorker(ctx context.Context, o WorkerOptions) error {
 	if o.Coordinator == "" && o.AddrFile == "" {
 		return errors.New("dist: worker requires a coordinator URL or addr file")
@@ -303,7 +297,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 		o.Name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
 	w := newWorker(o, nil)
-	w.cl = &client{hc: &http.Client{Timeout: 30 * time.Second}, base: w.endpoint()}
+	w.cl = &client{hc: &http.Client{Timeout: 30 * time.Second}, base: resolveEndpoint(o.AddrFile, o.Coordinator)}
 	if w.cl.base == "" {
 		return errors.New("dist: no coordinator endpoint resolvable (addr file missing?)")
 	}
@@ -363,12 +357,6 @@ func (w *worker) run(ctx context.Context) error {
 			w.logf("dist: worker %s: sweep complete", o.Name)
 			return nil
 		case GrantWait:
-			// A waiting worker heartbeats nothing, so it pushes on its own
-			// to stay live in the fleet view.
-			if ttl := time.Duration(g.TTLNS); ttl > 0 && time.Since(w.pushed) >= ttl/3 {
-				w.pushed = time.Now()
-				w.push(false, false, min(pushTimeout, ttl/3))
-			}
 			select {
 			case <-time.After(o.Poll):
 			case <-done:
@@ -459,10 +447,10 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 	// new epoch. A dropped heartbeat (coordinator restarting, transient
 	// network fault) is retried, within the retry budget, rather than
 	// taken as a verdict: only the coordinator decides lease death.
-	// Each renewal is also the worker's fleet liveness signal: a snapshot
-	// push (no span log — that waits for lease end), bounded to a third
-	// of the TTL so a slow federator can never hold the next heartbeat
-	// past the lease deadline.
+	// Each renewal is followed by a snapshot push (no span log — that
+	// waits for lease end), bounded to a third of the TTL so a slow
+	// federator can never hold the next heartbeat past the lease
+	// deadline.
 	hbDone := make(chan struct{})
 	ttl := time.Duration(g.TTLNS)
 	if ttl <= 0 {
@@ -546,8 +534,8 @@ func (w *worker) runLease(ctx context.Context, g LeaseGrant) error {
 	return nil
 }
 
-// pushTimeout bounds lease-end and final pushes; heartbeat and
-// wait-state pushes are further capped at a third of the lease TTL.
+// pushTimeout bounds lease-end and final pushes; heartbeat pushes are
+// further capped at a third of the lease TTL.
 const pushTimeout = 2 * time.Second
 
 // push ships the worker's metrics snapshot — plus its span log when

@@ -69,10 +69,9 @@ func TestAPIErrMapping(t *testing.T) {
 }
 
 // TestHeartbeatPushesListWorkerLive: a worker whose lease outlasts
-// several heartbeats is listed live on /fleet/status before that lease
-// ends — pushed, not stale, not final — and the pushes it makes while
-// the lease is live carry a registry snapshot but no span log (that
-// waits for lease end).
+// several heartbeats is listed live on /dist/v1/status before that
+// lease ends, and the pushes it makes while the lease is live carry a
+// registry snapshot but no span log (that waits for lease end).
 func TestHeartbeatPushesListWorkerLive(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
@@ -93,7 +92,7 @@ func TestHeartbeatPushesListWorkerLive(t *testing.T) {
 
 	// Record every push that lands while the first lease is still live
 	// and unexpired: those can only be heartbeat pushes.
-	fh := fleet.New(fleet.Options{Stale: ttl}).Handler()
+	fh := fleet.New(fleet.Options{}).Handler()
 	var mu sync.Mutex
 	var midLease []fleet.PushRequest
 	c.SetFleet(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -128,26 +127,18 @@ func TestHeartbeatPushesListWorkerLive(t *testing.T) {
 		})
 	}()
 
-	// Poll the fleet view until w0 is listed. Reading the coordinator
-	// after the fetch proves the lease was still open when it was served.
-	var live fleet.WorkerHealth
-	for live.Name == "" {
-		var fs fleet.FleetStatus
-		if err := json.Unmarshal([]byte(fetch(t, srv.URL()+"/fleet/status")), &fs); err != nil {
-			t.Fatal(err)
-		}
+	// Poll the roster until w0 is listed. Reading the coordinator after
+	// the fetch proves the lease was still open when it was served.
+	var live *WorkerStatus
+	for live == nil {
+		live = rosterWorker(t, srv.URL(), "w0")
 		if st := c.StatusSnapshot(); st.DoneParts != 0 || st.Expired != 0 {
-			t.Fatalf("first lease ended before /fleet/status listed the worker: %+v", fs.Workers)
-		}
-		for _, w := range fs.Workers {
-			if w.Name == "w0" {
-				live = w
-			}
+			t.Fatalf("first lease ended before /dist/v1/status listed the worker: %+v", live)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if live.Pushes == 0 || live.Stale || live.Final {
-		t.Errorf("mid-lease fleet entry = %+v, want pushed, live and not final", live)
+	if live.State != WorkerLive || live.Granted != 1 {
+		t.Errorf("mid-lease roster entry = %+v, want live with one lease", live)
 	}
 
 	if err := <-done; err != nil {
@@ -167,9 +158,9 @@ func TestHeartbeatPushesListWorkerLive(t *testing.T) {
 }
 
 // TestWaitingWorkerStaysLive: a worker that waits longer than one lease
-// TTL, because every part is leased, stays live on /fleet/status. Wait
-// grants carry the TTL, and a waiting worker pushes a snapshot — no span
-// log — at most once per TTL/3.
+// TTL, because every part is leased, stays live on /dist/v1/status: its
+// lease requests are its liveness. It pushes nothing to stay there;
+// every push it makes is its final report.
 func TestWaitingWorkerStaysLive(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -184,7 +175,7 @@ func TestWaitingWorkerStaysLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	fh := fleet.New(fleet.Options{Stale: ttl}).Handler()
+	fh := fleet.New(fleet.Options{}).Handler()
 	var mu sync.Mutex
 	var pushes []fleet.PushRequest
 	c.SetFleet(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -233,18 +224,8 @@ func TestWaitingWorkerStaysLive(t *testing.T) {
 	}()
 	time.Sleep(5 * ttl / 2)
 
-	var fs fleet.FleetStatus
-	if err := json.Unmarshal([]byte(fetch(t, srv.URL()+"/fleet/status")), &fs); err != nil {
-		t.Fatal(err)
-	}
-	var w0 *fleet.WorkerHealth
-	for i := range fs.Workers {
-		if fs.Workers[i].Name == "w0" {
-			w0 = &fs.Workers[i]
-		}
-	}
-	if w0 == nil || w0.Stale || w0.Final || w0.Pushes < 2 {
-		t.Errorf("after %v of waiting, /fleet/status lists w0 as %+v; want live with pushes", 5*ttl/2, w0)
+	if w0 := rosterWorker(t, srv.URL(), "w0"); w0 == nil || w0.State != WorkerLive || w0.Granted != 0 {
+		t.Errorf("after %v of waiting, /dist/v1/status lists w0 as %+v; want live without a lease", 5*ttl/2, w0)
 	}
 	if st := c.StatusSnapshot(); st.Granted != 1 {
 		t.Errorf("granted %d leases; the worker should have waited throughout", st.Granted)
@@ -256,9 +237,8 @@ func TestWaitingWorkerStaysLive(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for i, pr := range pushes {
-		if !pr.Final && (pr.Snapshot == nil || len(pr.Trace) != 0) {
-			t.Errorf("wait push %d: snapshot=%v span log %d events; want a snapshot and no span log",
-				i, pr.Snapshot != nil, len(pr.Trace))
+		if !pr.Final {
+			t.Errorf("push %d of %d is not the final report; a waiting worker pushes nothing", i+1, len(pushes))
 		}
 	}
 }
@@ -410,7 +390,7 @@ func TestDeposedCoordinatorLeaseBudget(t *testing.T) {
 
 // TestWorkerEndpoint: a worker resolves one coordinator address, the
 // addr file's content while the file is readable and names one,
-// otherwise Coordinator.
+// otherwise Coordinator; either may be a URL or host:port.
 func TestWorkerEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name, content string) string {
@@ -428,22 +408,25 @@ func TestWorkerEndpoint(t *testing.T) {
 		{"coordinator", WorkerOptions{Coordinator: "http://10.0.0.1:9500/"}, "http://10.0.0.1:9500"},
 		{"host:port", WorkerOptions{Coordinator: "10.0.0.1:9500"}, "http://10.0.0.1:9500"},
 		{"addr file wins", WorkerOptions{Coordinator: "http://10.0.0.1:9500", AddrFile: file("a", "127.0.0.1:9501\n")}, "http://127.0.0.1:9501"},
+		{"addr file with url", WorkerOptions{Coordinator: "http://10.0.0.1:9500", AddrFile: file("u", "http://127.0.0.1:9502/\n")}, "http://127.0.0.1:9502"},
 		{"missing addr file", WorkerOptions{Coordinator: "http://10.0.0.1:9500", AddrFile: filepath.Join(dir, "none")}, "http://10.0.0.1:9500"},
 		{"empty addr file", WorkerOptions{Coordinator: "http://10.0.0.1:9500", AddrFile: file("e", "\n")}, "http://10.0.0.1:9500"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := newWorker(tc.o, nil).endpoint(); got != tc.want {
-				t.Errorf("endpoint = %q, want %q", got, tc.want)
+			if got := resolveEndpoint(tc.o.AddrFile, tc.o.Coordinator); got != tc.want {
+				t.Errorf("resolveEndpoint(%q, %q) = %q, want %q", tc.o.AddrFile, tc.o.Coordinator, got, tc.want)
 			}
 		})
 	}
 }
 
 // TestSweepsWireSurface: between sweeps the served surface answers a
-// lease request with a wait grant carrying the TTL and every other
-// lease operation with 410; during one, results for keys outside it come
-// from a retired sweep's lease and answer 410 too, and a sweep with
-// nothing left to grant tells workers to wait, never that it is done.
+// lease request with a wait grant, which carries no TTL, and every
+// other lease operation with 410, and its status lists the waiting
+// worker live; during one, results for keys outside it come from a
+// retired sweep's lease and answer 410 too, and a sweep with nothing
+// left to grant tells workers to wait, never that it is done: the
+// roster, which outlives the sweep, lists such a worker live.
 func TestSweepsWireSurface(t *testing.T) {
 	const ttl = 2 * time.Second
 	s := NewSweeps(CoordinatorOptions{LeaseTTL: ttl}, 1)
@@ -463,8 +446,11 @@ func TestSweepsWireSurface(t *testing.T) {
 	code, body := post("/dist/v1/lease", `{"worker":"w0"}`)
 	var g LeaseGrant
 	if err := json.Unmarshal([]byte(body), &g); code != http.StatusOK || err != nil ||
-		g.Status != GrantWait || g.TTLNS != int64(ttl) {
-		t.Errorf("idle lease: %d %s, want a wait grant carrying the TTL", code, body)
+		g.Status != GrantWait || strings.Contains(body, "ttl_ns") {
+		t.Errorf("idle lease: %d %s, want a wait grant without a TTL", code, body)
+	}
+	if w := rosterWorker(t, srv.URL, "w0"); w == nil || w.State != WorkerLive {
+		t.Errorf("idle status lists w0 as %+v, want live", w)
 	}
 	for path, body := range map[string]string{
 		"/dist/v1/heartbeat": `{"lease":"lease-1-0001","epoch":1}`,
@@ -477,6 +463,7 @@ func TestSweepsWireSurface(t *testing.T) {
 
 	c, keys, _ := syntheticCoordinator(t, 2, CoordinatorOptions{Parts: 1})
 	defer c.Close()
+	c.roster = &s.roster
 	s.cur.Store(c)
 	if _, _, err := s.Results("w0", "lease-0-0001", c.Epoch(), []Entry{{Key: "foreign", Value: []byte(`{}`)}}); !errors.Is(err, ErrLeaseGone) {
 		t.Errorf("results outside the live sweep: %v, want ErrLeaseGone", err)
@@ -487,6 +474,9 @@ func TestSweepsWireSurface(t *testing.T) {
 	}
 	if g, err := s.Lease("w0"); err != nil || g.Status != GrantWait {
 		t.Errorf("lease from a finished sweep: %+v, %v; want a wait grant", g, err)
+	}
+	if w := rosterWorker(t, srv.URL, "w0"); w == nil || w.State != WorkerLive {
+		t.Errorf("w0, told to wait by a finished sweep, is listed as %+v; want live", w)
 	}
 }
 

@@ -3,14 +3,13 @@
 // Every gmap process keeps its own registry and span log. In a
 // distributed sweep that leaves an operator with N+1 disjoint views and
 // no shared key. A Federator — owned by the coordinator process
-// (gmap-eval coordinator mode, or gmap-served with -dist-sweeps) —
-// joins them from worker pushes alone: a worker that joined the fleet
-// POSTs its registry snapshot to /fleet/push after every successful
-// lease heartbeat (every TTL/3), its snapshot and span events at every
-// lease end, and a final report on exit. Nothing dials a worker. A
-// worker that has not pushed for Options.Stale — one lease TTL, the
-// deadline on which the coordinator expires its lease — is marked
-// stale; a worker whose final report arrived never is.
+// (gmap-eval coordinator mode, or gmap-served) — joins them from worker
+// pushes alone: a worker that joined the fleet POSTs its registry
+// snapshot to /fleet/push after every successful lease heartbeat (every
+// TTL/3), its snapshot and span events at every lease end, and a final
+// report on exit. Nothing dials a worker. Worker liveness is not kept
+// here: the coordinator's roster, on GET /dist/v1/status, records every
+// lease request, heartbeat and delivery.
 //
 // The merged state serves the many-member case of each local export,
 // rendered by the same writer:
@@ -18,9 +17,6 @@
 //	/fleet/metrics       prometheus text (obs.WriteMembers), one
 //	                     worker="..." label per source plus an
 //	                     unlabeled cross-fleet aggregate
-//	/fleet/status        fleet health JSON: per-worker last-push age and
-//	                     staleness, plus the owner's own status document
-//	                     (coordinator lease/epoch state) under "dist"
 //	/fleet/trace/chrome  one Chrome trace-event document
 //	                     (obstrace.WriteMergedChrome) merging the owner's
 //	                     spans with every pushed worker's span events,
@@ -39,9 +35,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
-	"time"
 
 	"github.com/uteda/gmap/internal/obs"
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
@@ -58,25 +52,14 @@ type Options struct {
 	// Tracer is the owner's span log, the root process of the merged
 	// trace export. Nil omits owner spans.
 	Tracer *obstrace.Tracer
-	// Status, when non-nil, supplies the owner's status document embedded
-	// in /fleet/status as "dist" (the coordinator's lease/epoch state).
-	Status func() interface{}
-	// Stale marks a worker stale when it has not pushed for this long.
-	// Pass the coordinator's lease TTL: workers push after every
-	// heartbeat, so a worker goes stale exactly when its lease would
-	// expire. Default 30s, the coordinator's default TTL.
-	Stale time.Duration
 }
 
-// workerState is everything known about one fleet member.
+// workerState is what one fleet member last pushed.
 type workerState struct {
-	name     string
-	snap     obs.Snapshot
-	hasSnap  bool
-	events   []obstrace.Event
-	lastSeen time.Time
-	pushes   uint64
-	final    bool
+	snap    obs.Snapshot
+	hasSnap bool
+	events  []obstrace.Event
+	final   bool
 }
 
 // Federator merges fleet observability from worker pushes. Create with
@@ -86,7 +69,6 @@ type Federator struct {
 
 	mu      sync.Mutex
 	workers map[string]*workerState
-	pushes  uint64
 }
 
 // New builds a Federator; usable even when o has every field zero
@@ -94,9 +76,6 @@ type Federator struct {
 func New(o Options) *Federator {
 	if o.Self == "" {
 		o.Self = "coordinator"
-	}
-	if o.Stale <= 0 {
-		o.Stale = 30 * time.Second
 	}
 	return &Federator{o: o, workers: make(map[string]*workerState)}
 }
@@ -106,7 +85,7 @@ type PushRequest struct {
 	// Worker names the reporting process (required).
 	Worker string `json:"worker"`
 	// Final marks the report as the worker's last: it is never replaced
-	// by a later non-final push, and the worker is never marked stale.
+	// by a later non-final push.
 	Final bool `json:"final,omitempty"`
 	// Snapshot is the worker's registry export at push time.
 	Snapshot *obs.Snapshot `json:"snapshot,omitempty"`
@@ -143,7 +122,7 @@ func (f *Federator) Record(pr PushRequest) error {
 	defer f.mu.Unlock()
 	ws := f.workers[pr.Worker]
 	if ws == nil {
-		ws = &workerState{name: pr.Worker}
+		ws = &workerState{}
 		f.workers[pr.Worker] = ws
 	}
 	if ws.final && !pr.Final {
@@ -158,77 +137,7 @@ func (f *Federator) Record(pr PushRequest) error {
 		ws.events = events
 	}
 	ws.final = pr.Final
-	ws.lastSeen = time.Now()
-	ws.pushes++
-	f.pushes++
 	return nil
-}
-
-// WorkerHealth is one fleet member's entry in a FleetStatus.
-type WorkerHealth struct {
-	Name           string `json:"name"`
-	LastSeenUnixNS int64  `json:"last_seen_unix_ns"`
-	AgeNS          int64  `json:"age_ns"`
-	Stale          bool   `json:"stale"`
-	Final          bool   `json:"final"`
-	Pushes         uint64 `json:"pushes"`
-	// Counters carries the worker's dist.* counters (jobs done, retries,
-	// endpoint rotations) — the fleet-health subset, not the whole
-	// registry.
-	Counters map[string]uint64 `json:"counters,omitempty"`
-}
-
-// FleetStatus is the /fleet/status document.
-type FleetStatus struct {
-	Self         string         `json:"self"`
-	NowUnixNS    int64          `json:"now_unix_ns"`
-	StaleAfterNS int64          `json:"stale_after_ns"`
-	Pushes       uint64         `json:"pushes"`
-	Workers      []WorkerHealth `json:"workers"`
-	// Dist is the owner's own status document (the coordinator's
-	// lease/epoch state), embedded verbatim.
-	Dist interface{} `json:"dist,omitempty"`
-}
-
-// StatusSnapshot freezes the fleet view.
-func (f *Federator) StatusSnapshot() FleetStatus {
-	if f == nil {
-		return FleetStatus{}
-	}
-	now := time.Now()
-	f.mu.Lock()
-	fs := FleetStatus{
-		Self:         f.o.Self,
-		NowUnixNS:    now.UnixNano(),
-		StaleAfterNS: f.o.Stale.Nanoseconds(),
-		Pushes:       f.pushes,
-	}
-	for _, ws := range f.workers {
-		wh := WorkerHealth{
-			Name:           ws.name,
-			LastSeenUnixNS: ws.lastSeen.UnixNano(),
-			AgeNS:          now.Sub(ws.lastSeen).Nanoseconds(),
-			Final:          ws.final,
-			Pushes:         ws.pushes,
-		}
-		// A finished worker is not stale — it reported out and left.
-		wh.Stale = !ws.final && now.Sub(ws.lastSeen) > f.o.Stale
-		for name, v := range ws.snap.Counters {
-			if strings.HasPrefix(name, "dist.") {
-				if wh.Counters == nil {
-					wh.Counters = make(map[string]uint64)
-				}
-				wh.Counters[name] = v
-			}
-		}
-		fs.Workers = append(fs.Workers, wh)
-	}
-	f.mu.Unlock()
-	sort.Slice(fs.Workers, func(i, j int) bool { return fs.Workers[i].Name < fs.Workers[j].Name })
-	if f.o.Status != nil {
-		fs.Dist = f.o.Status()
-	}
-	return fs
 }
 
 // WriteMetrics renders the merged fleet exposition that /fleet/metrics
@@ -308,15 +217,6 @@ func (f *Federator) Handler() http.Handler {
 		if err := f.WriteMetrics(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
-	})
-	mux.HandleFunc("GET /fleet/status", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		data, err := json.MarshalIndent(f.StatusSnapshot(), "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Write(append(data, '\n'))
 	})
 	mux.HandleFunc("GET /fleet/trace/chrome", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -165,50 +165,38 @@ func TestMetricsMergesGaugesAndHistograms(t *testing.T) {
 	}
 }
 
-// TestPushFoldsWorkerIn: a worker's non-final push lists it live, with
-// its dist.* counters surfaced in /fleet/status and its whole snapshot
-// in the merged exposition.
+// TestPushFoldsWorkerIn: a worker's non-final push folds its whole
+// snapshot into the merged exposition. The federator keeps no worker
+// table of its own: /fleet/status is not served.
 func TestPushFoldsWorkerIn(t *testing.T) {
-	f := New(Options{
-		Status: func() interface{} { return map[string]int{"parts": 4} },
-	})
-	if err := f.Record(PushRequest{
+	f := New(Options{})
+	body, err := json.Marshal(PushRequest{
 		Worker:   "w0",
 		Snapshot: snapWith(map[string]uint64{"dist.worker.jobs": 7}),
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	fs := f.StatusSnapshot()
-	if len(fs.Workers) != 1 {
-		t.Fatalf("workers = %+v", fs.Workers)
+	rec := httptest.NewRecorder()
+	f.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/fleet/push", bytes.NewReader(body)))
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("push = %d: %s", rec.Code, rec.Body.String())
 	}
-	w := fs.Workers[0]
-	if w.Name != "w0" || w.Stale || w.Final || w.Pushes != 1 {
-		t.Fatalf("worker health = %+v", w)
+	if _, metrics := get(t, f.Handler(), "/fleet/metrics"); !strings.Contains(metrics, `gmap_dist_worker_jobs{worker="w0"} 7`) {
+		t.Fatalf("pushed metrics missing:\n%s", metrics)
 	}
-	if w.Counters["dist.worker.jobs"] != 7 {
-		t.Fatalf("dist counters not surfaced: %+v", w.Counters)
-	}
-	if fs.Dist == nil {
-		t.Fatal("owner status document missing")
-	}
-
-	var buf bytes.Buffer
-	f.WriteMetrics(&buf)
-	if !strings.Contains(buf.String(), `gmap_dist_worker_jobs{worker="w0"} 7`) {
-		t.Fatalf("pushed metrics missing:\n%s", buf.String())
+	if res, body := get(t, f.Handler(), "/fleet/status"); res.StatusCode != http.StatusNotFound {
+		t.Fatalf("/fleet/status = %d %q, want 404", res.StatusCode, body)
 	}
 }
 
 // TestFinalSurvivesLatePush: a non-final push that lands after the
 // worker's final report — a heartbeat push that timed out on the worker
-// but still arrived — must not replace the final snapshot or span log,
-// nor make the finished worker look live again.
+// but still arrived — must not replace the final snapshot or span log.
 func TestFinalSurvivesLatePush(t *testing.T) {
 	wrk := obstrace.New()
 	wrk.Root("dist.worker.lease").End()
-	f := New(Options{Stale: time.Millisecond})
+	f := New(Options{})
 	if err := f.Record(PushRequest{
 		Worker:   "w0",
 		Final:    true,
@@ -223,35 +211,15 @@ func TestFinalSurvivesLatePush(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
-
-	fs := f.StatusSnapshot()
-	if len(fs.Workers) != 1 {
-		t.Fatalf("workers = %+v", fs.Workers)
+	var buf bytes.Buffer
+	if err := f.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if w := fs.Workers[0]; !w.Final || w.Stale || w.Pushes != 1 || w.Counters["dist.worker.jobs"] != 9 {
-		t.Fatalf("final report replaced by a later non-final push: %+v", w)
+	if !strings.Contains(buf.String(), `gmap_dist_worker_jobs{worker="w0"} 9`) {
+		t.Fatalf("final report replaced by a later non-final push:\n%s", buf.String())
 	}
 	if procs := f.traceProcesses(); len(procs) != 1 || len(procs[0].Events) == 0 {
 		t.Fatalf("final span log lost: %+v", procs)
-	}
-}
-
-func TestStaleness(t *testing.T) {
-	f := New(Options{Stale: time.Millisecond})
-	f.Record(PushRequest{Worker: "gone"})
-	f.Record(PushRequest{Worker: "done", Final: true})
-	time.Sleep(5 * time.Millisecond)
-	fs := f.StatusSnapshot()
-	byName := map[string]WorkerHealth{}
-	for _, w := range fs.Workers {
-		byName[w.Name] = w
-	}
-	if !byName["gone"].Stale {
-		t.Error("silent worker not marked stale")
-	}
-	if byName["done"].Stale || !byName["done"].Final {
-		t.Error("finished worker wrongly marked stale")
 	}
 }
 
@@ -389,24 +357,8 @@ func TestPushEndpoint(t *testing.T) {
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `attr "a"`) {
 		t.Fatalf("push with an object attribute = %d %q, want 400 naming attr \"a\"", rec.Code, rec.Body.String())
 	}
-	if fs := f.StatusSnapshot(); fs.Pushes != 2 || !fs.Workers[0].Final || fs.Workers[1].Name != "w1" {
-		t.Fatalf("pushes not recorded: %+v", fs)
-	}
-}
-
-func TestStatusEndpointJSON(t *testing.T) {
-	f := New(Options{Self: "coordinator"})
-	res, body := get(t, f.Handler(), "/fleet/status")
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", res.StatusCode)
-	}
-	var fs FleetStatus
-	if err := json.Unmarshal([]byte(body), &fs); err != nil {
-		t.Fatalf("not JSON: %v\n%s", err, body)
-	}
-	// Staleness defaults to the coordinator's default lease TTL.
-	if fs.Self != "coordinator" || fs.StaleAfterNS != (30*time.Second).Nanoseconds() {
-		t.Fatalf("status doc = %+v", fs)
+	if len(f.workers) != 2 || !f.workers["w0"].final || f.workers["w1"] == nil {
+		t.Fatalf("pushes not recorded: %+v", f.workers)
 	}
 }
 
@@ -415,48 +367,12 @@ func TestNilFederatorNoOps(t *testing.T) {
 	if err := f.Record(PushRequest{Worker: "w"}); err != nil {
 		t.Fatal(err)
 	}
-	if fs := f.StatusSnapshot(); len(fs.Workers) != 0 {
-		t.Fatal("nil federator grew state")
-	}
 	var buf bytes.Buffer
-	if err := f.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
+	if err := f.WriteMetrics(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("nil federator metrics = %q, %v; want nothing", buf.String(), err)
 	}
 	buf.Reset()
 	if err := f.WriteTrace(&buf); err != nil || !json.Valid(buf.Bytes()) {
 		t.Fatalf("nil federator trace = %q, %v; want a valid empty trace", buf.String(), err)
-	}
-}
-
-func TestRenderStatusFrame(t *testing.T) {
-	dist, _ := json.Marshal(map[string]interface{}{
-		"experiment": "fig6a", "epoch": 2, "total_jobs": 30, "done_jobs": 12,
-		"parts": 4, "done_parts": 1, "live_leases": 2,
-		"partitions": []map[string]interface{}{
-			{"part": 0, "keys": 8, "remaining": 3, "lease": "lease-2-0004",
-				"worker": "w0", "lease_age_ns": 1500000000},
-		},
-	})
-	doc := statusDoc{
-		Self: "coordinator", Pushes: 9,
-		Workers: []WorkerHealth{
-			{Name: "w1", Stale: true},
-			{Name: "w0", LastSeenUnixNS: 1, AgeNS: int64(time.Second), Pushes: 7},
-		},
-		Dist: dist,
-	}
-	var buf bytes.Buffer
-	RenderStatus(&buf, doc)
-	out := buf.String()
-	for _, want := range []string{
-		"sweep fig6a  epoch 2", "jobs 12/30", "lease-2-0004", "1.5s",
-		"pushes 9", "STALE", "1s ago",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("frame missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Index(out, "w0") > strings.Index(out, "w1") {
-		t.Errorf("workers not sorted:\n%s", out)
 	}
 }

@@ -59,7 +59,7 @@ type Options struct {
 	SweepWorkers int
 	// SweepParts partitions each sweep's job space for leasing (0 = 8),
 	// and LeaseTTL is a lease's heartbeat deadline (0 = 30s); a worker
-	// that stops pushing for one TTL reads stale on /fleet/status.
+	// silent for one TTL reads stale on /dist/v1/status.
 	SweepParts int
 	LeaseTTL   time.Duration
 	// Fsync hardens journal, result and sweep-ledger writes against
@@ -117,7 +117,7 @@ func New(o Options) (*Service, error) {
 	}
 	qo := o.Queue
 	qo.Obs = o.Obs
-	s := &Service{
+	return &Service{
 		o:  o,
 		st: o.Store,
 		q:  queue.New(qo),
@@ -129,18 +129,9 @@ func New(o Options) (*Service, error) {
 			Trace:    o.Tracer,
 			Logf:     o.Logf,
 		}, o.SweepWorkers),
-		jobs: make(map[string]*jobState),
-	}
-	s.fleet = fleet.New(fleet.Options{
-		Self:     "gmap-served",
-		Registry: o.Obs,
-		Tracer:   o.Tracer,
-		Status: func() interface{} {
-			return map[string]interface{}{"dist": s.sweeps.Status(), "queue": s.q.Stats()}
-		},
-		Stale: o.LeaseTTL,
-	}).Handler()
-	return s, nil
+		fleet: fleet.New(fleet.Options{Self: "gmap-served", Registry: o.Obs, Tracer: o.Tracer}).Handler(),
+		jobs:  make(map[string]*jobState),
+	}, nil
 }
 
 // Start launches the queue workers under ctx and re-enqueues journaled

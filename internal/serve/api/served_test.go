@@ -17,7 +17,6 @@ import (
 
 	"github.com/uteda/gmap/internal/dist"
 	"github.com/uteda/gmap/internal/obs"
-	"github.com/uteda/gmap/internal/obs/fleet"
 	obstrace "github.com/uteda/gmap/internal/obs/trace"
 	"github.com/uteda/gmap/internal/serve"
 	"github.com/uteda/gmap/internal/serve/api"
@@ -238,14 +237,15 @@ func (w *remoteWorker) stop() error {
 	return w.err
 }
 
-// fleetWorkers returns /fleet/status's worker entries by name.
-func (s *served) fleetWorkers(t *testing.T) map[string]fleet.WorkerHealth {
+// rosterStates returns the states of the workers GET /dist/v1/status
+// lists, by name.
+func (s *served) rosterStates(t *testing.T) map[string]string {
 	t.Helper()
-	var fs fleet.FleetStatus
-	s.get(t, "/fleet/status", &fs)
-	m := make(map[string]fleet.WorkerHealth)
-	for _, w := range fs.Workers {
-		m[w.Name] = w
+	var st dist.Status
+	s.get(t, "/dist/v1/status", &st)
+	m := make(map[string]string)
+	for _, w := range st.Workers {
+		m[w.Name] = w.State
 	}
 	return m
 }
@@ -253,10 +253,12 @@ func (s *served) fleetWorkers(t *testing.T) map[string]fleet.WorkerHealth {
 // TestServedSweepMatchesSerial: every served sweep runs through its own
 // coordinator with the server as first worker, and its report is
 // byte-identical to a serial eval run with no remote worker, one, or
-// two. The service's own sweep work records into its registry and
-// tracer, the service never lists itself as a fleet worker,
-// /fleet/metrics counts its registry once, and the retired job leaves
-// nothing in checkpoints/.
+// two. After the sweep the service's status lists the in-process worker
+// done and every remote worker live, waiting for the next sweep. The
+// service's own sweep work records into its registry and tracer,
+// /fleet/metrics counts its registry once and never under the
+// in-process worker's name, and the retired job leaves nothing in
+// checkpoints/.
 func TestServedSweepMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("served sweeps are seconds-long; skipped in -short")
@@ -295,9 +297,18 @@ func TestServedSweepMatchesSerial(t *testing.T) {
 				t.Error("no remote worker took a lease")
 			}
 
-			members := s.fleetWorkers(t)
-			if _, ok := members["in-process"]; ok || len(members) != remote {
-				t.Errorf("/fleet/status workers = %+v, want the %d remote worker(s) only", members, remote)
+			roster := s.rosterStates(t)
+			wantRoster := map[string]string{"in-process": dist.WorkerDone}
+			for _, w := range workers {
+				wantRoster[w.name] = dist.WorkerLive
+			}
+			if fmt.Sprint(roster) != fmt.Sprint(wantRoster) {
+				t.Errorf("/dist/v1/status workers after the sweep = %v, want %v", roster, wantRoster)
+			}
+			var metrics string
+			s.get(t, "/fleet/metrics", &metrics)
+			if strings.Contains(metrics, `worker="in-process"`) {
+				t.Errorf("/fleet/metrics lists the in-process worker:\n%s", metrics)
 			}
 			if remote > 0 {
 				return
@@ -320,8 +331,6 @@ func TestServedSweepMatchesSerial(t *testing.T) {
 					t.Errorf("service tracer holds no %s span: %v", name, spans)
 				}
 			}
-			var metrics string
-			s.get(t, "/fleet/metrics", &metrics)
 			var labeled []string
 			for _, line := range strings.Split(metrics, "\n") {
 				if strings.HasPrefix(line, "gmap_runner_jobs_done") {
@@ -346,6 +355,29 @@ func TestServedSweepMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestServedWatchShowsSweep: gmap-eval -fleet-watch pointed at the
+// service renders the sweep it coordinates — the sweep line and the
+// partition table — and its in-process worker, from the service's
+// /dist/v1/status.
+func TestServedWatchShowsSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("served sweeps are seconds-long; skipped in -short")
+	}
+	s := startServed(t, t.TempDir(), time.Second, true)
+	ctx, cancel := context.WithCancel(context.Background())
+	var out bytes.Buffer // read once the watch has returned
+	done := make(chan error, 1)
+	go func() { done <- dist.Watch(ctx, &out, s.srv.URL(), 10*time.Millisecond) }()
+	s.report(t, s.submit(t, sweepSpec), nil)
+	cancel()
+	<-done
+	for _, want := range []string{"sweep fig6a", "PART", "in-process"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("the watch never rendered %q:\n%s", want, out.String())
+		}
 	}
 }
 

@@ -105,8 +105,8 @@ wait_exit() {
 }
 
 # check_observability BASE COORD_PID — probe the live coordinator's
-# health and fleet surfaces: /healthz and /readyz must answer ok,
-# /fleet/status must eventually list a live (non-stale) worker, and
+# health and fleet surfaces: /healthz and /readyz must answer ok, the
+# roster on /dist/v1/status must eventually list a live worker, and
 # /fleet/metrics must carry worker-labeled samples. The sweep keeps
 # running underneath, so the poll fails fast (with the last good
 # status body) if the coordinator finishes and exits before a live
@@ -116,25 +116,25 @@ check_observability() {
     curl -sSf "$1/readyz"  | grep -q ok || fail "coordinator /readyz did not answer ok"
     start=$(date +%s)
     while :; do
-        if curl -sSf "$1/fleet/status" >"$WORK/fleet.tmp" 2>/dev/null; then
-            mv "$WORK/fleet.tmp" "$WORK/fleet.json"
-            # The status body is indented JSON: tolerate the space
-            # after the colon.
-            if grep -q '"stale": *false' "$WORK/fleet.json"; then
+        if curl -sSf "$1/dist/v1/status" >"$WORK/roster.tmp" 2>/dev/null; then
+            mv "$WORK/roster.tmp" "$WORK/roster.json"
+            # The status body is compact JSON; tolerate a space after
+            # the colon all the same.
+            if grep -q '"state": *"live"' "$WORK/roster.json"; then
                 break
             fi
         elif ! kill -0 "$2" 2>/dev/null; then
-            fail "coordinator exited before /fleet/status listed a live worker: $(cat "$WORK/fleet.json" 2>/dev/null)"
+            fail "coordinator exited before /dist/v1/status listed a live worker: $(cat "$WORK/roster.json" 2>/dev/null)"
         fi
         [ $(($(date +%s) - start)) -lt "$DEADLINE" ] || \
-            fail "/fleet/status never listed a live worker: $(cat "$WORK/fleet.json" 2>/dev/null)"
+            fail "/dist/v1/status never listed a live worker: $(cat "$WORK/roster.json" 2>/dev/null)"
         sleep 0.1
     done
-    grep -q '"name": *"' "$WORK/fleet.json" || fail "/fleet/status lists no workers"
+    grep -q '"name": *"' "$WORK/roster.json" || fail "/dist/v1/status lists no workers"
     curl -sSf "$1/fleet/metrics" >"$WORK/fleet_metrics.txt"
     grep -q '{worker="' "$WORK/fleet_metrics.txt" || \
         fail "/fleet/metrics carries no worker-labeled samples: $(head "$WORK/fleet_metrics.txt")"
-    echo "==> observability OK: healthz, readyz, $(grep -c '"stale": *false' "$WORK/fleet.json") live fleet worker(s), labeled metrics"
+    echo "==> observability OK: healthz, readyz, $(grep -o '"state": *"live"' "$WORK/roster.json" | wc -l) live roster worker(s), labeled metrics"
 }
 
 echo "==> building binaries into $BIN"

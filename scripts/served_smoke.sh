@@ -11,10 +11,11 @@
 # first worker: one with no remote worker, then one joined by a
 # gmap-eval worker started before it. Both reports must equal
 # gmap-eval -no-timings for the same spec; the worker must be listed
-# live on /fleet/status while it waits, take a lease, and still be
-# running afterwards. Exercises the same path a real deployment uses:
-# binaries + HTTP, no test harness. Requires only a Go toolchain and
-# curl.
+# live on /dist/v1/status while it waits, take a lease, and still be
+# running afterwards, and a gmap-eval -fleet-watch pointed at the
+# server must show the joined sweep. Exercises the same path a real
+# deployment uses: binaries + HTTP, no test harness. Requires only a Go
+# toolchain and curl.
 #
 # Usage: scripts/served_smoke.sh [workdir]
 set -eu
@@ -36,8 +37,9 @@ echo "==> profiling built-in workload aes"
 echo "==> starting gmap-served on an ephemeral port"
 "$BIN/gmap-served" -addr 127.0.0.1:0 -addr-file "$ADDR_FILE" -store "$STORE" &
 SERVED_PID=$!
-DIST_PID=; WORKER_PID=
-trap 'kill "$SERVED_PID" "$DIST_PID" "$WORKER_PID" 2>/dev/null || true' EXIT
+DIST_PID=; WORKER_PID=; WATCH_PID=
+# One kill per pid: dash's kill stops at its first empty argument.
+trap 'for pid in $SERVED_PID $DIST_PID $WORKER_PID $WATCH_PID; do kill "$pid" 2>/dev/null || true; done' EXIT
 
 # Wait for the server to write its bound address.
 i=0
@@ -231,40 +233,53 @@ sweep solo '{"kind":"sweep","experiment":"fig6a","benchmarks":["nn"],"cores":4}'
     -exp fig6a -benchmarks nn -cores 4
 
 echo "==> starting a gmap-eval worker before the next sweep"
-# -serve joins the fleet: the worker pushes its tallies to /fleet/push,
-# while it waits as well as while it holds a lease.
+# -serve joins the fleet view: the worker pushes its tallies to
+# /fleet/push after every heartbeat and at every lease end. Its
+# liveness needs no push: the server's roster records every lease
+# request it makes while it waits.
 "$BIN/gmap-eval" -worker "$DBASE" -serve 127.0.0.1:0 -workers 1 -quiet 2>"$WORK/worker.log" &
 WORKER_PID=$!
 
-# live — /fleet/status lists the worker, not stale.
+# live — /dist/v1/status (compact JSON) lists the worker live.
 live() {
-    curl -sSf "$DBASE/fleet/status" >"$WORK/dist_fleet.json"
-    sed -n '/"name": *"[^"]*:'"$WORKER_PID"'"/,/}/p' "$WORK/dist_fleet.json" | grep -q '"stale": *false'
+    curl -sSf "$DBASE/dist/v1/status" >"$WORK/dist_status.json"
+    grep -q '"name":"[^"]*:'"$WORKER_PID"'","state":"live"' "$WORK/dist_status.json"
 }
 i=0
 until live; do
     i=$((i + 1))
-    [ "$i" -le 100 ] || fail "/fleet/status never listed the waiting worker live: $(cat "$WORK/dist_fleet.json")"
+    [ "$i" -le 100 ] || fail "/dist/v1/status never listed the waiting worker live: $(cat "$WORK/dist_status.json")"
     sleep 0.1
 done
 # Longer than one lease TTL with nothing to lease: still live.
 sleep 3
-live || fail "the waiting worker went stale: $(cat "$WORK/dist_fleet.json")"
-echo "==> waiting worker listed live on /fleet/status"
+live || fail "the waiting worker went stale: $(cat "$WORK/dist_status.json")"
+echo "==> waiting worker listed live on /dist/v1/status"
+
+echo "==> watching the fleet while the next sweep runs"
+"$BIN/gmap-eval" -fleet-watch "$DBASE" -fleet-interval 100ms >"$WORK/watch.txt" 2>&1 &
+WATCH_PID=$!
 
 echo "==> sweep joined by the worker (fig6c, nn)"
 sweep joined '{"kind":"sweep","experiment":"fig6c","benchmarks":["nn"],"cores":4}' \
     -exp fig6c -benchmarks nn -cores 4
 
+kill "$WATCH_PID" 2>/dev/null || true
+wait "$WATCH_PID" 2>/dev/null || true
+WATCH_PID=
+grep -q 'sweep fig6c' "$WORK/watch.txt" || \
+    fail "gmap-eval -fleet-watch never showed the sweep: $(tail -c 600 "$WORK/watch.txt")"
+echo "==> the fleet watch showed the sweep ($(grep -c 'sweep fig6c' "$WORK/watch.txt") frame(s))"
+
 curl -sSf "$DBASE/fleet/metrics" >"$WORK/dist_metrics.txt"
 LEASES=$(sed -n 's/^gmap_dist_worker_leases{worker="[^"]*:'"$WORKER_PID"'"} \([0-9]*\)$/\1/p' "$WORK/dist_metrics.txt")
 [ "${LEASES:-0}" -ge 1 ] || fail "the worker took no lease: $(grep dist_worker_leases "$WORK/dist_metrics.txt")"
 kill -0 "$WORKER_PID" 2>/dev/null || fail "the worker exited after the sweep: $(tail -5 "$WORK/worker.log")"
-live || fail "the worker is not live after the sweep: $(cat "$WORK/dist_fleet.json")"
+live || fail "the worker is not live after the sweep: $(cat "$WORK/dist_status.json")"
 
 kill "$WORKER_PID" 2>/dev/null || true
 wait "$WORKER_PID" 2>/dev/null || true
 WORKER_PID=
-echo "==> phase 2 PASS: both sweeps equal gmap-eval -no-timings; the worker waited live, took $LEASES lease(s) and outlived the sweep"
+echo "==> phase 2 PASS: both sweeps equal gmap-eval -no-timings; the worker waited live, took $LEASES lease(s) and outlived the sweep, and the watch showed it"
 
 echo "PASS: cached resubmission ($HITS cache hit(s)) and coordinated sweeps with and without a remote worker"
